@@ -20,7 +20,8 @@ from .core import (
     ModelSpec,
     ParamBlock,
     RngStreams,
-    axpy_blocks,
+    _require_finite,
+    _sgd_step,
     copy_blocks,
     finalize_metrics,
 )
@@ -117,23 +118,24 @@ def train_centralized(
             batch_w = float(weights[idx].sum())
             # Group by owner: the batch loss is the weight-share mean of the
             # per-owner sub-batch losses, so grads combine with those shares.
+            # Each owner's local blocks appear once per batch, so they can be
+            # stepped as soon as their grads are known.
             global_grads = None
-            local_grads: dict[int, list[np.ndarray]] = {}
             for row in np.unique(owners[idx]):
                 sub = idx[owners[idx] == row]
                 share = float(weights[sub].sum()) / batch_w
-                cid = ids[row]
-                l = locals_by_client[cid]
+                l = locals_by_client[ids[row]]
                 gg = spec.grad_global(g, l, pooled.batch(sub))
                 gg = [share * x for x in gg]
                 global_grads = gg if global_grads is None else [
                     a + b for a, b in zip(global_grads, gg)
                 ]
-                lg = spec.grad_local(g, l, pooled.batch(sub))
-                local_grads[cid] = [share * x for x in lg]
-            g = axpy_blocks(g, -rate, global_grads)
-            for cid, lg in local_grads.items():
-                locals_by_client[cid] = axpy_blocks(locals_by_client[cid], -rate, lg)
+                _sgd_step(l, rate, [share * x for x in spec.grad_local(g, l, pooled.batch(sub))])
+            _sgd_step(g, rate, global_grads)
+    _require_finite(
+        [b.values for b in g] + [b.values for ls in locals_by_client.values() for b in ls],
+        "centralized parameters",
+    )
     return g, locals_by_client
 
 
@@ -220,13 +222,14 @@ def finetune_eval(
         for bidx in batches:
             batch = dsx.batch(bidx)
             if kind == "finetune_local_only":
-                l = axpy_blocks(l, -rate, spec.grad_local(g_c, l, batch))
+                _sgd_step(l, rate, spec.grad_local(g_c, l, batch))
             elif kind == "finetune_full":
                 gg = spec.grad_global(g_c, l, batch)
                 lg = spec.grad_local(g_c, l, batch)
-                g_c = axpy_blocks(g_c, -rate, gg)
-                l = axpy_blocks(l, -rate, lg)
+                _sgd_step(g_c, rate, gg)
+                _sgd_step(l, rate, lg)
             else:  # fedrecon_plus_finetune: global blocks only, l held fixed
-                g_c = axpy_blocks(g_c, -rate, spec.grad_global(g_c, l, batch))
+                _sgd_step(g_c, rate, spec.grad_global(g_c, l, batch))
+        _require_finite([b.values for b in g_c + l], f"finetuned parameters of client {cid}")
 
     return finalize_metrics(spec.metrics(g_c, l, dsx.query_batch()))

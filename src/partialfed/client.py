@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -20,7 +19,12 @@ from .core import (
     ModelSpec,
     ParamBlock,
     RngStreams,
-    axpy_blocks,
+    RowDelta,
+    _central_differences,
+    _flat,
+    _max_rel_err,
+    _require_finite,
+    _sgd_step,
     copy_blocks,
 )
 from .errors import ConfigError, DataError, NumericalError
@@ -71,8 +75,8 @@ class ClientHyper:
             raise ConfigError("k_u must be positive")
         # Zero rates are legal no-op limits (a zero-rate update returns a
         # zero delta); negative rates are configuration mistakes.
-        if self.eta_r < 0 or self.eta_u < 0:
-            raise ConfigError("learning rates must be nonnegative")
+        if not (0 <= self.eta_r < math.inf and 0 <= self.eta_u < math.inf):
+            raise ConfigError("learning rates must be finite and nonnegative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
 
@@ -133,21 +137,12 @@ def reconstruct(
         step_loss = spec.loss(g, l, batch)
         if not math.isfinite(step_loss):
             raise NumericalError(f"non-finite loss at reconstruction step {step}")
-        grads = spec.grad_local(g, l, batch)
-        try:
-            l = axpy_blocks(l, -hyper.eta_r, grads)
-        except NumericalError as e:
-            raise NumericalError(f"reconstruction step {step}: {e}") from e
+        _sgd_step(l, hyper.eta_r, spec.grad_local(g, l, batch))
         trace.append(step_loss)
+    _require_finite(
+        (b.values for b in l), f"local parameters after reconstruction step {hyper.k_r - 1}"
+    )
     return l, trace
-
-
-@dataclass
-class RowDelta:
-    """Sparse per-block delta: only these rows differ from the base values."""
-
-    rows: np.ndarray
-    values: np.ndarray
 
 
 @dataclass
@@ -173,64 +168,6 @@ def delta_to_dense(delta: list, template: Blocks) -> list[np.ndarray]:
     return out
 
 
-def _dense_update(spec, g, l, data, hyper, batches):
-    g_i = copy_blocks(g)
-    for bidx in batches:
-        batch = data.batch(bidx)
-        grads = spec.grad_global(g_i, l, batch)
-        local_grads = spec.grad_local(g_i, l, batch) if hyper.joint_training else None
-        g_i = axpy_blocks(g_i, -hyper.eta_u, grads)
-        if local_grads is not None:
-            l = axpy_blocks(l, -hyper.eta_u, local_grads)
-    delta = [gi.values - gb.values for gi, gb in zip(g_i, g)]
-    return delta, l
-
-
-def _sparse_update(spec, g, l, data, hyper, batches):
-    # Working copy is an overlay of modified rows over the immutable base;
-    # keeps per-client cost proportional to rows touched, not |g|.
-    overlays: dict[int, dict[int, np.ndarray]] = {}
-    bases = [b.array for b in g]
-
-    def gather(block: int, rows: np.ndarray) -> np.ndarray:
-        out = bases[block][rows].copy()
-        ov = overlays.get(block)
-        if ov:
-            for k, r in enumerate(rows):
-                hit = ov.get(int(r))
-                if hit is not None:
-                    out[k] = hit
-        return out
-
-    for bidx in batches:
-        batch = data.batch(bidx)
-        row_grads, local_grads = spec.sparse_grads(gather, l, batch, hyper.joint_training)
-        for rg in row_grads:
-            ov = overlays.setdefault(rg.block, {})
-            base = bases[rg.block]
-            for r, v in zip(rg.rows, rg.values):
-                r = int(r)
-                cur = ov.get(r)
-                if cur is None:
-                    cur = base[r].copy()
-                ov[r] = cur - hyper.eta_u * v
-        if local_grads is not None:
-            l = axpy_blocks(l, -hyper.eta_u, local_grads)
-
-    delta = []
-    for bi, block in enumerate(g):
-        ov = overlays.get(bi)
-        if not ov:
-            delta.append(RowDelta(np.zeros(0, dtype=np.int64), np.zeros((0,) + block.shape[1:])))
-            continue
-        rows = np.array(sorted(ov), dtype=np.int64)
-        values = np.stack([ov[int(r)] for r in rows]) - bases[bi][rows]
-        if not np.all(np.isfinite(values)):
-            raise NumericalError("non-finite values in client update delta")
-        delta.append(RowDelta(rows, values))
-    return delta, l
-
-
 def client_update(
     spec: ModelSpec,
     g: Blocks,
@@ -242,19 +179,52 @@ def client_update(
     """k_u gradient steps on the global parameters over the query set, with
     the reconstructed local parameters treated as constants (unless
     joint_training steps them concurrently).  Returns the update delta and
-    its weight n_i = |query set|."""
+    its weight n_i = |query set|.
+
+    Steps one working copy in place and never modifies the caller's blocks.
+    A block stepped only by row-sparse gradients gets a :class:`RowDelta`
+    over the rows touched; any other block gets a dense delta."""
     if data.query_idx is None or len(data.query_idx) == 0:
         raise DataError(f"client {data.client_id}: empty query set")
     batches = batch_schedule(data.query_idx, hyper.batch_size, hyper.k_u, batch_rng)
-    if spec.sparse_grads is not None:
-        delta, l_out = _sparse_update(spec, g, l, data, hyper, batches)
-    else:
-        delta, l_out = _dense_update(spec, g, l, data, hyper, batches)
+    joint = hyper.joint_training
+    g_w = copy_blocks(g)
+    l_w = copy_blocks(l) if joint else l
+    # Rows stepped per block; None once the block takes a dense gradient.
+    touched: list[list[np.ndarray] | None] = [[] for _ in g]
+    for bidx in batches:
+        batch = data.batch(bidx)
+        if spec.sparse_grads is not None:
+            grads, local_grads = spec.sparse_grads(g_w, l_w, batch, joint)
+        else:
+            grads = spec.grad_global(g_w, l_w, batch)
+            local_grads = spec.grad_local(g_w, l_w, batch) if joint else None
+        _sgd_step(g_w, hyper.eta_u, grads)
+        if local_grads is not None:
+            _sgd_step(l_w, hyper.eta_u, local_grads)
+        for bi, grad in enumerate(grads):
+            if not isinstance(grad, RowDelta):
+                touched[bi] = None
+            elif touched[bi] is not None:
+                touched[bi].append(grad.rows)
+
+    delta = []
+    for rows, w, b in zip(touched, g_w, g):
+        if rows is None:
+            delta.append(w.values - b.values)
+        else:
+            rows = np.unique(np.concatenate(rows))
+            delta.append(RowDelta(rows, w.array[rows] - b.array[rows]))
+    _require_finite(
+        [d.values if isinstance(d, RowDelta) else d for d in delta]
+        + [b.values for b in l_w if joint],
+        f"the update of client {data.client_id}",
+    )
     return ClientUpdateResult(
         client_id=data.client_id,
         delta=delta,
         n_i=int(len(data.query_idx)),
-        updated_local=l_out if hyper.joint_training else None,
+        updated_local=l_w if joint else None,
     )
 
 
@@ -283,7 +253,7 @@ def run_client_round(
 
     dsx = split_dataset(data, policy, gen("split"))
     if initial_local is not None:
-        l, trace = copy_blocks(initial_local), []
+        l, trace = initial_local, []
     else:
         l, trace = reconstruct(spec, g, dsx, hyper, gen("local_init"), gen("recon_batches"))
     query_metrics = spec.metrics(g, l, dsx.query_batch())
@@ -318,11 +288,6 @@ class MetaGradientReport:
     first_order_max_rel_err: float
     composite_max_abs_gap: float
     composite_max_rel_gap: float
-
-
-def _rel(a: np.ndarray, b: np.ndarray) -> float:
-    denom = np.maximum(1e-8, np.maximum(np.abs(a), np.abs(b)))
-    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
 def verify_first_order_meta_gradient(
@@ -364,38 +329,21 @@ def verify_first_order_meta_gradient(
     result = client_update(
         spec, g, l_fixed, data, full_batch, streams.generator(round_idx, cid, "update_batches")
     )
-    dense = delta_to_dense(result.delta, g)
-    first_order = np.concatenate([d / -full_batch.eta_u for d in dense]) if dense else np.zeros(0)
+    first_order = _flat(delta_to_dense(result.delta, g)) / -full_batch.eta_u
 
     query = data.query_batch()
-
-    def query_loss(g_probe: Blocks, l_probe: Blocks) -> float:
-        return spec.loss(g_probe, l_probe, query)
-
-    def fd_over_g(value_fn: Callable[[Blocks], float]) -> np.ndarray:
-        out = []
-        for bi, block in enumerate(g):
-            for j in range(block.values.size):
-                plus = block.values.copy()
-                plus[j] += eps
-                minus = block.values.copy()
-                minus[j] -= eps
-                gp, gm = list(g), list(g)
-                gp[bi] = ParamBlock(block.name, plus, block.shape)
-                gm[bi] = ParamBlock(block.name, minus, block.shape)
-                out.append((value_fn(gp) - value_fn(gm)) / (2.0 * eps))
-        return np.asarray(out)
-
-    fd_fixed = fd_over_g(lambda gp: query_loss(gp, l_fixed))
-    fd_composite = fd_over_g(lambda gp: query_loss(gp, rebuild_local(gp)))
+    fd_fixed = _central_differences(lambda gp: spec.loss(gp, l_fixed, query), g, eps)
+    fd_composite = _central_differences(
+        lambda gp: spec.loss(gp, rebuild_local(gp), query), g, eps
+    )
 
     return MetaGradientReport(
         first_order_grad=first_order,
         fd_fixed_local=fd_fixed,
         composite_grad=fd_composite,
-        first_order_max_rel_err=_rel(first_order, fd_fixed),
+        first_order_max_rel_err=_max_rel_err(first_order, fd_fixed),
         composite_max_abs_gap=float(np.max(np.abs(fd_composite - first_order)))
         if first_order.size
         else 0.0,
-        composite_max_rel_gap=_rel(first_order, fd_composite),
+        composite_max_rel_gap=_max_rel_err(first_order, fd_composite),
     )

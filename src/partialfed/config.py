@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -69,8 +72,8 @@ class EvalConfig:
             raise ConfigError("eval.valid_repeats must be positive")
         if self.k_r is not None and self.k_r < 0:
             raise ConfigError("eval.k_r must be nonnegative")
-        if self.eta_r is not None and self.eta_r <= 0:
-            raise ConfigError("eval.eta_r must be positive")
+        if self.eta_r is not None and not 0 < self.eta_r < math.inf:
+            raise ConfigError("eval.eta_r must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.embed_dim < 1:
             raise ConfigError("model.embed_dim must be positive")
-        if self.init_stddev <= 0:
-            raise ConfigError("model.init_stddev must be positive")
+        if not 0 < self.init_stddev < math.inf:
+            raise ConfigError("model.init_stddev must be finite and positive")
         if self.vocab_size < 1:
             raise ConfigError("model.vocab_size must be positive")
         if self.num_oov_buckets < 0:
@@ -136,8 +139,8 @@ class CentralizedConfig:
             raise ConfigError("centralized.epochs must be nonnegative")
         if self.batch_size < 1:
             raise ConfigError("centralized.batch_size must be positive")
-        if self.rate <= 0:
-            raise ConfigError("centralized.rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ConfigError("centralized.rate must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -221,18 +224,24 @@ _TASK_DEFAULTS: dict[str, dict] = {
     },
 }
 
-_SECTION_TYPES = {
-    "split": SplitPolicy,
-    "client": ClientHyper,
-    "server": ServerOptimizer,
-    "eval": EvalConfig,
-    "model": ModelConfig,
-    "data": DataConfig,
-    "centralized": CentralizedConfig,
-}
-
 # Optimizer state never belongs in a configuration document.
 _EXCLUDED_FIELDS = {"server": ("first_moment", "second_moment")}
+
+
+def _check_number(hint, value, where: str) -> None:
+    """Reject a bool, a non-number or a non-finite value for a field typed
+    int or float (optionally None)."""
+    kinds = typing.get_args(hint) or (hint,)
+    if (int not in kinds and float not in kinds) or (value is None and type(None) in kinds):
+        return
+    if float in kinds:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+        need = "a finite number"
+    else:
+        ok = isinstance(value, numbers.Integral)
+        need = "an integer"
+    if isinstance(value, bool) or not ok:
+        raise ConfigError(f"{where} must be {need}, got {value!r}")
 
 
 def _dataclass_from_dict(cls, values: Mapping[str, Any], path: str):
@@ -240,16 +249,19 @@ def _dataclass_from_dict(cls, values: Mapping[str, Any], path: str):
     unknown = set(values) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path or 'config'}")
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
         if f.name not in values:
             continue
         v = values[f.name]
-        if f.name == "synthetic":
+        where = f"{path}.{f.name}" if path else f.name
+        if dataclasses.is_dataclass(hints[f.name]):
             if not isinstance(v, Mapping):
-                raise ConfigError(f"{path}.synthetic must be a mapping")
-            kwargs[f.name] = _dataclass_from_dict(SyntheticDataConfig, v, f"{path}.synthetic")
+                raise ConfigError(f"section {where!r} must be a mapping")
+            kwargs[f.name] = _dataclass_from_dict(hints[f.name], v, where)
         else:
+            _check_number(hints[f.name], v, where)
             kwargs[f.name] = v
     try:
         return cls(**kwargs)
@@ -278,23 +290,9 @@ def _set_dotted(tree: dict, dotted: str, value: Any) -> None:
 
 
 def config_from_dict(values: Mapping[str, Any]) -> ExperimentConfig:
-    """Build and validate a configuration; unknown keys fail fast."""
-    top_allowed = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(values) - top_allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in config")
-    kwargs: dict[str, Any] = {}
-    for key, v in values.items():
-        if key in _SECTION_TYPES:
-            if not isinstance(v, Mapping):
-                raise ConfigError(f"section {key!r} must be a mapping")
-            kwargs[key] = _dataclass_from_dict(_SECTION_TYPES[key], v, key)
-        else:
-            kwargs[key] = v
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
+    """Build and validate a configuration; unknown keys and values of the
+    wrong type fail fast."""
+    return _dataclass_from_dict(ExperimentConfig, values, "")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -30,7 +30,7 @@ __all__ = [
     "Metric",
     "merge_metrics",
     "finalize_metrics",
-    "RowGrad",
+    "RowDelta",
     "ModelSpec",
     "concat_params",
     "unflatten_params",
@@ -174,6 +174,28 @@ def axpy_blocks(dst: Sequence[ParamBlock], scale: float, src: Sequence) -> list[
     return out
 
 
+def _sgd_step(blocks: Sequence[ParamBlock], rate: float, grads: Sequence) -> None:
+    """blocks -= rate * grads, in place.  A :class:`RowDelta` grad steps only
+    its rows, repeated rows one after another; other grads are dense."""
+    if len(blocks) != len(grads):
+        raise ShapeMismatchError(f"{len(blocks)} blocks vs {len(grads)} grads")
+    for b, grad in zip(blocks, grads):
+        if isinstance(grad, RowDelta):
+            np.subtract.at(b.array, grad.rows, rate * grad.values)
+        else:
+            gv = _values(grad)
+            if gv.size != b.values.size:
+                raise ShapeMismatchError(
+                    f"block {b.name!r}: {b.values.size} values vs grad {gv.size}"
+                )
+            b.values -= rate * gv
+
+
+def _require_finite(arrays: Iterable[np.ndarray], what: str) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise NumericalError(f"non-finite values in {what}")
+
+
 def copy_blocks(blocks: Sequence[ParamBlock]) -> list[ParamBlock]:
     return [b.copy() for b in blocks]
 
@@ -309,17 +331,14 @@ def finalize_metrics(stats: Mapping[str, Metric]) -> dict[str, float]:
 
 
 @dataclass
-class RowGrad:
-    """Row-sparse gradient for one global block; rows may repeat (summed)."""
+class RowDelta:
+    """Row-sparse values for one block: ``values[k]`` belongs to row
+    ``rows[k]``; repeated rows add up.  Serves as a gradient and as a client
+    delta."""
 
-    block: int
     rows: np.ndarray
     values: np.ndarray
 
-
-# Gathers current row values for (block_index, row_indices); used by the
-# row-sparse client-update path where the working copy is an overlay.
-RowGather = Callable[[int, np.ndarray], np.ndarray]
 
 Blocks = Sequence[ParamBlock]
 GradFn = Callable[[Blocks, Blocks, Batch], list[np.ndarray]]
@@ -336,10 +355,10 @@ class ModelSpec:
 
     Optional fast kernels (behaviour must match the dense procedures):
 
-    * ``sparse_grads(gather, l, batch, need_local)`` returns row-sparse
-      global gradients plus, when asked, the local gradient computed from
-      the same gathered rows.  Only for models whose global gradients touch
-      a few rows per batch.
+    * ``sparse_grads(g, l, batch, need_local)`` returns one gradient per
+      global block, a :class:`RowDelta` or a flat array, plus, when asked,
+      the local gradients (else None) from the same forward pass.  For
+      models whose global gradients touch a few rows per batch.
     * ``fast_centralized`` vectorises joint SGD over a mixed-owner example
       stream for models whose entire local part is a single vector per
       client (see baselines module for the calling convention).
@@ -367,8 +386,36 @@ class GradCheckReport:
         return max(self.max_rel_err_global, self.max_rel_err_local)
 
 
-def _rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(1e-8, abs(a), abs(b))
+def _max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    """Worst coordinate of |a - b| / max(1e-8, |a|, |b|); 0 when empty."""
+    denom = np.maximum(1e-8, np.maximum(np.abs(a), np.abs(b)))
+    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def _central_differences(
+    value_fn: Callable[[list[ParamBlock]], float], blocks: Blocks, eps: float
+) -> np.ndarray:
+    """(f(x + eps e_j) - f(x - eps e_j)) / 2 eps for every coordinate j of
+    ``blocks``, flattened in block order."""
+    out = []
+    for bi, block in enumerate(blocks):
+        for j in range(block.values.size):
+            plus = block.values.copy()
+            plus[j] += eps
+            minus = block.values.copy()
+            minus[j] -= eps
+            b_plus, b_minus = list(blocks), list(blocks)
+            b_plus[bi] = ParamBlock(block.name, plus, block.shape)
+            b_minus[bi] = ParamBlock(block.name, minus, block.shape)
+            lp, lm = value_fn(b_plus), value_fn(b_minus)
+            if not (math.isfinite(lp) and math.isfinite(lm)):
+                raise NumericalError("non-finite loss during finite-difference probe")
+            out.append((lp - lm) / (2.0 * eps))
+    return np.asarray(out)
+
+
+def _flat(arrays: Sequence) -> np.ndarray:
+    return np.concatenate([np.asarray(a).ravel() for a in arrays]) if arrays else np.zeros(0)
 
 
 def check_gradients(
@@ -392,34 +439,9 @@ def check_gradients(
     if not math.isfinite(base):
         raise NumericalError("loss is non-finite at the checkpoint")
 
-    def fd_max_err(blocks: Blocks, analytic: list[np.ndarray], fixed: Blocks, is_global: bool):
-        worst = 0.0
-        for bi, block in enumerate(blocks):
-            grad = np.asarray(analytic[bi]).ravel()
-            for j in range(block.values.size):
-                plus = block.values.copy()
-                plus[j] += eps
-                minus = block.values.copy()
-                minus[j] -= eps
-                b_plus = list(blocks)
-                b_minus = list(blocks)
-                b_plus[bi] = ParamBlock(block.name, plus, block.shape)
-                b_minus[bi] = ParamBlock(block.name, minus, block.shape)
-                if is_global:
-                    lp = spec.loss(b_plus, fixed, batch)
-                    lm = spec.loss(b_minus, fixed, batch)
-                else:
-                    lp = spec.loss(fixed, b_plus, batch)
-                    lm = spec.loss(fixed, b_minus, batch)
-                if not (math.isfinite(lp) and math.isfinite(lm)):
-                    raise NumericalError("non-finite loss during finite-difference probe")
-                fd = (lp - lm) / (2.0 * eps)
-                worst = max(worst, _rel_err(float(grad[j]), fd))
-        return worst
-
-    ag = spec.grad_global(g, l, batch)
-    al = spec.grad_local(g, l, batch)
+    fd_g = _central_differences(lambda gp: spec.loss(gp, l, batch), g, eps)
+    fd_l = _central_differences(lambda lp: spec.loss(g, lp, batch), l, eps)
     return GradCheckReport(
-        max_rel_err_global=fd_max_err(g, ag, l, True),
-        max_rel_err_local=fd_max_err(l, al, g, False),
+        max_rel_err_global=_max_rel_err(_flat(spec.grad_global(g, l, batch)), fd_g),
+        max_rel_err_local=_max_rel_err(_flat(spec.grad_local(g, l, batch)), fd_l),
     )

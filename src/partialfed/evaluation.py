@@ -108,6 +108,8 @@ def recon_eval(
     Never reads or writes any training state."""
     if mode.recon_hyper is None:
         raise ConfigError("recon_eval needs reconstruction hyperparameters")
+    if not clients:
+        raise EvaluationError("no clients to evaluate")
     hyper = mode.recon_hyper
     per_repeat: list[dict[str, float]] = []
     take = min(mode.clients_per_repeat, len(clients))

@@ -18,7 +18,7 @@ from .core import (
     Metric,
     ModelSpec,
     ParamBlock,
-    RowGrad,
+    RowDelta,
     fnv1a64,
     round_half_away,
 )
@@ -156,14 +156,13 @@ def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
         np.add.at(gq, items, coef[:, None] * p[None, :])
         return [gq.ravel()]
 
-    def sparse_grads(gather, l, batch: Batch, need_local: bool):
+    def sparse_grads(g, l, batch: Batch, need_local: bool):
         items = _mf_items(batch, I)
         p = l[0].values
-        qb = gather(0, items)
+        qb = g[0].array[items]
         coef = _mf_coef(qb @ p, batch)
-        row_grads = [RowGrad(block=0, rows=items, values=coef[:, None] * p[None, :])]
         local = [coef @ qb] if need_local else None
-        return row_grads, local
+        return [RowDelta(items, coef[:, None] * p[None, :])], local
 
     def metrics(g, l, batch: Batch) -> dict[str, Metric]:
         preds = predict(g, l, batch)

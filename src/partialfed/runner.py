@@ -165,30 +165,41 @@ def prepare_task(config: ExperimentConfig) -> TaskBundle:
     base_streams = RngStreams(config.seed)
     if config.eval.regime == "recon":
         train, val, test = split_users(clients, base_streams.generator("user_split"))
-        return TaskBundle(
+        bundle = TaskBundle(
             spec=spec,
             train_clients={c.client_id: c for c in train},
             val_clients=val,
             test_clients=test,
             regime="recon",
         )
-
-    train_clients, val_sets, test_sets = {}, [], []
-    for ds in clients:
-        tr, va, te = split_each_client_by_time(ds)
-        if tr.n:
-            train_clients[ds.client_id] = tr
-        if va.n:
-            val_sets.append(va)
-        if te.n:
-            test_sets.append(te)
-    return TaskBundle(
-        spec=spec,
-        train_clients=train_clients,
-        val_clients=val_sets,
-        test_clients=test_sets,
-        regime="standard",
-    )
+    else:
+        train_clients, val_sets, test_sets = {}, [], []
+        for ds in clients:
+            tr, va, te = split_each_client_by_time(ds)
+            if tr.n:
+                train_clients[ds.client_id] = tr
+            if va.n:
+                val_sets.append(va)
+            if te.n:
+                test_sets.append(te)
+        bundle = TaskBundle(
+            spec=spec,
+            train_clients=train_clients,
+            val_clients=val_sets,
+            test_clients=test_sets,
+            regime="standard",
+        )
+    for name, part in (
+        ("training", bundle.train_clients),
+        ("validation", bundle.val_clients),
+        ("test", bundle.test_clients),
+    ):
+        if not part:
+            raise ConfigError(
+                f"{len(clients)} clients leave the {name} split empty under "
+                f"eval.regime {config.eval.regime}; use a larger population"
+            )
+    return bundle
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ every client's local block, overwritten by its owner's update).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -17,7 +18,6 @@ import numpy as np
 from .client import (
     ClientHyper,
     ClientUpdateResult,
-    RowDelta,
     SplitPolicy,
     run_client_round,
 )
@@ -27,6 +27,7 @@ from .core import (
     ModelSpec,
     ParamBlock,
     RngStreams,
+    RowDelta,
     blocks_size,
     finalize_metrics,
     merge_metrics,
@@ -64,12 +65,12 @@ class ServerOptimizer:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ConfigError(f"unknown server optimizer {self.kind!r}")
-        if self.eta_s <= 0:
-            raise ConfigError("eta_s must be positive")
+        if not 0 < self.eta_s < math.inf:
+            raise ConfigError("eta_s must be finite and positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("beta1/beta2 must be in [0, 1)")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ConfigError("tau must be finite and positive")
 
     def fresh(self) -> "ServerOptimizer":
         return replace(self, first_moment=None, second_moment=None)

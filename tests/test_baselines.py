@@ -74,6 +74,18 @@ class TestTrainCentralized:
                 locs_fast[cid][0].values, locs_gen[cid][0].values, atol=1e-12
             )
 
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_client_data_never_mutated(self, fast):
+        spec, clients = population()
+        if not fast:
+            spec = dataclasses.replace(spec, fast_centralized=None)
+        columns = ("features", "targets", "weights")
+        snapshot = {cid: [getattr(ds, c).copy() for c in columns] for cid, ds in clients.items()}
+        train_centralized(spec, clients, epochs=2, batch_size=3, rate=0.2, streams=RngStreams(6))
+        for cid, ds in clients.items():
+            for before, column in zip(snapshot[cid], columns):
+                assert np.array_equal(before, getattr(ds, column))
+
     def test_training_reduces_pooled_loss(self):
         spec, clients = population(num_users=8, ratings=6)
         g, locs = train_centralized(

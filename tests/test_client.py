@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from partialfed.client import (
     ClientHyper,
+    RowDelta,
     SplitPolicy,
     batch_schedule,
     client_update,
@@ -17,9 +18,31 @@ from partialfed.client import (
 )
 from partialfed.core import ClientDataset, Example, ParamBlock, RngStreams
 from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
-from partialfed.errors import ConfigError, DataError
+from partialfed.errors import ConfigError, DataError, NumericalError
 from partialfed.models import MatFacConfig, matfac_spec
 from oracles import oracle_mf_two_step_update, oracle_sgd_trace
+
+
+def nan_at_call(fn, call):
+    """``fn`` whose result on call number ``call`` (from 0) is NaN-filled;
+    for the (grads, local) pair of sparse_grads only the grads are."""
+    calls = []
+
+    def poison(grads):
+        return [
+            dataclasses.replace(gr, values=np.full_like(gr.values, np.nan))
+            if isinstance(gr, RowDelta) else np.full_like(gr, np.nan)
+            for gr in grads
+        ]
+
+    def wrapped(*args):
+        out = fn(*args)
+        calls.append(None)
+        if len(calls) - 1 != call:
+            return out
+        return (poison(out[0]), out[1]) if isinstance(out, tuple) else poison(out)
+
+    return wrapped
 
 
 def toy_client(n, client_id=0):
@@ -147,6 +170,18 @@ class TestReconstruct:
         for before, block in zip(snapshot, g):
             assert np.array_equal(before, block.values)
 
+    @pytest.mark.parametrize("bad_step, named_step", [(0, 1), (2, 3), (3, 3)])
+    def test_nan_step_raises_naming_the_step(self, streams, bad_step, named_step):
+        # A NaN gradient taken at step s shows in the loss of step s + 1;
+        # after the last step the final check of the local blocks names it.
+        spec, g, ds = self.make(streams)
+        spec = dataclasses.replace(spec, grad_local=nan_at_call(spec.grad_local, bad_step))
+        with pytest.raises(NumericalError, match=f"reconstruction step {named_step}"):
+            reconstruct(
+                spec, g, ds, ClientHyper(k_r=4, eta_r=0.2, batch_size=2),
+                streams.generator("i"), streams.generator("b"),
+            )
+
     @pytest.mark.parametrize("steps", [1, 4, 10])
     def test_matches_fd_sgd_oracle(self, streams, steps):
         # The oracle re-derives every gradient from the loss by finite
@@ -221,6 +256,32 @@ class TestClientUpdate:
         )
         assert np.array_equal(l[0].values, snapshot)
         assert result.updated_local is None
+
+    @pytest.mark.parametrize("joint", [False, True])
+    @pytest.mark.parametrize("kernel", ["sparse_grads", "grad_global"])
+    def test_caller_blocks_never_mutated(self, streams, joint, kernel):
+        spec, g, l, ds = self.make(streams)
+        if kernel == "grad_global":
+            spec = dataclasses.replace(spec, sparse_grads=None)
+        snapshot = [b.values.copy() for b in g + l]
+        hyper = ClientHyper(k_u=4, eta_u=0.2, batch_size=2, joint_training=joint)
+        result = client_update(spec, g, l, ds, hyper, streams.generator("u"))
+        for before, block in zip(snapshot, g + l):
+            assert np.array_equal(before, block.values)
+        assert any(np.any(d != 0) for d in delta_to_dense(result.delta, g))
+        if joint:
+            assert not np.array_equal(result.updated_local[0].values, l[0].values)
+
+    @pytest.mark.parametrize("bad_step", [0, 3])
+    @pytest.mark.parametrize("kernel", ["sparse_grads", "grad_global"])
+    def test_nan_step_raises_naming_the_client(self, streams, bad_step, kernel):
+        spec, g, l, ds = self.make(streams)
+        if kernel == "grad_global":
+            spec = dataclasses.replace(spec, sparse_grads=None)
+        spec = dataclasses.replace(spec, **{kernel: nan_at_call(getattr(spec, kernel), bad_step)})
+        hyper = ClientHyper(k_u=4, eta_u=0.2, batch_size=2)
+        with pytest.raises(NumericalError, match=f"client {ds.client_id}"):
+            client_update(spec, g, l, ds, hyper, streams.generator("u"))
 
     def test_delta_ignores_support_set(self, streams):
         # Once the local parameters are fixed, the update depends only on

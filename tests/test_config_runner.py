@@ -65,6 +65,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, {"client.eta_r": -1.0})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("client.eta_u", float("nan")),
+            ("server.eta_s", float("inf")),
+            ("eval.eta_r", float("nan")),
+            ("data.synthetic.noise_std", float("-inf")),
+            ("rounds", True),
+            ("client.k_r", 2.5),
+            ("model.init_stddev", "0.1"),
+        ],
+    )
+    def test_nonfinite_or_mistyped_number_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {"task": "synthetic", key: value})
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"task": "matfac", "bogus": 1})
@@ -90,6 +106,16 @@ class TestConfig:
     def test_unknown_task_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, {"task": "mystery"})
+
+    @pytest.mark.parametrize("num_users, empty", [(5, "test"), (3, "validation")])
+    def test_population_leaving_a_split_empty_rejected(self, num_users, empty):
+        cfg = load_config(
+            None,
+            {"task": "synthetic", "data.synthetic.num_users": num_users,
+             "data.synthetic.true_rank": 2},
+        )
+        with pytest.raises(ConfigError, match=f"{empty} split empty"):
+            prepare_task(cfg)
 
     def test_matfac_without_data_path_fails_at_load(self):
         cfg = load_config(None, {"task": "matfac"})

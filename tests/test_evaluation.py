@@ -222,6 +222,13 @@ class TestSplits:
         assert train.n == 1 and val.n == 0 and test.n == 0
 
 
+def test_recon_eval_rejects_empty_client_list():
+    spec, g, _ = mf_setup()
+    mode = EvalMode(kind="recon_eval", recon_hyper=ClientHyper(k_r=1, eta_r=0.1))
+    with pytest.raises(EvaluationError):
+        recon_eval(spec, g, [], SplitPolicy(), mode, RngStreams(1))
+
+
 def test_recon_eval_caps_sample_at_population():
     spec, g, clients = mf_setup(num_users=3)
     mode = EvalMode(
