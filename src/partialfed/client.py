@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from .core import (
+    Batch,
     Blocks,
     ClientDataset,
     Metric,
@@ -39,6 +41,8 @@ __all__ = [
     "reconstruct",
     "client_update",
     "run_client_round",
+    "reconstruct_cohort",
+    "run_cohort",
     "delta_to_dense",
     "MetaGradientReport",
     "verify_first_order_meta_gradient",
@@ -147,6 +151,11 @@ def reconstruct(
 
 @dataclass
 class ClientUpdateResult:
+    """One client's contribution to a round.  ``support_loss_trace`` holds
+    the per-step reconstruction losses of :func:`run_client_round`; batched
+    results of :func:`run_cohort` carry it empty, since nothing in a round
+    reads it and the batched reconstruction evaluates no loss."""
+
     client_id: int
     delta: list
     n_i: int
@@ -195,7 +204,9 @@ def client_update(
     for bidx in batches:
         batch = data.batch(bidx)
         if spec.sparse_grads is not None:
-            grads, local_grads = spec.sparse_grads(g_w, l_w, batch, joint)
+            grads, local_grads = spec.sparse_grads(
+                g_w, l_w, batch, batch.total_weight, True, joint
+            )
         else:
             grads = spec.grad_global(g_w, l_w, batch)
             local_grads = spec.grad_local(g_w, l_w, batch) if joint else None
@@ -261,6 +272,235 @@ def run_client_round(
     result.support_loss_trace = trace
     result.query_metrics = query_metrics
     return result
+
+
+# ---------------------------------------------------------------------------
+# Cohorts: every sampled client of a round as one computation
+# ---------------------------------------------------------------------------
+
+
+def _cohort_batches(
+    splits: Sequence[ClientDataset],
+    part: str,
+    batch_size: int,
+    steps: int,
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every client's :func:`batch_schedule` over its ``part`` ("support_idx"
+    or "query_idx"), from the same draws, as ``(steps, clients,
+    batch_size)`` features, targets and weights, plus each minibatch's real
+    weight.  A short minibatch is padded with zero-weight copies of its
+    client's first scheduled example, which step 0 always uses, so padding
+    adds exactly nothing and addresses only rows its client touches."""
+    perms = [rng.permutation(getattr(d, part)) for d, rng in zip(splits, rngs)]
+    n = np.array([len(p) for p in perms])
+    if n.min() == 0:
+        raise DataError("cannot batch an empty index set")
+    # Position of each scheduled example in the concatenated permutations.
+    chunk = np.arange(steps)[:, None] % -(-n // batch_size)
+    slot = chunk[:, :, None] * batch_size + np.arange(batch_size)
+    real = slot < n[None, :, None]
+    starts = np.cumsum(n) - n
+    offsets = np.cumsum([0] + [d.n for d in splits[:-1]])
+    rows = np.concatenate([p + off for p, off in zip(perms, offsets)])
+    pos = rows[starts[None, :, None] + np.where(real, slot, 0)]
+    weights = np.concatenate([d.weights for d in splits])[pos] * real
+    return (
+        np.concatenate([d.features for d in splits])[pos],
+        np.concatenate([d.targets for d in splits])[pos],
+        weights,
+        weights.sum(axis=-1, keepdims=True),
+    )
+
+
+def _stack(locals_: Sequence[Blocks]) -> list[ParamBlock]:
+    """Per-client local blocks stacked along a leading client axis."""
+    return [
+        ParamBlock(b.name, np.stack([l[bi].values for l in locals_]), (len(locals_),) + b.shape)
+        for bi, b in enumerate(locals_[0])
+    ]
+
+
+def _finite_per_client(stacked: Sequence[ParamBlock]) -> np.ndarray:
+    """For each client: is its slice of every stacked block finite?"""
+    return np.all(
+        [np.isfinite(b.array.reshape(b.shape[0], -1)).all(axis=1) for b in stacked], axis=0
+    )
+
+
+def _require_finite_clients(ok: np.ndarray, client_ids: Sequence[int], what: str) -> None:
+    """Name the first client whose ``ok`` entry is False."""
+    if not ok.all():
+        bad = client_ids[int(np.argmin(ok))]
+        raise NumericalError(f"client {bad}: non-finite values in {what}")
+
+
+def _unstack(stacked: Sequence[ParamBlock], templates: Blocks, c: int) -> list[ParamBlock]:
+    """Client ``c``'s blocks, copied: a view would keep the whole cohort's
+    stacked array alive for as long as the server stores this one local."""
+    return [ParamBlock(t.name, b.array[c].copy(), t.shape) for b, t in zip(stacked, templates)]
+
+
+def _cohort_streams(streams: RngStreams, round_idx: int, client_ids, namespace: str):
+    def gens(purpose: str) -> list[np.random.Generator]:
+        return [streams.generator(round_idx, cid, namespace + purpose) for cid in client_ids]
+
+    return gens
+
+
+def reconstruct_cohort(
+    spec: ModelSpec,
+    g: Blocks,
+    datasets: Sequence[ClientDataset],
+    policy: SplitPolicy,
+    hyper: ClientHyper,
+    streams: RngStreams,
+    round_idx: int,
+    *,
+    initial_locals: Sequence[Blocks] | None = None,
+    namespace: str = "",
+) -> tuple[list[ClientDataset], list[list[ParamBlock]]]:
+    """Split every client of a cohort and rebuild its local parameters on
+    its support half, drawing the streams :func:`run_client_round` draws;
+    ``initial_locals`` skips reconstruction.  Returns the split datasets
+    and local parameters in input order.
+
+    With ``spec.sparse_grads`` the cohort reconstructs as one stacked local
+    matrix and checks finiteness once per client at the end; otherwise it
+    runs :func:`reconstruct` client by client.  Either way a numerical
+    failure names the client."""
+    ids = [d.client_id for d in datasets]
+    gens = _cohort_streams(streams, round_idx, ids, namespace)
+    splits = [split_dataset(d, policy, rng) for d, rng in zip(datasets, gens("split"))]
+    if initial_locals is not None:
+        return splits, [list(l) for l in initial_locals]
+    if spec.sparse_grads is None or not splits:
+        locals_ = []
+        for dsx, init_rng, batch_rng in zip(splits, gens("local_init"), gens("recon_batches")):
+            try:
+                locals_.append(reconstruct(spec, g, dsx, hyper, init_rng, batch_rng)[0])
+            except NumericalError as e:
+                raise NumericalError(f"client {dsx.client_id}: {e}") from e
+        return splits, locals_
+
+    inits = [spec.init_local(rng) for rng in gens("local_init")]
+    if hyper.k_r == 0 or not inits[0]:
+        return splits, inits
+    stacked = _stack(inits)
+    features, targets, weights, norm = _cohort_batches(
+        splits, "support_idx", hyper.batch_size, hyper.k_r, gens("recon_batches")
+    )
+    for s in range(hyper.k_r):
+        batch = Batch(features[s], targets[s], weights[s])
+        _, grads = spec.sparse_grads(g, stacked, batch, norm[s], False, True)
+        _sgd_step(stacked, hyper.eta_r, grads)
+    _require_finite_clients(
+        _finite_per_client(stacked),
+        ids,
+        f"local parameters after reconstruction step {hyper.k_r - 1}",
+    )
+    return splits, [_unstack(stacked, inits[0], c) for c in range(len(splits))]
+
+
+def _update_cohort(
+    spec: ModelSpec,
+    g: Blocks,
+    splits: Sequence[ClientDataset],
+    locals_: Sequence[Blocks],
+    hyper: ClientHyper,
+    rngs: Sequence[np.random.Generator],
+) -> list[ClientUpdateResult]:
+    """:func:`client_update` for every client at once.  Each client steps its
+    own compact copy of the global rows its schedule touches; the copies sit
+    end to end in one block, so one kernel call serves the whole cohort."""
+    ids = [d.client_id for d in splits]
+    joint = hyper.joint_training
+    features, targets, weights, norm = _cohort_batches(
+        splits, "query_idx", hyper.batch_size, hyper.k_u, rngs
+    )
+    q = g[0].array
+    items = features.astype(np.int64)
+    if items.size and (items.min() < 0 or items.max() >= len(q)):
+        raise DataError(f"item id outside [0, {len(q)})")
+    # Compact row k holds global row keys[k] % len(q) for client keys[k] // len(q).
+    keys, compact = np.unique(
+        np.arange(len(splits))[None, :, None] * len(q) + items, return_inverse=True
+    )
+    compact = compact.reshape(items.shape)
+    rows = keys % len(q)
+    bounds = np.searchsorted(keys, np.arange(len(splits) + 1) * len(q))
+    work = [ParamBlock(g[0].name, q[rows], (len(rows), q.shape[1]))]
+    l_w = _stack(locals_)
+    for s in range(hyper.k_u):
+        batch = Batch(compact[s], targets[s], weights[s])
+        grads, local_grads = spec.sparse_grads(work, l_w, batch, norm[s], True, joint)
+        _sgd_step(work, hyper.eta_u, grads)
+        if joint:
+            _sgd_step(l_w, hyper.eta_u, local_grads)
+
+    stepped = work[0].array
+    segments = [slice(bounds[c], bounds[c + 1]) for c in range(len(splits))]
+    for seg in segments:  # client by client, to gather no second copy of all rows
+        stepped[seg] -= q[rows[seg]]
+    ok = np.logical_and.reduceat(np.isfinite(stepped).all(axis=1), bounds[:-1])
+    if joint:
+        ok &= _finite_per_client(l_w)
+    _require_finite_clients(ok, ids, "the update")
+    return [
+        ClientUpdateResult(
+            client_id=dsx.client_id,
+            delta=[RowDelta(rows[segments[c]], stepped[segments[c]])],
+            n_i=int(len(dsx.query_idx)),
+            updated_local=_unstack(l_w, locals_[c], c) if joint else None,
+        )
+        for c, dsx in enumerate(splits)
+    ]
+
+
+def run_cohort(
+    spec: ModelSpec,
+    g: Blocks,
+    datasets: Sequence[ClientDataset],
+    policy: SplitPolicy,
+    hyper: ClientHyper,
+    streams: RngStreams,
+    round_idx: int,
+    *,
+    initial_locals: Sequence[Blocks] | None = None,
+    namespace: str = "",
+) -> list[ClientUpdateResult]:
+    """``[run_client_round(...) for ds in datasets]`` as one computation:
+    split -> reconstruct -> query metrics -> update for a whole cohort, from
+    the same per-client streams.  ``initial_locals`` (one per dataset) skips
+    reconstruction.  Specs without ``sparse_grads`` run client by client
+    through :func:`run_client_round`; with it the results carry an empty
+    ``support_loss_trace``.  A numerical failure names the client."""
+    if spec.sparse_grads is None:
+        results = []
+        for i, ds in enumerate(datasets):
+            try:
+                results.append(
+                    run_client_round(
+                        spec, g, ds, policy, hyper, streams, round_idx,
+                        initial_local=None if initial_locals is None else initial_locals[i],
+                        namespace=namespace,
+                    )
+                )
+            except NumericalError as e:
+                raise NumericalError(f"client {ds.client_id}: {e}") from e
+        return results
+    if not datasets:
+        return []
+    splits, locals_ = reconstruct_cohort(
+        spec, g, datasets, policy, hyper, streams, round_idx,
+        initial_locals=initial_locals, namespace=namespace,
+    )
+    metrics = [spec.metrics(g, l, dsx.query_batch()) for dsx, l in zip(splits, locals_)]
+    gens = _cohort_streams(streams, round_idx, [d.client_id for d in splits], namespace)
+    results = _update_cohort(spec, g, splits, locals_, hyper, gens("update_batches"))
+    for res, m in zip(results, metrics):
+        res.query_metrics = m
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,17 @@ def axpy_blocks(dst: Sequence[ParamBlock], scale: float, src: Sequence) -> list[
     return out
 
 
+def _rows_at(ufunc: np.ufunc, flat: np.ndarray, rows: np.ndarray, values) -> None:
+    """``ufunc.at`` of ``values[k]`` into row ``rows[k]`` of the row-major
+    1-D buffer ``flat``, repeated rows one after another.  It indexes single
+    elements, not rows: numpy's ``ufunc.at`` fast path takes only 1-D indices
+    and values, and runs 2-3x faster than row indexing, to the same values."""
+    if len(rows):
+        values = np.asarray(values).reshape(len(rows), -1)
+        width = values.shape[1]
+        ufunc.at(flat, (rows[:, None] * width + np.arange(width)).ravel(), values.ravel())
+
+
 def _sgd_step(blocks: Sequence[ParamBlock], rate: float, grads: Sequence) -> None:
     """blocks -= rate * grads, in place.  A :class:`RowDelta` grad steps only
     its rows, repeated rows one after another; other grads are dense."""
@@ -181,7 +192,7 @@ def _sgd_step(blocks: Sequence[ParamBlock], rate: float, grads: Sequence) -> Non
         raise ShapeMismatchError(f"{len(blocks)} blocks vs {len(grads)} grads")
     for b, grad in zip(blocks, grads):
         if isinstance(grad, RowDelta):
-            np.subtract.at(b.array, grad.rows, rate * grad.values)
+            _rows_at(np.subtract, b.values, grad.rows, rate * grad.values)
         else:
             gv = _values(grad)
             if gv.size != b.values.size:
@@ -355,10 +366,18 @@ class ModelSpec:
 
     Optional fast kernels (behaviour must match the dense procedures):
 
-    * ``sparse_grads(g, l, batch, need_local)`` returns one gradient per
-      global block, a :class:`RowDelta` or a flat array, plus, when asked,
-      the local gradients (else None) from the same forward pass.  For
-      models whose global gradients touch a few rows per batch.
+    * ``sparse_grads(g, l, batch, norm, need_global, need_local)`` returns
+      ``(global_grads, local_grads)`` from one forward pass, each None unless
+      its ``need_*`` flag is set: a :class:`RowDelta` for the single global
+      block, whose rows the integer features address, and flat local
+      gradients.  It serves a whole cohort at once.  The batch columns may
+      carry leading owner axes, ``(owners..., B)``, matched by the same
+      leading axes on the local blocks, so owner ``o`` scores its examples
+      with local rows ``o``; a flat batch with unstacked local blocks is a
+      single owner.  ``norm`` broadcasts against the batch weights and is
+      each example's loss normaliser, its owner's real batch weight, so a
+      zero-weight padding example adds exactly nothing.  ``g[0]`` may be a
+      compact copy of some rows, addressed by compact indices.
     * ``fast_centralized`` vectorises joint SGD over a mixed-owner example
       stream for models whose entire local part is a single vector per
       client (see baselines module for the calling convention).

@@ -13,7 +13,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .client import ClientHyper, SplitPolicy, reconstruct, split_dataset
+# reconstruct is looked up here by bench/instrument.py's tracer.
+from .client import ClientHyper, SplitPolicy, reconstruct, reconstruct_cohort  # noqa: F401
 from .core import (
     Blocks,
     ClientDataset,
@@ -23,7 +24,7 @@ from .core import (
     finalize_metrics,
     merge_metrics,
 )
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, NumericalError
 
 __all__ = [
     "EvalMode",
@@ -103,7 +104,8 @@ def recon_eval(
     namespace: str = "eval",
 ) -> EvalResult:
     """Reconstruct-then-score: per client, split, rebuild local parameters
-    from the support half, and score the query half.  Repeats over fresh
+    from the support half, and score the query half; each repeat's clients
+    reconstruct as one cohort (:func:`reconstruct_cohort`).  Repeats over fresh
     client samples; the result carries the across-repeat mean and stddev.
     Never reads or writes any training state."""
     if mode.recon_hyper is None:
@@ -116,20 +118,20 @@ def recon_eval(
     for rep in range(mode.repeats):
         sample_rng = streams.generator(rep, namespace + ":sample")
         chosen = sorted(sample_rng.choice(len(clients), size=take, replace=False).tolist())
-        per_client = []
-        for ci in chosen:
-            ds = clients[ci]
-            cid = ds.client_id
-            dsx = split_dataset(ds, policy, streams.generator(rep, cid, namespace + ":split"))
-            l, _ = reconstruct(
+        try:
+            splits, locals_ = reconstruct_cohort(
                 spec,
                 g,
-                dsx,
+                [clients[ci] for ci in chosen],
+                policy,
                 hyper,
-                streams.generator(rep, cid, namespace + ":local_init"),
-                streams.generator(rep, cid, namespace + ":recon_batches"),
+                streams,
+                rep,
+                namespace=namespace + ":",
             )
-            per_client.append(spec.metrics(g, l, dsx.query_batch()))
+        except NumericalError as e:
+            raise NumericalError(f"repeat {rep}, {e}") from e
+        per_client = [spec.metrics(g, l, dsx.query_batch()) for dsx, l in zip(splits, locals_)]
         per_repeat.append(_finalize_with_macro(per_client))
 
     keys = sorted({k for rep in per_repeat for k in rep})

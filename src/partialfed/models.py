@@ -156,13 +156,23 @@ def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
         np.add.at(gq, items, coef[:, None] * p[None, :])
         return [gq.ravel()]
 
-    def sparse_grads(g, l, batch: Batch, need_local: bool):
-        items = _mf_items(batch, I)
-        p = l[0].values
-        qb = g[0].array[items]
-        coef = _mf_coef(qb @ p, batch)
-        local = [coef @ qb] if need_local else None
-        return [RowDelta(items, coef[:, None] * p[None, :])], local
+    def sparse_grads(g, l, batch: Batch, norm, need_global: bool, need_local: bool):
+        # Leading owner axes of the batch index the rows of a stacked local
+        # block; features address rows of g[0], which may be a compact copy.
+        q, p = g[0].array, l[0].array
+        items = _mf_items(batch, len(q)).reshape(batch.weights.shape)
+        if np.any(np.asarray(norm) <= 0):
+            raise DataError("batch has zero total weight")
+        qb = q[items]
+        preds = np.einsum("...bk,...k->...b", qb, p)
+        coef = 2.0 * batch.weights * (preds - batch.targets) / norm
+        glob = (
+            [RowDelta(items.ravel(), (coef[..., None] * p[..., None, :]).reshape(-1, K))]
+            if need_global
+            else None
+        )
+        local = [np.einsum("...b,...bk->...k", coef, qb).ravel()] if need_local else None
+        return glob, local
 
     def metrics(g, l, batch: Batch) -> dict[str, Metric]:
         preds = predict(g, l, batch)

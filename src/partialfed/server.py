@@ -15,11 +15,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .client import (
+# run_client_round is looked up here by bench/instrument.py's tracer.
+from .client import (  # noqa: F401
     ClientHyper,
     ClientUpdateResult,
     SplitPolicy,
     run_client_round,
+    run_cohort,
 )
 from .core import (
     Blocks,
@@ -31,6 +33,7 @@ from .core import (
     blocks_size,
     finalize_metrics,
     merge_metrics,
+    _rows_at,
 )
 from .errors import ConfigError, NumericalError, RoundError, ShapeMismatchError
 from .evaluation import CommRecord
@@ -52,7 +55,14 @@ OPTIMIZER_KINDS = ("sgd", "adagrad", "yogi")
 class ServerOptimizer:
     """Server-side optimizer state; ``sgd`` is stateless and applies the
     weighted update directly, the adaptive variants treat its negation as a
-    gradient."""
+    gradient.
+
+    The second moment starts at tau**2 for Yogi and at 0 for Adagrad.  Reddi
+    et al., *Adaptive Federated Optimization* (ICLR 2021, Algorithm 2), start
+    it at or above tau**2; Yogi follows them, so that its sign-driven update,
+    which can shrink the moment, starts from a positive value.  Adagrad's
+    moment only accumulates squares, so it keeps the classic zero start: tau
+    in the denominator already bounds the first step by eta_s."""
 
     kind: str = "sgd"
     eta_s: float = 1.0
@@ -120,7 +130,7 @@ def aggregate(
     total = float(sum(r.n_i for r in ordered))
     if total <= 0:
         raise RoundError("aggregation weights sum to zero")
-    acc = [np.zeros(b.shape) for b in template]
+    acc = [np.zeros(b.values.size) for b in template]
     for res in ordered:
         if len(res.delta) != len(template):
             raise ShapeMismatchError(
@@ -130,8 +140,7 @@ def aggregate(
         w = res.n_i / total
         for bi, entry in enumerate(res.delta):
             if isinstance(entry, RowDelta):
-                if len(entry.rows):
-                    np.add.at(acc[bi], entry.rows, w * entry.values)
+                _rows_at(np.add, acc[bi], entry.rows, w * entry.values)
             else:
                 flat = np.asarray(entry, dtype=np.float64).ravel()
                 if flat.size != acc[bi].size:
@@ -139,8 +148,8 @@ def aggregate(
                         f"client {res.client_id}: delta of {flat.size} values "
                         f"vs block of {acc[bi].size}"
                     )
-                acc[bi] += w * flat.reshape(acc[bi].shape)
-    return [a.ravel() for a in acc], total
+                acc[bi] += w * flat
+    return acc, total
 
 
 def server_step(
@@ -195,8 +204,9 @@ def run_training(
     eval_every: int = 0,
     retain_deltas: bool = False,
 ) -> TrainResult:
-    """Run `rounds` rounds of sample -> per-client split/reconstruct/update
-    -> weighted aggregation -> server step.
+    """Run `rounds` rounds of sample -> split/reconstruct/update of the
+    sampled cohort (:func:`run_cohort`) -> weighted aggregation -> server
+    step.
 
     With ``aggregate_local`` the server holds every client's local block;
     sampled clients start from their stored block, train all parameters
@@ -227,23 +237,19 @@ def run_training(
 
     for t in range(rounds):
         sampled = sample_clients(population, clients_per_round, streams, t)
-        results = []
-        for cid in sampled:
-            try:
-                results.append(
-                    run_client_round(
-                        spec,
-                        g,
-                        clients[cid],
-                        eff_policy,
-                        eff_hyper,
-                        streams,
-                        t,
-                        initial_local=local_store[cid] if aggregate_local else None,
-                    )
-                )
-            except NumericalError as e:
-                raise NumericalError(f"round {t}, client {cid}: {e}") from e
+        try:
+            results = run_cohort(
+                spec,
+                g,
+                [clients[cid] for cid in sampled],
+                eff_policy,
+                eff_hyper,
+                streams,
+                t,
+                initial_locals=[local_store[cid] for cid in sampled] if aggregate_local else None,
+            )
+        except NumericalError as e:
+            raise NumericalError(f"round {t}, {e}") from e
         weighted_delta, total = aggregate(results, g)
         g = server_step(opt, g, weighted_delta)
         if aggregate_local:
@@ -274,6 +280,7 @@ def run_training(
                 weighted_delta=weighted_delta if retain_deltas else None,
             )
         )
+        del results  # this round's deltas must not live on through the next cohort
         if eval_fn is not None and eval_every > 0 and (t + 1) % eval_every == 0:
             eval_fn(t, g, local_store)
 

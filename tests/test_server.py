@@ -2,8 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from partialfed.client import ClientHyper, ClientUpdateResult, RowDelta, SplitPolicy
+from partialfed.client import (
+    ClientHyper,
+    ClientUpdateResult,
+    RowDelta,
+    SplitPolicy,
+    delta_to_dense,
+)
 from partialfed.core import ParamBlock, RngStreams
 from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
 from partialfed.errors import ConfigError, RoundError, ShapeMismatchError
@@ -110,6 +118,66 @@ class TestAggregate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             aggregate([result(0, [np.zeros(3)], 1)], template(2))
+
+
+@st.composite
+def client_results(draw):
+    """A few clients' deltas over one small (rows, cols) block, each dense or
+    row-sparse (rows may repeat), with their example counts."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    results = []
+    for cid in ids:
+        n_i = draw(st.integers(1, 20))
+        if draw(st.booleans()):
+            touched = rng.integers(0, rows, size=draw(st.integers(0, 2 * rows)))
+            delta = RowDelta(touched, rng.normal(size=(len(touched), cols)))
+        else:
+            delta = rng.normal(size=rows * cols)
+        results.append(result(cid, [delta], n_i))
+    return results, [ParamBlock.of("g", np.zeros((rows, cols)))]
+
+
+class TestAggregateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(client_results(), st.randoms(use_true_random=False))
+    def test_input_order_does_not_matter(self, drawn, shuffler):
+        results, g = drawn
+        shuffled = list(results)
+        shuffler.shuffle(shuffled)
+        a, total_a = aggregate(results, g)
+        b, total_b = aggregate(shuffled, g)
+        assert np.array_equal(a[0], b[0]) and total_a == total_b
+
+    @settings(max_examples=60, deadline=None)
+    @given(client_results())
+    def test_row_deltas_aggregate_like_their_dense_form(self, drawn):
+        results, g = drawn
+        dense = [
+            result(r.client_id, delta_to_dense(r.delta, g), r.n_i) for r in results
+        ]
+        a, _ = aggregate(results, g)
+        b, _ = aggregate(dense, g)
+        np.testing.assert_allclose(a[0], b[0], rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(client_results())
+    def test_total_weight_is_sum_of_example_counts(self, drawn):
+        results, g = drawn
+        _, total = aggregate(results, g)
+        assert total == sum(r.n_i for r in results)
+
+    @settings(max_examples=60, deadline=None)
+    @given(client_results(), st.integers(0, 2**32 - 1))
+    def test_unit_rate_sgd_adds_the_weighted_delta(self, drawn, seed):
+        results, g = drawn
+        g = [ParamBlock.of("g", np.random.default_rng(seed).normal(size=g[0].shape))]
+        delta, _ = aggregate(results, g)
+        out = server_step(ServerOptimizer(kind="sgd", eta_s=1.0), g, delta)
+        assert np.array_equal(out[0].values, g[0].values + delta[0])
 
 
 class TestServerStep:
