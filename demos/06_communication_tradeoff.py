@@ -11,18 +11,23 @@ with less communication.
 import numpy as np
 
 from partialfed.config import load_config
+from partialfed.core import RngStreams
 from partialfed.evaluation import comm_ledger_report, params_to_reach
-from partialfed.runner import tradeoff_curves, prepare_task, _run_all_repeats
+from partialfed.runner import tradeoff_curves, prepare_task
+from partialfed.server import run_training
 
 config = load_config(None, {"task": "synthetic", "seed": 17, "rounds": 100})
 
-# Exact ledger arithmetic for one short run of each algorithm family.
+# Exact ledger arithmetic for a short partially local run.
 bundle = prepare_task(config)
-from dataclasses import replace
-_, _, out = _run_all_repeats(replace(config, rounds=3), bundle)
+m = config.clients_per_round
+out = run_training(
+    bundle.spec, bundle.train_clients, rounds=3, clients_per_round=m,
+    policy=config.split, hyper=config.client, server_opt=config.server,
+    streams=RngStreams(config.seed),
+)
 report = comm_ledger_report(out.comm_records)["fedrecon"]
 g_size = out.global_params[0].values.size
-m = config.clients_per_round
 print(f"|g| = {g_size} parameters, {m} clients/round")
 print(f"partially local per round: {report['per_round'][0]} = {m} * 2 * {g_size}")
 assert report["per_round"][0] == m * 2 * g_size

@@ -98,6 +98,7 @@ def train_centralized(
             epochs, batch_size, rate, shuffle_rng,
         )
         template = {cid: locals_by_client[cid][0] for cid in ids}
+        _require_finite([b.values for b in g], "centralized parameters")
         return g, {
             cid: [ParamBlock(template[cid].name, local_matrix[row], template[cid].shape)]
             for row, cid in enumerate(ids)
@@ -116,6 +117,8 @@ def train_centralized(
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
             batch_w = float(weights[idx].sum())
+            if batch_w <= 0:
+                raise DataError("batch has zero total weight")
             # Group by owner: the batch loss is the weight-share mean of the
             # per-owner sub-batch losses, so grads combine with those shares.
             # Each owner's local blocks appear once per batch, so they can be

@@ -26,6 +26,7 @@ from .core import (
     _flat,
     _max_rel_err,
     _require_finite,
+    _rows_at,
     _sgd_step,
     copy_blocks,
 )
@@ -169,9 +170,9 @@ def delta_to_dense(delta: list, template: Blocks) -> list[np.ndarray]:
     out = []
     for entry, block in zip(delta, template):
         if isinstance(entry, RowDelta):
-            dense = np.zeros(block.shape)
-            np.add.at(dense, entry.rows, entry.values)
-            out.append(dense.ravel())
+            dense = np.zeros(block.values.size)
+            _rows_at(np.add, dense, entry.rows, entry.values)
+            out.append(dense)
         else:
             out.append(np.asarray(entry, dtype=np.float64).ravel())
     return out

@@ -381,6 +381,12 @@ class ModelSpec:
     * ``fast_centralized`` vectorises joint SGD over a mixed-owner example
       stream for models whose entire local part is a single vector per
       client (see baselines module for the calling convention).
+
+    The matrix-factorization spec writes its gradient once, in
+    ``sparse_grads``: its ``grad_global``, ``grad_local`` and
+    ``fast_centralized`` all run through that kernel, so the
+    finite-difference audit of the dense entries checks the kernel that
+    training rounds run.
     """
 
     name: str

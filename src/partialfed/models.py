@@ -19,6 +19,9 @@ from .core import (
     ModelSpec,
     ParamBlock,
     RowDelta,
+    _rows_at,
+    _sgd_step,
+    copy_blocks,
     fnv1a64,
     round_half_away,
 )
@@ -89,8 +92,6 @@ def rating_accuracy(
 class MatFacConfig:
     num_items: int
     embed_dim: int = 50
-    rating_min: float = 1.0
-    rating_max: float = 5.0
     init_stddev: float = 0.1
 
     def __post_init__(self):
@@ -98,8 +99,6 @@ class MatFacConfig:
             raise ConfigError("num_items must be positive")
         if self.embed_dim < 1:
             raise ConfigError("embed_dim must be positive")
-        if not self.rating_min < self.rating_max:
-            raise ConfigError("rating_min must be below rating_max")
 
 
 def _mf_items(batch: Batch, num_items: int) -> np.ndarray:
@@ -114,11 +113,6 @@ def _batch_weight(batch: Batch) -> float:
     if total <= 0:
         raise DataError("batch has zero total weight")
     return total
-
-
-def _mf_coef(preds: np.ndarray, batch: Batch) -> np.ndarray:
-    # d(weighted mean squared error)/d(pred), one entry per example
-    return 2.0 * batch.weights * (preds - batch.targets) / _batch_weight(batch)
 
 
 def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
@@ -141,21 +135,6 @@ def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
         err = preds - batch.targets
         return float(np.sum(batch.weights * err * err) / _batch_weight(batch))
 
-    def grad_local(g, l, batch: Batch) -> list[np.ndarray]:
-        items = _mf_items(batch, I)
-        qb = g[0].array[items]
-        coef = _mf_coef(qb @ l[0].values, batch)
-        return [coef @ qb]
-
-    def grad_global(g, l, batch: Batch) -> list[np.ndarray]:
-        items = _mf_items(batch, I)
-        p = l[0].values
-        qb = g[0].array[items]
-        coef = _mf_coef(qb @ p, batch)
-        gq = np.zeros((I, K))
-        np.add.at(gq, items, coef[:, None] * p[None, :])
-        return [gq.ravel()]
-
     def sparse_grads(g, l, batch: Batch, norm, need_global: bool, need_local: bool):
         # Leading owner axes of the batch index the rows of a stacked local
         # block; features address rows of g[0], which may be a compact copy.
@@ -174,6 +153,15 @@ def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
         local = [np.einsum("...b,...bk->...k", coef, qb).ravel()] if need_local else None
         return glob, local
 
+    def grad_local(g, l, batch: Batch) -> list[np.ndarray]:
+        return sparse_grads(g, l, batch, _batch_weight(batch), False, True)[1]
+
+    def grad_global(g, l, batch: Batch) -> list[np.ndarray]:
+        (delta,), _ = sparse_grads(g, l, batch, _batch_weight(batch), True, False)
+        gq = np.zeros(I * K)
+        _rows_at(np.add, gq, delta.rows, delta.values)
+        return [gq]
+
     def metrics(g, l, batch: Batch) -> dict[str, Metric]:
         preds = predict(g, l, batch)
         err = preds - batch.targets
@@ -185,26 +173,24 @@ def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
 
     def fast_centralized(g, local_matrix, owner_rows, features, targets, weights,
                          epochs, batch_size, rate, rng):
-        # Vectorized joint SGD over a mixed-owner example stream; both factor
-        # updates use pre-step values (simultaneous update).
-        q = g[0].array.copy()
+        # Joint SGD over a mixed-owner example stream, each example its own
+        # owner in one sparse_grads call per minibatch; both factors step
+        # from their pre-step values, a repeated owner's rows one after
+        # another.
+        g = copy_blocks(g)
         p = np.array(local_matrix, dtype=np.float64)
-        items = np.asarray(features, dtype=np.int64).ravel()
-        if items.size and (items.min() < 0 or items.max() >= I):
-            raise DataError(f"item id outside [0, {I})")
         n = len(targets)
         for _ in range(int(epochs)):
             perm = rng.permutation(n)
             for start in range(0, n, batch_size):
                 idx = perm[start : start + batch_size]
-                u, it = owner_rows[idx], items[idx]
-                w = weights[idx]
-                pb, qb = p[u], q[it]
-                preds = np.einsum("ij,ij->i", pb, qb)
-                coef = 2.0 * w * (preds - targets[idx]) / w.sum()
-                np.add.at(p, u, -rate * coef[:, None] * qb)
-                np.add.at(q, it, -rate * coef[:, None] * pb)
-        return [ParamBlock.of("item_embeddings", q)], p
+                u, w = owner_rows[idx], weights[idx]
+                stacked = [ParamBlock("user_embedding", p[u], (len(u), K))]
+                batch = Batch(features[idx], targets[idx][:, None], w[:, None])
+                grads, (local,) = sparse_grads(g, stacked, batch, w.sum(), True, True)
+                _sgd_step(g, rate, grads)
+                _rows_at(np.subtract, p.reshape(-1), u, rate * local)
+        return g, p
 
     return ModelSpec(
         name="matfac",
@@ -310,16 +296,16 @@ def _nwp_forward(cfg: NwpConfig, g, l, batch: Batch):
 
 
 def _softmax_grad(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray):
+    """d(weighted mean cross-entropy)/d(logits)."""
     total = float(weights.sum())
     if total <= 0:
         raise DataError("batch has zero total weight")
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    dz = probs.copy()
+    dz = expz / expz.sum(axis=1, keepdims=True)
     dz[np.arange(len(targets)), targets] -= 1.0
     dz *= (weights / total)[:, None]
-    return probs, dz
+    return dz
 
 
 def oov_nwp_spec(cfg: NwpConfig) -> ModelSpec:
@@ -353,53 +339,49 @@ def oov_nwp_spec(cfg: NwpConfig) -> ModelSpec:
             raise DataError(f"target class outside [0, {C})")
         return t
 
-    def loss(g, l, batch: Batch) -> float:
+    def _cross_entropy(g, l, batch: Batch):
         _, _, _, logits = _nwp_forward(cfg, g, l, batch)
         y = _targets(batch)
         shifted = logits - logits.max(axis=1, keepdims=True)
         lse = np.log(np.exp(shifted).sum(axis=1))
         ll = shifted[np.arange(len(y)), y] - lse
-        return float(-np.sum(batch.weights * ll) / _batch_weight(batch))
+        return float(-np.sum(batch.weights * ll) / _batch_weight(batch)), logits, y
 
-    def _backward(g, l, batch: Batch):
+    def loss(g, l, batch: Batch) -> float:
+        return _cross_entropy(g, l, batch)[0]
+
+    def _grads(g, l, batch: Batch, need_global: bool, need_local: bool):
         ctx, pos, h, logits = _nwp_forward(cfg, g, l, batch)
-        y = _targets(batch)
-        _, dz = _softmax_grad(logits, y, batch.weights)
+        dz = _softmax_grad(logits, _targets(batch), batch.weights)
         gh = dz @ g[1].array.T
         slot_contrib = np.broadcast_to(
             (gh / cfg.context_window)[:, None, :], ctx.shape + (E,)
         )
-        return ctx, pos, h, dz, slot_contrib
+        glob = local = None
+        if need_global:
+            g_emb = np.zeros((R, E))
+            np.add.at(g_emb, ctx[pos], slot_contrib[pos])
+            glob = [g_emb.ravel(), (h.T @ dz).ravel(), dz.sum(axis=0)]
+        if need_local:
+            neg = ~pos
+            g_oov = np.zeros((cfg.num_oov_buckets, E))
+            if neg.any():
+                np.add.at(g_oov, -ctx[neg] - 1, slot_contrib[neg])
+            local = [g_oov.ravel()]
+        return glob, local
 
     def grad_global(g, l, batch: Batch) -> list[np.ndarray]:
-        ctx, pos, h, dz, slot_contrib = _backward(g, l, batch)
-        g_emb = np.zeros((R, E))
-        np.add.at(g_emb, ctx[pos], slot_contrib[pos])
-        g_w = h.T @ dz
-        g_b = dz.sum(axis=0)
-        return [g_emb.ravel(), g_w.ravel(), g_b]
+        return _grads(g, l, batch, True, False)[0]
 
     def grad_local(g, l, batch: Batch) -> list[np.ndarray]:
-        if not l:
-            return []
-        ctx, pos, _, _, slot_contrib = _backward(g, l, batch)
-        neg = ~pos
-        g_oov = np.zeros((cfg.num_oov_buckets, E))
-        if neg.any():
-            np.add.at(g_oov, -ctx[neg] - 1, slot_contrib[neg])
-        return [g_oov.ravel()]
+        return _grads(g, l, batch, False, True)[1] if l else []
 
     def predict(g, l, batch: Batch) -> np.ndarray:
         _, _, _, logits = _nwp_forward(cfg, g, l, batch)
         return logits.argmax(axis=1)
 
     def metrics(g, l, batch: Batch) -> dict[str, Metric]:
-        _, _, _, logits = _nwp_forward(cfg, g, l, batch)
-        y = _targets(batch)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        ll = shifted[np.arange(len(y)), y] - lse
-        ce = float(-np.sum(batch.weights * ll) / _batch_weight(batch))
+        ce, logits, y = _cross_entropy(g, l, batch)
         scored = y >= NUM_SPECIAL
         n_scored = int(scored.sum())
         if n_scored:

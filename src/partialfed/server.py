@@ -199,7 +199,6 @@ def run_training(
     streams: RngStreams,
     algorithm: str = "fedrecon",
     aggregate_local: bool = False,
-    initial_global: Blocks | None = None,
     eval_fn: Callable[[int, Blocks, dict | None], None] | None = None,
     eval_every: int = 0,
     retain_deltas: bool = False,
@@ -214,9 +213,7 @@ def run_training(
     the result (owner-overwrite aggregation).
     """
     population = sorted(clients)
-    g = list(initial_global) if initial_global is not None else spec.init_global(
-        streams.generator("global_init")
-    )
+    g = spec.init_global(streams.generator("global_init"))
     opt = server_opt.fresh()
 
     local_store: dict[int, list[ParamBlock]] | None = None

@@ -7,7 +7,7 @@ from partialfed.baselines import finetune_eval, train_centralized, train_fedavg
 from partialfed.client import ClientHyper, SplitPolicy
 from partialfed.core import ClientDataset, Example, RngStreams
 from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
-from partialfed.errors import ConfigError
+from partialfed.errors import ConfigError, DataError
 from partialfed.models import MatFacConfig, matfac_spec
 from partialfed.server import ServerOptimizer
 from oracles import oracle_mf_centralized_step
@@ -73,6 +73,44 @@ class TestTrainCentralized:
             np.testing.assert_allclose(
                 locs_fast[cid][0].values, locs_gen[cid][0].values, atol=1e-12
             )
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_full_batch_with_shared_owner_and_item_is_one_sgd_step(self, fast):
+        # Client 0 rates items 1 and 2, client 1 rates items 2 and 3: one
+        # owner repeats and item 2 takes updates from two owners.
+        spec, _ = population()
+        if not fast:
+            spec = dataclasses.replace(spec, fast_centralized=None)
+        ratings = {0: [(1, 4.0), (2, 2.0)], 1: [(2, 5.0), (3, 1.0)]}
+        clients = {
+            cid: ClientDataset.from_examples(cid, [Example(features=i, target=r) for i, r in rs])
+            for cid, rs in ratings.items()
+        }
+        g, locs = train_centralized(
+            spec, clients, epochs=1, batch_size=4, rate=0.3, streams=RngStreams(7)
+        )
+        g0 = spec.init_global(RngStreams(7).generator("global_init"))
+        p0 = np.stack([
+            spec.init_local(RngStreams(7).generator(cid, "centralized_local_init"))[0].values
+            for cid in (0, 1)
+        ])
+        q_exp, p_exp = oracle_mf_centralized_step(
+            g0[0].array, p0, [0, 0, 1, 1], [1, 2, 2, 3], [4.0, 2.0, 5.0, 1.0], 0.3
+        )
+        np.testing.assert_allclose(g[0].array, q_exp, rtol=0, atol=1e-12)
+        for row, cid in enumerate((0, 1)):
+            np.testing.assert_allclose(locs[cid][0].values, p_exp[row], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_zero_weight_batch_is_a_data_error(self, fast):
+        spec, clients = population()
+        if not fast:
+            spec = dataclasses.replace(spec, fast_centralized=None)
+        clients = {
+            cid: dataclasses.replace(ds, weights=np.zeros(ds.n)) for cid, ds in clients.items()
+        }
+        with pytest.raises(DataError, match="zero total weight"):
+            train_centralized(spec, clients, epochs=1, batch_size=3, rate=0.2, streams=RngStreams(6))
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_client_data_never_mutated(self, fast):

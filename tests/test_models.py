@@ -87,8 +87,10 @@ class TestMatFacSpec:
 
     def test_gradients_match_finite_differences(self, mf_toy):
         spec, g, l, clients = mf_toy
-        for client in clients[:2]:
-            report = check_gradients(spec, g, l, client.batch(), eps=1e-5)
+        # The last batch rates item 1 twice: its global-gradient rows add up.
+        batches = [c.batch() for c in clients[:2]] + [mf_batch([1, 4, 1], [3.0, 2.0, 5.0])]
+        for batch in batches:
+            report = check_gradients(spec, g, l, batch, eps=1e-5)
             assert report.max_rel_err < 1e-4
 
     def test_item_id_out_of_range(self):
