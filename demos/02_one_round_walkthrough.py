@@ -18,9 +18,12 @@ from partialfed import (
     SplitPolicy,
     SyntheticMFConfig,
     aggregate,
+    client_update,
     gen_synthetic_mf,
     matfac_spec,
+    reconstruct,
     server_step,
+    split_dataset,
 )
 from partialfed.client import run_client_round, delta_to_dense
 
@@ -37,13 +40,21 @@ hyper = ClientHyper(k_r=5, k_u=5, eta_r=0.3, eta_u=0.1, batch_size=2)
 g_before = [b.values.copy() for b in g]
 results = []
 for client in clients[:4]:
-    result = run_client_round(spec, g, client, policy, hyper, streams, round_idx=0)
+    # Each step draws its own stream, named by (round, client, purpose).
+    def gen(purpose):
+        return streams.generator(0, client.client_id, purpose)
+
+    dsx = split_dataset(client, policy, gen("split"))
+    l_init = spec.init_local(gen("local_init"))  # where reconstruction starts
+    l = reconstruct(spec, g, dsx, hyper, gen("local_init"), gen("recon_batches"))
+    result = client_update(spec, g, l, dsx, hyper, gen("update_batches"))
     results.append(result)
+    support = dsx.support_batch()
     print(
         f"client {result.client_id}: n_i={result.n_i}, "
-        f"support loss {result.support_loss_trace[0]:.3f} -> "
-        f"{result.support_loss_trace[-1]:.3f}, "
-        f"query mse {result.query_metrics['mse'].value:.3f}"
+        f"support loss {spec.loss(g, l_init, support):.3f} -> "
+        f"{spec.loss(g, l, support):.3f}, "
+        f"query mse {spec.metrics(g, l, dsx.query_batch())['mse'].value:.3f}"
     )
 
 # Reconstruction and the client update never touch the server's copy.
@@ -64,9 +75,10 @@ for kind in ("sgd", "adagrad", "yogi"):
     move = np.linalg.norm(stepped[0].values - g[0].values)
     print(f"server step ({kind:7s}): |g' - g| = {move:.4f}")
 
-# A single client's round is replayable bit for bit from the same streams.
+# run_client_round runs exactly these steps: from the same seed it
+# reproduces the client delta bit for bit.
 replay = run_client_round(spec, g, clients[0], policy, hyper, RngStreams(42), 0)
 original = delta_to_dense(results[0].delta, g)
 again = delta_to_dense(replay.delta, g)
 assert all(np.array_equal(a, b) for a, b in zip(original, again))
-print("\nreplay with the same seed reproduces the client delta exactly")
+print("\nrun_client_round with the same seed reproduces the client delta exactly")

@@ -15,6 +15,7 @@ from .client import (
     split_dataset,
 )
 from .core import (
+    Batch,
     Blocks,
     ClientDataset,
     ModelSpec,
@@ -105,36 +106,26 @@ def train_centralized(
         }
 
     n = len(targets)
-    pooled = ClientDataset(
-        client_id=-1,
-        features=feats,
-        targets=targets,
-        weights=weights,
-        timestamps=np.zeros(n, dtype=np.int64),
-    )
+    # Group by owner: each owner's sub-batch is normalised by the whole
+    # minibatch's weight, so the owners' global grads sum to the minibatch
+    # gradient.  Each owner's local blocks appear once per batch, so they
+    # are stepped as soon as their grads are known.
+    total = [ParamBlock(b.name, np.zeros_like(b.values), b.shape) for b in g]
     for _ in range(epochs):
         perm = shuffle_rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
             batch_w = float(weights[idx].sum())
-            if batch_w <= 0:
-                raise DataError("batch has zero total weight")
-            # Group by owner: the batch loss is the weight-share mean of the
-            # per-owner sub-batch losses, so grads combine with those shares.
-            # Each owner's local blocks appear once per batch, so they can be
-            # stepped as soon as their grads are known.
-            global_grads = None
+            for b in total:
+                b.values.fill(0.0)
             for row in np.unique(owners[idx]):
                 sub = idx[owners[idx] == row]
-                share = float(weights[sub].sum()) / batch_w
                 l = locals_by_client[ids[row]]
-                gg = spec.grad_global(g, l, pooled.batch(sub))
-                gg = [share * x for x in gg]
-                global_grads = gg if global_grads is None else [
-                    a + b for a, b in zip(global_grads, gg)
-                ]
-                _sgd_step(l, rate, [share * x for x in spec.grad_local(g, l, pooled.batch(sub))])
-            _sgd_step(g, rate, global_grads)
+                batch = Batch(feats[sub], targets[sub], weights[sub])
+                grads, local_grads = spec.sparse_grads(g, l, batch, batch_w, True, True)
+                _sgd_step(total, -1.0, grads)  # total += grads
+                _sgd_step(l, rate, local_grads)
+            _sgd_step(g, rate, total)
     _require_finite(
         [b.values for b in g] + [b.values for ls in locals_by_client.values() for b in ls],
         "centralized parameters",
@@ -207,7 +198,7 @@ def finetune_eval(
     if kind == "fedrecon_plus_finetune":
         if recon_hyper is None:
             raise ConfigError("fedrecon_plus_finetune needs reconstruction hyperparameters")
-        l, _ = reconstruct(
+        l = reconstruct(
             spec,
             g_c,
             dsx,
@@ -222,17 +213,18 @@ def finetune_eval(
         batches = batch_schedule(
             dsx.support_idx, batch_size, steps, streams.generator(cid, "finetune:batches")
         )
+        # fedrecon_plus_finetune holds l fixed; local_only holds g fixed.
+        need_global = kind != "finetune_local_only"
+        need_local = kind != "fedrecon_plus_finetune"
         for bidx in batches:
             batch = dsx.batch(bidx)
-            if kind == "finetune_local_only":
-                _sgd_step(l, rate, spec.grad_local(g_c, l, batch))
-            elif kind == "finetune_full":
-                gg = spec.grad_global(g_c, l, batch)
-                lg = spec.grad_local(g_c, l, batch)
-                _sgd_step(g_c, rate, gg)
-                _sgd_step(l, rate, lg)
-            else:  # fedrecon_plus_finetune: global blocks only, l held fixed
-                _sgd_step(g_c, rate, spec.grad_global(g_c, l, batch))
+            grads, local_grads = spec.sparse_grads(
+                g_c, l, batch, batch.total_weight, need_global, need_local
+            )
+            if need_global:
+                _sgd_step(g_c, rate, grads)
+            if need_local:
+                _sgd_step(l, rate, local_grads)
         _require_finite([b.values for b in g_c + l], f"finetuned parameters of client {cid}")
 
     return finalize_metrics(spec.metrics(g_c, l, dsx.query_batch()))

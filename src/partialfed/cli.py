@@ -118,6 +118,10 @@ def _cmd_evaluate(args) -> int:
     if bundle.regime != "recon":
         raise ConfigError("the evaluate verb reconstructs local parameters; use eval.regime recon")
     g = read_params(args.params)
+    found = [(b.name, b.shape) for b in g]
+    wanted = [(b.name, b.shape) for b in bundle.spec.init_global(np.random.default_rng(0))]
+    if found != wanted:
+        raise DataError(f"{args.params} holds blocks {found}; this config needs {wanted}")
     mode = EvalMode(
         kind="recon_eval",
         recon_hyper=config.eval_hyper(),
@@ -135,7 +139,12 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
     axis = args.axis.replace("-", "_")
-    values = [int(v) for v in args.values.split(",")] if args.values else None
+    try:
+        values = [int(v) for v in args.values.split(",")] if args.values else None
+    except ValueError:
+        raise ConfigError(
+            f"--values must be comma-separated integers, not {args.values!r}"
+        ) from None
     result = sweep_steps(config, axis, values)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

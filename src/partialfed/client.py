@@ -127,40 +127,35 @@ def reconstruct(
     hyper: ClientHyper,
     init_rng: np.random.Generator,
     batch_rng: np.random.Generator,
-) -> tuple[list[ParamBlock], list[float]]:
+) -> list[ParamBlock]:
     """Gradient-descend freshly initialized local parameters on the support
-    set with the global parameters frozen; k_r=0 returns the raw init."""
+    set with the global parameters frozen; k_r=0 returns the raw init.
+    Finiteness is checked once, on the result."""
     l = spec.init_local(init_rng)
-    trace: list[float] = []
     if hyper.k_r == 0 or not l:
-        return l, trace
+        return l
     if data.support_idx is None:
         raise DataError("dataset has no support split")
-    batches = batch_schedule(data.support_idx, hyper.batch_size, hyper.k_r, batch_rng)
-    for step, bidx in enumerate(batches):
+    for bidx in batch_schedule(data.support_idx, hyper.batch_size, hyper.k_r, batch_rng):
         batch = data.batch(bidx)
-        step_loss = spec.loss(g, l, batch)
-        if not math.isfinite(step_loss):
-            raise NumericalError(f"non-finite loss at reconstruction step {step}")
-        _sgd_step(l, hyper.eta_r, spec.grad_local(g, l, batch))
-        trace.append(step_loss)
+        _, grads = spec.sparse_grads(g, l, batch, batch.total_weight, False, True)
+        _sgd_step(l, hyper.eta_r, grads)
     _require_finite(
         (b.values for b in l), f"local parameters after reconstruction step {hyper.k_r - 1}"
     )
-    return l, trace
+    return l
 
 
 @dataclass
 class ClientUpdateResult:
-    """One client's contribution to a round.  ``support_loss_trace`` holds
-    the per-step reconstruction losses of :func:`run_client_round`; batched
-    results of :func:`run_cohort` carry it empty, since nothing in a round
-    reads it and the batched reconstruction evaluates no loss."""
+    """One client's contribution to a round: its global delta (a
+    :class:`RowDelta` or a flat array per block), its weight ``n_i`` (the
+    query size), its query metrics before the update, and under joint
+    training its updated local blocks."""
 
     client_id: int
     delta: list
     n_i: int
-    support_loss_trace: list[float] = field(default_factory=list)
     query_metrics: dict[str, Metric] = field(default_factory=dict)
     updated_local: list[ParamBlock] | None = None
 
@@ -204,15 +199,9 @@ def client_update(
     touched: list[list[np.ndarray] | None] = [[] for _ in g]
     for bidx in batches:
         batch = data.batch(bidx)
-        if spec.sparse_grads is not None:
-            grads, local_grads = spec.sparse_grads(
-                g_w, l_w, batch, batch.total_weight, True, joint
-            )
-        else:
-            grads = spec.grad_global(g_w, l_w, batch)
-            local_grads = spec.grad_local(g_w, l_w, batch) if joint else None
+        grads, local_grads = spec.sparse_grads(g_w, l_w, batch, batch.total_weight, True, joint)
         _sgd_step(g_w, hyper.eta_u, grads)
-        if local_grads is not None:
+        if joint:
             _sgd_step(l_w, hyper.eta_u, local_grads)
         for bi, grad in enumerate(grads):
             if not isinstance(grad, RowDelta):
@@ -265,12 +254,11 @@ def run_client_round(
 
     dsx = split_dataset(data, policy, gen("split"))
     if initial_local is not None:
-        l, trace = initial_local, []
+        l = initial_local
     else:
-        l, trace = reconstruct(spec, g, dsx, hyper, gen("local_init"), gen("recon_batches"))
+        l = reconstruct(spec, g, dsx, hyper, gen("local_init"), gen("recon_batches"))
     query_metrics = spec.metrics(g, l, dsx.query_batch())
     result = client_update(spec, g, l, dsx, hyper, gen("update_batches"))
-    result.support_loss_trace = trace
     result.query_metrics = query_metrics
     return result
 
@@ -366,20 +354,20 @@ def reconstruct_cohort(
     ``initial_locals`` skips reconstruction.  Returns the split datasets
     and local parameters in input order.
 
-    With ``spec.sparse_grads`` the cohort reconstructs as one stacked local
-    matrix and checks finiteness once per client at the end; otherwise it
-    runs :func:`reconstruct` client by client.  Either way a numerical
-    failure names the client."""
+    With a single global block the cohort reconstructs as one stacked local
+    matrix; with several it runs :func:`reconstruct` client by client.
+    Either way finiteness is checked once per client at the end and a
+    numerical failure names the client."""
     ids = [d.client_id for d in datasets]
     gens = _cohort_streams(streams, round_idx, ids, namespace)
     splits = [split_dataset(d, policy, rng) for d, rng in zip(datasets, gens("split"))]
     if initial_locals is not None:
         return splits, [list(l) for l in initial_locals]
-    if spec.sparse_grads is None or not splits:
+    if len(g) > 1 or not splits:
         locals_ = []
         for dsx, init_rng, batch_rng in zip(splits, gens("local_init"), gens("recon_batches")):
             try:
-                locals_.append(reconstruct(spec, g, dsx, hyper, init_rng, batch_rng)[0])
+                locals_.append(reconstruct(spec, g, dsx, hyper, init_rng, batch_rng))
             except NumericalError as e:
                 raise NumericalError(f"client {dsx.client_id}: {e}") from e
         return splits, locals_
@@ -473,10 +461,10 @@ def run_cohort(
     """``[run_client_round(...) for ds in datasets]`` as one computation:
     split -> reconstruct -> query metrics -> update for a whole cohort, from
     the same per-client streams.  ``initial_locals`` (one per dataset) skips
-    reconstruction.  Specs without ``sparse_grads`` run client by client
-    through :func:`run_client_round`; with it the results carry an empty
-    ``support_loss_trace``.  A numerical failure names the client."""
-    if spec.sparse_grads is None:
+    reconstruction.  A single global block runs batched; several run client
+    by client through :func:`run_client_round`.  A numerical failure names
+    the client."""
+    if len(g) > 1:
         results = []
         for i, ds in enumerate(datasets):
             try:
@@ -564,7 +552,7 @@ def verify_first_order_meta_gradient(
             hyper,
             streams.generator(round_idx, cid, "local_init"),
             streams.generator(round_idx, cid, "recon_batches"),
-        )[0]
+        )
 
     l_fixed = rebuild_local(g)
     result = client_update(

@@ -359,34 +359,29 @@ GradFn = Callable[[Blocks, Blocks, Batch], list[np.ndarray]]
 class ModelSpec:
     """A task: loss, prediction, and analytic gradients per parameter part.
 
-    ``loss`` is a weighted mean over the batch, so its scale does not depend
-    on batch size.  ``grad_global``/``grad_local`` return one flat array per
-    corresponding block and must agree with central finite differences of
-    ``loss`` to 1e-4 relative (see :func:`check_gradients`).
+    ``sparse_grads(g, l, batch, norm, need_global, need_local)`` is the one
+    gradient kernel that every training step calls.  From one forward pass
+    it returns ``(global_grads, local_grads)``, each None unless its
+    ``need_*`` flag is set: per global block a :class:`RowDelta` or a flat
+    array, per local block a flat array.  It differentiates the weighted
+    loss sum divided by ``norm``: ``batch.total_weight`` gives ``loss``, a
+    larger ``norm`` makes the batch one part of a bigger minibatch.
 
-    Optional fast kernels (behaviour must match the dense procedures):
+    A spec with a single global block runs whole cohorts batched, so its
+    kernel also takes batch columns with leading owner axes, ``(owners...,
+    B)``, matched by the same leading axes on the local blocks (owner ``o``
+    scores its examples with local rows ``o``); ``norm`` then broadcasts
+    against the weights as each owner's real batch weight, so zero-weight
+    padding adds exactly nothing.  It returns a :class:`RowDelta` whose rows
+    the integer features address, and ``g[0]`` may be a compact copy of some
+    rows.  A spec with several global blocks runs client by client.
 
-    * ``sparse_grads(g, l, batch, norm, need_global, need_local)`` returns
-      ``(global_grads, local_grads)`` from one forward pass, each None unless
-      its ``need_*`` flag is set: a :class:`RowDelta` for the single global
-      block, whose rows the integer features address, and flat local
-      gradients.  It serves a whole cohort at once.  The batch columns may
-      carry leading owner axes, ``(owners..., B)``, matched by the same
-      leading axes on the local blocks, so owner ``o`` scores its examples
-      with local rows ``o``; a flat batch with unstacked local blocks is a
-      single owner.  ``norm`` broadcasts against the batch weights and is
-      each example's loss normaliser, its owner's real batch weight, so a
-      zero-weight padding example adds exactly nothing.  ``g[0]`` may be a
-      compact copy of some rows, addressed by compact indices.
-    * ``fast_centralized`` vectorises joint SGD over a mixed-owner example
-      stream for models whose entire local part is a single vector per
-      client (see baselines module for the calling convention).
-
-    The matrix-factorization spec writes its gradient once, in
-    ``sparse_grads``: its ``grad_global``, ``grad_local`` and
-    ``fast_centralized`` all run through that kernel, so the
-    finite-difference audit of the dense entries checks the kernel that
-    training rounds run.
+    ``loss`` is a weighted mean over the batch.  ``grad_global`` and
+    ``grad_local`` are the kernel's dense views, one flat array per block,
+    for the audit: they must agree with central differences of ``loss`` to
+    1e-4 relative (see :func:`check_gradients`).  ``fast_centralized``
+    (optional) vectorises joint SGD over a mixed-owner example stream when
+    each client's local part is a single vector (see ``baselines``).
     """
 
     name: str
@@ -397,7 +392,7 @@ class ModelSpec:
     grad_global: GradFn
     grad_local: GradFn
     metrics: Callable[[Blocks, Blocks, Batch], dict[str, Metric]]
-    sparse_grads: Callable | None = None
+    sparse_grads: Callable
     fast_centralized: Callable | None = None
 
 

@@ -295,16 +295,15 @@ def _nwp_forward(cfg: NwpConfig, g, l, batch: Batch):
     return ctx, pos, h, logits
 
 
-def _softmax_grad(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray):
-    """d(weighted mean cross-entropy)/d(logits)."""
-    total = float(weights.sum())
-    if total <= 0:
+def _softmax_grad(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray, norm):
+    """d(weighted cross-entropy sum / norm)/d(logits)."""
+    if norm <= 0:
         raise DataError("batch has zero total weight")
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     dz = expz / expz.sum(axis=1, keepdims=True)
     dz[np.arange(len(targets)), targets] -= 1.0
-    dz *= (weights / total)[:, None]
+    dz *= (weights / norm)[:, None]
     return dz
 
 
@@ -350,9 +349,11 @@ def oov_nwp_spec(cfg: NwpConfig) -> ModelSpec:
     def loss(g, l, batch: Batch) -> float:
         return _cross_entropy(g, l, batch)[0]
 
-    def _grads(g, l, batch: Batch, need_global: bool, need_local: bool):
+    def sparse_grads(g, l, batch: Batch, norm, need_global: bool, need_local: bool):
+        # One forward and one backward pass over a flat single-owner batch;
+        # one dense array per block.
         ctx, pos, h, logits = _nwp_forward(cfg, g, l, batch)
-        dz = _softmax_grad(logits, _targets(batch), batch.weights)
+        dz = _softmax_grad(logits, _targets(batch), batch.weights, norm)
         gh = dz @ g[1].array.T
         slot_contrib = np.broadcast_to(
             (gh / cfg.context_window)[:, None, :], ctx.shape + (E,)
@@ -364,17 +365,17 @@ def oov_nwp_spec(cfg: NwpConfig) -> ModelSpec:
             glob = [g_emb.ravel(), (h.T @ dz).ravel(), dz.sum(axis=0)]
         if need_local:
             neg = ~pos
-            g_oov = np.zeros((cfg.num_oov_buckets, E))
-            if neg.any():
+            local = [np.zeros((cfg.num_oov_buckets, E)) for _ in l]  # [] without buckets
+            for g_oov in local:
                 np.add.at(g_oov, -ctx[neg] - 1, slot_contrib[neg])
-            local = [g_oov.ravel()]
+            local = [g_oov.ravel() for g_oov in local]
         return glob, local
 
     def grad_global(g, l, batch: Batch) -> list[np.ndarray]:
-        return _grads(g, l, batch, True, False)[0]
+        return sparse_grads(g, l, batch, _batch_weight(batch), True, False)[0]
 
     def grad_local(g, l, batch: Batch) -> list[np.ndarray]:
-        return _grads(g, l, batch, False, True)[1] if l else []
+        return sparse_grads(g, l, batch, _batch_weight(batch), False, True)[1]
 
     def predict(g, l, batch: Batch) -> np.ndarray:
         _, _, _, logits = _nwp_forward(cfg, g, l, batch)
@@ -402,4 +403,5 @@ def oov_nwp_spec(cfg: NwpConfig) -> ModelSpec:
         grad_global=grad_global,
         grad_local=grad_local,
         metrics=metrics,
+        sparse_grads=sparse_grads,
     )

@@ -417,18 +417,30 @@ def write_params(path: str | Path, blocks: Sequence[ParamBlock]) -> None:
 
 
 def read_params(path: str | Path) -> list[ParamBlock]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("dtype") != "<f8":
-            raise DataError(f"unsupported parameter dtype {header.get('dtype')!r}")
+    """The blocks :func:`write_params` wrote; a missing, malformed or
+    truncated file is a :class:`DataError`."""
+    try:
+        fh = open(path, "rb")
+    except OSError as e:
+        raise DataError(f"cannot read parameter file {path}: {e.strerror}") from e
+    with fh:
+        try:
+            header = json.loads(fh.readline())
+            dtype = header["dtype"]
+            entries = [(str(e["name"]), tuple(e["shape"])) for e in header["blocks"]]
+        except (ValueError, KeyError, TypeError) as e:
+            raise DataError(f"malformed header in parameter file {path}: {e}") from e
+        if dtype != "<f8":
+            raise DataError(f"unsupported parameter dtype {dtype!r}")
         blocks = []
-        for entry in header["blocks"]:
-            shape = tuple(entry["shape"])
+        for name, shape in entries:
+            if any(type(d) is not int or d < 1 for d in shape):
+                raise DataError(f"block {name!r}: shape {shape} is not positive integers")
             count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
-                raise DataError(f"truncated parameter file: block {entry['name']!r}")
-            blocks.append(ParamBlock(entry["name"], np.frombuffer(raw, dtype="<f8").copy(), shape))
+                raise DataError(f"truncated parameter file: block {name!r}")
+            blocks.append(ParamBlock(name, np.frombuffer(raw, dtype="<f8").copy(), shape))
     return blocks
 
 

@@ -8,7 +8,7 @@ from partialfed.client import ClientHyper, SplitPolicy
 from partialfed.core import ClientDataset, Example, RngStreams
 from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
 from partialfed.errors import ConfigError, DataError
-from partialfed.models import MatFacConfig, matfac_spec
+from partialfed.models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
 from partialfed.server import ServerOptimizer
 from oracles import oracle_mf_centralized_step
 
@@ -123,6 +123,41 @@ class TestTrainCentralized:
         for cid, ds in clients.items():
             for before, column in zip(snapshot[cid], columns):
                 assert np.array_equal(before, getattr(ds, column))
+
+    def test_nwp_two_owner_step_matches_share_weighted_grads(self):
+        # The generic loop normalises each owner's sub-batch by the whole
+        # minibatch weight; the reference scales each owner's dense
+        # grad_global / grad_local by its weight share of the minibatch.
+        cfg = NwpConfig(vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2)
+        spec = oov_nwp_spec(cfg)
+        rng = np.random.default_rng(0)
+        clients = {
+            cid: ClientDataset(
+                cid,
+                features=rng.integers(-cfg.num_oov_buckets, cfg.num_global_rows, size=(n, 2)),
+                targets=rng.integers(0, cfg.num_classes, size=n).astype(float),
+                weights=rng.uniform(0.5, 2.0, size=n),
+                timestamps=np.arange(n),
+            )
+            for cid, n in ((0, 4), (1, 3))
+        }
+        g, locs = train_centralized(
+            spec, clients, epochs=1, batch_size=7, rate=0.3, streams=RngStreams(8)
+        )
+        g_ref = spec.init_global(RngStreams(8).generator("global_init"))
+        batch_w = sum(ds.weights.sum() for ds in clients.values())
+        step = [np.zeros(b.values.size) for b in g_ref]
+        for cid, ds in clients.items():
+            share = ds.weights.sum() / batch_w
+            l = spec.init_local(RngStreams(8).generator(cid, "centralized_local_init"))
+            for acc, gg in zip(step, spec.grad_global(g_ref, l, ds.batch())):
+                acc += share * gg
+            (lg,) = spec.grad_local(g_ref, l, ds.batch())
+            want = l[0].values - 0.3 * share * lg
+            assert np.abs(locs[cid][0].values - want).max() <= 1e-12 * np.abs(want).max()
+        for got, b, acc in zip(g, g_ref, step):
+            want = b.values - 0.3 * acc
+            assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_training_reduces_pooled_loss(self):
         spec, clients = population(num_users=8, ratings=6)

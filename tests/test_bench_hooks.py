@@ -53,7 +53,9 @@ def test_traced_spec_runs_a_client_round(instrument, streams, mf_toy, nwp_toy, m
     traced = instrument.traced_spec(tracer, spec)
     hyper = ClientHyper(k_r=2, k_u=2, eta_r=0.1, eta_u=0.1, batch_size=2)
     run_client_round(traced, g, data, SplitPolicy(), hyper, streams, 0)
-    kernels = set(tracer.layer_table())
-    assert {"models.loss", "models.grad_local", "models.metrics"} <= kernels
-    update_kernel = "models.sparse_grads" if spec.sparse_grads else "models.grad_global"
-    assert update_kernel in kernels
+    # layer_table() lists every wrapped kernel, called or not.
+    calls = {name: row["calls"] for name, row in tracer.layer_table().items()}
+    assert calls["models.sparse_grads"] == hyper.k_r + hyper.k_u
+    for kernel in ("loss", "grad_global", "grad_local"):
+        assert calls[f"models.{kernel}"] == 0, kernel
+    assert calls["models.metrics"] == 1

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from partialfed.cli import main
@@ -181,3 +182,42 @@ def test_reproduce_table1_requires_data(tmp_path):
     code = main(["reproduce", "table1", "--task", "matfac",
                  "--output-dir", str(tmp_path / "t1")])
     assert code == 2
+
+
+def _mf_blocks(embed_dim):
+    from partialfed.models import MatFacConfig, matfac_spec
+
+    return matfac_spec(MatFacConfig(num_items=12, embed_dim=embed_dim)).init_global(
+        np.random.default_rng(0)
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["other_embed_dim", "other_task", "garbage_header", "missing_file"]
+)
+def test_evaluate_bad_params_is_a_data_error(tmp_path, small_synthetic, capsys, case):
+    from partialfed.runner import write_params
+
+    path, task = tmp_path / "params.bin", []
+    if case == "other_embed_dim":
+        write_params(path, _mf_blocks(embed_dim=4))  # the config's model has 3
+    elif case == "other_task":
+        write_params(path, _mf_blocks(embed_dim=3))
+        task = ["--task", "oov_nwp"]
+    elif case == "garbage_header":
+        path.write_bytes(b"not a header\n" + bytes(64))
+    code = main(
+        ["evaluate", "--config", str(small_synthetic), *synth_args(tmp_path), *task,
+         "--params", str(path)]
+    )
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_sweep_rejects_non_integer_values(tmp_path, small_synthetic, capsys):
+    code = main(
+        ["sweep", "--config", str(small_synthetic), *synth_args(tmp_path),
+         "--axis", "k-r", "--values", "1,x"]
+    )
+    assert code == 1
+    assert "config error" in capsys.readouterr().err

@@ -24,12 +24,12 @@ from oracles import oracle_mf_two_step_update, oracle_sgd_trace
 
 
 def nan_at_call(fn, call):
-    """``fn`` whose result on call number ``call`` (from 0) is NaN-filled;
-    for the (grads, local) pair of sparse_grads only the grads are."""
+    """The kernel ``fn`` whose (global, local) grads on call number ``call``
+    (from 0) are NaN-filled, each part it returns."""
     calls = []
 
     def poison(grads):
-        return [
+        return None if grads is None else [
             dataclasses.replace(gr, values=np.full_like(gr.values, np.nan))
             if isinstance(gr, RowDelta) else np.full_like(gr, np.nan)
             for gr in grads
@@ -40,9 +40,20 @@ def nan_at_call(fn, call):
         calls.append(None)
         if len(calls) - 1 != call:
             return out
-        return (poison(out[0]), out[1]) if isinstance(out, tuple) else poison(out)
+        return poison(out[0]), poison(out[1])
 
     return wrapped
+
+
+def dense_kernel(spec):
+    """``spec`` whose kernel returns ``grad_global``'s dense arrays, so
+    :func:`client_update` takes its dense-delta branch."""
+
+    def sparse_grads(g, l, batch, norm, need_global, need_local):
+        _, local = spec.sparse_grads(g, l, batch, norm, False, need_local)
+        return (spec.grad_global(g, l, batch) if need_global else None), local
+
+    return dataclasses.replace(spec, sparse_grads=sparse_grads)
 
 
 def toy_client(n, client_id=0):
@@ -136,12 +147,9 @@ class TestReconstruct:
     def test_zero_steps_returns_raw_init(self, streams):
         spec, g, ds = self.make(streams)
         hyper = ClientHyper(k_r=0, eta_r=0.5)
-        l, trace = reconstruct(
-            spec, g, ds, hyper, streams.generator("init"), streams.generator("b")
-        )
+        l = reconstruct(spec, g, ds, hyper, streams.generator("init"), streams.generator("b"))
         expected = spec.init_local(streams.generator("init"))
         assert np.array_equal(l[0].values, expected[0].values)
-        assert trace == []
 
     def test_single_full_batch_step_from_zero(self, streams):
         # One MSE step from l = 0 on a single rated item moves the local
@@ -153,12 +161,9 @@ class TestReconstruct:
         ds = ClientDataset.from_examples(0, [Example(features=2, target=4.0)])
         ds = split_dataset(ds, SplitPolicy(kind="no_split"), streams.generator("s2"))
         hyper = ClientHyper(k_r=1, eta_r=0.3, batch_size=1)
-        l, trace = reconstruct(
-            spec, g, ds, hyper, streams.generator("i2"), streams.generator("b2")
-        )
+        l = reconstruct(spec, g, ds, hyper, streams.generator("i2"), streams.generator("b2"))
         expected = 0.3 * 2.0 * 4.0 * g[0].array[2]
         np.testing.assert_allclose(l[0].values, expected, rtol=1e-12)
-        assert len(trace) == 1 and trace[0] == pytest.approx(16.0)
 
     def test_global_params_bitwise_unchanged(self, streams):
         spec, g, ds = self.make(streams)
@@ -172,15 +177,14 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("bad_step, named_step", [(0, 1), (2, 3), (3, 3)])
     def test_nan_step_raises_naming_the_step(self, streams, bad_step, named_step):
-        # A NaN gradient taken at step s shows in the loss of step s + 1;
-        # after the last step the final check of the local blocks names it.
+        # No loss is evaluated per step: a NaN local gradient taken at any
+        # step (first, middle or last of k_r = named_step + 1) is caught by
+        # the one check of the result, which names the last step.
         spec, g, ds = self.make(streams)
-        spec = dataclasses.replace(spec, grad_local=nan_at_call(spec.grad_local, bad_step))
-        with pytest.raises(NumericalError, match=f"reconstruction step {named_step}"):
-            reconstruct(
-                spec, g, ds, ClientHyper(k_r=4, eta_r=0.2, batch_size=2),
-                streams.generator("i"), streams.generator("b"),
-            )
+        spec = dataclasses.replace(spec, sparse_grads=nan_at_call(spec.sparse_grads, bad_step))
+        hyper = ClientHyper(k_r=named_step + 1, eta_r=0.2, batch_size=2)
+        with pytest.raises(NumericalError, match=f"reconstruction step {named_step}$"):
+            reconstruct(spec, g, ds, hyper, streams.generator("i"), streams.generator("b"))
 
     @pytest.mark.parametrize("steps", [1, 4, 10])
     def test_matches_fd_sgd_oracle(self, streams, steps):
@@ -191,9 +195,7 @@ class TestReconstruct:
         zero_init = dataclasses.replace(
             spec, init_local=lambda rng: [ParamBlock.of("user_embedding", np.zeros(2))]
         )
-        l, _ = reconstruct(
-            zero_init, g, ds, hyper, streams.generator("i"), streams.generator("b")
-        )
+        l = reconstruct(zero_init, g, ds, hyper, streams.generator("i"), streams.generator("b"))
         batches = [
             ds.batch(b)
             for b in batch_schedule(ds.support_idx, 2, steps, streams.generator("b"))
@@ -262,7 +264,7 @@ class TestClientUpdate:
     def test_caller_blocks_never_mutated(self, streams, joint, kernel):
         spec, g, l, ds = self.make(streams)
         if kernel == "grad_global":
-            spec = dataclasses.replace(spec, sparse_grads=None)
+            spec = dense_kernel(spec)
         snapshot = [b.values.copy() for b in g + l]
         hyper = ClientHyper(k_u=4, eta_u=0.2, batch_size=2, joint_training=joint)
         result = client_update(spec, g, l, ds, hyper, streams.generator("u"))
@@ -277,8 +279,8 @@ class TestClientUpdate:
     def test_nan_step_raises_naming_the_client(self, streams, bad_step, kernel):
         spec, g, l, ds = self.make(streams)
         if kernel == "grad_global":
-            spec = dataclasses.replace(spec, sparse_grads=None)
-        spec = dataclasses.replace(spec, **{kernel: nan_at_call(getattr(spec, kernel), bad_step)})
+            spec = dense_kernel(spec)
+        spec = dataclasses.replace(spec, sparse_grads=nan_at_call(spec.sparse_grads, bad_step))
         hyper = ClientHyper(k_u=4, eta_u=0.2, batch_size=2)
         with pytest.raises(NumericalError, match=f"client {ds.client_id}"):
             client_update(spec, g, l, ds, hyper, streams.generator("u"))
@@ -297,8 +299,9 @@ class TestClientUpdate:
             assert np.array_equal(da, db)
 
     def test_sparse_and_dense_paths_agree(self, streams):
+        # A row-sparse gradient yields a RowDelta, a dense one a dense delta.
         spec, g, l, ds = self.make(streams)
-        dense_spec = dataclasses.replace(spec, sparse_grads=None)
+        dense_spec = dense_kernel(spec)
         for joint in (False, True):
             hyper = ClientHyper(k_u=4, eta_u=0.15, batch_size=2, joint_training=joint)
             a = client_update(spec, g, l, ds, hyper, streams.generator("cmp"))
@@ -316,9 +319,7 @@ class TestClientUpdate:
         ds = split_dataset(ds, SplitPolicy(kind="no_split"), streams.generator("s"))
         hyper = ClientHyper(k_u=1, eta_u=0.5, batch_size=2)
         a = client_update(spec, g, l, ds, hyper, streams.generator("d"))
-        b = client_update(
-            dataclasses.replace(spec, sparse_grads=None), g, l, ds, hyper, streams.generator("d")
-        )
+        b = client_update(dense_kernel(spec), g, l, ds, hyper, streams.generator("d"))
         np.testing.assert_allclose(
             delta_to_dense(a.delta, g)[0], delta_to_dense(b.delta, g)[0], atol=1e-12
         )
@@ -331,7 +332,7 @@ class TestClientUpdate:
 
 
 class TestRunClientRound:
-    def test_result_carries_trace_and_metrics(self, streams):
+    def test_result_carries_metrics(self, streams):
         spec = matfac_spec(MatFacConfig(num_items=6, embed_dim=2))
         g = spec.init_global(streams.generator("g"))
         clients, _, _ = gen_synthetic_mf(
@@ -339,7 +340,6 @@ class TestRunClientRound:
         )
         hyper = ClientHyper(k_r=3, k_u=2, eta_r=0.2, eta_u=0.1, batch_size=2)
         result = run_client_round(spec, g, clients[0], SplitPolicy(), hyper, streams, 0)
-        assert len(result.support_loss_trace) == 3
         assert "mse" in result.query_metrics
         assert result.n_i == len(clients[0].targets) // 2
 

@@ -26,7 +26,7 @@ from partialfed.core import ClientDataset, RngStreams, finalize_metrics, merge_m
 from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
 from partialfed.errors import NumericalError
 from partialfed.evaluation import EvalMode, _finalize_with_macro, recon_eval
-from partialfed.models import MatFacConfig, matfac_spec
+from partialfed.models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
 from partialfed.server import ServerOptimizer, aggregate, run_training, sample_clients, server_step
 
 TOL = 1e-12
@@ -47,12 +47,11 @@ def assert_metrics_close(got, want, what):
         assert_close(got[k].value, want[k].value, f"{what} {k}")
 
 
-def assert_results_match(cohort, reference, batched):
+def assert_results_match(cohort, reference):
     assert [r.client_id for r in cohort] == [r.client_id for r in reference]
     for got, want in zip(cohort, reference):
         cid = want.client_id
         assert got.n_i == want.n_i
-        assert got.support_loss_trace == ([] if batched else want.support_loss_trace)
         assert len(got.delta) == len(want.delta)
         for d_got, d_want in zip(got.delta, want.delta):
             if hasattr(d_want, "rows"):
@@ -80,6 +79,24 @@ def mf_population(num_users=9, num_items=25, ratings_per_user=13, seed=4):
     return spec, clients
 
 
+def nwp_population(num_clients=9, seed=4):
+    """Next-word clients: several global blocks, so cohorts run client by
+    client."""
+    cfg = NwpConfig(vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2)
+    rng = np.random.default_rng(seed)
+    clients = [
+        ClientDataset(
+            cid,
+            features=rng.integers(-cfg.num_oov_buckets, cfg.num_global_rows, size=(n, 2)),
+            targets=rng.integers(0, cfg.num_classes, size=n).astype(float),
+            weights=np.ones(n),
+            timestamps=np.arange(n),
+        )
+        for cid, n in zip(range(num_clients), rng.integers(2, 14, size=num_clients))
+    ]
+    return oov_nwp_spec(cfg), clients
+
+
 def compare_round(spec, g, datasets, policy, hyper, streams, round_idx=3, initial_locals=None):
     cohort = run_cohort(
         spec, g, datasets, policy, hyper, streams, round_idx, initial_locals=initial_locals
@@ -91,7 +108,7 @@ def compare_round(spec, g, datasets, policy, hyper, streams, round_idx=3, initia
         )
         for i, ds in enumerate(datasets)
     ]
-    assert_results_match(cohort, reference, batched=spec.sparse_grads is not None)
+    assert_results_match(cohort, reference)
     return cohort
 
 
@@ -259,7 +276,7 @@ def test_two_repeats_of_recon_eval_match_the_client_loop():
             cid = clients[ci].client_id
             split_rng = streams.generator(rep, cid, "ev:split")
             dsx = split_dataset(clients[ci], SplitPolicy(), split_rng)
-            l, _ = reconstruct(
+            l = reconstruct(
                 spec, g, dsx, hyper,
                 streams.generator(rep, cid, "ev:local_init"),
                 streams.generator(rep, cid, "ev:recon_batches"),
@@ -283,9 +300,7 @@ def test_nan_in_training_names_round_and_client(algorithm, kernel, position):
     # Every client pads its short minibatches at the same steps; the NaNs of
     # the poisoned one, the last in the batched layout or not, must not
     # reach the others.
-    spec, clients = mf_population()
-    if kernel == "client_by_client":
-        spec = dataclasses.replace(spec, sparse_grads=None)
+    spec, clients = mf_population() if kernel == "cohort" else nwp_population()
     clients = {ds.client_id: ds for ds in clients}
     bad = sorted(clients)[position]
     clients[bad] = poison(clients[bad])
@@ -300,9 +315,7 @@ def test_nan_in_training_names_round_and_client(algorithm, kernel, position):
 
 @pytest.mark.parametrize("kernel", ["cohort", "client_by_client"])
 def test_nan_in_recon_eval_names_repeat_and_client(kernel):
-    spec, clients = mf_population()
-    if kernel == "client_by_client":
-        spec = dataclasses.replace(spec, sparse_grads=None)
+    spec, clients = mf_population() if kernel == "cohort" else nwp_population()
     bad = clients[2].client_id
     clients[2] = poison(clients[2])
     g = spec.init_global(RngStreams(2).generator("g"))

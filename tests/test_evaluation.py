@@ -131,7 +131,7 @@ class TestReconEval:
             dsx = split_dataset(
                 rep_client, policy, streams.generator(0, cid, "eval:split")
             )
-            l, _ = reconstruct(
+            l = reconstruct(
                 spec, g, dsx, mode.recon_hyper,
                 streams.generator(0, cid, "eval:local_init"),
                 streams.generator(0, cid, "eval:recon_batches"),

@@ -98,7 +98,7 @@ class TestCompositeGradient:
                 spec, probe, ds, hyper,
                 streams.generator(0, ds.client_id, "local_init"),
                 streams.generator(0, ds.client_id, "recon_batches"),
-            )[0]
+            )
 
         oracle = oracle_meta_gradient(spec, g, ds, hyper, rebuild)
         np.testing.assert_allclose(report.composite_grad, oracle, atol=1e-8)
