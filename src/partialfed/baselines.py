@@ -27,7 +27,7 @@ from .core import (
     finalize_metrics,
 )
 from .errors import ConfigError, DataError
-from .server import ServerOptimizer, TrainResult, run_training
+from .server import ServerOptimizer, TrainResult, init_local_store, run_training
 
 __all__ = [
     "BASELINE_KINDS",
@@ -81,9 +81,7 @@ def train_centralized(
         raise ConfigError("epochs must be >= 0 and batch_size >= 1")
     ids, owners, feats, targets, weights = _merge_clients(clients)
     g = spec.init_global(streams.generator("global_init"))
-    locals_by_client = {
-        cid: spec.init_local(streams.generator(cid, "centralized_local_init")) for cid in ids
-    }
+    locals_by_client = init_local_store(spec, ids, streams, "centralized_local_init")
     if epochs == 0 or len(targets) == 0:
         return g, locals_by_client
 

@@ -42,6 +42,9 @@ __all__ = [
     "reconstruct",
     "client_update",
     "run_client_round",
+    "Cohort",
+    "split_cohort",
+    "cohort_metrics",
     "reconstruct_cohort",
     "run_cohort",
     "delta_to_dense",
@@ -268,35 +271,108 @@ def run_client_round(
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class Cohort:
+    """A split cohort in one columnar layout: every client's columns end to
+    end, and each half of the split as positions into them, client by
+    client, ascending within a client -- the ``support_idx`` and
+    ``query_idx`` :func:`split_dataset` gives each client.  ``support_n``
+    and ``query_n`` count each client's positions."""
+
+    client_ids: np.ndarray
+    features: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+    support: np.ndarray
+    support_n: np.ndarray
+    query: np.ndarray
+    query_n: np.ndarray
+
+    def query_batch(self, owners: slice = slice(None)) -> Batch:
+        """The ``owners`` clients' query halves as one ``(clients, widest)``
+        batch, one client per row; a short row is padded with masked,
+        zero-weight copies of its client's first query example."""
+        n = self.query_n[owners]
+        starts = (np.cumsum(self.query_n) - self.query_n)[owners]
+        slot = np.arange(n.max())
+        mask = slot < n[:, None]
+        pos = self.query[starts[:, None] + np.where(mask, slot, 0)]
+        return Batch(self.features[pos], self.targets[pos], self.weights[pos] * mask, mask)
+
+
+def split_cohort(
+    datasets: Sequence[ClientDataset],
+    policy: SplitPolicy,
+    rngs: Sequence[np.random.Generator] | None = None,
+) -> Cohort:
+    """:func:`split_dataset` for every client, as one :class:`Cohort`, from
+    the same draws: ``half_disjoint`` draws one permutation from each
+    client's generator in ``rngs``; the other kinds draw nothing."""
+    n = np.array([d.n for d in datasets], dtype=np.int64)
+    if not np.all(n):
+        raise DataError(f"client {datasets[int(np.argmin(n))].client_id}: empty dataset")
+    starts = np.cumsum(n) - n
+    owner = np.repeat(np.arange(len(n)), n)
+    whole = (n == 1) | (policy.kind == "no_split")
+    # Support size: ceil(n * fraction), capped so the query set stays nonempty.
+    k = np.where(whole, n, np.minimum(np.maximum(1, np.ceil(n * policy.support_fraction)), n - 1))
+    # order: every client's examples in its split order, client after client.
+    if policy.kind == "half_disjoint":
+        order = starts[owner] + np.concatenate(
+            [rng.permutation(m) if m > 1 else np.zeros(1, np.int64)
+             for rng, m in zip(rngs, n.tolist())]
+        )
+    elif policy.kind == "by_timestamp_half":  # earlier examples become support
+        order = np.lexsort((np.concatenate([d.timestamps for d in datasets]), owner))
+    else:
+        order = np.arange(len(owner))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - starts[owner]
+    support = rank < k[owner]
+    query = ~support | whole[owner]
+    return Cohort(
+        client_ids=np.array([d.client_id for d in datasets], dtype=np.int64),
+        features=np.concatenate([d.features for d in datasets]),
+        targets=np.concatenate([d.targets for d in datasets]),
+        weights=np.concatenate([d.weights for d in datasets]),
+        support=np.flatnonzero(support),
+        support_n=k.astype(np.int64),
+        query=np.flatnonzero(query),
+        query_n=np.where(whole, n, n - k).astype(np.int64),
+    )
+
+
 def _cohort_batches(
-    splits: Sequence[ClientDataset],
+    cohort: Cohort,
     part: str,
     batch_size: int,
     steps: int,
     rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every client's :func:`batch_schedule` over its ``part`` ("support_idx"
-    or "query_idx"), from the same draws, as ``(steps, clients,
-    batch_size)`` features, targets and weights, plus each minibatch's real
-    weight.  A short minibatch is padded with zero-weight copies of its
-    client's first scheduled example, which step 0 always uses, so padding
-    adds exactly nothing and addresses only rows its client touches."""
-    perms = [rng.permutation(getattr(d, part)) for d, rng in zip(splits, rngs)]
-    n = np.array([len(p) for p in perms])
+    """Every client's :func:`batch_schedule` over its ``part`` ("support"
+    or "query"), from the same draws, as ``(steps, clients, batch_size)``
+    features, targets and weights, plus each minibatch's real weight.  A
+    short minibatch is padded with zero-weight copies of its client's first
+    scheduled example, which step 0 always uses, so padding adds exactly
+    nothing and addresses only rows its client touches."""
+    idx, n = getattr(cohort, part), getattr(cohort, part + "_n")
     if n.min() == 0:
         raise DataError("cannot batch an empty index set")
+    starts = np.cumsum(n) - n
+    # A permutation of the positions is the permutation batch_schedule draws
+    # over the client's own indices: both depend only on their length.
+    perms = np.concatenate(
+        [rng.permutation(idx[a : a + m]) for rng, a, m in zip(rngs, starts.tolist(), n.tolist())]
+    )
     # Position of each scheduled example in the concatenated permutations.
     chunk = np.arange(steps)[:, None] % -(-n // batch_size)
     slot = chunk[:, :, None] * batch_size + np.arange(batch_size)
     real = slot < n[None, :, None]
-    starts = np.cumsum(n) - n
-    offsets = np.cumsum([0] + [d.n for d in splits[:-1]])
-    rows = np.concatenate([p + off for p, off in zip(perms, offsets)])
-    pos = rows[starts[None, :, None] + np.where(real, slot, 0)]
-    weights = np.concatenate([d.weights for d in splits])[pos] * real
+    pos = perms[starts[None, :, None] + np.where(real, slot, 0)]
+    weights = cohort.weights[pos] * real
     return (
-        np.concatenate([d.features for d in splits])[pos],
-        np.concatenate([d.targets for d in splits])[pos],
+        cohort.features[pos],
+        cohort.targets[pos],
         weights,
         weights.sum(axis=-1, keepdims=True),
     )
@@ -310,6 +386,15 @@ def _stack(locals_: Sequence[Blocks]) -> list[ParamBlock]:
     ]
 
 
+def _owner_rows(stacked: Blocks, owners: slice) -> list[ParamBlock]:
+    """The ``owners`` rows of stacked blocks, as views."""
+    out = []
+    for b in stacked:
+        rows = b.array[owners]
+        out.append(ParamBlock(b.name, rows, rows.shape))
+    return out
+
+
 def _finite_per_client(stacked: Sequence[ParamBlock]) -> np.ndarray:
     """For each client: is its slice of every stacked block finite?"""
     return np.all(
@@ -317,24 +402,35 @@ def _finite_per_client(stacked: Sequence[ParamBlock]) -> np.ndarray:
     )
 
 
-def _require_finite_clients(ok: np.ndarray, client_ids: Sequence[int], what: str) -> None:
+def _require_finite_clients(ok: np.ndarray, client_ids: np.ndarray, what: str) -> None:
     """Name the first client whose ``ok`` entry is False."""
     if not ok.all():
-        bad = client_ids[int(np.argmin(ok))]
+        bad = int(client_ids[int(np.argmin(ok))])
         raise NumericalError(f"client {bad}: non-finite values in {what}")
 
 
-def _unstack(stacked: Sequence[ParamBlock], templates: Blocks, c: int) -> list[ParamBlock]:
+def _unstack(stacked: Sequence[ParamBlock], c: int) -> list[ParamBlock]:
     """Client ``c``'s blocks, copied: a view would keep the whole cohort's
     stacked array alive for as long as the server stores this one local."""
-    return [ParamBlock(t.name, b.array[c].copy(), t.shape) for b, t in zip(stacked, templates)]
+    return [ParamBlock(b.name, b.array[c].copy(), b.shape[1:]) for b in stacked]
 
 
-def _cohort_streams(streams: RngStreams, round_idx: int, client_ids, namespace: str):
-    def gens(purpose: str) -> list[np.random.Generator]:
-        return [streams.generator(round_idx, cid, namespace + purpose) for cid in client_ids]
+# Padded examples per owner-axis metrics call: at K = 50 one gather of item
+# rows then takes at most 13 MB, however skewed the clients' sizes.
+_METRICS_CHUNK = 1 << 15
 
-    return gens
+
+def cohort_metrics(
+    spec: ModelSpec, g: Blocks, stacked: Blocks, cohort: Cohort
+) -> list[dict[str, Metric]]:
+    """Each client's ``spec.metrics`` on its query half under its row of the
+    stacked local blocks, in owner-axis calls over chunks of clients."""
+    per_call = max(1, _METRICS_CHUNK // int(cohort.query_n.max()))
+    out: list[dict[str, Metric]] = []
+    for lo in range(0, len(cohort.client_ids), per_call):
+        owners = slice(lo, lo + per_call)
+        out.extend(spec.metrics(g, _owner_rows(stacked, owners), cohort.query_batch(owners)))
+    return out
 
 
 def reconstruct_cohort(
@@ -348,36 +444,35 @@ def reconstruct_cohort(
     *,
     initial_locals: Sequence[Blocks] | None = None,
     namespace: str = "",
-) -> tuple[list[ClientDataset], list[list[ParamBlock]]]:
-    """Split every client of a cohort and rebuild its local parameters on
-    its support half, drawing the streams :func:`run_client_round` draws;
-    ``initial_locals`` skips reconstruction.  Returns the split datasets
-    and local parameters in input order.
+) -> tuple[Cohort, list[ParamBlock]]:
+    """Split every client of a nonempty cohort and rebuild its local
+    parameters on its support half, drawing the streams
+    :func:`run_client_round` draws; ``initial_locals`` skips
+    reconstruction.  Returns the split :class:`Cohort` and the local blocks
+    stacked along a leading client axis, row ``c`` holding client ``c``'s.
 
-    With a single global block the cohort reconstructs as one stacked local
-    matrix; with several it runs :func:`reconstruct` client by client.
-    Either way finiteness is checked once per client at the end and a
-    numerical failure names the client."""
-    ids = [d.client_id for d in datasets]
-    gens = _cohort_streams(streams, round_idx, ids, namespace)
-    splits = [split_dataset(d, policy, rng) for d, rng in zip(datasets, gens("split"))]
+    The spec must have a single global block (see :class:`ModelSpec`).
+    Finiteness is checked once per client at the end, and a numerical
+    failure names the client."""
+    if len(g) != 1:
+        raise ValueError("a batched cohort needs a spec with a single global block")
+    if not datasets:
+        raise DataError("a cohort needs at least one client")
+    ids = np.array([d.client_id for d in datasets], dtype=np.int64)
+
+    def gens(purpose: str) -> list[np.random.Generator]:
+        return streams.generators(round_idx, ids, namespace + purpose)
+
+    cohort = split_cohort(
+        datasets, policy, gens("split") if policy.kind == "half_disjoint" else None
+    )
     if initial_locals is not None:
-        return splits, [list(l) for l in initial_locals]
-    if len(g) > 1 or not splits:
-        locals_ = []
-        for dsx, init_rng, batch_rng in zip(splits, gens("local_init"), gens("recon_batches")):
-            try:
-                locals_.append(reconstruct(spec, g, dsx, hyper, init_rng, batch_rng))
-            except NumericalError as e:
-                raise NumericalError(f"client {dsx.client_id}: {e}") from e
-        return splits, locals_
-
-    inits = [spec.init_local(rng) for rng in gens("local_init")]
-    if hyper.k_r == 0 or not inits[0]:
-        return splits, inits
-    stacked = _stack(inits)
+        return cohort, _stack(initial_locals)
+    stacked = _stack([spec.init_local(rng) for rng in gens("local_init")])
+    if hyper.k_r == 0 or not stacked:
+        return cohort, stacked
     features, targets, weights, norm = _cohort_batches(
-        splits, "support_idx", hyper.batch_size, hyper.k_r, gens("recon_batches")
+        cohort, "support", hyper.batch_size, hyper.k_r, gens("recon_batches")
     )
     for s in range(hyper.k_r):
         batch = Batch(features[s], targets[s], weights[s])
@@ -385,27 +480,28 @@ def reconstruct_cohort(
         _sgd_step(stacked, hyper.eta_r, grads)
     _require_finite_clients(
         _finite_per_client(stacked),
-        ids,
+        cohort.client_ids,
         f"local parameters after reconstruction step {hyper.k_r - 1}",
     )
-    return splits, [_unstack(stacked, inits[0], c) for c in range(len(splits))]
+    return cohort, stacked
 
 
 def _update_cohort(
     spec: ModelSpec,
     g: Blocks,
-    splits: Sequence[ClientDataset],
-    locals_: Sequence[Blocks],
+    cohort: Cohort,
+    l_w: list[ParamBlock],
     hyper: ClientHyper,
     rngs: Sequence[np.random.Generator],
 ) -> list[ClientUpdateResult]:
-    """:func:`client_update` for every client at once.  Each client steps its
-    own compact copy of the global rows its schedule touches; the copies sit
+    """:func:`client_update` for every client at once; under joint training
+    it steps the stacked locals ``l_w`` in place.  Each client steps its own
+    compact copy of the global rows its schedule touches; the copies sit
     end to end in one block, so one kernel call serves the whole cohort."""
-    ids = [d.client_id for d in splits]
     joint = hyper.joint_training
+    clients = len(cohort.client_ids)
     features, targets, weights, norm = _cohort_batches(
-        splits, "query_idx", hyper.batch_size, hyper.k_u, rngs
+        cohort, "query", hyper.batch_size, hyper.k_u, rngs
     )
     q = g[0].array
     items = features.astype(np.int64)
@@ -413,13 +509,12 @@ def _update_cohort(
         raise DataError(f"item id outside [0, {len(q)})")
     # Compact row k holds global row keys[k] % len(q) for client keys[k] // len(q).
     keys, compact = np.unique(
-        np.arange(len(splits))[None, :, None] * len(q) + items, return_inverse=True
+        np.arange(clients)[None, :, None] * len(q) + items, return_inverse=True
     )
     compact = compact.reshape(items.shape)
     rows = keys % len(q)
-    bounds = np.searchsorted(keys, np.arange(len(splits) + 1) * len(q))
+    bounds = np.searchsorted(keys, np.arange(clients + 1) * len(q))
     work = [ParamBlock(g[0].name, q[rows], (len(rows), q.shape[1]))]
-    l_w = _stack(locals_)
     for s in range(hyper.k_u):
         batch = Batch(compact[s], targets[s], weights[s])
         grads, local_grads = spec.sparse_grads(work, l_w, batch, norm[s], True, joint)
@@ -428,21 +523,21 @@ def _update_cohort(
             _sgd_step(l_w, hyper.eta_u, local_grads)
 
     stepped = work[0].array
-    segments = [slice(bounds[c], bounds[c + 1]) for c in range(len(splits))]
+    segments = [slice(bounds[c], bounds[c + 1]) for c in range(clients)]
     for seg in segments:  # client by client, to gather no second copy of all rows
         stepped[seg] -= q[rows[seg]]
     ok = np.logical_and.reduceat(np.isfinite(stepped).all(axis=1), bounds[:-1])
     if joint:
         ok &= _finite_per_client(l_w)
-    _require_finite_clients(ok, ids, "the update")
+    _require_finite_clients(ok, cohort.client_ids, "the update")
     return [
         ClientUpdateResult(
-            client_id=dsx.client_id,
+            client_id=cid,
             delta=[RowDelta(rows[segments[c]], stepped[segments[c]])],
-            n_i=int(len(dsx.query_idx)),
-            updated_local=_unstack(l_w, locals_[c], c) if joint else None,
+            n_i=n_i,
+            updated_local=_unstack(l_w, c) if joint else None,
         )
-        for c, dsx in enumerate(splits)
+        for c, (cid, n_i) in enumerate(zip(cohort.client_ids.tolist(), cohort.query_n.tolist()))
     ]
 
 
@@ -480,13 +575,13 @@ def run_cohort(
         return results
     if not datasets:
         return []
-    splits, locals_ = reconstruct_cohort(
+    cohort, stacked = reconstruct_cohort(
         spec, g, datasets, policy, hyper, streams, round_idx,
         initial_locals=initial_locals, namespace=namespace,
     )
-    metrics = [spec.metrics(g, l, dsx.query_batch()) for dsx, l in zip(splits, locals_)]
-    gens = _cohort_streams(streams, round_idx, [d.client_id for d in splits], namespace)
-    results = _update_cohort(spec, g, splits, locals_, hyper, gens("update_batches"))
+    metrics = cohort_metrics(spec, g, stacked, cohort)
+    rngs = streams.generators(round_idx, cohort.client_ids, namespace + "update_batches")
+    results = _update_cohort(spec, g, cohort, stacked, hyper, rngs)
     for res, m in zip(results, metrics):
         res.query_metrics = m
     return results

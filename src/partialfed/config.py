@@ -93,6 +93,14 @@ class SyntheticDataConfig:
     common_words: int = 42
     pairs_per_sentence: int = 3
 
+    def __post_init__(self):
+        # Spreads may be 0; every count must be positive.
+        for f in fields(self):
+            spread = f.name.endswith("_std")
+            if getattr(self, f.name) < (0 if spread else 1):
+                need = "nonnegative" if spread else "positive"
+                raise ConfigError(f"data.synthetic.{f.name} must be {need}")
+
 
 @dataclass(frozen=True)
 class DataConfig:
@@ -126,6 +134,10 @@ class ModelConfig:
             raise ConfigError("model.vocab_size must be positive")
         if self.num_oov_buckets < 0:
             raise ConfigError("model.num_oov_buckets must be nonnegative")
+        if self.context_window < 1:
+            raise ConfigError("model.context_window must be positive")
+        if self.max_sentence_len < 3:
+            raise ConfigError("model.max_sentence_len must fit bos + token + eos (3)")
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,13 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DataError, NumericalError, ShapeMismatchError
 
@@ -59,26 +61,140 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
+# numpy's SeedSequence hash (NEP 19): constants of its entropy mixing and of
+# ``generate_state``.  Kept as np.uint64 so that no promotion rule can change
+# the arithmetic; every product is masked back to 32 bits.
+_M32 = np.uint64(0xFFFFFFFF)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_SHIFT16, _SHIFT32 = np.uint64(16), np.uint64(32)
+_POOL = 4
+# The array seeding costs about 300 us whatever the lane count, against
+# about 20 us per generator() call: fewer lanes than this run the loop.
+_MIN_BATCH_LANES = 16
+
+
+@functools.lru_cache(maxsize=1024)  # purpose strings: few, reused every round
+def _str_word(part: str) -> int:
+    return fnv1a64(part.encode("utf-8"))
+
+
+def _key_word(part: int | str) -> int:
+    return _str_word(part) if isinstance(part, str) else int(part) & _U64
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words SeedSequence reads from a nonnegative int, low first."""
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
+    nxt = (const * _MULT_A) & 0xFFFFFFFF
+    value = ((value ^ np.uint64(const)) * np.uint64(nxt)) & _M32
+    return value ^ (value >> _SHIFT16), nxt
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ (r >> _SHIFT16)
+
+
+def _pcg64_seeds(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for each row of
+    ``words``, a ``(lanes, L)`` array of the rows' 32-bit entropy words."""
+    lanes, length = words.shape
+    const, pool = _INIT_A, []
+    for i in range(_POOL):
+        word = words[:, i] if i < length else np.zeros(lanes, np.uint64)
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for src in range(_POOL, length):
+        for dst in range(_POOL):
+            hashed, const = _hashmix(words[:, src], const)
+            pool[dst] = _mix(pool[dst], hashed)
+    const, state = _INIT_B, []
+    for i in range(2 * _POOL):
+        word = pool[i % _POOL] ^ np.uint64(const)
+        const = (const * _MULT_B) & 0xFFFFFFFF
+        word = (word * np.uint64(const)) & _M32
+        state.append(word ^ (word >> _SHIFT16))
+    return np.stack([state[2 * j] | (state[2 * j + 1] << _SHIFT32) for j in range(4)], axis=1)
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence whose PCG64 state is already computed."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a precomputed seed state serves PCG64 only")
+        return self.state
+
+
 class RngStreams:
     """Named, independent random streams derived from a single 64-bit seed.
 
     ``generator(*parts)`` accepts ints and strings; identical parts always
     yield an identical `numpy` generator, so two runs with equal seeds
     produce identical number sequences regardless of call ordering
-    elsewhere.
+    elsewhere.  The generator is ``default_rng(SeedSequence(key))`` for
+    ``key = [seed, *words]``, a string part's word being its FNV-1a-64 hash
+    and an int part's word the int modulo 2**64.
+
+    ``generators(*parts)``, one part an int array, returns one generator per
+    array entry, each reproducing the bits of ``SeedSequence(key)`` for its
+    entry; the whole batch's seeding runs as array arithmetic.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _U64
 
     def generator(self, *parts: int | str) -> np.random.Generator:
-        key = [self.seed]
-        for p in parts:
-            if isinstance(p, str):
-                key.append(fnv1a64(p.encode("utf-8")))
-            else:
-                key.append(int(p) & _U64)
+        key = [self.seed] + [_key_word(p) for p in parts]
         return np.random.default_rng(np.random.SeedSequence(key))
+
+    def generators(self, *parts) -> list[np.random.Generator]:
+        """``[self.generator(..., k, ...) for k in array]``, the array being
+        the one part that is an integer array; bit for bit the same draws.
+        A generator seeded as an array lane cannot ``spawn``."""
+        at = [i for i, p in enumerate(parts) if isinstance(p, np.ndarray)]
+        if len(at) != 1 or parts[at[0]].ndim != 1 or parts[at[0]].dtype.kind not in "iu":
+            raise ValueError("generators() takes exactly one 1-D integer array part")
+        head, array, tail = parts[: at[0]], parts[at[0]], parts[at[0] + 1 :]
+        if len(array) < _MIN_BATCH_LANES:
+            return [self.generator(*head, k, *tail) for k in array.tolist()]
+        lanes = array.astype(np.uint64)  # negative ints wrap modulo 2**64
+        prefix = [w for p in (self.seed, *head) for w in _uint32_words(_key_word(p))]
+        suffix = [w for p in tail for w in _uint32_words(_key_word(p))]
+        out: list[np.random.Generator | None] = [None] * len(lanes)
+        # SeedSequence reads an entry below 2**32 as one word, others as two.
+        wide = lanes > _M32
+        for sel, middle in ((~wide, (lanes & _M32,)), (wide, (lanes & _M32, lanes >> _SHIFT32))):
+            idx = np.flatnonzero(sel)
+            if not len(idx):
+                continue
+            words = np.empty((len(idx), len(prefix) + len(middle) + len(suffix)), np.uint64)
+            words[:, : len(prefix)] = prefix
+            for j, column in enumerate(middle):
+                words[:, len(prefix) + j] = column[idx]
+            words[:, len(prefix) + len(middle) :] = suffix
+            for i, state in zip(idx.tolist(), _pcg64_seeds(words)):
+                out[i] = np.random.Generator(np.random.PCG64(_SeedState(state)))
+        return out
 
     def derive_seed(self, *parts: int | str) -> int:
         """A fresh 63-bit seed derived from this one; used for run repeats."""
@@ -225,17 +341,20 @@ class Example:
     timestamp: int = 0
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise DataError(f"negative example weight {self.weight}")
+        if not 0 <= self.weight < math.inf:
+            raise DataError(f"example weight {self.weight} is not finite and nonnegative")
 
 
 @dataclass
 class Batch:
-    """Column-packed examples handed to ModelSpec procedures."""
+    """Column-packed examples handed to ModelSpec procedures.  ``mask``
+    marks the real examples of a padded batch; padding weighs 0 and is not
+    scored.  None: every example is real."""
 
     features: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
+    mask: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -266,8 +385,11 @@ class ClientDataset:
         n = len(self.targets)
         if len(self.features) != n or len(self.weights) != n or len(self.timestamps) != n:
             raise ShapeMismatchError(f"client {self.client_id}: ragged columns")
-        if np.any(self.weights < 0):
-            raise DataError(f"client {self.client_id}: negative example weight")
+        w = self.weights
+        if n and not (w.min() >= 0 and w.max() < np.inf):  # NaN fails both
+            raise DataError(
+                f"client {self.client_id}: example weights must be finite and nonnegative"
+            )
 
     @classmethod
     def from_examples(cls, client_id: int, examples: Sequence[Example]) -> "ClientDataset":
@@ -374,7 +496,12 @@ class ModelSpec:
     against the weights as each owner's real batch weight, so zero-weight
     padding adds exactly nothing.  It returns a :class:`RowDelta` whose rows
     the integer features address, and ``g[0]`` may be a compact copy of some
-    rows.  A spec with several global blocks runs client by client.
+    rows.  Such a spec's ``metrics`` takes the same owner axes: given a
+    ``(owners, B)`` batch and stacked locals it returns one metrics dict per
+    owner, scoring only the entries ``batch.mask`` marks real, so each
+    owner's dict is what a flat call on its real examples returns (to
+    summation order).  A spec with several global blocks runs client by
+    client, and its ``metrics`` takes flat batches only.
 
     ``loss`` is a weighted mean over the batch.  ``grad_global`` and
     ``grad_local`` are the kernel's dense views, one flat array per block,
@@ -391,7 +518,7 @@ class ModelSpec:
     predict: Callable[[Blocks, Blocks, Batch], np.ndarray]
     grad_global: GradFn
     grad_local: GradFn
-    metrics: Callable[[Blocks, Blocks, Batch], dict[str, Metric]]
+    metrics: Callable[[Blocks, Blocks, Batch], dict[str, Metric] | list[dict[str, Metric]]]
     sparse_grads: Callable
     fast_centralized: Callable | None = None
 

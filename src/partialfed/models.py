@@ -162,14 +162,31 @@ def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
         _rows_at(np.add, gq, delta.rows, delta.values)
         return [gq]
 
-    def metrics(g, l, batch: Batch) -> dict[str, Metric]:
-        preds = predict(g, l, batch)
-        err = preds - batch.targets
-        total = _batch_weight(batch)
-        return {
-            "mse": Metric(float(np.sum(batch.weights * err * err) / total), total),
-            "accuracy": Metric(rating_accuracy(preds, batch.targets), float(batch.size)),
-        }
+    def metrics(g, l, batch: Batch):
+        # Owner axes as in sparse_grads: one dict per owner (row of the
+        # batch), or one dict for a flat batch.  Masked padding weighs 0
+        # and is not scored.
+        q, p = g[0].array, l[0].array
+        items = _mf_items(batch, len(q)).reshape(batch.weights.shape)
+        t = batch.targets
+        real = np.ones(items.shape, bool) if batch.mask is None else batch.mask
+        total = batch.weights.sum(axis=-1)
+        if np.any(total <= 0):
+            raise DataError("batch has zero total weight")
+        if np.any(real & ((t < 1) | (t > 5) | (t != np.round(t)))):
+            raise DataError("rating targets must be integers in 1..5")
+        preds = np.einsum("...bk,...k->...b", q[items], p)
+        err = preds - t
+        mse = np.where(real, batch.weights * err * err, 0.0).sum(axis=-1) / total
+        hits = (real & (round_half_away(preds) == t)).sum(axis=-1)
+        count = real.sum(axis=-1)  # >= 1: the real examples carry the weight
+        out = [
+            {"mse": Metric(m, w), "accuracy": Metric(h / c, float(c))}
+            for m, w, h, c in zip(
+                *(np.atleast_1d(a).tolist() for a in (mse, total, hits, count))
+            )
+        ]
+        return out if items.ndim > 1 else out[0]
 
     def fast_centralized(g, local_matrix, owner_rows, features, targets, weights,
                          epochs, batch_size, rate, rng):

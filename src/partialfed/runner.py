@@ -45,7 +45,7 @@ from .data import (
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import EvalMode, recon_eval, standard_eval
 from .models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
-from .server import run_training
+from .server import init_local_store, run_training
 
 __all__ = [
     "NWP_GRID",
@@ -247,10 +247,7 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
         purpose = (
             "server_local_init" if config.algorithm == "fedavg" else "centralized_local_init"
         )
-        init_locals = {
-            cid: spec.init_local(streams.generator(cid, purpose))
-            for cid in bundle.train_clients
-        }
+        init_locals = init_local_store(spec, list(bundle.train_clients), streams, purpose)
 
     if config.algorithm == "centralized":
         training_runs = config.centralized.epochs > 0

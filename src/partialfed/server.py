@@ -42,6 +42,7 @@ __all__ = [
     "ServerOptimizer",
     "RoundReport",
     "TrainResult",
+    "init_local_store",
     "sample_clients",
     "aggregate",
     "server_step",
@@ -102,6 +103,15 @@ class TrainResult:
     reports: list[RoundReport]
     comm_records: list[CommRecord]
     local_store: dict[int, list[ParamBlock]] | None = None
+
+
+def init_local_store(
+    spec: ModelSpec, client_ids: Sequence[int], streams: RngStreams, purpose: str
+) -> dict[int, list[ParamBlock]]:
+    """Each client's freshly initialised local blocks, drawn from its
+    ``(client id, purpose)`` stream."""
+    rngs = streams.generators(np.array(client_ids, dtype=np.int64), purpose)
+    return {cid: spec.init_local(rng) for cid, rng in zip(client_ids, rngs)}
 
 
 def sample_clients(
@@ -219,10 +229,7 @@ def run_training(
     local_store: dict[int, list[ParamBlock]] | None = None
     eff_policy, eff_hyper = policy, hyper
     if aggregate_local:
-        local_store = {
-            cid: spec.init_local(streams.generator(cid, "server_local_init"))
-            for cid in population
-        }
+        local_store = init_local_store(spec, population, streams, "server_local_init")
         # Full aggregation: no support/query split, all parameters stepped
         # together on the client's whole dataset.
         eff_policy = SplitPolicy(kind="no_split")

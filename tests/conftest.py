@@ -5,10 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from partialfed.core import Batch, RngStreams
 from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
 from partialfed.models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
+
+# CI selects the "ci" profile (HYPOTHESIS_PROFILE=ci): the same examples on
+# every run, so a failure replays exactly; no per-example deadline on a
+# shared runner.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def movielens_path() -> Path | None:

@@ -12,6 +12,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialfed.client import (
     ClientHyper,
@@ -22,7 +24,7 @@ from partialfed.client import (
     run_cohort,
     split_dataset,
 )
-from partialfed.core import ClientDataset, RngStreams, finalize_metrics, merge_metrics
+from partialfed.core import ClientDataset, RngStreams, RowDelta, finalize_metrics, merge_metrics
 from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
 from partialfed.errors import NumericalError
 from partialfed.evaluation import EvalMode, _finalize_with_macro, recon_eval
@@ -119,7 +121,8 @@ class TestRunCohortMatchesClientRounds:
     def test_fedrecon(self, streams):
         spec, clients = mf_population()
         g = spec.init_global(streams.generator("g"))
-        compare_round(spec, g, clients, SplitPolicy(), HYPER, streams)
+        for kind in ("half_disjoint", "by_timestamp_half"):
+            compare_round(spec, g, clients, SplitPolicy(kind=kind), HYPER, streams)
 
     def test_fedavg_joint_from_initial_locals(self, streams):
         spec, clients = mf_population()
@@ -207,6 +210,78 @@ class TestRunCohortMatchesClientRounds:
         assert run_cohort(spec, g, [], SplitPolicy(), HYPER, streams, 0) == []
 
 
+@st.composite
+def mf_rounds(draw):
+    """A small MF population (ragged sizes, repeated items, non-unit
+    weights, sparse client ids; up to 20 clients, so some cohorts seed their
+    streams as arrays) and one round's settings."""
+    num_items = draw(st.integers(1, 9))
+    sizes = draw(st.lists(st.integers(1, 14), min_size=1, max_size=20))
+    ids = draw(st.lists(st.integers(0, 2**40), min_size=len(sizes), max_size=len(sizes),
+                        unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clients = [
+        ClientDataset(
+            cid,
+            features=rng.integers(0, num_items, size=n),
+            targets=rng.integers(1, 6, size=n).astype(float),
+            weights=rng.uniform(0.25, 2.0, size=n),
+            timestamps=rng.integers(0, 5, size=n),
+        )
+        for cid, n in zip(ids, sizes)
+    ]
+    spec = matfac_spec(MatFacConfig(num_items=num_items, embed_dim=draw(st.integers(1, 6))))
+    hyper = ClientHyper(
+        k_r=draw(st.integers(0, 4)),
+        k_u=draw(st.integers(1, 4)),
+        eta_r=draw(st.floats(0.0, 0.3)),
+        eta_u=draw(st.floats(0.0, 0.3)),
+        batch_size=draw(st.integers(1, 6)),
+        joint_training=draw(st.booleans()),
+    )
+    policy = SplitPolicy(
+        kind=draw(st.sampled_from(["half_disjoint", "by_timestamp_half", "no_split"])),
+        support_fraction=draw(st.floats(0.05, 1.0)),
+    )
+    return spec, clients, hyper, policy, draw(st.booleans()), draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mf_rounds())
+def test_cohort_is_the_mapped_client_round(case):
+    # Deltas, n_i and joint-trained locals bit for bit; query metrics to
+    # 1e-12 (the padded owner-axis call sums in another order).
+    spec, clients, hyper, policy, stored, seed = case
+    streams = RngStreams(seed)
+    g = spec.init_global(streams.generator("g"))
+    initial = (
+        [spec.init_local(streams.generator(ds.client_id, "stored")) for ds in clients]
+        if stored
+        else None
+    )
+    cohort = run_cohort(spec, g, clients, policy, hyper, streams, 2, initial_locals=initial)
+    reference = [
+        run_client_round(
+            spec, g, ds, policy, hyper, streams, 2,
+            initial_local=None if initial is None else initial[i],
+        )
+        for i, ds in enumerate(clients)
+    ]
+    assert [r.client_id for r in cohort] == [r.client_id for r in reference]
+    for got, want in zip(cohort, reference):
+        assert got.n_i == want.n_i
+        assert np.array_equal(got.delta[0].rows, want.delta[0].rows)
+        assert np.array_equal(got.delta[0].values, want.delta[0].values)
+        assert set(got.query_metrics) == set(want.query_metrics)
+        for k, m in want.query_metrics.items():
+            assert_close(got.query_metrics[k].value, m.value, k)
+            assert_close(got.query_metrics[k].weight, m.weight, k + " weight")
+        if hyper.joint_training:
+            assert np.array_equal(got.updated_local[0].values, want.updated_local[0].values)
+        else:
+            assert got.updated_local is None
+
+
 def reference_training(spec, clients, *, rounds, clients_per_round, policy, hyper, streams,
                        aggregate_local):
     """run_training's loop, one run_client_round per sampled client."""
@@ -288,9 +363,33 @@ def test_two_repeats_of_recon_eval_match_the_client_loop():
             assert_close(per_repeat[k], want[k], f"repeat {rep} {k}")
 
 
+MARK = 2.0  # the example weight that flags a poisoned client's examples
+
+
 def poison(ds: ClientDataset) -> ClientDataset:
-    """The client's data with NaN example weights."""
-    return dataclasses.replace(ds, weights=np.full(ds.n, np.nan))
+    """The client's data with every example weighing MARK."""
+    return dataclasses.replace(ds, weights=np.full(ds.n, MARK))
+
+
+def nan_kernel(spec):
+    """``spec`` whose kernel turns the grads of every MARK-weight example,
+    and the local grads of its owner, into NaN.  A flat batch is one owner;
+    a dense grad belongs to the whole batch."""
+
+    def sparse_grads(g, l, batch, norm, need_global, need_local):
+        glob, local = spec.sparse_grads(g, l, batch, norm, need_global, need_local)
+        marked = np.asarray(batch.weights) == MARK
+        owner = marked.any(axis=-1)
+        for grad in glob or []:
+            if isinstance(grad, RowDelta):
+                grad.values.reshape(marked.shape + (-1,))[marked] = np.nan
+            elif marked.any():
+                grad[:] = np.nan
+        for grad in local or []:
+            grad.reshape(owner.shape + (-1,))[owner] = np.nan
+        return glob, local
+
+    return dataclasses.replace(spec, sparse_grads=sparse_grads)
 
 
 @pytest.mark.parametrize("position", [4, -1])
@@ -307,7 +406,7 @@ def test_nan_in_training_names_round_and_client(algorithm, kernel, position):
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match=rf"^round 0, client {bad}: "):
             run_training(
-                spec, clients, rounds=1, clients_per_round=len(clients), policy=SplitPolicy(),
+                nan_kernel(spec), clients, rounds=1, clients_per_round=len(clients), policy=SplitPolicy(),
                 hyper=HYPER, server_opt=ServerOptimizer(), streams=RngStreams(3),
                 aggregate_local=algorithm == "fedavg",
             )
@@ -324,7 +423,7 @@ def test_nan_in_recon_eval_names_repeat_and_client(kernel):
     )
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match=rf"^repeat 0, client {bad}: "):
-            recon_eval(spec, g, clients, SplitPolicy(), mode, RngStreams(3))
+            recon_eval(nan_kernel(spec), g, clients, SplitPolicy(), mode, RngStreams(3))
 
 
 def test_reconstruct_cohort_keeps_per_client_streams(streams):
@@ -333,4 +432,4 @@ def test_reconstruct_cohort_keeps_per_client_streams(streams):
     g = spec.init_global(streams.generator("g"))
     _, alone = reconstruct_cohort(spec, g, clients[4:5], SplitPolicy(), HYPER, streams, 1)
     _, together = reconstruct_cohort(spec, g, clients, SplitPolicy(), HYPER, streams, 1)
-    assert_close(together[4][0].values, alone[0][0].values, "client 4 local")
+    assert_close(together[0].array[4], alone[0].array[0], "client 4 local")

@@ -1,8 +1,11 @@
 import json
-from dataclasses import replace
+import typing
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialfed.config import (
     ExperimentConfig,
@@ -334,3 +337,133 @@ def test_byte_identical_with_mid_training_evals(tmp_path):
     first = run_experiment(cfg)
     second = run_experiment(replace(cfg, output_dir=str(tmp_path / "again")))
     assert first.csv_path.read_bytes() == second.csv_path.read_bytes()
+
+
+# Every numeric configuration field and its valid range.  Ints: the smallest
+# valid value.  Floats: (low, low included, high, high included).
+INT_FIELDS = {
+    "seed": 0, "rounds": 0, "clients_per_round": 1, "repeats": 1,
+    "client.k_r": 0, "client.k_u": 1, "client.batch_size": 1,
+    "eval.repeats": 1, "eval.clients_per_repeat": 1, "eval.every": 0,
+    "eval.valid_repeats": 1, "eval.k_r": 0,
+    "model.embed_dim": 1, "model.vocab_size": 1, "model.num_oov_buckets": 0,
+    "model.context_window": 1, "model.max_sentence_len": 3,
+    "data.max_sentences_per_client": 1,
+    **{
+        f"data.synthetic.{name}": 1
+        for name in (
+            "num_users", "num_items", "true_rank", "ratings_per_user", "num_clients",
+            "sentences_per_client", "personal_tokens", "common_words", "pairs_per_sentence",
+        )
+    },
+    "centralized.epochs": 0, "centralized.batch_size": 1,
+}
+INF = float("inf")
+FLOAT_FIELDS = {
+    "split.support_fraction": (0.0, False, 1.0, True),
+    "client.eta_r": (0.0, True, INF, False),
+    "client.eta_u": (0.0, True, INF, False),
+    "server.eta_s": (0.0, False, INF, False),
+    "server.beta1": (0.0, True, 1.0, False),
+    "server.beta2": (0.0, True, 1.0, False),
+    "server.tau": (0.0, False, INF, False),
+    "eval.eta_r": (0.0, False, INF, False),
+    "model.init_stddev": (0.0, False, INF, False),
+    "data.synthetic.noise_std": (0.0, True, INF, False),
+    "data.synthetic.signal_std": (0.0, True, INF, False),
+    "data.synthetic.user_bias_std": (0.0, True, INF, False),
+    "centralized.rate": (0.0, False, INF, False),
+}
+OPTIONAL = ("eval.k_r", "eval.eta_r")
+
+
+def numeric_fields(cls=ExperimentConfig, path=""):
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        where = f"{path}.{f.name}" if path else f.name
+        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+        if is_dataclass(hints[f.name]):
+            yield from numeric_fields(hints[f.name], where)
+        elif (int in kinds or float in kinds) and f.name not in (
+            "first_moment", "second_moment"
+        ):
+            yield where
+
+
+def test_range_tables_cover_every_numeric_field():
+    assert sorted(numeric_fields()) == sorted({**INT_FIELDS, **FLOAT_FIELDS})
+
+
+def nest(flat: dict) -> dict:
+    tree: dict = {}
+    for dotted, value in flat.items():
+        *sections, name = dotted.split(".")
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = value
+    return tree
+
+
+def valid_float(low, low_in, high, high_in):
+    top = min(high, 1e6)
+    return st.floats(low, top, exclude_min=not low_in, exclude_max=top == high and not high_in)
+
+
+@st.composite
+def valid_config_dicts(draw):
+    flat = {path: draw(st.integers(lo, lo + 10**6)) for path, lo in INT_FIELDS.items()}
+    flat.update({path: draw(valid_float(*r)) for path, r in FLOAT_FIELDS.items()})
+    for path in OPTIONAL:
+        if draw(st.booleans()):
+            flat[path] = None
+    algorithm = draw(st.sampled_from(["fedrecon", "fedavg", "centralized"]))
+    flat.update(
+        {
+            "task": draw(st.sampled_from(["matfac", "oov_nwp", "synthetic"])),
+            "algorithm": algorithm,
+            "eval.regime": "recon" if algorithm == "fedrecon"
+            else draw(st.sampled_from(["recon", "standard"])),
+            "split.kind": draw(st.sampled_from(["half_disjoint", "by_timestamp_half", "no_split"])),
+            "server.kind": draw(st.sampled_from(["sgd", "adagrad", "yogi"])),
+            "client.joint_training": draw(st.booleans()),
+            "output_dir": draw(st.text(min_size=1, max_size=8)),
+            "data.path": draw(st.none() | st.text(min_size=1, max_size=8)),
+        }
+    )
+    return flat
+
+
+def out_of_range(path):
+    """Values outside ``path``'s range: non-finite, bool, past each bound."""
+    bad = [st.sampled_from([float("nan"), INF, -INF, True, False])]
+    if path in INT_FIELDS:
+        lo = INT_FIELDS[path]
+        # A float is never an int, however integral its value.
+        bad += [st.just(lo - 1), st.integers(lo - 10**6, lo - 1), st.floats(allow_nan=False)]
+    else:
+        low, low_in, high, high_in = FLOAT_FIELDS[path]
+        edge = low if not low_in else np.nextafter(low, -INF)
+        bad += [st.just(float(edge)), st.floats(max_value=edge, allow_nan=False)]
+        if high < INF:
+            edge = high if not high_in else np.nextafter(high, INF)
+            bad += [st.just(float(edge)), st.floats(min_value=edge, allow_nan=False)]
+    return st.one_of(bad)
+
+
+class TestConfigProperties:
+    @settings(max_examples=150)
+    @given(valid_config_dicts())
+    def test_dict_round_trip_is_identity(self, flat):
+        cfg = config_from_dict(nest(flat))
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    @pytest.mark.parametrize("path", sorted({**INT_FIELDS, **FLOAT_FIELDS}))
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_every_out_of_range_value_is_a_config_error(self, path, data):
+        flat = data.draw(valid_config_dicts())
+        flat[path] = data.draw(out_of_range(path), label=path)
+        with pytest.raises(ConfigError):
+            config_from_dict(nest(flat))

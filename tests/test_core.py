@@ -54,6 +54,77 @@ class TestRngStreams:
         assert not np.array_equal(a, b)
 
 
+U64 = 2**64 - 1
+# Word-length boundaries of SeedSequence's entropy, and ints it must see masked.
+EDGE_INTS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, U64, -1, -(2**32), -(2**63)]
+int_parts = st.one_of(st.sampled_from(EDGE_INTS), st.integers(-(2**64), 2**65))
+key_parts = st.one_of(int_parts, st.text(max_size=6))
+
+
+@st.composite
+def lane_arrays(draw):
+    """A 1-D int64 or uint64 array, edges of both included."""
+    if draw(st.booleans()):
+        dtype, lo, hi = np.int64, -(2**63), 2**63 - 1
+    else:
+        dtype, lo, hi = np.uint64, 0, U64
+    entry = st.one_of(st.sampled_from([v for v in EDGE_INTS if lo <= v <= hi]), st.integers(lo, hi))
+    # Both sides of the lane count below which generators() loops.
+    size = draw(st.sampled_from([1, 5, 15, 16, 17, 40]))
+    return np.array(draw(st.lists(entry, min_size=size, max_size=size)), dtype=dtype)
+
+
+def reference_generator(seed, parts):
+    """numpy's own SeedSequence of the documented key."""
+    key = [seed & U64] + [
+        fnv1a64(p.encode("utf-8")) if isinstance(p, str) else p & U64 for p in parts
+    ]
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
+class TestBatchedStreams:
+    @settings(max_examples=300)
+    @given(
+        seed=int_parts,
+        parts=st.lists(key_parts, max_size=4),
+        lanes=lane_arrays(),
+        data=st.data(),
+    )
+    def test_each_lane_is_the_seed_sequence_generator(self, seed, parts, lanes, data):
+        at = data.draw(st.integers(0, len(parts)), label="array position")
+        gens = RngStreams(seed).generators(*parts[:at], lanes, *parts[at:])
+        assert len(gens) == len(lanes)
+        for k, got in zip(lanes.tolist(), gens):
+            want = reference_generator(seed, parts[:at] + [k] + parts[at:])
+            assert np.array_equal(got.permutation(7), want.permutation(7))
+            assert np.array_equal(got.normal(size=3), want.normal(size=3))
+            assert np.array_equal(got.integers(0, 2**40, size=3), want.integers(0, 2**40, size=3))
+
+    def test_matches_generator_calls(self):
+        streams = RngStreams(12345)
+        ids = np.append(np.arange(19), 2**40)  # enough lanes to seed as arrays
+        for got, cid in zip(streams.generators(4, ids, "split"), ids.tolist()):
+            assert np.array_equal(
+                got.normal(size=4), streams.generator(4, cid, "split").normal(size=4)
+            )
+
+    def test_empty_array_gives_no_generators(self):
+        assert RngStreams(1).generators(np.array([], dtype=np.int64), "x") == []
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            (3, "x"),
+            (np.array([1]), np.array([2])),
+            (np.array([1.0]), "x"),
+            (np.array([[1]]), "x"),
+        ],
+    )
+    def test_needs_exactly_one_integer_array(self, parts):
+        with pytest.raises(ValueError):
+            RngStreams(1).generators(*parts)
+
+
 class TestParamBlock:
     def test_shape_product_must_match(self):
         with pytest.raises(ShapeMismatchError):
@@ -155,6 +226,17 @@ class TestExampleAndDataset:
     def test_negative_weight_rejected(self):
         with pytest.raises(DataError):
             Example(features=0, target=1.0, weight=-0.5)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_example_weight_rejected(self, weight):
+        with pytest.raises(DataError):
+            Example(features=0, target=1.0, weight=weight)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -0.5])
+    def test_dataset_weights_must_be_finite_and_nonnegative(self, weight):
+        weights = np.array([1.0, weight, 1.0])
+        with pytest.raises(DataError, match="client 5: example weights"):
+            ClientDataset(5, np.arange(3), np.ones(3), weights, np.arange(3))
 
     def test_from_examples_round_trip(self):
         exs = [Example(features=i, target=float(i), weight=1.0, timestamp=10 - i) for i in range(3)]

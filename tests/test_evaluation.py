@@ -12,6 +12,7 @@ from partialfed.data import (
 from partialfed.errors import EvaluationError
 from partialfed.evaluation import (
     EvalMode,
+    _finalize_with_macro,
     comm_ledger_report,
     params_to_reach,
     recon_eval,
@@ -59,6 +60,25 @@ class TestStandardEval:
         }
         metrics = standard_eval(spec, g, stored, clients)
         assert "rmse_macro" in metrics and "accuracy_macro" in metrics
+
+    @pytest.mark.parametrize("chunk", [5, 1 << 15])
+    def test_owner_axis_calls_match_client_by_client(self, monkeypatch, chunk):
+        # Ragged eval sets, one empty (skipped), scored in chunks of clients.
+        from partialfed import client
+
+        monkeypatch.setattr(client, "_METRICS_CHUNK", chunk)
+        spec, g, clients = mf_setup(num_users=9, num_items=6)
+        sets = [c.subset(np.arange(i % 5)) for i, c in enumerate(clients)]
+        stored = {
+            c.client_id: spec.init_local(RngStreams(5).generator(c.client_id)) for c in clients
+        }
+        got = standard_eval(spec, g, stored, sets)
+        want = _finalize_with_macro(
+            [spec.metrics(g, stored[c.client_id], c.batch()) for c in sets if c.n]
+        )
+        assert set(got) == set(want)
+        for k in want:
+            assert got[k] == pytest.approx(want[k], rel=1e-12), k
 
     def test_random_embeddings_score_near_zero(self):
         # The failure mode motivating reconstruction: handing an unseen user

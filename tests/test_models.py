@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from partialfed.core import Batch, check_gradients
+from partialfed.core import Batch, ParamBlock, check_gradients
 from partialfed.errors import DataError, MetricUndefinedError
 from partialfed.models import (
     EOS_ID,
@@ -84,6 +84,32 @@ class TestMatFacSpec:
         batch = mf_batch([0, 1, 2], [1.0, 3.0, 5.0])
         assert np.all(spec.predict(g, l, batch) == 0.0)
         assert spec.metrics(g, l, batch)["accuracy"].value == 0.0
+
+    def test_owner_axis_metrics_are_each_owners_flat_metrics(self, mf_toy):
+        # Two owners padded to width 4: masked entries (a copy of the owner's
+        # first example, and an out-of-range rating) neither weigh nor score.
+        spec, g, _, _ = mf_toy
+        stacked = [ParamBlock("user_embedding", np.random.default_rng(3).normal(size=(2, 3)),
+                              (2, 3))]
+        rows = [([0, 2, 5, 1], [4.0, 1.0, 3.0, 2.0], [0.5, 1.5, 1.0, 2.0]),
+                ([3, 4], [5.0, 2.0], [1.0, 0.0])]
+        mask = np.array([[True] * 4, [True, True, False, False]])
+        batch = Batch(
+            features=np.array([rows[0][0], rows[1][0] + [3, 3]]),
+            targets=np.array([rows[0][1], rows[1][1] + [4.0, 0.0]]),
+            weights=np.array([rows[0][2], rows[1][2] + [0.0, 0.0]]),
+            mask=mask,
+        )
+        got = spec.metrics(g, stacked, batch)
+        for o, (items, targets, weights) in enumerate(rows):
+            local = [ParamBlock("user_embedding", stacked[0].array[o], (3,))]
+            flat = Batch(np.array(items), np.array(targets), np.array(weights))
+            want = spec.metrics(g, local, flat)
+            assert set(got[o]) == set(want)
+            for k, m in want.items():
+                assert got[o][k].value == pytest.approx(m.value, rel=1e-12)
+                assert got[o][k].weight == m.weight
+        assert got[1]["accuracy"].weight == 2.0
 
     def test_gradients_match_finite_differences(self, mf_toy):
         spec, g, l, clients = mf_toy
