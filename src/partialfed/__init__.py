@@ -13,12 +13,9 @@ from .core import (
     Metric,
     ModelSpec,
     ParamBlock,
-    PartitionedParams,
     RngStreams,
     axpy_blocks,
     check_gradients,
-    concat_params,
-    unflatten_params,
 )
 from .models import (
     MatFacConfig,

@@ -65,6 +65,7 @@ def _merge_clients(clients: Mapping[int, ClientDataset]):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
 def train_centralized(
     spec: ModelSpec,
     clients: Mapping[int, ClientDataset],
@@ -162,6 +163,7 @@ def train_fedavg(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
 def finetune_eval(
     kind: str,
     spec: ModelSpec,

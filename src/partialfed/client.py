@@ -28,7 +28,9 @@ from .core import (
     _require_finite,
     _rows_at,
     _sgd_step,
+    blocks_size,
     copy_blocks,
+    delta_to_dense,
 )
 from .errors import ConfigError, DataError, NumericalError
 
@@ -45,6 +47,7 @@ __all__ = [
     "Cohort",
     "split_cohort",
     "cohort_metrics",
+    "owner_chunks",
     "reconstruct_cohort",
     "run_cohort",
     "delta_to_dense",
@@ -123,6 +126,7 @@ def batch_schedule(
     return [chunks[s % len(chunks)] for s in range(steps)]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
 def reconstruct(
     spec: ModelSpec,
     g: Blocks,
@@ -163,19 +167,7 @@ class ClientUpdateResult:
     updated_local: list[ParamBlock] | None = None
 
 
-def delta_to_dense(delta: list, template: Blocks) -> list[np.ndarray]:
-    """Materialize a (possibly row-sparse) delta as flat arrays matching g."""
-    out = []
-    for entry, block in zip(delta, template):
-        if isinstance(entry, RowDelta):
-            dense = np.zeros(block.values.size)
-            _rows_at(np.add, dense, entry.rows, entry.values)
-            out.append(dense)
-        else:
-            out.append(np.asarray(entry, dtype=np.float64).ravel())
-    return out
-
-
+@np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
 def client_update(
     spec: ModelSpec,
     g: Blocks,
@@ -418,6 +410,21 @@ def _unstack(stacked: Sequence[ParamBlock], c: int) -> list[ParamBlock]:
 # Padded examples per owner-axis metrics call: at K = 50 one gather of item
 # rows then takes at most 13 MB, however skewed the clients' sizes.
 _METRICS_CHUNK = 1 << 15
+# Values one batched cohort call may hold over all its owners: their stacked
+# local blocks and their copies of the dense global blocks.  MF's 50 local
+# values run a whole round in one call; next-word prediction at 500 x 32
+# buckets and a 13,530-value output layer runs 4 owners a call, which also
+# bounds its peak memory.
+_OWNER_BUDGET = 1 << 17
+
+
+def owner_chunks(spec: ModelSpec, g: Blocks, owners: int) -> list[slice]:
+    """``owners`` owners cut into the slices that run as one batched call:
+    each holds at most ``_OWNER_BUDGET`` local and per-owner dense global
+    values, or a single owner."""
+    per_owner = blocks_size(spec.init_local(np.random.default_rng(0))) + blocks_size(g[1:])
+    step = max(1, _OWNER_BUDGET // max(1, per_owner))
+    return [slice(lo, lo + step) for lo in range(0, owners, step)]
 
 
 def cohort_metrics(
@@ -433,6 +440,7 @@ def cohort_metrics(
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
 def reconstruct_cohort(
     spec: ModelSpec,
     g: Blocks,
@@ -451,11 +459,9 @@ def reconstruct_cohort(
     reconstruction.  Returns the split :class:`Cohort` and the local blocks
     stacked along a leading client axis, row ``c`` holding client ``c``'s.
 
-    The spec must have a single global block (see :class:`ModelSpec`).
-    Finiteness is checked once per client at the end, and a numerical
-    failure names the client."""
-    if len(g) != 1:
-        raise ValueError("a batched cohort needs a spec with a single global block")
+    Every step is one owner-axis kernel call (see :class:`ModelSpec`) over
+    the cohort's minibatches.  Finiteness is checked once per client at the
+    end, and a numerical failure names the client."""
     if not datasets:
         raise DataError("a cohort needs at least one client")
     ids = np.array([d.client_id for d in datasets], dtype=np.int64)
@@ -486,6 +492,7 @@ def reconstruct_cohort(
     return cohort, stacked
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
 def _update_cohort(
     spec: ModelSpec,
     g: Blocks,
@@ -496,44 +503,57 @@ def _update_cohort(
 ) -> list[ClientUpdateResult]:
     """:func:`client_update` for every client at once; under joint training
     it steps the stacked locals ``l_w`` in place.  Each client steps its own
-    compact copy of the global rows its schedule touches; the copies sit
-    end to end in one block, so one kernel call serves the whole cohort."""
+    copy of the global parameters: of ``g[0]`` the rows its schedule
+    addresses, the clients' compact copies end to end in one block, and of
+    every other block a full copy along an owner axis.  So one kernel call
+    serves the whole cohort."""
     joint = hyper.joint_training
     clients = len(cohort.client_ids)
     features, targets, weights, norm = _cohort_batches(
         cohort, "query", hyper.batch_size, hyper.k_u, rngs
     )
     q = g[0].array
-    items = features.astype(np.int64)
-    if items.size and (items.min() < 0 or items.max() >= len(q)):
-        raise DataError(f"item id outside [0, {len(q)})")
-    # Compact row k holds global row keys[k] % len(q) for client keys[k] // len(q).
-    keys, compact = np.unique(
-        np.arange(clients)[None, :, None] * len(q) + items, return_inverse=True
-    )
-    compact = compact.reshape(items.shape)
+    features = features.astype(np.int64)
+    if features.size and features.max() >= len(q):
+        raise DataError(f"feature outside [0, {len(q)}) addresses no row of {g[0].name!r}")
+    # Non-negative features address g[0]: compact row k holds global row
+    # keys[k] % len(q) for client keys[k] // len(q).  Negative features
+    # address the client's local rows and stay as they are.
+    glob = features >= 0
+    owner = np.arange(clients).reshape((1, clients) + (1,) * (features.ndim - 2))
+    keys, compact = np.unique((owner * len(q) + features)[glob], return_inverse=True)
+    features[glob] = compact
     rows = keys % len(q)
     bounds = np.searchsorted(keys, np.arange(clients + 1) * len(q))
-    work = [ParamBlock(g[0].name, q[rows], (len(rows), q.shape[1]))]
+    # A block needs a row even where no feature addresses one.
+    compact_rows = q[rows] if len(rows) else q[:1]
+    work = [ParamBlock(g[0].name, compact_rows, compact_rows.shape)]
+    work += [ParamBlock(b.name, np.tile(b.values, clients), (clients,) + b.shape) for b in g[1:]]
     for s in range(hyper.k_u):
-        batch = Batch(compact[s], targets[s], weights[s])
+        batch = Batch(features[s], targets[s], weights[s])
         grads, local_grads = spec.sparse_grads(work, l_w, batch, norm[s], True, joint)
         _sgd_step(work, hyper.eta_u, grads)
         if joint:
             _sgd_step(l_w, hyper.eta_u, local_grads)
 
-    stepped = work[0].array
+    stepped = work[0].array[: len(rows)]
     segments = [slice(bounds[c], bounds[c + 1]) for c in range(clients)]
     for seg in segments:  # client by client, to gather no second copy of all rows
         stepped[seg] -= q[rows[seg]]
-    ok = np.logical_and.reduceat(np.isfinite(stepped).all(axis=1), bounds[:-1])
+    # Non-finite rows up to each segment bound: a client's segment may be empty.
+    bad_rows = np.concatenate(([0], np.cumsum(~np.isfinite(stepped).all(axis=1))))
+    ok = bad_rows[bounds[1:]] == bad_rows[bounds[:-1]]
+    dense = [b.values.reshape(clients, -1) for b in work[1:]]
+    for d, b in zip(dense, g[1:]):
+        d -= b.values  # in place: row c becomes client c's delta
+        ok &= np.isfinite(d).all(axis=1)
     if joint:
         ok &= _finite_per_client(l_w)
     _require_finite_clients(ok, cohort.client_ids, "the update")
     return [
         ClientUpdateResult(
             client_id=cid,
-            delta=[RowDelta(rows[segments[c]], stepped[segments[c]])],
+            delta=[RowDelta(rows[segments[c]], stepped[segments[c]])] + [d[c] for d in dense],
             n_i=n_i,
             updated_local=_unstack(l_w, c) if joint else None,
         )
@@ -555,35 +575,22 @@ def run_cohort(
 ) -> list[ClientUpdateResult]:
     """``[run_client_round(...) for ds in datasets]`` as one computation:
     split -> reconstruct -> query metrics -> update for a whole cohort, from
-    the same per-client streams.  ``initial_locals`` (one per dataset) skips
-    reconstruction.  A single global block runs batched; several run client
-    by client through :func:`run_client_round`.  A numerical failure names
-    the client."""
-    if len(g) > 1:
-        results = []
-        for i, ds in enumerate(datasets):
-            try:
-                results.append(
-                    run_client_round(
-                        spec, g, ds, policy, hyper, streams, round_idx,
-                        initial_local=None if initial_locals is None else initial_locals[i],
-                        namespace=namespace,
-                    )
-                )
-            except NumericalError as e:
-                raise NumericalError(f"client {ds.client_id}: {e}") from e
-        return results
-    if not datasets:
-        return []
-    cohort, stacked = reconstruct_cohort(
-        spec, g, datasets, policy, hyper, streams, round_idx,
-        initial_locals=initial_locals, namespace=namespace,
-    )
-    metrics = cohort_metrics(spec, g, stacked, cohort)
-    rngs = streams.generators(round_idx, cohort.client_ids, namespace + "update_batches")
-    results = _update_cohort(spec, g, cohort, stacked, hyper, rngs)
-    for res, m in zip(results, metrics):
-        res.query_metrics = m
+    the same per-client streams, in batched calls over the slices of
+    :func:`owner_chunks`.  ``initial_locals`` (one per dataset) skips
+    reconstruction.  A numerical failure names the client."""
+    results: list[ClientUpdateResult] = []
+    for owners in owner_chunks(spec, g, len(datasets)):
+        cohort, stacked = reconstruct_cohort(
+            spec, g, datasets[owners], policy, hyper, streams, round_idx,
+            initial_locals=None if initial_locals is None else initial_locals[owners],
+            namespace=namespace,
+        )
+        metrics = cohort_metrics(spec, g, stacked, cohort)
+        rngs = streams.generators(round_idx, cohort.client_ids, namespace + "update_batches")
+        chunk = _update_cohort(spec, g, cohort, stacked, hyper, rngs)
+        for res, m in zip(chunk, metrics):
+            res.query_metrics = m
+        results += chunk
     return results
 
 

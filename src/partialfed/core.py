@@ -25,7 +25,6 @@ __all__ = [
     "round_half_away",
     "RngStreams",
     "ParamBlock",
-    "PartitionedParams",
     "Example",
     "Batch",
     "ClientDataset",
@@ -33,9 +32,8 @@ __all__ = [
     "merge_metrics",
     "finalize_metrics",
     "RowDelta",
+    "delta_to_dense",
     "ModelSpec",
-    "concat_params",
-    "unflatten_params",
     "axpy_blocks",
     "copy_blocks",
     "blocks_size",
@@ -234,41 +232,6 @@ class ParamBlock:
 
     def copy(self) -> "ParamBlock":
         return ParamBlock(self.name, self.values.copy(), self.shape)
-
-
-@dataclass
-class PartitionedParams:
-    """A model's parameters split into a global and a local part."""
-
-    global_blocks: list[ParamBlock]
-    local_blocks: list[ParamBlock]
-
-    def __post_init__(self):
-        names = [b.name for b in self.global_blocks] + [b.name for b in self.local_blocks]
-        if len(set(names)) != len(names):
-            raise ShapeMismatchError(f"duplicate block names: {names}")
-
-
-def concat_params(p: PartitionedParams) -> np.ndarray:
-    """Flatten to one vector: global blocks then local blocks, declaration order."""
-    parts = [b.values for b in p.global_blocks] + [b.values for b in p.local_blocks]
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
-
-
-def unflatten_params(template: PartitionedParams, vector: np.ndarray) -> PartitionedParams:
-    """Inverse of :func:`concat_params` against a shape template."""
-    vector = np.asarray(vector, dtype=np.float64).ravel()
-    sizes = [b.values.size for b in template.global_blocks + template.local_blocks]
-    if vector.size != sum(sizes):
-        raise ShapeMismatchError(f"vector of length {vector.size} != {sum(sizes)}")
-    out, offset = [], 0
-    for b in template.global_blocks + template.local_blocks:
-        out.append(ParamBlock(b.name, vector[offset : offset + b.values.size].copy(), b.shape))
-        offset += b.values.size
-    n_global = len(template.global_blocks)
-    return PartitionedParams(out[:n_global], out[n_global:])
 
 
 def _values(x) -> np.ndarray:
@@ -477,45 +440,67 @@ Blocks = Sequence[ParamBlock]
 GradFn = Callable[[Blocks, Blocks, Batch], list[np.ndarray]]
 
 
+def delta_to_dense(delta: Sequence, template: Blocks) -> list[np.ndarray]:
+    """Grads or deltas, row-sparse or dense, as flat arrays matching the
+    blocks of ``template``; repeated rows add up."""
+    out = []
+    for entry, block in zip(delta, template):
+        if isinstance(entry, RowDelta):
+            dense = np.zeros(block.values.size)
+            _rows_at(np.add, dense, entry.rows, entry.values)
+            out.append(dense)
+        else:
+            out.append(np.asarray(entry, dtype=np.float64).ravel())
+    return out
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """A task: loss, prediction, and analytic gradients per parameter part.
+    """A task: parameter initialisers, loss, metrics and one gradient kernel.
 
     ``sparse_grads(g, l, batch, norm, need_global, need_local)`` is the one
     gradient kernel that every training step calls.  From one forward pass
     it returns ``(global_grads, local_grads)``, each None unless its
-    ``need_*`` flag is set: per global block a :class:`RowDelta` or a flat
-    array, per local block a flat array.  It differentiates the weighted
-    loss sum divided by ``norm``: ``batch.total_weight`` gives ``loss``, a
-    larger ``norm`` makes the batch one part of a bigger minibatch.
+    ``need_*`` flag is set.  It differentiates the weighted loss sum divided
+    by ``norm``: ``batch.total_weight`` gives ``loss``, a larger ``norm``
+    makes the batch one part of a bigger minibatch.
 
-    A spec with a single global block runs whole cohorts batched, so its
-    kernel also takes batch columns with leading owner axes, ``(owners...,
-    B)``, matched by the same leading axes on the local blocks (owner ``o``
-    scores its examples with local rows ``o``); ``norm`` then broadcasts
-    against the weights as each owner's real batch weight, so zero-weight
-    padding adds exactly nothing.  It returns a :class:`RowDelta` whose rows
-    the integer features address, and ``g[0]`` may be a compact copy of some
-    rows.  Such a spec's ``metrics`` takes the same owner axes: given a
-    ``(owners, B)`` batch and stacked locals it returns one metrics dict per
-    owner, scoring only the entries ``batch.mask`` marks real, so each
-    owner's dict is what a flat call on its real examples returns (to
-    summation order).  A spec with several global blocks runs client by
-    client, and its ``metrics`` takes flat batches only.
+    Kernel contract.  ``sparse_grads`` and ``metrics`` take batch columns
+    with leading owner axes, ``(owners..., B, ...)``, matched by the same
+    leading axes on the local blocks: owner ``o`` scores its examples with
+    its own local rows, and a flat batch with flat locals is one owner.
+    ``norm`` broadcasts against the weights as each owner's real batch
+    weight, so zero-weight padding adds exactly nothing.
 
-    ``loss`` is a weighted mean over the batch.  ``grad_global`` and
-    ``grad_local`` are the kernel's dense views, one flat array per block,
-    for the audit: they must agree with central differences of ``loss`` to
-    1e-4 relative (see :func:`check_gradients`).  ``fast_centralized``
-    (optional) vectorises joint SGD over a mixed-owner example stream when
-    each client's local part is a single vector (see ``baselines``).
+    * A non-negative integer feature addresses a row of ``g[0]``, which may
+      be a compact copy of some rows.  The grad for ``g[0]`` is a
+      :class:`RowDelta` over the addressed rows.
+    * A negative feature ``-row - 1`` addresses a row of its owner's local
+      block: row ``owner * rows_per_owner + row`` of the stacked block
+      ``l[0].values.reshape(-1, width)``.  The grad for that block is a
+      :class:`RowDelta` over those rows.  A local block that no feature
+      addresses gets a dense grad, one value per value of the block.
+    * Every other global block is dense, and so is its grad.  In a cohort
+      update it carries the owner axes, so each owner steps its own copy.
+
+    ``metrics`` returns one dict per owner, or one dict for a flat batch,
+    scoring only the entries ``batch.mask`` marks real, so each owner's
+    dict is what a flat call on its real examples returns (to summation
+    order).
+
+    ``loss`` is a weighted mean over a flat batch.  ``grad_global`` and
+    ``grad_local`` are the kernel's dense views (:func:`delta_to_dense`),
+    one flat array per block, for the audit: they must agree with central
+    differences of ``loss`` to 1e-4 relative (see :func:`check_gradients`).
+    ``fast_centralized`` (optional) vectorises joint SGD over a mixed-owner
+    example stream when each client's local part is a single vector (see
+    ``baselines``).
     """
 
     name: str
     init_global: Callable[[np.random.Generator], list[ParamBlock]]
     init_local: Callable[[np.random.Generator], list[ParamBlock]]
     loss: Callable[[Blocks, Blocks, Batch], float]
-    predict: Callable[[Blocks, Blocks, Batch], np.ndarray]
     grad_global: GradFn
     grad_local: GradFn
     metrics: Callable[[Blocks, Blocks, Batch], dict[str, Metric] | list[dict[str, Metric]]]

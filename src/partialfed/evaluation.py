@@ -19,10 +19,10 @@ from .client import (  # noqa: F401
     SplitPolicy,
     _stack,
     cohort_metrics,
+    owner_chunks,
     reconstruct,
     reconstruct_cohort,
     split_cohort,
-    split_dataset,
 )
 from .core import (
     Blocks,
@@ -86,8 +86,8 @@ def standard_eval(
 ) -> dict[str, float]:
     """Score each client's held-out examples with its stored local
     parameters; metrics weight every example equally, with per-client
-    macro-averages emitted alongside.  A spec with a single global block
-    scores the clients in owner-axis calls (:func:`cohort_metrics`)."""
+    macro-averages emitted alongside.  The clients are scored in owner-axis
+    calls (:func:`cohort_metrics`) over the slices of :func:`owner_chunks`."""
     sets = [ds for ds in eval_sets if ds.n > 0]
     for ds in sets:
         if ds.client_id not in stored_locals:
@@ -98,35 +98,11 @@ def standard_eval(
     if not sets:
         raise EvaluationError("no clients with evaluation examples")
     stored = [stored_locals[ds.client_id] for ds in sets]
-    if len(g) == 1:
-        cohort = split_cohort(sets, SplitPolicy(kind="no_split"))
-        per_client = cohort_metrics(spec, g, _stack(stored), cohort)
-    else:
-        per_client = [spec.metrics(g, l, ds.batch()) for ds, l in zip(sets, stored)]
+    per_client: list[dict[str, Metric]] = []
+    for owners in owner_chunks(spec, g, len(sets)):
+        cohort = split_cohort(sets[owners], SplitPolicy(kind="no_split"))
+        per_client += cohort_metrics(spec, g, _stack(stored[owners]), cohort)
     return _finalize_with_macro(per_client)
-
-
-def _recon_scores(spec, g, clients, policy, hyper, streams, rep, namespace):
-    """Each client's query metrics after reconstruction on its support half:
-    a single global block runs as one cohort, several client by client from
-    the same streams.  A numerical failure names the client."""
-    if len(g) == 1:
-        cohort, stacked = reconstruct_cohort(
-            spec, g, clients, policy, hyper, streams, rep, namespace=namespace
-        )
-        return cohort_metrics(spec, g, stacked, cohort)
-    ids = np.array([ds.client_id for ds in clients], dtype=np.int64)
-    rngs = [streams.generators(rep, ids, namespace + p)
-            for p in ("split", "local_init", "recon_batches")]
-    per_client = []
-    for ds, split_rng, init_rng, batch_rng in zip(clients, *rngs):
-        dsx = split_dataset(ds, policy, split_rng)
-        try:
-            l = reconstruct(spec, g, dsx, hyper, init_rng, batch_rng)
-        except NumericalError as e:
-            raise NumericalError(f"client {ds.client_id}: {e}") from e
-        per_client.append(spec.metrics(g, l, dsx.query_batch()))
-    return per_client
 
 
 def recon_eval(
@@ -140,12 +116,11 @@ def recon_eval(
     namespace: str = "eval",
 ) -> EvalResult:
     """Reconstruct-then-score: per client, split, rebuild local parameters
-    from the support half, and score the query half.  With a single global
-    block each repeat's clients reconstruct as one cohort
-    (:func:`reconstruct_cohort`) and are scored in owner-axis calls; with
-    several, client by client.  Repeats over fresh client samples; the
-    result carries the across-repeat mean and stddev.  Never reads or
-    writes any training state."""
+    from the support half, and score the query half.  Each repeat's clients
+    reconstruct as cohorts (:func:`reconstruct_cohort`) over the slices of
+    :func:`owner_chunks` and are scored in owner-axis calls.  Repeats over
+    fresh client samples; the result carries the across-repeat mean and
+    stddev.  Never reads or writes any training state."""
     if mode.recon_hyper is None:
         raise ConfigError("recon_eval needs reconstruction hyperparameters")
     if not clients:
@@ -156,13 +131,16 @@ def recon_eval(
     for rep in range(mode.repeats):
         sample_rng = streams.generator(rep, namespace + ":sample")
         chosen = sorted(sample_rng.choice(len(clients), size=take, replace=False).tolist())
-        try:
-            per_client = _recon_scores(
-                spec, g, [clients[ci] for ci in chosen], policy, hyper, streams, rep,
-                namespace + ":",
-            )
-        except NumericalError as e:
-            raise NumericalError(f"repeat {rep}, {e}") from e
+        sample = [clients[ci] for ci in chosen]
+        per_client: list[dict[str, Metric]] = []
+        for owners in owner_chunks(spec, g, take):
+            try:
+                cohort, stacked = reconstruct_cohort(
+                    spec, g, sample[owners], policy, hyper, streams, rep, namespace=namespace + ":"
+                )
+            except NumericalError as e:
+                raise NumericalError(f"repeat {rep}, {e}") from e
+            per_client += cohort_metrics(spec, g, stacked, cohort)
         per_repeat.append(_finalize_with_macro(per_client))
 
     keys = sorted({k for rep in per_repeat for k in rep})

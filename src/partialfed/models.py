@@ -8,6 +8,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,7 @@ from .core import (
     _rows_at,
     _sgd_step,
     copy_blocks,
+    delta_to_dense,
     fnv1a64,
     round_half_away,
 )
@@ -115,6 +117,19 @@ def _batch_weight(batch: Batch) -> float:
     return total
 
 
+def _dense_views(sparse_grads):
+    """The kernel's ``grad_global`` and ``grad_local`` views for the
+    gradient audit: one flat array per block, over a flat batch."""
+
+    def grad_global(g, l, batch: Batch) -> list[np.ndarray]:
+        return delta_to_dense(sparse_grads(g, l, batch, _batch_weight(batch), True, False)[0], g)
+
+    def grad_local(g, l, batch: Batch) -> list[np.ndarray]:
+        return delta_to_dense(sparse_grads(g, l, batch, _batch_weight(batch), False, True)[1], l)
+
+    return grad_global, grad_local
+
+
 def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
     """Rating prediction is dot(user_embedding, item_row); loss is mean MSE."""
 
@@ -126,12 +141,8 @@ def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
     def init_local(rng: np.random.Generator) -> list[ParamBlock]:
         return [ParamBlock.of("user_embedding", rng.normal(0.0, cfg.init_stddev, (K,)))]
 
-    def predict(g, l, batch: Batch) -> np.ndarray:
-        items = _mf_items(batch, I)
-        return g[0].array[items] @ l[0].values
-
     def loss(g, l, batch: Batch) -> float:
-        preds = predict(g, l, batch)
+        preds = g[0].array[_mf_items(batch, I)] @ l[0].values
         err = preds - batch.targets
         return float(np.sum(batch.weights * err * err) / _batch_weight(batch))
 
@@ -153,14 +164,7 @@ def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
         local = [np.einsum("...b,...bk->...k", coef, qb).ravel()] if need_local else None
         return glob, local
 
-    def grad_local(g, l, batch: Batch) -> list[np.ndarray]:
-        return sparse_grads(g, l, batch, _batch_weight(batch), False, True)[1]
-
-    def grad_global(g, l, batch: Batch) -> list[np.ndarray]:
-        (delta,), _ = sparse_grads(g, l, batch, _batch_weight(batch), True, False)
-        gq = np.zeros(I * K)
-        _rows_at(np.add, gq, delta.rows, delta.values)
-        return [gq]
+    grad_global, grad_local = _dense_views(sparse_grads)
 
     def metrics(g, l, batch: Batch):
         # Owner axes as in sparse_grads: one dict per owner (row of the
@@ -214,7 +218,6 @@ def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
         init_global=init_global,
         init_local=init_local,
         loss=loss,
-        predict=predict,
         grad_global=grad_global,
         grad_local=grad_local,
         metrics=metrics,
@@ -295,32 +298,58 @@ class TokenCodec:
 
 
 def _nwp_forward(cfg: NwpConfig, g, l, batch: Batch):
+    """Contexts with leading owner axes (see :class:`ModelSpec`), which of
+    their slots address ``g[0]``, the local rows the other slots address,
+    the mean slot embedding and the logits."""
     ctx = np.asarray(batch.features, dtype=np.int64)
-    if ctx.ndim != 2 or ctx.shape[1] != cfg.context_window:
-        raise DataError(f"context must be (batch, {cfg.context_window}) token ids")
-    emb, w_out, bias = g[0].array, g[1].array, g[2].array
+    if ctx.ndim < 2 or ctx.shape[-1] != cfg.context_window:
+        raise DataError(f"context must be (..., batch, {cfg.context_window}) token ids")
+    E, emb = cfg.embed_dim, g[0].array
     pos = ctx >= 0
-    h_slots = np.empty(ctx.shape + (cfg.embed_dim,))
-    h_slots[pos] = emb[ctx[pos]]
+    rows = ctx[pos]
+    if rows.size and rows.max() >= len(emb):
+        raise DataError(f"context id outside [0, {len(emb)})")
+    h_slots = np.empty(ctx.shape + (E,))
+    h_slots[pos] = emb[rows]
     neg = ~pos
+    local_rows = np.zeros(0, np.int64)
     if neg.any():
         if not l:
             raise DataError("out-of-vocabulary bucket id with no local embeddings")
-        h_slots[neg] = l[0].array[-ctx[neg] - 1]
-    h = h_slots.mean(axis=1)
-    logits = h @ w_out + bias
-    return ctx, pos, h, logits
+        per_owner = l[0].shape[-2]
+        bucket = -ctx[neg] - 1
+        if bucket.max() >= per_owner:
+            raise DataError(f"out-of-vocabulary bucket outside [0, {per_owner})")
+        owner = np.arange(math.prod(ctx.shape[:-2])).reshape(ctx.shape[:-2] + (1, 1))
+        local_rows = np.broadcast_to(owner, ctx.shape)[neg] * per_owner + bucket
+        h_slots[neg] = l[0].values.reshape(-1, E)[local_rows]
+    h = h_slots.mean(axis=-2)
+    logits = h @ g[1].array
+    logits += g[2].array[..., None, :]
+    return ctx, pos, local_rows, h, logits
+
+
+# The consumers of the logits turn them into their result in place: a
+# cohort's logits are its largest array.
+
+
+def _log_likelihood(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each example's log-probability of its target; overwrites ``logits``."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
+    return picked - np.log(np.exp(logits, out=logits).sum(axis=-1))
 
 
 def _softmax_grad(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray, norm):
-    """d(weighted cross-entropy sum / norm)/d(logits)."""
-    if norm <= 0:
+    """d(weighted cross-entropy sum / norm)/d(logits), owner axes leading;
+    overwrites ``logits``."""
+    if np.any(np.asarray(norm) <= 0):
         raise DataError("batch has zero total weight")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    dz = expz / expz.sum(axis=1, keepdims=True)
-    dz[np.arange(len(targets)), targets] -= 1.0
-    dz *= (weights / norm)[:, None]
+    logits -= logits.max(axis=-1, keepdims=True)
+    dz = np.exp(logits, out=logits)
+    dz /= dz.sum(axis=-1, keepdims=True)
+    dz.reshape(-1, dz.shape[-1])[np.arange(targets.size), targets.ravel()] -= 1.0
+    dz *= (weights / norm)[..., None]
     return dz
 
 
@@ -355,68 +384,60 @@ def oov_nwp_spec(cfg: NwpConfig) -> ModelSpec:
             raise DataError(f"target class outside [0, {C})")
         return t
 
-    def _cross_entropy(g, l, batch: Batch):
-        _, _, _, logits = _nwp_forward(cfg, g, l, batch)
-        y = _targets(batch)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        ll = shifted[np.arange(len(y)), y] - lse
-        return float(-np.sum(batch.weights * ll) / _batch_weight(batch)), logits, y
-
     def loss(g, l, batch: Batch) -> float:
-        return _cross_entropy(g, l, batch)[0]
+        ll = _log_likelihood(_nwp_forward(cfg, g, l, batch)[-1], _targets(batch))
+        return float(-np.sum(batch.weights * ll) / _batch_weight(batch))
 
     def sparse_grads(g, l, batch: Batch, norm, need_global: bool, need_local: bool):
-        # One forward and one backward pass over a flat single-owner batch;
-        # one dense array per block.
-        ctx, pos, h, logits = _nwp_forward(cfg, g, l, batch)
+        # One forward and one backward pass; embedding and bucket grads are
+        # RowDeltas over the slots' rows, the output layer's dense with the
+        # leading axes of g[1] and g[2] (see ModelSpec).
+        ctx, pos, local_rows, h, logits = _nwp_forward(cfg, g, l, batch)
         dz = _softmax_grad(logits, _targets(batch), batch.weights, norm)
-        gh = dz @ g[1].array.T
+        gh = dz @ np.swapaxes(g[1].array, -1, -2)
         slot_contrib = np.broadcast_to(
-            (gh / cfg.context_window)[:, None, :], ctx.shape + (E,)
+            (gh / cfg.context_window)[..., None, :], ctx.shape + (E,)
         )
         glob = local = None
         if need_global:
-            g_emb = np.zeros((R, E))
-            np.add.at(g_emb, ctx[pos], slot_contrib[pos])
-            glob = [g_emb.ravel(), (h.T @ dz).ravel(), dz.sum(axis=0)]
+            glob = [
+                RowDelta(ctx[pos], slot_contrib[pos]),
+                (np.swapaxes(h, -1, -2) @ dz).ravel(),
+                dz.sum(axis=-2).ravel(),
+            ]
         if need_local:
-            neg = ~pos
-            local = [np.zeros((cfg.num_oov_buckets, E)) for _ in l]  # [] without buckets
-            for g_oov in local:
-                np.add.at(g_oov, -ctx[neg] - 1, slot_contrib[neg])
-            local = [g_oov.ravel() for g_oov in local]
+            local = [RowDelta(local_rows, slot_contrib[~pos]) for _ in l]  # [] without buckets
         return glob, local
 
-    def grad_global(g, l, batch: Batch) -> list[np.ndarray]:
-        return sparse_grads(g, l, batch, _batch_weight(batch), True, False)[0]
+    grad_global, grad_local = _dense_views(sparse_grads)
 
-    def grad_local(g, l, batch: Batch) -> list[np.ndarray]:
-        return sparse_grads(g, l, batch, _batch_weight(batch), False, True)[1]
-
-    def predict(g, l, batch: Batch) -> np.ndarray:
-        _, _, _, logits = _nwp_forward(cfg, g, l, batch)
-        return logits.argmax(axis=1)
-
-    def metrics(g, l, batch: Batch) -> dict[str, Metric]:
-        ce, logits, y = _cross_entropy(g, l, batch)
-        scored = y >= NUM_SPECIAL
-        n_scored = int(scored.sum())
-        if n_scored:
-            acc = float(np.mean(logits[scored].argmax(axis=1) == y[scored]))
-        else:
-            acc = 0.0
-        return {
-            "cross_entropy": Metric(ce, batch.total_weight),
-            "accuracy": Metric(acc, float(n_scored)),
-        }
+    def metrics(g, l, batch: Batch):
+        # Owner axes as in sparse_grads: one dict per owner (row of the
+        # batch), or one dict for a flat batch.  Masked padding weighs 0
+        # and is not scored.
+        logits, y = _nwp_forward(cfg, g, l, batch)[-1], _targets(batch)
+        right = logits.argmax(axis=-1) == y
+        ll = _log_likelihood(logits, y)
+        real = np.ones(y.shape, bool) if batch.mask is None else batch.mask
+        total = batch.weights.sum(axis=-1)
+        if np.any(total <= 0):
+            raise DataError("batch has zero total weight")
+        ce = -np.where(real, batch.weights * ll, 0.0).sum(axis=-1) / total
+        scored = real & (y >= NUM_SPECIAL)
+        count = scored.sum(axis=-1)
+        hits = (scored & right).sum(axis=-1)
+        acc = hits / np.maximum(count, 1)  # 0 when nothing scores
+        out = [
+            {"cross_entropy": Metric(c, w), "accuracy": Metric(a, float(n))}
+            for c, w, a, n in zip(*(np.atleast_1d(x).tolist() for x in (ce, total, acc, count)))
+        ]
+        return out if y.ndim > 1 else out[0]
 
     return ModelSpec(
         name="oov_nwp",
         init_global=init_global,
         init_local=init_local,
         loss=loss,
-        predict=predict,
         grad_global=grad_global,
         grad_local=grad_local,
         metrics=metrics,

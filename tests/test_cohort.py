@@ -9,22 +9,32 @@ path sums in another order, so agreement is to 1e-12 relative.
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partialfed import client as client_module
 from partialfed.client import (
     ClientHyper,
     SplitPolicy,
+    owner_chunks,
     reconstruct,
     reconstruct_cohort,
     run_client_round,
     run_cohort,
     split_dataset,
 )
-from partialfed.core import ClientDataset, RngStreams, RowDelta, finalize_metrics, merge_metrics
+from partialfed.core import (
+    ClientDataset,
+    RngStreams,
+    RowDelta,
+    blocks_size,
+    finalize_metrics,
+    merge_metrics,
+)
 from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
 from partialfed.errors import NumericalError
 from partialfed.evaluation import EvalMode, _finalize_with_macro, recon_eval
@@ -42,32 +52,57 @@ def assert_close(got, want, what):
     assert err <= TOL * scale, f"{what}: max abs error {err:g} vs scale {scale:g}"
 
 
-def assert_metrics_close(got, want, what):
-    assert set(got) == set(want), what
-    for k in want:
-        assert got[k].weight == want[k].weight, f"{what} {k} weight"
-        assert_close(got[k].value, want[k].value, f"{what} {k}")
+def mapped_client_rounds(spec, g, datasets, policy, hyper, streams, round_idx, initial_locals):
+    """The reference: ``run_client_round`` mapped over the clients."""
+    return [
+        run_client_round(
+            spec, g, ds, policy, hyper, streams, round_idx,
+            initial_local=None if initial_locals is None else initial_locals[i],
+        )
+        for i, ds in enumerate(datasets)
+    ]
 
 
-def assert_results_match(cohort, reference):
-    assert [r.client_id for r in cohort] == [r.client_id for r in reference]
-    for got, want in zip(cohort, reference):
+def assert_rounds_agree(got_results, want_results, *, exact):
+    """n_i and delta rows equal; delta values and joint-trained locals bit
+    for bit if ``exact``, else to 1e-12; query metrics to 1e-12 (a padded
+    owner-axis call sums in another order)."""
+
+    def agree(got, want, what):
+        if exact:
+            assert np.array_equal(got, want), what
+        else:
+            assert_close(got, want, what)
+
+    assert [r.client_id for r in got_results] == [r.client_id for r in want_results]
+    for got, want in zip(got_results, want_results):
         cid = want.client_id
         assert got.n_i == want.n_i
         assert len(got.delta) == len(want.delta)
         for d_got, d_want in zip(got.delta, want.delta):
-            if hasattr(d_want, "rows"):
+            if isinstance(d_want, RowDelta):
                 assert np.array_equal(d_got.rows, d_want.rows), f"client {cid} rows"
-                assert_close(d_got.values, d_want.values, f"client {cid} delta")
+                agree(d_got.values, d_want.values, f"client {cid} delta")
             else:
-                assert_close(d_got, d_want, f"client {cid} delta")
-        assert_metrics_close(got.query_metrics, want.query_metrics, f"client {cid}")
+                agree(d_got, d_want, f"client {cid} delta")
+        assert set(got.query_metrics) == set(want.query_metrics), f"client {cid}"
+        for k, m in want.query_metrics.items():
+            assert_close(got.query_metrics[k].value, m.value, f"client {cid} {k}")
+            assert_close(got.query_metrics[k].weight, m.weight, f"client {cid} {k} weight")
         if want.updated_local is None:
             assert got.updated_local is None
         else:
             for b_got, b_want in zip(got.updated_local, want.updated_local):
                 assert b_got.name == b_want.name and b_got.shape == b_want.shape
-                assert_close(b_got.values, b_want.values, f"client {cid} local")
+                agree(b_got.values, b_want.values, f"client {cid} local")
+
+
+def assert_results_match(cohort, reference):
+    """:func:`assert_rounds_agree` to 1e-12, with every metric weight equal."""
+    assert_rounds_agree(cohort, reference, exact=False)
+    for got, want in zip(cohort, reference):
+        for k, m in want.query_metrics.items():
+            assert got.query_metrics[k].weight == m.weight, f"client {want.client_id} {k} weight"
 
 
 def mf_population(num_users=9, num_items=25, ratings_per_user=13, seed=4):
@@ -82,8 +117,8 @@ def mf_population(num_users=9, num_items=25, ratings_per_user=13, seed=4):
 
 
 def nwp_population(num_clients=9, seed=4):
-    """Next-word clients: several global blocks, so cohorts run client by
-    client."""
+    """Next-word clients: in-vocabulary and bucket contexts, three global
+    blocks, two of them dense."""
     cfg = NwpConfig(vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2)
     rng = np.random.default_rng(seed)
     clients = [
@@ -103,13 +138,9 @@ def compare_round(spec, g, datasets, policy, hyper, streams, round_idx=3, initia
     cohort = run_cohort(
         spec, g, datasets, policy, hyper, streams, round_idx, initial_locals=initial_locals
     )
-    reference = [
-        run_client_round(
-            spec, g, ds, policy, hyper, streams, round_idx,
-            initial_local=None if initial_locals is None else initial_locals[i],
-        )
-        for i, ds in enumerate(datasets)
-    ]
+    reference = mapped_client_rounds(
+        spec, g, datasets, policy, hyper, streams, round_idx, initial_locals
+    )
     assert_results_match(cohort, reference)
     return cohort
 
@@ -189,7 +220,7 @@ class TestRunCohortMatchesClientRounds:
         g = spec.init_global(streams.generator("g"))
         compare_round(spec, g, clients, SplitPolicy(), dataclasses.replace(HYPER, k_r=0), streams)
 
-    def test_nwp_cohort_runs_client_by_client(self, streams, nwp_toy):
+    def test_next_word_prediction(self, streams, nwp_toy):
         spec, cfg, g, _, _ = nwp_toy
         rng = np.random.default_rng(1)
         clients = [
@@ -211,26 +242,9 @@ class TestRunCohortMatchesClientRounds:
 
 
 @st.composite
-def mf_rounds(draw):
-    """A small MF population (ragged sizes, repeated items, non-unit
-    weights, sparse client ids; up to 20 clients, so some cohorts seed their
-    streams as arrays) and one round's settings."""
-    num_items = draw(st.integers(1, 9))
-    sizes = draw(st.lists(st.integers(1, 14), min_size=1, max_size=20))
-    ids = draw(st.lists(st.integers(0, 2**40), min_size=len(sizes), max_size=len(sizes),
-                        unique=True))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    clients = [
-        ClientDataset(
-            cid,
-            features=rng.integers(0, num_items, size=n),
-            targets=rng.integers(1, 6, size=n).astype(float),
-            weights=rng.uniform(0.25, 2.0, size=n),
-            timestamps=rng.integers(0, 5, size=n),
-        )
-        for cid, n in zip(ids, sizes)
-    ]
-    spec = matfac_spec(MatFacConfig(num_items=num_items, embed_dim=draw(st.integers(1, 6))))
+def round_settings(draw):
+    """One round's hyperparameters and split, whether clients start from
+    stored locals (joint training from ``initial_locals``), and a seed."""
     hyper = ClientHyper(
         k_r=draw(st.integers(0, 4)),
         k_u=draw(st.integers(1, 4)),
@@ -243,14 +257,62 @@ def mf_rounds(draw):
         kind=draw(st.sampled_from(["half_disjoint", "by_timestamp_half", "no_split"])),
         support_fraction=draw(st.floats(0.05, 1.0)),
     )
-    return spec, clients, hyper, policy, draw(st.booleans()), draw(st.integers(0, 2**31))
+    return hyper, policy, draw(st.booleans()), draw(st.integers(0, 2**31))
+
+
+@st.composite
+def populations(draw, columns):
+    """Up to 20 clients of ragged sizes with non-unit weights and sparse ids,
+    so some cohorts seed their streams as arrays; ``columns(rng, n)`` draws
+    a client's features and targets."""
+    sizes = draw(st.lists(st.integers(1, 14), min_size=1, max_size=20))
+    ids = draw(st.lists(st.integers(0, 2**40), min_size=len(sizes), max_size=len(sizes),
+                        unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [
+        ClientDataset(
+            cid,
+            *columns(rng, n),
+            weights=rng.uniform(0.25, 2.0, size=n),
+            timestamps=rng.integers(0, 5, size=n),
+        )
+        for cid, n in zip(ids, sizes)
+    ]
+
+
+@st.composite
+def mf_rounds(draw):
+    """A small MF population (repeated items) and one round's settings."""
+    num_items = draw(st.integers(1, 9))
+    clients = draw(populations(
+        lambda rng, n: (rng.integers(0, num_items, size=n), rng.integers(1, 6, size=n) * 1.0)
+    ))
+    spec = matfac_spec(MatFacConfig(num_items=num_items, embed_dim=draw(st.integers(1, 6))))
+    return (spec, clients, *draw(round_settings()))
+
+
+@st.composite
+def nwp_rounds(draw):
+    """A small next-word population (in-vocabulary and bucket contexts; a
+    client, or a whole cohort, may address no global row) under a model of
+    0 to 3 buckets, and one round's settings."""
+    cfg = NwpConfig(
+        vocab_size=draw(st.integers(1, 5)),
+        num_oov_buckets=draw(st.integers(0, 3)),
+        embed_dim=draw(st.integers(1, 3)),
+        context_window=draw(st.integers(1, 3)),
+    )
+    clients = draw(populations(lambda rng, n: (
+        rng.integers(-cfg.num_oov_buckets, cfg.num_global_rows, size=(n, cfg.context_window)),
+        rng.integers(0, cfg.num_classes, size=n) * 1.0,
+    )))
+    return (oov_nwp_spec(cfg), clients, *draw(round_settings()))
 
 
 @settings(max_examples=60, deadline=None)
 @given(mf_rounds())
 def test_cohort_is_the_mapped_client_round(case):
-    # Deltas, n_i and joint-trained locals bit for bit; query metrics to
-    # 1e-12 (the padded owner-axis call sums in another order).
+    # Deltas, n_i and joint-trained locals bit for bit.
     spec, clients, hyper, policy, stored, seed = case
     streams = RngStreams(seed)
     g = spec.init_global(streams.generator("g"))
@@ -260,26 +322,33 @@ def test_cohort_is_the_mapped_client_round(case):
         else None
     )
     cohort = run_cohort(spec, g, clients, policy, hyper, streams, 2, initial_locals=initial)
-    reference = [
-        run_client_round(
-            spec, g, ds, policy, hyper, streams, 2,
-            initial_local=None if initial is None else initial[i],
-        )
-        for i, ds in enumerate(clients)
-    ]
-    assert [r.client_id for r in cohort] == [r.client_id for r in reference]
-    for got, want in zip(cohort, reference):
-        assert got.n_i == want.n_i
-        assert np.array_equal(got.delta[0].rows, want.delta[0].rows)
-        assert np.array_equal(got.delta[0].values, want.delta[0].values)
-        assert set(got.query_metrics) == set(want.query_metrics)
-        for k, m in want.query_metrics.items():
-            assert_close(got.query_metrics[k].value, m.value, k)
-            assert_close(got.query_metrics[k].weight, m.weight, k + " weight")
-        if hyper.joint_training:
-            assert np.array_equal(got.updated_local[0].values, want.updated_local[0].values)
-        else:
-            assert got.updated_local is None
+    reference = mapped_client_rounds(spec, g, clients, policy, hyper, streams, 2, initial)
+    assert_rounds_agree(cohort, reference, exact=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nwp_rounds(), st.integers(1, 20))
+def test_nwp_cohort_is_the_mapped_client_round(case, per_call):
+    # To 1e-12: padded minibatches reach the output layer's matrix products
+    # in other shapes.  Cut into owner chunks of ``per_call`` clients, the
+    # cohort gives what one call gives, bit for bit but for the query
+    # metrics, which pad to each chunk's widest client.
+    spec, clients, hyper, policy, stored, seed = case
+    streams = RngStreams(seed)
+    g = spec.init_global(streams.generator("g"))
+    initial = (
+        [spec.init_local(streams.generator(ds.client_id, "stored")) for ds in clients]
+        if stored
+        else None
+    )
+    cohort = run_cohort(spec, g, clients, policy, hyper, streams, 2, initial_locals=initial)
+    assert len(owner_chunks(spec, g, len(clients))) == 1
+    reference = mapped_client_rounds(spec, g, clients, policy, hyper, streams, 2, initial)
+    assert_rounds_agree(cohort, reference, exact=False)
+    with owner_budget(spec, g, per_call):
+        assert len(owner_chunks(spec, g, len(clients))) == -(-len(clients) // per_call)
+        chunked = run_cohort(spec, g, clients, policy, hyper, streams, 2, initial_locals=initial)
+    assert_rounds_agree(chunked, cohort, exact=True)
 
 
 def reference_training(spec, clients, *, rounds, clients_per_round, policy, hyper, streams,
@@ -314,9 +383,14 @@ def reference_training(spec, clients, *, rounds, clients_per_round, policy, hype
     return g, train_metrics, store
 
 
-@pytest.mark.parametrize("aggregate_local", [False, True])
-def test_two_rounds_of_training_match_the_client_loop(aggregate_local):
-    spec, clients = mf_population(num_users=10)
+def owner_budget(spec, g, per_call):
+    """``_OWNER_BUDGET`` patched so that batched calls take ``per_call``
+    owners each."""
+    per_owner = blocks_size(spec.init_local(np.random.default_rng(0))) + blocks_size(g[1:])
+    return mock.patch.object(client_module, "_OWNER_BUDGET", per_call * per_owner)
+
+
+def assert_training_matches_the_client_loop(spec, clients, aggregate_local):
     clients = {ds.client_id: ds for ds in clients}
     kwargs = dict(
         rounds=2, clients_per_round=6, policy=SplitPolicy(), hyper=HYPER,
@@ -325,7 +399,8 @@ def test_two_rounds_of_training_match_the_client_loop(aggregate_local):
     got = run_training(spec, clients, server_opt=ServerOptimizer(), streams=RngStreams(31),
                        **kwargs)
     g, train_metrics, store = reference_training(spec, clients, streams=RngStreams(31), **kwargs)
-    assert_close(got.global_params[0].values, g[0].values, "global parameters")
+    for b_got, b_want in zip(got.global_params, g, strict=True):
+        assert_close(b_got.values, b_want.values, f"global parameters {b_want.name}")
     for report, want in zip(got.reports, train_metrics):
         assert set(report.train_metrics) == set(want)
         for k in want:
@@ -335,8 +410,7 @@ def test_two_rounds_of_training_match_the_client_loop(aggregate_local):
             assert_close(got.local_store[cid][0].values, store[cid][0].values, f"store {cid}")
 
 
-def test_two_repeats_of_recon_eval_match_the_client_loop():
-    spec, clients = mf_population(num_users=12)
+def assert_recon_eval_matches_the_client_loop(spec, clients):
     g = spec.init_global(RngStreams(2).generator("g"))
     hyper = ClientHyper(k_r=6, eta_r=0.2, batch_size=5)
     mode = EvalMode(kind="recon_eval", recon_hyper=hyper, repeats=2, clients_per_repeat=7)
@@ -363,6 +437,32 @@ def test_two_repeats_of_recon_eval_match_the_client_loop():
             assert_close(per_repeat[k], want[k], f"repeat {rep} {k}")
 
 
+@pytest.mark.parametrize("aggregate_local", [False, True])
+def test_two_rounds_of_training_match_the_client_loop(aggregate_local):
+    spec, clients = mf_population(num_users=10)
+    assert_training_matches_the_client_loop(spec, clients, aggregate_local)
+
+
+@pytest.mark.parametrize("aggregate_local", [False, True])
+def test_two_rounds_of_nwp_training_in_owner_chunks_match_the_client_loop(aggregate_local):
+    # Six clients a round in chunks of four: a full chunk and a short one.
+    spec, clients = nwp_population(num_clients=10)
+    with owner_budget(spec, spec.init_global(RngStreams(0).generator("g")), 4):
+        assert_training_matches_the_client_loop(spec, clients, aggregate_local)
+
+
+def test_two_repeats_of_recon_eval_match_the_client_loop():
+    spec, clients = mf_population(num_users=12)
+    assert_recon_eval_matches_the_client_loop(spec, clients)
+
+
+def test_two_repeats_of_nwp_recon_eval_in_owner_chunks_match_the_client_loop():
+    # Seven clients a repeat in chunks of three.
+    spec, clients = nwp_population(num_clients=12)
+    with owner_budget(spec, spec.init_global(RngStreams(0).generator("g")), 3):
+        assert_recon_eval_matches_the_client_loop(spec, clients)
+
+
 MARK = 2.0  # the example weight that flags a poisoned client's examples
 
 
@@ -373,20 +473,23 @@ def poison(ds: ClientDataset) -> ClientDataset:
 
 def nan_kernel(spec):
     """``spec`` whose kernel turns the grads of every MARK-weight example,
-    and the local grads of its owner, into NaN.  A flat batch is one owner;
-    a dense grad belongs to the whole batch."""
+    and the dense grads of its owner, into NaN.  A flat batch is one owner;
+    a RowDelta's values follow the feature slots that address its rows."""
 
     def sparse_grads(g, l, batch, norm, need_global, need_local):
         glob, local = spec.sparse_grads(g, l, batch, norm, need_global, need_local)
         marked = np.asarray(batch.weights) == MARK
         owner = marked.any(axis=-1)
-        for grad in glob or []:
-            if isinstance(grad, RowDelta):
-                grad.values.reshape(marked.shape + (-1,))[marked] = np.nan
-            elif marked.any():
-                grad[:] = np.nan
-        for grad in local or []:
-            grad.reshape(owner.shape + (-1,))[owner] = np.nan
+        features = np.asarray(batch.features)
+        slots = np.broadcast_to(
+            marked.reshape(marked.shape + (1,) * (features.ndim - marked.ndim)), features.shape
+        )
+        for grads, addressed in ((glob, features >= 0), (local, features < 0)):
+            for grad in grads or []:
+                if isinstance(grad, RowDelta):
+                    grad.values[slots[addressed]] = np.nan
+                else:
+                    grad.reshape(owner.shape + (-1,))[owner] = np.nan
         return glob, local
 
     return dataclasses.replace(spec, sparse_grads=sparse_grads)
@@ -394,12 +497,12 @@ def nan_kernel(spec):
 
 @pytest.mark.parametrize("position", [4, -1])
 @pytest.mark.parametrize("algorithm", ["fedrecon", "fedavg"])
-@pytest.mark.parametrize("kernel", ["cohort", "client_by_client"])
-def test_nan_in_training_names_round_and_client(algorithm, kernel, position):
+@pytest.mark.parametrize("model", ["matfac", "oov_nwp"])
+def test_nan_in_training_names_round_and_client(algorithm, model, position):
     # Every client pads its short minibatches at the same steps; the NaNs of
     # the poisoned one, the last in the batched layout or not, must not
     # reach the others.
-    spec, clients = mf_population() if kernel == "cohort" else nwp_population()
+    spec, clients = mf_population() if model == "matfac" else nwp_population()
     clients = {ds.client_id: ds for ds in clients}
     bad = sorted(clients)[position]
     clients[bad] = poison(clients[bad])
@@ -412,9 +515,9 @@ def test_nan_in_training_names_round_and_client(algorithm, kernel, position):
             )
 
 
-@pytest.mark.parametrize("kernel", ["cohort", "client_by_client"])
-def test_nan_in_recon_eval_names_repeat_and_client(kernel):
-    spec, clients = mf_population() if kernel == "cohort" else nwp_population()
+@pytest.mark.parametrize("model", ["matfac", "oov_nwp"])
+def test_nan_in_recon_eval_names_repeat_and_client(model):
+    spec, clients = mf_population() if model == "matfac" else nwp_population()
     bad = clients[2].client_id
     clients[2] = poison(clients[2])
     g = spec.init_global(RngStreams(2).generator("g"))
@@ -433,3 +536,14 @@ def test_reconstruct_cohort_keeps_per_client_streams(streams):
     _, alone = reconstruct_cohort(spec, g, clients[4:5], SplitPolicy(), HYPER, streams, 1)
     _, together = reconstruct_cohort(spec, g, clients, SplitPolicy(), HYPER, streams, 1)
     assert_close(together[0].array[4], alone[0].array[0], "client 4 local")
+
+
+def test_owner_chunks_bound_each_batched_call():
+    # MF's 50-value user vectors run a 100-client round in one call; next-word
+    # prediction with 500 x 32 buckets and 410 classes runs 4 clients a call.
+    mf = matfac_spec(MatFacConfig(num_items=3706, embed_dim=50))
+    assert len(owner_chunks(mf, mf.init_global(np.random.default_rng(0)), 100)) == 1
+    nwp = oov_nwp_spec(NwpConfig(vocab_size=406, num_oov_buckets=500, embed_dim=32))
+    chunks = owner_chunks(nwp, nwp.init_global(np.random.default_rng(0)), 20)
+    assert [(c.start, c.stop) for c in chunks] == [(lo, lo + 4) for lo in range(0, 20, 4)]
+    assert owner_chunks(nwp, nwp.init_global(np.random.default_rng(0)), 0) == []

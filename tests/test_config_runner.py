@@ -1,5 +1,6 @@
 import json
 import typing
+import warnings
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from partialfed.config import (
     load_config,
 )
 from partialfed.core import RngStreams
-from partialfed.errors import ConfigError, DataError
+from partialfed.errors import ConfigError, DataError, NumericalError
 from partialfed.runner import (
     grid_search,
     prepare_task,
@@ -467,3 +468,17 @@ class TestConfigProperties:
         flat[path] = data.draw(out_of_range(path), label=path)
         with pytest.raises(ConfigError):
             config_from_dict(nest(flat))
+
+
+def test_diverging_run_raises_without_numpy_warnings(tmp_path):
+    # Finiteness is checked once per result, so the overflow on the way to
+    # a non-finite result warns about nothing; the error names the round
+    # and the client.
+    cfg = load_config(None, {
+        "task": "synthetic", "rounds": 5, "client.eta_u": 200.0, "client.eta_r": 200.0,
+        "output_dir": str(tmp_path / "run"),
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^round \d+, client \d+: non-finite"):
+            run_experiment(cfg)

@@ -9,18 +9,14 @@ from partialfed.core import (
     Example,
     Metric,
     ParamBlock,
-    PartitionedParams,
     RngStreams,
     axpy_blocks,
     check_gradients,
-    concat_params,
     fnv1a64,
     merge_metrics,
     round_half_away,
-    unflatten_params,
 )
 from partialfed.errors import DataError, NumericalError, ShapeMismatchError
-from partialfed.models import MatFacConfig, matfac_spec
 
 
 def test_fnv1a64_known_vectors():
@@ -142,59 +138,6 @@ class TestParamBlock:
         b = ParamBlock.of("b", np.arange(6.0).reshape(2, 3))
         assert b.array.shape == (2, 3)
         assert b.array.base is b.values or b.array.base is b.values.base
-
-
-class TestConcatParams:
-    def test_global_then_local(self):
-        p = PartitionedParams(
-            [ParamBlock.of("g", np.array([1.0, 2.0]))],
-            [ParamBlock.of("l", np.array([3.0]))],
-        )
-        assert concat_params(p).tolist() == [1.0, 2.0, 3.0]
-
-    def test_empty_global(self):
-        p = PartitionedParams([], [ParamBlock.of("l", np.array([5.0, 6.0]))])
-        assert concat_params(p).tolist() == [5.0, 6.0]
-
-    def test_rating_model_size_arithmetic(self):
-        spec = matfac_spec(MatFacConfig(num_items=3, embed_dim=2))
-        streams = RngStreams(0)
-        p = PartitionedParams(
-            spec.init_global(streams.generator("g")),
-            spec.init_local(streams.generator("l")),
-        )
-        assert concat_params(p).size == 3 * 2 + 1 * 2
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            PartitionedParams(
-                [ParamBlock.of("x", np.zeros(2))], [ParamBlock.of("x", np.zeros(1))]
-            )
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3)
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-    st.integers(min_value=0, max_value=3),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_flatten_unflatten_round_trip(shapes, n_global, seed):
-    rng = np.random.default_rng(seed)
-    blocks = [
-        ParamBlock.of(f"b{i}", rng.normal(size=(r, c))) for i, (r, c) in enumerate(shapes)
-    ]
-    n_global = min(n_global, len(blocks))
-    p = PartitionedParams(blocks[:n_global], blocks[n_global:])
-    q = unflatten_params(p, concat_params(p))
-    for a, b in zip(p.global_blocks + p.local_blocks, q.global_blocks + q.local_blocks):
-        assert a.name == b.name and a.shape == b.shape
-        assert np.array_equal(a.values, b.values)
 
 
 class TestAxpyBlocks:

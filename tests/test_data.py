@@ -140,11 +140,11 @@ class TestSyntheticMF:
         g, locs = train_centralized(
             spec, pop, epochs=300, batch_size=30, rate=0.3, streams=RngStreams(5)
         )
-        sq_sum, n = 0.0, 0
+        sq_sum, n = 0.0, 0.0
         for cid, ds in pop.items():
-            preds = spec.predict(g, locs[cid], ds.batch())
-            sq_sum += float(np.sum((preds - ds.targets) ** 2))
-            n += ds.n
+            mse = spec.metrics(g, locs[cid], ds.batch())["mse"]  # unit weights
+            sq_sum += mse.value * mse.weight
+            n += mse.weight
         assert np.sqrt(sq_sum / n) < 0.5
 
 

@@ -73,7 +73,8 @@ class TestMatFacSpec:
         l = spec.init_local(np.random.default_rng(0))
         l[0].values[:] = np.array([1.0, 0.0])
         batch = mf_batch([1], [2.0])
-        assert spec.predict(g, l, batch).tolist() == [2.0]
+        stats = spec.metrics(g, l, batch)
+        assert stats["mse"].value == 0.0 and stats["accuracy"].value == 1.0
         assert spec.loss(g, l, batch) == 0.0
 
     def test_zero_embedding_predicts_zero(self):
@@ -82,8 +83,9 @@ class TestMatFacSpec:
         l = spec.init_local(np.random.default_rng(1))
         l[0].values[:] = 0.0
         batch = mf_batch([0, 1, 2], [1.0, 3.0, 5.0])
-        assert np.all(spec.predict(g, l, batch) == 0.0)
-        assert spec.metrics(g, l, batch)["accuracy"].value == 0.0
+        stats = spec.metrics(g, l, batch)
+        assert stats["mse"].value == pytest.approx(np.mean(batch.targets**2), rel=1e-15)
+        assert stats["accuracy"].value == 0.0
 
     def test_owner_axis_metrics_are_each_owners_flat_metrics(self, mf_toy):
         # Two owners padded to width 4: masked entries (a copy of the owner's
@@ -266,6 +268,70 @@ class TestNwpSpec:
             base = spec.loss(g, l, batch)
             stepped = axpy_blocks(l, -1e-2, spec.grad_local(g, l, batch))
             assert spec.loss(g, stepped, batch) <= base + 1e-12
+
+
+class TestNwpOwnerAxes:
+    """Two owners stacked: each owner's slice of an owner-axis call is what
+    a flat call on its own examples, locals and output layer returns."""
+
+    def make(self):
+        cfg = NwpConfig(vocab_size=4, num_oov_buckets=3, embed_dim=2, context_window=2)
+        spec = oov_nwp_spec(cfg)
+        rng = np.random.default_rng(5)
+        g = spec.init_global(rng)
+        locals_ = [spec.init_local(rng) for _ in range(2)]
+        stacked = [ParamBlock("oov_embeddings", np.stack([l[0].array for l in locals_]),
+                              (2, 3, 2))]
+        # Owner 1's second example is padding: a masked copy of its first.
+        ctx = np.array([[[4, -1], [-3, 6]], [[-2, -2], [-2, -2]]])
+        targets = np.array([[5.0, 2.0], [7.0, 7.0]])
+        weights = np.array([[0.5, 1.5], [2.0, 0.0]])
+        mask = np.array([[True, True], [True, False]])
+        return spec, g, locals_, stacked, Batch(ctx, targets, weights, mask)
+
+    def test_metrics(self):
+        spec, g, locals_, stacked, batch = self.make()
+        got = spec.metrics(g, stacked, batch)
+        for o, real in enumerate(batch.mask):
+            flat = Batch(batch.features[o][real], batch.targets[o][real], batch.weights[o][real])
+            want = spec.metrics(g, locals_[o], flat)
+            assert set(got[o]) == set(want)
+            for k, m in want.items():
+                assert got[o][k].value == pytest.approx(m.value, rel=1e-12)
+                assert got[o][k].weight == m.weight
+
+    def test_grads(self):
+        # Each owner steps its own copy of the dense output layer.
+        spec, g, locals_, stacked, batch = self.make()
+        per_owner = [g[0]] + [
+            ParamBlock(b.name, np.stack([b.array, 2.0 * b.array]), (2,) + b.shape) for b in g[1:]
+        ]
+        norm = batch.weights.sum(axis=-1, keepdims=True)
+        glob, local = spec.sparse_grads(per_owner, stacked, batch, norm, True, True)
+        flat_grads = []
+        for o in range(2):
+            mine = [g[0]] + [ParamBlock(b.name, b.array[o], b.shape[1:]) for b in per_owner[1:]]
+            flat = Batch(batch.features[o], batch.targets[o], batch.weights[o])
+            flat_grads.append(spec.sparse_grads(mine, locals_[o], flat, norm[o, 0], True, True))
+        (emb, w_out, bias), (oov,) = glob, local
+        assert np.array_equal(emb.rows, np.concatenate([f[0][0].rows for f in flat_grads]))
+        # Owner o's bucket b is row 3 o + b of the stacked table.
+        assert np.array_equal(
+            oov.rows, np.concatenate([3 * o + f[1][0].rows for o, f in enumerate(flat_grads)])
+        )
+        for got, want in ((emb.values, [f[0][0].values for f in flat_grads]),
+                          (oov.values, [f[1][0].values for f in flat_grads]),
+                          (w_out, [f[0][1] for f in flat_grads]),
+                          (bias, [f[0][2] for f in flat_grads])):
+            np.testing.assert_allclose(got.ravel(), np.concatenate(want).ravel(), rtol=1e-12)
+
+    def test_bucket_outside_the_owner_rows_rejected(self):
+        # Bucket 3 of a 3-bucket table would address the next owner's row 0.
+        spec, g, _, stacked, batch = self.make()
+        bad = Batch(np.where(batch.features == -3, -4, batch.features), batch.targets,
+                    batch.weights)
+        with pytest.raises(DataError, match="bucket outside"):
+            spec.sparse_grads(g, stacked, bad, np.ones((2, 1)), False, True)
 
 
 class TestFdOracleAgreement:
