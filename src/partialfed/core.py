@@ -475,13 +475,14 @@ class ModelSpec:
     * A non-negative integer feature addresses a row of ``g[0]``, which may
       be a compact copy of some rows.  The grad for ``g[0]`` is a
       :class:`RowDelta` over the addressed rows.
-    * A negative feature ``-row - 1`` addresses a row of its owner's local
-      block: row ``owner * rows_per_owner + row`` of the stacked block
-      ``l[0].values.reshape(-1, width)``.  The grad for that block is a
-      :class:`RowDelta` over those rows.  A local block that no feature
-      addresses gets a dense grad, one value per value of the block.
+    * A negative feature ``-row - 1`` addresses a row of its owner's row
+      table, a 2-D local block: row ``owner * rows_per_owner + row`` of the
+      stacked block ``l[0].values.reshape(-1, width)``.  Its grad is a
+      :class:`RowDelta` over those rows.  Any other local block gets a
+      dense grad, one value per value of the block.
     * Every other global block is dense, and so is its grad.  In a cohort
-      update it carries the owner axes, so each owner steps its own copy.
+      update it carries the owner axes, so each owner steps its own copy;
+      passed without them it is shared, and its grad sums over the owners.
 
     ``metrics`` returns one dict per owner, or one dict for a flat batch,
     scoring only the entries ``batch.mask`` marks real, so each owner's
@@ -492,9 +493,8 @@ class ModelSpec:
     ``grad_local`` are the kernel's dense views (:func:`delta_to_dense`),
     one flat array per block, for the audit: they must agree with central
     differences of ``loss`` to 1e-4 relative (see :func:`check_gradients`).
-    ``fast_centralized`` (optional) vectorises joint SGD over a mixed-owner
-    example stream when each client's local part is a single vector (see
-    ``baselines``).
+    ``fast_centralized`` is read by nothing; it stays only so the
+    benchmark's tracer can look it up by name.
     """
 
     name: str

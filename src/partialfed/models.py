@@ -20,9 +20,6 @@ from .core import (
     ModelSpec,
     ParamBlock,
     RowDelta,
-    _rows_at,
-    _sgd_step,
-    copy_blocks,
     delta_to_dense,
     fnv1a64,
     round_half_away,
@@ -192,27 +189,6 @@ def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
         ]
         return out if items.ndim > 1 else out[0]
 
-    def fast_centralized(g, local_matrix, owner_rows, features, targets, weights,
-                         epochs, batch_size, rate, rng):
-        # Joint SGD over a mixed-owner example stream, each example its own
-        # owner in one sparse_grads call per minibatch; both factors step
-        # from their pre-step values, a repeated owner's rows one after
-        # another.
-        g = copy_blocks(g)
-        p = np.array(local_matrix, dtype=np.float64)
-        n = len(targets)
-        for _ in range(int(epochs)):
-            perm = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                idx = perm[start : start + batch_size]
-                u, w = owner_rows[idx], weights[idx]
-                stacked = [ParamBlock("user_embedding", p[u], (len(u), K))]
-                batch = Batch(features[idx], targets[idx][:, None], w[:, None])
-                grads, (local,) = sparse_grads(g, stacked, batch, w.sum(), True, True)
-                _sgd_step(g, rate, grads)
-                _rows_at(np.subtract, p.reshape(-1), u, rate * local)
-        return g, p
-
     return ModelSpec(
         name="matfac",
         init_global=init_global,
@@ -222,7 +198,6 @@ def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
         grad_local=grad_local,
         metrics=metrics,
         sparse_grads=sparse_grads,
-        fast_centralized=fast_centralized,
     )
 
 
@@ -400,6 +375,8 @@ def oov_nwp_spec(cfg: NwpConfig) -> ModelSpec:
         )
         glob = local = None
         if need_global:
+            if g[1].array.ndim == 2:  # one shared output layer: sum over owners too
+                h, dz = h.reshape(-1, E), dz.reshape(-1, C)
             glob = [
                 RowDelta(ctx[pos], slot_contrib[pos]),
                 (np.swapaxes(h, -1, -2) @ dz).ravel(),

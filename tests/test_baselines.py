@@ -2,14 +2,24 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from partialfed.baselines import finetune_eval, train_centralized, train_fedavg
+from partialfed.baselines import _merge_clients, finetune_eval, train_centralized, train_fedavg
 from partialfed.client import ClientHyper, SplitPolicy
-from partialfed.core import ClientDataset, Example, RngStreams
+from partialfed.core import (
+    Batch,
+    ClientDataset,
+    Example,
+    ParamBlock,
+    RngStreams,
+    _rows_at,
+    _sgd_step,
+)
 from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
 from partialfed.errors import ConfigError, DataError
 from partialfed.models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
-from partialfed.server import ServerOptimizer
+from partialfed.server import ServerOptimizer, init_local_store
 from oracles import oracle_mf_centralized_step
 
 
@@ -59,28 +69,31 @@ class TestTrainCentralized:
         g0 = spec.init_global(RngStreams(3).generator("global_init"))
         assert np.array_equal(g[0].values, g0[0].values)
 
-    def test_fast_kernel_matches_generic_path(self):
-        spec, clients = population()
-        generic = dataclasses.replace(spec, fast_centralized=None)
-        g_fast, locs_fast = train_centralized(
-            spec, clients, epochs=3, batch_size=4, rate=0.2, streams=RngStreams(4)
+    @pytest.mark.parametrize("model", ["matfac", "oov_nwp"])
+    def test_locals_start_from_each_clients_stream(self, model):
+        # Every client's rows of the population tables, bit for bit.
+        if model == "matfac":
+            spec, clients = population()
+        else:
+            spec = oov_nwp_spec(NwpConfig(vocab_size=4, num_oov_buckets=3, embed_dim=2))
+            clients = {
+                cid: ClientDataset(cid, features=np.array([[4, -1, 5]]), targets=np.array([5.0]),
+                                   weights=np.ones(1), timestamps=np.zeros(1))
+                for cid in (3, 8, 20)
+            }
+        _, locs = train_centralized(
+            spec, clients, epochs=0, batch_size=3, rate=0.5, streams=RngStreams(3)
         )
-        g_gen, locs_gen = train_centralized(
-            generic, clients, epochs=3, batch_size=4, rate=0.2, streams=RngStreams(4)
-        )
-        np.testing.assert_allclose(g_fast[0].values, g_gen[0].values, atol=1e-12)
-        for cid in clients:
-            np.testing.assert_allclose(
-                locs_fast[cid][0].values, locs_gen[cid][0].values, atol=1e-12
-            )
+        assert sorted(locs) == sorted(clients)
+        for cid, got in locs.items():
+            want = spec.init_local(RngStreams(3).generator(cid, "centralized_local_init"))
+            assert [(b.name, b.shape) for b in got] == [(b.name, b.shape) for b in want]
+            assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_full_batch_with_shared_owner_and_item_is_one_sgd_step(self, fast):
+    def test_full_batch_with_shared_owner_and_item_is_one_sgd_step(self):
         # Client 0 rates items 1 and 2, client 1 rates items 2 and 3: one
         # owner repeats and item 2 takes updates from two owners.
         spec, _ = population()
-        if not fast:
-            spec = dataclasses.replace(spec, fast_centralized=None)
         ratings = {0: [(1, 4.0), (2, 2.0)], 1: [(2, 5.0), (3, 1.0)]}
         clients = {
             cid: ClientDataset.from_examples(cid, [Example(features=i, target=r) for i, r in rs])
@@ -101,22 +114,16 @@ class TestTrainCentralized:
         for row, cid in enumerate((0, 1)):
             np.testing.assert_allclose(locs[cid][0].values, p_exp[row], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_zero_weight_batch_is_a_data_error(self, fast):
+    def test_zero_weight_batch_is_a_data_error(self):
         spec, clients = population()
-        if not fast:
-            spec = dataclasses.replace(spec, fast_centralized=None)
         clients = {
             cid: dataclasses.replace(ds, weights=np.zeros(ds.n)) for cid, ds in clients.items()
         }
         with pytest.raises(DataError, match="zero total weight"):
             train_centralized(spec, clients, epochs=1, batch_size=3, rate=0.2, streams=RngStreams(6))
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_client_data_never_mutated(self, fast):
+    def test_client_data_never_mutated(self):
         spec, clients = population()
-        if not fast:
-            spec = dataclasses.replace(spec, fast_centralized=None)
         columns = ("features", "targets", "weights")
         snapshot = {cid: [getattr(ds, c).copy() for c in columns] for cid, ds in clients.items()}
         train_centralized(spec, clients, epochs=2, batch_size=3, rate=0.2, streams=RngStreams(6))
@@ -171,6 +178,144 @@ class TestTrainCentralized:
             before += spec.loss(g0, l0, ds.batch())
             after += spec.loss(g, locs[cid], ds.batch())
         assert after < before * 0.5
+
+    def test_bucket_past_the_table_is_a_data_error(self):
+        # Bucket 3 of a 3-bucket table.  Remapped to a slot id, the kernel
+        # could no longer see it, and client 0 would read client 1's row 0.
+        spec = oov_nwp_spec(NwpConfig(vocab_size=5, num_oov_buckets=3, embed_dim=2,
+                                      context_window=2))
+        clients = {
+            cid: ClientDataset(cid, features=np.array([ctx]), targets=np.array([5.0]),
+                               weights=np.ones(1), timestamps=np.zeros(1))
+            for cid, ctx in ((0, [4, -4]), (1, [-1, 6]))
+        }
+        with pytest.raises(DataError, match="bucket outside"):
+            train_centralized(spec, clients, epochs=1, batch_size=2, rate=0.1,
+                              streams=RngStreams(9))
+
+
+def per_owner_centralized(spec, clients, *, epochs, batch_size, rate, streams):
+    """The reference: the minibatch grouped by owner, one ``sparse_grads``
+    call per owner, each owner's sub-batch normalised by the whole
+    minibatch's weight.  An owner's local blocks step as soon as their grads
+    are known; the owners' global grads are summed, then stepped."""
+    ids, owners, feats, targets, weights = _merge_clients(clients)
+    g = spec.init_global(streams.generator("global_init"))
+    locals_by_client = init_local_store(spec, ids, streams, "centralized_local_init")
+    shuffle_rng = streams.generator("centralized_shuffle")
+    total = [ParamBlock(b.name, np.zeros_like(b.values), b.shape) for b in g]
+    for _ in range(epochs):
+        perm = shuffle_rng.permutation(len(targets))
+        for start in range(0, len(targets), batch_size):
+            idx = perm[start : start + batch_size]
+            batch_w = float(weights[idx].sum())
+            for b in total:
+                b.values.fill(0.0)
+            for row in np.unique(owners[idx]):
+                sub = idx[owners[idx] == row]
+                l = locals_by_client[ids[row]]
+                batch = Batch(feats[sub], targets[sub], weights[sub])
+                grads, local_grads = spec.sparse_grads(g, l, batch, batch_w, True, True)
+                _sgd_step(total, -1.0, grads)  # total += grads
+                _sgd_step(l, rate, local_grads)
+            _sgd_step(g, rate, total)
+    return g, locals_by_client
+
+
+def mf_example_loop(spec, clients, *, epochs, batch_size, rate, streams):
+    """MF's kernel calls in the order centralized MF has always made them:
+    each example its own owner, user vectors stepped by owner rows."""
+    ids, owners, feats, targets, weights = _merge_clients(clients)
+    g = spec.init_global(streams.generator("global_init"))
+    store = init_local_store(spec, ids, streams, "centralized_local_init")
+    p = np.stack([store[cid][0].values for cid in ids])
+    shuffle_rng = streams.generator("centralized_shuffle")
+    for _ in range(epochs):
+        perm = shuffle_rng.permutation(len(targets))
+        for start in range(0, len(targets), batch_size):
+            idx = perm[start : start + batch_size]
+            u, w = owners[idx], weights[idx]
+            stacked = [ParamBlock("user_embedding", p[u], (len(u), p.shape[1]))]
+            batch = Batch(feats[idx], targets[idx][:, None], w[:, None])
+            grads, (local,) = spec.sparse_grads(g, stacked, batch, w.sum(), True, True)
+            _sgd_step(g, rate, grads)
+            _rows_at(np.subtract, p.reshape(-1), u, rate * local)
+    return g, p
+
+
+@st.composite
+def centralized_cases(draw):
+    """A small MF or NWP population: up to 5 clients of ragged sizes, so an
+    owner, an item or a bucket repeats within a minibatch; in-vocabulary
+    and bucket contexts under 0 to 3 buckets; non-unit weights; a batch
+    size that may leave a short last minibatch; 1 to 3 epochs."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        num_items = draw(st.integers(1, 6))
+        spec = matfac_spec(MatFacConfig(num_items=num_items, embed_dim=draw(st.integers(1, 4))))
+
+        def columns(n):
+            return rng.integers(0, num_items, size=n), rng.integers(1, 6, size=n) * 1.0
+    else:
+        cfg = NwpConfig(
+            vocab_size=draw(st.integers(1, 4)),
+            num_oov_buckets=draw(st.integers(0, 3)),
+            embed_dim=draw(st.integers(1, 3)),
+            context_window=draw(st.integers(1, 3)),
+        )
+        spec = oov_nwp_spec(cfg)
+
+        def columns(n):
+            ctx = rng.integers(-cfg.num_oov_buckets, cfg.num_global_rows,
+                               size=(n, cfg.context_window))
+            return ctx, rng.integers(0, cfg.num_classes, size=n) * 1.0
+
+    clients = {
+        cid: ClientDataset(cid, *columns(n), weights=rng.uniform(0.25, 2.0, size=n),
+                           timestamps=np.arange(n))
+        for cid, n in enumerate(sizes)
+    }
+    settings_ = dict(
+        epochs=draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(1, 12)),
+        rate=draw(st.floats(0.0, 0.1)),
+    )
+    return spec, clients, settings_, draw(st.integers(0, 2**31))
+
+
+def assert_blocks_close(got, want, what):
+    for a, b in zip(got, want, strict=True):
+        scale = max(float(np.abs(b.values).max()), 1e-300)
+        assert np.abs(a.values - b.values).max() <= 1e-12 * scale, f"{what} {b.name}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(centralized_cases())
+def test_one_call_per_minibatch_is_the_per_owner_loop(case):
+    # To 1e-12 of each block's scale: the owners' global grads are summed
+    # in one product, and rows repeated in a minibatch step one slot at a
+    # time.  MF keeps its kernel calls and their order, bit for bit.
+    spec, clients, kw, seed = case
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return spec.sparse_grads(*args)
+
+    g, locs = train_centralized(
+        dataclasses.replace(spec, sparse_grads=counted), clients, streams=RngStreams(seed), **kw
+    )
+    n = sum(ds.n for ds in clients.values())
+    assert len(calls) == kw["epochs"] * -(-n // kw["batch_size"])
+    g_ref, locs_ref = per_owner_centralized(spec, clients, streams=RngStreams(seed), **kw)
+    assert_blocks_close(g, g_ref, "global")
+    for cid in clients:
+        assert_blocks_close(locs[cid], locs_ref[cid], f"client {cid}")
+    if spec.name == "matfac":
+        g_mf, p_mf = mf_example_loop(spec, clients, streams=RngStreams(seed), **kw)
+        assert np.array_equal(g[0].values, g_mf[0].values)
+        assert np.array_equal(np.stack([locs[cid][0].values for cid in sorted(clients)]), p_mf)
 
 
 class TestTrainFedavg:

@@ -333,6 +333,33 @@ class TestNwpOwnerAxes:
         with pytest.raises(DataError, match="bucket outside"):
             spec.sparse_grads(g, stacked, bad, np.ones((2, 1)), False, True)
 
+    def test_shared_output_layer_grads_sum_over_owners(self):
+        # Passed without the owner axes, the output layer is one layer for
+        # every owner: its grads are the sum of each owner's flat call.
+        spec, g, locals_, stacked, batch = self.make()
+        norm = batch.weights.sum()
+        (_, w_out, bias), _ = spec.sparse_grads(g, stacked, batch, norm, True, True)
+        flat_grads = [
+            spec.sparse_grads(
+                g, locals_[o],
+                Batch(batch.features[o], batch.targets[o], batch.weights[o]), norm, True, False,
+            )[0]
+            for o in range(2)
+        ]
+        for got, k in ((w_out, 1), (bias, 2)):
+            want = sum(f[k] for f in flat_grads)
+            assert got.shape == want.shape == (g[k].values.size,)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_owner_tiled_output_layer_keeps_a_grad_per_owner(self):
+        spec, g, _, stacked, batch = self.make()
+        norm = batch.weights.sum(axis=-1, keepdims=True)
+        tiled = [g[0]] + [
+            ParamBlock(b.name, np.tile(b.values, 2), (2,) + b.shape) for b in g[1:]
+        ]
+        (_, w_out, bias), _ = spec.sparse_grads(tiled, stacked, batch, norm, True, True)
+        assert (w_out.size, bias.size) == (2 * g[1].values.size, 2 * g[2].values.size)
+
 
 class TestFdOracleAgreement:
     def test_mf_analytic_equals_fd_oracle(self, mf_toy):
