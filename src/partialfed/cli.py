@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from .config import ExperimentConfig, load_config
 from .core import Batch, RngStreams, check_gradients
 from .data import SyntheticMFConfig, gen_synthetic_mf
 from .errors import ConfigError, DataError, NumericalError
-from .evaluation import EvalMode, recon_eval
+from .evaluation import recon_eval
 from .models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
 from .runner import (
     apply_overrides,
@@ -32,6 +31,7 @@ from .runner import (
     run_experiment,
     sweep_steps,
     tradeoff_curves,
+    write_csv,
 )
 
 # flag name -> (dotted config key, type)
@@ -70,6 +70,31 @@ _FLAG_MAP = {
     "epochs": ("centralized.epochs", int),
     "centralized_batch_size": ("centralized.batch_size", int),
     "centralized_rate": ("centralized.rate", float),
+}
+
+_TABLE2_MECH = {"task": "oov_nwp", "model.num_oov_buckets": 500}
+
+# Table recipes: output file, the test metrics each row reports, and rows of
+# (setting, config overrides).  A row runs in its own directory, named by its
+# setting with spaces as underscores.
+_TABLES = {
+    # The rating task: centralized and full-aggregation baselines under both
+    # evaluation regimes, plus partially local training.
+    "table1": ("table1.csv", ("rmse", "accuracy"), [
+        ("centralized standard_eval", {"algorithm": "centralized", "eval.regime": "standard"}),
+        ("centralized recon_eval", {"algorithm": "centralized", "eval.regime": "recon"}),
+        ("fedavg standard_eval", {"algorithm": "fedavg", "eval.regime": "standard"}),
+        ("fedavg recon_eval", {"algorithm": "fedavg", "eval.regime": "recon"}),
+        ("fedrecon recon_eval", {"algorithm": "fedrecon", "eval.regime": "recon"}),
+    ]),
+    # Out-of-vocabulary mechanism on the slang corpus: many buckets vs one,
+    # plus the no-split and joint-training ablations.
+    "table2-mech": ("table2_mech.csv", ("accuracy",), [
+        ("fedrecon 500 oov", _TABLE2_MECH),
+        ("fedrecon 1 oov", {**_TABLE2_MECH, "model.num_oov_buckets": 1}),
+        ("fedrecon 500 oov no_split", {**_TABLE2_MECH, "split.kind": "no_split"}),
+        ("fedrecon 500 oov joint", {**_TABLE2_MECH, "client.joint_training": True}),
+    ]),
 }
 
 
@@ -122,14 +147,8 @@ def _cmd_evaluate(args) -> int:
     wanted = [(b.name, b.shape) for b in bundle.spec.init_global(np.random.default_rng(0))]
     if found != wanted:
         raise DataError(f"{args.params} holds blocks {found}; this config needs {wanted}")
-    mode = EvalMode(
-        kind="recon_eval",
-        recon_hyper=config.eval_hyper(),
-        repeats=config.eval.repeats,
-        clients_per_repeat=config.eval.clients_per_repeat,
-    )
     result = recon_eval(
-        bundle.spec, g, bundle.test_clients, config.split, mode,
+        bundle.spec, g, bundle.test_clients, config.split, config.eval_mode(),
         RngStreams(config.seed), namespace="eval:test",
     )
     _print_metrics("[test]", result.metrics)
@@ -146,17 +165,11 @@ def _cmd_sweep(args) -> int:
             f"--values must be comma-separated integers, not {args.values!r}"
         ) from None
     result = sweep_steps(config, axis, values)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"sweep_{axis}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{axis},accuracy,relative_accuracy\r\n")
-        for value, acc, rel in result.rows:
-            fh.write(f"{value},{acc!r},{rel!r}\r\n")
     print(f"base {axis}={result.base_value}: accuracy {result.base_accuracy:.6g}")
     for value, acc, rel in result.rows:
         print(f"  {axis}={value}: accuracy {acc:.6g} ({rel:.3f} of base)")
-    print(f"wrote {path}")
+    _write_table(Path(config.output_dir) / f"sweep_{axis}.csv",
+                 [axis, "accuracy", "relative_accuracy"], result.rows)
     return 0
 
 
@@ -234,101 +247,39 @@ def _cmd_verify_meta(args) -> int:
     return 0
 
 
+def _write_table(path: Path, header: list[str], rows) -> None:
+    write_csv(path, header, rows)
+    print(f"wrote {path}")
+
+
 def _cmd_reproduce(args) -> int:
     config = _config_from_args(args)
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.recipe == "table1":
-        return _reproduce_table1(config, out_dir, use_grid=args.grid)
-    if args.recipe == "table2-mech":
-        return _reproduce_table2_mech(config, out_dir)
     if args.recipe == "fig3":
         for axis in ("k_r", "k_u"):
-            result = sweep_steps(config, axis)
-            path = out_dir / f"fig3_{axis}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(f"{axis},accuracy,relative_accuracy\r\n")
-                for value, acc, rel in result.rows:
-                    fh.write(f"{value},{acc!r},{rel!r}\r\n")
-            print(f"wrote {path}")
+            _write_table(out_dir / f"fig3_{axis}.csv", [axis, "accuracy", "relative_accuracy"],
+                         sweep_steps(config, axis).rows)
         return 0
     if args.recipe == "fig4":
         curves = tradeoff_curves(config)
-        path = out_dir / "fig4.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("algorithm,round,cumulative_params_communicated,accuracy\r\n")
-            for algorithm, rows in sorted(curves.items()):
-                for round_idx, cum, acc in rows:
-                    fh.write(f"{algorithm},{round_idx},{cum},{acc!r}\r\n")
-        print(f"wrote {path}")
+        _write_table(
+            out_dir / "fig4.csv",
+            ["algorithm", "round", "cumulative_params_communicated", "accuracy"],
+            [(algorithm, *row) for algorithm, rows in sorted(curves.items()) for row in rows],
+        )
         return 0
-    raise ConfigError(f"unknown recipe {args.recipe!r}")
-
-
-def _reproduce_table1(config, out_dir: Path, *, use_grid: bool) -> int:
-    """The five rating-task rows: centralized and full-aggregation baselines
-    under both evaluation regimes, plus partially local training."""
-    if config.task == "matfac" and config.data.path is None:
-        raise DataError("reproduce table1 needs --data-path (MovieLens 1M ratings.dat)")
-    rows = []
-
-    def run(tag: str, **over):
-        cfg = config
-        for dotted, value in over.items():
-            cfg = apply_overrides(cfg, {dotted: value})
-        cfg = replace(cfg, output_dir=str(out_dir / tag.replace(" ", "_")))
-        if use_grid and cfg.algorithm == "fedrecon":
+    name, columns, settings = _TABLES[args.recipe]
+    table = []
+    for tag, overrides in settings:
+        cfg = apply_overrides(
+            config, {**overrides, "output_dir": str(out_dir / tag.replace(" ", "_"))}
+        )
+        if args.grid and cfg.algorithm == "fedrecon":
             cfg = grid_search(cfg).best_config
-        result = run_experiment(cfg)
-        m = result.final_metrics["test"]
-        rows.append((tag, m.get("rmse", float("nan")), m.get("accuracy", float("nan"))))
-        _print_metrics(f"[{tag}]", m)
-
-    run("centralized standard_eval", **{"algorithm": "centralized", "eval.regime": "standard"})
-    run("centralized recon_eval", **{"algorithm": "centralized", "eval.regime": "recon"})
-    run("fedavg standard_eval", **{"algorithm": "fedavg", "eval.regime": "standard"})
-    run("fedavg recon_eval", **{"algorithm": "fedavg", "eval.regime": "recon"})
-    run("fedrecon recon_eval", **{"algorithm": "fedrecon", "eval.regime": "recon"})
-
-    path = out_dir / "table1.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("setting,rmse,accuracy\r\n")
-        for tag, r, a in rows:
-            fh.write(f"{tag},{r!r},{a!r}\r\n")
-    print(f"wrote {path}")
-    return 0
-
-
-def _reproduce_table2_mech(config, out_dir: Path) -> int:
-    """Mechanism-level out-of-vocabulary comparison on the synthetic slang
-    corpus: many buckets vs a single bucket, plus the no-split and
-    joint-training ablations."""
-    base = replace(config, task="oov_nwp") if config.task != "oov_nwp" else config
-    rows = []
-
-    def run(tag: str, **over):
-        cfg = base
-        for dotted, value in over.items():
-            cfg = apply_overrides(cfg, {dotted: value})
-        cfg = replace(cfg, output_dir=str(out_dir / tag.replace(" ", "_")))
-        result = run_experiment(cfg)
-        acc = result.final_metrics["test"]["accuracy"]
-        rows.append((tag, acc))
-        print(f"[{tag}] accuracy = {acc:.4f}")
-
-    run("fedrecon 500 oov", **{"model.num_oov_buckets": 500})
-    run("fedrecon 1 oov", **{"model.num_oov_buckets": 1})
-    run("fedrecon 500 oov no_split", **{"model.num_oov_buckets": 500, "split.kind": "no_split"})
-    run("fedrecon 500 oov joint", **{"model.num_oov_buckets": 500,
-                                     "client.joint_training": True})
-
-    path = out_dir / "table2_mech.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("setting,accuracy\r\n")
-        for tag, acc in rows:
-            fh.write(f"{tag},{acc!r}\r\n")
-    print(f"wrote {path}")
+        metrics = run_experiment(cfg).final_metrics["test"]
+        _print_metrics(f"[{tag}]", metrics)
+        table.append([tag, *(metrics.get(c, float("nan")) for c in columns)])
+    _write_table(out_dir / name, ["setting", *columns], table)
     return 0
 
 

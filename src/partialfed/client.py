@@ -234,7 +234,6 @@ def run_client_round(
     round_idx: int,
     *,
     initial_local: Blocks | None = None,
-    namespace: str = "",
 ) -> ClientUpdateResult:
     """Split -> reconstruct -> update for one client in one round.
 
@@ -245,7 +244,7 @@ def run_client_round(
     cid = data.client_id
 
     def gen(purpose: str) -> np.random.Generator:
-        return streams.generator(round_idx, cid, namespace + purpose)
+        return streams.generator(round_idx, cid, purpose)
 
     dsx = split_dataset(data, policy, gen("split"))
     if initial_local is not None:
@@ -571,7 +570,6 @@ def run_cohort(
     round_idx: int,
     *,
     initial_locals: Sequence[Blocks] | None = None,
-    namespace: str = "",
 ) -> list[ClientUpdateResult]:
     """``[run_client_round(...) for ds in datasets]`` as one computation:
     split -> reconstruct -> query metrics -> update for a whole cohort, from
@@ -583,10 +581,9 @@ def run_cohort(
         cohort, stacked = reconstruct_cohort(
             spec, g, datasets[owners], policy, hyper, streams, round_idx,
             initial_locals=None if initial_locals is None else initial_locals[owners],
-            namespace=namespace,
         )
         metrics = cohort_metrics(spec, g, stacked, cohort)
-        rngs = streams.generators(round_idx, cohort.client_ids, namespace + "update_batches")
+        rngs = streams.generators(round_idx, cohort.client_ids, "update_batches")
         chunk = _update_cohort(spec, g, cohort, stacked, hyper, rngs)
         for res, m in zip(chunk, metrics):
             res.query_metrics = m

@@ -19,6 +19,7 @@ from typing import Any, Mapping
 
 from .client import ClientHyper, SplitPolicy
 from .errors import ConfigError
+from .evaluation import EvalMode
 from .server import ServerOptimizer
 
 __all__ = [
@@ -196,6 +197,16 @@ class ExperimentConfig:
         k_r = self.client.k_r if self.eval.k_r is None else self.eval.k_r
         eta_r = self.client.eta_r if self.eval.eta_r is None else self.eval.eta_r
         return dataclasses.replace(self.client, k_r=k_r, eta_r=eta_r, joint_training=False)
+
+    def eval_mode(self, repeats: int | None = None) -> EvalMode:
+        """Reconstruction evaluation under :meth:`eval_hyper`, ``repeats``
+        samples (``eval.repeats`` by default) of ``eval.clients_per_repeat``."""
+        return EvalMode(
+            kind="recon_eval",
+            recon_hyper=self.eval_hyper(),
+            repeats=self.eval.repeats if repeats is None else repeats,
+            clients_per_repeat=self.eval.clients_per_repeat,
+        )
 
 
 # Per-task defaults applied beneath file values and flags.  The rating task

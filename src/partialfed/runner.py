@@ -2,8 +2,9 @@
 
 A run writes three artifacts into its output directory:
 
-* ``metrics.csv`` -- one row per (round, split, metric), RFC-4180, with a
-  running count of parameters communicated;
+* ``metrics.csv`` -- one row per (round, split, metric), with a running
+  count of parameters communicated, written by :func:`write_csv` like every
+  result table;
 * ``manifest.json`` -- the fully resolved config, seed, and code version;
   re-running a manifest reproduces the CSV byte-for-byte;
 * ``params.bin`` -- final global parameters: a JSON header line naming the
@@ -18,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .baselines import train_centralized, train_fedavg
 from .config import (
     ExperimentConfig,
     MATFAC_GRID,
+    _set_dotted,
     config_from_dict,
     config_to_dict,
 )
@@ -43,7 +45,7 @@ from .data import (
     split_users,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .evaluation import EvalMode, recon_eval, standard_eval
+from .evaluation import recon_eval, standard_eval
 from .models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
 from .server import init_local_store, run_training
 
@@ -63,7 +65,7 @@ __all__ = [
     "tradeoff_curves",
     "write_params",
     "read_params",
-    "write_metrics_csv",
+    "write_csv",
 ]
 
 NWP_GRID = {
@@ -230,14 +232,9 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
 
     def eval_metrics(g, clients_or_sets, *, repeats, namespace, local_store=None):
         if bundle.regime == "recon":
-            mode = EvalMode(
-                kind="recon_eval",
-                recon_hyper=config.eval_hyper(),
-                repeats=repeats,
-                clients_per_repeat=config.eval.clients_per_repeat,
-            )
             return recon_eval(
-                spec, g, clients_or_sets, config.split, mode, streams, namespace=namespace
+                spec, g, clients_or_sets, config.split, config.eval_mode(repeats), streams,
+                namespace=namespace,
             ).metrics
         return standard_eval(spec, g, local_store or {}, clients_or_sets)
 
@@ -311,8 +308,7 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
             )
         else:
             result = train_fedavg(spec, bundle.train_clients, **common)
-        g_final = result.global_params
-        local_store = result.local_store if result.local_store is not None else init_locals
+        g_final, local_store = result.global_params, result.local_store
 
         cum_per_round = np.cumsum([r.params_total for r in result.comm_records]).tolist()
         for report in result.reports:
@@ -390,12 +386,16 @@ def _run_all_repeats(
 # ---------------------------------------------------------------------------
 
 
-def write_metrics_csv(path: str | Path, rows: Sequence[tuple]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one result table: comma-separated, CRLF line ends, a float as
+    its ``repr`` (so it parses back exactly).  Creates the directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for round_idx, split, metric, value, cum in rows:
-            writer.writerow([round_idx, split, metric, repr(float(value)), cum])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def write_params(path: str | Path, blocks: Sequence[ParamBlock]) -> None:
@@ -437,7 +437,10 @@ def read_params(path: str | Path) -> list[ParamBlock]:
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise DataError(f"truncated parameter file: block {name!r}")
-            blocks.append(ParamBlock(name, np.frombuffer(raw, dtype="<f8").copy(), shape))
+            values = np.frombuffer(raw, dtype="<f8").copy()
+            if not np.isfinite(values).all():
+                raise DataError(f"parameter file {path}: block {name!r} holds NaN or inf")
+            blocks.append(ParamBlock(name, values, shape))
     return blocks
 
 
@@ -463,7 +466,7 @@ def run_experiment(
     csv_path = out_dir / "metrics.csv"
     manifest_path = out_dir / "manifest.json"
     params_path = out_dir / "params.bin"
-    write_metrics_csv(csv_path, rows)
+    write_csv(csv_path, CSV_COLUMNS, rows)
     write_params(params_path, first.global_params)
     manifest = {
         "config": config_to_dict(config),
@@ -498,11 +501,7 @@ def rerun_manifest(manifest_path: str | Path, output_dir: str | Path) -> Experim
 def apply_overrides(config: ExperimentConfig, overrides: Mapping[str, object]) -> ExperimentConfig:
     tree = config_to_dict(config)
     for dotted, value in overrides.items():
-        node = tree
-        parts = dotted.split(".")
-        for p in parts[:-1]:
-            node = node[p]
-        node[parts[-1]] = value
+        _set_dotted(tree, dotted, value)
     return config_from_dict(tree)
 
 
@@ -593,36 +592,22 @@ def sweep_steps(
 
         def accuracy_at(k_r: int) -> float:
             probe = apply_overrides(cfg, {"eval.k_r": int(k_r)})
-            streams = RngStreams(cfg.seed)
-            mode = EvalMode(
-                kind="recon_eval",
-                recon_hyper=probe.eval_hyper(),
-                repeats=probe.eval.repeats,
-                clients_per_repeat=probe.eval.clients_per_repeat,
-            )
             return recon_eval(
                 bundle.spec, out.global_params, bundle.test_clients, probe.split,
-                mode, streams, namespace=f"sweep:k_r:{k_r}",
+                probe.eval_mode(), RngStreams(cfg.seed), namespace=f"sweep:k_r:{k_r}",
             ).metrics["accuracy"]
-
-        base_accuracy = accuracy_at(base_value)
-        rows = []
-        for v in values:
-            acc = accuracy_at(v)
-            rows.append((int(v), acc, acc / base_accuracy if base_accuracy else float("nan")))
     else:
         base_value = config.client.k_u
 
-        def accuracy_for(k_u: int) -> float:
-            probe = apply_overrides(cfg, {"client.k_u": int(k_u)})
-            _, final, _ = _run_all_repeats(probe, bundle)
+        def accuracy_at(k_u: int) -> float:
+            _, final, _ = _run_all_repeats(apply_overrides(cfg, {"client.k_u": int(k_u)}), bundle)
             return final["test"]["accuracy"]
 
-        base_accuracy = accuracy_for(base_value)
-        rows = []
-        for v in values:
-            acc = base_accuracy if v == base_value else accuracy_for(v)
-            rows.append((int(v), acc, acc / base_accuracy if base_accuracy else float("nan")))
+    base_accuracy = accuracy_at(base_value)
+    rows = []
+    for v in values:
+        acc = base_accuracy if v == base_value else accuracy_at(v)
+        rows.append((int(v), acc, acc / base_accuracy if base_accuracy else float("nan")))
 
     return SweepResult(axis=axis, base_value=base_value, base_accuracy=base_accuracy, rows=rows)
 
@@ -638,18 +623,18 @@ def tradeoff_curves(
     Returns per algorithm: (round, cumulative params, accuracy) rows.
     """
     every = eval_every or config.eval.every or max(1, config.rounds // 10)
+    base = apply_overrides(
+        replace(config, repeats=1),
+        {
+            "eval.regime": "recon",
+            "eval.every": int(every),
+            "eval.valid_repeats": max(config.eval.valid_repeats, 5),
+        },
+    )
+    bundle = prepare_task(base)
     curves: dict[str, list[tuple[int, int, float]]] = {}
     for algorithm in ("fedrecon", "fedavg"):
-        cfg = apply_overrides(
-            replace(config, repeats=1),
-            {
-                "algorithm": algorithm,
-                "eval.regime": "recon",
-                "eval.every": int(every),
-                "eval.valid_repeats": max(config.eval.valid_repeats, 5),
-            },
-        )
-        rows, final, out = _run_all_repeats(cfg)
+        rows, _, _ = _run_all_repeats(replace(base, algorithm=algorithm), bundle)
         curve = [
             (round_idx, cum, value)
             for round_idx, split, metric, value, cum in rows

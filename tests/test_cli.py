@@ -193,7 +193,7 @@ def _mf_blocks(embed_dim):
 
 
 @pytest.mark.parametrize(
-    "case", ["other_embed_dim", "other_task", "garbage_header", "missing_file"]
+    "case", ["other_embed_dim", "other_task", "garbage_header", "missing_file", "non_finite"]
 )
 def test_evaluate_bad_params_is_a_data_error(tmp_path, small_synthetic, capsys, case):
     from partialfed.runner import write_params
@@ -206,12 +206,19 @@ def test_evaluate_bad_params_is_a_data_error(tmp_path, small_synthetic, capsys, 
         task = ["--task", "oov_nwp"]
     elif case == "garbage_header":
         path.write_bytes(b"not a header\n" + bytes(64))
+    elif case == "non_finite":
+        blocks = _mf_blocks(embed_dim=3)
+        blocks[0].values[1] = np.inf
+        write_params(path, blocks)
     code = main(
         ["evaluate", "--config", str(small_synthetic), *synth_args(tmp_path), *task,
          "--params", str(path)]
     )
     assert code == 2
-    assert "data error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error" in err
+    if case == "non_finite":
+        assert str(path) in err and "'item_embeddings'" in err
 
 
 def test_sweep_rejects_non_integer_values(tmp_path, small_synthetic, capsys):
@@ -221,3 +228,64 @@ def test_sweep_rejects_non_integer_values(tmp_path, small_synthetic, capsys):
     )
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+METRICS_HEADER = "round,split,metric,value,cumulative_params_communicated"
+STEPS_HEADER = "{},accuracy,relative_accuracy"
+
+
+@pytest.mark.parametrize(
+    "recipe, args, files",
+    [
+        (
+            ["reproduce", "table2-mech"],
+            ["--task", "oov_nwp", "--seed", "11", "--rounds", "3", "--clients-per-round", "4",
+             "--eval-repeats", "1", "--eval-clients-per-repeat", "4"],
+            {"table2_mech.csv": "setting,accuracy",
+             "fedrecon_1_oov/metrics.csv": METRICS_HEADER},
+        ),
+        (
+            ["reproduce", "fig3"],
+            None,
+            {"fig3_k_r.csv": STEPS_HEADER.format("k_r"),
+             "fig3_k_u.csv": STEPS_HEADER.format("k_u")},
+        ),
+        (
+            ["reproduce", "fig4"],
+            None,
+            {"fig4.csv": "algorithm,round,cumulative_params_communicated,accuracy"},
+        ),
+        (
+            ["sweep", "--axis", "k-u", "--values", "1,3,2"],
+            None,
+            {"sweep_k_u.csv": STEPS_HEADER.format("k_u")},
+        ),
+    ],
+    ids=["table2-mech", "fig3", "fig4", "sweep"],
+)
+def test_recipe_files_share_one_csv_format(tmp_path, small_synthetic, recipe, args, files):
+    """Every result file is comma-separated with CRLF line ends; an integer
+    column holds plain integers and a float column the repr of each value."""
+    if args is None:  # the rating recipes run on the shrunken synthetic task
+        args = ["--config", str(small_synthetic), *synth_args(tmp_path)[:-2],
+                "--eval-every", "2"]
+    out = tmp_path / "rec"
+    assert main([*recipe, *args, "--output-dir", str(out)]) == 0
+    text_columns = {"setting", "algorithm", "split", "metric"}
+    int_columns = {"round", "cumulative_params_communicated", "k_r", "k_u"}
+    for name, header in files.items():
+        raw = (out / name).read_bytes()
+        assert raw.endswith(b"\r\n")
+        assert raw.count(b"\n") == raw.count(b"\r\n"), f"{name}: a bare LF line end"
+        lines = raw.decode("utf-8").split("\r\n")[:-1]
+        assert lines[0] == header
+        assert len(lines) > 1
+        columns = header.split(",")
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == len(columns), line
+            for column, f in zip(columns, fields):
+                if column in int_columns:
+                    assert f == str(int(f)), f"{name}: {column} {f!r}"
+                elif column not in text_columns:
+                    assert f == repr(float(f)), f"{name}: {column} {f!r} is not a float's repr"

@@ -18,6 +18,7 @@ from partialfed.config import (
 from partialfed.core import RngStreams
 from partialfed.errors import ConfigError, DataError, NumericalError
 from partialfed.runner import (
+    apply_overrides,
     grid_search,
     prepare_task,
     read_params,
@@ -279,6 +280,14 @@ class TestGridSearch:
         assert result.best_overrides == {"split.support_fraction": 0.5}
         assert result.entries[0][1] == result.entries[1][1]
 
+    @pytest.mark.parametrize("key", ["bogus.x", "seed.x"])
+    def test_key_naming_no_section_is_a_config_error(self, tmp_path, key):
+        cfg = synthetic_config(tmp_path, rounds=1)
+        with pytest.raises(ConfigError, match=key.split(".")[0]):
+            apply_overrides(cfg, {key: 1})
+        with pytest.raises(ConfigError, match=key.split(".")[0]):
+            grid_search(cfg, {key: [1]})
+
     def test_full_tuning_grid_at_desk_scale(self, tmp_path):
         # The standard 12-point grid, including the corner that diverges on
         # this geometry; the selected point must be sane and beat a level a
@@ -315,9 +324,14 @@ class TestSweepSteps:
             sweep_steps(synthetic_config(tmp_path), "k_x")
 
 
-def test_tradeoff_curves_shape(tmp_path):
+def test_tradeoff_curves_shape(tmp_path, monkeypatch):
+    from partialfed import runner
+
+    prepared = []
+    monkeypatch.setattr(runner, "prepare_task", lambda c: prepared.append(c) or prepare_task(c))
     cfg = synthetic_config(tmp_path, rounds=6)
     curves = tradeoff_curves(cfg, eval_every=2)
+    assert len(prepared) == 1  # both algorithms run on one prepared task
     assert set(curves) == {"fedrecon", "fedavg"}
     for rows in curves.values():
         assert len(rows) == 3
