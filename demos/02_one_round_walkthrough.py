@@ -22,6 +22,7 @@ from partialfed import (
     gen_synthetic_mf,
     matfac_spec,
     reconstruct,
+    server_moments,
     server_step,
     split_dataset,
 )
@@ -68,12 +69,15 @@ assert np.array_equal(weighted_delta[0], shuffled[0])
 print(f"\naggregated {len(results)} updates, total weight {total_weight:.0f}")
 
 # The server treats the aggregate as an antigradient; plain SGD with a unit
-# rate applies it directly, and the adaptive variants rescale it.
+# rate applies it directly, and the adaptive variants rescale it by moments
+# that the round loop starts once per run and the step advances in place.
 for kind in ("sgd", "adagrad", "yogi"):
     opt = ServerOptimizer(kind=kind, eta_s=1.0)
-    stepped = server_step(opt, g, weighted_delta)
+    moments = server_moments(opt, g)  # None for sgd
+    stepped = server_step(opt, g, weighted_delta, moments)
     move = np.linalg.norm(stepped[0].values - g[0].values)
-    print(f"server step ({kind:7s}): |g' - g| = {move:.4f}")
+    state = "" if moments is None else f", |v| = {np.linalg.norm(moments[1][0]):.4f}"
+    print(f"server step ({kind:7s}): |g' - g| = {move:.4f}{state}")
 
 # run_client_round runs exactly these steps: from the same seed it
 # reproduces the client delta bit for bit.

@@ -23,8 +23,6 @@ from .models import (
     TokenCodec,
     matfac_spec,
     oov_nwp_spec,
-    rating_accuracy,
-    rmse,
 )
 from .client import (
     ClientHyper,
@@ -44,6 +42,7 @@ from .server import (
     aggregate,
     run_training,
     sample_clients,
+    server_moments,
     server_step,
 )
 from .baselines import finetune_eval, train_centralized, train_fedavg

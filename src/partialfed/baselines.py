@@ -31,19 +31,10 @@ from .errors import ConfigError, DataError
 from .server import ServerOptimizer, TrainResult, run_training
 
 __all__ = [
-    "BASELINE_KINDS",
     "train_centralized",
     "train_fedavg",
     "finetune_eval",
 ]
-
-BASELINE_KINDS = (
-    "centralized",
-    "fedavg",
-    "finetune_local_only",
-    "finetune_full",
-    "fedrecon_plus_finetune",
-)
 
 
 def _merge_clients(clients: Mapping[int, ClientDataset]):
@@ -165,9 +156,10 @@ def train_fedavg(
     eval_fn=None,
     eval_every: int = 0,
 ) -> TrainResult:
-    """Full-parameter federated averaging: the identical round loop, except
-    every block is aggregated -- the server stores each client's local block
-    and hands it back when that client is sampled."""
+    """Full-parameter federated averaging: :func:`run_training` with
+    ``algorithm="fedavg"``, which aggregates every block -- the server stores
+    each client's local block and hands it back when that client is
+    sampled."""
     return run_training(
         spec,
         clients,
@@ -178,7 +170,6 @@ def train_fedavg(
         server_opt=server_opt,
         streams=streams,
         algorithm="fedavg",
-        aggregate_local=True,
         eval_fn=eval_fn,
         eval_every=eval_every,
     )

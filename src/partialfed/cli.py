@@ -72,7 +72,7 @@ _FLAG_MAP = {
     "centralized_rate": ("centralized.rate", float),
 }
 
-_TABLE2_MECH = {"task": "oov_nwp", "model.num_oov_buckets": 500}
+_TABLE2_MECH = {"task": "oov_nwp", "algorithm": "fedrecon", "model.num_oov_buckets": 500}
 
 # Table recipes: output file, the test metrics each row reports, and rows of
 # (setting, config overrides).  A row runs in its own directory, named by its

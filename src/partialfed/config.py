@@ -247,10 +247,6 @@ _TASK_DEFAULTS: dict[str, dict] = {
     },
 }
 
-# Optimizer state never belongs in a configuration document.
-_EXCLUDED_FIELDS = {"server": ("first_moment", "second_moment")}
-
-
 def _check_number(hint, value, where: str) -> None:
     """Reject a bool, a non-number or a non-finite value for a field typed
     int or float (optionally None)."""
@@ -268,8 +264,7 @@ def _check_number(hint, value, where: str) -> None:
 
 
 def _dataclass_from_dict(cls, values: Mapping[str, Any], path: str):
-    allowed = {f.name for f in fields(cls)} - set(_EXCLUDED_FIELDS.get(path, ()))
-    unknown = set(values) - allowed
+    unknown = set(values) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path or 'config'}")
     hints = typing.get_type_hints(cls)
@@ -320,23 +315,7 @@ def config_from_dict(values: Mapping[str, Any]) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """The JSON-ready inverse of :func:`config_from_dict`."""
-
-    def encode(obj, path: str):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            excluded = _EXCLUDED_FIELDS.get(path, ())
-            return {
-                f.name: encode(getattr(obj, f.name), f"{path}.{f.name}" if path else f.name)
-                for f in fields(obj)
-                if f.name not in excluded
-            }
-        if isinstance(obj, tuple):
-            return list(obj)
-        return obj
-
-    out = {}
-    for f in fields(ExperimentConfig):
-        out[f.name] = encode(getattr(config, f.name), f.name)
-    return out
+    return dataclasses.asdict(config)
 
 
 def load_config(

@@ -38,7 +38,3 @@ class RoundError(ValueError):
 
 class EvaluationError(ValueError):
     """Evaluation requested for a client without the required state."""
-
-
-class MetricUndefinedError(DataError):
-    """Metric requested on an empty input."""

@@ -48,17 +48,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalMode:
+    """The settings of :func:`recon_eval`; ``kind`` names it and takes no
+    other value (:func:`standard_eval` takes no mode)."""
+
     kind: str = "recon_eval"
     recon_hyper: ClientHyper | None = None
     repeats: int = 1
     clients_per_repeat: int = 50
 
     def __post_init__(self):
-        if self.kind not in ("standard_eval", "recon_eval"):
-            raise ConfigError(f"unknown eval kind {self.kind!r}")
+        if self.kind != "recon_eval":
+            raise ConfigError(f"eval kind must be recon_eval, got {self.kind!r}")
         if self.repeats < 1 or self.clients_per_repeat < 1:
             raise ConfigError("repeats and clients_per_repeat must be positive")
-        if self.kind == "recon_eval" and self.recon_hyper is None:
+        if self.recon_hyper is None:
             raise ConfigError("recon_eval needs reconstruction hyperparameters")
 
 

@@ -24,13 +24,11 @@ from .core import (
     fnv1a64,
     round_half_away,
 )
-from .errors import ConfigError, DataError, MetricUndefinedError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "MatFacConfig",
     "matfac_spec",
-    "rmse",
-    "rating_accuracy",
     "NwpConfig",
     "TokenCodec",
     "oov_nwp_spec",
@@ -40,46 +38,6 @@ __all__ = [
     "OOV_ID",
     "NUM_SPECIAL",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Shared metric helpers
-# ---------------------------------------------------------------------------
-
-
-def rmse(predictions, targets) -> float:
-    """Root-mean-square error on raw (unclamped, unrounded) predictions."""
-    p = np.asarray(predictions, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if p.size == 0 or p.size != t.size:
-        raise MetricUndefinedError("rmse needs equally sized, nonempty inputs")
-    return float(np.sqrt(np.mean((p - t) ** 2)))
-
-
-def rating_accuracy(
-    predictions,
-    targets,
-    *,
-    clamp: bool = False,
-    rating_min: float = 1.0,
-    rating_max: float = 5.0,
-) -> float:
-    """Fraction of predictions that round (half away from zero) to the target.
-
-    Predictions are rounded raw by default, so an untrained model whose
-    predictions sit near zero scores ~0 rather than picking up credit for
-    the lowest rating; pass ``clamp=True`` to clip into the rating range
-    first.
-    """
-    p = np.asarray(predictions, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if p.size == 0 or p.size != t.size:
-        raise MetricUndefinedError("accuracy needs equally sized, nonempty inputs")
-    if np.any((t < 1) | (t > 5) | (t != np.round(t))):
-        raise DataError("rating targets must be integers in 1..5")
-    if clamp:
-        p = np.clip(p, rating_min, rating_max)
-    return float(np.mean(round_half_away(p) == t))
 
 
 # ---------------------------------------------------------------------------

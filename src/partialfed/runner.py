@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .baselines import train_centralized, train_fedavg
+from .baselines import train_centralized
 from .config import (
     ExperimentConfig,
     MATFAC_GRID,
@@ -293,21 +293,19 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
                 )
             )
 
-        common = dict(
+        result = run_training(
+            spec,
+            bundle.train_clients,
             rounds=config.rounds,
             clients_per_round=min(config.clients_per_round, len(bundle.train_clients)),
+            policy=config.split,
             hyper=config.client,
             server_opt=config.server,
             streams=streams,
+            algorithm=config.algorithm,
             eval_fn=on_eval,
             eval_every=config.eval.every,
         )
-        if config.algorithm == "fedrecon":
-            result = run_training(
-                spec, bundle.train_clients, policy=config.split, algorithm="fedrecon", **common
-            )
-        else:
-            result = train_fedavg(spec, bundle.train_clients, **common)
         g_final, local_store = result.global_params, result.local_store
 
         cum_per_round = np.cumsum([r.params_total for r in result.comm_records]).tolist()

@@ -1,10 +1,10 @@
 """Round orchestration: client sampling, weighted aggregation, and pluggable
 server optimizers driven by the aggregated update as an antigradient.
 
-The same loop runs both the partially local algorithm (only global blocks
-aggregated; local parameters rebuilt on clients every round) and the
-full-aggregation baseline (``aggregate_local=True``: the server also stores
-every client's local block, overwritten by its owner's update).
+The same loop runs both the partially local algorithm (``fedrecon``: only
+global blocks aggregated; local parameters rebuilt on clients every round)
+and the full-aggregation baseline (``fedavg``: the server also stores every
+client's local block, overwritten by its owner's update).
 """
 
 from __future__ import annotations
@@ -45,18 +45,20 @@ __all__ = [
     "init_local_store",
     "sample_clients",
     "aggregate",
+    "server_moments",
     "server_step",
     "run_training",
 ]
 
 OPTIMIZER_KINDS = ("sgd", "adagrad", "yogi")
+FEDERATED_ALGORITHMS = ("fedrecon", "fedavg")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServerOptimizer:
-    """Server-side optimizer state; ``sgd`` is stateless and applies the
-    weighted update directly, the adaptive variants treat its negation as a
-    gradient.
+    """Server optimizer settings; ``sgd`` applies the weighted update
+    directly, the adaptive variants treat its negation as a gradient and keep
+    per-block moments (:func:`server_moments`), which belong to one run.
 
     The second moment starts at tau**2 for Yogi and at 0 for Adagrad.  Reddi
     et al., *Adaptive Federated Optimization* (ICLR 2021, Algorithm 2), start
@@ -70,8 +72,6 @@ class ServerOptimizer:
     beta1: float = 0.9
     beta2: float = 0.99
     tau: float = 1e-3
-    first_moment: list[np.ndarray] | None = None
-    second_moment: list[np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
@@ -83,9 +83,6 @@ class ServerOptimizer:
         if not 0 < self.tau < math.inf:
             raise ConfigError("tau must be finite and positive")
 
-    def fresh(self) -> "ServerOptimizer":
-        return replace(self, first_moment=None, second_moment=None)
-
 
 @dataclass
 class RoundReport:
@@ -93,8 +90,6 @@ class RoundReport:
     sampled_clients: list[int]
     total_weight: float
     train_metrics: dict[str, float]
-    comm_params_this_round: int
-    weighted_delta: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -162,10 +157,26 @@ def aggregate(
     return acc, total
 
 
+Moments = tuple[list[np.ndarray], list[np.ndarray]]
+
+
+def server_moments(opt: ServerOptimizer, g: Blocks) -> Moments | None:
+    """An adaptive optimizer's first and second moments at their start, one
+    flat array per global block; ``None`` for ``sgd``, which keeps none."""
+    if opt.kind == "sgd":
+        return None
+    start = opt.tau**2 if opt.kind == "yogi" else 0.0
+    return [np.zeros(b.values.size) for b in g], [np.full(b.values.size, start) for b in g]
+
+
 def server_step(
-    opt: ServerOptimizer, g: Blocks, weighted_delta: Sequence[np.ndarray]
+    opt: ServerOptimizer,
+    g: Blocks,
+    weighted_delta: Sequence[np.ndarray],
+    moments: Moments | None,
 ) -> list[ParamBlock]:
-    """Apply one server update; mutates the optimizer's moment state."""
+    """Apply one server update; an adaptive kind advances ``moments`` (from
+    :func:`server_moments`) in place."""
     if len(weighted_delta) != len(g):
         raise ShapeMismatchError("weighted delta does not match global blocks")
     if opt.kind == "sgd":
@@ -174,18 +185,9 @@ def server_step(
             for b, d in zip(g, weighted_delta)
         ]
 
-    if opt.first_moment is None:
-        opt.first_moment = [np.zeros(b.values.size) for b in g]
-        if opt.kind == "yogi":
-            opt.second_moment = [np.full(b.values.size, opt.tau**2) for b in g]
-        else:
-            opt.second_moment = [np.zeros(b.values.size) for b in g]
-
     out = []
-    for bi, (b, delta) in enumerate(zip(g, weighted_delta)):
+    for b, delta, m, v in zip(g, weighted_delta, *moments):
         d = -np.asarray(delta, dtype=np.float64).ravel()
-        m = opt.first_moment[bi]
-        v = opt.second_moment[bi]
         m[:] = opt.beta1 * m + (1.0 - opt.beta1) * d
         if opt.kind == "adagrad":
             v[:] = v + d * d
@@ -208,32 +210,35 @@ def run_training(
     server_opt: ServerOptimizer,
     streams: RngStreams,
     algorithm: str = "fedrecon",
-    aggregate_local: bool = False,
     eval_fn: Callable[[int, Blocks, dict | None], None] | None = None,
     eval_every: int = 0,
-    retain_deltas: bool = False,
 ) -> TrainResult:
     """Run `rounds` rounds of sample -> split/reconstruct/update of the
     sampled cohort (:func:`run_cohort`) -> weighted aggregation -> server
-    step.
+    step.  The server optimizer's moments live for this call only.
 
-    With ``aggregate_local`` the server holds every client's local block;
-    sampled clients start from their stored block, train all parameters
-    jointly on their full dataset, and their stored block is overwritten by
-    the result (owner-overwrite aggregation).
+    ``fedrecon`` aggregates the global blocks alone.  Under ``fedavg`` the
+    server holds every client's local block; sampled clients start from their
+    stored block, train all parameters jointly on their full dataset
+    (``policy`` is not used), and their stored block is overwritten by the
+    result (owner-overwrite aggregation).
     """
+    if algorithm not in FEDERATED_ALGORITHMS:
+        raise ConfigError(
+            f"run_training runs one of {FEDERATED_ALGORITHMS}, got {algorithm!r}"
+        )
+    fedavg = algorithm == "fedavg"
     population = sorted(clients)
     g = spec.init_global(streams.generator("global_init"))
-    opt = server_opt.fresh()
+    moments = server_moments(server_opt, g)
 
     local_store: dict[int, list[ParamBlock]] | None = None
-    eff_policy, eff_hyper = policy, hyper
-    if aggregate_local:
+    if fedavg:
         local_store = init_local_store(spec, population, streams, "server_local_init")
         # Full aggregation: no support/query split, all parameters stepped
         # together on the client's whole dataset.
-        eff_policy = SplitPolicy(kind="no_split")
-        eff_hyper = replace(hyper, joint_training=True)
+        policy = SplitPolicy(kind="no_split")
+        hyper = replace(hyper, joint_training=True)
 
     g_size = blocks_size(g)
     reports: list[RoundReport] = []
@@ -246,32 +251,32 @@ def run_training(
                 spec,
                 g,
                 [clients[cid] for cid in sampled],
-                eff_policy,
-                eff_hyper,
+                policy,
+                hyper,
                 streams,
                 t,
-                initial_locals=[local_store[cid] for cid in sampled] if aggregate_local else None,
+                initial_locals=[local_store[cid] for cid in sampled] if fedavg else None,
             )
         except NumericalError as e:
             raise NumericalError(f"round {t}, {e}") from e
         weighted_delta, total = aggregate(results, g)
-        g = server_step(opt, g, weighted_delta)
-        if aggregate_local:
+        g = server_step(server_opt, g, weighted_delta, moments)
+        if fedavg:
             for res in results:
                 if res.updated_local is not None:
                     local_store[res.client_id] = res.updated_local
 
-        local_total = (
-            sum(blocks_size(local_store[cid]) for cid in sampled) if aggregate_local else 0
+        comm_records.append(
+            CommRecord(
+                algorithm=algorithm,
+                round=t,
+                num_clients=len(sampled),
+                global_params=g_size,
+                local_params_total=(
+                    sum(blocks_size(local_store[cid]) for cid in sampled) if fedavg else 0
+                ),
+            )
         )
-        comm = CommRecord(
-            algorithm=algorithm,
-            round=t,
-            num_clients=len(sampled),
-            global_params=g_size,
-            local_params_total=local_total,
-        )
-        comm_records.append(comm)
         reports.append(
             RoundReport(
                 round=t,
@@ -280,8 +285,6 @@ def run_training(
                 train_metrics=finalize_metrics(
                     merge_metrics(res.query_metrics for res in results)
                 ),
-                comm_params_this_round=comm.params_total,
-                weighted_delta=weighted_delta if retain_deltas else None,
             )
         )
         del results  # this round's deltas must not live on through the next cohort

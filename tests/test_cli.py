@@ -142,6 +142,31 @@ def test_reproduce_table2_mech(tmp_path, capsys):
     assert "fedrecon 1 oov" in table
 
 
+def test_table2_mech_rows_train_fedrecon_whatever_the_flag(tmp_path):
+    out = tmp_path / "t2"
+    code = main(
+        [
+            "reproduce", "table2-mech", "--algorithm", "fedavg",
+            "--task", "oov_nwp", "--seed", "11", "--rounds", "2", "--clients-per-round", "4",
+            "--eval-repeats", "1", "--eval-clients-per-repeat", "4",
+            "--output-dir", str(out),
+        ]
+    )
+    assert code == 0
+    rows = {
+        "fedrecon_500_oov": (500, "by_timestamp_half", False),
+        "fedrecon_1_oov": (1, "by_timestamp_half", False),
+        "fedrecon_500_oov_no_split": (500, "no_split", False),
+        "fedrecon_500_oov_joint": (500, "by_timestamp_half", True),
+    }
+    for row, (buckets, split, joint) in rows.items():
+        config = json.loads((out / row / "manifest.json").read_text())["config"]
+        assert config["task"] == "oov_nwp" and config["algorithm"] == "fedrecon", row
+        assert config["model"]["num_oov_buckets"] == buckets, row
+        assert config["split"]["kind"] == split, row
+        assert config["client"]["joint_training"] is joint, row
+
+
 def test_reproduce_fig4(tmp_path):
     code = main(
         [

@@ -39,7 +39,14 @@ from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
 from partialfed.errors import NumericalError
 from partialfed.evaluation import EvalMode, _finalize_with_macro, recon_eval
 from partialfed.models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
-from partialfed.server import ServerOptimizer, aggregate, run_training, sample_clients, server_step
+from partialfed.server import (
+    ServerOptimizer,
+    aggregate,
+    run_training,
+    sample_clients,
+    server_moments,
+    server_step,
+)
 
 TOL = 1e-12
 
@@ -352,17 +359,19 @@ def test_nwp_cohort_is_the_mapped_client_round(case, per_call):
 
 
 def reference_training(spec, clients, *, rounds, clients_per_round, policy, hyper, streams,
-                       aggregate_local):
+                       algorithm):
     """run_training's loop, one run_client_round per sampled client."""
     population = sorted(clients)
     g = spec.init_global(streams.generator("global_init"))
-    opt = ServerOptimizer().fresh()
+    opt = ServerOptimizer()
+    moments = server_moments(opt, g)
+    fedavg = algorithm == "fedavg"
     store = (
         {cid: spec.init_local(streams.generator(cid, "server_local_init")) for cid in population}
-        if aggregate_local
+        if fedavg
         else None
     )
-    if aggregate_local:
+    if fedavg:
         policy = SplitPolicy(kind="no_split")
         hyper = dataclasses.replace(hyper, joint_training=True)
     train_metrics = []
@@ -370,13 +379,13 @@ def reference_training(spec, clients, *, rounds, clients_per_round, policy, hype
         results = [
             run_client_round(
                 spec, g, clients[cid], policy, hyper, streams, t,
-                initial_local=store[cid] if aggregate_local else None,
+                initial_local=store[cid] if fedavg else None,
             )
             for cid in sample_clients(population, clients_per_round, streams, t)
         ]
         delta, _ = aggregate(results, g)
-        g = server_step(opt, g, delta)
-        if aggregate_local:
+        g = server_step(opt, g, delta, moments)
+        if fedavg:
             for res in results:
                 store[res.client_id] = res.updated_local
         train_metrics.append(finalize_metrics(merge_metrics(r.query_metrics for r in results)))
@@ -390,11 +399,10 @@ def owner_budget(spec, g, per_call):
     return mock.patch.object(client_module, "_OWNER_BUDGET", per_call * per_owner)
 
 
-def assert_training_matches_the_client_loop(spec, clients, aggregate_local):
+def assert_training_matches_the_client_loop(spec, clients, algorithm):
     clients = {ds.client_id: ds for ds in clients}
     kwargs = dict(
-        rounds=2, clients_per_round=6, policy=SplitPolicy(), hyper=HYPER,
-        aggregate_local=aggregate_local,
+        rounds=2, clients_per_round=6, policy=SplitPolicy(), hyper=HYPER, algorithm=algorithm,
     )
     got = run_training(spec, clients, server_opt=ServerOptimizer(), streams=RngStreams(31),
                        **kwargs)
@@ -405,7 +413,7 @@ def assert_training_matches_the_client_loop(spec, clients, aggregate_local):
         assert set(report.train_metrics) == set(want)
         for k in want:
             assert_close(report.train_metrics[k], want[k], f"round {report.round} {k}")
-    if aggregate_local:
+    if algorithm == "fedavg":
         for cid in store:
             assert_close(got.local_store[cid][0].values, store[cid][0].values, f"store {cid}")
 
@@ -437,18 +445,18 @@ def assert_recon_eval_matches_the_client_loop(spec, clients):
             assert_close(per_repeat[k], want[k], f"repeat {rep} {k}")
 
 
-@pytest.mark.parametrize("aggregate_local", [False, True])
-def test_two_rounds_of_training_match_the_client_loop(aggregate_local):
+@pytest.mark.parametrize("algorithm", ["fedrecon", "fedavg"])
+def test_two_rounds_of_training_match_the_client_loop(algorithm):
     spec, clients = mf_population(num_users=10)
-    assert_training_matches_the_client_loop(spec, clients, aggregate_local)
+    assert_training_matches_the_client_loop(spec, clients, algorithm)
 
 
-@pytest.mark.parametrize("aggregate_local", [False, True])
-def test_two_rounds_of_nwp_training_in_owner_chunks_match_the_client_loop(aggregate_local):
+@pytest.mark.parametrize("algorithm", ["fedrecon", "fedavg"])
+def test_two_rounds_of_nwp_training_in_owner_chunks_match_the_client_loop(algorithm):
     # Six clients a round in chunks of four: a full chunk and a short one.
     spec, clients = nwp_population(num_clients=10)
     with owner_budget(spec, spec.init_global(RngStreams(0).generator("g")), 4):
-        assert_training_matches_the_client_loop(spec, clients, aggregate_local)
+        assert_training_matches_the_client_loop(spec, clients, algorithm)
 
 
 def test_two_repeats_of_recon_eval_match_the_client_loop():
@@ -511,7 +519,7 @@ def test_nan_in_training_names_round_and_client(algorithm, model, position):
             run_training(
                 nan_kernel(spec), clients, rounds=1, clients_per_round=len(clients), policy=SplitPolicy(),
                 hyper=HYPER, server_opt=ServerOptimizer(), streams=RngStreams(3),
-                aggregate_local=algorithm == "fedavg",
+                algorithm=algorithm,
             )
 
 

@@ -1,7 +1,7 @@
 import json
 import typing
 import warnings
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -100,6 +100,13 @@ class TestConfig:
         cfg = load_config(path, {"rounds": 3})
         assert cfg.rounds == 3 and cfg.seed == 1
 
+    @pytest.mark.parametrize("task", ["matfac", "oov_nwp", "synthetic"])
+    def test_config_is_frozen_and_hashable(self, task):
+        cfg = load_config(overrides={"task": task})
+        assert hash(cfg) == hash(load_config(overrides={"task": task}))
+        with pytest.raises(FrozenInstanceError):
+            cfg.server.eta_s = 0.5
+
     def test_round_trip_through_dict(self):
         cfg = load_config(None, {"task": "oov_nwp", "seed": 42})
         assert config_from_dict(config_to_dict(cfg)) == cfg
@@ -138,12 +145,21 @@ class TestRunExperiment:
         header = result.csv_path.read_text().splitlines()[0]
         assert header == "round,split,metric,value,cumulative_params_communicated"
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        cfg = synthetic_config(tmp_path)
+    @pytest.mark.parametrize("algorithm, regime", [("fedrecon", "recon"), ("fedavg", "standard")])
+    @pytest.mark.parametrize("server", ["sgd", "adagrad", "yogi"])
+    def test_rerun_is_byte_identical(self, tmp_path, server, algorithm, regime):
+        # Both runs share one config object, so optimizer moments left over
+        # from the first run would change the second.  Twenty ratings a user
+        # leave two test examples under the time split.
+        cfg = synthetic_config(tmp_path, algorithm=algorithm, **{
+            "eval.regime": regime, "server.kind": server,
+            "data.synthetic.num_items": 24, "data.synthetic.ratings_per_user": 20,
+        })
         first = run_experiment(cfg)
-        second = run_experiment(replace(cfg, output_dir=str(tmp_path / "again")))
-        assert first.csv_path.read_bytes() == second.csv_path.read_bytes()
-        assert first.params_path.read_bytes() == second.params_path.read_bytes()
+        csv, params = first.csv_path.read_bytes(), first.params_path.read_bytes()
+        second = run_experiment(cfg)
+        assert second.csv_path.read_bytes() == csv
+        assert second.params_path.read_bytes() == params
 
     def test_manifest_rerun_reproduces_csv(self, tmp_path):
         cfg = synthetic_config(tmp_path)
@@ -399,9 +415,7 @@ def numeric_fields(cls=ExperimentConfig, path=""):
         kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
         if is_dataclass(hints[f.name]):
             yield from numeric_fields(hints[f.name], where)
-        elif (int in kinds or float in kinds) and f.name not in (
-            "first_moment", "second_moment"
-        ):
+        elif int in kinds or float in kinds:
             yield where
 
 

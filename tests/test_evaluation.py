@@ -9,7 +9,7 @@ from partialfed.data import (
     split_each_client_by_time,
     split_users,
 )
-from partialfed.errors import EvaluationError
+from partialfed.errors import ConfigError, EvaluationError
 from partialfed.evaluation import (
     EvalMode,
     _finalize_with_macro,
@@ -240,6 +240,12 @@ class TestSplits:
         ds = ClientDataset.from_examples(0, [Example(features=0, target=1.0)])
         train, val, test = split_each_client_by_time(ds)
         assert train.n == 1 and val.n == 0 and test.n == 0
+
+
+def test_eval_mode_names_only_recon_eval():
+    # standard_eval takes no mode, and recon_eval always reconstructs.
+    with pytest.raises(ConfigError):
+        EvalMode(kind="standard_eval", recon_hyper=ClientHyper(k_r=1, eta_r=0.1))
 
 
 def test_recon_eval_rejects_empty_client_list():

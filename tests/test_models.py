@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from partialfed.core import Batch, ParamBlock, check_gradients
-from partialfed.errors import DataError, MetricUndefinedError
+from partialfed.errors import DataError
 from partialfed.models import (
     EOS_ID,
     MatFacConfig,
@@ -14,8 +14,6 @@ from partialfed.models import (
     TokenCodec,
     matfac_spec,
     oov_nwp_spec,
-    rating_accuracy,
-    rmse,
 )
 from oracles import fd_gradient
 
@@ -23,46 +21,6 @@ from oracles import fd_gradient
 def mf_batch(items, ratings):
     items = np.asarray(items, dtype=np.int64)
     return Batch(items, np.asarray(ratings, dtype=float), np.ones(len(items)))
-
-
-class TestRatingMetrics:
-    def test_rmse_perfect(self):
-        assert rmse([1.0, 1.0], [1.0, 1.0]) == 0.0
-
-    def test_rmse_single_error(self):
-        assert rmse([0.0], [2.0]) == 2.0
-
-    def test_rmse_mean_of_squares(self):
-        assert rmse([1.0, 3.0], [2.0, 2.0]) == pytest.approx(1.0)
-
-    def test_rmse_empty_rejected(self):
-        with pytest.raises(MetricUndefinedError):
-            rmse([], [])
-
-    def test_accuracy_rounds_to_target(self):
-        assert rating_accuracy([2.4], [2]) == 1.0
-
-    def test_accuracy_half_away_from_zero(self):
-        assert rating_accuracy([2.5], [3]) == 1.0
-
-    def test_accuracy_out_of_range_prediction(self):
-        # Raw rounding: a wild prediction earns no credit unless clamped.
-        assert rating_accuracy([7.0], [5]) == 0.0
-        assert rating_accuracy([7.0], [5], clamp=True) == 1.0
-
-    def test_untrained_predictions_near_zero_score_zero(self):
-        preds = np.array([0.02, -0.1, 0.3])
-        assert rating_accuracy(preds, [1, 1, 1]) == 0.0
-
-    def test_accuracy_validates_targets(self):
-        with pytest.raises(DataError):
-            rating_accuracy([1.0], [0])
-        with pytest.raises(DataError):
-            rating_accuracy([1.0], [3.5])
-
-    def test_accuracy_empty_rejected(self):
-        with pytest.raises(MetricUndefinedError):
-            rating_accuracy([], [])
 
 
 class TestMatFacSpec:
@@ -86,6 +44,34 @@ class TestMatFacSpec:
         stats = spec.metrics(g, l, batch)
         assert stats["mse"].value == pytest.approx(np.mean(batch.targets**2), rel=1e-15)
         assert stats["accuracy"].value == 0.0
+
+    @staticmethod
+    def predicting(values):
+        """A model whose prediction for item ``i`` is ``values[i]``."""
+        spec = matfac_spec(MatFacConfig(num_items=len(values), embed_dim=2))
+        g = [ParamBlock.of("item_embeddings", np.stack([values, np.zeros(len(values))], 1))]
+        return spec, g, [ParamBlock.of("user_embedding", np.array([1.0, 0.0]))]
+
+    @pytest.mark.parametrize(
+        "prediction, target, hit",
+        [
+            (2.4, 2.0, 1.0),
+            (2.5, 3.0, 1.0),  # half rounds away from zero
+            (7.0, 5.0, 0.0),  # raw rounding: no credit outside the rating range
+            (0.02, 1.0, 0.0),  # an untrained model's near-zero predictions score 0
+            (-0.1, 1.0, 0.0),
+            (0.3, 1.0, 0.0),
+        ],
+    )
+    def test_accuracy_rounds_raw_predictions(self, prediction, target, hit):
+        spec, g, l = self.predicting([prediction])
+        assert spec.metrics(g, l, mf_batch([0], [target]))["accuracy"].value == hit
+
+    @pytest.mark.parametrize("target", [0.0, 3.5])
+    def test_targets_outside_the_rating_scale_are_data_errors(self, target):
+        spec, g, l = self.predicting([1.0])
+        with pytest.raises(DataError):
+            spec.metrics(g, l, mf_batch([0], [target]))
 
     def test_owner_axis_metrics_are_each_owners_flat_metrics(self, mf_toy):
         # Two owners padded to width 4: masked entries (a copy of the owner's

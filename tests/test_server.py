@@ -11,6 +11,7 @@ from partialfed.client import (
     RowDelta,
     SplitPolicy,
     delta_to_dense,
+    run_client_round,
 )
 from partialfed.core import ParamBlock, RngStreams
 from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
@@ -21,6 +22,7 @@ from partialfed.server import (
     aggregate,
     run_training,
     sample_clients,
+    server_moments,
     server_step,
 )
 from oracles import oracle_weighted_mean
@@ -176,57 +178,63 @@ class TestAggregateProperties:
         results, g = drawn
         g = [ParamBlock.of("g", np.random.default_rng(seed).normal(size=g[0].shape))]
         delta, _ = aggregate(results, g)
-        out = server_step(ServerOptimizer(kind="sgd", eta_s=1.0), g, delta)
+        out = server_step(ServerOptimizer(kind="sgd", eta_s=1.0), g, delta, None)
         assert np.array_equal(out[0].values, g[0].values + delta[0])
 
 
 class TestServerStep:
     def test_sgd_applies_weighted_delta(self):
         g = template()
-        out = server_step(ServerOptimizer(kind="sgd", eta_s=1.0), g, [np.array([2.0])])
+        out = server_step(ServerOptimizer(kind="sgd", eta_s=1.0), g, [np.array([2.0])], None)
         assert out[0].values.tolist() == [2.0]
 
     def test_sgd_zero_delta_is_identity(self):
         g = [ParamBlock.of("g", np.array([1.0, -1.0]))]
-        out = server_step(ServerOptimizer(kind="sgd", eta_s=0.7), g, [np.zeros(2)])
+        out = server_step(ServerOptimizer(kind="sgd", eta_s=0.7), g, [np.zeros(2)], None)
         assert np.array_equal(out[0].values, g[0].values)
 
     def test_adagrad_first_step_closed_form(self):
         opt = ServerOptimizer(kind="adagrad", eta_s=1.0, beta1=0.0, tau=1e-3)
         g = template()
-        out = server_step(opt, g, [np.array([3.0])])  # pseudo-gradient d = -3... sign flips
+        out = server_step(opt, g, [np.array([3.0])], server_moments(opt, g))
         # weighted_delta = +3 means d = -3: the step ASCENDS by 3/(3+1e-3)
         assert out[0].values[0] == pytest.approx(3.0 / (3.0 + 1e-3))
 
     def test_adagrad_descends_on_negative_delta(self):
         opt = ServerOptimizer(kind="adagrad", eta_s=1.0, beta1=0.0, tau=1e-3)
-        out = server_step(opt, template(), [np.array([-3.0])])
+        g = template()
+        out = server_step(opt, g, [np.array([-3.0])], server_moments(opt, g))
         assert out[0].values[0] == pytest.approx(-3.0 / (3.0 + 1e-3))
 
     def test_yogi_second_moment_initialized_at_tau_squared(self):
         opt = ServerOptimizer(kind="yogi", eta_s=0.1, tau=1e-2)
-        server_step(opt, template(), [np.array([1.0])])
+        g = template()
+        moments = server_moments(opt, g)
+        assert moments[1][0][0] == pytest.approx(1e-4)
+        server_step(opt, g, [np.array([1.0])], moments)
         # after one step: v = tau^2 - (1-beta2) d^2 sign(tau^2 - d^2)
         expected = 1e-4 - 0.01 * 1.0 * np.sign(1e-4 - 1.0)
-        assert opt.second_moment[0][0] == pytest.approx(expected)
+        assert moments[1][0][0] == pytest.approx(expected)
 
     def test_adaptive_zero_delta_moves_at_most_stale_momentum(self):
         opt = ServerOptimizer(kind="adagrad", eta_s=0.5, beta1=0.9, tau=1e-3)
         g = template()
-        out = server_step(opt, g, [np.array([2.0])])
+        moments = server_moments(opt, g)
+        out = server_step(opt, g, [np.array([2.0])], moments)
         before = out[0].values.copy()
-        out2 = server_step(opt, out, [np.zeros(1)])
+        out2 = server_step(opt, out, [np.zeros(1)], moments)
         move = abs(out2[0].values[0] - before[0])
-        assert move <= 0.5 * abs(opt.first_moment[0][0]) / 1e-3 + 1e-12
+        assert move <= 0.5 * abs(moments[0][0][0]) / 1e-3 + 1e-12
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             ServerOptimizer(kind="adam")
 
-    def test_fresh_drops_state(self):
-        opt = ServerOptimizer(kind="yogi")
-        server_step(opt, template(), [np.array([1.0])])
-        assert opt.fresh().first_moment is None
+    def test_five_settings_and_no_moments_for_sgd(self):
+        assert [f.name for f in dataclasses.fields(ServerOptimizer)] == [
+            "kind", "eta_s", "beta1", "beta2", "tau"
+        ]
+        assert server_moments(ServerOptimizer(kind="sgd"), template()) is None
 
 
 def make_population(num_users=6, num_items=6, seed=2):
@@ -254,18 +262,22 @@ class TestRunTraining:
 
     def test_single_client_single_step_composition(self):
         # One round, one client, one step, unit server rate: the new global
-        # parameters move by exactly the client's delta.
+        # parameters move by exactly the aggregate of the client's round.
         spec, clients = make_population()
-        streams = RngStreams(5)
         hyper = ClientHyper(k_r=2, k_u=1, eta_r=0.2, eta_u=0.3, batch_size=100)
         out = run_training(
             spec, clients, rounds=1, clients_per_round=1, policy=SplitPolicy(),
             hyper=hyper, server_opt=ServerOptimizer(kind="sgd", eta_s=1.0),
-            streams=streams, retain_deltas=True,
+            streams=RngStreams(5),
         )
         init = spec.init_global(RngStreams(5).generator("global_init"))
+        results = [
+            run_client_round(spec, init, clients[cid], SplitPolicy(), hyper, RngStreams(5), 0)
+            for cid in out.reports[0].sampled_clients
+        ]
+        weighted_delta, _ = aggregate(results, init)
         moved = out.global_params[0].values - init[0].values
-        np.testing.assert_allclose(moved, out.reports[0].weighted_delta[0], atol=1e-15)
+        np.testing.assert_allclose(moved, weighted_delta[0], atol=1e-15)
 
     def test_identical_clients_match_single_client_training(self):
         # Same data everywhere, shared local init, full batches: the
@@ -304,17 +316,33 @@ class TestRunTraining:
 
     def test_equal_seeds_give_bit_identical_trajectories(self):
         spec, clients = make_population()
-        kwargs = dict(
-            rounds=4, clients_per_round=3, policy=SplitPolicy(),
-            hyper=ClientHyper(k_r=2, k_u=2, eta_r=0.2, eta_u=0.1, batch_size=2),
-            retain_deltas=True,
-        )
-        a = run_training(spec, clients, server_opt=ServerOptimizer(), streams=RngStreams(21), **kwargs)
-        b = run_training(spec, clients, server_opt=ServerOptimizer(), streams=RngStreams(21), **kwargs)
+
+        def trajectory():
+            seen = []
+            out = run_training(
+                spec, clients, rounds=4, clients_per_round=3, policy=SplitPolicy(),
+                hyper=ClientHyper(k_r=2, k_u=2, eta_r=0.2, eta_u=0.1, batch_size=2),
+                server_opt=ServerOptimizer(), streams=RngStreams(21),
+                eval_fn=lambda t, g, store: seen.append(g[0].values.copy()), eval_every=1,
+            )
+            return out, seen
+
+        (a, seen_a), (b, seen_b) = trajectory(), trajectory()
         assert np.array_equal(a.global_params[0].values, b.global_params[0].values)
-        for ra, rb in zip(a.reports, b.reports):
+        assert len(seen_a) == len(seen_b) == 4
+        for ra, rb, ga, gb in zip(a.reports, b.reports, seen_a, seen_b):
             assert ra.sampled_clients == rb.sampled_clients
-            assert np.array_equal(ra.weighted_delta[0], rb.weighted_delta[0])
+            assert np.array_equal(ga, gb)
+
+    @pytest.mark.parametrize("algorithm", ["centralized", "bogus"])
+    def test_only_federated_algorithms_run(self, algorithm):
+        spec, clients = make_population()
+        with pytest.raises(ConfigError, match=algorithm):
+            run_training(
+                spec, clients, rounds=1, clients_per_round=2, policy=SplitPolicy(),
+                hyper=ClientHyper(), server_opt=ServerOptimizer(), streams=RngStreams(4),
+                algorithm=algorithm,
+            )
 
     def test_numerical_error_carries_context(self):
         spec, clients = make_population()
