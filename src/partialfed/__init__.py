@@ -45,7 +45,7 @@ from .server import (
     server_moments,
     server_step,
 )
-from .baselines import finetune_eval, train_centralized, train_fedavg
+from .baselines import train_centralized, train_fedavg
 from .evaluation import (
     CommRecord,
     EvalMode,

@@ -1,5 +1,5 @@
-"""Comparison algorithms: centralized training over the pooled dataset,
-full-parameter federated averaging, and finetuning-style evaluation."""
+"""Comparison algorithms: centralized training over the pooled dataset and
+full-parameter federated averaging."""
 
 from __future__ import annotations
 
@@ -7,16 +7,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .client import (
-    ClientHyper,
-    SplitPolicy,
-    batch_schedule,
-    reconstruct,
-    split_dataset,
-)
+from .client import ClientHyper, SplitPolicy
 from .core import (
     Batch,
-    Blocks,
     ClientDataset,
     ModelSpec,
     ParamBlock,
@@ -24,8 +17,6 @@ from .core import (
     _require_finite,
     _rows_at,
     _sgd_step,
-    copy_blocks,
-    finalize_metrics,
 )
 from .errors import ConfigError, DataError
 from .server import ServerOptimizer, TrainResult, run_training
@@ -33,7 +24,6 @@ from .server import ServerOptimizer, TrainResult, run_training
 __all__ = [
     "train_centralized",
     "train_fedavg",
-    "finetune_eval",
 ]
 
 
@@ -174,69 +164,3 @@ def train_fedavg(
         eval_every=eval_every,
     )
 
-
-@np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
-def finetune_eval(
-    kind: str,
-    spec: ModelSpec,
-    g: Blocks,
-    local_init: Blocks,
-    client: ClientDataset,
-    *,
-    steps: int,
-    rate: float,
-    batch_size: int,
-    policy: SplitPolicy,
-    streams: RngStreams,
-    recon_hyper: ClientHyper | None = None,
-) -> dict[str, float]:
-    """Personalize on the support half, then score the query half.
-
-    * ``finetune_local_only``: step only the local blocks.
-    * ``finetune_full``: step local and global blocks jointly.
-    * ``fedrecon_plus_finetune``: reconstruct local blocks first, then step
-      the global blocks.
-
-    Works on copies; the passed-in trained parameters are never touched.
-    """
-    if kind not in ("finetune_local_only", "finetune_full", "fedrecon_plus_finetune"):
-        raise ConfigError(f"unknown finetune kind {kind!r}")
-    if steps < 0:
-        raise ConfigError("steps must be nonnegative")
-    cid = client.client_id
-    dsx = split_dataset(client, policy, streams.generator(cid, "finetune:split"))
-    g_c = copy_blocks(g)
-
-    if kind == "fedrecon_plus_finetune":
-        if recon_hyper is None:
-            raise ConfigError("fedrecon_plus_finetune needs reconstruction hyperparameters")
-        l = reconstruct(
-            spec,
-            g_c,
-            dsx,
-            recon_hyper,
-            streams.generator(cid, "finetune:local_init"),
-            streams.generator(cid, "finetune:recon_batches"),
-        )
-    else:
-        l = copy_blocks(local_init)
-
-    if steps > 0:
-        batches = batch_schedule(
-            dsx.support_idx, batch_size, steps, streams.generator(cid, "finetune:batches")
-        )
-        # fedrecon_plus_finetune holds l fixed; local_only holds g fixed.
-        need_global = kind != "finetune_local_only"
-        need_local = kind != "fedrecon_plus_finetune"
-        for bidx in batches:
-            batch = dsx.batch(bidx)
-            grads, local_grads = spec.sparse_grads(
-                g_c, l, batch, batch.total_weight, need_global, need_local
-            )
-            if need_global:
-                _sgd_step(g_c, rate, grads)
-            if need_local:
-                _sgd_step(l, rate, local_grads)
-        _require_finite([b.values for b in g_c + l], f"finetuned parameters of client {cid}")
-
-    return finalize_metrics(spec.metrics(g_c, l, dsx.query_batch()))

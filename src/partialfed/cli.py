@@ -24,7 +24,6 @@ from .errors import ConfigError, DataError, NumericalError
 from .evaluation import recon_eval
 from .models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
 from .runner import (
-    apply_overrides,
     grid_search,
     prepare_task,
     read_params,
@@ -109,7 +108,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(flag, dest=dest, type=typ, default=None)
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+def _config_from_args(args: argparse.Namespace, row: dict | None = None) -> ExperimentConfig:
+    """The flags' config, whose ``row`` settings (a recipe row's) override
+    the flags; the defaults are those of the task so resolved."""
     overrides = {}
     for dest, (dotted, _) in _FLAG_MAP.items():
         value = getattr(args, dest, None)
@@ -119,7 +120,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         env_dir = os.environ.get("PARTIALFED_OUTPUT_DIR")
         if env_dir:
             overrides["output_dir"] = env_dir
-    return load_config(args.config, overrides)
+    return load_config(args.config, {**overrides, **(row or {})})
 
 
 def _print_metrics(title: str, metrics: dict[str, float]) -> None:
@@ -270,10 +271,9 @@ def _cmd_reproduce(args) -> int:
         return 0
     name, columns, settings = _TABLES[args.recipe]
     table = []
-    for tag, overrides in settings:
-        cfg = apply_overrides(
-            config, {**overrides, "output_dir": str(out_dir / tag.replace(" ", "_"))}
-        )
+    for tag, row in settings:
+        # Resolved afresh, so that a row's defaults are those of its own task.
+        cfg = _config_from_args(args, {**row, "output_dir": str(out_dir / tag.replace(" ", "_"))})
         if args.grid and cfg.algorithm == "fedrecon":
             cfg = grid_search(cfg).best_config
         metrics = run_experiment(cfg).final_metrics["test"]
@@ -328,6 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "instances", 1) < 1:  # an audit of nothing must not pass
+            raise ConfigError(f"--instances must be positive, got {args.instances}")
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

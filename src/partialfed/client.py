@@ -25,11 +25,8 @@ from .core import (
     _central_differences,
     _flat,
     _max_rel_err,
-    _require_finite,
-    _rows_at,
     _sgd_step,
     blocks_size,
-    copy_blocks,
     delta_to_dense,
 )
 from .errors import ConfigError, DataError, NumericalError
@@ -95,30 +92,18 @@ class ClientHyper:
 def split_dataset(
     data: ClientDataset, policy: SplitPolicy, rng: np.random.Generator
 ) -> ClientDataset:
-    """Populate support/query indices; single-example clients fall back to
-    no_split so they can still contribute an update."""
-    n = data.n
-    if n == 0:
-        raise DataError(f"client {data.client_id}: empty dataset")
-    if policy.kind == "no_split" or n == 1:
-        idx = np.arange(n)
-        return replace(data, support_idx=idx, query_idx=idx.copy())
-
-    # Support size: ceil(n * fraction), capped so the query set stays nonempty.
-    k = min(max(1, math.ceil(n * policy.support_fraction)), n - 1)
-    if policy.kind == "half_disjoint":
-        order = rng.permutation(n)
-    else:  # by_timestamp_half: earlier examples become support
-        order = np.argsort(data.timestamps, kind="stable")
-    support = np.sort(order[:k])
-    query = np.sort(order[k:])
-    return replace(data, support_idx=support, query_idx=query)
+    """Populate support/query indices: :func:`split_cohort` for a cohort of
+    one.  Single-example clients fall back to no_split so they can still
+    contribute an update."""
+    cohort = split_cohort([data], policy, [rng])
+    return replace(data, support_idx=cohort.support, query_idx=cohort.query)
 
 
 def batch_schedule(
     idx: np.ndarray, batch_size: int, steps: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Shuffle once, chunk into minibatches, and cycle until `steps` batches."""
+    """Shuffle once, chunk into minibatches, and cycle until `steps` batches.
+    The schedule :func:`_cohort_batches` draws for each client, as a list."""
     if len(idx) == 0:
         raise DataError("cannot batch an empty index set")
     perm = rng.permutation(idx)
@@ -126,7 +111,6 @@ def batch_schedule(
     return [chunks[s % len(chunks)] for s in range(steps)]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
 def reconstruct(
     spec: ModelSpec,
     g: Blocks,
@@ -136,21 +120,16 @@ def reconstruct(
     batch_rng: np.random.Generator,
 ) -> list[ParamBlock]:
     """Gradient-descend freshly initialized local parameters on the support
-    set with the global parameters frozen; k_r=0 returns the raw init.
-    Finiteness is checked once, on the result."""
+    set with the global parameters frozen, as :func:`reconstruct_cohort`
+    does for a cohort of one; k_r=0 returns the raw init."""
     l = spec.init_local(init_rng)
     if hyper.k_r == 0 or not l:
         return l
     if data.support_idx is None:
         raise DataError("dataset has no support split")
-    for bidx in batch_schedule(data.support_idx, hyper.batch_size, hyper.k_r, batch_rng):
-        batch = data.batch(bidx)
-        _, grads = spec.sparse_grads(g, l, batch, batch.total_weight, False, True)
-        _sgd_step(l, hyper.eta_r, grads)
-    _require_finite(
-        (b.values for b in l), f"local parameters after reconstruction step {hyper.k_r - 1}"
-    )
-    return l
+    stacked = _stack([l])
+    _reconstruct_steps(spec, g, _cohort_of_one(data), stacked, hyper, [batch_rng])
+    return _unstack(stacked, 0)
 
 
 @dataclass
@@ -167,7 +146,6 @@ class ClientUpdateResult:
     updated_local: list[ParamBlock] | None = None
 
 
-@np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
 def client_update(
     spec: ModelSpec,
     g: Blocks,
@@ -178,50 +156,12 @@ def client_update(
 ) -> ClientUpdateResult:
     """k_u gradient steps on the global parameters over the query set, with
     the reconstructed local parameters treated as constants (unless
-    joint_training steps them concurrently).  Returns the update delta and
-    its weight n_i = |query set|.
-
-    Steps one working copy in place and never modifies the caller's blocks.
-    A block stepped only by row-sparse gradients gets a :class:`RowDelta`
-    over the rows touched; any other block gets a dense delta."""
+    joint_training steps them concurrently): :func:`_update_cohort` for a
+    cohort of one.  Returns the update delta and its weight n_i = |query
+    set|, and never modifies the caller's blocks."""
     if data.query_idx is None or len(data.query_idx) == 0:
         raise DataError(f"client {data.client_id}: empty query set")
-    batches = batch_schedule(data.query_idx, hyper.batch_size, hyper.k_u, batch_rng)
-    joint = hyper.joint_training
-    g_w = copy_blocks(g)
-    l_w = copy_blocks(l) if joint else l
-    # Rows stepped per block; None once the block takes a dense gradient.
-    touched: list[list[np.ndarray] | None] = [[] for _ in g]
-    for bidx in batches:
-        batch = data.batch(bidx)
-        grads, local_grads = spec.sparse_grads(g_w, l_w, batch, batch.total_weight, True, joint)
-        _sgd_step(g_w, hyper.eta_u, grads)
-        if joint:
-            _sgd_step(l_w, hyper.eta_u, local_grads)
-        for bi, grad in enumerate(grads):
-            if not isinstance(grad, RowDelta):
-                touched[bi] = None
-            elif touched[bi] is not None:
-                touched[bi].append(grad.rows)
-
-    delta = []
-    for rows, w, b in zip(touched, g_w, g):
-        if rows is None:
-            delta.append(w.values - b.values)
-        else:
-            rows = np.unique(np.concatenate(rows))
-            delta.append(RowDelta(rows, w.array[rows] - b.array[rows]))
-    _require_finite(
-        [d.values if isinstance(d, RowDelta) else d for d in delta]
-        + [b.values for b in l_w if joint],
-        f"the update of client {data.client_id}",
-    )
-    return ClientUpdateResult(
-        client_id=data.client_id,
-        delta=delta,
-        n_i=int(len(data.query_idx)),
-        updated_local=l_w if joint else None,
-    )
+    return _update_cohort(spec, g, _cohort_of_one(data), _stack([l]), hyper, [batch_rng])[0]
 
 
 def run_client_round(
@@ -235,26 +175,15 @@ def run_client_round(
     *,
     initial_local: Blocks | None = None,
 ) -> ClientUpdateResult:
-    """Split -> reconstruct -> update for one client in one round.
+    """Split -> reconstruct -> update for one client in one round:
+    :func:`run_cohort` for a cohort of one.
 
     ``initial_local`` skips reconstruction and starts from the given local
     parameters (the full-aggregation baseline path).  Stream names are
     derived from (round, client_id, purpose) so clients are independent.
     """
-    cid = data.client_id
-
-    def gen(purpose: str) -> np.random.Generator:
-        return streams.generator(round_idx, cid, purpose)
-
-    dsx = split_dataset(data, policy, gen("split"))
-    if initial_local is not None:
-        l = initial_local
-    else:
-        l = reconstruct(spec, g, dsx, hyper, gen("local_init"), gen("recon_batches"))
-    query_metrics = spec.metrics(g, l, dsx.query_batch())
-    result = client_update(spec, g, l, dsx, hyper, gen("update_batches"))
-    result.query_metrics = query_metrics
-    return result
+    initial = None if initial_local is None else [initial_local]
+    return run_cohort(spec, g, [data], policy, hyper, streams, round_idx, initial_locals=initial)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +195,9 @@ def run_client_round(
 class Cohort:
     """A split cohort in one columnar layout: every client's columns end to
     end, and each half of the split as positions into them, client by
-    client, ascending within a client -- the ``support_idx`` and
-    ``query_idx`` :func:`split_dataset` gives each client.  ``support_n``
-    and ``query_n`` count each client's positions."""
+    client, ascending within a client.  For a cohort of one they are the
+    client's ``support_idx`` and ``query_idx`` (see :func:`split_dataset`).
+    ``support_n`` and ``query_n`` count each client's positions."""
 
     client_ids: np.ndarray
     features: np.ndarray
@@ -296,9 +225,10 @@ def split_cohort(
     policy: SplitPolicy,
     rngs: Sequence[np.random.Generator] | None = None,
 ) -> Cohort:
-    """:func:`split_dataset` for every client, as one :class:`Cohort`, from
-    the same draws: ``half_disjoint`` draws one permutation from each
-    client's generator in ``rngs``; the other kinds draw nothing."""
+    """Split every client into a support and a query half, as one
+    :class:`Cohort`; a single-example client uses its example for both.
+    ``half_disjoint`` draws one permutation from each client's generator
+    in ``rngs``; the other kinds draw nothing."""
     n = np.array([d.n for d in datasets], dtype=np.int64)
     if not np.all(n):
         raise DataError(f"client {datasets[int(np.argmin(n))].client_id}: empty dataset")
@@ -330,6 +260,18 @@ def split_cohort(
         support_n=k.astype(np.int64),
         query=np.flatnonzero(query),
         query_n=np.where(whole, n, n - k).astype(np.int64),
+    )
+
+
+def _cohort_of_one(data: ClientDataset) -> Cohort:
+    """A split client as a cohort of one: its columns, and its indices as
+    positions (a half it lacks is empty)."""
+    support, query = (
+        np.zeros(0, np.int64) if i is None else i for i in (data.support_idx, data.query_idx)
+    )
+    return Cohort(
+        np.array([data.client_id]), data.features, data.targets, data.weights,
+        support, np.array([len(support)]), query, np.array([len(query)]),
     )
 
 
@@ -440,6 +382,33 @@ def cohort_metrics(
 
 
 @np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
+def _reconstruct_steps(
+    spec: ModelSpec,
+    g: Blocks,
+    cohort: Cohort,
+    stacked: list[ParamBlock],
+    hyper: ClientHyper,
+    rngs: Sequence[np.random.Generator],
+) -> None:
+    """``hyper.k_r`` steps on every client's row of the stacked local
+    blocks, in place, over minibatches of its support half drawn from its
+    generator in ``rngs``.  Each step is one owner-axis kernel call (see
+    :class:`ModelSpec`).  Finiteness is checked once per client at the end,
+    and a numerical failure names the client."""
+    features, targets, weights, norm = _cohort_batches(
+        cohort, "support", hyper.batch_size, hyper.k_r, rngs
+    )
+    for s in range(hyper.k_r):
+        batch = Batch(features[s], targets[s], weights[s])
+        _, grads = spec.sparse_grads(g, stacked, batch, norm[s], False, True)
+        _sgd_step(stacked, hyper.eta_r, grads)
+    _require_finite_clients(
+        _finite_per_client(stacked),
+        cohort.client_ids,
+        f"local parameters after reconstruction step {hyper.k_r - 1}",
+    )
+
+
 def reconstruct_cohort(
     spec: ModelSpec,
     g: Blocks,
@@ -453,14 +422,11 @@ def reconstruct_cohort(
     namespace: str = "",
 ) -> tuple[Cohort, list[ParamBlock]]:
     """Split every client of a nonempty cohort and rebuild its local
-    parameters on its support half, drawing the streams
-    :func:`run_client_round` draws; ``initial_locals`` skips
-    reconstruction.  Returns the split :class:`Cohort` and the local blocks
-    stacked along a leading client axis, row ``c`` holding client ``c``'s.
-
-    Every step is one owner-axis kernel call (see :class:`ModelSpec`) over
-    the cohort's minibatches.  Finiteness is checked once per client at the
-    end, and a numerical failure names the client."""
+    parameters on its support half (:func:`_reconstruct_steps`), drawing
+    each client's streams from ``(round_idx, client_id, namespace +
+    purpose)``; ``initial_locals`` skips reconstruction.  Returns the split
+    :class:`Cohort` and the local blocks stacked along a leading client
+    axis, row ``c`` holding client ``c``'s."""
     if not datasets:
         raise DataError("a cohort needs at least one client")
     ids = np.array([d.client_id for d in datasets], dtype=np.int64)
@@ -474,20 +440,8 @@ def reconstruct_cohort(
     if initial_locals is not None:
         return cohort, _stack(initial_locals)
     stacked = _stack([spec.init_local(rng) for rng in gens("local_init")])
-    if hyper.k_r == 0 or not stacked:
-        return cohort, stacked
-    features, targets, weights, norm = _cohort_batches(
-        cohort, "support", hyper.batch_size, hyper.k_r, gens("recon_batches")
-    )
-    for s in range(hyper.k_r):
-        batch = Batch(features[s], targets[s], weights[s])
-        _, grads = spec.sparse_grads(g, stacked, batch, norm[s], False, True)
-        _sgd_step(stacked, hyper.eta_r, grads)
-    _require_finite_clients(
-        _finite_per_client(stacked),
-        cohort.client_ids,
-        f"local parameters after reconstruction step {hyper.k_r - 1}",
-    )
+    if hyper.k_r and stacked:
+        _reconstruct_steps(spec, g, cohort, stacked, hyper, gens("recon_batches"))
     return cohort, stacked
 
 
@@ -500,7 +454,7 @@ def _update_cohort(
     hyper: ClientHyper,
     rngs: Sequence[np.random.Generator],
 ) -> list[ClientUpdateResult]:
-    """:func:`client_update` for every client at once; under joint training
+    """``k_u`` update steps for every client at once; under joint training
     it steps the stacked locals ``l_w`` in place.  Each client steps its own
     copy of the global parameters: of ``g[0]`` the rows its schedule
     addresses, the clients' compact copies end to end in one block, and of
@@ -571,9 +525,8 @@ def run_cohort(
     *,
     initial_locals: Sequence[Blocks] | None = None,
 ) -> list[ClientUpdateResult]:
-    """``[run_client_round(...) for ds in datasets]`` as one computation:
-    split -> reconstruct -> query metrics -> update for a whole cohort, from
-    the same per-client streams, in batched calls over the slices of
+    """Split -> reconstruct -> query metrics -> update for every client of
+    a round, each from its own streams, in batched calls over the slices of
     :func:`owner_chunks`.  ``initial_locals`` (one per dataset) skips
     reconstruction.  A numerical failure names the client."""
     results: list[ClientUpdateResult] = []

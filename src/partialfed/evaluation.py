@@ -13,14 +13,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-# reconstruct is looked up here by bench/instrument.py's tracer.
-from .client import (  # noqa: F401
+from .client import (
     ClientHyper,
     SplitPolicy,
     _stack,
     cohort_metrics,
     owner_chunks,
-    reconstruct,
     reconstruct_cohort,
     split_cohort,
 )

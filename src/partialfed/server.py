@@ -15,14 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# run_client_round is looked up here by bench/instrument.py's tracer.
-from .client import (  # noqa: F401
-    ClientHyper,
-    ClientUpdateResult,
-    SplitPolicy,
-    run_client_round,
-    run_cohort,
-)
+from .client import ClientHyper, ClientUpdateResult, SplitPolicy, run_cohort
 from .core import (
     Blocks,
     ClientDataset,

@@ -1,0 +1,169 @@
+"""The single-client reference: one client at a time, one flat minibatch
+and one ``sparse_grads`` call per step, no padding and no owner axes.
+
+``partialfed.client`` runs every client through its cohort code, a single
+client being a cohort of one.  These are the per-client bodies that code
+replaced, kept so that the cohort path is compared with something other
+than itself.  Unlike ``oracles.py`` they call the model kernels.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from partialfed.client import ClientHyper, ClientUpdateResult, SplitPolicy, batch_schedule
+from partialfed.core import (
+    Blocks,
+    ClientDataset,
+    ModelSpec,
+    ParamBlock,
+    RngStreams,
+    RowDelta,
+    _require_finite,
+    _sgd_step,
+    copy_blocks,
+)
+from partialfed.errors import DataError
+
+
+def split_dataset(
+    data: ClientDataset, policy: SplitPolicy, rng: np.random.Generator
+) -> ClientDataset:
+    """Populate support/query indices; single-example clients fall back to
+    no_split so they can still contribute an update."""
+    n = data.n
+    if n == 0:
+        raise DataError(f"client {data.client_id}: empty dataset")
+    if policy.kind == "no_split" or n == 1:
+        idx = np.arange(n)
+        return replace(data, support_idx=idx, query_idx=idx.copy())
+
+    # Support size: ceil(n * fraction), capped so the query set stays nonempty.
+    k = min(max(1, math.ceil(n * policy.support_fraction)), n - 1)
+    if policy.kind == "half_disjoint":
+        order = rng.permutation(n)
+    else:  # by_timestamp_half: earlier examples become support
+        order = np.argsort(data.timestamps, kind="stable")
+    support = np.sort(order[:k])
+    query = np.sort(order[k:])
+    return replace(data, support_idx=support, query_idx=query)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
+def reconstruct(
+    spec: ModelSpec,
+    g: Blocks,
+    data: ClientDataset,
+    hyper: ClientHyper,
+    init_rng: np.random.Generator,
+    batch_rng: np.random.Generator,
+) -> list[ParamBlock]:
+    """Gradient-descend freshly initialized local parameters on the support
+    set with the global parameters frozen; k_r=0 returns the raw init.
+    Finiteness is checked once, on the result."""
+    l = spec.init_local(init_rng)
+    if hyper.k_r == 0 or not l:
+        return l
+    if data.support_idx is None:
+        raise DataError("dataset has no support split")
+    for bidx in batch_schedule(data.support_idx, hyper.batch_size, hyper.k_r, batch_rng):
+        batch = data.batch(bidx)
+        _, grads = spec.sparse_grads(g, l, batch, batch.total_weight, False, True)
+        _sgd_step(l, hyper.eta_r, grads)
+    _require_finite(
+        (b.values for b in l), f"local parameters after reconstruction step {hyper.k_r - 1}"
+    )
+    return l
+
+
+@np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
+def client_update(
+    spec: ModelSpec,
+    g: Blocks,
+    l: Blocks,
+    data: ClientDataset,
+    hyper: ClientHyper,
+    batch_rng: np.random.Generator,
+) -> ClientUpdateResult:
+    """k_u gradient steps on the global parameters over the query set, with
+    the reconstructed local parameters treated as constants (unless
+    joint_training steps them concurrently).  Returns the update delta and
+    its weight n_i = |query set|.
+
+    Steps one working copy in place and never modifies the caller's blocks.
+    A block stepped only by row-sparse gradients gets a :class:`RowDelta`
+    over the rows touched; any other block gets a dense delta."""
+    if data.query_idx is None or len(data.query_idx) == 0:
+        raise DataError(f"client {data.client_id}: empty query set")
+    batches = batch_schedule(data.query_idx, hyper.batch_size, hyper.k_u, batch_rng)
+    joint = hyper.joint_training
+    g_w = copy_blocks(g)
+    l_w = copy_blocks(l) if joint else l
+    # Rows stepped per block; None once the block takes a dense gradient.
+    touched: list[list[np.ndarray] | None] = [[] for _ in g]
+    for bidx in batches:
+        batch = data.batch(bidx)
+        grads, local_grads = spec.sparse_grads(g_w, l_w, batch, batch.total_weight, True, joint)
+        _sgd_step(g_w, hyper.eta_u, grads)
+        if joint:
+            _sgd_step(l_w, hyper.eta_u, local_grads)
+        for bi, grad in enumerate(grads):
+            if not isinstance(grad, RowDelta):
+                touched[bi] = None
+            elif touched[bi] is not None:
+                touched[bi].append(grad.rows)
+
+    delta = []
+    for rows, w, b in zip(touched, g_w, g):
+        if rows is None:
+            delta.append(w.values - b.values)
+        else:
+            rows = np.unique(np.concatenate(rows))
+            delta.append(RowDelta(rows, w.array[rows] - b.array[rows]))
+    _require_finite(
+        [d.values if isinstance(d, RowDelta) else d for d in delta]
+        + [b.values for b in l_w if joint],
+        f"the update of client {data.client_id}",
+    )
+    return ClientUpdateResult(
+        client_id=data.client_id,
+        delta=delta,
+        n_i=int(len(data.query_idx)),
+        updated_local=l_w if joint else None,
+    )
+
+
+def run_client_round(
+    spec: ModelSpec,
+    g: Blocks,
+    data: ClientDataset,
+    policy: SplitPolicy,
+    hyper: ClientHyper,
+    streams: RngStreams,
+    round_idx: int,
+    *,
+    initial_local: Blocks | None = None,
+) -> ClientUpdateResult:
+    """Split -> reconstruct -> update for one client in one round.
+
+    ``initial_local`` skips reconstruction and starts from the given local
+    parameters (the full-aggregation baseline path).  Stream names are
+    derived from (round, client_id, purpose) so clients are independent.
+    """
+    cid = data.client_id
+
+    def gen(purpose: str) -> np.random.Generator:
+        return streams.generator(round_idx, cid, purpose)
+
+    dsx = split_dataset(data, policy, gen("split"))
+    if initial_local is not None:
+        l = initial_local
+    else:
+        l = reconstruct(spec, g, dsx, hyper, gen("local_init"), gen("recon_batches"))
+    query_metrics = spec.metrics(g, l, dsx.query_batch())
+    result = client_update(spec, g, l, dsx, hyper, gen("update_batches"))
+    result.query_metrics = query_metrics
+    return result

@@ -123,6 +123,14 @@ def test_verify_meta_verb(capsys):
     assert "first-order" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("verb, instances", [("check-gradients", "0"), ("verify-meta", "-3")])
+def test_an_audit_of_no_instances_is_a_config_error(verb, instances, capsys):
+    assert main([verb, "--instances", instances]) == 1
+    captured = capsys.readouterr()
+    assert "[ok]" not in captured.out
+    assert "--instances must be positive" in captured.err
+
+
 def test_reproduce_table2_mech(tmp_path, capsys):
     code = main(
         [
@@ -165,6 +173,26 @@ def test_table2_mech_rows_train_fedrecon_whatever_the_flag(tmp_path):
         assert config["model"]["num_oov_buckets"] == buckets, row
         assert config["split"]["kind"] == split, row
         assert config["client"]["joint_training"] is joint, row
+
+
+def test_table2_mech_rows_take_their_own_task_defaults(tmp_path):
+    # Without --task the base config is matfac's, but every row sets task
+    # oov_nwp and so must run with oov_nwp's defaults (Yogi, a by-timestamp
+    # split, one repeat), exactly as under --task oov_nwp.
+    flags = ["--seed", "11", "--rounds", "2", "--clients-per-round", "4",
+             "--eval-repeats", "1", "--eval-clients-per-repeat", "4"]
+    for out, task in ((tmp_path / "bare", []), (tmp_path / "task", ["--task", "oov_nwp"])):
+        assert main(["reproduce", "table2-mech", *flags, *task, "--output-dir", str(out)]) == 0
+    for row in ("fedrecon_500_oov", "fedrecon_1_oov", "fedrecon_500_oov_no_split",
+                "fedrecon_500_oov_joint"):
+        config = json.loads((tmp_path / "bare" / row / "manifest.json").read_text())["config"]
+        split = "no_split" if row.endswith("no_split") else "by_timestamp_half"
+        assert config["split"]["kind"] == split, row
+        assert config["server"]["kind"] == "yogi", row
+        assert (config["rounds"], config["repeats"]) == (2, 1), row
+        for name in ("params.bin", "metrics.csv"):
+            bare, task = ((tmp_path / run / row / name).read_bytes() for run in ("bare", "task"))
+            assert bare == task, f"{row} {name}"
 
 
 def test_reproduce_fig4(tmp_path):

@@ -46,8 +46,8 @@ def nan_at_call(fn, call):
 
 
 def dense_kernel(spec):
-    """``spec`` whose kernel returns ``grad_global``'s dense arrays, so
-    :func:`client_update` takes its dense-delta branch."""
+    """``spec`` whose kernel returns ``grad_global``'s dense arrays: over
+    the update's compact copy of ``g[0]`` they step the same rows."""
 
     def sparse_grads(g, l, batch, norm, need_global, need_local):
         _, local = spec.sparse_grads(g, l, batch, norm, False, need_local)
@@ -299,7 +299,8 @@ class TestClientUpdate:
             assert np.array_equal(da, db)
 
     def test_sparse_and_dense_paths_agree(self, streams):
-        # A row-sparse gradient yields a RowDelta, a dense one a dense delta.
+        # A dense gradient over the compact rows steps them as the
+        # row-sparse one does.
         spec, g, l, ds = self.make(streams)
         dense_spec = dense_kernel(spec)
         for joint in (False, True):

@@ -1,9 +1,12 @@
 """A cohort computed as one batch must equal its clients computed one by one.
 
-The reference in every test is the single-client API (``run_client_round``,
-``reconstruct``) mapped over the clients, with the round loop and the
-reconstruction evaluation re-written here client by client.  The batched
-path sums in another order, so agreement is to 1e-12 relative.
+The reference in every test is ``reference.py``'s per-client code
+(``run_client_round``, ``reconstruct``) mapped over the clients, with the
+round loop and the reconstruction evaluation re-written here client by
+client.  The batched path sums in another order, so agreement is to 1e-12
+relative.  The package's single-client API runs a cohort of one: bit for
+bit the reference for matrix factorization, to 1e-12 for next-word
+prediction.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from partialfed import client as client_module
 from partialfed.client import (
     ClientHyper,
     SplitPolicy,
+    client_update,
     owner_chunks,
     reconstruct,
     reconstruct_cohort,
@@ -60,9 +65,9 @@ def assert_close(got, want, what):
 
 
 def mapped_client_rounds(spec, g, datasets, policy, hyper, streams, round_idx, initial_locals):
-    """The reference: ``run_client_round`` mapped over the clients."""
+    """The reference: ``reference.run_client_round`` mapped over the clients."""
     return [
-        run_client_round(
+        reference.run_client_round(
             spec, g, ds, policy, hyper, streams, round_idx,
             initial_local=None if initial_locals is None else initial_locals[i],
         )
@@ -194,7 +199,9 @@ class TestRunCohortMatchesClientRounds:
     def test_ragged_minibatches(self, streams):
         spec, clients = mf_population(ratings_per_user=13)
         g = spec.init_global(streams.generator("g"))
-        splits = [split_dataset(ds, SplitPolicy(), streams.generator(0)) for ds in clients]
+        splits = [
+            reference.split_dataset(ds, SplitPolicy(), streams.generator(0)) for ds in clients
+        ]
         # 13 examples split 7 / 6: neither half is a multiple of the batch size.
         assert all(len(d.support_idx) % 5 and len(d.query_idx) % 5 for d in splits)
         compare_round(spec, g, clients, SplitPolicy(), HYPER, streams)
@@ -358,9 +365,58 @@ def test_nwp_cohort_is_the_mapped_client_round(case, per_call):
     assert_rounds_agree(chunked, cohort, exact=True)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(mf_rounds(), nwp_rounds()))
+def test_the_single_client_api_is_the_reference(case):
+    # Every client's split, reconstruction, update and whole round.  Splits
+    # and MF bit for bit, query metrics included.  Next-word prediction to
+    # 1e-12: a minibatch with one real example is a one-row matrix product
+    # in the reference, which does not always round like the same row of
+    # the cohort's padded product.
+    spec, clients, hyper, policy, stored, seed = case
+    exact = spec.name == "matfac"
+    streams = RngStreams(seed)
+    g = spec.init_global(streams.generator("g"))
+    for ds in clients:
+        def gen(purpose):
+            return streams.generator(ds.client_id, purpose)
+
+        got, want = (
+            f(ds, policy, gen("split")) for f in (split_dataset, reference.split_dataset)
+        )
+        assert np.array_equal(got.support_idx, want.support_idx)
+        assert np.array_equal(got.query_idx, want.query_idx)
+
+        l_got, l_want = (
+            f(spec, g, want, hyper, gen("init"), gen("recon"))
+            for f in (reconstruct, reference.reconstruct)
+        )
+        assert [(b.name, b.shape) for b in l_got] == [(b.name, b.shape) for b in l_want]
+        for b_got, b_want in zip(l_got, l_want):
+            if exact:
+                assert np.array_equal(b_got.values, b_want.values), b_want.name
+            else:
+                assert_close(b_got.values, b_want.values, b_want.name)
+
+        l = spec.init_local(gen("stored")) if stored else l_want
+        updates = [
+            f(spec, g, l, want, hyper, gen("update"))
+            for f in (client_update, reference.client_update)
+        ]
+        rounds = [
+            f(spec, g, ds, policy, hyper, streams, 2, initial_local=l if stored else None)
+            for f in (run_client_round, reference.run_client_round)
+        ]
+        for got_result, want_result in (updates, rounds):
+            assert_rounds_agree([got_result], [want_result], exact=exact)
+            if exact:
+                assert got_result.query_metrics == want_result.query_metrics
+
+
 def reference_training(spec, clients, *, rounds, clients_per_round, policy, hyper, streams,
                        algorithm):
-    """run_training's loop, one run_client_round per sampled client."""
+    """run_training's loop, one ``reference.run_client_round`` per sampled
+    client."""
     population = sorted(clients)
     g = spec.init_global(streams.generator("global_init"))
     opt = ServerOptimizer()
@@ -377,7 +433,7 @@ def reference_training(spec, clients, *, rounds, clients_per_round, policy, hype
     train_metrics = []
     for t in range(rounds):
         results = [
-            run_client_round(
+            reference.run_client_round(
                 spec, g, clients[cid], policy, hyper, streams, t,
                 initial_local=store[cid] if fedavg else None,
             )
@@ -432,8 +488,8 @@ def assert_recon_eval_matches_the_client_loop(spec, clients):
         for ci in chosen:
             cid = clients[ci].client_id
             split_rng = streams.generator(rep, cid, "ev:split")
-            dsx = split_dataset(clients[ci], SplitPolicy(), split_rng)
-            l = reconstruct(
+            dsx = reference.split_dataset(clients[ci], SplitPolicy(), split_rng)
+            l = reference.reconstruct(
                 spec, g, dsx, hyper,
                 streams.generator(rep, cid, "ev:local_init"),
                 streams.generator(rep, cid, "ev:recon_batches"),
