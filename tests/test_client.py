@@ -88,6 +88,12 @@ class TestSplitPolicy:
         assert out.support_idx.tolist() == [0]
         assert out.query_idx.tolist() == [0]
 
+    def test_caller_dataset_left_unsplit(self, streams):
+        ds = toy_client(6)
+        split = split_dataset(ds, SplitPolicy(), streams.generator("s"))
+        assert ds.support_idx is None and ds.query_idx is None
+        assert len(split.support_idx) + len(split.query_idx) == 6
+
     def test_empty_dataset_rejected(self, streams):
         ds = ClientDataset(0, np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
         with pytest.raises(DataError):
@@ -174,6 +180,16 @@ class TestReconstruct:
         )
         for before, block in zip(snapshot, g):
             assert np.array_equal(before, block.values)
+
+    def test_unsplit_dataset_rejected(self, streams):
+        spec, g, _ = self.make(streams)
+        unsplit = toy_client(6)
+        assert unsplit.support_idx is None
+        with pytest.raises(DataError, match="no support split"):
+            reconstruct(
+                spec, g, unsplit, ClientHyper(k_r=2, eta_r=0.2),
+                streams.generator("i"), streams.generator("b"),
+            )
 
     @pytest.mark.parametrize("bad_step, named_step", [(0, 1), (2, 3), (3, 3)])
     def test_nan_step_raises_naming_the_step(self, streams, bad_step, named_step):
@@ -355,3 +371,21 @@ class TestRunClientRound:
         b = run_client_round(spec, g, clients[0], SplitPolicy(), hyper, RngStreams(9), 3)
         for da, db in zip(delta_to_dense(a.delta, g), delta_to_dense(b.delta, g)):
             assert np.array_equal(da, db)
+
+    def test_caller_blocks_never_mutated_by_joint_training(self, streams):
+        # The stored local parameters the full-aggregation baseline passes
+        # in come back stepped in ``updated_local``, never stepped in place.
+        spec = matfac_spec(MatFacConfig(num_items=6, embed_dim=2))
+        g = spec.init_global(streams.generator("g"))
+        stored = spec.init_local(streams.generator("l"))
+        clients, _, _ = gen_synthetic_mf(
+            SyntheticMFConfig(num_users=2, num_items=6, true_rank=2, ratings_per_user=6, seed=1)
+        )
+        snapshot = [b.values.copy() for b in g + stored]
+        hyper = ClientHyper(k_u=3, eta_u=0.2, batch_size=2, joint_training=True)
+        result = run_client_round(
+            spec, g, clients[0], SplitPolicy(), hyper, streams, 1, initial_local=stored
+        )
+        for before, block in zip(snapshot, g + stored):
+            assert np.array_equal(before, block.values)
+        assert not np.array_equal(result.updated_local[0].values, stored[0].values)
