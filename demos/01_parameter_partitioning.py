@@ -9,11 +9,11 @@ runs the finite-difference audit that every shipped model must pass.
 
 import numpy as np
 
-from partialfed import MatFacConfig, RngStreams, check_gradients, matfac_spec
+from partialfed import ModelConfig, RngStreams, check_gradients, matfac_spec
 from partialfed.core import Batch
 
 # Three movies, user embeddings of dimension 2.
-spec = matfac_spec(MatFacConfig(num_items=3, embed_dim=2))
+spec = matfac_spec(ModelConfig(embed_dim=2), 3)
 streams = RngStreams(seed=7)
 
 g = spec.init_global(streams.generator("global_init"))

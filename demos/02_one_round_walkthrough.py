@@ -12,11 +12,11 @@ import numpy as np
 
 from partialfed import (
     ClientHyper,
-    MatFacConfig,
+    ModelConfig,
     RngStreams,
     ServerOptimizer,
     SplitPolicy,
-    SyntheticMFConfig,
+    SyntheticDataConfig,
     aggregate,
     client_update,
     gen_synthetic_mf,
@@ -29,9 +29,11 @@ from partialfed import (
 from partialfed.client import run_client_round, delta_to_dense
 
 clients, _, _ = gen_synthetic_mf(
-    SyntheticMFConfig(num_users=8, num_items=10, true_rank=3, ratings_per_user=8, seed=1)
+    SyntheticDataConfig(num_users=8, num_items=10, true_rank=3, ratings_per_user=8, noise_std=0.3,
+                        signal_std=0.8),
+    1,
 )
-spec = matfac_spec(MatFacConfig(num_items=10, embed_dim=3))
+spec = matfac_spec(ModelConfig(embed_dim=3), 10)
 streams = RngStreams(seed=42)
 g = spec.init_global(streams.generator("global_init"))
 

@@ -10,14 +10,16 @@ exactly what the single-step scheme drops, and it vanishes when there is no
 reconstruction to differentiate through.
 """
 
-from partialfed import ClientHyper, MatFacConfig, RngStreams, SplitPolicy, matfac_spec
+from partialfed import ClientHyper, ModelConfig, RngStreams, SplitPolicy, matfac_spec
 from partialfed.client import split_dataset, verify_first_order_meta_gradient
-from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
+from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 
 clients, _, _ = gen_synthetic_mf(
-    SyntheticMFConfig(num_users=4, num_items=5, true_rank=2, ratings_per_user=5, seed=2)
+    SyntheticDataConfig(num_users=4, num_items=5, true_rank=2, ratings_per_user=5, noise_std=0.3,
+                        signal_std=0.8),
+    2,
 )
-spec = matfac_spec(MatFacConfig(num_items=5, embed_dim=2))
+spec = matfac_spec(ModelConfig(embed_dim=2), 5)
 streams = RngStreams(31)
 dataset = split_dataset(clients[0], SplitPolicy(), streams.generator("split"))
 g = spec.init_global(streams.generator("g"))

@@ -11,16 +11,21 @@ way: personalization costs no extra communication.
 """
 
 from partialfed.config import load_config
-from partialfed.data import build_vocabulary, gen_synthetic_corpus, vocabulary_coverage
-from partialfed.models import NwpConfig, TokenCodec
+from partialfed.data import (
+    SyntheticDataConfig,
+    build_vocabulary,
+    gen_synthetic_corpus,
+    vocabulary_coverage,
+)
+from partialfed.models import ModelConfig, TokenCodec
 from partialfed.runner import prepare_task, _run_all_repeats
 
-records = gen_synthetic_corpus(seed=17)
+records = gen_synthetic_corpus(SyntheticDataConfig(), 17)
 vocab = build_vocabulary(records, 48)
 print(f"corpus: {len(records)} sentences, vocabulary {len(vocab)} words, "
       f"out-of-vocabulary rate {1 - vocabulary_coverage(records, vocab):.1%}")
 
-codec = TokenCodec(NwpConfig(vocab_size=48, num_oov_buckets=500), vocab)
+codec = TokenCodec(ModelConfig(vocab_size=48, num_oov_buckets=500), vocab)
 sample = records[0]
 print("sample sentence:", " ".join(sample.tokens))
 print("context encoding:", [codec.context_id(t) for t in sample.tokens],

@@ -18,8 +18,7 @@ from .core import (
     check_gradients,
 )
 from .models import (
-    MatFacConfig,
-    NwpConfig,
+    ModelConfig,
     TokenCodec,
     matfac_spec,
     oov_nwp_spec,
@@ -56,7 +55,7 @@ from .evaluation import (
 )
 from .data import (
     SentenceRecord,
-    SyntheticMFConfig,
+    SyntheticDataConfig,
     gen_synthetic_corpus,
     gen_synthetic_mf,
     load_token_corpus,

@@ -19,10 +19,10 @@ import numpy as np
 from .client import ClientHyper, SplitPolicy, split_dataset, verify_first_order_meta_gradient
 from .config import ExperimentConfig, load_config
 from .core import Batch, RngStreams, check_gradients
-from .data import SyntheticMFConfig, gen_synthetic_mf
+from .data import SyntheticDataConfig, gen_synthetic_mf
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import recon_eval
-from .models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
+from .models import ModelConfig, matfac_spec, oov_nwp_spec
 from .runner import (
     grid_search,
     prepare_task,
@@ -180,8 +180,8 @@ def _cmd_check_gradients(args) -> int:
     worst = {"matfac": 0.0, "oov_nwp": 0.0}
     for i in range(args.instances):
         rng = streams.generator("gradcheck", i)
-        mf = matfac_spec(MatFacConfig(num_items=int(rng.integers(3, 8)),
-                                      embed_dim=int(rng.integers(2, 5))))
+        num_items = int(rng.integers(3, 8))
+        mf = matfac_spec(ModelConfig(embed_dim=int(rng.integers(2, 5))), num_items)
         g = mf.init_global(rng)
         l = mf.init_local(rng)
         n = int(rng.integers(1, 6))
@@ -193,12 +193,12 @@ def _cmd_check_gradients(args) -> int:
         report = check_gradients(mf, g, l, batch, eps=eps)
         worst["matfac"] = max(worst["matfac"], report.max_rel_err)
 
-        cfg = NwpConfig(vocab_size=int(rng.integers(3, 8)), num_oov_buckets=3,
-                        embed_dim=3, context_window=2)
+        cfg = ModelConfig(vocab_size=int(rng.integers(3, 8)), num_oov_buckets=3,
+                          embed_dim=3, context_window=2)
         nwp = oov_nwp_spec(cfg)
         g = nwp.init_global(rng)
         l = nwp.init_local(rng)
-        ctx = rng.integers(-cfg.num_oov_buckets, cfg.num_global_rows, size=(n, 2))
+        ctx = rng.integers(-cfg.num_oov_buckets, cfg.num_classes, size=(n, 2))
         batch = Batch(
             features=ctx,
             targets=rng.integers(0, cfg.num_classes, size=n).astype(float),
@@ -224,10 +224,11 @@ def _cmd_verify_meta(args) -> int:
     for i in range(args.instances):
         rng = streams.generator("meta", i)
         clients, _, _ = gen_synthetic_mf(
-            SyntheticMFConfig(num_users=3, num_items=5, true_rank=2,
-                              noise_std=0.2, ratings_per_user=5, seed=int(rng.integers(2**31)))
+            SyntheticDataConfig(num_users=3, num_items=5, true_rank=2, noise_std=0.2,
+                                ratings_per_user=5, signal_std=0.8),
+            int(rng.integers(2**31)),
         )
-        spec = matfac_spec(MatFacConfig(num_items=5, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 5)
         hyper = ClientHyper(k_r=int(rng.integers(0, 3)), k_u=1, eta_r=0.1, eta_u=0.1,
                             batch_size=5)
         ds = split_dataset(clients[0], SplitPolicy(), streams.generator("meta_split", i))

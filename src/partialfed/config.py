@@ -18,15 +18,15 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .client import ClientHyper, SplitPolicy
+from .data import SyntheticDataConfig
 from .errors import ConfigError
 from .evaluation import EvalMode
+from .models import ModelConfig
 from .server import ServerOptimizer
 
 __all__ = [
     "EvalConfig",
-    "SyntheticDataConfig",
     "DataConfig",
-    "ModelConfig",
     "CentralizedConfig",
     "ExperimentConfig",
     "MATFAC_GRID",
@@ -78,32 +78,6 @@ class EvalConfig:
 
 
 @dataclass(frozen=True)
-class SyntheticDataConfig:
-    # low-rank ratings (tasks: synthetic)
-    num_users: int = 300
-    num_items: int = 80
-    true_rank: int = 6
-    noise_std: float = 0.5
-    ratings_per_user: int = 40
-    signal_std: float = 0.7
-    user_bias_std: float = 0.15
-    # slang corpus (task: oov_nwp without a data path)
-    num_clients: int = 32
-    sentences_per_client: int = 40
-    personal_tokens: int = 6
-    common_words: int = 42
-    pairs_per_sentence: int = 3
-
-    def __post_init__(self):
-        # Spreads may be 0; every count must be positive.
-        for f in fields(self):
-            spread = f.name.endswith("_std")
-            if getattr(self, f.name) < (0 if spread else 1):
-                need = "nonnegative" if spread else "positive"
-                raise ConfigError(f"data.synthetic.{f.name} must be {need}")
-
-
-@dataclass(frozen=True)
 class DataConfig:
     path: str | None = None
     max_sentences_per_client: int = 1000
@@ -112,33 +86,6 @@ class DataConfig:
     def __post_init__(self):
         if self.max_sentences_per_client < 1:
             raise ConfigError("data.max_sentences_per_client must be positive")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Model hyperparameters; the rating tasks read ``embed_dim`` and
-    ``init_stddev``, the next-word task reads the remaining fields too."""
-
-    embed_dim: int = 50
-    init_stddev: float = 0.1
-    vocab_size: int = 1000
-    num_oov_buckets: int = 500
-    context_window: int = 3
-    max_sentence_len: int = 20
-
-    def __post_init__(self):
-        if self.embed_dim < 1:
-            raise ConfigError("model.embed_dim must be positive")
-        if not 0 < self.init_stddev < math.inf:
-            raise ConfigError("model.init_stddev must be finite and positive")
-        if self.vocab_size < 1:
-            raise ConfigError("model.vocab_size must be positive")
-        if self.num_oov_buckets < 0:
-            raise ConfigError("model.num_oov_buckets must be nonnegative")
-        if self.context_window < 1:
-            raise ConfigError("model.context_window must be positive")
-        if self.max_sentence_len < 3:
-            raise ConfigError("model.max_sentence_len must fit bos + token + eos (3)")
 
 
 @dataclass(frozen=True)

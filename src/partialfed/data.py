@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -15,20 +15,12 @@ import numpy as np
 
 from .core import ClientDataset, RngStreams, round_half_away
 from .errors import ConfigError, DataError, ParseError
-from .models import (
-    BOS_ID,
-    EOS_ID,
-    OOV_ID,
-    PAD_ID,
-    NwpConfig,
-    SPECIAL_TOKENS,
-    TokenCodec,
-)
+from .models import SPECIAL_TOKENS, ModelConfig, TokenCodec
 
 __all__ = [
     "MovieLensData",
     "parse_movielens",
-    "SyntheticMFConfig",
+    "SyntheticDataConfig",
     "gen_synthetic_mf",
     "SentenceRecord",
     "load_token_corpus",
@@ -117,37 +109,49 @@ def parse_movielens(path: str | Path) -> MovieLensData:
 
 
 @dataclass(frozen=True)
-class SyntheticMFConfig:
-    num_users: int = 200
-    num_items: int = 60
-    true_rank: int = 5
-    noise_std: float = 0.3
-    ratings_per_user: int = 30
-    seed: int = 0
-    signal_std: float = 0.8
+class SyntheticDataConfig:
+    """Sizes and spreads of the generated data, read by
+    :func:`gen_synthetic_mf` and :func:`gen_synthetic_corpus`."""
+
+    # low-rank ratings (tasks: synthetic)
+    num_users: int = 300
+    num_items: int = 80
+    true_rank: int = 6
+    noise_std: float = 0.5
+    ratings_per_user: int = 40
+    signal_std: float = 0.7
     user_bias_std: float = 0.15
+    # slang corpus (task: oov_nwp without a data path)
+    num_clients: int = 32
+    sentences_per_client: int = 40
+    personal_tokens: int = 6
+    common_words: int = 42
+    pairs_per_sentence: int = 3
 
     def __post_init__(self):
-        if self.true_rank < 1 or self.true_rank > min(self.num_users, self.num_items):
-            raise ConfigError("true_rank must be in [1, min(users, items)]")
-        if self.ratings_per_user < 1 or self.ratings_per_user > self.num_items:
-            raise ConfigError("ratings_per_user must be in [1, num_items]")
-        if self.noise_std < 0 or self.signal_std < 0 or self.user_bias_std < 0:
-            raise ConfigError("noise/signal/bias spreads must be nonnegative")
-        if self.true_rank > 1 and self.signal_std == 0:
-            raise ConfigError("true_rank > 1 needs a positive signal_std")
+        # Spreads may be 0; every count must be positive.
+        for f in fields(self):
+            spread = f.name.endswith("_std")
+            if getattr(self, f.name) < (0 if spread else 1):
+                need = "nonnegative" if spread else "positive"
+                raise ConfigError(f"data.synthetic.{f.name} must be {need}")
 
 
 def gen_synthetic_mf(
-    cfg: SyntheticMFConfig,
+    cfg: SyntheticDataConfig, seed: int
 ) -> tuple[list[ClientDataset], np.ndarray, np.ndarray]:
     """Ground-truth-rank rating data: clean ratings are dot products of
     Gaussian factors (one factor dimension reserved for a per-user offset
     around 3 so the clean matrix is exactly rank `true_rank`, centered in
     the rating range, and spread like real explicit-rating data), then
     noised, rounded half-away-from-zero, and clipped onto 1..5."""
-    streams = RngStreams(cfg.seed)
-    rng = streams.generator("synthetic_mf")
+    if cfg.true_rank > min(cfg.num_users, cfg.num_items):
+        raise ConfigError("true_rank must be in [1, min(users, items)]")
+    if cfg.ratings_per_user > cfg.num_items:
+        raise ConfigError("ratings_per_user must be in [1, num_items]")
+    if cfg.true_rank > 1 and cfg.signal_std == 0:
+        raise ConfigError("true_rank > 1 needs a positive signal_std")
+    rng = RngStreams(seed).generator("synthetic_mf")
     s = cfg.true_rank - 1
     bias = rng.normal(1.0, cfg.user_bias_std, size=(cfg.num_users, 1))
     if s > 0:
@@ -248,19 +252,6 @@ def _sentence_slots(tokens: Sequence[str], max_len: int) -> list[str]:
     return slots
 
 
-_SPECIAL_IDS = {"<pad>": PAD_ID, "<bos>": BOS_ID, "<eos>": EOS_ID, "<oov>": OOV_ID}
-
-
-def _context_id(codec: TokenCodec, token: str) -> int:
-    sid = _SPECIAL_IDS.get(token)
-    return sid if sid is not None else codec.context_id(token)
-
-
-def _target_id(codec: TokenCodec, token: str) -> int:
-    sid = _SPECIAL_IDS.get(token)
-    return sid if sid is not None else codec.target_id(token)
-
-
 def sentence_examples(
     codec: TokenCodec, tokens: Sequence[str], timestamp: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -279,8 +270,8 @@ def sentence_examples(
             break
         lo = max(0, t - cfg.context_window)
         window = ["<pad>"] * (cfg.context_window - (t - lo)) + slots[lo:t]
-        ctx_rows.append([_context_id(codec, w) for w in window])
-        targets.append(_target_id(codec, slots[t]))
+        ctx_rows.append([codec.context_id(w) for w in window])
+        targets.append(codec.target_id(slots[t]))
     n = len(targets)
     return (
         np.asarray(ctx_rows, dtype=np.int64).reshape(n, cfg.context_window),
@@ -291,7 +282,7 @@ def sentence_examples(
 
 def load_token_corpus(
     path: str | Path,
-    cfg: NwpConfig,
+    cfg: ModelConfig,
     *,
     max_sentences_per_client: int = 1000,
 ) -> tuple[list[ClientDataset], list[str], TokenCodec]:
@@ -303,7 +294,7 @@ def load_token_corpus(
 
 def corpus_to_clients(
     records: Sequence[SentenceRecord],
-    cfg: NwpConfig,
+    cfg: ModelConfig,
     *,
     max_sentences_per_client: int = 1000,
 ) -> tuple[list[ClientDataset], list[str], TokenCodec]:
@@ -345,15 +336,7 @@ def corpus_to_clients(
     return clients, vocab, codec
 
 
-def gen_synthetic_corpus(
-    *,
-    num_clients: int = 32,
-    sentences_per_client: int = 40,
-    personal_tokens: int = 6,
-    common_words: int = 42,
-    pairs_per_sentence: int = 3,
-    seed: int = 0,
-) -> list[SentenceRecord]:
+def gen_synthetic_corpus(cfg: SyntheticDataConfig, seed: int) -> list[SentenceRecord]:
     """A corpus where each client uses its own out-of-vocabulary slang.
 
     Every client has `personal_tokens` private tokens; personal token j is
@@ -363,16 +346,16 @@ def gen_synthetic_corpus(
     occupy the core vocabulary while personal tokens stay out of it.
     """
     rng = RngStreams(seed).generator("synthetic_corpus")
-    commons = [f"w{k}" for k in range(common_words)]
-    markers = [f"sig{j}" for j in range(personal_tokens)]
+    commons = [f"w{k}" for k in range(cfg.common_words)]
+    markers = [f"sig{j}" for j in range(cfg.personal_tokens)]
     records = []
-    for cid in range(num_clients):
-        personal = [f"p{cid}q{j}" for j in range(personal_tokens)]
-        for snum in range(sentences_per_client):
+    for cid in range(cfg.num_clients):
+        personal = [f"p{cid}q{j}" for j in range(cfg.personal_tokens)]
+        for snum in range(cfg.sentences_per_client):
             tokens: list[str] = []
-            for _ in range(pairs_per_sentence):
+            for _ in range(cfg.pairs_per_sentence):
                 tokens.append(commons[rng.integers(len(commons))])
-                j = int(rng.integers(personal_tokens))
+                j = int(rng.integers(cfg.personal_tokens))
                 tokens.append(personal[j])
                 tokens.append(markers[j])
             records.append(SentenceRecord(client_id=cid, tokens=tokens, timestamp=snum))

@@ -27,9 +27,8 @@ from .core import (
 from .errors import ConfigError, DataError
 
 __all__ = [
-    "MatFacConfig",
+    "ModelConfig",
     "matfac_spec",
-    "NwpConfig",
     "TokenCodec",
     "oov_nwp_spec",
     "PAD_ID",
@@ -40,22 +39,47 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# Matrix factorization
-# ---------------------------------------------------------------------------
+PAD_ID, BOS_ID, EOS_ID, OOV_ID = 0, 1, 2, 3
+NUM_SPECIAL = 4
+SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<oov>")
 
 
 @dataclass(frozen=True)
-class MatFacConfig:
-    num_items: int
+class ModelConfig:
+    """Model hyperparameters; the rating model reads ``embed_dim`` and
+    ``init_stddev``, the next-word model reads the remaining fields too."""
+
     embed_dim: int = 50
     init_stddev: float = 0.1
+    vocab_size: int = 1000
+    num_oov_buckets: int = 500
+    context_window: int = 3
+    max_sentence_len: int = 20
 
     def __post_init__(self):
-        if self.num_items < 1:
-            raise ConfigError("num_items must be positive")
         if self.embed_dim < 1:
-            raise ConfigError("embed_dim must be positive")
+            raise ConfigError("model.embed_dim must be positive")
+        if not 0 < self.init_stddev < math.inf:
+            raise ConfigError("model.init_stddev must be finite and positive")
+        if self.vocab_size < 1:
+            raise ConfigError("model.vocab_size must be positive")
+        if self.num_oov_buckets < 0:
+            raise ConfigError("model.num_oov_buckets must be nonnegative")
+        if self.context_window < 1:
+            raise ConfigError("model.context_window must be positive")
+        if self.max_sentence_len < 3:
+            raise ConfigError("model.max_sentence_len must fit bos + token + eos (3)")
+
+    @property
+    def num_classes(self) -> int:
+        """Next-word classes, which are also the rows of the global token
+        embedding table: the special tokens, then the core vocabulary."""
+        return NUM_SPECIAL + self.vocab_size
+
+
+# ---------------------------------------------------------------------------
+# Matrix factorization
+# ---------------------------------------------------------------------------
 
 
 def _mf_items(batch: Batch, num_items: int) -> np.ndarray:
@@ -85,10 +109,12 @@ def _dense_views(sparse_grads):
     return grad_global, grad_local
 
 
-def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
+def matfac_spec(cfg: ModelConfig, num_items: int) -> ModelSpec:
     """Rating prediction is dot(user_embedding, item_row); loss is mean MSE."""
 
-    I, K = cfg.num_items, cfg.embed_dim
+    if num_items < 1:
+        raise ConfigError("num_items must be positive")
+    I, K = num_items, cfg.embed_dim
 
     def init_global(rng: np.random.Generator) -> list[ParamBlock]:
         return [ParamBlock.of("item_embeddings", rng.normal(0.0, cfg.init_stddev, (I, K)))]
@@ -163,38 +189,6 @@ def matfac_spec(cfg: MatFacConfig) -> ModelSpec:
 # Log-linear next-word model with hashed local OOV embeddings
 # ---------------------------------------------------------------------------
 
-PAD_ID, BOS_ID, EOS_ID, OOV_ID = 0, 1, 2, 3
-NUM_SPECIAL = 4
-SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<oov>")
-
-
-@dataclass(frozen=True)
-class NwpConfig:
-    vocab_size: int
-    num_oov_buckets: int = 500
-    embed_dim: int = 16
-    context_window: int = 3
-    max_sentence_len: int = 20
-    init_stddev: float = 0.1
-
-    def __post_init__(self):
-        if self.vocab_size < 1:
-            raise ConfigError("vocab_size must be positive")
-        if self.num_oov_buckets < 0:
-            raise ConfigError("num_oov_buckets must be nonnegative")
-        if self.embed_dim < 1 or self.context_window < 1:
-            raise ConfigError("embed_dim and context_window must be positive")
-        if self.max_sentence_len < 3:
-            raise ConfigError("max_sentence_len must fit bos + token + eos")
-
-    @property
-    def num_classes(self) -> int:
-        return NUM_SPECIAL + self.vocab_size
-
-    @property
-    def num_global_rows(self) -> int:
-        return NUM_SPECIAL + self.vocab_size
-
 
 class TokenCodec:
     """Maps token strings onto embedding-row / class ids.
@@ -205,15 +199,17 @@ class TokenCodec:
     FNV-1a-64(token) mod num_oov_buckets.  With zero buckets an
     out-of-vocabulary token falls back to the single global oov row.
     Targets are always class ids, with out-of-vocabulary words mapped to
-    the oov class.
+    the oov class.  The special-token strings map to their own ids, ahead
+    of any vocabulary entry spelled the same.
     """
 
-    def __init__(self, cfg: NwpConfig, vocab: Sequence[str]):
+    def __init__(self, cfg: ModelConfig, vocab: Sequence[str]):
         if len(vocab) > cfg.vocab_size:
             raise ConfigError(f"vocabulary of {len(vocab)} exceeds vocab_size {cfg.vocab_size}")
         self.cfg = cfg
         self.vocab = list(vocab)
         self._ids = {w: NUM_SPECIAL + i for i, w in enumerate(self.vocab)}
+        self._ids.update(zip(SPECIAL_TOKENS, range(NUM_SPECIAL)))
 
     def context_id(self, token: str) -> int:
         gid = self._ids.get(token)
@@ -230,7 +226,7 @@ class TokenCodec:
         return token not in self._ids
 
 
-def _nwp_forward(cfg: NwpConfig, g, l, batch: Batch):
+def _nwp_forward(cfg: ModelConfig, g, l, batch: Batch):
     """Contexts with leading owner axes (see :class:`ModelSpec`), which of
     their slots address ``g[0]``, the local rows the other slots address,
     the mean slot embedding and the logits."""
@@ -286,17 +282,17 @@ def _softmax_grad(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray, 
     return dz
 
 
-def oov_nwp_spec(cfg: NwpConfig) -> ModelSpec:
+def oov_nwp_spec(cfg: ModelConfig) -> ModelSpec:
     """Mean of the last ``context_window`` token embeddings, affine map to
     logits over core vocabulary plus special tokens, cross-entropy loss.
     Core embeddings and the output layer are global; bucket rows are local.
     """
 
-    E, C, R = cfg.embed_dim, cfg.num_classes, cfg.num_global_rows
+    E, C = cfg.embed_dim, cfg.num_classes
 
     def init_global(rng: np.random.Generator) -> list[ParamBlock]:
         return [
-            ParamBlock.of("token_embeddings", rng.normal(0.0, cfg.init_stddev, (R, E))),
+            ParamBlock.of("token_embeddings", rng.normal(0.0, cfg.init_stddev, (C, E))),
             ParamBlock.of("output_weights", rng.normal(0.0, cfg.init_stddev, (E, C))),
             ParamBlock.of("output_bias", np.zeros(C)),
         ]

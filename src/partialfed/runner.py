@@ -35,7 +35,6 @@ from .config import (
 from .core import ClientDataset, ModelSpec, ParamBlock, RngStreams
 from .data import (
     MovieLensData,
-    SyntheticMFConfig,
     corpus_to_clients,
     gen_synthetic_corpus,
     gen_synthetic_mf,
@@ -46,7 +45,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import recon_eval, standard_eval
-from .models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
+from .models import matfac_spec, oov_nwp_spec
 from .server import init_local_store, run_training
 
 __all__ = [
@@ -102,20 +101,8 @@ def _load_rating_clients(config: ExperimentConfig) -> tuple[list[ClientDataset],
             )
         ml: MovieLensData = parse_movielens(config.data.path)
         return ml.clients, ml.num_items
-    syn = config.data.synthetic
-    clients, _, _ = gen_synthetic_mf(
-        SyntheticMFConfig(
-            num_users=syn.num_users,
-            num_items=syn.num_items,
-            true_rank=syn.true_rank,
-            noise_std=syn.noise_std,
-            ratings_per_user=syn.ratings_per_user,
-            seed=config.seed,
-            signal_std=syn.signal_std,
-            user_bias_std=syn.user_bias_std,
-        )
-    )
-    return clients, syn.num_items
+    clients, _, _ = gen_synthetic_mf(config.data.synthetic, config.seed)
+    return clients, config.data.synthetic.num_items
 
 
 def prepare_task(config: ExperimentConfig) -> TaskBundle:
@@ -127,42 +114,21 @@ def prepare_task(config: ExperimentConfig) -> TaskBundle:
     """
     if config.task in ("matfac", "synthetic"):
         clients, num_items = _load_rating_clients(config)
-        spec = matfac_spec(
-            MatFacConfig(
-                num_items=num_items,
-                embed_dim=config.model.embed_dim,
-                init_stddev=config.model.init_stddev,
-            )
-        )
+        spec = matfac_spec(config.model, num_items)
     else:
-        nwp_cfg = NwpConfig(
-            vocab_size=config.model.vocab_size,
-            num_oov_buckets=config.model.num_oov_buckets,
-            embed_dim=config.model.embed_dim,
-            context_window=config.model.context_window,
-            max_sentence_len=config.model.max_sentence_len,
-            init_stddev=config.model.init_stddev,
-        )
         if config.data.path is not None:
             clients, _, _ = load_token_corpus(
                 config.data.path,
-                nwp_cfg,
+                config.model,
                 max_sentences_per_client=config.data.max_sentences_per_client,
             )
         else:
-            syn = config.data.synthetic
-            records = gen_synthetic_corpus(
-                num_clients=syn.num_clients,
-                sentences_per_client=syn.sentences_per_client,
-                personal_tokens=syn.personal_tokens,
-                common_words=syn.common_words,
-                pairs_per_sentence=syn.pairs_per_sentence,
-                seed=config.seed,
-            )
             clients, _, _ = corpus_to_clients(
-                records, nwp_cfg, max_sentences_per_client=config.data.max_sentences_per_client
+                gen_synthetic_corpus(config.data.synthetic, config.seed),
+                config.model,
+                max_sentences_per_client=config.data.max_sentences_per_client,
             )
-        spec = oov_nwp_spec(nwp_cfg)
+        spec = oov_nwp_spec(config.model)
 
     base_streams = RngStreams(config.seed)
     if config.eval.regime == "recon":

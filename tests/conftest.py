@@ -8,8 +8,8 @@ import pytest
 from hypothesis import settings
 
 from partialfed.core import Batch, RngStreams
-from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
-from partialfed.models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
+from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
+from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
 
 # CI selects the "ci" profile (HYPOTHESIS_PROFILE=ci): the same examples on
 # every run, so a failure replays exactly; no per-example deadline on a
@@ -46,9 +46,11 @@ def streams() -> RngStreams:
 @pytest.fixture
 def mf_toy(streams):
     """A small rating-model instance: spec, params, and one client."""
-    spec = matfac_spec(MatFacConfig(num_items=6, embed_dim=3))
+    spec = matfac_spec(ModelConfig(embed_dim=3), 6)
     clients, _, _ = gen_synthetic_mf(
-        SyntheticMFConfig(num_users=4, num_items=6, true_rank=2, ratings_per_user=6, seed=3)
+        SyntheticDataConfig(num_users=4, num_items=6, true_rank=2, ratings_per_user=6,
+                            noise_std=0.3, signal_std=0.8),
+        3,
     )
     g = spec.init_global(streams.generator("mf_g"))
     l = spec.init_local(streams.generator("mf_l"))
@@ -57,14 +59,14 @@ def mf_toy(streams):
 
 @pytest.fixture
 def nwp_toy(streams):
-    spec_cfg = NwpConfig(vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2)
+    spec_cfg = ModelConfig(vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2)
     spec = oov_nwp_spec(spec_cfg)
     g = spec.init_global(streams.generator("nwp_g"))
     l = spec.init_local(streams.generator("nwp_l"))
     rng = streams.generator("nwp_batch")
     n = 6
     batch = Batch(
-        features=rng.integers(-spec_cfg.num_oov_buckets, spec_cfg.num_global_rows, size=(n, 2)),
+        features=rng.integers(-spec_cfg.num_oov_buckets, spec_cfg.num_classes, size=(n, 2)),
         targets=rng.integers(0, spec_cfg.num_classes, size=n).astype(float),
         weights=np.ones(n),
     )

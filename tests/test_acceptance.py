@@ -25,7 +25,7 @@ from partialfed.client import (
 from partialfed.config import load_config
 from partialfed.core import Batch, ParamBlock, RngStreams, check_gradients
 from partialfed.data import (
-    SyntheticMFConfig,
+    SyntheticDataConfig,
     build_vocabulary,
     corpus_to_clients,
     gen_synthetic_corpus,
@@ -33,7 +33,7 @@ from partialfed.data import (
     vocabulary_coverage,
 )
 from partialfed.evaluation import EvalMode, params_to_reach, recon_eval
-from partialfed.models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
+from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
 from partialfed.runner import (
     _run_all_repeats,
     prepare_task,
@@ -255,10 +255,11 @@ def test_criterion_7_first_order_meta_gradient():
         rng = streams.generator("mf", i)
         seed = int(rng.integers(2**31))
         clients, _, _ = gen_synthetic_mf(
-            SyntheticMFConfig(num_users=3, num_items=5, true_rank=2,
-                              ratings_per_user=5, seed=seed)
+            SyntheticDataConfig(num_users=3, num_items=5, true_rank=2, ratings_per_user=5,
+                                noise_std=0.3, signal_std=0.8),
+            seed,
         )
-        spec = matfac_spec(MatFacConfig(num_items=5, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 5)
         ds = split_dataset(clients[0], SplitPolicy(), streams.generator("mfs", i))
         g = spec.init_global(streams.generator("mfg", i))
         k_r = int(rng.integers(0, 3))
@@ -268,15 +269,16 @@ def test_criterion_7_first_order_meta_gradient():
         if k_r == 0:
             worst_k0 = max(worst_k0, rep.composite_max_rel_gap)
 
-    nwp_cfg = NwpConfig(vocab_size=4, num_oov_buckets=2, embed_dim=2,
-                        context_window=2, max_sentence_len=8)
+    nwp_cfg = ModelConfig(vocab_size=4, num_oov_buckets=2, embed_dim=2,
+                          context_window=2, max_sentence_len=8)
     nwp = oov_nwp_spec(nwp_cfg)
     for i in range(n_each):
         rng = streams.generator("nwp", i)
         seed = int(rng.integers(2**31))
         records = gen_synthetic_corpus(
-            num_clients=2, sentences_per_client=3, personal_tokens=2,
-            common_words=3, pairs_per_sentence=2, seed=seed,
+            SyntheticDataConfig(num_clients=2, sentences_per_client=3, personal_tokens=2,
+                                common_words=3, pairs_per_sentence=2),
+            seed,
         )
         clients, _, _ = corpus_to_clients(records, nwp_cfg)
         ds = split_dataset(clients[0], SplitPolicy(), streams.generator("ns", i))
@@ -304,7 +306,7 @@ def test_criterion_7_first_order_meta_gradient():
 
 
 def test_criterion_8_oov_mechanism():
-    records = gen_synthetic_corpus(seed=17)
+    records = gen_synthetic_corpus(SyntheticDataConfig(), 17)
     vocab = build_vocabulary(records, 48)
     oov_rate = 1.0 - vocabulary_coverage(records, vocab)
     assert oov_rate >= 0.30, f"corpus out-of-vocabulary rate {oov_rate:.3f} below 0.30"
@@ -394,7 +396,7 @@ def test_criterion_10_gradient_checks():
     for i in range(instances):
         rng = streams.generator("gc_mf", i)
         num_items = int(rng.integers(3, 8))
-        spec = matfac_spec(MatFacConfig(num_items=num_items, embed_dim=int(rng.integers(2, 5))))
+        spec = matfac_spec(ModelConfig(embed_dim=int(rng.integers(2, 5))), num_items)
         g = spec.init_global(rng)
         l = spec.init_local(rng)
         n = int(rng.integers(1, 6))
@@ -407,7 +409,7 @@ def test_criterion_10_gradient_checks():
 
     for i in range(instances):
         rng = streams.generator("gc_nwp", i)
-        cfg = NwpConfig(
+        cfg = ModelConfig(
             vocab_size=int(rng.integers(3, 7)),
             num_oov_buckets=int(rng.integers(1, 4)),
             embed_dim=int(rng.integers(2, 4)),
@@ -418,7 +420,7 @@ def test_criterion_10_gradient_checks():
         l = spec.init_local(rng)
         n = int(rng.integers(1, 6))
         batch = Batch(
-            features=rng.integers(-cfg.num_oov_buckets, cfg.num_global_rows,
+            features=rng.integers(-cfg.num_oov_buckets, cfg.num_classes,
                                   size=(n, cfg.context_window)),
             targets=rng.integers(0, cfg.num_classes, size=n).astype(float),
             weights=rng.uniform(0.5, 2.0, size=n),

@@ -16,21 +16,20 @@ from partialfed.core import (
     _rows_at,
     _sgd_step,
 )
-from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
+from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import DataError
-from partialfed.models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
+from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
 from partialfed.server import ServerOptimizer, init_local_store
 from oracles import oracle_mf_centralized_step
 
 
 def population(num_users=4, num_items=6, seed=3, ratings=5):
     clients, _, _ = gen_synthetic_mf(
-        SyntheticMFConfig(
-            num_users=num_users, num_items=num_items, true_rank=2,
-            ratings_per_user=ratings, seed=seed,
-        )
+        SyntheticDataConfig(num_users=num_users, num_items=num_items, true_rank=2,
+                            ratings_per_user=ratings, noise_std=0.3, signal_std=0.8),
+        seed,
     )
-    spec = matfac_spec(MatFacConfig(num_items=num_items, embed_dim=2))
+    spec = matfac_spec(ModelConfig(embed_dim=2), num_items)
     return spec, {c.client_id: c for c in clients}
 
 
@@ -75,7 +74,7 @@ class TestTrainCentralized:
         if model == "matfac":
             spec, clients = population()
         else:
-            spec = oov_nwp_spec(NwpConfig(vocab_size=4, num_oov_buckets=3, embed_dim=2))
+            spec = oov_nwp_spec(ModelConfig(vocab_size=4, num_oov_buckets=3, embed_dim=2))
             clients = {
                 cid: ClientDataset(cid, features=np.array([[4, -1, 5]]), targets=np.array([5.0]),
                                    weights=np.ones(1), timestamps=np.zeros(1))
@@ -135,13 +134,13 @@ class TestTrainCentralized:
         # The generic loop normalises each owner's sub-batch by the whole
         # minibatch weight; the reference scales each owner's dense
         # grad_global / grad_local by its weight share of the minibatch.
-        cfg = NwpConfig(vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2)
+        cfg = ModelConfig(vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2)
         spec = oov_nwp_spec(cfg)
         rng = np.random.default_rng(0)
         clients = {
             cid: ClientDataset(
                 cid,
-                features=rng.integers(-cfg.num_oov_buckets, cfg.num_global_rows, size=(n, 2)),
+                features=rng.integers(-cfg.num_oov_buckets, cfg.num_classes, size=(n, 2)),
                 targets=rng.integers(0, cfg.num_classes, size=n).astype(float),
                 weights=rng.uniform(0.5, 2.0, size=n),
                 timestamps=np.arange(n),
@@ -182,8 +181,8 @@ class TestTrainCentralized:
     def test_bucket_past_the_table_is_a_data_error(self):
         # Bucket 3 of a 3-bucket table.  Remapped to a slot id, the kernel
         # could no longer see it, and client 0 would read client 1's row 0.
-        spec = oov_nwp_spec(NwpConfig(vocab_size=5, num_oov_buckets=3, embed_dim=2,
-                                      context_window=2))
+        spec = oov_nwp_spec(ModelConfig(vocab_size=5, num_oov_buckets=3, embed_dim=2,
+                                        context_window=2))
         clients = {
             cid: ClientDataset(cid, features=np.array([ctx]), targets=np.array([5.0]),
                                weights=np.ones(1), timestamps=np.zeros(1))
@@ -253,12 +252,12 @@ def centralized_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         num_items = draw(st.integers(1, 6))
-        spec = matfac_spec(MatFacConfig(num_items=num_items, embed_dim=draw(st.integers(1, 4))))
+        spec = matfac_spec(ModelConfig(embed_dim=draw(st.integers(1, 4))), num_items)
 
         def columns(n):
             return rng.integers(0, num_items, size=n), rng.integers(1, 6, size=n) * 1.0
     else:
-        cfg = NwpConfig(
+        cfg = ModelConfig(
             vocab_size=draw(st.integers(1, 4)),
             num_oov_buckets=draw(st.integers(0, 3)),
             embed_dim=draw(st.integers(1, 3)),
@@ -267,7 +266,7 @@ def centralized_cases(draw):
         spec = oov_nwp_spec(cfg)
 
         def columns(n):
-            ctx = rng.integers(-cfg.num_oov_buckets, cfg.num_global_rows,
+            ctx = rng.integers(-cfg.num_oov_buckets, cfg.num_classes,
                                size=(n, cfg.context_window))
             return ctx, rng.integers(0, cfg.num_classes, size=n) * 1.0
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from partialfed.cli import main
+from partialfed.config import config_from_dict
+from partialfed.runner import prepare_task
 
 
 def synth_args(tmp_path, *extra):
@@ -178,18 +180,29 @@ def test_table2_mech_rows_train_fedrecon_whatever_the_flag(tmp_path):
 def test_table2_mech_rows_take_their_own_task_defaults(tmp_path):
     # Without --task the base config is matfac's, but every row sets task
     # oov_nwp and so must run with oov_nwp's defaults (Yogi, a by-timestamp
-    # split, one repeat), exactly as under --task oov_nwp.
+    # split, one repeat), exactly as under --task oov_nwp.  A toy table
+    # scores 0.0 on every row, so each row's own mechanism setting is read
+    # from its manifest and from the model that config builds.
     flags = ["--seed", "11", "--rounds", "2", "--clients-per-round", "4",
              "--eval-repeats", "1", "--eval-clients-per-repeat", "4"]
     for out, task in ((tmp_path / "bare", []), (tmp_path / "task", ["--task", "oov_nwp"])):
         assert main(["reproduce", "table2-mech", *flags, *task, "--output-dir", str(out)]) == 0
-    for row in ("fedrecon_500_oov", "fedrecon_1_oov", "fedrecon_500_oov_no_split",
-                "fedrecon_500_oov_joint"):
+    rows = {
+        "fedrecon_500_oov": (500, False),
+        "fedrecon_1_oov": (1, False),
+        "fedrecon_500_oov_no_split": (500, False),
+        "fedrecon_500_oov_joint": (500, True),
+    }
+    for row, (buckets, joint) in rows.items():
         config = json.loads((tmp_path / "bare" / row / "manifest.json").read_text())["config"]
         split = "no_split" if row.endswith("no_split") else "by_timestamp_half"
         assert config["split"]["kind"] == split, row
         assert config["server"]["kind"] == "yogi", row
         assert (config["rounds"], config["repeats"]) == (2, 1), row
+        assert config["model"]["num_oov_buckets"] == buckets, row
+        assert config["client"]["joint_training"] is joint, row
+        spec = prepare_task(config_from_dict(config)).spec
+        assert [b.shape[0] for b in spec.init_local(np.random.default_rng(0))] == [buckets], row
         for name in ("params.bin", "metrics.csv"):
             bare, task = ((tmp_path / run / row / name).read_bytes() for run in ("bare", "task"))
             assert bare == task, f"{row} {name}"
@@ -238,9 +251,9 @@ def test_reproduce_table1_requires_data(tmp_path):
 
 
 def _mf_blocks(embed_dim):
-    from partialfed.models import MatFacConfig, matfac_spec
+    from partialfed.models import ModelConfig, matfac_spec
 
-    return matfac_spec(MatFacConfig(num_items=12, embed_dim=embed_dim)).init_global(
+    return matfac_spec(ModelConfig(embed_dim=embed_dim), 12).init_global(
         np.random.default_rng(0)
     )
 

@@ -17,9 +17,9 @@ from partialfed.client import (
     split_dataset,
 )
 from partialfed.core import ClientDataset, Example, ParamBlock, RngStreams
-from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
+from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import ConfigError, DataError, NumericalError
-from partialfed.models import MatFacConfig, matfac_spec
+from partialfed.models import ModelConfig, matfac_spec
 from oracles import oracle_mf_two_step_update, oracle_sgd_trace
 
 
@@ -145,7 +145,7 @@ class TestBatchSchedule:
 
 class TestReconstruct:
     def make(self, streams, n=6):
-        spec = matfac_spec(MatFacConfig(num_items=3, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 3)
         g = spec.init_global(streams.generator("g"))
         ds = split_dataset(toy_client(n), SplitPolicy(), streams.generator("s"))
         return spec, g, ds
@@ -225,11 +225,13 @@ class TestReconstruct:
 
 class TestClientUpdate:
     def make(self, streams):
-        spec = matfac_spec(MatFacConfig(num_items=4, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 4)
         g = spec.init_global(streams.generator("g"))
         l = spec.init_local(streams.generator("l"))
         clients, _, _ = gen_synthetic_mf(
-            SyntheticMFConfig(num_users=3, num_items=4, true_rank=2, ratings_per_user=4, seed=8)
+            SyntheticDataConfig(num_users=3, num_items=4, true_rank=2, ratings_per_user=4,
+                                noise_std=0.3, signal_std=0.8),
+            8,
         )
         ds = split_dataset(clients[0], SplitPolicy(), streams.generator("s"))
         return spec, g, l, ds
@@ -327,7 +329,7 @@ class TestClientUpdate:
                 np.testing.assert_allclose(da, db, atol=1e-12)
 
     def test_sparse_path_accumulates_duplicate_rows(self, streams):
-        spec = matfac_spec(MatFacConfig(num_items=3, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 3)
         g = spec.init_global(streams.generator("g"))
         l = spec.init_local(streams.generator("l"))
         ds = ClientDataset.from_examples(
@@ -350,10 +352,12 @@ class TestClientUpdate:
 
 class TestRunClientRound:
     def test_result_carries_metrics(self, streams):
-        spec = matfac_spec(MatFacConfig(num_items=6, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 6)
         g = spec.init_global(streams.generator("g"))
         clients, _, _ = gen_synthetic_mf(
-            SyntheticMFConfig(num_users=2, num_items=6, true_rank=2, ratings_per_user=6, seed=1)
+            SyntheticDataConfig(num_users=2, num_items=6, true_rank=2, ratings_per_user=6,
+                                noise_std=0.3, signal_std=0.8),
+            1,
         )
         hyper = ClientHyper(k_r=3, k_u=2, eta_r=0.2, eta_u=0.1, batch_size=2)
         result = run_client_round(spec, g, clients[0], SplitPolicy(), hyper, streams, 0)
@@ -361,10 +365,12 @@ class TestRunClientRound:
         assert result.n_i == len(clients[0].targets) // 2
 
     def test_identical_inputs_reproduce_bitwise(self, streams):
-        spec = matfac_spec(MatFacConfig(num_items=6, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 6)
         g = spec.init_global(streams.generator("g"))
         clients, _, _ = gen_synthetic_mf(
-            SyntheticMFConfig(num_users=2, num_items=6, true_rank=2, ratings_per_user=6, seed=1)
+            SyntheticDataConfig(num_users=2, num_items=6, true_rank=2, ratings_per_user=6,
+                                noise_std=0.3, signal_std=0.8),
+            1,
         )
         hyper = ClientHyper(k_r=2, k_u=2, eta_r=0.2, eta_u=0.1, batch_size=2)
         a = run_client_round(spec, g, clients[0], SplitPolicy(), hyper, RngStreams(9), 3)
@@ -375,11 +381,13 @@ class TestRunClientRound:
     def test_caller_blocks_never_mutated_by_joint_training(self, streams):
         # The stored local parameters the full-aggregation baseline passes
         # in come back stepped in ``updated_local``, never stepped in place.
-        spec = matfac_spec(MatFacConfig(num_items=6, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 6)
         g = spec.init_global(streams.generator("g"))
         stored = spec.init_local(streams.generator("l"))
         clients, _, _ = gen_synthetic_mf(
-            SyntheticMFConfig(num_users=2, num_items=6, true_rank=2, ratings_per_user=6, seed=1)
+            SyntheticDataConfig(num_users=2, num_items=6, true_rank=2, ratings_per_user=6,
+                                noise_std=0.3, signal_std=0.8),
+            1,
         )
         snapshot = [b.values.copy() for b in g + stored]
         hyper = ClientHyper(k_u=3, eta_u=0.2, batch_size=2, joint_training=True)

@@ -40,10 +40,10 @@ from partialfed.core import (
     finalize_metrics,
     merge_metrics,
 )
-from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
+from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import NumericalError
 from partialfed.evaluation import EvalMode, _finalize_with_macro, recon_eval
-from partialfed.models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
+from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
 from partialfed.server import (
     ServerOptimizer,
     aggregate,
@@ -119,24 +119,23 @@ def assert_results_match(cohort, reference):
 
 def mf_population(num_users=9, num_items=25, ratings_per_user=13, seed=4):
     clients, _, _ = gen_synthetic_mf(
-        SyntheticMFConfig(
-            num_users=num_users, num_items=num_items, true_rank=3,
-            ratings_per_user=ratings_per_user, seed=seed,
-        )
+        SyntheticDataConfig(num_users=num_users, num_items=num_items, true_rank=3,
+                            ratings_per_user=ratings_per_user, noise_std=0.3, signal_std=0.8),
+        seed,
     )
-    spec = matfac_spec(MatFacConfig(num_items=num_items, embed_dim=4))
+    spec = matfac_spec(ModelConfig(embed_dim=4), num_items)
     return spec, clients
 
 
 def nwp_population(num_clients=9, seed=4):
     """Next-word clients: in-vocabulary and bucket contexts, three global
     blocks, two of them dense."""
-    cfg = NwpConfig(vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2)
+    cfg = ModelConfig(vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2)
     rng = np.random.default_rng(seed)
     clients = [
         ClientDataset(
             cid,
-            features=rng.integers(-cfg.num_oov_buckets, cfg.num_global_rows, size=(n, 2)),
+            features=rng.integers(-cfg.num_oov_buckets, cfg.num_classes, size=(n, 2)),
             targets=rng.integers(0, cfg.num_classes, size=n).astype(float),
             weights=np.ones(n),
             timestamps=np.arange(n),
@@ -207,7 +206,7 @@ class TestRunCohortMatchesClientRounds:
         compare_round(spec, g, clients, SplitPolicy(), HYPER, streams)
 
     def test_repeated_items_within_a_batch(self, streams):
-        spec = matfac_spec(MatFacConfig(num_items=3, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 3)
         g = spec.init_global(streams.generator("g"))
         rng = np.random.default_rng(0)
         clients = [
@@ -240,7 +239,7 @@ class TestRunCohortMatchesClientRounds:
         clients = [
             ClientDataset(
                 cid,
-                features=rng.integers(-cfg.num_oov_buckets, cfg.num_global_rows, size=(n, 2)),
+                features=rng.integers(-cfg.num_oov_buckets, cfg.num_classes, size=(n, 2)),
                 targets=rng.integers(0, cfg.num_classes, size=n).astype(float),
                 weights=np.ones(n),
                 timestamps=np.arange(n),
@@ -301,7 +300,7 @@ def mf_rounds(draw):
     clients = draw(populations(
         lambda rng, n: (rng.integers(0, num_items, size=n), rng.integers(1, 6, size=n) * 1.0)
     ))
-    spec = matfac_spec(MatFacConfig(num_items=num_items, embed_dim=draw(st.integers(1, 6))))
+    spec = matfac_spec(ModelConfig(embed_dim=draw(st.integers(1, 6))), num_items)
     return (spec, clients, *draw(round_settings()))
 
 
@@ -310,14 +309,14 @@ def nwp_rounds(draw):
     """A small next-word population (in-vocabulary and bucket contexts; a
     client, or a whole cohort, may address no global row) under a model of
     0 to 3 buckets, and one round's settings."""
-    cfg = NwpConfig(
+    cfg = ModelConfig(
         vocab_size=draw(st.integers(1, 5)),
         num_oov_buckets=draw(st.integers(0, 3)),
         embed_dim=draw(st.integers(1, 3)),
         context_window=draw(st.integers(1, 3)),
     )
     clients = draw(populations(lambda rng, n: (
-        rng.integers(-cfg.num_oov_buckets, cfg.num_global_rows, size=(n, cfg.context_window)),
+        rng.integers(-cfg.num_oov_buckets, cfg.num_classes, size=(n, cfg.context_window)),
         rng.integers(0, cfg.num_classes, size=n) * 1.0,
     )))
     return (oov_nwp_spec(cfg), clients, *draw(round_settings()))
@@ -605,9 +604,9 @@ def test_reconstruct_cohort_keeps_per_client_streams(streams):
 def test_owner_chunks_bound_each_batched_call():
     # MF's 50-value user vectors run a 100-client round in one call; next-word
     # prediction with 500 x 32 buckets and 410 classes runs 4 clients a call.
-    mf = matfac_spec(MatFacConfig(num_items=3706, embed_dim=50))
+    mf = matfac_spec(ModelConfig(embed_dim=50), 3706)
     assert len(owner_chunks(mf, mf.init_global(np.random.default_rng(0)), 100)) == 1
-    nwp = oov_nwp_spec(NwpConfig(vocab_size=406, num_oov_buckets=500, embed_dim=32))
+    nwp = oov_nwp_spec(ModelConfig(vocab_size=406, num_oov_buckets=500, embed_dim=32))
     chunks = owner_chunks(nwp, nwp.init_global(np.random.default_rng(0)), 20)
     assert [(c.start, c.stop) for c in chunks] == [(lo, lo + 4) for lo in range(0, 20, 4)]
     assert owner_chunks(nwp, nwp.init_global(np.random.default_rng(0)), 0) == []

@@ -2,6 +2,7 @@ import json
 import typing
 import warnings
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from partialfed.runner import (
     tradeoff_curves,
     write_params,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def synthetic_config(tmp_path, **overrides):
@@ -60,6 +63,21 @@ class TestConfig:
         assert cfg.clients_per_round == 100
         assert cfg.client.k_r == 50 and cfg.client.k_u == 50
         assert cfg.repeats == 3  # reported numbers average three reruns
+
+    @pytest.mark.parametrize("task", ["matfac", "synthetic", "oov_nwp"])
+    def test_task_defaults_match_the_recorded_resolution(self, task):
+        # Every default of every section, in the order the manifest writes
+        # them; re-recording the file is a deliberate act.
+        golden = json.loads((GOLDEN / "resolved_configs.json").read_text())[task]
+        resolved = config_to_dict(load_config(overrides={"task": task}))
+        assert resolved == golden
+        assert json.dumps(resolved) == json.dumps(golden)
+
+    def test_rating_population_is_checked_where_ratings_are_generated(self):
+        sizes = {"data.synthetic.ratings_per_user": 81}  # of 80 items
+        with pytest.raises(ConfigError, match="ratings_per_user"):
+            prepare_task(load_config(None, {"task": "synthetic", **sizes}))
+        prepare_task(load_config(None, {"task": "oov_nwp", **sizes}))  # draws no ratings
 
     def test_standard_grid_values(self):
         assert MATFAC_GRID["server.eta_s"] == [0.1, 0.5, 1.0]

@@ -4,7 +4,7 @@ import pytest
 from partialfed.core import RngStreams
 from partialfed.data import (
     SentenceRecord,
-    SyntheticMFConfig,
+    SyntheticDataConfig,
     build_vocabulary,
     corpus_to_clients,
     gen_synthetic_corpus,
@@ -16,7 +16,7 @@ from partialfed.data import (
     write_token_corpus,
 )
 from partialfed.errors import ConfigError, DataError, ParseError
-from partialfed.models import EOS_ID, NUM_SPECIAL, NwpConfig, OOV_ID, PAD_ID, TokenCodec
+from partialfed.models import EOS_ID, NUM_SPECIAL, OOV_ID, PAD_ID, ModelConfig, TokenCodec
 
 
 class TestParseMovielens:
@@ -90,9 +90,10 @@ class TestParseMovielens:
 
 class TestSyntheticMF:
     def test_deterministic(self):
-        cfg = SyntheticMFConfig(num_users=5, num_items=8, true_rank=3, ratings_per_user=4, seed=7)
-        a, pa, qa = gen_synthetic_mf(cfg)
-        b, pb, qb = gen_synthetic_mf(cfg)
+        cfg = SyntheticDataConfig(num_users=5, num_items=8, true_rank=3, ratings_per_user=4,
+                                  noise_std=0.3, signal_std=0.8)
+        a, pa, qa = gen_synthetic_mf(cfg, 7)
+        b, pb, qb = gen_synthetic_mf(cfg, 7)
         assert np.array_equal(pa, pb) and np.array_equal(qa, qb)
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.features, cb.features)
@@ -100,15 +101,18 @@ class TestSyntheticMF:
 
     def test_clean_matrix_rank(self):
         for rank in (1, 2, 4):
-            cfg = SyntheticMFConfig(
-                num_users=20, num_items=10, true_rank=rank, ratings_per_user=5, seed=1
+            cfg = SyntheticDataConfig(
+                num_users=20, num_items=10, true_rank=rank, ratings_per_user=5,
+                noise_std=0.3, signal_std=0.8,
             )
-            _, p, q = gen_synthetic_mf(cfg)
+            _, p, q = gen_synthetic_mf(cfg, 1)
             assert np.linalg.matrix_rank(p @ q.T) == rank
 
     def test_ratings_in_range(self):
         clients, _, _ = gen_synthetic_mf(
-            SyntheticMFConfig(num_users=10, num_items=10, true_rank=3, ratings_per_user=6, seed=2)
+            SyntheticDataConfig(num_users=10, num_items=10, true_rank=3, ratings_per_user=6,
+                                noise_std=0.3, signal_std=0.8),
+            2,
         )
         for c in clients:
             assert np.all((c.targets >= 1) & (c.targets <= 5))
@@ -116,26 +120,49 @@ class TestSyntheticMF:
 
     def test_single_rating_per_user(self):
         clients, _, _ = gen_synthetic_mf(
-            SyntheticMFConfig(num_users=4, num_items=5, true_rank=2, ratings_per_user=1, seed=3)
+            SyntheticDataConfig(num_users=4, num_items=5, true_rank=2, ratings_per_user=1,
+                                noise_std=0.3, signal_std=0.8),
+            3,
         )
         assert all(c.n == 1 for c in clients)
 
-    def test_rank_bounds_validated(self):
-        with pytest.raises(ConfigError):
-            SyntheticMFConfig(num_users=2, num_items=5, true_rank=3)
+    @pytest.mark.parametrize(
+        "sizes, complaint",
+        [
+            ({"num_users": 2, "true_rank": 3}, "true_rank"),
+            ({"num_users": 9, "true_rank": 6}, "true_rank"),
+            ({"num_users": 5, "ratings_per_user": 6}, "ratings_per_user"),
+            ({"num_users": 5, "true_rank": 3, "signal_std": 0.0}, "signal_std"),
+        ],
+        ids=["rank_over_users", "rank_over_items", "ratings_over_items", "rank_without_signal"],
+    )
+    def test_cross_field_checks(self, sizes, complaint):
+        # Each field is in range; together they describe no population.
+        cfg = SyntheticDataConfig(**{"num_items": 5, "true_rank": 2, "ratings_per_user": 5,
+                                     **sizes})
+        with pytest.raises(ConfigError, match=complaint):
+            gen_synthetic_mf(cfg, 0)
+
+    def test_one_factor_needs_no_signal(self):
+        clients, p, _ = gen_synthetic_mf(
+            SyntheticDataConfig(num_users=3, num_items=5, true_rank=1, ratings_per_user=5,
+                                signal_std=0.0),
+            0,
+        )
+        assert p.shape == (3, 1) and len(clients) == 3
 
     def test_noiseless_data_is_recoverable(self):
         # With zero noise and matched rank, centralized training fits the
         # ratings down to the rounding floor.
         from partialfed.baselines import train_centralized
-        from partialfed.models import MatFacConfig, matfac_spec
+        from partialfed.models import matfac_spec
 
-        cfg = SyntheticMFConfig(
+        cfg = SyntheticDataConfig(
             num_users=30, num_items=12, true_rank=3, noise_std=0.0,
-            ratings_per_user=8, seed=4,
+            ratings_per_user=8, signal_std=0.8,
         )
-        clients, _, _ = gen_synthetic_mf(cfg)
-        spec = matfac_spec(MatFacConfig(num_items=12, embed_dim=4, init_stddev=0.3))
+        clients, _, _ = gen_synthetic_mf(cfg, 4)
+        spec = matfac_spec(ModelConfig(embed_dim=4, init_stddev=0.3), 12)
         pop = {c.client_id: c for c in clients}
         g, locs = train_centralized(
             spec, pop, epochs=300, batch_size=30, rate=0.3, streams=RngStreams(5)
@@ -156,7 +183,7 @@ class TestTokenCorpus:
         ]
         path = tmp_path / "corpus.tsv"
         write_token_corpus(path, records)
-        cfg = NwpConfig(vocab_size=3, num_oov_buckets=2, embed_dim=2, context_window=2)
+        cfg = ModelConfig(vocab_size=3, num_oov_buckets=2, embed_dim=2, context_window=2)
         clients, vocab, codec = load_token_corpus(path, cfg)
         assert [c.client_id for c in clients] == [1, 2]
         assert set(vocab) == {"a", "b", "c"}
@@ -164,14 +191,14 @@ class TestTokenCorpus:
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_text("1\t2\ta b\nbadline\n", encoding="utf-8")
-        cfg = NwpConfig(vocab_size=2, num_oov_buckets=2, embed_dim=2, context_window=2)
+        cfg = ModelConfig(vocab_size=2, num_oov_buckets=2, embed_dim=2, context_window=2)
         with pytest.raises(ParseError) as exc_info:
             load_token_corpus(path, cfg)
         assert exc_info.value.line_no == 2
 
     def test_single_token_corpus(self):
         records = [SentenceRecord(0, ["a", "a", "a"], 0)]
-        cfg = NwpConfig(vocab_size=4, num_oov_buckets=2, embed_dim=2, context_window=2)
+        cfg = ModelConfig(vocab_size=4, num_oov_buckets=2, embed_dim=2, context_window=2)
         clients, vocab, codec = corpus_to_clients(records, cfg)
         assert vocab == ["a"]
         targets = clients[0].targets.astype(int)
@@ -180,7 +207,7 @@ class TestTokenCorpus:
 
     def test_vocabulary_ranking_pushes_rare_tokens_out(self):
         records = [SentenceRecord(0, ["common", "common", "rare"], 0)]
-        cfg = NwpConfig(vocab_size=1, num_oov_buckets=2, embed_dim=2, context_window=2)
+        cfg = ModelConfig(vocab_size=1, num_oov_buckets=2, embed_dim=2, context_window=2)
         _, vocab, codec = corpus_to_clients(records, cfg)
         assert vocab == ["common"]
         assert codec.is_oov("rare")
@@ -202,13 +229,13 @@ class TestTokenCorpus:
 
     def test_sentence_cap_keeps_earliest(self):
         records = [SentenceRecord(0, ["a"], t) for t in (5, 1, 3)]
-        cfg = NwpConfig(vocab_size=2, num_oov_buckets=1, embed_dim=2, context_window=2)
+        cfg = ModelConfig(vocab_size=2, num_oov_buckets=1, embed_dim=2, context_window=2)
         clients, _, _ = corpus_to_clients(records, cfg, max_sentences_per_client=2)
         assert set(clients[0].timestamps.tolist()) == {1, 3}
 
     def test_windowing_layout(self):
-        cfg = NwpConfig(vocab_size=4, num_oov_buckets=2, embed_dim=2, context_window=3,
-                        max_sentence_len=6)
+        cfg = ModelConfig(vocab_size=4, num_oov_buckets=2, embed_dim=2, context_window=3,
+                          max_sentence_len=6)
         codec = TokenCodec(cfg, ["a", "b"])
         ctx, targets, stamps = sentence_examples(codec, ["a", "b"], timestamp=4)
         # slots: bos a b eos pad pad -> targets a, b, eos
@@ -218,28 +245,28 @@ class TestTokenCorpus:
         assert np.all(stamps == 4)
 
     def test_long_sentence_truncated_to_fixed_slots(self):
-        cfg = NwpConfig(vocab_size=30, num_oov_buckets=2, embed_dim=2, context_window=2,
-                        max_sentence_len=8)
+        cfg = ModelConfig(vocab_size=30, num_oov_buckets=2, embed_dim=2, context_window=2,
+                          max_sentence_len=8)
         codec = TokenCodec(cfg, [f"w{i}" for i in range(20)])
         ctx, targets, _ = sentence_examples(codec, [f"w{i}" for i in range(20)], 0)
         assert len(targets) == 7  # bos + 6 body tokens + eos fill all 8 slots
 
     def test_reserved_tokens_rejected(self):
         records = [SentenceRecord(0, ["<pad>", "a"], 0)]
-        cfg = NwpConfig(vocab_size=2, num_oov_buckets=1, embed_dim=2, context_window=2)
+        cfg = ModelConfig(vocab_size=2, num_oov_buckets=1, embed_dim=2, context_window=2)
         with pytest.raises(DataError):
             corpus_to_clients(records, cfg)
 
 
 class TestSyntheticCorpus:
     def test_oov_rate_at_least_one_third(self):
-        records = gen_synthetic_corpus(seed=0)
-        cfg = NwpConfig(vocab_size=48, num_oov_buckets=500, embed_dim=4, context_window=3)
+        records = gen_synthetic_corpus(SyntheticDataConfig(), 0)
+        cfg = ModelConfig(vocab_size=48, num_oov_buckets=500, embed_dim=4, context_window=3)
         vocab = build_vocabulary(records, cfg.vocab_size)
         assert 1.0 - vocabulary_coverage(records, vocab) >= 0.30
 
     def test_personal_tokens_are_client_specific(self):
-        records = gen_synthetic_corpus(num_clients=3, seed=1)
+        records = gen_synthetic_corpus(SyntheticDataConfig(num_clients=3), 1)
         per_client = {}
         for rec in records:
             per_client.setdefault(rec.client_id, set()).update(
@@ -248,7 +275,10 @@ class TestSyntheticCorpus:
         assert not (per_client[0] & per_client[1])
 
     def test_marker_follows_personal_token(self):
-        records = gen_synthetic_corpus(num_clients=2, sentences_per_client=5, seed=2)
+        records = gen_synthetic_corpus(
+            SyntheticDataConfig(num_clients=2, sentences_per_client=5),
+            2,
+        )
         for rec in records:
             for i, tok in enumerate(rec.tokens):
                 if tok.startswith("p"):
@@ -256,13 +286,9 @@ class TestSyntheticCorpus:
                     assert rec.tokens[i + 1] == f"sig{j}"
 
     def test_deterministic(self):
-        a = gen_synthetic_corpus(seed=5)
-        b = gen_synthetic_corpus(seed=5)
+        a = gen_synthetic_corpus(SyntheticDataConfig(), 5)
+        b = gen_synthetic_corpus(SyntheticDataConfig(), 5)
         assert [(r.client_id, r.tokens, r.timestamp) for r in a] == [
             (r.client_id, r.tokens, r.timestamp) for r in b
         ]
 
-
-def test_degenerate_signal_with_rank_rejected():
-    with pytest.raises(ConfigError):
-        SyntheticMFConfig(num_users=5, num_items=5, true_rank=3, signal_std=0.0)

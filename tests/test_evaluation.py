@@ -4,7 +4,7 @@ import pytest
 from partialfed.client import ClientHyper, SplitPolicy, reconstruct, split_dataset
 from partialfed.core import ClientDataset, Example, ParamBlock, RngStreams
 from partialfed.data import (
-    SyntheticMFConfig,
+    SyntheticDataConfig,
     gen_synthetic_mf,
     split_each_client_by_time,
     split_users,
@@ -18,19 +18,18 @@ from partialfed.evaluation import (
     recon_eval,
     standard_eval,
 )
-from partialfed.models import MatFacConfig, matfac_spec
+from partialfed.models import ModelConfig, matfac_spec
 from partialfed.server import ServerOptimizer, run_training
 from partialfed.baselines import train_fedavg
 
 
 def mf_setup(seed=1, num_users=6, num_items=6):
     clients, _, _ = gen_synthetic_mf(
-        SyntheticMFConfig(
-            num_users=num_users, num_items=num_items, true_rank=2,
-            ratings_per_user=5, seed=seed,
-        )
+        SyntheticDataConfig(num_users=num_users, num_items=num_items, true_rank=2,
+                            ratings_per_user=5, noise_std=0.3, signal_std=0.8),
+        seed,
     )
-    spec = matfac_spec(MatFacConfig(num_items=num_items, embed_dim=2))
+    spec = matfac_spec(ModelConfig(embed_dim=2), num_items)
     streams = RngStreams(seed)
     g = spec.init_global(streams.generator("g"))
     return spec, g, clients
@@ -87,10 +86,11 @@ class TestStandardEval:
         from partialfed.baselines import train_centralized
 
         clients, _, _ = gen_synthetic_mf(
-            SyntheticMFConfig(num_users=40, num_items=20, true_rank=3,
-                              ratings_per_user=10, seed=9)
+            SyntheticDataConfig(num_users=40, num_items=20, true_rank=3, ratings_per_user=10,
+                                noise_std=0.3, signal_std=0.8),
+            9,
         )
-        spec = matfac_spec(MatFacConfig(num_items=20, embed_dim=4, init_stddev=0.3))
+        spec = matfac_spec(ModelConfig(embed_dim=4, init_stddev=0.3), 20)
         seen = {c.client_id: c for c in clients[:30]}
         unseen = clients[30:]
         g, _ = train_centralized(

@@ -14,17 +14,24 @@ from partialfed.client import (
     verify_first_order_meta_gradient,
 )
 from partialfed.core import RngStreams
-from partialfed.data import SyntheticMFConfig, corpus_to_clients, gen_synthetic_corpus, gen_synthetic_mf
+from partialfed.data import (
+    SyntheticDataConfig,
+    corpus_to_clients,
+    gen_synthetic_corpus,
+    gen_synthetic_mf,
+)
 from partialfed.errors import ConfigError
-from partialfed.models import MatFacConfig, NwpConfig, matfac_spec, oov_nwp_spec
+from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
 from oracles import oracle_meta_gradient
 
 
 def mf_instance(seed, k_r, eta_r=0.1):
     clients, _, _ = gen_synthetic_mf(
-        SyntheticMFConfig(num_users=3, num_items=5, true_rank=2, ratings_per_user=5, seed=seed)
+        SyntheticDataConfig(num_users=3, num_items=5, true_rank=2, ratings_per_user=5,
+                            noise_std=0.3, signal_std=0.8),
+        seed,
     )
-    spec = matfac_spec(MatFacConfig(num_items=5, embed_dim=2))
+    spec = matfac_spec(ModelConfig(embed_dim=2), 5)
     streams = RngStreams(seed)
     ds = split_dataset(clients[0], SplitPolicy(), streams.generator("split"))
     g = spec.init_global(streams.generator("g"))
@@ -47,11 +54,12 @@ class TestFirstOrderCheck:
             )
 
     def test_nwp_instance_passes(self):
-        cfg = NwpConfig(vocab_size=4, num_oov_buckets=2, embed_dim=2,
-                        context_window=2, max_sentence_len=8)
+        cfg = ModelConfig(vocab_size=4, num_oov_buckets=2, embed_dim=2,
+                          context_window=2, max_sentence_len=8)
         records = gen_synthetic_corpus(
-            num_clients=2, sentences_per_client=3, personal_tokens=2,
-            common_words=3, pairs_per_sentence=2, seed=4,
+            SyntheticDataConfig(num_clients=2, sentences_per_client=3, personal_tokens=2,
+                                common_words=3, pairs_per_sentence=2),
+            4,
         )
         clients, _, _ = corpus_to_clients(records, cfg)
         spec = oov_nwp_spec(cfg)

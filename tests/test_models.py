@@ -7,10 +7,10 @@ from partialfed.core import Batch, ParamBlock, check_gradients
 from partialfed.errors import DataError
 from partialfed.models import (
     EOS_ID,
-    MatFacConfig,
+    ModelConfig,
     NUM_SPECIAL,
-    NwpConfig,
     OOV_ID,
+    SPECIAL_TOKENS,
     TokenCodec,
     matfac_spec,
     oov_nwp_spec,
@@ -25,7 +25,7 @@ def mf_batch(items, ratings):
 
 class TestMatFacSpec:
     def test_exact_fit_example(self):
-        spec = matfac_spec(MatFacConfig(num_items=2, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 2)
         g = [dataclasses.replace(spec.init_global(np.random.default_rng(0))[0])]
         g[0].values[:] = np.array([9.0, 9.0, 2.0, 3.0])  # row 1 = [2, 3]
         l = spec.init_local(np.random.default_rng(0))
@@ -36,7 +36,7 @@ class TestMatFacSpec:
         assert spec.loss(g, l, batch) == 0.0
 
     def test_zero_embedding_predicts_zero(self):
-        spec = matfac_spec(MatFacConfig(num_items=3, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 3)
         g = spec.init_global(np.random.default_rng(1))
         l = spec.init_local(np.random.default_rng(1))
         l[0].values[:] = 0.0
@@ -48,7 +48,7 @@ class TestMatFacSpec:
     @staticmethod
     def predicting(values):
         """A model whose prediction for item ``i`` is ``values[i]``."""
-        spec = matfac_spec(MatFacConfig(num_items=len(values), embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), len(values))
         g = [ParamBlock.of("item_embeddings", np.stack([values, np.zeros(len(values))], 1))]
         return spec, g, [ParamBlock.of("user_embedding", np.array([1.0, 0.0]))]
 
@@ -108,14 +108,14 @@ class TestMatFacSpec:
             assert report.max_rel_err < 1e-4
 
     def test_item_id_out_of_range(self):
-        spec = matfac_spec(MatFacConfig(num_items=2, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 2)
         g = spec.init_global(np.random.default_rng(0))
         l = spec.init_local(np.random.default_rng(0))
         with pytest.raises(DataError):
             spec.loss(g, l, mf_batch([2], [3.0]))
 
     def test_global_gradient_touches_only_rated_rows(self):
-        spec = matfac_spec(MatFacConfig(num_items=5, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 5)
         g = spec.init_global(np.random.default_rng(2))
         l = spec.init_local(np.random.default_rng(2))
         grad = spec.grad_global(g, l, mf_batch([3], [4.0]))[0].reshape(5, 2)
@@ -124,7 +124,7 @@ class TestMatFacSpec:
         assert np.any(grad[3] != 0.0)
 
     def test_loss_scale_independent_of_batch_size(self):
-        spec = matfac_spec(MatFacConfig(num_items=2, embed_dim=2))
+        spec = matfac_spec(ModelConfig(embed_dim=2), 2)
         g = spec.init_global(np.random.default_rng(3))
         l = spec.init_local(np.random.default_rng(3))
         one = spec.loss(g, l, mf_batch([0], [4.0]))
@@ -134,7 +134,7 @@ class TestMatFacSpec:
     def test_full_batch_descent_on_either_block(self):
         # Small full-batch steps on one factor alone never increase the loss.
         rng = np.random.default_rng(4)
-        spec = matfac_spec(MatFacConfig(num_items=8, embed_dim=3))
+        spec = matfac_spec(ModelConfig(embed_dim=3), 8)
         for trial in range(10):
             g = spec.init_global(rng)
             l = spec.init_local(rng)
@@ -151,7 +151,7 @@ class TestMatFacSpec:
 
 class TestTokenCodec:
     def make(self, buckets):
-        cfg = NwpConfig(vocab_size=3, num_oov_buckets=buckets, embed_dim=2, context_window=2)
+        cfg = ModelConfig(vocab_size=3, num_oov_buckets=buckets, embed_dim=2, context_window=2)
         return cfg, TokenCodec(cfg, ["the", "cat", "sat"])
 
     def test_known_tokens_get_global_rows(self):
@@ -175,6 +175,14 @@ class TestTokenCodec:
         assert codec.context_id("zebra") == -1
         assert codec.context_id("yak") == -1
 
+    @pytest.mark.parametrize("buckets", [0, 4])
+    def test_special_tokens_win_over_a_vocabulary_entry(self, buckets):
+        cfg = ModelConfig(vocab_size=3, num_oov_buckets=buckets, embed_dim=2, context_window=2)
+        codec = TokenCodec(cfg, ["<eos>", "cat", "<pad>"])
+        for token, sid in zip(SPECIAL_TOKENS, range(NUM_SPECIAL)):
+            assert codec.context_id(token) == codec.target_id(token) == sid
+        assert codec.context_id("cat") == NUM_SPECIAL + 1
+
     def test_hashing_is_deterministic(self):
         _, a = self.make(500)
         _, b = self.make(500)
@@ -184,7 +192,7 @@ class TestTokenCodec:
 
 class TestNwpSpec:
     def test_uniform_logits_loss_is_log_num_classes(self):
-        cfg = NwpConfig(vocab_size=4, num_oov_buckets=2, embed_dim=3, context_window=2)
+        cfg = ModelConfig(vocab_size=4, num_oov_buckets=2, embed_dim=3, context_window=2)
         spec = oov_nwp_spec(cfg)
         rng = np.random.default_rng(0)
         g = spec.init_global(rng)
@@ -204,7 +212,7 @@ class TestNwpSpec:
         assert report.max_rel_err < 1e-4
 
     def test_in_vocab_contexts_leave_local_grads_zero(self):
-        cfg = NwpConfig(vocab_size=4, num_oov_buckets=2, embed_dim=3, context_window=2)
+        cfg = ModelConfig(vocab_size=4, num_oov_buckets=2, embed_dim=3, context_window=2)
         spec = oov_nwp_spec(cfg)
         rng = np.random.default_rng(1)
         g, l = spec.init_global(rng), spec.init_local(rng)
@@ -212,12 +220,12 @@ class TestNwpSpec:
         assert np.all(spec.grad_local(g, l, batch)[0] == 0.0)
 
     def test_colliding_oov_tokens_share_a_row(self):
-        cfg = NwpConfig(vocab_size=2, num_oov_buckets=1, embed_dim=3, context_window=2)
+        cfg = ModelConfig(vocab_size=2, num_oov_buckets=1, embed_dim=3, context_window=2)
         codec = TokenCodec(cfg, ["a", "b"])
         assert codec.context_id("first-slang") == codec.context_id("other-slang") == -1
 
     def test_zero_buckets_mean_no_local_blocks(self):
-        cfg = NwpConfig(vocab_size=4, num_oov_buckets=0, embed_dim=3, context_window=2)
+        cfg = ModelConfig(vocab_size=4, num_oov_buckets=0, embed_dim=3, context_window=2)
         spec = oov_nwp_spec(cfg)
         assert spec.init_local(np.random.default_rng(0)) == []
         g = spec.init_global(np.random.default_rng(0))
@@ -226,7 +234,7 @@ class TestNwpSpec:
         assert spec.grad_local(g, [], batch) == []
 
     def test_accuracy_ignores_special_targets(self):
-        cfg = NwpConfig(vocab_size=4, num_oov_buckets=2, embed_dim=3, context_window=2)
+        cfg = ModelConfig(vocab_size=4, num_oov_buckets=2, embed_dim=3, context_window=2)
         spec = oov_nwp_spec(cfg)
         rng = np.random.default_rng(2)
         g, l = spec.init_global(rng), spec.init_local(rng)
@@ -241,14 +249,14 @@ class TestNwpSpec:
     def test_oov_reconstruction_first_step_descends(self):
         # With the global side fixed, a small step on the bucket rows never
         # increases the loss on the same batch.
-        cfg = NwpConfig(vocab_size=4, num_oov_buckets=3, embed_dim=3, context_window=2)
+        cfg = ModelConfig(vocab_size=4, num_oov_buckets=3, embed_dim=3, context_window=2)
         spec = oov_nwp_spec(cfg)
         rng = np.random.default_rng(3)
         from partialfed.core import axpy_blocks
 
         for trial in range(10):
             g, l = spec.init_global(rng), spec.init_local(rng)
-            ctx = rng.integers(-cfg.num_oov_buckets, cfg.num_global_rows, size=(5, 2))
+            ctx = rng.integers(-cfg.num_oov_buckets, cfg.num_classes, size=(5, 2))
             ctx[0, 0] = -1  # ensure the local table participates
             batch = Batch(ctx, rng.integers(0, cfg.num_classes, 5).astype(float), np.ones(5))
             base = spec.loss(g, l, batch)
@@ -261,7 +269,7 @@ class TestNwpOwnerAxes:
     a flat call on its own examples, locals and output layer returns."""
 
     def make(self):
-        cfg = NwpConfig(vocab_size=4, num_oov_buckets=3, embed_dim=2, context_window=2)
+        cfg = ModelConfig(vocab_size=4, num_oov_buckets=3, embed_dim=2, context_window=2)
         spec = oov_nwp_spec(cfg)
         rng = np.random.default_rng(5)
         g = spec.init_global(rng)
@@ -360,7 +368,7 @@ class TestFdOracleAgreement:
 def test_zero_total_weight_batch_rejected():
     from partialfed.errors import DataError
 
-    spec = matfac_spec(MatFacConfig(num_items=2, embed_dim=2))
+    spec = matfac_spec(ModelConfig(embed_dim=2), 2)
     g = spec.init_global(np.random.default_rng(0))
     l = spec.init_local(np.random.default_rng(0))
     batch = Batch(np.array([0]), np.array([3.0]), np.zeros(1))

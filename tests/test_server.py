@@ -14,9 +14,9 @@ from partialfed.client import (
     run_client_round,
 )
 from partialfed.core import ParamBlock, RngStreams
-from partialfed.data import SyntheticMFConfig, gen_synthetic_mf
+from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import ConfigError, RoundError, ShapeMismatchError
-from partialfed.models import MatFacConfig, matfac_spec
+from partialfed.models import ModelConfig, matfac_spec
 from partialfed.server import (
     ServerOptimizer,
     aggregate,
@@ -239,12 +239,11 @@ class TestServerStep:
 
 def make_population(num_users=6, num_items=6, seed=2):
     clients, _, _ = gen_synthetic_mf(
-        SyntheticMFConfig(
-            num_users=num_users, num_items=num_items, true_rank=2,
-            ratings_per_user=4, seed=seed,
-        )
+        SyntheticDataConfig(num_users=num_users, num_items=num_items, true_rank=2,
+                            ratings_per_user=4, noise_std=0.3, signal_std=0.8),
+        seed,
     )
-    spec = matfac_spec(MatFacConfig(num_items=num_items, embed_dim=2))
+    spec = matfac_spec(ModelConfig(embed_dim=2), num_items)
     return spec, {c.client_id: c for c in clients}
 
 
