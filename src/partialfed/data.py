@@ -78,6 +78,8 @@ def parse_movielens(path: str | Path) -> MovieLensData:
             i = item_ids.setdefault(raw_item, len(item_ids))
             per_user.setdefault(u, []).append((i, float(rating), ts))
             n_ratings += 1
+    if not n_ratings:
+        raise DataError(f"ratings file {path} holds no ratings")
 
     clients = []
     for u in sorted(per_user):

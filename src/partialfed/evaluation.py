@@ -122,8 +122,6 @@ def recon_eval(
     :func:`owner_chunks` and are scored in owner-axis calls.  Repeats over
     fresh client samples; the result carries the across-repeat mean and
     stddev.  Never reads or writes any training state."""
-    if mode.recon_hyper is None:
-        raise ConfigError("recon_eval needs reconstruction hyperparameters")
     if not clients:
         raise EvaluationError("no clients to evaluate")
     hyper = mode.recon_hyper

@@ -222,9 +222,6 @@ class TokenCodec:
     def target_id(self, token: str) -> int:
         return self._ids.get(token, OOV_ID)
 
-    def is_oov(self, token: str) -> bool:
-        return token not in self._ids
-
 
 def _nwp_forward(cfg: ModelConfig, g, l, batch: Batch):
     """Contexts with leading owner axes (see :class:`ModelSpec`), which of

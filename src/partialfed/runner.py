@@ -130,44 +130,25 @@ def prepare_task(config: ExperimentConfig) -> TaskBundle:
             )
         spec = oov_nwp_spec(config.model)
 
-    base_streams = RngStreams(config.seed)
     if config.eval.regime == "recon":
-        train, val, test = split_users(clients, base_streams.generator("user_split"))
-        bundle = TaskBundle(
-            spec=spec,
-            train_clients={c.client_id: c for c in train},
-            val_clients=val,
-            test_clients=test,
-            regime="recon",
-        )
+        train, val, test = split_users(clients, RngStreams(config.seed).generator("user_split"))
     else:
-        train_clients, val_sets, test_sets = {}, [], []
-        for ds in clients:
-            tr, va, te = split_each_client_by_time(ds)
-            if tr.n:
-                train_clients[ds.client_id] = tr
-            if va.n:
-                val_sets.append(va)
-            if te.n:
-                test_sets.append(te)
-        bundle = TaskBundle(
-            spec=spec,
-            train_clients=train_clients,
-            val_clients=val_sets,
-            test_clients=test_sets,
-            regime="standard",
-        )
-    for name, part in (
-        ("training", bundle.train_clients),
-        ("validation", bundle.val_clients),
-        ("test", bundle.test_clients),
-    ):
+        # Each client's train, validation and test parts; empty parts are dropped.
+        parts = [split_each_client_by_time(ds) for ds in clients]
+        train, val, test = ([p[i] for p in parts if p[i].n] for i in range(3))
+    for name, part in (("training", train), ("validation", val), ("test", test)):
         if not part:
             raise ConfigError(
                 f"{len(clients)} clients leave the {name} split empty under "
                 f"eval.regime {config.eval.regime}; use a larger population"
             )
-    return bundle
+    return TaskBundle(
+        spec=spec,
+        train_clients={c.client_id: c for c in train},
+        val_clients=val,
+        test_clients=test,
+        regime=config.eval.regime,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -180,61 +161,43 @@ class RunOutput:
     rows: list[tuple]
     final_metrics: dict[str, dict[str, float]]
     global_params: list[ParamBlock]
-    local_store: dict[int, list[ParamBlock]] | None
-    cumulative_params: int
-
-
-def _metric_rows(round_idx, split, metrics, cumulative):
-    return [
-        (int(round_idx), split, key, float(value), int(cumulative))
-        for key, value in sorted(metrics.items())
-    ]
 
 
 def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> RunOutput:
+    """One run: a validation evaluation of the starting point, training, and
+    a final validation and test evaluation.  Every evaluation and every
+    round's training metrics is one ``(round, split, metrics)`` record; the
+    rows are the records' metrics, each carrying the parameters communicated
+    through its round."""
     spec = bundle.spec
     streams = RngStreams(run_seed)
-    rows: list[tuple] = []
+    clients = {"valid": bundle.val_clients, "test": bundle.test_clients}
 
-    def eval_metrics(g, clients_or_sets, *, repeats, namespace, local_store=None):
+    def evaluate(g, store, split, repeats):
         if bundle.regime == "recon":
             return recon_eval(
-                spec, g, clients_or_sets, config.split, config.eval_mode(repeats), streams,
-                namespace=namespace,
+                spec, g, clients[split], config.split, config.eval_mode(repeats), streams,
+                namespace=f"eval:{split}",
             ).metrics
-        return standard_eval(spec, g, local_store or {}, clients_or_sets)
+        return standard_eval(spec, g, store, clients[split])
 
-    g0 = spec.init_global(streams.generator("global_init"))
-    init_locals: dict[int, list[ParamBlock]] | None = None
+    # The trainers' starting state, rebuilt from the same streams they draw.
+    g = spec.init_global(streams.generator("global_init"))
+    store = None
     if bundle.regime == "standard":
         purpose = (
             "server_local_init" if config.algorithm == "fedavg" else "centralized_local_init"
         )
-        init_locals = init_local_store(spec, list(bundle.train_clients), streams, purpose)
+        store = init_local_store(spec, list(bundle.train_clients), streams, purpose)
 
-    if config.algorithm == "centralized":
-        training_runs = config.centralized.epochs > 0
-    else:
-        training_runs = config.rounds > 0
-    if training_runs:
-        rows.extend(
-            _metric_rows(
-                0,
-                "valid",
-                eval_metrics(
-                    g0, bundle.val_clients, repeats=config.eval.valid_repeats,
-                    namespace="eval:valid",
-                    local_store=init_locals,
-                ),
-                0,
-            )
-        )
+    centralized = config.algorithm == "centralized"
+    final_round = config.centralized.epochs if centralized else config.rounds
+    records: list[tuple[int, str, dict[str, float]]] = []
+    if final_round > 0:
+        records.append((0, "valid", evaluate(g, store, "valid", config.eval.valid_repeats)))
 
-    mid_valid: list[tuple[int, dict[str, float]]] = []
-    cumulative = 0
-
-    if config.algorithm == "centralized":
-        g_final, local_store = train_centralized(
+    if centralized:
+        g, store = train_centralized(
             spec,
             bundle.train_clients,
             epochs=config.centralized.epochs,
@@ -242,22 +205,14 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
             rate=config.centralized.rate,
             streams=streams,
         )
-        final_round = config.centralized.epochs
+        per_round = [0] * final_round  # pooled training communicates nothing
     else:
 
         def on_eval(t, g, store):
-            if t + 1 == config.rounds:
-                return  # the final evaluation below covers the last round
-            mid_valid.append(
-                (
-                    t + 1,
-                    eval_metrics(
-                        g, bundle.val_clients, repeats=config.eval.valid_repeats,
-                        namespace="eval:valid",
-                        local_store=store,
-                    ),
+            if t + 1 < final_round:  # the final evaluation covers the last round
+                records.append(
+                    (t + 1, "valid", evaluate(g, store, "valid", config.eval.valid_repeats))
                 )
-            )
 
         result = run_training(
             spec,
@@ -272,42 +227,23 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
             eval_fn=on_eval,
             eval_every=config.eval.every,
         )
-        g_final, local_store = result.global_params, result.local_store
+        g, store = result.global_params, result.local_store
+        records.extend((r.round + 1, "train", r.train_metrics) for r in result.reports)
+        per_round = [r.params_total for r in result.comm_records]
 
-        cum_per_round = np.cumsum([r.params_total for r in result.comm_records]).tolist()
-        for report in result.reports:
-            rows.extend(
-                _metric_rows(
-                    report.round + 1,
-                    "train",
-                    report.train_metrics,
-                    cum_per_round[report.round],
-                )
-            )
-        for round_idx, metrics in mid_valid:
-            rows.extend(_metric_rows(round_idx, "valid", metrics, cum_per_round[round_idx - 1]))
-        cumulative = int(cum_per_round[-1]) if cum_per_round else 0
-        final_round = config.rounds
+    final = {split: evaluate(g, store, split, config.eval.repeats) for split in clients}
+    records.extend((final_round, split, metrics) for split, metrics in final.items())
 
-    final_valid = eval_metrics(
-        g_final, bundle.val_clients, repeats=config.eval.repeats,
-        namespace="eval:valid", local_store=local_store,
+    cumulative = np.cumsum([0] + per_round)
+    rows = sorted(
+        (
+            (t, split, key, float(value), int(cumulative[t]))
+            for t, split, metrics in records
+            for key, value in metrics.items()
+        ),
+        key=lambda row: (row[0], _SPLIT_ORDER[row[1]], row[2]),
     )
-    final_test = eval_metrics(
-        g_final, bundle.test_clients, repeats=config.eval.repeats,
-        namespace="eval:test", local_store=local_store,
-    )
-    rows.extend(_metric_rows(final_round, "valid", final_valid, cumulative))
-    rows.extend(_metric_rows(final_round, "test", final_test, cumulative))
-    rows.sort(key=lambda r: (r[0], _SPLIT_ORDER[r[1]], r[2]))
-
-    return RunOutput(
-        rows=rows,
-        final_metrics={"valid": final_valid, "test": final_test},
-        global_params=g_final,
-        local_store=local_store,
-        cumulative_params=cumulative,
-    )
+    return RunOutput(rows=rows, final_metrics=final, global_params=g)
 
 
 def _average_runs(outputs: Sequence[RunOutput]) -> tuple[list[tuple], dict]:

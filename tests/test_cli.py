@@ -79,6 +79,17 @@ def test_data_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["zero_bytes", "blank_lines"])
+def test_a_ratings_file_without_ratings_is_a_data_error(tmp_path, capsys, text):
+    path = tmp_path / "ratings.dat"
+    path.write_text(text)
+    code = main(["train", "--task", "matfac", "--rounds", "1", "--data-path", str(path),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"data error: ratings file {path} holds no ratings" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_error_exit_code(monkeypatch):
     import argparse
 

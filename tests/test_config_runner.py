@@ -16,7 +16,7 @@ from partialfed.config import (
     config_to_dict,
     load_config,
 )
-from partialfed.core import RngStreams
+from partialfed.core import RngStreams, blocks_size
 from partialfed.errors import ConfigError, DataError, NumericalError
 from partialfed.runner import (
     apply_overrides,
@@ -229,6 +229,44 @@ class TestRunExperiment:
         initial = [r for r in result.rows if r[1] == "valid" and r[0] == 0 and r[2] == "rmse"]
         final = result.final_metrics["test"]["rmse"]
         assert final < initial[0][3]
+
+
+class TestCommunicationColumn:
+    """Every row's cumulative_params_communicated against the ledger's
+    closed form: each of the m clients sampled in a round receives and
+    returns the global blocks, and under fedavg its local block too.  Ten
+    ratings a user leave one test example under the time split."""
+
+    @pytest.mark.parametrize(
+        "algorithm, regime", [("fedrecon", "recon"), ("fedavg", "recon"), ("fedavg", "standard")]
+    )
+    def test_a_round_t_row_carries_t_rounds_of_traffic(self, tmp_path, algorithm, regime):
+        cfg = synthetic_config(tmp_path, algorithm=algorithm, **{
+            "eval.every": 2, "eval.regime": regime, "data.synthetic.ratings_per_user": 10,
+        })
+        bundle = prepare_task(cfg)
+        m = min(cfg.clients_per_round, len(bundle.train_clients))
+        rng = np.random.default_rng(0)
+        per_client = blocks_size(bundle.spec.init_global(rng))
+        if algorithm == "fedavg":
+            per_client += blocks_size(bundle.spec.init_local(rng))
+        rows = run_experiment(cfg, bundle).rows
+        assert m < len(bundle.train_clients)
+        assert {(t, split) for t, split, *_ in rows} == {
+            (0, "valid"), *((t, "train") for t in range(1, 7)),
+            (2, "valid"), (4, "valid"), (6, "valid"), (6, "test"),
+        }
+        for t, split, metric, _, cumulative in rows:
+            assert cumulative == t * 2 * m * per_client, (t, split, metric)
+
+    @pytest.mark.parametrize("regime", ["recon", "standard"])
+    def test_pooled_training_communicates_nothing(self, tmp_path, regime):
+        cfg = synthetic_config(tmp_path, algorithm="centralized", **{
+            "eval.regime": regime, "centralized.epochs": 2, "data.synthetic.ratings_per_user": 10,
+        })
+        rows = run_experiment(cfg).rows
+        assert {(t, split) for t, split, *_ in rows} == {(0, "valid"), (2, "valid"), (2, "test")}
+        assert [cumulative for *_, cumulative in rows] == [0] * len(rows)
 
 
 def test_matfac_task_runs_on_a_miniature_ratings_file(tmp_path):

@@ -61,11 +61,12 @@ class TestParseMovielens:
         with pytest.raises(DataError):
             parse_movielens(path)
 
-    def test_empty_file_gives_empty_dataset(self, tmp_path):
+    @pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["zero_bytes", "blank_lines"])
+    def test_a_file_without_ratings_is_a_data_error_naming_it(self, tmp_path, text):
         path = tmp_path / "ratings.dat"
-        path.write_text("", encoding="iso-8859-1")
-        ml = parse_movielens(path)
-        assert ml.clients == [] and ml.num_ratings == 0
+        path.write_text(text, encoding="iso-8859-1")
+        with pytest.raises(DataError, match=f"ratings file {path} holds no ratings"):
+            parse_movielens(path)
 
     def test_byte_stable_id_assignment(self, tmp_path):
         lines = ["3::5::1::10", "1::5::2::20", "3::7::3::30"]
@@ -210,7 +211,6 @@ class TestTokenCorpus:
         cfg = ModelConfig(vocab_size=1, num_oov_buckets=2, embed_dim=2, context_window=2)
         _, vocab, codec = corpus_to_clients(records, cfg)
         assert vocab == ["common"]
-        assert codec.is_oov("rare")
         assert codec.target_id("rare") == OOV_ID
 
     def test_frequency_ties_break_lexicographically(self):
