@@ -348,9 +348,11 @@ def _unstack(stacked: Sequence[ParamBlock], c: int) -> list[ParamBlock]:
     return [ParamBlock(b.name, b.array[c].copy(), b.shape[1:]) for b in stacked]
 
 
-# Padded examples per owner-axis metrics call: at K = 50 one gather of item
-# rows then takes at most 13 MB, however skewed the clients' sizes.
-_METRICS_CHUNK = 1 << 15
+# Values per owner-axis metrics call: padded examples times the widest row
+# of a global block, an item row (K) or a row of logits (classes).  Matrix
+# factorization at K = 50 runs 2**15 padded examples a call, one gather of
+# 13 MB; next-word prediction's 410 logits an example allow 3,996.
+_METRICS_BUDGET = 50 << 15
 # Values one batched cohort call may hold over all its owners: their stacked
 # local blocks and their copies of the dense global blocks.  MF's 50 local
 # values run a whole round in one call; next-word prediction at 500 x 32
@@ -372,8 +374,10 @@ def cohort_metrics(
     spec: ModelSpec, g: Blocks, stacked: Blocks, cohort: Cohort
 ) -> list[dict[str, Metric]]:
     """Each client's ``spec.metrics`` on its query half under its row of the
-    stacked local blocks, in owner-axis calls over chunks of clients."""
-    per_call = max(1, _METRICS_CHUNK // int(cohort.query_n.max()))
+    stacked local blocks, in owner-axis calls over chunks of clients that
+    hold at most ``_METRICS_BUDGET`` values, or a single client."""
+    per_example = max(b.shape[-1] for b in g)
+    per_call = max(1, _METRICS_BUDGET // (int(cohort.query_n.max()) * per_example))
     out: list[dict[str, Metric]] = []
     for lo in range(0, len(cohort.client_ids), per_call):
         owners = slice(lo, lo + per_call)
@@ -482,10 +486,18 @@ def _update_cohort(
     compact_rows = q[rows] if len(rows) else q[:1]
     work = [ParamBlock(g[0].name, compact_rows, compact_rows.shape)]
     work += [ParamBlock(b.name, np.tile(b.values, clients), (clients,) + b.shape) for b in g[1:]]
+    # A step whose compact rows are all distinct may step them as one put
+    # (see _sgd_step); one sort of the (step, compact row) keys finds the
+    # steps that repeat a row: padding, or a minibatch naming a row twice.
+    step_of = np.arange(hyper.k_u).reshape((-1,) + (1,) * (features.ndim - 1))
+    span = max(1, len(rows))
+    addressed = np.sort((step_of * span + features)[glob])
+    unique = np.ones(hyper.k_u, bool)
+    unique[addressed[1:][addressed[1:] == addressed[:-1]] // span] = False
     for s in range(hyper.k_u):
         batch = Batch(features[s], targets[s], weights[s])
         grads, local_grads = spec.sparse_grads(work, l_w, batch, norm[s], True, joint)
-        _sgd_step(work, hyper.eta_u, grads)
+        _sgd_step(work, hyper.eta_u, grads, unique[s])
         if joint:
             _sgd_step(l_w, hyper.eta_u, local_grads)
 

@@ -255,22 +255,31 @@ def axpy_blocks(dst: Sequence[ParamBlock], scale: float, src: Sequence) -> list[
 
 def _rows_at(ufunc: np.ufunc, flat: np.ndarray, rows: np.ndarray, values) -> None:
     """``ufunc.at`` of ``values[k]`` into row ``rows[k]`` of the row-major
-    1-D buffer ``flat``, repeated rows one after another.  It indexes single
-    elements, not rows: numpy's ``ufunc.at`` fast path takes only 1-D indices
-    and values, and runs 2-3x faster than row indexing, to the same values."""
+    1-D buffer ``flat``, repeated rows one after another.  It serves rows
+    that may repeat; over rows known to be unique, one gather and one put
+    give the same values faster.  It indexes single elements, not rows:
+    numpy's ``ufunc.at`` fast path takes only 1-D indices and values."""
     if len(rows):
         values = np.asarray(values).reshape(len(rows), -1)
         width = values.shape[1]
         ufunc.at(flat, (rows[:, None] * width + np.arange(width)).ravel(), values.ravel())
 
 
-def _sgd_step(blocks: Sequence[ParamBlock], rate: float, grads: Sequence) -> None:
+def _sgd_step(
+    blocks: Sequence[ParamBlock], rate: float, grads: Sequence, unique: bool = False
+) -> None:
     """blocks -= rate * grads, in place.  A :class:`RowDelta` grad steps only
-    its rows, repeated rows one after another; other grads are dense."""
+    its rows, repeated rows one after another; other grads are dense.  If
+    the caller knows no grad repeats a row (``unique``), a grad carrying
+    its rows' ``base`` steps them as one put, ``base - rate * values``: the
+    same values as the subtraction row by row."""
     if len(blocks) != len(grads):
         raise ShapeMismatchError(f"{len(blocks)} blocks vs {len(grads)} grads")
     for b, grad in zip(blocks, grads):
-        if isinstance(grad, RowDelta):
+        if isinstance(grad, RowDelta) and unique and grad.base is not None:
+            width = grad.base.shape[-1]
+            b.values.reshape(-1, width)[grad.rows] = grad.base - rate * grad.values
+        elif isinstance(grad, RowDelta):
             _rows_at(np.subtract, b.values, grad.rows, rate * grad.values)
         else:
             gv = _values(grad)
@@ -430,10 +439,13 @@ def finalize_metrics(stats: Mapping[str, Metric]) -> dict[str, float]:
 class RowDelta:
     """Row-sparse values for one block: ``values[k]`` belongs to row
     ``rows[k]``; repeated rows add up.  Serves as a gradient and as a client
-    delta."""
+    delta.  A gradient may carry ``base``, shaped like ``values``: the rows
+    as the kernel read them, ``base[k]`` being row ``rows[k]``, so that a
+    step over unique rows needs no second gather (see :func:`_sgd_step`)."""
 
     rows: np.ndarray
     values: np.ndarray
+    base: np.ndarray | None = None
 
 
 Blocks = Sequence[ParamBlock]
@@ -474,7 +486,8 @@ class ModelSpec:
 
     * A non-negative integer feature addresses a row of ``g[0]``, which may
       be a compact copy of some rows.  The grad for ``g[0]`` is a
-      :class:`RowDelta` over the addressed rows.
+      :class:`RowDelta` over the addressed rows, which may carry the rows
+      as the kernel read them.
     * A negative feature ``-row - 1`` addresses a row of its owner's row
       table, a 2-D local block: row ``owner * rows_per_owner + row`` of the
       stacked block ``l[0].values.reshape(-1, width)``.  Its grad is a

@@ -137,11 +137,10 @@ def matfac_spec(cfg: ModelConfig, num_items: int) -> ModelSpec:
         qb = q[items]
         preds = np.einsum("...bk,...k->...b", qb, p)
         coef = 2.0 * batch.weights * (preds - batch.targets) / norm
-        glob = (
-            [RowDelta(items.ravel(), (coef[..., None] * p[..., None, :]).reshape(-1, K))]
-            if need_global
-            else None
-        )
+        glob = None
+        if need_global:  # with the rows it read, for a step over unique rows
+            outer = np.einsum("...b,...k->...bk", coef, p)
+            glob = [RowDelta(items.ravel(), outer.reshape(-1, K), base=qb.reshape(-1, K))]
         local = [np.einsum("...b,...bk->...k", coef, qb).ravel()] if need_local else None
         return glob, local
 

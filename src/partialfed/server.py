@@ -138,7 +138,13 @@ def aggregate(
         w = res.n_i / total
         for bi, entry in enumerate(res.delta):
             if isinstance(entry, RowDelta):
-                _rows_at(np.add, acc[bi], entry.rows, w * entry.values)
+                rows, values = entry.rows, w * entry.values
+                if len(rows) and np.all(rows[1:] > rows[:-1]):  # no row repeats: one put
+                    acc[bi].reshape(-1, values.size // len(rows))[rows] += values.reshape(
+                        len(rows), -1
+                    )
+                else:
+                    _rows_at(np.add, acc[bi], rows, values)
             else:
                 flat = np.asarray(entry, dtype=np.float64).ravel()
                 if flat.size != acc[bi].size:

@@ -21,19 +21,27 @@ from hypothesis import strategies as st
 
 import reference
 from partialfed import client as client_module
+from partialfed import core as core_module
 from partialfed.client import (
     ClientHyper,
     SplitPolicy,
+    _stack,
+    _update_cohort,
+    batch_schedule,
     client_update,
+    cohort_metrics,
     owner_chunks,
     reconstruct,
     reconstruct_cohort,
     run_client_round,
     run_cohort,
+    split_cohort,
     split_dataset,
 )
 from partialfed.core import (
+    Batch,
     ClientDataset,
+    ParamBlock,
     RngStreams,
     RowDelta,
     blocks_size,
@@ -610,3 +618,207 @@ def test_owner_chunks_bound_each_batched_call():
     chunks = owner_chunks(nwp, nwp.init_global(np.random.default_rng(0)), 20)
     assert [(c.start, c.stop) for c in chunks] == [(lo, lo + 4) for lo in range(0, 20, 4)]
     assert owner_chunks(nwp, nwp.init_global(np.random.default_rng(0)), 0) == []
+
+
+# ---------------------------------------------------------------------------
+# Update steps over unique rows: one put instead of ufunc.at
+# ---------------------------------------------------------------------------
+
+
+def update_step_forms(spec, run):
+    """``run(logged)`` for ``logged``, ``spec`` with its kernel calls and
+    ``core._rows_at`` calls logged.  Returns the result and, for each update
+    step (a kernel call asking for global grads), whether it stepped its
+    rows without ``_rows_at``: the put form."""
+    log = []
+
+    def sparse_grads(g, l, batch, norm, need_global, need_local):
+        log.append(need_global)
+        return spec.sparse_grads(g, l, batch, norm, need_global, need_local)
+
+    def rows_at(*args):
+        log.append("rows_at")
+        real_rows_at(*args)
+
+    real_rows_at = core_module._rows_at
+    with mock.patch.object(core_module, "_rows_at", rows_at):
+        out = run(dataclasses.replace(spec, sparse_grads=sparse_grads))
+    puts, updating = [], False
+    for event in log:
+        if event == "rows_at":
+            if updating:
+                puts[-1] = False
+        else:
+            updating = event
+            if updating:
+                puts.append(True)
+    return out, puts
+
+
+def unique_steps(datasets, policy, hyper, streams, round_idx):
+    """For each update step: does every client's minibatch, padded to
+    ``batch_size`` with its first scheduled example, name each item once?
+    Read off the reference's split and schedule."""
+    unique = [True] * hyper.k_u
+    for ds in datasets:
+        def gen(purpose):
+            return streams.generator(round_idx, ds.client_id, purpose)
+
+        query = reference.split_dataset(ds, policy, gen("split")).query_idx
+        schedule = batch_schedule(query, hyper.batch_size, hyper.k_u, gen("update_batches"))
+        for s, idx in enumerate(schedule):
+            pad = [schedule[0][0]] * (hyper.batch_size - len(idx))
+            items = ds.features[np.concatenate([idx, pad]).astype(np.int64)]
+            unique[s] &= len(np.unique(items)) == len(items)
+    return unique
+
+
+def put_case(case):
+    """A cohort and the update settings that exercise one kind of step.
+    Without changes every query half is whole minibatches of distinct items:
+    10 examples under the half split, 20 unsplit."""
+    spec, clients = mf_population(num_users=6, num_items=25, ratings_per_user=20)
+    hyper = HYPER
+    if case == "repeated_item":  # item 3 three times: some minibatches name it twice
+        items = [3, 7, 3, 9, 11, 12, 13, 14, 15, 16, 3, 17, 18, 19, 20, 21, 22, 23, 24, 0]
+        clients[2] = dataclasses.replace(clients[2], features=np.array(items))
+    elif case == "padded_last_chunk":
+        clients[0] = clients[0].subset(np.arange(19))  # one pad, a new item: a put
+        clients[1] = clients[1].subset(np.arange(17))  # two pads or more: not a put
+    elif case == "single_example":  # one example a step: every step a put
+        clients[4] = clients[4].subset(np.array([6]))
+        hyper = dataclasses.replace(HYPER, batch_size=1)
+    elif case == "single_example_padded":  # four pads of one item: no step a put
+        clients[4] = clients[4].subset(np.array([6]))
+    elif case == "one_step":
+        hyper = dataclasses.replace(HYPER, k_u=1)
+    return spec, clients, hyper
+
+
+PUT_CASES = ["repeated_item", "padded_last_chunk", "single_example", "single_example_padded",
+             "one_step"]
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["fedrecon", "joint"])
+@pytest.mark.parametrize("case", PUT_CASES)
+def test_unique_row_steps_put_and_match_the_reference_bit_for_bit(streams, case, joint):
+    spec, clients, hyper = put_case(case)
+    g = spec.init_global(streams.generator("g"))
+    policy, initial = SplitPolicy(), None
+    if joint:  # the fedavg path: stored locals, stepped with the globals
+        policy, hyper = SplitPolicy(kind="no_split"), dataclasses.replace(hyper, joint_training=True)
+        initial = [spec.init_local(streams.generator(ds.client_id, "stored")) for ds in clients]
+    got, puts = update_step_forms(
+        spec,
+        lambda logged: run_cohort(logged, g, clients, policy, hyper, streams, 3,
+                                  initial_locals=initial),
+    )
+    want = mapped_client_rounds(spec, g, clients, policy, hyper, streams, 3, initial)
+    assert_rounds_agree(got, want, exact=True)
+    expected = unique_steps(clients, policy, hyper, streams, 3)
+    assert puts == expected
+    if case == "single_example_padded":
+        assert not any(puts)
+    else:
+        assert any(puts)
+    if case in ("repeated_item", "padded_last_chunk"):
+        assert not all(puts)
+
+
+def test_nwp_update_steps_stay_on_rows_at(streams):
+    # Context slots repeat tokens, and the kernel hands back no base rows.
+    spec, clients = nwp_population()
+    g = spec.init_global(streams.generator("g"))
+    got, puts = update_step_forms(
+        spec, lambda logged: run_cohort(logged, g, clients, SplitPolicy(), HYPER, streams, 3)
+    )
+    assert puts == [False] * HYPER.k_u
+    want = mapped_client_rounds(spec, g, clients, SplitPolicy(), HYPER, streams, 3, None)
+    assert_rounds_agree(got, want, exact=False)
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["fedrecon", "joint"])
+@pytest.mark.parametrize("poisoned", ["user_embedding", "example_weight"])
+def test_a_non_finite_client_on_the_put_path_reaches_no_other(streams, poisoned, joint):
+    spec, clients = mf_population()
+    g = spec.init_global(streams.generator("g"))
+    policy = SplitPolicy(kind="no_split") if joint else SplitPolicy()
+    hyper = dataclasses.replace(HYPER, joint_training=joint)
+    ids = np.array([ds.client_id for ds in clients])
+    cohort = split_cohort(clients, policy, streams.generators(3, ids, "split"))
+    locals_ = [spec.init_local(streams.generator(cid, "local")) for cid in ids.tolist()]
+    bad = 4
+
+    def update(spec, cohort, poison_local):
+        stacked = _stack(locals_)
+        if poison_local:
+            stacked[0].array[bad] = np.nan
+        return _update_cohort(spec, g, cohort, stacked, hyper, streams.generators(3, ids, "up"))
+
+    clean = update(spec, cohort, False)
+    bad_cohort, poison_local = cohort, poisoned == "user_embedding"
+    if not poison_local:
+        weights = cohort.weights.copy()
+        weights[cohort.query[cohort.query_n[:bad].sum()]] = np.nan  # its first query example
+        bad_cohort = dataclasses.replace(cohort, weights=weights)
+
+    with pytest.raises(NumericalError, match=rf"^client {ids[bad]}: non-finite values in the update"):
+        update(spec, bad_cohort, poison_local)
+
+    # Past the check, which records instead of raising: every client's
+    # result, its updated local as a bare array, which may hold NaN.
+    flagged = []
+    with mock.patch.object(client_module, "_require_finite_clients",
+                           lambda ok, *_: flagged.append(ok.copy())), \
+            mock.patch.object(client_module, "_unstack",
+                              lambda stacked, c: [b.array[c].copy() for b in stacked]):
+        got, puts = update_step_forms(spec, lambda logged: update(logged, bad_cohort, poison_local))
+    assert any(puts)
+    assert flagged[0].tolist() == [c != bad for c in range(len(clients))]
+    assert not np.isfinite(got[bad].delta[0].values).all()
+    for c, (g_res, want) in enumerate(zip(got, clean)):
+        if c == bad:
+            continue
+        assert np.array_equal(g_res.delta[0].rows, want.delta[0].rows)
+        assert np.array_equal(g_res.delta[0].values, want.delta[0].values), f"client {c}"
+        assert np.isfinite(g_res.delta[0].values).all()
+        if joint:
+            assert np.array_equal(g_res.updated_local[0], want.updated_local[0].values)
+
+
+def test_nwp_metrics_calls_hold_at_most_the_budget_in_values(streams):
+    # 410 classes a logit row: a 2,000-example query half fills half the
+    # budget, so each call takes one client.  Counted in padded examples,
+    # all four would have run as one call of 3.3M logits.
+    cfg = ModelConfig(vocab_size=406, num_oov_buckets=3, embed_dim=3, context_window=2)
+    spec = oov_nwp_spec(cfg)
+    rng = np.random.default_rng(7)
+    clients = [
+        ClientDataset(cid, rng.integers(-3, cfg.num_classes, size=(n, 2)),
+                      rng.integers(0, cfg.num_classes, size=n) * 1.0, np.ones(n), np.arange(n))
+        for cid, n in enumerate([10, 4000, 7, 12])
+    ]
+    g = spec.init_global(streams.generator("g"))
+    width = max(b.shape[-1] for b in g)
+    assert width == 410
+    cohort = split_cohort(clients, SplitPolicy(kind="by_timestamp_half"))
+    stacked = _stack([spec.init_local(streams.generator(ds.client_id, "l")) for ds in clients])
+    calls = []
+
+    def metrics(g, l, batch):
+        calls.append(batch.weights.size * width)
+        return spec.metrics(g, l, batch)
+
+    got = cohort_metrics(dataclasses.replace(spec, metrics=metrics), g, stacked, cohort)
+    assert len(calls) == len(clients)
+    assert max(calls) <= client_module._METRICS_BUDGET
+    start = 0
+    for c, n in enumerate(cohort.query_n.tolist()):
+        query = cohort.query[start : start + n]
+        start += n
+        l = [ParamBlock(b.name, b.array[c], b.shape[1:]) for b in stacked]
+        want = spec.metrics(
+            g, l, Batch(cohort.features[query], cohort.targets[query], cohort.weights[query])
+        )
+        for k, m in want.items():
+            assert_close(got[c][k].value, m.value, f"client {c} {k}")

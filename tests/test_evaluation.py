@@ -65,8 +65,9 @@ class TestStandardEval:
         # Ragged eval sets, one empty (skipped), scored in chunks of clients.
         from partialfed import client
 
-        monkeypatch.setattr(client, "_METRICS_CHUNK", chunk)
         spec, g, clients = mf_setup(num_users=9, num_items=6)
+        # ``chunk`` padded examples a call: the budget counts K values each.
+        monkeypatch.setattr(client, "_METRICS_BUDGET", chunk * g[0].shape[-1])
         sets = [c.subset(np.arange(i % 5)) for i, c in enumerate(clients)]
         stored = {
             c.client_id: spec.init_local(RngStreams(5).generator(c.client_id)) for c in clients

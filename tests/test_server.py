@@ -143,7 +143,41 @@ def client_results(draw):
     return results, [ParamBlock.of("g", np.zeros((rows, cols)))]
 
 
+@st.composite
+def row_delta_results(draw):
+    """A few clients' row-sparse deltas over one small (rows, cols) block:
+    each over strictly increasing rows or over rows that may repeat."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    results = []
+    for cid in ids:
+        if draw(st.booleans()):
+            touched = np.flatnonzero(rng.random(rows) < 0.6)
+        else:
+            touched = rng.integers(0, rows, size=draw(st.integers(0, 2 * rows)))
+        delta = RowDelta(touched, rng.normal(size=(len(touched), cols)))
+        results.append(result(cid, [delta], draw(st.integers(1, 20))))
+    return results, [ParamBlock.of("g", np.zeros((rows, cols)))]
+
+
 class TestAggregateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(row_delta_results())
+    def test_row_deltas_add_up_one_after_another_in_client_order(self, drawn):
+        # Bit for bit: every client's weighted rows, client after client, as
+        # one RowDelta whose repeated rows add up one after another.
+        results, g = drawn
+        total = float(sum(r.n_i for r in results))
+        ordered = sorted(results, key=lambda r: r.client_id)
+        joined = RowDelta(
+            np.concatenate([r.delta[0].rows for r in ordered]),
+            np.concatenate([r.n_i / total * r.delta[0].values for r in ordered]),
+        )
+        got, _ = aggregate(results, g)
+        assert np.array_equal(got[0], delta_to_dense([joined], g)[0])
+
     @settings(max_examples=60, deadline=None)
     @given(client_results(), st.randoms(use_true_random=False))
     def test_input_order_does_not_matter(self, drawn, shuffler):
