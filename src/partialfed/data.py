@@ -8,14 +8,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import ClientDataset, RngStreams, round_half_away
 from .errors import ConfigError, DataError, ParseError
-from .models import SPECIAL_TOKENS, ModelConfig, TokenCodec
+from .models import BOS_ID, EOS_ID, PAD_ID, SPECIAL_TOKENS, ModelConfig, TokenCodec
 
 __all__ = [
     "MovieLensData",
@@ -209,7 +210,7 @@ def _parse_corpus(path: str | Path) -> list[SentenceRecord]:
     if not path.is_file():
         raise DataError(f"corpus file not found: {path}")
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -225,14 +226,14 @@ def _parse_corpus(path: str | Path) -> list[SentenceRecord]:
             if not tokens:
                 raise ParseError(str(path), line_no, "sentence with no tokens")
             records.append(SentenceRecord(client_id=cid, tokens=tokens, timestamp=ts))
+    if not records:
+        raise DataError(f"corpus file {path} holds no sentences")
     return records
 
 
 def build_vocabulary(records: Sequence[SentenceRecord], vocab_size: int) -> list[str]:
     """Top `vocab_size` tokens by frequency, ties broken lexicographically."""
-    counts = Counter()
-    for rec in records:
-        counts.update(rec.tokens)
+    counts = Counter(chain.from_iterable(rec.tokens for rec in records))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [w for w, _ in ranked[:vocab_size]]
 
@@ -246,12 +247,51 @@ def vocabulary_coverage(records: Sequence[SentenceRecord], vocab: Sequence[str])
     return hits / total if total else 0.0
 
 
-def _sentence_slots(tokens: Sequence[str], max_len: int) -> list[str]:
-    # bos + tokens (truncated) + eos, right-padded to exactly max_len slots
-    body = list(tokens[: max_len - 2])
-    slots = ["<bos>"] + body + ["<eos>"]
-    slots.extend(["<pad>"] * (max_len - len(slots)))
-    return slots
+def _token_codes(sentences: Iterable[Sequence[str]]) -> dict[str, int]:
+    """Code each distinct token once, the special tokens first, so that a
+    special token's code is its id."""
+    seen = dict.fromkeys(chain.from_iterable(sentences))
+    for tok in SPECIAL_TOKENS:
+        if tok in seen:
+            raise DataError(f"reserved token {tok!r} appears in the corpus")
+    return {tok: c for c, tok in enumerate(chain(SPECIAL_TOKENS, seen))}
+
+
+def _lookups(codec: TokenCodec, codes: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each token code's context id and target id."""
+    return tuple(np.fromiter(map(f, codes), np.int64, len(codes))
+                 for f in (codec.context_id, codec.target_id))
+
+
+def _window(
+    cfg: ModelConfig,
+    codes: dict[str, int],
+    sentences: Sequence[Sequence[str]],
+    lookups: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window sentences into (context, next-token) examples in array ops.
+
+    Row s of the slot matrix holds ``context_window`` left pads, then the
+    sentence's ``max_sentence_len`` slots: bos, the body truncated to
+    ``max_sentence_len - 2`` tokens, eos, pads.  Every slot from the first
+    body token through eos is the target of one example whose context is
+    the ``context_window`` slots before it.  Returns the contexts and the
+    targets, sentence by sentence, and each sentence's number of examples.
+    """
+    C, L = cfg.context_window, cfg.max_sentence_len
+    bodies = [tokens[: L - 2] for tokens in sentences]
+    body = np.fromiter(map(len, bodies), np.int64, len(bodies))
+    slots = np.full((len(bodies), C + L), PAD_ID)
+    slots[:, C] = BOS_ID
+    # Boolean indexing reads row-major: sentence by sentence, slot by slot.
+    slots[:, C + 1 : C + L - 1][np.arange(L - 2) < body[:, None]] = np.fromiter(
+        map(codes.__getitem__, chain.from_iterable(bodies)), np.int64, int(body.sum())
+    )
+    slots[np.arange(len(bodies)), C + 1 + body] = EOS_ID
+    examples = np.arange(1, L) <= body[:, None] + 1
+    ctx_id, target_id = lookups
+    windows = np.lib.stride_tricks.sliding_window_view(ctx_id[slots], C, axis=1)
+    return windows[:, 1:L][examples], target_id[slots[:, C + 1 :][examples]], body + 1
 
 
 def sentence_examples(
@@ -264,22 +304,9 @@ def sentence_examples(
     yields one example whose context is the preceding ``context_window``
     slots, left-padded as needed.
     """
-    cfg = codec.cfg
-    slots = _sentence_slots(tokens, cfg.max_sentence_len)
-    ctx_rows, targets = [], []
-    for t in range(1, cfg.max_sentence_len):
-        if slots[t] == "<pad>":
-            break
-        lo = max(0, t - cfg.context_window)
-        window = ["<pad>"] * (cfg.context_window - (t - lo)) + slots[lo:t]
-        ctx_rows.append([codec.context_id(w) for w in window])
-        targets.append(codec.target_id(slots[t]))
-    n = len(targets)
-    return (
-        np.asarray(ctx_rows, dtype=np.int64).reshape(n, cfg.context_window),
-        np.asarray(targets, dtype=np.int64),
-        np.full(n, timestamp, dtype=np.int64),
-    )
+    codes = _token_codes([tokens])
+    ctx, targets, _ = _window(codec.cfg, codes, [tokens], _lookups(codec, codes))
+    return ctx, targets, np.full(len(targets), timestamp, dtype=np.int64)
 
 
 def load_token_corpus(
@@ -302,13 +329,15 @@ def corpus_to_clients(
 ) -> tuple[list[ClientDataset], list[str], TokenCodec]:
     """Build the frequency-ranked vocabulary, then window every sentence
     into next-word examples; clients keep at most
-    ``max_sentences_per_client`` sentences, earliest by timestamp."""
-    for tok in SPECIAL_TOKENS:
-        for rec in records:
-            if tok in rec.tokens:
-                raise DataError(f"reserved token {tok!r} appears in the corpus")
+    ``max_sentences_per_client`` sentences, earliest by timestamp.
+
+    Each distinct token is coded and looked up once; each client's kept
+    sentences are windowed together (see :func:`_window`).
+    """
+    codes = _token_codes(rec.tokens for rec in records)
     vocab = build_vocabulary(records, cfg.vocab_size)
     codec = TokenCodec(cfg, vocab)
+    lookups = _lookups(codec, codes)
 
     by_client: dict[int, list[SentenceRecord]] = {}
     for rec in records:
@@ -316,23 +345,16 @@ def corpus_to_clients(
 
     clients = []
     for cid in sorted(by_client):
-        sentences = sorted(by_client[cid], key=lambda r: r.timestamp)
-        sentences = sentences[:max_sentences_per_client]
-        ctxs, tgts, stamps = [], [], []
-        for rec in sentences:
-            c, t, s = sentence_examples(codec, rec.tokens, rec.timestamp)
-            ctxs.append(c)
-            tgts.append(t)
-            stamps.append(s)
-        features = np.concatenate(ctxs)
-        targets = np.concatenate(tgts)
+        kept = sorted(by_client[cid], key=lambda r: r.timestamp)[:max_sentences_per_client]
+        stamps = np.array([rec.timestamp for rec in kept], dtype=np.int64)
+        ctx, targets, counts = _window(cfg, codes, [rec.tokens for rec in kept], lookups)
         clients.append(
             ClientDataset(
                 client_id=cid,
-                features=features,
+                features=ctx,
                 targets=targets.astype(np.float64),
                 weights=np.ones(len(targets)),
-                timestamps=np.concatenate(stamps),
+                timestamps=np.repeat(stamps, counts),
             )
         )
     return clients, vocab, codec
@@ -350,16 +372,18 @@ def gen_synthetic_corpus(cfg: SyntheticDataConfig, seed: int) -> list[SentenceRe
     rng = RngStreams(seed).generator("synthetic_corpus")
     commons = [f"w{k}" for k in range(cfg.common_words)]
     markers = [f"sig{j}" for j in range(cfg.personal_tokens)]
+    # Every (common word, personal token) pair of a client in one draw: an
+    # array of bounds consumes the stream as one scalar draw per bound would.
+    bounds = np.tile([cfg.common_words, cfg.personal_tokens],
+                     cfg.sentences_per_client * cfg.pairs_per_sentence)
     records = []
     for cid in range(cfg.num_clients):
         personal = [f"p{cid}q{j}" for j in range(cfg.personal_tokens)]
-        for snum in range(cfg.sentences_per_client):
+        draws = rng.integers(0, bounds).reshape(cfg.sentences_per_client, -1).tolist()
+        for snum, row in enumerate(draws):
             tokens: list[str] = []
-            for _ in range(cfg.pairs_per_sentence):
-                tokens.append(commons[rng.integers(len(commons))])
-                j = int(rng.integers(cfg.personal_tokens))
-                tokens.append(personal[j])
-                tokens.append(markers[j])
+            for w, j in zip(row[::2], row[1::2]):
+                tokens += (commons[w], personal[j], markers[j])
             records.append(SentenceRecord(client_id=cid, tokens=tokens, timestamp=snum))
     return records
 

@@ -1,10 +1,17 @@
-"""The single-client reference: one client at a time, one flat minibatch
-and one ``sparse_grads`` call per step, no padding and no owner axes.
+"""Per-item references for code that now runs in array ops.
 
+The single-client reference: one client at a time, one flat minibatch
+and one ``sparse_grads`` call per step, no padding and no owner axes.
 ``partialfed.client`` runs every client through its cohort code, a single
 client being a cohort of one.  These are the per-client bodies that code
 replaced, kept so that the cohort path is compared with something other
 than itself.  Unlike ``oracles.py`` they call the model kernels.
+
+The next-word data reference: every sentence windowed slot by slot, every
+token looked up through ``TokenCodec`` where it occurs, and the slang
+corpus drawn one scalar ``integers`` call at a time.  ``partialfed.data``
+codes each distinct token once, windows a client's sentences together and
+draws a client's corpus in one call; these are the bodies it replaced.
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ from partialfed.core import (
     _sgd_step,
     copy_blocks,
 )
+from partialfed.data import SentenceRecord, SyntheticDataConfig, build_vocabulary
 from partialfed.errors import DataError
+from partialfed.models import SPECIAL_TOKENS, ModelConfig, TokenCodec
 
 
 def split_dataset(
@@ -167,3 +176,105 @@ def run_client_round(
     result = client_update(spec, g, l, dsx, hyper, gen("update_batches"))
     result.query_metrics = query_metrics
     return result
+
+
+# ---------------------------------------------------------------------------
+# Next-word data
+# ---------------------------------------------------------------------------
+
+
+def _sentence_slots(tokens, max_len: int) -> list[str]:
+    # bos + tokens (truncated) + eos, right-padded to exactly max_len slots
+    body = list(tokens[: max_len - 2])
+    slots = ["<bos>"] + body + ["<eos>"]
+    slots.extend(["<pad>"] * (max_len - len(slots)))
+    return slots
+
+
+def sentence_examples(
+    codec: TokenCodec, tokens, timestamp: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window one sentence into (context, next-token) examples.
+
+    Sentences occupy exactly ``max_sentence_len`` slots (bos, body, eos,
+    padding); every position whose target is a real slot (not padding)
+    yields one example whose context is the preceding ``context_window``
+    slots, left-padded as needed.
+    """
+    cfg = codec.cfg
+    slots = _sentence_slots(tokens, cfg.max_sentence_len)
+    ctx_rows, targets = [], []
+    for t in range(1, cfg.max_sentence_len):
+        if slots[t] == "<pad>":
+            break
+        lo = max(0, t - cfg.context_window)
+        window = ["<pad>"] * (cfg.context_window - (t - lo)) + slots[lo:t]
+        ctx_rows.append([codec.context_id(w) for w in window])
+        targets.append(codec.target_id(slots[t]))
+    n = len(targets)
+    return (
+        np.asarray(ctx_rows, dtype=np.int64).reshape(n, cfg.context_window),
+        np.asarray(targets, dtype=np.int64),
+        np.full(n, timestamp, dtype=np.int64),
+    )
+
+
+def corpus_to_clients(
+    records, cfg: ModelConfig, *, max_sentences_per_client: int = 1000
+) -> tuple[list[ClientDataset], list[str], TokenCodec]:
+    """Build the frequency-ranked vocabulary, then window every sentence
+    into next-word examples; clients keep at most
+    ``max_sentences_per_client`` sentences, earliest by timestamp."""
+    for tok in SPECIAL_TOKENS:
+        for rec in records:
+            if tok in rec.tokens:
+                raise DataError(f"reserved token {tok!r} appears in the corpus")
+    vocab = build_vocabulary(records, cfg.vocab_size)
+    codec = TokenCodec(cfg, vocab)
+
+    by_client: dict[int, list[SentenceRecord]] = {}
+    for rec in records:
+        by_client.setdefault(rec.client_id, []).append(rec)
+
+    clients = []
+    for cid in sorted(by_client):
+        sentences = sorted(by_client[cid], key=lambda r: r.timestamp)
+        sentences = sentences[:max_sentences_per_client]
+        ctxs, tgts, stamps = [], [], []
+        for rec in sentences:
+            c, t, s = sentence_examples(codec, rec.tokens, rec.timestamp)
+            ctxs.append(c)
+            tgts.append(t)
+            stamps.append(s)
+        features = np.concatenate(ctxs)
+        targets = np.concatenate(tgts)
+        clients.append(
+            ClientDataset(
+                client_id=cid,
+                features=features,
+                targets=targets.astype(np.float64),
+                weights=np.ones(len(targets)),
+                timestamps=np.concatenate(stamps),
+            )
+        )
+    return clients, vocab, codec
+
+
+def gen_synthetic_corpus(cfg: SyntheticDataConfig, seed: int) -> list[SentenceRecord]:
+    """The slang corpus with one scalar draw per common word and per
+    personal token."""
+    rng = RngStreams(seed).generator("synthetic_corpus")
+    commons = [f"w{k}" for k in range(cfg.common_words)]
+    markers = [f"sig{j}" for j in range(cfg.personal_tokens)]
+    records = []
+    for cid in range(cfg.num_clients):
+        personal = [f"p{cid}q{j}" for j in range(cfg.personal_tokens)]
+        for snum in range(cfg.sentences_per_client):
+            tokens: list[str] = []
+            for _ in range(cfg.pairs_per_sentence):
+                tokens.append(commons[rng.integers(len(commons))])
+                j = int(rng.integers(cfg.personal_tokens))
+                tokens.append(personal[j])
+                tokens.append(markers[j])
+            records.append(SentenceRecord(client_id=cid, tokens=tokens, timestamp=snum))
+    return records

@@ -90,6 +90,17 @@ def test_a_ratings_file_without_ratings_is_a_data_error(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["zero_bytes", "blank_lines"])
+def test_a_corpus_file_without_sentences_is_a_data_error(tmp_path, capsys, text):
+    path = tmp_path / "corpus.tsv"
+    path.write_text(text)
+    code = main(["train", "--task", "oov_nwp", "--rounds", "1", "--data-path", str(path),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"data error: corpus file {path} holds no sentences" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_error_exit_code(monkeypatch):
     import argparse
 

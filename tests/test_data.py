@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from partialfed.core import RngStreams
 from partialfed.data import (
     SentenceRecord,
@@ -257,6 +260,104 @@ class TestTokenCorpus:
         with pytest.raises(DataError):
             corpus_to_clients(records, cfg)
 
+    def test_reserved_token_named_in_special_token_order(self):
+        # The error names the first special token in SPECIAL_TOKENS order
+        # that appears anywhere, not the first one met in the corpus.
+        records = [SentenceRecord(0, ["a", "<oov>"], 0), SentenceRecord(1, ["<bos>"], 0)]
+        cfg = ModelConfig(vocab_size=2, num_oov_buckets=1, embed_dim=2, context_window=2)
+        with pytest.raises(DataError, match="reserved token '<bos>' appears in the corpus"):
+            corpus_to_clients(records, cfg)
+
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path):
+        records = [
+            SentenceRecord(client_id=1, tokens=["a", "b"], timestamp=5),
+            SentenceRecord(client_id=2, tokens=["c", "a"], timestamp=9),
+        ]
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        write_token_corpus(plain, records)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        cfg = ModelConfig(vocab_size=3, num_oov_buckets=2, embed_dim=2, context_window=2)
+        (want, want_vocab, _), (got, got_vocab, _) = (
+            load_token_corpus(path, cfg) for path in (plain, marked)
+        )
+        assert got_vocab == want_vocab == ["a", "b", "c"]
+        assert_same_clients(got, want)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["zero_bytes", "blank_lines"])
+    def test_a_file_without_sentences_is_a_data_error_naming_it(self, tmp_path, text):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(text, encoding="utf-8")
+        cfg = ModelConfig(vocab_size=2, num_oov_buckets=1, embed_dim=2, context_window=2)
+        with pytest.raises(DataError, match=f"corpus file {path} holds no sentences"):
+            load_token_corpus(path, cfg)
+
+
+def assert_same_clients(got, want):
+    """Exactly equal client lists: order, ids, and every column's dtype,
+    shape and values."""
+    assert [c.client_id for c in got] == [c.client_id for c in want]
+    for g, w in zip(got, want):
+        assert type(g.client_id) is type(w.client_id)
+        for name in ("features", "targets", "weights", "timestamps"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+# Few words, so a small vocab_size leaves some out; a sentence may be empty
+# or longer than max_sentence_len, and context_window may exceed it.
+_words = st.sampled_from(["a", "b", "c", "dd", "e", "f", "g", "h", "é", "日本"])
+_records = st.lists(
+    st.builds(
+        SentenceRecord,
+        client_id=st.integers(-2, 3),
+        tokens=st.lists(_words, max_size=14),
+        timestamp=st.integers(0, 3),
+    ),
+    max_size=12,
+)
+_model_configs = st.builds(
+    ModelConfig,
+    embed_dim=st.just(2),
+    vocab_size=st.integers(1, 12),
+    num_oov_buckets=st.integers(0, 5),
+    context_window=st.integers(1, 12),
+    max_sentence_len=st.integers(3, 10),
+)
+
+
+class TestWindowingMatchesTheReference:
+    """``corpus_to_clients`` and ``sentence_examples`` against the per-token
+    bodies they replaced (``tests/reference.py``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=_records,
+        cfg=_model_configs,
+        cap=st.one_of(st.integers(1, 4), st.just(1000)),
+    )
+    def test_corpus_to_clients(self, records, cfg, cap):
+        got, got_vocab, _ = corpus_to_clients(records, cfg, max_sentences_per_client=cap)
+        want, want_vocab, _ = reference.corpus_to_clients(
+            records, cfg, max_sentences_per_client=cap
+        )
+        assert got_vocab == want_vocab
+        assert_same_clients(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tokens=st.lists(_words, max_size=14),
+        cfg=_model_configs,
+        vocab=st.lists(_words, max_size=4, unique=True),
+    )
+    def test_sentence_examples(self, tokens, cfg, vocab):
+        codec = TokenCodec(cfg, vocab[: cfg.vocab_size])
+        got = sentence_examples(codec, tokens, 7)
+        want = reference.sentence_examples(codec, tokens, 7)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
 
 class TestSyntheticCorpus:
     def test_oov_rate_at_least_one_third(self):
@@ -284,6 +385,41 @@ class TestSyntheticCorpus:
                 if tok.startswith("p"):
                     j = int(tok.split("q")[1])
                     assert rec.tokens[i + 1] == f"sig{j}"
+
+    @pytest.mark.parametrize(
+        "overrides, seed",
+        [
+            ({}, 0),
+            ({"num_clients": 20, "common_words": 400, "personal_tokens": 6}, 17),
+            ({"num_clients": 3, "common_words": 3, "personal_tokens": 7,
+              "sentences_per_client": 5, "pairs_per_sentence": 4}, 12345),
+            ({"num_clients": 4, "common_words": 70000, "personal_tokens": 5}, 17),
+            ({"num_clients": 4, "common_words": 1000, "personal_tokens": 1,
+              "pairs_per_sentence": 1}, 0),
+        ],
+        ids=["default", "bench_shape", "few_commons", "many_commons", "one_personal"],
+    )
+    def test_matches_scalar_draws(self, overrides, seed):
+        # The generator draws a client's pairs in one call with an array of
+        # bounds; a numpy release that consumes the stream differently from
+        # one scalar draw per bound must fail here, not change the data.
+        cfg = SyntheticDataConfig(**overrides)
+        got = gen_synthetic_corpus(cfg, seed)
+        want = reference.gen_synthetic_corpus(cfg, seed)
+        assert [(r.client_id, r.tokens, r.timestamp) for r in got] == [
+            (r.client_id, r.tokens, r.timestamp) for r in want
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 17, 12345])
+    @pytest.mark.parametrize("bounds", [(42, 6), (3, 7), (2**31, 5), (1000, 1)])
+    def test_array_bounds_draw_as_scalar_draws(self, bounds, seed):
+        # What the generator relies on, at bounds too wide to list as words:
+        # the same values, and the stream left in the same state.
+        scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [int(scalar.integers(b)) for _ in range(50) for b in bounds]
+        got = batched.integers(0, np.tile(bounds, 50)).tolist()
+        assert got == want
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
     def test_deterministic(self):
         a = gen_synthetic_corpus(SyntheticDataConfig(), 5)
