@@ -14,12 +14,12 @@ from .core import (
     ModelSpec,
     ParamBlock,
     RngStreams,
+    RowDelta,
     _require_finite,
-    _rows_at,
     _sgd_step,
 )
 from .errors import ConfigError, DataError
-from .server import ServerOptimizer, TrainResult, run_training
+from .server import ServerOptimizer, TrainResult, initial_state, run_training
 
 __all__ = [
     "train_centralized",
@@ -47,24 +47,6 @@ def _merge_clients(clients: Mapping[int, ClientDataset]):
     )
 
 
-def _local_tables(
-    spec: ModelSpec, ids: list[int], streams: RngStreams
-) -> tuple[list[np.ndarray], dict[int, list[ParamBlock]]]:
-    """Each local block stacked over the clients in ``ids`` order, filled one
-    ``init_local`` at a time from the client's ``centralized_local_init``
-    stream, and each client's blocks as row views of those tables."""
-    rngs = streams.generators(np.array(ids, dtype=np.int64), "centralized_local_init")
-    first = spec.init_local(rngs[0])
-    tables = [np.empty((len(ids),) + b.shape) for b in first]
-    for row, rng in enumerate(rngs):
-        for table, b in zip(tables, first if row == 0 else spec.init_local(rng)):
-            table[row] = b.array
-    return tables, {
-        cid: [ParamBlock(b.name, t[row], b.shape) for t, b in zip(tables, first)]
-        for row, cid in enumerate(ids)
-    }
-
-
 @np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
 def train_centralized(
     spec: ModelSpec,
@@ -82,21 +64,20 @@ def train_centralized(
     Each minibatch is one ``sparse_grads`` call in which every example is
     its own owner, normalised by the whole minibatch's weight; both parts
     step from their pre-step values, repeated rows one after another.  A
-    local block is gathered per example from its population table (one row
-    per client).  A row table, a 2-D local block, is compacted instead: an
-    example gets a copy of only the rows its context slots address, slot
-    ``j`` remapped to ``-j - 1``, and its grad steps the table through those
-    rows."""
+    local block is gathered per example from its population table of
+    :func:`initial_state` (one row per client).  A row table, a 2-D local
+    block, is compacted instead: an example gets a copy of only the rows its
+    context slots address, slot ``j`` remapped to ``-j - 1``, and its grad
+    steps the table through those rows.  Each client's returned blocks are
+    views of its rows."""
     if epochs < 0 or batch_size < 1:
         raise ConfigError("epochs must be >= 0 and batch_size >= 1")
     ids, owners, feats, targets, weights = _merge_clients(clients)
-    g = spec.init_global(streams.generator("global_init"))
-    tables, locals_by_client = _local_tables(spec, ids, streams)
+    g, tables, locals_by_client = initial_state(spec, ids, streams, "centralized")
     if epochs == 0 or len(targets) == 0:
         return g, locals_by_client
 
-    template = locals_by_client[ids[0]]
-    per_client = next((b.shape[0] for b in template if len(b.shape) == 2), None)
+    per_client = next((t.shape[1] for t in tables if len(t.shape) == 3), None)
     if per_client is not None:
         # Checked before the remap: past it the kernel cannot see a bucket
         # id beyond the table, which would read the next client's rows.
@@ -117,20 +98,20 @@ def train_centralized(
                 keys = u[:, None] * per_client + np.where(oov, -x - 1, 0).reshape(len(u), -1)
                 x = np.where(oov, slot_ids, x)
             l = [
-                ParamBlock(b.name, t.reshape(-1, b.shape[1])[keys], keys.shape + b.shape[1:])
-                if len(b.shape) == 2
-                else ParamBlock(b.name, t[u], (len(u),) + b.shape)
-                for t, b in zip(tables, template)
+                ParamBlock(t.name, t.array.reshape(-1, t.shape[2])[keys], keys.shape + t.shape[2:])
+                if len(t.shape) == 3
+                else ParamBlock(t.name, t.array[u], (len(u),) + t.shape[1:])
+                for t in tables
             ]
             batch = Batch(x[:, None], targets[idx][:, None], w[:, None])
             grads, local_grads = spec.sparse_grads(g, l, batch, w.sum(), True, True)
             _sgd_step(g, rate, grads)
-            for t, b, grad in zip(tables, template, local_grads):
-                rows = u
-                if len(b.shape) == 2:
-                    rows, grad = keys.ravel()[grad.rows], grad.values
-                _rows_at(np.subtract, t.reshape(-1), rows, rate * grad)
-    _require_finite([b.values for b in g] + tables, "centralized parameters")
+            _sgd_step(tables, rate, [
+                RowDelta(keys.ravel()[grad.rows], grad.values) if len(t.shape) == 3
+                else RowDelta(u, grad)
+                for t, grad in zip(tables, local_grads)
+            ])
+    _require_finite([b.values for b in g + tables], "centralized parameters")
     return g, locals_by_client
 
 

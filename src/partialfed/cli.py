@@ -300,7 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--params", required=True, help="params.bin from a training run")
     p_eval.set_defaults(func=_cmd_evaluate)
 
-    p_sweep = sub.add_parser("sweep", help="vary reconstruction or update steps")
+    p_sweep = sub.add_parser(
+        "sweep", help="vary reconstruction or update steps",
+        description="Each setting trains one run; --repeats is not used.",
+    )
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--axis", required=True, choices=["k-r", "k-u", "k_r", "k_u"])
     p_sweep.add_argument("--values", help="comma-separated step counts")

@@ -129,15 +129,18 @@ def reconstruct(
         raise DataError("dataset has no support split")
     stacked = _stack([l])
     _reconstruct_steps(spec, g, _cohort_of_one(data), stacked, hyper, [batch_rng])
-    return _unstack(stacked, 0)
+    return _unstack(stacked)
 
 
 @dataclass
 class ClientUpdateResult:
     """One client's contribution to a round: its global delta (a
     :class:`RowDelta` or a flat array per block), its weight ``n_i`` (the
-    query size), its query metrics before the update, and under joint
-    training its updated local blocks."""
+    query size) and its query metrics before the update.  Under joint
+    training the single-client API (:func:`client_update`,
+    :func:`run_client_round` from ``initial_local``) also returns the
+    client's updated local blocks; a cohort steps its stacked locals in
+    place instead."""
 
     client_id: int
     delta: list
@@ -157,11 +160,16 @@ def client_update(
     """k_u gradient steps on the global parameters over the query set, with
     the reconstructed local parameters treated as constants (unless
     joint_training steps them concurrently): :func:`_update_cohort` for a
-    cohort of one.  Returns the update delta and its weight n_i = |query
-    set|, and never modifies the caller's blocks."""
+    cohort of one, stepping a stacked copy of ``l``.  Returns the update
+    delta and its weight n_i = |query set|, and never modifies the caller's
+    blocks."""
     if data.query_idx is None or len(data.query_idx) == 0:
         raise DataError(f"client {data.client_id}: empty query set")
-    return _update_cohort(spec, g, _cohort_of_one(data), _stack([l]), hyper, [batch_rng])[0]
+    stacked = _stack([l])
+    result = _update_cohort(spec, g, _cohort_of_one(data), stacked, hyper, [batch_rng])[0]
+    if hyper.joint_training:
+        result.updated_local = _unstack(stacked)
+    return result
 
 
 def run_client_round(
@@ -178,12 +186,18 @@ def run_client_round(
     """Split -> reconstruct -> update for one client in one round:
     :func:`run_cohort` for a cohort of one.
 
-    ``initial_local`` skips reconstruction and starts from the given local
-    parameters (the full-aggregation baseline path).  Stream names are
-    derived from (round, client_id, purpose) so clients are independent.
+    ``initial_local`` skips reconstruction and starts from a stacked copy of
+    the given local parameters (the full-aggregation baseline path).  Stream
+    names are derived from (round, client_id, purpose) so clients are
+    independent.
     """
-    initial = None if initial_local is None else [initial_local]
-    return run_cohort(spec, g, [data], policy, hyper, streams, round_idx, initial_locals=initial)[0]
+    initial = None if initial_local is None else _stack([initial_local])
+    result = run_cohort(
+        spec, g, [data], policy, hyper, streams, round_idx, initial_locals=initial
+    )[0]
+    if initial is not None and hyper.joint_training:
+        result.updated_local = _unstack(initial)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +356,9 @@ def _require_finite_clients(ok: np.ndarray, client_ids: np.ndarray, what: str) -
         raise NumericalError(f"client {bad}: non-finite values in {what}")
 
 
-def _unstack(stacked: Sequence[ParamBlock], c: int) -> list[ParamBlock]:
-    """Client ``c``'s blocks, copied: a view would keep the whole cohort's
-    stacked array alive for as long as the server stores this one local."""
-    return [ParamBlock(b.name, b.array[c].copy(), b.shape[1:]) for b in stacked]
+def _unstack(stacked: Sequence[ParamBlock]) -> list[ParamBlock]:
+    """The client's blocks of a cohort of one, as views of the stack."""
+    return [ParamBlock(b.name, b.array[0], b.shape[1:]) for b in stacked]
 
 
 # Values per owner-axis metrics call: padded examples times the widest row
@@ -422,15 +435,15 @@ def reconstruct_cohort(
     streams: RngStreams,
     round_idx: int,
     *,
-    initial_locals: Sequence[Blocks] | None = None,
+    initial_locals: Sequence[ParamBlock] | None = None,
     namespace: str = "",
 ) -> tuple[Cohort, list[ParamBlock]]:
     """Split every client of a nonempty cohort and rebuild its local
     parameters on its support half (:func:`_reconstruct_steps`), drawing
     each client's streams from ``(round_idx, client_id, namespace +
-    purpose)``; ``initial_locals`` skips reconstruction.  Returns the split
-    :class:`Cohort` and the local blocks stacked along a leading client
-    axis, row ``c`` holding client ``c``'s."""
+    purpose)``.  Returns the split :class:`Cohort` and the local blocks
+    stacked along a leading client axis, row ``c`` holding client ``c``'s:
+    ``initial_locals``, so stacked, if given, which skips reconstruction."""
     if not datasets:
         raise DataError("a cohort needs at least one client")
     ids = np.array([d.client_id for d in datasets], dtype=np.int64)
@@ -442,7 +455,7 @@ def reconstruct_cohort(
         datasets, policy, gens("split") if policy.kind == "half_disjoint" else None
     )
     if initial_locals is not None:
-        return cohort, _stack(initial_locals)
+        return cohort, list(initial_locals)
     stacked = _stack([spec.init_local(rng) for rng in gens("local_init")])
     if hyper.k_r and stacked:
         _reconstruct_steps(spec, g, cohort, stacked, hyper, gens("recon_batches"))
@@ -520,7 +533,6 @@ def _update_cohort(
             client_id=cid,
             delta=[RowDelta(rows[segments[c]], stepped[segments[c]])] + [d[c] for d in dense],
             n_i=n_i,
-            updated_local=_unstack(l_w, c) if joint else None,
         )
         for c, (cid, n_i) in enumerate(zip(cohort.client_ids.tolist(), cohort.query_n.tolist()))
     ]
@@ -535,17 +547,19 @@ def run_cohort(
     streams: RngStreams,
     round_idx: int,
     *,
-    initial_locals: Sequence[Blocks] | None = None,
+    initial_locals: Sequence[ParamBlock] | None = None,
 ) -> list[ClientUpdateResult]:
     """Split -> reconstruct -> query metrics -> update for every client of
     a round, each from its own streams, in batched calls over the slices of
-    :func:`owner_chunks`.  ``initial_locals`` (one per dataset) skips
-    reconstruction.  A numerical failure names the client."""
+    :func:`owner_chunks`.  ``initial_locals``, local blocks stacked along a
+    leading client axis (row ``c`` for dataset ``c``), skips reconstruction;
+    joint training steps them in place.  A numerical failure names the
+    client."""
     results: list[ClientUpdateResult] = []
     for owners in owner_chunks(spec, g, len(datasets)):
         cohort, stacked = reconstruct_cohort(
             spec, g, datasets[owners], policy, hyper, streams, round_idx,
-            initial_locals=None if initial_locals is None else initial_locals[owners],
+            initial_locals=None if initial_locals is None else _owner_rows(initial_locals, owners),
         )
         metrics = cohort_metrics(spec, g, stacked, cohort)
         rngs = streams.generators(round_idx, cohort.client_ids, "update_batches")

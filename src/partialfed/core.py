@@ -35,7 +35,6 @@ __all__ = [
     "delta_to_dense",
     "ModelSpec",
     "axpy_blocks",
-    "copy_blocks",
     "blocks_size",
     "GradCheckReport",
     "check_gradients",
@@ -293,10 +292,6 @@ def _sgd_step(
 def _require_finite(arrays: Iterable[np.ndarray], what: str) -> None:
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise NumericalError(f"non-finite values in {what}")
-
-
-def copy_blocks(blocks: Sequence[ParamBlock]) -> list[ParamBlock]:
-    return [b.copy() for b in blocks]
 
 
 def blocks_size(blocks: Sequence[ParamBlock]) -> int:

@@ -30,7 +30,6 @@ __all__ = [
     "gen_synthetic_corpus",
     "build_vocabulary",
     "vocabulary_coverage",
-    "sentence_examples",
     "split_users",
     "split_each_client_by_time",
 ]
@@ -292,21 +291,6 @@ def _window(
     ctx_id, target_id = lookups
     windows = np.lib.stride_tricks.sliding_window_view(ctx_id[slots], C, axis=1)
     return windows[:, 1:L][examples], target_id[slots[:, C + 1 :][examples]], body + 1
-
-
-def sentence_examples(
-    codec: TokenCodec, tokens: Sequence[str], timestamp: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Window one sentence into (context, next-token) examples.
-
-    Sentences occupy exactly ``max_sentence_len`` slots (bos, body, eos,
-    padding); every position whose target is a real slot (not padding)
-    yields one example whose context is the preceding ``context_window``
-    slots, left-padded as needed.
-    """
-    codes = _token_codes([tokens])
-    ctx, targets, _ = _window(codec.cfg, codes, [tokens], _lookups(codec, codes))
-    return ctx, targets, np.full(len(targets), timestamp, dtype=np.int64)
 
 
 def load_token_corpus(

@@ -46,7 +46,7 @@ from .data import (
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import recon_eval, standard_eval
 from .models import matfac_spec, oov_nwp_spec
-from .server import init_local_store, run_training
+from .server import initial_state, run_training
 
 __all__ = [
     "NWP_GRID",
@@ -181,14 +181,11 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
             ).metrics
         return standard_eval(spec, g, store, clients[split])
 
-    # The trainers' starting state, rebuilt from the same streams they draw.
-    g = spec.init_global(streams.generator("global_init"))
-    store = None
-    if bundle.regime == "standard":
-        purpose = (
-            "server_local_init" if config.algorithm == "fedavg" else "centralized_local_init"
-        )
-        store = init_local_store(spec, list(bundle.train_clients), streams, purpose)
+    # The trainer's starting state; reconstruction evaluation reads no stored locals.
+    g, _, store = initial_state(
+        spec, bundle.train_clients if bundle.regime == "standard" else (), streams,
+        config.algorithm,
+    )
 
     centralized = config.algorithm == "centralized"
     final_round = config.centralized.epochs if centralized else config.rounds
@@ -465,17 +462,13 @@ class SweepResult:
 
 
 def sweep_steps(
-    config: ExperimentConfig,
-    axis: str,
-    values: Sequence[int] | None = None,
-    *,
-    repeats: int = 1,
+    config: ExperimentConfig, axis: str, values: Sequence[int] | None = None
 ) -> SweepResult:
     """Vary reconstruction steps (evaluation-only, reusing the base-trained
     model) or client update steps (retraining per value at the same round
     budget); report accuracy relative to the base configuration.  Each
-    training run uses `repeats` averaged reruns (one by default: a sweep
-    multiplies training cost by the number of axis values already)."""
+    setting trains one run, whatever ``config.repeats`` says: a sweep
+    multiplies training cost by the number of axis values already."""
     if axis == "k_r":
         values = list(values) if values is not None else [0, 1, 2, 5, 10]
     elif axis == "k_u":
@@ -484,7 +477,7 @@ def sweep_steps(
         raise ConfigError(f"sweep axis must be k_r or k_u, got {axis!r}")
 
     bundle = prepare_task(config)
-    cfg = replace(config, repeats=max(1, repeats))
+    cfg = replace(config, repeats=1)
 
     if axis == "k_r":
         base_value = config.client.k_r

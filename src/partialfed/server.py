@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ __all__ = [
     "ServerOptimizer",
     "RoundReport",
     "TrainResult",
-    "init_local_store",
+    "initial_state",
     "sample_clients",
     "aggregate",
     "server_moments",
@@ -93,13 +93,36 @@ class TrainResult:
     local_store: dict[int, list[ParamBlock]] | None = None
 
 
-def init_local_store(
-    spec: ModelSpec, client_ids: Sequence[int], streams: RngStreams, purpose: str
-) -> dict[int, list[ParamBlock]]:
-    """Each client's freshly initialised local blocks, drawn from its
-    ``(client id, purpose)`` stream."""
-    rngs = streams.generators(np.array(client_ids, dtype=np.int64), purpose)
-    return {cid: spec.init_local(rng) for cid, rng in zip(client_ids, rngs)}
+# The trainers that keep every client's local blocks, and the purpose of the
+# (client id, purpose) streams those blocks start from.
+_LOCAL_INIT = {"fedavg": "server_local_init", "centralized": "centralized_local_init"}
+
+
+def initial_state(
+    spec: ModelSpec, client_ids: Iterable[int], streams: RngStreams, algorithm: str
+) -> tuple[list[ParamBlock], list[ParamBlock] | None, dict[int, list[ParamBlock]] | None]:
+    """A run's parameters before its first step: the global blocks from the
+    ``global_init`` stream and, for ``fedavg`` and ``centralized`` over a
+    nonempty population, every client's local blocks, drawn from its
+    ``(client id, purpose)`` stream.  Those are one table per local block,
+    row ``r`` holding the ``r``-th client in ascending id, and a store
+    mapping each client to its blocks as views of its rows.  Returns
+    ``(global blocks, tables, store)``; the last two are None otherwise."""
+    g = spec.init_global(streams.generator("global_init"))
+    ids = sorted(client_ids)
+    if algorithm not in _LOCAL_INIT or not ids:
+        return g, None, None
+    rngs = streams.generators(np.array(ids, dtype=np.int64), _LOCAL_INIT[algorithm])
+    store = {cid: spec.init_local(rng) for cid, rng in zip(ids, rngs)}
+    tables = [
+        ParamBlock(b.name, np.stack([l[bi].values for l in store.values()]), (len(ids),) + b.shape)
+        for bi, b in enumerate(store[ids[0]])
+    ]
+    # Each client's blocks become views of its rows: no second block per client.
+    for row, blocks in enumerate(store.values()):
+        for table, b in zip(tables, blocks):
+            b.values = table.values.reshape(len(ids), -1)[row]
+    return g, tables, store
 
 
 def sample_clients(
@@ -217,10 +240,11 @@ def run_training(
     step.  The server optimizer's moments live for this call only.
 
     ``fedrecon`` aggregates the global blocks alone.  Under ``fedavg`` the
-    server holds every client's local block; sampled clients start from their
-    stored block, train all parameters jointly on their full dataset
-    (``policy`` is not used), and their stored block is overwritten by the
-    result (owner-overwrite aggregation).
+    server holds every client's local blocks in the tables of
+    :func:`initial_state`: a round gathers the sampled clients' rows, trains
+    all parameters jointly on each client's full dataset (``policy`` is not
+    used), and writes the stepped rows back (owner-overwrite aggregation).
+    ``local_store`` maps each client to views of its rows.
     """
     if algorithm not in FEDERATED_ALGORITHMS:
         raise ConfigError(
@@ -228,12 +252,10 @@ def run_training(
         )
     fedavg = algorithm == "fedavg"
     population = sorted(clients)
-    g = spec.init_global(streams.generator("global_init"))
+    g, tables, local_store = initial_state(spec, population, streams, algorithm)
     moments = server_moments(server_opt, g)
-
-    local_store: dict[int, list[ParamBlock]] | None = None
     if fedavg:
-        local_store = init_local_store(spec, population, streams, "server_local_init")
+        population_ids = np.array(population, dtype=np.int64)  # a table's row order
         # Full aggregation: no support/query split, all parameters stepped
         # together on the client's whole dataset.
         policy = SplitPolicy(kind="no_split")
@@ -245,6 +267,12 @@ def run_training(
 
     for t in range(rounds):
         sampled = sample_clients(population, clients_per_round, streams, t)
+        stacked = None
+        if fedavg:  # the sampled clients' rows, stepped by the cohort
+            rows = np.searchsorted(population_ids, sampled)
+            stacked = [
+                ParamBlock(b.name, b.array[rows], (len(rows),) + b.shape[1:]) for b in tables
+            ]
         try:
             results = run_cohort(
                 spec,
@@ -254,16 +282,15 @@ def run_training(
                 hyper,
                 streams,
                 t,
-                initial_locals=[local_store[cid] for cid in sampled] if fedavg else None,
+                initial_locals=stacked,
             )
         except NumericalError as e:
             raise NumericalError(f"round {t}, {e}") from e
         weighted_delta, total = aggregate(results, g)
         g = server_step(server_opt, g, weighted_delta, moments)
-        if fedavg:
-            for res in results:
-                if res.updated_local is not None:
-                    local_store[res.client_id] = res.updated_local
+        if fedavg:  # owner overwrite: one put per block
+            for b, s in zip(tables, stacked):
+                b.array[rows] = s.array
 
         comm_records.append(
             CommRecord(
@@ -271,9 +298,7 @@ def run_training(
                 round=t,
                 num_clients=len(sampled),
                 global_params=g_size,
-                local_params_total=(
-                    sum(blocks_size(local_store[cid]) for cid in sampled) if fedavg else 0
-                ),
+                local_params_total=blocks_size(stacked) if fedavg else 0,
             )
         )
         reports.append(

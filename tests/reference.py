@@ -31,11 +31,14 @@ from partialfed.core import (
     RowDelta,
     _require_finite,
     _sgd_step,
-    copy_blocks,
 )
 from partialfed.data import SentenceRecord, SyntheticDataConfig, build_vocabulary
 from partialfed.errors import DataError
 from partialfed.models import SPECIAL_TOKENS, ModelConfig, TokenCodec
+
+
+def copy_blocks(blocks: Blocks) -> list[ParamBlock]:
+    return [b.copy() for b in blocks]
 
 
 def split_dataset(

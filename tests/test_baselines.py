@@ -19,7 +19,7 @@ from partialfed.core import (
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import DataError
 from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
-from partialfed.server import ServerOptimizer, init_local_store
+from partialfed.server import ServerOptimizer
 from oracles import oracle_mf_centralized_step
 
 
@@ -31,6 +31,27 @@ def population(num_users=4, num_items=6, seed=3, ratings=5):
     )
     spec = matfac_spec(ModelConfig(embed_dim=2), num_items)
     return spec, {c.client_id: c for c in clients}
+
+
+def memory_owner(array):
+    """The array that owns ``array``'s memory."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def assert_row_views(store):
+    """Block ``bi`` of every client in ``store`` is a view of row ``r`` of
+    one table per block, ``r`` being the client's rank by id."""
+    ids = sorted(store)
+    for bi in range(len(store[ids[0]])):
+        views = [store[cid][bi].values for cid in ids]
+        table = memory_owner(views[0])
+        assert table.nbytes == len(ids) * views[0].nbytes
+        for row, view in enumerate(views):
+            assert memory_owner(view) is table
+            offset = view.__array_interface__["data"][0] - table.__array_interface__["data"][0]
+            assert offset == row * view.nbytes
 
 
 class TestTrainCentralized:
@@ -88,6 +109,18 @@ class TestTrainCentralized:
             want = spec.init_local(RngStreams(3).generator(cid, "centralized_local_init"))
             assert [(b.name, b.shape) for b in got] == [(b.name, b.shape) for b in want]
             assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
+
+    def test_locals_are_row_views_of_one_table_per_block(self):
+        spec = oov_nwp_spec(ModelConfig(vocab_size=4, num_oov_buckets=3, embed_dim=2))
+        clients = {
+            cid: ClientDataset(cid, features=np.array([[4, -1, 5]]), targets=np.array([5.0]),
+                               weights=np.ones(1), timestamps=np.zeros(1))
+            for cid in (20, 3, 8)
+        }
+        _, locs = train_centralized(
+            spec, clients, epochs=1, batch_size=2, rate=0.5, streams=RngStreams(3)
+        )
+        assert_row_views(locs)
 
     def test_full_batch_with_shared_owner_and_item_is_one_sgd_step(self):
         # Client 0 rates items 1 and 2, client 1 rates items 2 and 3: one
@@ -200,7 +233,9 @@ def per_owner_centralized(spec, clients, *, epochs, batch_size, rate, streams):
     are known; the owners' global grads are summed, then stepped."""
     ids, owners, feats, targets, weights = _merge_clients(clients)
     g = spec.init_global(streams.generator("global_init"))
-    locals_by_client = init_local_store(spec, ids, streams, "centralized_local_init")
+    locals_by_client = {
+        cid: spec.init_local(streams.generator(cid, "centralized_local_init")) for cid in ids
+    }
     shuffle_rng = streams.generator("centralized_shuffle")
     total = [ParamBlock(b.name, np.zeros_like(b.values), b.shape) for b in g]
     for _ in range(epochs):
@@ -226,8 +261,10 @@ def mf_example_loop(spec, clients, *, epochs, batch_size, rate, streams):
     each example its own owner, user vectors stepped by owner rows."""
     ids, owners, feats, targets, weights = _merge_clients(clients)
     g = spec.init_global(streams.generator("global_init"))
-    store = init_local_store(spec, ids, streams, "centralized_local_init")
-    p = np.stack([store[cid][0].values for cid in ids])
+    p = np.stack([
+        spec.init_local(streams.generator(cid, "centralized_local_init"))[0].values
+        for cid in ids
+    ])
     shuffle_rng = streams.generator("centralized_shuffle")
     for _ in range(epochs):
         perm = shuffle_rng.permutation(len(targets))
@@ -331,6 +368,35 @@ class TestTrainFedavg:
             init = spec.init_local(RngStreams(6).generator(cid, "server_local_init"))
             unchanged = np.array_equal(out.local_store[cid][0].values, init[0].values)
             assert unchanged == (cid not in sampled)
+
+    def test_store_is_row_views_of_one_table_per_block_and_rounds_write_sampled_rows(self):
+        spec, clients = population(num_users=7)
+        # Ids not from 0, inserted out of id order.
+        clients = {3 * cid + 2: dataclasses.replace(ds, client_id=3 * cid + 2)
+                   for cid, ds in reversed(clients.items())}
+        ids = sorted(clients)
+        seen = []
+
+        def on_round(t, g, store):
+            seen.append({cid: [b.values.copy() for b in blocks] for cid, blocks in store.items()})
+
+        out = train_fedavg(
+            spec, clients, rounds=3, clients_per_round=2,
+            hyper=ClientHyper(k_u=2, eta_u=0.1, batch_size=2),
+            server_opt=ServerOptimizer(), streams=RngStreams(9), eval_fn=on_round, eval_every=1,
+        )
+        assert_row_views(out.local_store)
+        streams = RngStreams(9)
+        before = {
+            cid: [b.values for b in spec.init_local(streams.generator(cid, "server_local_init"))]
+            for cid in ids
+        }
+        for report, after in zip(out.reports, seen, strict=True):
+            for cid in ids:
+                changed = [not np.array_equal(a, b) for a, b in zip(after[cid], before[cid])]
+                assert all(changed) == (cid in report.sampled_clients)
+                assert any(changed) == (cid in report.sampled_clients)
+            before = after
 
     def test_full_participation_single_step_matches_pooled_oracle(self):
         # Every client sampled, one full-batch joint step, unit server rate:

@@ -50,7 +50,7 @@ from partialfed.core import (
 )
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import NumericalError
-from partialfed.evaluation import EvalMode, _finalize_with_macro, recon_eval
+from partialfed.evaluation import EvalMode, _finalize_with_macro, recon_eval, standard_eval
 from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
 from partialfed.server import (
     ServerOptimizer,
@@ -83,17 +83,51 @@ def mapped_client_rounds(spec, g, datasets, policy, hyper, streams, round_idx, i
     ]
 
 
+def agree(got, want, what, exact):
+    """Bit for bit if ``exact``, else to 1e-12."""
+    if exact:
+        assert np.array_equal(got, want), what
+    else:
+        assert_close(got, want, what)
+
+
+def stacked_run_cohort(spec, g, datasets, policy, hyper, streams, round_idx, initial_locals):
+    """``run_cohort`` from a stacked copy of ``initial_locals`` (one per
+    dataset, or None); returns the results and those stacked locals after
+    the round, which joint training steps in place."""
+    stacked = None if initial_locals is None else _stack(initial_locals)
+    results = run_cohort(
+        spec, g, datasets, policy, hyper, streams, round_idx, initial_locals=stacked
+    )
+    return results, stacked
+
+
+def assert_locals_agree(stacked, want_results, initial_locals, *, exact):
+    """Row ``c`` of the stacked locals a cohort started from holds client
+    ``c``'s locals as the reference left them: its updated locals under
+    joint training, else its initial blocks."""
+    for c, (want, start) in enumerate(zip(want_results, initial_locals, strict=True)):
+        expected = start if want.updated_local is None else want.updated_local
+        for b_got, b_want in zip(stacked, expected, strict=True):
+            assert b_got.name == b_want.name and b_got.shape[1:] == b_want.shape
+            agree(b_got.array[c], b_want.array, f"client {want.client_id} local", exact)
+
+
+def assert_updated_locals_agree(got, want, *, exact):
+    """The single-client API's updated locals are the reference's."""
+    if want.updated_local is None:
+        assert got.updated_local is None
+        return
+    for b_got, b_want in zip(got.updated_local, want.updated_local, strict=True):
+        assert b_got.name == b_want.name and b_got.shape == b_want.shape
+        agree(b_got.values, b_want.values, f"client {want.client_id} local", exact)
+
+
 def assert_rounds_agree(got_results, want_results, *, exact):
-    """n_i and delta rows equal; delta values and joint-trained locals bit
-    for bit if ``exact``, else to 1e-12; query metrics to 1e-12 (a padded
-    owner-axis call sums in another order)."""
-
-    def agree(got, want, what):
-        if exact:
-            assert np.array_equal(got, want), what
-        else:
-            assert_close(got, want, what)
-
+    """n_i and delta rows equal; delta values bit for bit if ``exact``,
+    else to 1e-12; query metrics to 1e-12 (a padded owner-axis call sums in
+    another order).  Local blocks are compared apart: a cohort steps its
+    stacked locals (:func:`assert_locals_agree`)."""
     assert [r.client_id for r in got_results] == [r.client_id for r in want_results]
     for got, want in zip(got_results, want_results):
         cid = want.client_id
@@ -102,19 +136,13 @@ def assert_rounds_agree(got_results, want_results, *, exact):
         for d_got, d_want in zip(got.delta, want.delta):
             if isinstance(d_want, RowDelta):
                 assert np.array_equal(d_got.rows, d_want.rows), f"client {cid} rows"
-                agree(d_got.values, d_want.values, f"client {cid} delta")
+                agree(d_got.values, d_want.values, f"client {cid} delta", exact)
             else:
-                agree(d_got, d_want, f"client {cid} delta")
+                agree(d_got, d_want, f"client {cid} delta", exact)
         assert set(got.query_metrics) == set(want.query_metrics), f"client {cid}"
         for k, m in want.query_metrics.items():
             assert_close(got.query_metrics[k].value, m.value, f"client {cid} {k}")
             assert_close(got.query_metrics[k].weight, m.weight, f"client {cid} {k} weight")
-        if want.updated_local is None:
-            assert got.updated_local is None
-        else:
-            for b_got, b_want in zip(got.updated_local, want.updated_local):
-                assert b_got.name == b_want.name and b_got.shape == b_want.shape
-                agree(b_got.values, b_want.values, f"client {cid} local")
 
 
 def assert_results_match(cohort, reference):
@@ -154,13 +182,15 @@ def nwp_population(num_clients=9, seed=4):
 
 
 def compare_round(spec, g, datasets, policy, hyper, streams, round_idx=3, initial_locals=None):
-    cohort = run_cohort(
-        spec, g, datasets, policy, hyper, streams, round_idx, initial_locals=initial_locals
+    cohort, stacked = stacked_run_cohort(
+        spec, g, datasets, policy, hyper, streams, round_idx, initial_locals
     )
     reference = mapped_client_rounds(
         spec, g, datasets, policy, hyper, streams, round_idx, initial_locals
     )
     assert_results_match(cohort, reference)
+    if initial_locals is not None:
+        assert_locals_agree(stacked, reference, initial_locals, exact=False)
     return cohort
 
 
@@ -175,33 +205,13 @@ class TestRunCohortMatchesClientRounds:
             compare_round(spec, g, clients, SplitPolicy(kind=kind), HYPER, streams)
 
     def test_fedavg_joint_from_initial_locals(self, streams):
+        # The stacked locals are stepped in place into the reference's
+        # updated locals (compare_round checks them).
         spec, clients = mf_population()
         g = spec.init_global(streams.generator("g"))
         stored = [spec.init_local(streams.generator(ds.client_id, "stored")) for ds in clients]
-        snapshot = [l[0].values.copy() for l in stored]
         hyper = dataclasses.replace(HYPER, joint_training=True)
         compare_round(spec, g, clients, SplitPolicy(kind="no_split"), hyper, streams, 0, stored)
-        for before, l in zip(snapshot, stored):
-            assert np.array_equal(before, l[0].values)
-
-    def test_updated_locals_own_their_memory(self, streams):
-        # The server stores each updated local; a view into the cohort's
-        # stacked locals would keep the whole stack alive with it.
-        spec, clients = mf_population()
-        g = spec.init_global(streams.generator("g"))
-        stored = [spec.init_local(streams.generator(ds.client_id, "stored")) for ds in clients]
-        hyper = dataclasses.replace(HYPER, joint_training=True)
-        results = run_cohort(
-            spec, g, clients, SplitPolicy(kind="no_split"), hyper, streams, 0,
-            initial_locals=stored,
-        )
-        values = [r.updated_local[0].values for r in results]
-        for i, v in enumerate(values):
-            held = v
-            while held.base is not None:
-                held = held.base
-            assert held.nbytes == v.nbytes
-            assert not any(np.shares_memory(v, w) for w in values[i + 1:])
 
     def test_ragged_minibatches(self, streams):
         spec, clients = mf_population(ratings_per_user=13)
@@ -342,9 +352,11 @@ def test_cohort_is_the_mapped_client_round(case):
         if stored
         else None
     )
-    cohort = run_cohort(spec, g, clients, policy, hyper, streams, 2, initial_locals=initial)
+    cohort, stacked = stacked_run_cohort(spec, g, clients, policy, hyper, streams, 2, initial)
     reference = mapped_client_rounds(spec, g, clients, policy, hyper, streams, 2, initial)
     assert_rounds_agree(cohort, reference, exact=True)
+    if stored:
+        assert_locals_agree(stacked, reference, initial, exact=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,14 +374,21 @@ def test_nwp_cohort_is_the_mapped_client_round(case, per_call):
         if stored
         else None
     )
-    cohort = run_cohort(spec, g, clients, policy, hyper, streams, 2, initial_locals=initial)
+    cohort, stacked = stacked_run_cohort(spec, g, clients, policy, hyper, streams, 2, initial)
     assert len(owner_chunks(spec, g, len(clients))) == 1
     reference = mapped_client_rounds(spec, g, clients, policy, hyper, streams, 2, initial)
     assert_rounds_agree(cohort, reference, exact=False)
+    if stored:
+        assert_locals_agree(stacked, reference, initial, exact=False)
     with owner_budget(spec, g, per_call):
         assert len(owner_chunks(spec, g, len(clients))) == -(-len(clients) // per_call)
-        chunked = run_cohort(spec, g, clients, policy, hyper, streams, 2, initial_locals=initial)
+        chunked, chunked_stacked = stacked_run_cohort(
+            spec, g, clients, policy, hyper, streams, 2, initial
+        )
     assert_rounds_agree(chunked, cohort, exact=True)
+    if stored:
+        for b_chunked, b in zip(chunked_stacked, stacked, strict=True):
+            assert np.array_equal(b_chunked.values, b.values), b.name
 
 
 @settings(max_examples=60, deadline=None)
@@ -418,6 +437,12 @@ def test_the_single_client_api_is_the_reference(case):
             assert_rounds_agree([got_result], [want_result], exact=exact)
             if exact:
                 assert got_result.query_metrics == want_result.query_metrics
+        # Updated locals come back for the locals the caller passed in.
+        assert_updated_locals_agree(*updates, exact=exact)
+        if stored:
+            assert_updated_locals_agree(*rounds, exact=exact)
+        else:
+            assert rounds[0].updated_local is None
 
 
 def reference_training(spec, clients, *, rounds, clients_per_round, policy, hyper, streams,
@@ -463,6 +488,10 @@ def owner_budget(spec, g, per_call):
 
 
 def assert_training_matches_the_client_loop(spec, clients, algorithm):
+    """Two rounds of ``run_training`` against :func:`reference_training`;
+    under ``fedavg`` also every stored local, and a standard evaluation of
+    each client's own examples under the store."""
+    eval_sets = list(clients)
     clients = {ds.client_id: ds for ds in clients}
     kwargs = dict(
         rounds=2, clients_per_round=6, policy=SplitPolicy(), hyper=HYPER, algorithm=algorithm,
@@ -477,8 +506,16 @@ def assert_training_matches_the_client_loop(spec, clients, algorithm):
         for k in want:
             assert_close(report.train_metrics[k], want[k], f"round {report.round} {k}")
     if algorithm == "fedavg":
+        assert sorted(got.local_store) == sorted(store)
         for cid in store:
-            assert_close(got.local_store[cid][0].values, store[cid][0].values, f"store {cid}")
+            for b_got, b_want in zip(got.local_store[cid], store[cid], strict=True):
+                assert_close(b_got.values, b_want.values, f"store {cid} {b_want.name}")
+        scores = standard_eval(spec, got.global_params, got.local_store, eval_sets)
+        want = _finalize_with_macro([spec.metrics(g, store[ds.client_id], ds.batch())
+                                     for ds in eval_sets])
+        assert set(scores) == set(want)
+        for k in want:
+            assert_close(scores[k], want[k], f"standard eval {k}")
 
 
 def assert_recon_eval_matches_the_client_loop(spec, clients):
@@ -520,6 +557,22 @@ def test_two_rounds_of_nwp_training_in_owner_chunks_match_the_client_loop(algori
     spec, clients = nwp_population(num_clients=10)
     with owner_budget(spec, spec.init_global(RngStreams(0).generator("g")), 4):
         assert_training_matches_the_client_loop(spec, clients, algorithm)
+
+
+@pytest.mark.parametrize("model", ["matfac", "oov_nwp"])
+def test_fedavg_rows_follow_client_ids(model):
+    # Ids not contiguous and not from 0, one at 2**32 + 3, listed out of id
+    # order: a store row found by position instead of by id gathers, steps
+    # or writes back another client's locals.
+    spec, clients = (
+        mf_population(num_users=18) if model == "matfac" else nwp_population(num_clients=18)
+    )
+    ids = [5 + 7 * i for i in range(len(clients))]
+    ids[11] = 2**32 + 3
+    order = np.random.default_rng(0).permutation(len(clients))
+    clients = [dataclasses.replace(clients[i], client_id=ids[i]) for i in order]
+    assert [ds.client_id for ds in clients] != sorted(ds.client_id for ds in clients)
+    assert_training_matches_the_client_loop(spec, clients, "fedavg")
 
 
 def test_two_repeats_of_recon_eval_match_the_client_loop():
@@ -708,13 +761,14 @@ def test_unique_row_steps_put_and_match_the_reference_bit_for_bit(streams, case,
     if joint:  # the fedavg path: stored locals, stepped with the globals
         policy, hyper = SplitPolicy(kind="no_split"), dataclasses.replace(hyper, joint_training=True)
         initial = [spec.init_local(streams.generator(ds.client_id, "stored")) for ds in clients]
-    got, puts = update_step_forms(
+    (got, stacked), puts = update_step_forms(
         spec,
-        lambda logged: run_cohort(logged, g, clients, policy, hyper, streams, 3,
-                                  initial_locals=initial),
+        lambda logged: stacked_run_cohort(logged, g, clients, policy, hyper, streams, 3, initial),
     )
     want = mapped_client_rounds(spec, g, clients, policy, hyper, streams, 3, initial)
     assert_rounds_agree(got, want, exact=True)
+    if joint:
+        assert_locals_agree(stacked, want, initial, exact=True)
     expected = unique_steps(clients, policy, hyper, streams, 3)
     assert puts == expected
     if case == "single_example_padded":
@@ -753,9 +807,12 @@ def test_a_non_finite_client_on_the_put_path_reaches_no_other(streams, poisoned,
         stacked = _stack(locals_)
         if poison_local:
             stacked[0].array[bad] = np.nan
-        return _update_cohort(spec, g, cohort, stacked, hyper, streams.generators(3, ids, "up"))
+        return (
+            _update_cohort(spec, g, cohort, stacked, hyper, streams.generators(3, ids, "up")),
+            stacked,
+        )
 
-    clean = update(spec, cohort, False)
+    clean, clean_locals = update(spec, cohort, False)
     bad_cohort, poison_local = cohort, poisoned == "user_embedding"
     if not poison_local:
         weights = cohort.weights.copy()
@@ -766,13 +823,13 @@ def test_a_non_finite_client_on_the_put_path_reaches_no_other(streams, poisoned,
         update(spec, bad_cohort, poison_local)
 
     # Past the check, which records instead of raising: every client's
-    # result, its updated local as a bare array, which may hold NaN.
+    # result and its row of the stacked locals, which may hold NaN.
     flagged = []
     with mock.patch.object(client_module, "_require_finite_clients",
-                           lambda ok, *_: flagged.append(ok.copy())), \
-            mock.patch.object(client_module, "_unstack",
-                              lambda stacked, c: [b.array[c].copy() for b in stacked]):
-        got, puts = update_step_forms(spec, lambda logged: update(logged, bad_cohort, poison_local))
+                           lambda ok, *_: flagged.append(ok.copy())):
+        (got, got_locals), puts = update_step_forms(
+            spec, lambda logged: update(logged, bad_cohort, poison_local)
+        )
     assert any(puts)
     assert flagged[0].tolist() == [c != bad for c in range(len(clients))]
     assert not np.isfinite(got[bad].delta[0].values).all()
@@ -783,7 +840,7 @@ def test_a_non_finite_client_on_the_put_path_reaches_no_other(streams, poisoned,
         assert np.array_equal(g_res.delta[0].values, want.delta[0].values), f"client {c}"
         assert np.isfinite(g_res.delta[0].values).all()
         if joint:
-            assert np.array_equal(g_res.updated_local[0], want.updated_local[0].values)
+            assert np.array_equal(got_locals[0].array[c], clean_locals[0].array[c])
 
 
 def test_nwp_metrics_calls_hold_at_most_the_budget_in_values(streams):

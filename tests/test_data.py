@@ -14,12 +14,11 @@ from partialfed.data import (
     gen_synthetic_mf,
     load_token_corpus,
     parse_movielens,
-    sentence_examples,
     vocabulary_coverage,
     write_token_corpus,
 )
 from partialfed.errors import ConfigError, DataError, ParseError
-from partialfed.models import EOS_ID, NUM_SPECIAL, OOV_ID, PAD_ID, ModelConfig, TokenCodec
+from partialfed.models import EOS_ID, NUM_SPECIAL, OOV_ID, PAD_ID, ModelConfig
 
 
 class TestParseMovielens:
@@ -239,20 +238,22 @@ class TestTokenCorpus:
     def test_windowing_layout(self):
         cfg = ModelConfig(vocab_size=4, num_oov_buckets=2, embed_dim=2, context_window=3,
                           max_sentence_len=6)
-        codec = TokenCodec(cfg, ["a", "b"])
-        ctx, targets, stamps = sentence_examples(codec, ["a", "b"], timestamp=4)
+        ds, codec = one_sentence_client(cfg, ["a", "b"], timestamp=4)
+        assert codec.vocab == ["a", "b"]
         # slots: bos a b eos pad pad -> targets a, b, eos
-        assert targets.tolist() == [NUM_SPECIAL, NUM_SPECIAL + 1, EOS_ID]
-        assert ctx.shape == (3, 3)
-        assert ctx[0].tolist() == [PAD_ID, PAD_ID, 1]  # bos preceded by padding
-        assert np.all(stamps == 4)
+        assert ds.targets.tolist() == [NUM_SPECIAL, NUM_SPECIAL + 1, EOS_ID]
+        assert ds.features.shape == (3, 3)
+        assert ds.features[0].tolist() == [PAD_ID, PAD_ID, 1]  # bos preceded by padding
+        assert np.all(ds.timestamps == 4)
+        assert_one_sentence_reference(ds, codec, ["a", "b"], 4)
 
     def test_long_sentence_truncated_to_fixed_slots(self):
         cfg = ModelConfig(vocab_size=30, num_oov_buckets=2, embed_dim=2, context_window=2,
                           max_sentence_len=8)
-        codec = TokenCodec(cfg, [f"w{i}" for i in range(20)])
-        ctx, targets, _ = sentence_examples(codec, [f"w{i}" for i in range(20)], 0)
-        assert len(targets) == 7  # bos + 6 body tokens + eos fill all 8 slots
+        tokens = [f"w{i}" for i in range(20)]
+        ds, codec = one_sentence_client(cfg, tokens, timestamp=0)
+        assert ds.n == 7  # bos + 6 body tokens + eos fill all 8 slots
+        assert_one_sentence_reference(ds, codec, tokens, 0)
 
     def test_reserved_tokens_rejected(self):
         records = [SentenceRecord(0, ["<pad>", "a"], 0)]
@@ -292,6 +293,22 @@ class TestTokenCorpus:
             load_token_corpus(path, cfg)
 
 
+def one_sentence_client(cfg, tokens, timestamp):
+    """The one client of a one-sentence corpus, and the corpus's codec."""
+    (ds,), _, codec = corpus_to_clients([SentenceRecord(0, tokens, timestamp)], cfg)
+    return ds, codec
+
+
+def assert_one_sentence_reference(ds, codec, tokens, timestamp):
+    """``ds`` holds the examples ``reference.sentence_examples`` windows
+    from the sentence, with unit weights."""
+    ctx, targets, stamps = reference.sentence_examples(codec, tokens, timestamp)
+    for got, want in ((ds.features, ctx), (ds.targets, targets.astype(np.float64)),
+                      (ds.timestamps, stamps), (ds.weights, np.ones(len(targets)))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
 def assert_same_clients(got, want):
     """Exactly equal client lists: order, ids, and every column's dtype,
     shape and values."""
@@ -327,8 +344,8 @@ _model_configs = st.builds(
 
 
 class TestWindowingMatchesTheReference:
-    """``corpus_to_clients`` and ``sentence_examples`` against the per-token
-    bodies they replaced (``tests/reference.py``)."""
+    """``corpus_to_clients`` against the per-token bodies it replaced
+    (``tests/reference.py``), over many sentences and over one."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -345,18 +362,10 @@ class TestWindowingMatchesTheReference:
         assert_same_clients(got, want)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        tokens=st.lists(_words, max_size=14),
-        cfg=_model_configs,
-        vocab=st.lists(_words, max_size=4, unique=True),
-    )
-    def test_sentence_examples(self, tokens, cfg, vocab):
-        codec = TokenCodec(cfg, vocab[: cfg.vocab_size])
-        got = sentence_examples(codec, tokens, 7)
-        want = reference.sentence_examples(codec, tokens, 7)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            np.testing.assert_array_equal(a, b)
+    @given(tokens=st.lists(_words, max_size=14), cfg=_model_configs)
+    def test_one_sentence_corpus(self, tokens, cfg):
+        ds, codec = one_sentence_client(cfg, tokens, timestamp=7)
+        assert_one_sentence_reference(ds, codec, tokens, 7)
 
 
 class TestSyntheticCorpus:
