@@ -8,8 +8,8 @@ __version__ = "0.1.0"
 from .core import (
     Batch,
     ClientDataset,
-    Example,
     GradCheckReport,
+    LocalTables,
     Metric,
     ModelSpec,
     ParamBlock,

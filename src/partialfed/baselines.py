@@ -11,6 +11,7 @@ from .client import ClientHyper, SplitPolicy
 from .core import (
     Batch,
     ClientDataset,
+    LocalTables,
     ModelSpec,
     ParamBlock,
     RngStreams,
@@ -19,7 +20,7 @@ from .core import (
     _sgd_step,
 )
 from .errors import ConfigError, DataError
-from .server import ServerOptimizer, TrainResult, initial_state, run_training
+from .server import ServerOptimizer, Start, TrainResult, initial_state, run_training
 
 __all__ = [
     "train_centralized",
@@ -56,26 +57,29 @@ def train_centralized(
     batch_size: int,
     rate: float,
     streams: RngStreams,
-) -> tuple[list[ParamBlock], dict[int, list[ParamBlock]]]:
+    start: Start | None = None,
+) -> tuple[list[ParamBlock], LocalTables]:
     """Plain minibatch SGD over the union of all clients' examples, stepping
     the global blocks and each owning client's local blocks jointly.  The
     pooled dataset is reshuffled every epoch with a seeded generator.
+    ``start``, if given, is this call's :func:`initial_state`, built by the
+    caller.
 
     Each minibatch is one ``sparse_grads`` call in which every example is
     its own owner, normalised by the whole minibatch's weight; both parts
     step from their pre-step values, repeated rows one after another.  A
-    local block is gathered per example from its population table of
-    :func:`initial_state` (one row per client).  A row table, a 2-D local
-    block, is compacted instead: an example gets a copy of only the rows its
-    context slots address, slot ``j`` remapped to ``-j - 1``, and its grad
-    steps the table through those rows.  Each client's returned blocks are
-    views of its rows."""
+    local block is gathered per example from its population table (one row
+    per client), which training steps in place and returns.  A row table, a
+    2-D local block, is compacted instead: an example gets a copy of only
+    the rows its context slots address, slot ``j`` remapped to ``-j - 1``,
+    and its grad steps the table through those rows."""
     if epochs < 0 or batch_size < 1:
         raise ConfigError("epochs must be >= 0 and batch_size >= 1")
     ids, owners, feats, targets, weights = _merge_clients(clients)
-    g, tables, locals_by_client = initial_state(spec, ids, streams, "centralized")
+    g, stored = initial_state(spec, ids, streams, "centralized") if start is None else start
+    tables = stored.blocks
     if epochs == 0 or len(targets) == 0:
-        return g, locals_by_client
+        return g, stored
 
     per_client = next((t.shape[1] for t in tables if len(t.shape) == 3), None)
     if per_client is not None:
@@ -112,7 +116,7 @@ def train_centralized(
                 for t, grad in zip(tables, local_grads)
             ])
     _require_finite([b.values for b in g + tables], "centralized parameters")
-    return g, locals_by_client
+    return g, stored
 
 
 def train_fedavg(

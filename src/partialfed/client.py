@@ -26,6 +26,7 @@ from .core import (
     _flat,
     _max_rel_err,
     _sgd_step,
+    _stack,
     blocks_size,
     delta_to_dense,
 )
@@ -325,14 +326,6 @@ def _cohort_batches(
     )
 
 
-def _stack(locals_: Sequence[Blocks]) -> list[ParamBlock]:
-    """Per-client local blocks stacked along a leading client axis."""
-    return [
-        ParamBlock(b.name, np.stack([l[bi].values for l in locals_]), (len(locals_),) + b.shape)
-        for bi, b in enumerate(locals_[0])
-    ]
-
-
 def _owner_rows(stacked: Blocks, owners: slice) -> list[ParamBlock]:
     """The ``owners`` rows of stacked blocks, as views."""
     out = []
@@ -561,7 +554,10 @@ def run_cohort(
             spec, g, datasets[owners], policy, hyper, streams, round_idx,
             initial_locals=None if initial_locals is None else _owner_rows(initial_locals, owners),
         )
-        metrics = cohort_metrics(spec, g, stacked, cohort)
+        with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked next
+            metrics = cohort_metrics(spec, g, stacked, cohort)
+        finite = [all(math.isfinite(m.value) for m in d.values()) for d in metrics]
+        _require_finite_clients(np.array(finite), cohort.client_ids, "the query metrics")
         rngs = streams.generators(round_idx, cohort.client_ids, "update_batches")
         chunk = _update_cohort(spec, g, cohort, stacked, hyper, rngs)
         for res, m in zip(chunk, metrics):

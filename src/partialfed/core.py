@@ -25,7 +25,7 @@ __all__ = [
     "round_half_away",
     "RngStreams",
     "ParamBlock",
-    "Example",
+    "LocalTables",
     "Batch",
     "ClientDataset",
     "Metric",
@@ -298,18 +298,34 @@ def blocks_size(blocks: Sequence[ParamBlock]) -> int:
     return sum(b.values.size for b in blocks)
 
 
+def _stack(locals_: Sequence[Blocks]) -> list[ParamBlock]:
+    """Per-client local blocks stacked along a leading client axis."""
+    return [
+        ParamBlock(b.name, np.stack([l[bi].values for l in locals_]), (len(locals_),) + b.shape)
+        for bi, b in enumerate(locals_[0])
+    ]
+
+
 @dataclass
-class Example:
-    """A single training example; ``features`` is a task-specific encoding."""
+class LocalTables:
+    """Stored local parameters, one table per local block: row ``r`` of
+    every table (its leading axis) holds client ``ids[r]``, ids ascending."""
 
-    features: object
-    target: float
-    weight: float = 1.0
-    timestamp: int = 0
+    ids: np.ndarray
+    blocks: list[ParamBlock]
 
-    def __post_init__(self):
-        if not 0 <= self.weight < math.inf:
-            raise DataError(f"example weight {self.weight} is not finite and nonnegative")
+    def rows(self, client_ids: Sequence[int]) -> np.ndarray:
+        """Each client's row; a KeyError names the first id not stored."""
+        want = np.asarray(client_ids, dtype=np.int64)
+        rows = np.minimum(np.searchsorted(self.ids, want), len(self.ids) - 1)
+        missing = want[self.ids[rows] != want]
+        if missing.size:
+            raise KeyError(int(missing[0]))
+        return rows
+
+    def take(self, rows: np.ndarray) -> list[ParamBlock]:
+        """The ``rows`` of every table, stacked in that order (a copy)."""
+        return [ParamBlock(b.name, b.array[rows], (len(rows),) + b.shape[1:]) for b in self.blocks]
 
 
 @dataclass
@@ -336,8 +352,8 @@ class Batch:
 class ClientDataset:
     """One client's examples plus its support/query partition.
 
-    Stored columnar for speed; :meth:`example` materialises the row view.
-    ``support_idx``/``query_idx`` are populated by the split step.
+    Stored columnar for speed; ``support_idx``/``query_idx`` are populated
+    by the split step.
     """
 
     client_id: int
@@ -358,27 +374,9 @@ class ClientDataset:
                 f"client {self.client_id}: example weights must be finite and nonnegative"
             )
 
-    @classmethod
-    def from_examples(cls, client_id: int, examples: Sequence[Example]) -> "ClientDataset":
-        return cls(
-            client_id=client_id,
-            features=np.asarray([e.features for e in examples]),
-            targets=np.asarray([e.target for e in examples], dtype=np.float64),
-            weights=np.asarray([e.weight for e in examples], dtype=np.float64),
-            timestamps=np.asarray([e.timestamp for e in examples], dtype=np.int64),
-        )
-
     @property
     def n(self) -> int:
         return len(self.targets)
-
-    def example(self, i: int) -> Example:
-        return Example(
-            features=self.features[i],
-            target=self.targets[i],
-            weight=float(self.weights[i]),
-            timestamp=int(self.timestamps[i]),
-        )
 
     def batch(self, idx: np.ndarray | None = None) -> Batch:
         if idx is None:

@@ -9,14 +9,13 @@ during training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .client import (
     ClientHyper,
     SplitPolicy,
-    _stack,
     cohort_metrics,
     owner_chunks,
     reconstruct_cohort,
@@ -25,6 +24,7 @@ from .client import (
 from .core import (
     Blocks,
     ClientDataset,
+    LocalTables,
     Metric,
     ModelSpec,
     RngStreams,
@@ -82,27 +82,30 @@ def _finalize_with_macro(per_client: list[dict[str, Metric]]) -> dict[str, float
 def standard_eval(
     spec: ModelSpec,
     g: Blocks,
-    stored_locals: Mapping[int, Blocks],
+    stored: LocalTables | None,
     eval_sets: Sequence[ClientDataset],
 ) -> dict[str, float]:
     """Score each client's held-out examples with its stored local
     parameters; metrics weight every example equally, with per-client
     macro-averages emitted alongside.  The clients are scored in owner-axis
-    calls (:func:`cohort_metrics`) over the slices of :func:`owner_chunks`."""
+    calls (:func:`cohort_metrics`) over the slices of :func:`owner_chunks`,
+    each gathering its clients' rows of the tables at once."""
+    if stored is None:
+        raise EvaluationError("the run stored no local parameters; use recon_eval")
     sets = [ds for ds in eval_sets if ds.n > 0]
-    for ds in sets:
-        if ds.client_id not in stored_locals:
-            raise EvaluationError(
-                f"client {ds.client_id} has no stored local parameters; "
-                "use recon_eval for unseen clients"
-            )
+    try:
+        rows = stored.rows([ds.client_id for ds in sets])
+    except KeyError as e:
+        raise EvaluationError(
+            f"client {e.args[0]} has no stored local parameters; "
+            "use recon_eval for unseen clients"
+        ) from None
     if not sets:
         raise EvaluationError("no clients with evaluation examples")
-    stored = [stored_locals[ds.client_id] for ds in sets]
     per_client: list[dict[str, Metric]] = []
     for owners in owner_chunks(spec, g, len(sets)):
         cohort = split_cohort(sets[owners], SplitPolicy(kind="no_split"))
-        per_client += cohort_metrics(spec, g, _stack(stored[owners]), cohort)
+        per_client += cohort_metrics(spec, g, stored.take(rows[owners]), cohort)
     return _finalize_with_macro(per_client)
 
 

@@ -181,11 +181,9 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
             ).metrics
         return standard_eval(spec, g, store, clients[split])
 
-    # The trainer's starting state; reconstruction evaluation reads no stored locals.
-    g, _, store = initial_state(
-        spec, bundle.train_clients if bundle.regime == "standard" else (), streams,
-        config.algorithm,
-    )
+    # The trainer's starting state, built once: round 0 is evaluated from it.
+    start = initial_state(spec, bundle.train_clients, streams, config.algorithm)
+    g, store = start
 
     centralized = config.algorithm == "centralized"
     final_round = config.centralized.epochs if centralized else config.rounds
@@ -201,6 +199,7 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
             batch_size=config.centralized.batch_size,
             rate=config.centralized.rate,
             streams=streams,
+            start=start,
         )
         per_round = [0] * final_round  # pooled training communicates nothing
     else:
@@ -223,6 +222,7 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
             algorithm=config.algorithm,
             eval_fn=on_eval,
             eval_every=config.eval.every,
+            start=start,
         )
         g, store = result.global_params, result.local_store
         records.extend((r.round + 1, "train", r.train_metrics) for r in result.reports)

@@ -19,6 +19,7 @@ from .client import ClientHyper, ClientUpdateResult, SplitPolicy, run_cohort
 from .core import (
     Blocks,
     ClientDataset,
+    LocalTables,
     ModelSpec,
     ParamBlock,
     RngStreams,
@@ -27,6 +28,7 @@ from .core import (
     finalize_metrics,
     merge_metrics,
     _rows_at,
+    _stack,
 )
 from .errors import ConfigError, NumericalError, RoundError, ShapeMismatchError
 from .evaluation import CommRecord
@@ -90,7 +92,7 @@ class TrainResult:
     global_params: list[ParamBlock]
     reports: list[RoundReport]
     comm_records: list[CommRecord]
-    local_store: dict[int, list[ParamBlock]] | None = None
+    local_store: LocalTables | None = None
 
 
 # The trainers that keep every client's local blocks, and the purpose of the
@@ -98,31 +100,22 @@ class TrainResult:
 _LOCAL_INIT = {"fedavg": "server_local_init", "centralized": "centralized_local_init"}
 
 
+Start = tuple[list[ParamBlock], LocalTables | None]
+
+
 def initial_state(
     spec: ModelSpec, client_ids: Iterable[int], streams: RngStreams, algorithm: str
-) -> tuple[list[ParamBlock], list[ParamBlock] | None, dict[int, list[ParamBlock]] | None]:
+) -> Start:
     """A run's parameters before its first step: the global blocks from the
     ``global_init`` stream and, for ``fedavg`` and ``centralized`` over a
-    nonempty population, every client's local blocks, drawn from its
-    ``(client id, purpose)`` stream.  Those are one table per local block,
-    row ``r`` holding the ``r``-th client in ascending id, and a store
-    mapping each client to its blocks as views of its rows.  Returns
-    ``(global blocks, tables, store)``; the last two are None otherwise."""
+    nonempty population, every client's local blocks as :class:`LocalTables`,
+    each drawn from its ``(client id, purpose)`` stream; None otherwise."""
     g = spec.init_global(streams.generator("global_init"))
-    ids = sorted(client_ids)
-    if algorithm not in _LOCAL_INIT or not ids:
-        return g, None, None
-    rngs = streams.generators(np.array(ids, dtype=np.int64), _LOCAL_INIT[algorithm])
-    store = {cid: spec.init_local(rng) for cid, rng in zip(ids, rngs)}
-    tables = [
-        ParamBlock(b.name, np.stack([l[bi].values for l in store.values()]), (len(ids),) + b.shape)
-        for bi, b in enumerate(store[ids[0]])
-    ]
-    # Each client's blocks become views of its rows: no second block per client.
-    for row, blocks in enumerate(store.values()):
-        for table, b in zip(tables, blocks):
-            b.values = table.values.reshape(len(ids), -1)[row]
-    return g, tables, store
+    ids = np.array(sorted(client_ids), dtype=np.int64)
+    if algorithm not in _LOCAL_INIT or not len(ids):
+        return g, None
+    rngs = streams.generators(ids, _LOCAL_INIT[algorithm])
+    return g, LocalTables(ids, _stack([spec.init_local(rng) for rng in rngs]))
 
 
 def sample_clients(
@@ -232,19 +225,22 @@ def run_training(
     server_opt: ServerOptimizer,
     streams: RngStreams,
     algorithm: str = "fedrecon",
-    eval_fn: Callable[[int, Blocks, dict | None], None] | None = None,
+    eval_fn: Callable[[int, Blocks, LocalTables | None], None] | None = None,
     eval_every: int = 0,
+    start: Start | None = None,
 ) -> TrainResult:
     """Run `rounds` rounds of sample -> split/reconstruct/update of the
     sampled cohort (:func:`run_cohort`) -> weighted aggregation -> server
     step.  The server optimizer's moments live for this call only.
+    ``start``, if given, is this call's :func:`initial_state`, built by the
+    caller.
 
     ``fedrecon`` aggregates the global blocks alone.  Under ``fedavg`` the
     server holds every client's local blocks in the tables of
-    :func:`initial_state`: a round gathers the sampled clients' rows, trains
-    all parameters jointly on each client's full dataset (``policy`` is not
-    used), and writes the stepped rows back (owner-overwrite aggregation).
-    ``local_store`` maps each client to views of its rows.
+    :func:`initial_state`, which ``local_store`` returns: a round gathers the
+    sampled clients' rows, trains all parameters jointly on each client's
+    full dataset (``policy`` is not used), and writes the stepped rows back
+    (owner-overwrite aggregation).
     """
     if algorithm not in FEDERATED_ALGORITHMS:
         raise ConfigError(
@@ -252,10 +248,9 @@ def run_training(
         )
     fedavg = algorithm == "fedavg"
     population = sorted(clients)
-    g, tables, local_store = initial_state(spec, population, streams, algorithm)
+    g, tables = initial_state(spec, population, streams, algorithm) if start is None else start
     moments = server_moments(server_opt, g)
     if fedavg:
-        population_ids = np.array(population, dtype=np.int64)  # a table's row order
         # Full aggregation: no support/query split, all parameters stepped
         # together on the client's whole dataset.
         policy = SplitPolicy(kind="no_split")
@@ -269,10 +264,8 @@ def run_training(
         sampled = sample_clients(population, clients_per_round, streams, t)
         stacked = None
         if fedavg:  # the sampled clients' rows, stepped by the cohort
-            rows = np.searchsorted(population_ids, sampled)
-            stacked = [
-                ParamBlock(b.name, b.array[rows], (len(rows),) + b.shape[1:]) for b in tables
-            ]
+            rows = tables.rows(sampled)
+            stacked = tables.take(rows)
         try:
             results = run_cohort(
                 spec,
@@ -289,7 +282,7 @@ def run_training(
         weighted_delta, total = aggregate(results, g)
         g = server_step(server_opt, g, weighted_delta, moments)
         if fedavg:  # owner overwrite: one put per block
-            for b, s in zip(tables, stacked):
+            for b, s in zip(tables.blocks, stacked):
                 b.array[rows] = s.array
 
         comm_records.append(
@@ -313,8 +306,8 @@ def run_training(
         )
         del results  # this round's deltas must not live on through the next cohort
         if eval_fn is not None and eval_every > 0 and (t + 1) % eval_every == 0:
-            eval_fn(t, g, local_store)
+            eval_fn(t, g, tables)
 
     return TrainResult(
-        global_params=g, reports=reports, comm_records=comm_records, local_store=local_store
+        global_params=g, reports=reports, comm_records=comm_records, local_store=tables
     )

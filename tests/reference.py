@@ -12,6 +12,10 @@ token looked up through ``TokenCodec`` where it occurs, and the slang
 corpus drawn one scalar ``integers`` call at a time.  ``partialfed.data``
 codes each distinct token once, windows a client's sentences together and
 draws a client's corpus in one call; these are the bodies it replaced.
+
+Stored local parameters as one block list per client: the server keeps them
+as one table per block (``LocalTables``); :func:`tables_of` and
+:func:`client_blocks` convert between the two.
 """
 
 from __future__ import annotations
@@ -25,12 +29,14 @@ from partialfed.client import ClientHyper, ClientUpdateResult, SplitPolicy, batc
 from partialfed.core import (
     Blocks,
     ClientDataset,
+    LocalTables,
     ModelSpec,
     ParamBlock,
     RngStreams,
     RowDelta,
     _require_finite,
     _sgd_step,
+    _stack,
 )
 from partialfed.data import SentenceRecord, SyntheticDataConfig, build_vocabulary
 from partialfed.errors import DataError
@@ -39,6 +45,18 @@ from partialfed.models import SPECIAL_TOKENS, ModelConfig, TokenCodec
 
 def copy_blocks(blocks: Blocks) -> list[ParamBlock]:
     return [b.copy() for b in blocks]
+
+
+def tables_of(store: dict[int, Blocks]) -> LocalTables:
+    """The tables holding each client's blocks of ``store``."""
+    ids = sorted(store)
+    return LocalTables(np.array(ids, dtype=np.int64), _stack([store[cid] for cid in ids]))
+
+
+def client_blocks(stored: LocalTables, client_id: int) -> list[ParamBlock]:
+    """One client's stored local blocks, views of its rows of the tables."""
+    (row,) = stored.rows([client_id])
+    return [ParamBlock(b.name, b.array[row], b.shape[1:]) for b in stored.blocks]
 
 
 def split_dataset(

@@ -10,17 +10,17 @@ from partialfed.client import ClientHyper
 from partialfed.core import (
     Batch,
     ClientDataset,
-    Example,
     ParamBlock,
     RngStreams,
     _rows_at,
     _sgd_step,
 )
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
-from partialfed.errors import DataError
+from partialfed.errors import ConfigError, DataError
 from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
 from partialfed.server import ServerOptimizer
 from oracles import oracle_mf_centralized_step
+from reference import client_blocks
 
 
 def population(num_users=4, num_items=6, seed=3, ratings=5):
@@ -33,33 +33,10 @@ def population(num_users=4, num_items=6, seed=3, ratings=5):
     return spec, {c.client_id: c for c in clients}
 
 
-def memory_owner(array):
-    """The array that owns ``array``'s memory."""
-    while array.base is not None:
-        array = array.base
-    return array
-
-
-def assert_row_views(store):
-    """Block ``bi`` of every client in ``store`` is a view of row ``r`` of
-    one table per block, ``r`` being the client's rank by id."""
-    ids = sorted(store)
-    for bi in range(len(store[ids[0]])):
-        views = [store[cid][bi].values for cid in ids]
-        table = memory_owner(views[0])
-        assert table.nbytes == len(ids) * views[0].nbytes
-        for row, view in enumerate(views):
-            assert memory_owner(view) is table
-            offset = view.__array_interface__["data"][0] - table.__array_interface__["data"][0]
-            assert offset == row * view.nbytes
-
-
 class TestTrainCentralized:
     def test_single_example_single_epoch_is_one_sgd_step(self):
         spec, _ = population()
-        clients = {
-            0: ClientDataset.from_examples(0, [Example(features=2, target=4.0)])
-        }
+        clients = {0: ClientDataset(0, np.array([2]), np.array([4.0]), np.ones(1), np.zeros(1))}
         streams = RngStreams(1)
         g, locs = train_centralized(
             spec, clients, epochs=1, batch_size=1, rate=0.3, streams=streams
@@ -70,7 +47,7 @@ class TestTrainCentralized:
             g0[0].array, l0[0].values[None, :], [0], [2], [4.0], 0.3
         )
         np.testing.assert_allclose(g[0].array, q_exp, atol=1e-12)
-        np.testing.assert_allclose(locs[0][0].values, p_exp[0], atol=1e-12)
+        np.testing.assert_allclose(client_blocks(locs, 0)[0].values, p_exp[0], atol=1e-12)
 
     def test_zero_rate_leaves_parameters_unchanged(self):
         spec, clients = population()
@@ -104,13 +81,14 @@ class TestTrainCentralized:
         _, locs = train_centralized(
             spec, clients, epochs=0, batch_size=3, rate=0.5, streams=RngStreams(3)
         )
-        assert sorted(locs) == sorted(clients)
-        for cid, got in locs.items():
+        assert locs.ids.tolist() == sorted(clients)
+        for cid in clients:
+            got = client_blocks(locs, cid)
             want = spec.init_local(RngStreams(3).generator(cid, "centralized_local_init"))
             assert [(b.name, b.shape) for b in got] == [(b.name, b.shape) for b in want]
             assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
 
-    def test_locals_are_row_views_of_one_table_per_block(self):
+    def test_locals_are_one_table_per_block_in_id_order(self):
         spec = oov_nwp_spec(ModelConfig(vocab_size=4, num_oov_buckets=3, embed_dim=2))
         clients = {
             cid: ClientDataset(cid, features=np.array([[4, -1, 5]]), targets=np.array([5.0]),
@@ -120,7 +98,14 @@ class TestTrainCentralized:
         _, locs = train_centralized(
             spec, clients, epochs=1, batch_size=2, rate=0.5, streams=RngStreams(3)
         )
-        assert_row_views(locs)
+        assert locs.ids.tolist() == [3, 8, 20]
+        want = [(b.name, (3,) + b.shape) for b in spec.init_local(np.random.default_rng(0))]
+        assert [(t.name, t.shape) for t in locs.blocks] == want
+
+    def test_no_client_is_a_data_error(self):
+        spec, _ = population()
+        with pytest.raises(DataError, match="at least one client"):
+            train_centralized(spec, {}, epochs=1, batch_size=2, rate=0.1, streams=RngStreams(3))
 
     def test_full_batch_with_shared_owner_and_item_is_one_sgd_step(self):
         # Client 0 rates items 1 and 2, client 1 rates items 2 and 3: one
@@ -128,7 +113,8 @@ class TestTrainCentralized:
         spec, _ = population()
         ratings = {0: [(1, 4.0), (2, 2.0)], 1: [(2, 5.0), (3, 1.0)]}
         clients = {
-            cid: ClientDataset.from_examples(cid, [Example(features=i, target=r) for i, r in rs])
+            cid: ClientDataset(cid, np.array([i for i, _ in rs]), np.array([r for _, r in rs]),
+                               np.ones(len(rs)), np.zeros(len(rs), np.int64))
             for cid, rs in ratings.items()
         }
         g, locs = train_centralized(
@@ -144,7 +130,7 @@ class TestTrainCentralized:
         )
         np.testing.assert_allclose(g[0].array, q_exp, rtol=0, atol=1e-12)
         for row, cid in enumerate((0, 1)):
-            np.testing.assert_allclose(locs[cid][0].values, p_exp[row], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(locs.blocks[0].array[row], p_exp[row], rtol=0, atol=1e-12)
 
     def test_zero_weight_batch_is_a_data_error(self):
         spec, clients = population()
@@ -193,7 +179,8 @@ class TestTrainCentralized:
                 acc += share * gg
             (lg,) = spec.grad_local(g_ref, l, ds.batch())
             want = l[0].values - 0.3 * share * lg
-            assert np.abs(locs[cid][0].values - want).max() <= 1e-12 * np.abs(want).max()
+            got = client_blocks(locs, cid)[0].values
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         for got, b, acc in zip(g, g_ref, step):
             want = b.values - 0.3 * acc
             assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
@@ -208,7 +195,7 @@ class TestTrainCentralized:
         for cid, ds in clients.items():
             l0 = spec.init_local(RngStreams(5).generator(cid, "centralized_local_init"))
             before += spec.loss(g0, l0, ds.batch())
-            after += spec.loss(g, locs[cid], ds.batch())
+            after += spec.loss(g, client_blocks(locs, cid), ds.batch())
         assert after < before * 0.5
 
     def test_bucket_past_the_table_is_a_data_error(self):
@@ -347,11 +334,11 @@ def test_one_call_per_minibatch_is_the_per_owner_loop(case):
     g_ref, locs_ref = per_owner_centralized(spec, clients, streams=RngStreams(seed), **kw)
     assert_blocks_close(g, g_ref, "global")
     for cid in clients:
-        assert_blocks_close(locs[cid], locs_ref[cid], f"client {cid}")
+        assert_blocks_close(client_blocks(locs, cid), locs_ref[cid], f"client {cid}")
     if spec.name == "matfac":
         g_mf, p_mf = mf_example_loop(spec, clients, streams=RngStreams(seed), **kw)
         assert np.array_equal(g[0].values, g_mf[0].values)
-        assert np.array_equal(np.stack([locs[cid][0].values for cid in sorted(clients)]), p_mf)
+        assert np.array_equal(locs.blocks[0].array, p_mf)
 
 
 class TestTrainFedavg:
@@ -366,10 +353,11 @@ class TestTrainFedavg:
         sampled = set(out.reports[0].sampled_clients)
         for cid in clients:
             init = spec.init_local(RngStreams(6).generator(cid, "server_local_init"))
-            unchanged = np.array_equal(out.local_store[cid][0].values, init[0].values)
+            (stored,) = client_blocks(out.local_store, cid)
+            unchanged = np.array_equal(stored.values, init[0].values)
             assert unchanged == (cid not in sampled)
 
-    def test_store_is_row_views_of_one_table_per_block_and_rounds_write_sampled_rows(self):
+    def test_store_is_one_table_per_block_and_rounds_write_sampled_rows(self):
         spec, clients = population(num_users=7)
         # Ids not from 0, inserted out of id order.
         clients = {3 * cid + 2: dataclasses.replace(ds, client_id=3 * cid + 2)
@@ -378,14 +366,15 @@ class TestTrainFedavg:
         seen = []
 
         def on_round(t, g, store):
-            seen.append({cid: [b.values.copy() for b in blocks] for cid, blocks in store.items()})
+            seen.append({cid: [b.values.copy() for b in client_blocks(store, cid)] for cid in ids})
 
         out = train_fedavg(
             spec, clients, rounds=3, clients_per_round=2,
             hyper=ClientHyper(k_u=2, eta_u=0.1, batch_size=2),
             server_opt=ServerOptimizer(), streams=RngStreams(9), eval_fn=on_round, eval_every=1,
         )
-        assert_row_views(out.local_store)
+        assert out.local_store.ids.tolist() == ids
+        assert [t.shape[0] for t in out.local_store.blocks] == [len(ids)]
         streams = RngStreams(9)
         before = {
             cid: [b.values for b in spec.init_local(streams.generator(cid, "server_local_init"))]
@@ -438,5 +427,14 @@ class TestTrainFedavg:
         )
         for cid in clients:
             init = spec.init_local(RngStreams(8).generator(cid, "server_local_init"))
-            assert not np.array_equal(out.local_store[cid][0].values, init[0].values)
+            (stored,) = client_blocks(out.local_store, cid)
+            assert not np.array_equal(stored.values, init[0].values)
+
+    def test_empty_population_is_a_config_error(self):
+        spec, _ = population()
+        with pytest.raises(ConfigError, match="cannot sample 1 clients from 0"):
+            train_fedavg(
+                spec, {}, rounds=1, clients_per_round=1, hyper=ClientHyper(k_u=1, eta_u=0.1),
+                server_opt=ServerOptimizer(), streams=RngStreams(8),
+            )
 

@@ -16,7 +16,7 @@ from partialfed.client import (
     run_client_round,
     split_dataset,
 )
-from partialfed.core import ClientDataset, Example, ParamBlock, RngStreams
+from partialfed.core import ClientDataset, ParamBlock, RngStreams
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import ConfigError, DataError, NumericalError
 from partialfed.models import ModelConfig, matfac_spec
@@ -57,10 +57,8 @@ def dense_kernel(spec):
 
 
 def toy_client(n, client_id=0):
-    return ClientDataset.from_examples(
-        client_id,
-        [Example(features=i % 3, target=float(1 + i % 5), timestamp=100 - i) for i in range(n)],
-    )
+    i = np.arange(n)
+    return ClientDataset(client_id, i % 3, 1.0 + i % 5, np.ones(n), 100 - i)
 
 
 class TestSplitPolicy:
@@ -164,7 +162,7 @@ class TestReconstruct:
         spec = dataclasses.replace(
             spec, init_local=lambda rng: [ParamBlock.of("user_embedding", np.zeros(2))]
         )
-        ds = ClientDataset.from_examples(0, [Example(features=2, target=4.0)])
+        ds = ClientDataset(0, np.array([2]), np.array([4.0]), np.ones(1), np.zeros(1, np.int64))
         ds = split_dataset(ds, SplitPolicy(kind="no_split"), streams.generator("s2"))
         hyper = ClientHyper(k_r=1, eta_r=0.3, batch_size=1)
         l = reconstruct(spec, g, ds, hyper, streams.generator("i2"), streams.generator("b2"))
@@ -332,9 +330,7 @@ class TestClientUpdate:
         spec = matfac_spec(ModelConfig(embed_dim=2), 3)
         g = spec.init_global(streams.generator("g"))
         l = spec.init_local(streams.generator("l"))
-        ds = ClientDataset.from_examples(
-            0, [Example(features=1, target=4.0), Example(features=1, target=2.0)]
-        )
+        ds = ClientDataset(0, np.array([1, 1]), np.array([4.0, 2.0]), np.ones(2), np.zeros(2))
         ds = split_dataset(ds, SplitPolicy(kind="no_split"), streams.generator("s"))
         hyper = ClientHyper(k_u=1, eta_u=0.5, batch_size=2)
         a = client_update(spec, g, l, ds, hyper, streams.generator("d"))

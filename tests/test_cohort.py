@@ -25,7 +25,6 @@ from partialfed import core as core_module
 from partialfed.client import (
     ClientHyper,
     SplitPolicy,
-    _stack,
     _update_cohort,
     batch_schedule,
     client_update,
@@ -44,12 +43,13 @@ from partialfed.core import (
     ParamBlock,
     RngStreams,
     RowDelta,
+    _stack,
     blocks_size,
     finalize_metrics,
     merge_metrics,
 )
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
-from partialfed.errors import NumericalError
+from partialfed.errors import EvaluationError, NumericalError
 from partialfed.evaluation import EvalMode, _finalize_with_macro, recon_eval, standard_eval
 from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
 from partialfed.server import (
@@ -490,7 +490,7 @@ def owner_budget(spec, g, per_call):
 def assert_training_matches_the_client_loop(spec, clients, algorithm):
     """Two rounds of ``run_training`` against :func:`reference_training`;
     under ``fedavg`` also every stored local, and a standard evaluation of
-    each client's own examples under the store."""
+    each client's own examples under the store.  Returns the run."""
     eval_sets = list(clients)
     clients = {ds.client_id: ds for ds in clients}
     kwargs = dict(
@@ -506,9 +506,10 @@ def assert_training_matches_the_client_loop(spec, clients, algorithm):
         for k in want:
             assert_close(report.train_metrics[k], want[k], f"round {report.round} {k}")
     if algorithm == "fedavg":
-        assert sorted(got.local_store) == sorted(store)
+        assert got.local_store.ids.tolist() == sorted(store)
         for cid in store:
-            for b_got, b_want in zip(got.local_store[cid], store[cid], strict=True):
+            got_blocks = reference.client_blocks(got.local_store, cid)
+            for b_got, b_want in zip(got_blocks, store[cid], strict=True):
                 assert_close(b_got.values, b_want.values, f"store {cid} {b_want.name}")
         scores = standard_eval(spec, got.global_params, got.local_store, eval_sets)
         want = _finalize_with_macro([spec.metrics(g, store[ds.client_id], ds.batch())
@@ -516,6 +517,7 @@ def assert_training_matches_the_client_loop(spec, clients, algorithm):
         assert set(scores) == set(want)
         for k in want:
             assert_close(scores[k], want[k], f"standard eval {k}")
+    return got
 
 
 def assert_recon_eval_matches_the_client_loop(spec, clients):
@@ -572,7 +574,14 @@ def test_fedavg_rows_follow_client_ids(model):
     order = np.random.default_rng(0).permutation(len(clients))
     clients = [dataclasses.replace(clients[i], client_id=ids[i]) for i in order]
     assert [ds.client_id for ds in clients] != sorted(ds.client_id for ds in clients)
-    assert_training_matches_the_client_loop(spec, clients, "fedavg")
+    got = assert_training_matches_the_client_loop(spec, clients, "fedavg")
+    # An id below, between and above the stored ones is no client's row.
+    for missing in (4, 6, 2**33):
+        with pytest.raises(KeyError):
+            got.local_store.rows([ids[0], missing])
+        unseen = dataclasses.replace(clients[0], client_id=missing)
+        with pytest.raises(EvaluationError, match=f"client {missing} has no stored"):
+            standard_eval(spec, got.global_params, got.local_store, clients[:2] + [unseen])
 
 
 def test_two_repeats_of_recon_eval_match_the_client_loop():

@@ -16,6 +16,7 @@ from partialfed.config import (
     config_to_dict,
     load_config,
 )
+from partialfed import baselines, runner, server
 from partialfed.core import RngStreams, blocks_size
 from partialfed.errors import ConfigError, DataError, NumericalError
 from partialfed.runner import (
@@ -178,6 +179,27 @@ class TestRunExperiment:
         second = run_experiment(cfg)
         assert second.csv_path.read_bytes() == csv
         assert second.params_path.read_bytes() == params
+
+    @pytest.mark.parametrize("algorithm, regime", [
+        ("fedrecon", "recon"), ("fedavg", "recon"), ("fedavg", "standard"),
+        ("centralized", "recon"), ("centralized", "standard"),
+    ])
+    def test_starting_state_is_built_once_per_repeat(
+        self, tmp_path, monkeypatch, algorithm, regime
+    ):
+        # The runner evaluates round 0 from the state it hands the trainer.
+        original, calls = server.initial_state, []
+
+        def counted(*args):
+            calls.append(args[3])
+            return original(*args)
+
+        for module in (server, baselines, runner):
+            monkeypatch.setattr(module, "initial_state", counted)
+        run_experiment(synthetic_config(tmp_path, algorithm=algorithm, repeats=2, **{
+            "eval.regime": regime, "centralized.epochs": 2, "data.synthetic.ratings_per_user": 10,
+        }))
+        assert calls == [algorithm] * 2
 
     def test_manifest_rerun_reproduces_csv(self, tmp_path):
         cfg = synthetic_config(tmp_path)

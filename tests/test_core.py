@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from partialfed.core import (
     Batch,
     ClientDataset,
-    Example,
     Metric,
     ParamBlock,
     RngStreams,
@@ -165,33 +164,15 @@ class TestAxpyBlocks:
         assert axpy_blocks(dst, 2.0, [np.array([3.0])])[0].values.tolist() == [7.0]
 
 
-class TestExampleAndDataset:
-    def test_negative_weight_rejected(self):
-        with pytest.raises(DataError):
-            Example(features=0, target=1.0, weight=-0.5)
-
-    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
-    def test_non_finite_example_weight_rejected(self, weight):
-        with pytest.raises(DataError):
-            Example(features=0, target=1.0, weight=weight)
-
+class TestClientDataset:
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -0.5])
     def test_dataset_weights_must_be_finite_and_nonnegative(self, weight):
         weights = np.array([1.0, weight, 1.0])
         with pytest.raises(DataError, match="client 5: example weights"):
             ClientDataset(5, np.arange(3), np.ones(3), weights, np.arange(3))
 
-    def test_from_examples_round_trip(self):
-        exs = [Example(features=i, target=float(i), weight=1.0, timestamp=10 - i) for i in range(3)]
-        ds = ClientDataset.from_examples(4, exs)
-        assert ds.n == 3
-        got = ds.example(1)
-        assert got.features == 1 and got.target == 1.0 and got.timestamp == 9
-
     def test_batch_selects_rows(self):
-        ds = ClientDataset.from_examples(
-            0, [Example(features=i, target=float(i)) for i in range(5)]
-        )
+        ds = ClientDataset(0, np.arange(5), np.arange(5.0), np.ones(5), np.zeros(5, np.int64))
         b = ds.batch(np.array([1, 3]))
         assert b.targets.tolist() == [1.0, 3.0]
         assert b.size == 2

@@ -171,8 +171,8 @@ class TestSyntheticMF:
             spec, pop, epochs=300, batch_size=30, rate=0.3, streams=RngStreams(5)
         )
         sq_sum, n = 0.0, 0.0
-        for cid, ds in pop.items():
-            mse = spec.metrics(g, locs[cid], ds.batch())["mse"]  # unit weights
+        for cid, ds in pop.items():  # unit weights
+            mse = spec.metrics(g, reference.client_blocks(locs, cid), ds.batch())["mse"]
             sq_sum += mse.value * mse.weight
             n += mse.weight
         assert np.sqrt(sq_sum / n) < 0.5

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from partialfed.client import ClientHyper, SplitPolicy, reconstruct, split_dataset
-from partialfed.core import ClientDataset, Example, ParamBlock, RngStreams
+from partialfed.core import ClientDataset, ParamBlock, RngStreams
 from partialfed.data import (
     SyntheticDataConfig,
     gen_synthetic_mf,
@@ -21,6 +23,7 @@ from partialfed.evaluation import (
 from partialfed.models import ModelConfig, matfac_spec
 from partialfed.server import ServerOptimizer, run_training
 from partialfed.baselines import train_fedavg
+from reference import tables_of
 
 
 def mf_setup(seed=1, num_users=6, num_items=6):
@@ -41,15 +44,25 @@ class TestStandardEval:
         # Craft a local vector that reproduces the rating exactly.
         q_row = g[0].array[2]
         l = [ParamBlock.of("user_embedding", 4.0 * q_row / np.dot(q_row, q_row))]
-        ds = ClientDataset.from_examples(0, [Example(features=2, target=4.0)])
-        metrics = standard_eval(spec, g, {0: l}, [ds])
+        ds = ClientDataset(0, np.array([2]), np.array([4.0]), np.ones(1), np.zeros(1, np.int64))
+        metrics = standard_eval(spec, g, tables_of({0: l}), [ds])
         assert metrics["rmse"] == pytest.approx(0.0, abs=1e-12)
         assert metrics["accuracy"] == 1.0
 
     def test_unseen_client_raises(self):
         spec, g, clients = mf_setup()
-        with pytest.raises(EvaluationError):
-            standard_eval(spec, g, {}, [clients[0]])
+        stored = tables_of({clients[1].client_id: spec.init_local(RngStreams(5).generator(0))})
+        with pytest.raises(
+            EvaluationError,
+            match=f"client {clients[0].client_id} has no stored local parameters; use recon_eval",
+        ):
+            standard_eval(spec, g, stored, [clients[0]])
+
+    def test_run_without_stored_locals_raises(self):
+        # A fedrecon run's local_store is None: it stores no local parameters.
+        spec, g, clients = mf_setup()
+        with pytest.raises(EvaluationError, match="the run stored no local parameters"):
+            standard_eval(spec, g, None, clients)
 
     def test_emits_macro_averages(self):
         spec, g, clients = mf_setup()
@@ -57,28 +70,33 @@ class TestStandardEval:
             c.client_id: spec.init_local(RngStreams(5).generator(c.client_id))
             for c in clients
         }
-        metrics = standard_eval(spec, g, stored, clients)
+        metrics = standard_eval(spec, g, tables_of(stored), clients)
         assert "rmse_macro" in metrics and "accuracy_macro" in metrics
 
     @pytest.mark.parametrize("chunk", [5, 1 << 15])
     def test_owner_axis_calls_match_client_by_client(self, monkeypatch, chunk):
         # Ragged eval sets, one empty (skipped), scored in chunks of clients.
+        # The ids do not start at 0, two are past 2**32, and the eval order
+        # is not the tables' ascending one.
         from partialfed import client
 
         spec, g, clients = mf_setup(num_users=9, num_items=6)
         # ``chunk`` padded examples a call: the budget counts K values each.
         monkeypatch.setattr(client, "_METRICS_BUDGET", chunk * g[0].shape[-1])
-        sets = [c.subset(np.arange(i % 5)) for i, c in enumerate(clients)]
-        stored = {
-            c.client_id: spec.init_local(RngStreams(5).generator(c.client_id)) for c in clients
-        }
-        got = standard_eval(spec, g, stored, sets)
+        ids = [2**32 + 5, 40, 7, 12, 3, 90, 2**32 + 1, 55, 8]
+        sets = [c.subset(np.arange(i % 5), cid) for i, (c, cid) in enumerate(zip(clients, ids))]
+        stored = {cid: spec.init_local(RngStreams(5).generator(cid)) for cid in ids}
+        got = standard_eval(spec, g, tables_of(stored), sets)
         want = _finalize_with_macro(
             [spec.metrics(g, stored[c.client_id], c.batch()) for c in sets if c.n]
         )
         assert set(got) == set(want)
         for k in want:
             assert got[k] == pytest.approx(want[k], rel=1e-12), k
+        # A missing id, here with stored ids on both sides of it.
+        unseen = dataclasses.replace(sets[1], client_id=41)
+        with pytest.raises(EvaluationError, match="client 41 has no stored"):
+            standard_eval(spec, g, tables_of(stored), sets + [unseen])
 
     def test_random_embeddings_score_near_zero(self):
         # The failure mode motivating reconstruction: handing an unseen user
@@ -101,7 +119,7 @@ class TestStandardEval:
             c.client_id: spec.init_local(RngStreams(11).generator(c.client_id, "random"))
             for c in unseen
         }
-        metrics = standard_eval(spec, g, stored, unseen)
+        metrics = standard_eval(spec, g, tables_of(stored), unseen)
         assert metrics["accuracy"] < 0.01
         assert 2.0 < metrics["rmse"] < 5.0
 
@@ -159,7 +177,7 @@ class TestReconEval:
             )
             stored[cid] = l
             eval_sets.append(rep_client.subset(dsx.query_idx, client_id=cid))
-        expected = standard_eval(spec, g, stored, eval_sets)
+        expected = standard_eval(spec, g, tables_of(stored), eval_sets)
         assert result.metrics["rmse"] == pytest.approx(expected["rmse"])
         assert result.metrics["accuracy"] == pytest.approx(expected["accuracy"])
 
@@ -229,16 +247,14 @@ class TestSplits:
         assert not (ids(train) & ids(val)) and not (ids(val) & ids(test))
 
     def test_time_split_sizes_and_order(self):
-        ds = ClientDataset.from_examples(
-            0,
-            [Example(features=0, target=1.0, timestamp=t) for t in [5, 3, 9, 1, 7, 2, 8, 4, 6, 0]],
-        )
+        ts = np.array([5, 3, 9, 1, 7, 2, 8, 4, 6, 0])
+        ds = ClientDataset(0, np.zeros(10, np.int64), np.ones(10), np.ones(10), ts)
         train, val, test = split_each_client_by_time(ds)
         assert train.n == 8 and val.n == 1 and test.n == 1
         assert train.timestamps.max() < val.timestamps.min() < test.timestamps.min()
 
     def test_time_split_single_example(self):
-        ds = ClientDataset.from_examples(0, [Example(features=0, target=1.0)])
+        ds = ClientDataset(0, np.zeros(1, np.int64), np.ones(1), np.ones(1), np.zeros(1, np.int64))
         train, val, test = split_each_client_by_time(ds)
         assert train.n == 1 and val.n == 0 and test.n == 0
 

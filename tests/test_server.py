@@ -13,9 +13,9 @@ from partialfed.client import (
     delta_to_dense,
     run_client_round,
 )
-from partialfed.core import ParamBlock, RngStreams
+from partialfed.core import ClientDataset, ParamBlock, RngStreams
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
-from partialfed.errors import ConfigError, RoundError, ShapeMismatchError
+from partialfed.errors import ConfigError, NumericalError, RoundError, ShapeMismatchError
 from partialfed.models import ModelConfig, matfac_spec
 from partialfed.server import (
     ServerOptimizer,
@@ -388,3 +388,27 @@ class TestRunTraining:
                     hyper=hyper, server_opt=ServerOptimizer(), streams=RngStreams(8),
                 )
         assert "round 0" in str(exc_info.value)
+
+    def test_overflowing_query_score_names_the_client(self):
+        # Item 0's row is so large that client 5's squared errors overflow,
+        # and no reconstruction step runs to overflow first.  The suite turns
+        # a RuntimeWarning escaping the scoring into an error.
+        spec = matfac_spec(ModelConfig(embed_dim=2), 4)
+        clients = {
+            cid: ClientDataset(cid, np.array(items), np.full(2, 3.0), np.ones(2), np.arange(2))
+            for cid, items in ((1, [1, 2]), (5, [0, 3]), (9, [2, 3]))
+        }
+
+        def init_global(rng):
+            g = spec.init_global(rng)
+            g[0].array[0] = 1e200
+            return g
+
+        with pytest.raises(NumericalError, match="^round 0, client 5: non-finite values in the "
+                           "query metrics"):
+            run_training(
+                dataclasses.replace(spec, init_global=init_global), clients, rounds=1,
+                clients_per_round=3, policy=SplitPolicy("no_split"),
+                hyper=ClientHyper(k_r=0, k_u=1, eta_u=0.1, batch_size=2),
+                server_opt=ServerOptimizer(), streams=RngStreams(3),
+            )
