@@ -9,7 +9,7 @@ runs the finite-difference audit that every shipped model must pass.
 
 import numpy as np
 
-from partialfed import ModelConfig, RngStreams, check_gradients, matfac_spec
+from partialfed import ModelConfig, RngStreams, check_gradients, matfac_spec, owner_rows
 from partialfed.core import Batch
 
 # Three movies, user embeddings of dimension 2.
@@ -17,7 +17,8 @@ spec = matfac_spec(ModelConfig(embed_dim=2), 3)
 streams = RngStreams(seed=7)
 
 g = spec.init_global(streams.generator("global_init"))
-l = spec.init_local(streams.generator(0, "local_init"))
+# init_local stacks one row per generator; row 0 is this client's blocks.
+l = owner_rows(spec.init_local(streams.generator(0, "local_init")), 0)
 
 print("global blocks:", [(b.name, b.shape) for b in g])
 print("local blocks: ", [(b.name, b.shape) for b in l])

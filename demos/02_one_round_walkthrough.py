@@ -21,6 +21,7 @@ from partialfed import (
     client_update,
     gen_synthetic_mf,
     matfac_spec,
+    owner_rows,
     reconstruct,
     server_moments,
     server_step,
@@ -48,7 +49,7 @@ for client in clients[:4]:
         return streams.generator(0, client.client_id, purpose)
 
     dsx = split_dataset(client, policy, gen("split"))
-    l_init = spec.init_local(gen("local_init"))  # where reconstruction starts
+    l_init = owner_rows(spec.init_local(gen("local_init")), 0)  # where reconstruction starts
     l = reconstruct(spec, g, dsx, hyper, gen("local_init"), gen("recon_batches"))
     result = client_update(spec, g, l, dsx, hyper, gen("update_batches"))
     results.append(result)

@@ -16,6 +16,7 @@ from .core import (
     RngStreams,
     axpy_blocks,
     check_gradients,
+    owner_rows,
 )
 from .models import (
     ModelConfig,

@@ -29,22 +29,18 @@ __all__ = [
 
 
 def _merge_clients(clients: Mapping[int, ClientDataset]):
+    """The ascending client ids and the pooled columns: each example's owner
+    row (its client's position in the ids), features, targets and weights."""
     ids = sorted(clients)
-    owners, feats, targets, weights = [], [], [], []
-    for row, cid in enumerate(ids):
-        ds = clients[cid]
-        owners.append(np.full(ds.n, row, dtype=np.int64))
-        feats.append(ds.features)
-        targets.append(ds.targets)
-        weights.append(ds.weights)
     if not ids:
         raise DataError("centralized training needs at least one client")
+    datasets = [clients[cid] for cid in ids]
     return (
         ids,
-        np.concatenate(owners),
-        np.concatenate(feats),
-        np.concatenate(targets),
-        np.concatenate(weights),
+        np.repeat(np.arange(len(ids), dtype=np.int64), [ds.n for ds in datasets]),
+        np.concatenate([ds.features for ds in datasets]),
+        np.concatenate([ds.targets for ds in datasets]),
+        np.concatenate([ds.weights for ds in datasets]),
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .client import ClientHyper, SplitPolicy, split_dataset, verify_first_order_meta_gradient
 from .config import ExperimentConfig, load_config
-from .core import Batch, RngStreams, check_gradients
+from .core import Batch, RngStreams, check_gradients, owner_rows
 from .data import SyntheticDataConfig, gen_synthetic_mf
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import recon_eval
@@ -183,7 +183,7 @@ def _cmd_check_gradients(args) -> int:
         num_items = int(rng.integers(3, 8))
         mf = matfac_spec(ModelConfig(embed_dim=int(rng.integers(2, 5))), num_items)
         g = mf.init_global(rng)
-        l = mf.init_local(rng)
+        l = owner_rows(mf.init_local(rng), 0)
         n = int(rng.integers(1, 6))
         batch = Batch(
             features=rng.integers(0, g[0].shape[0], size=n),
@@ -197,7 +197,7 @@ def _cmd_check_gradients(args) -> int:
                           embed_dim=3, context_window=2)
         nwp = oov_nwp_spec(cfg)
         g = nwp.init_global(rng)
-        l = nwp.init_local(rng)
+        l = owner_rows(nwp.init_local(rng), 0)
         ctx = rng.integers(-cfg.num_oov_buckets, cfg.num_classes, size=(n, 2))
         batch = Batch(
             features=ctx,

@@ -29,6 +29,7 @@ from .core import (
     _stack,
     blocks_size,
     delta_to_dense,
+    owner_rows,
 )
 from .errors import ConfigError, DataError, NumericalError
 
@@ -123,14 +124,12 @@ def reconstruct(
     """Gradient-descend freshly initialized local parameters on the support
     set with the global parameters frozen, as :func:`reconstruct_cohort`
     does for a cohort of one; k_r=0 returns the raw init."""
-    l = spec.init_local(init_rng)
-    if hyper.k_r == 0 or not l:
-        return l
-    if data.support_idx is None:
-        raise DataError("dataset has no support split")
-    stacked = _stack([l])
-    _reconstruct_steps(spec, g, _cohort_of_one(data), stacked, hyper, [batch_rng])
-    return _unstack(stacked)
+    stacked = spec.init_local(init_rng)
+    if hyper.k_r and stacked:
+        if data.support_idx is None:
+            raise DataError("dataset has no support split")
+        _reconstruct_steps(spec, g, _cohort_of_one(data), stacked, hyper, [batch_rng])
+    return owner_rows(stacked, 0)
 
 
 @dataclass
@@ -169,7 +168,7 @@ def client_update(
     stacked = _stack([l])
     result = _update_cohort(spec, g, _cohort_of_one(data), stacked, hyper, [batch_rng])[0]
     if hyper.joint_training:
-        result.updated_local = _unstack(stacked)
+        result.updated_local = owner_rows(stacked, 0)
     return result
 
 
@@ -197,7 +196,7 @@ def run_client_round(
         spec, g, [data], policy, hyper, streams, round_idx, initial_locals=initial
     )[0]
     if initial is not None and hyper.joint_training:
-        result.updated_local = _unstack(initial)
+        result.updated_local = owner_rows(initial, 0)
     return result
 
 
@@ -326,15 +325,6 @@ def _cohort_batches(
     )
 
 
-def _owner_rows(stacked: Blocks, owners: slice) -> list[ParamBlock]:
-    """The ``owners`` rows of stacked blocks, as views."""
-    out = []
-    for b in stacked:
-        rows = b.array[owners]
-        out.append(ParamBlock(b.name, rows, rows.shape))
-    return out
-
-
 def _finite_per_client(stacked: Sequence[ParamBlock]) -> np.ndarray:
     """For each client: is its slice of every stacked block finite?"""
     return np.all(
@@ -347,11 +337,6 @@ def _require_finite_clients(ok: np.ndarray, client_ids: np.ndarray, what: str) -
     if not ok.all():
         bad = int(client_ids[int(np.argmin(ok))])
         raise NumericalError(f"client {bad}: non-finite values in {what}")
-
-
-def _unstack(stacked: Sequence[ParamBlock]) -> list[ParamBlock]:
-    """The client's blocks of a cohort of one, as views of the stack."""
-    return [ParamBlock(b.name, b.array[0], b.shape[1:]) for b in stacked]
 
 
 # Values per owner-axis metrics call: padded examples times the widest row
@@ -387,7 +372,7 @@ def cohort_metrics(
     out: list[dict[str, Metric]] = []
     for lo in range(0, len(cohort.client_ids), per_call):
         owners = slice(lo, lo + per_call)
-        out.extend(spec.metrics(g, _owner_rows(stacked, owners), cohort.query_batch(owners)))
+        out.extend(spec.metrics(g, owner_rows(stacked, owners), cohort.query_batch(owners)))
     return out
 
 
@@ -449,7 +434,7 @@ def reconstruct_cohort(
     )
     if initial_locals is not None:
         return cohort, list(initial_locals)
-    stacked = _stack([spec.init_local(rng) for rng in gens("local_init")])
+    stacked = spec.init_local(*gens("local_init"))
     if hyper.k_r and stacked:
         _reconstruct_steps(spec, g, cohort, stacked, hyper, gens("recon_batches"))
     return cohort, stacked
@@ -552,7 +537,7 @@ def run_cohort(
     for owners in owner_chunks(spec, g, len(datasets)):
         cohort, stacked = reconstruct_cohort(
             spec, g, datasets[owners], policy, hyper, streams, round_idx,
-            initial_locals=None if initial_locals is None else _owner_rows(initial_locals, owners),
+            initial_locals=None if initial_locals is None else owner_rows(initial_locals, owners),
         )
         with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked next
             metrics = cohort_metrics(spec, g, stacked, cohort)

@@ -26,6 +26,7 @@ __all__ = [
     "RngStreams",
     "ParamBlock",
     "LocalTables",
+    "owner_rows",
     "Batch",
     "ClientDataset",
     "Metric",
@@ -306,6 +307,17 @@ def _stack(locals_: Sequence[Blocks]) -> list[ParamBlock]:
     ]
 
 
+def owner_rows(stacked: Blocks, owners: slice | int) -> list[ParamBlock]:
+    """The ``owners`` rows of blocks stacked along a leading client axis, as
+    views: a slice keeps the axis, a row number drops it and gives that
+    client's blocks."""
+    out = []
+    for b in stacked:
+        rows = b.array[owners]
+        out.append(ParamBlock(b.name, rows, rows.shape))
+    return out
+
+
 @dataclass
 class LocalTables:
     """Stored local parameters, one table per local block: row ``r`` of
@@ -463,6 +475,11 @@ def delta_to_dense(delta: Sequence, template: Blocks) -> list[np.ndarray]:
 class ModelSpec:
     """A task: parameter initialisers, loss, metrics and one gradient kernel.
 
+    ``init_local(*rngs)`` returns every local block stacked along a leading
+    client axis, one row per generator, row ``c`` drawn from ``rngs[c]``
+    alone; a one-generator call is a one-client stack.  A model with no
+    local blocks returns ``[]``.
+
     ``sparse_grads(g, l, batch, norm, need_global, need_local)`` is the one
     gradient kernel that every training step calls.  From one forward pass
     it returns ``(global_grads, local_grads)``, each None unless its
@@ -505,7 +522,7 @@ class ModelSpec:
 
     name: str
     init_global: Callable[[np.random.Generator], list[ParamBlock]]
-    init_local: Callable[[np.random.Generator], list[ParamBlock]]
+    init_local: Callable[..., list[ParamBlock]]
     loss: Callable[[Blocks, Blocks, Batch], float]
     grad_global: GradFn
     grad_local: GradFn

@@ -77,6 +77,17 @@ class ModelConfig:
         return NUM_SPECIAL + self.vocab_size
 
 
+def _drawn_table(
+    name: str, rngs: Sequence[np.random.Generator], shape: tuple[int, ...], stddev: float
+) -> ParamBlock:
+    """A local block stacked along a leading client axis, row ``c`` being
+    ``rngs[c].normal(0, stddev, shape)``; validated once, as one block."""
+    table = np.empty((len(rngs),) + shape)
+    for row, rng in zip(table, rngs):
+        row[...] = rng.normal(0.0, stddev, shape)
+    return ParamBlock(name, table, table.shape)
+
+
 # ---------------------------------------------------------------------------
 # Matrix factorization
 # ---------------------------------------------------------------------------
@@ -119,8 +130,8 @@ def matfac_spec(cfg: ModelConfig, num_items: int) -> ModelSpec:
     def init_global(rng: np.random.Generator) -> list[ParamBlock]:
         return [ParamBlock.of("item_embeddings", rng.normal(0.0, cfg.init_stddev, (I, K)))]
 
-    def init_local(rng: np.random.Generator) -> list[ParamBlock]:
-        return [ParamBlock.of("user_embedding", rng.normal(0.0, cfg.init_stddev, (K,)))]
+    def init_local(*rngs: np.random.Generator) -> list[ParamBlock]:
+        return [_drawn_table("user_embedding", rngs, (K,), cfg.init_stddev)]
 
     def loss(g, l, batch: Batch) -> float:
         preds = g[0].array[_mf_items(batch, I)] @ l[0].values
@@ -293,14 +304,11 @@ def oov_nwp_spec(cfg: ModelConfig) -> ModelSpec:
             ParamBlock.of("output_bias", np.zeros(C)),
         ]
 
-    def init_local(rng: np.random.Generator) -> list[ParamBlock]:
+    def init_local(*rngs: np.random.Generator) -> list[ParamBlock]:
         if cfg.num_oov_buckets == 0:
             return []
         return [
-            ParamBlock.of(
-                "oov_embeddings",
-                rng.normal(0.0, cfg.init_stddev, (cfg.num_oov_buckets, E)),
-            )
+            _drawn_table("oov_embeddings", rngs, (cfg.num_oov_buckets, E), cfg.init_stddev)
         ]
 
     def _targets(batch: Batch) -> np.ndarray:

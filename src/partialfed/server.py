@@ -28,7 +28,6 @@ from .core import (
     finalize_metrics,
     merge_metrics,
     _rows_at,
-    _stack,
 )
 from .errors import ConfigError, NumericalError, RoundError, ShapeMismatchError
 from .evaluation import CommRecord
@@ -115,7 +114,7 @@ def initial_state(
     if algorithm not in _LOCAL_INIT or not len(ids):
         return g, None
     rngs = streams.generators(ids, _LOCAL_INIT[algorithm])
-    return g, LocalTables(ids, _stack([spec.init_local(rng) for rng in rngs]))
+    return g, LocalTables(ids, spec.init_local(*rngs))
 
 
 def sample_clients(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from partialfed.core import Batch, RngStreams
+from partialfed.core import Batch, RngStreams, owner_rows
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
 
@@ -53,7 +53,7 @@ def mf_toy(streams):
         3,
     )
     g = spec.init_global(streams.generator("mf_g"))
-    l = spec.init_local(streams.generator("mf_l"))
+    l = owner_rows(spec.init_local(streams.generator("mf_l")), 0)
     return spec, g, l, clients
 
 
@@ -62,7 +62,7 @@ def nwp_toy(streams):
     spec_cfg = ModelConfig(vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2)
     spec = oov_nwp_spec(spec_cfg)
     g = spec.init_global(streams.generator("nwp_g"))
-    l = spec.init_local(streams.generator("nwp_l"))
+    l = owner_rows(spec.init_local(streams.generator("nwp_l")), 0)
     rng = streams.generator("nwp_batch")
     n = 6
     batch = Batch(

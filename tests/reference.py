@@ -15,7 +15,8 @@ draws a client's corpus in one call; these are the bodies it replaced.
 
 Stored local parameters as one block list per client: the server keeps them
 as one table per block (``LocalTables``); :func:`tables_of` and
-:func:`client_blocks` convert between the two.
+:func:`client_blocks` convert between the two, and :func:`client_init`
+draws one client's blocks.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from partialfed.core import (
     _require_finite,
     _sgd_step,
     _stack,
+    owner_rows,
 )
 from partialfed.data import SentenceRecord, SyntheticDataConfig, build_vocabulary
 from partialfed.errors import DataError
@@ -56,7 +58,13 @@ def tables_of(store: dict[int, Blocks]) -> LocalTables:
 def client_blocks(stored: LocalTables, client_id: int) -> list[ParamBlock]:
     """One client's stored local blocks, views of its rows of the tables."""
     (row,) = stored.rows([client_id])
-    return [ParamBlock(b.name, b.array[row], b.shape[1:]) for b in stored.blocks]
+    return owner_rows(stored.blocks, row)
+
+
+def client_init(spec: ModelSpec, rng: np.random.Generator) -> list[ParamBlock]:
+    """One client's freshly drawn local blocks: row 0 of a one-generator
+    ``init_local``."""
+    return owner_rows(spec.init_local(rng), 0)
 
 
 def split_dataset(
@@ -94,7 +102,7 @@ def reconstruct(
     """Gradient-descend freshly initialized local parameters on the support
     set with the global parameters frozen; k_r=0 returns the raw init.
     Finiteness is checked once, on the result."""
-    l = spec.init_local(init_rng)
+    l = client_init(spec, init_rng)
     if hyper.k_r == 0 or not l:
         return l
     if data.support_idx is None:

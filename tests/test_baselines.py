@@ -14,6 +14,7 @@ from partialfed.core import (
     RngStreams,
     _rows_at,
     _sgd_step,
+    owner_rows,
 )
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import ConfigError, DataError
@@ -84,7 +85,9 @@ class TestTrainCentralized:
         assert locs.ids.tolist() == sorted(clients)
         for cid in clients:
             got = client_blocks(locs, cid)
-            want = spec.init_local(RngStreams(3).generator(cid, "centralized_local_init"))
+            want = owner_rows(
+                spec.init_local(RngStreams(3).generator(cid, "centralized_local_init")), 0
+            )
             assert [(b.name, b.shape) for b in got] == [(b.name, b.shape) for b in want]
             assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
 
@@ -99,7 +102,7 @@ class TestTrainCentralized:
             spec, clients, epochs=1, batch_size=2, rate=0.5, streams=RngStreams(3)
         )
         assert locs.ids.tolist() == [3, 8, 20]
-        want = [(b.name, (3,) + b.shape) for b in spec.init_local(np.random.default_rng(0))]
+        want = [(b.name, (3,) + b.shape[1:]) for b in spec.init_local(np.random.default_rng(0))]
         assert [(t.name, t.shape) for t in locs.blocks] == want
 
     def test_no_client_is_a_data_error(self):

@@ -224,7 +224,7 @@ def test_table2_mech_rows_take_their_own_task_defaults(tmp_path):
         assert config["model"]["num_oov_buckets"] == buckets, row
         assert config["client"]["joint_training"] is joint, row
         spec = prepare_task(config_from_dict(config)).spec
-        assert [b.shape[0] for b in spec.init_local(np.random.default_rng(0))] == [buckets], row
+        assert [b.shape[1] for b in spec.init_local(np.random.default_rng(0))] == [buckets], row
         for name in ("params.bin", "metrics.csv"):
             bare, task = ((tmp_path / run / row / name).read_bytes() for run in ("bare", "task"))
             assert bare == task, f"{row} {name}"

@@ -21,6 +21,7 @@ from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import ConfigError, DataError, NumericalError
 from partialfed.models import ModelConfig, matfac_spec
 from oracles import oracle_mf_two_step_update, oracle_sgd_trace
+from reference import client_init
 
 
 def nan_at_call(fn, call):
@@ -141,6 +142,11 @@ class TestBatchSchedule:
             batch_schedule(np.zeros(0, dtype=int), 2, 1, np.random.default_rng(0))
 
 
+def zero_user_rows(*rngs):
+    """An ``init_local`` of zero user embeddings (dim 2), one row per generator."""
+    return [ParamBlock.of("user_embedding", np.zeros((len(rngs), 2)))]
+
+
 class TestReconstruct:
     def make(self, streams, n=6):
         spec = matfac_spec(ModelConfig(embed_dim=2), 3)
@@ -152,16 +158,15 @@ class TestReconstruct:
         spec, g, ds = self.make(streams)
         hyper = ClientHyper(k_r=0, eta_r=0.5)
         l = reconstruct(spec, g, ds, hyper, streams.generator("init"), streams.generator("b"))
-        expected = spec.init_local(streams.generator("init"))
+        expected = client_init(spec, streams.generator("init"))
+        assert [(b.name, b.shape) for b in l] == [("user_embedding", (2,))]
         assert np.array_equal(l[0].values, expected[0].values)
 
     def test_single_full_batch_step_from_zero(self, streams):
         # One MSE step from l = 0 on a single rated item moves the local
         # vector to eta_r * 2 * rating * item_row.
         spec, g, _ = self.make(streams)
-        spec = dataclasses.replace(
-            spec, init_local=lambda rng: [ParamBlock.of("user_embedding", np.zeros(2))]
-        )
+        spec = dataclasses.replace(spec, init_local=zero_user_rows)
         ds = ClientDataset(0, np.array([2]), np.array([4.0]), np.ones(1), np.zeros(1, np.int64))
         ds = split_dataset(ds, SplitPolicy(kind="no_split"), streams.generator("s2"))
         hyper = ClientHyper(k_r=1, eta_r=0.3, batch_size=1)
@@ -206,9 +211,7 @@ class TestReconstruct:
         # differences; tolerance is loose because its error compounds.
         spec, g, ds = self.make(streams)
         hyper = ClientHyper(k_r=steps, eta_r=0.2, batch_size=2)
-        zero_init = dataclasses.replace(
-            spec, init_local=lambda rng: [ParamBlock.of("user_embedding", np.zeros(2))]
-        )
+        zero_init = dataclasses.replace(spec, init_local=zero_user_rows)
         l = reconstruct(zero_init, g, ds, hyper, streams.generator("i"), streams.generator("b"))
         batches = [
             ds.batch(b)
@@ -225,7 +228,7 @@ class TestClientUpdate:
     def make(self, streams):
         spec = matfac_spec(ModelConfig(embed_dim=2), 4)
         g = spec.init_global(streams.generator("g"))
-        l = spec.init_local(streams.generator("l"))
+        l = client_init(spec, streams.generator("l"))
         clients, _, _ = gen_synthetic_mf(
             SyntheticDataConfig(num_users=3, num_items=4, true_rank=2, ratings_per_user=4,
                                 noise_std=0.3, signal_std=0.8),
@@ -329,7 +332,7 @@ class TestClientUpdate:
     def test_sparse_path_accumulates_duplicate_rows(self, streams):
         spec = matfac_spec(ModelConfig(embed_dim=2), 3)
         g = spec.init_global(streams.generator("g"))
-        l = spec.init_local(streams.generator("l"))
+        l = client_init(spec, streams.generator("l"))
         ds = ClientDataset(0, np.array([1, 1]), np.array([4.0, 2.0]), np.ones(2), np.zeros(2))
         ds = split_dataset(ds, SplitPolicy(kind="no_split"), streams.generator("s"))
         hyper = ClientHyper(k_u=1, eta_u=0.5, batch_size=2)
@@ -379,7 +382,7 @@ class TestRunClientRound:
         # in come back stepped in ``updated_local``, never stepped in place.
         spec = matfac_spec(ModelConfig(embed_dim=2), 6)
         g = spec.init_global(streams.generator("g"))
-        stored = spec.init_local(streams.generator("l"))
+        stored = client_init(spec, streams.generator("l"))
         clients, _, _ = gen_synthetic_mf(
             SyntheticDataConfig(num_users=2, num_items=6, true_rank=2, ratings_per_user=6,
                                 noise_std=0.3, signal_std=0.8),

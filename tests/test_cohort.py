@@ -91,6 +91,14 @@ def agree(got, want, what, exact):
         assert_close(got, want, what)
 
 
+def stored_locals(spec, clients, streams):
+    """Each client's local blocks, drawn from its ``(client id, "stored")``
+    stream."""
+    return [
+        reference.client_init(spec, streams.generator(ds.client_id, "stored")) for ds in clients
+    ]
+
+
 def stacked_run_cohort(spec, g, datasets, policy, hyper, streams, round_idx, initial_locals):
     """``run_cohort`` from a stacked copy of ``initial_locals`` (one per
     dataset, or None); returns the results and those stacked locals after
@@ -209,7 +217,7 @@ class TestRunCohortMatchesClientRounds:
         # updated locals (compare_round checks them).
         spec, clients = mf_population()
         g = spec.init_global(streams.generator("g"))
-        stored = [spec.init_local(streams.generator(ds.client_id, "stored")) for ds in clients]
+        stored = stored_locals(spec, clients, streams)
         hyper = dataclasses.replace(HYPER, joint_training=True)
         compare_round(spec, g, clients, SplitPolicy(kind="no_split"), hyper, streams, 0, stored)
 
@@ -347,11 +355,7 @@ def test_cohort_is_the_mapped_client_round(case):
     spec, clients, hyper, policy, stored, seed = case
     streams = RngStreams(seed)
     g = spec.init_global(streams.generator("g"))
-    initial = (
-        [spec.init_local(streams.generator(ds.client_id, "stored")) for ds in clients]
-        if stored
-        else None
-    )
+    initial = stored_locals(spec, clients, streams) if stored else None
     cohort, stacked = stacked_run_cohort(spec, g, clients, policy, hyper, streams, 2, initial)
     reference = mapped_client_rounds(spec, g, clients, policy, hyper, streams, 2, initial)
     assert_rounds_agree(cohort, reference, exact=True)
@@ -369,11 +373,7 @@ def test_nwp_cohort_is_the_mapped_client_round(case, per_call):
     spec, clients, hyper, policy, stored, seed = case
     streams = RngStreams(seed)
     g = spec.init_global(streams.generator("g"))
-    initial = (
-        [spec.init_local(streams.generator(ds.client_id, "stored")) for ds in clients]
-        if stored
-        else None
-    )
+    initial = stored_locals(spec, clients, streams) if stored else None
     cohort, stacked = stacked_run_cohort(spec, g, clients, policy, hyper, streams, 2, initial)
     assert len(owner_chunks(spec, g, len(clients))) == 1
     reference = mapped_client_rounds(spec, g, clients, policy, hyper, streams, 2, initial)
@@ -424,7 +424,7 @@ def test_the_single_client_api_is_the_reference(case):
             else:
                 assert_close(b_got.values, b_want.values, b_want.name)
 
-        l = spec.init_local(gen("stored")) if stored else l_want
+        l = reference.client_init(spec, gen("stored")) if stored else l_want
         updates = [
             f(spec, g, l, want, hyper, gen("update"))
             for f in (client_update, reference.client_update)
@@ -455,7 +455,10 @@ def reference_training(spec, clients, *, rounds, clients_per_round, policy, hype
     moments = server_moments(opt, g)
     fedavg = algorithm == "fedavg"
     store = (
-        {cid: spec.init_local(streams.generator(cid, "server_local_init")) for cid in population}
+        {
+            cid: reference.client_init(spec, streams.generator(cid, "server_local_init"))
+            for cid in population
+        }
         if fedavg
         else None
     )
@@ -769,7 +772,7 @@ def test_unique_row_steps_put_and_match_the_reference_bit_for_bit(streams, case,
     policy, initial = SplitPolicy(), None
     if joint:  # the fedavg path: stored locals, stepped with the globals
         policy, hyper = SplitPolicy(kind="no_split"), dataclasses.replace(hyper, joint_training=True)
-        initial = [spec.init_local(streams.generator(ds.client_id, "stored")) for ds in clients]
+        initial = stored_locals(spec, clients, streams)
     (got, stacked), puts = update_step_forms(
         spec,
         lambda logged: stacked_run_cohort(logged, g, clients, policy, hyper, streams, 3, initial),
@@ -809,7 +812,9 @@ def test_a_non_finite_client_on_the_put_path_reaches_no_other(streams, poisoned,
     hyper = dataclasses.replace(HYPER, joint_training=joint)
     ids = np.array([ds.client_id for ds in clients])
     cohort = split_cohort(clients, policy, streams.generators(3, ids, "split"))
-    locals_ = [spec.init_local(streams.generator(cid, "local")) for cid in ids.tolist()]
+    locals_ = [
+        reference.client_init(spec, streams.generator(cid, "local")) for cid in ids.tolist()
+    ]
     bad = 4
 
     def update(spec, cohort, poison_local):
@@ -868,7 +873,7 @@ def test_nwp_metrics_calls_hold_at_most_the_budget_in_values(streams):
     width = max(b.shape[-1] for b in g)
     assert width == 410
     cohort = split_cohort(clients, SplitPolicy(kind="by_timestamp_half"))
-    stacked = _stack([spec.init_local(streams.generator(ds.client_id, "l")) for ds in clients])
+    stacked = spec.init_local(*(streams.generator(ds.client_id, "l") for ds in clients))
     calls = []
 
     def metrics(g, l, batch):

@@ -23,7 +23,7 @@ from partialfed.evaluation import (
 from partialfed.models import ModelConfig, matfac_spec
 from partialfed.server import ServerOptimizer, run_training
 from partialfed.baselines import train_fedavg
-from reference import tables_of
+from reference import client_init, tables_of
 
 
 def mf_setup(seed=1, num_users=6, num_items=6):
@@ -51,7 +51,7 @@ class TestStandardEval:
 
     def test_unseen_client_raises(self):
         spec, g, clients = mf_setup()
-        stored = tables_of({clients[1].client_id: spec.init_local(RngStreams(5).generator(0))})
+        stored = tables_of({clients[1].client_id: client_init(spec, RngStreams(5).generator(0))})
         with pytest.raises(
             EvaluationError,
             match=f"client {clients[0].client_id} has no stored local parameters; use recon_eval",
@@ -67,7 +67,7 @@ class TestStandardEval:
     def test_emits_macro_averages(self):
         spec, g, clients = mf_setup()
         stored = {
-            c.client_id: spec.init_local(RngStreams(5).generator(c.client_id))
+            c.client_id: client_init(spec, RngStreams(5).generator(c.client_id))
             for c in clients
         }
         metrics = standard_eval(spec, g, tables_of(stored), clients)
@@ -85,7 +85,7 @@ class TestStandardEval:
         monkeypatch.setattr(client, "_METRICS_BUDGET", chunk * g[0].shape[-1])
         ids = [2**32 + 5, 40, 7, 12, 3, 90, 2**32 + 1, 55, 8]
         sets = [c.subset(np.arange(i % 5), cid) for i, (c, cid) in enumerate(zip(clients, ids))]
-        stored = {cid: spec.init_local(RngStreams(5).generator(cid)) for cid in ids}
+        stored = {cid: client_init(spec, RngStreams(5).generator(cid)) for cid in ids}
         got = standard_eval(spec, g, tables_of(stored), sets)
         want = _finalize_with_macro(
             [spec.metrics(g, stored[c.client_id], c.batch()) for c in sets if c.n]
@@ -116,7 +116,7 @@ class TestStandardEval:
             spec, seen, epochs=20, batch_size=30, rate=0.3, streams=RngStreams(10)
         )
         stored = {
-            c.client_id: spec.init_local(RngStreams(11).generator(c.client_id, "random"))
+            c.client_id: client_init(spec, RngStreams(11).generator(c.client_id, "random"))
             for c in unseen
         }
         metrics = standard_eval(spec, g, tables_of(stored), unseen)

@@ -16,10 +16,11 @@ from partialfed.client import (
 from partialfed.core import ClientDataset, ParamBlock, RngStreams
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import ConfigError, NumericalError, RoundError, ShapeMismatchError
-from partialfed.models import ModelConfig, matfac_spec
+from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
 from partialfed.server import (
     ServerOptimizer,
     aggregate,
+    initial_state,
     run_training,
     sample_clients,
     server_moments,
@@ -271,6 +272,77 @@ class TestServerStep:
         assert server_moments(ServerOptimizer(kind="sgd"), template()) is None
 
 
+@st.composite
+def local_specs(draw):
+    """A rating model, or a next-word model with 0 to 3 buckets (0: no
+    local blocks)."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return matfac_spec(ModelConfig(embed_dim=dim), draw(st.integers(1, 4)))
+    cfg = ModelConfig(vocab_size=3, embed_dim=dim, num_oov_buckets=draw(st.integers(0, 3)))
+    return oov_nwp_spec(cfg)
+
+
+def assert_rows_are_one_client_draws(got, wants):
+    """Row ``c`` of the stacked blocks ``got`` is, bit for bit, the one row
+    of ``wants[c]``, a one-generator ``init_local`` call."""
+    for c, want in enumerate(wants):
+        assert [(b.name, b.shape) for b in want] == [(b.name, (1,) + b.shape[1:]) for b in got]
+        for b_got, b_want in zip(got, want):
+            assert np.array_equal(b_got.array[c], b_want.array[0]), (c, b_got.name)
+
+
+class TestInitialState:
+    @settings(max_examples=60, deadline=None)
+    @given(local_specs(), st.integers(0, 2**64 - 1),
+           st.lists(st.integers(0, 2**40), min_size=1, max_size=40))
+    def test_init_local_row_is_its_generators_one_client_draw(self, spec, seed, lanes):
+        # 1 to 40 lanes: both the per-lane loop of generators() (fewer than
+        # 16) and its array seeding.
+        streams = RngStreams(seed)
+        got = spec.init_local(*streams.generators(np.array(lanes), "local"))
+        assert_rows_are_one_client_draws(
+            got, [spec.init_local(streams.generator(k, "local")) for k in lanes]
+        )
+        assert all(b.shape[0] == len(lanes) for b in got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(local_specs(), st.integers(0, 2**64 - 1),
+           st.sets(st.integers(1, 2**34), max_size=39), st.integers(0, 2**20))
+    def test_tables_hold_each_clients_stream_draw(self, spec, seed, ids, wide):
+        # Ids that do not start at 0, one past 2**32, given out of order.
+        ids = sorted(ids | {2**32 + wide}, reverse=True)
+        streams = RngStreams(seed)
+        want_g = spec.init_global(streams.generator("global_init"))
+        for algorithm, purpose in (("fedavg", "server_local_init"),
+                                   ("centralized", "centralized_local_init")):
+            g, tables = initial_state(spec, ids, streams, algorithm)
+            assert all(np.array_equal(a.values, b.values) for a, b in zip(g, want_g))
+            assert tables.ids.tolist() == sorted(ids)
+            assert_rows_are_one_client_draws(
+                tables.blocks,
+                [spec.init_local(streams.generator(cid, purpose)) for cid in sorted(ids)],
+            )
+        assert initial_state(spec, ids, streams, "fedrecon")[1] is None
+
+    def test_each_table_is_validated_once(self, monkeypatch):
+        # The population's rows are drawn straight into one table per local
+        # block: no block per client, so the blocks built are the global
+        # ones plus one per table.
+        spec = matfac_spec(ModelConfig(embed_dim=4), 6)
+        built = []
+        post_init = ParamBlock.__post_init__
+
+        def counted(block):
+            built.append(block.name)
+            post_init(block)
+
+        monkeypatch.setattr(ParamBlock, "__post_init__", counted)
+        g, tables = initial_state(spec, range(1000), RngStreams(3), "fedavg")
+        assert tables.blocks[0].shape == (1000, 4)
+        assert len(built) <= len(g) + len(tables.blocks)
+
+
 def make_population(num_users=6, num_items=6, seed=2):
     clients, _, _ = gen_synthetic_mf(
         SyntheticDataConfig(num_users=num_users, num_items=num_items, true_rank=2,
@@ -319,7 +391,9 @@ class TestRunTraining:
         ds = clients[0]
         same = {i: dataclasses.replace(ds, client_id=i) for i in range(3)}
         fixed_init = dataclasses.replace(
-            spec, init_local=lambda rng: [ParamBlock.of("user_embedding", np.full(2, 0.05))]
+            spec, init_local=lambda *rngs: [
+                ParamBlock.of("user_embedding", np.full((len(rngs), 2), 0.05))
+            ],
         )
         hyper = ClientHyper(k_r=2, k_u=2, eta_r=0.1, eta_u=0.1, batch_size=100)
         common = dict(
