@@ -7,6 +7,7 @@ per-client work is replayable and order-independent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -352,11 +353,18 @@ _METRICS_BUDGET = 50 << 15
 _OWNER_BUDGET = 1 << 17
 
 
+@functools.lru_cache(maxsize=8)
+def _local_size(spec: ModelSpec) -> int:
+    """Values in one owner's local blocks: a spec's local shapes are fixed,
+    so one throwaway draw per spec learns them, not one per call."""
+    return blocks_size(spec.init_local(np.random.default_rng(0)))
+
+
 def owner_chunks(spec: ModelSpec, g: Blocks, owners: int) -> list[slice]:
     """``owners`` owners cut into the slices that run as one batched call:
     each holds at most ``_OWNER_BUDGET`` local and per-owner dense global
     values, or a single owner."""
-    per_owner = blocks_size(spec.init_local(np.random.default_rng(0))) + blocks_size(g[1:])
+    per_owner = _local_size(spec) + blocks_size(g[1:])
     step = max(1, _OWNER_BUDGET // max(1, per_owner))
     return [slice(lo, lo + step) for lo in range(0, owners, step)]
 

@@ -290,7 +290,21 @@ def load_config(
     task = override_tree.get("task") or file_values.get("task") or "matfac"
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    merged = _deep_merge(_TASK_DEFAULTS.get(task, {}), file_values)
+    merged = _deep_merge(_TASK_DEFAULTS[task], file_values)
     merged = _deep_merge(merged, override_tree)
     merged["task"] = task
-    return config_from_dict(merged)
+    config = config_from_dict(merged)
+    # A task's default server.eta_s suits its default optimizer kind only:
+    # sgd's 1.0 makes an adaptive step that diverges.
+    default = ServerOptimizer(**_TASK_DEFAULTS[task].get("server", {}))
+    rate_given = any(
+        isinstance(v.get("server"), Mapping) and "eta_s" in v["server"]
+        for v in (file_values, override_tree)
+    )
+    if config.server.kind != default.kind and not rate_given:
+        raise ConfigError(
+            f"server.eta_s must be given when server.kind changes from the task's "
+            f"{default.kind!r} to {config.server.kind!r}: its default {default.eta_s} "
+            f"is {default.kind}'s"
+        )
+    return config

@@ -233,10 +233,24 @@ class TokenCodec:
         return self._ids.get(token, OOV_ID)
 
 
+def _times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` over the leading owner axes of ``x``.  Under a shared 2-D
+    ``w`` a stack of one-row owners is one matrix, so it makes one matrix
+    product where the batched form makes a vector product per owner.
+    Owners of two or more rows keep the batched product, a matrix product
+    each: one product over all of them is no faster, and BLAS may round it
+    differently."""
+    if w.ndim == 2 and x.shape[-2] == 1:
+        return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
+    return x @ w
+
+
 def _nwp_forward(cfg: ModelConfig, g, l, batch: Batch):
     """Contexts with leading owner axes (see :class:`ModelSpec`), which of
     their slots address ``g[0]``, the local rows the other slots address,
-    the mean slot embedding and the logits."""
+    the mean slot embedding and the logits.  One-row owners under a shared
+    output layer take their logits from one matrix product (:func:`_times`):
+    pooled centralized training, where every example is its own owner."""
     ctx = np.asarray(batch.features, dtype=np.int64)
     if ctx.ndim < 2 or ctx.shape[-1] != cfg.context_window:
         raise DataError(f"context must be (..., batch, {cfg.context_window}) token ids")
@@ -260,7 +274,7 @@ def _nwp_forward(cfg: ModelConfig, g, l, batch: Batch):
         local_rows = np.broadcast_to(owner, ctx.shape)[neg] * per_owner + bucket
         h_slots[neg] = l[0].values.reshape(-1, E)[local_rows]
     h = h_slots.mean(axis=-2)
-    logits = h @ g[1].array
+    logits = _times(h, g[1].array)
     logits += g[2].array[..., None, :]
     return ctx, pos, local_rows, h, logits
 
@@ -269,23 +283,27 @@ def _nwp_forward(cfg: ModelConfig, g, l, batch: Batch):
 # cohort's logits are its largest array.
 
 
-def _log_likelihood(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Each example's log-probability of its target; overwrites ``logits``."""
-    logits -= logits.max(axis=-1, keepdims=True)
+def _log_likelihood(logits: np.ndarray, targets: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Each example's log-probability of its target, given each row's
+    maximum ``top`` (with a trailing axis of 1); overwrites ``logits``."""
+    logits -= top
     picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
     return picked - np.log(np.exp(logits, out=logits).sum(axis=-1))
 
 
 def _softmax_grad(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray, norm):
     """d(weighted cross-entropy sum / norm)/d(logits), owner axes leading;
-    overwrites ``logits``."""
+    overwrites ``logits``.  With ``s = weights / norm`` each row is
+    ``softmax * s`` less ``s`` at the target: the divide by the row sum and
+    the scale by ``s`` are one multiply by ``s / sum``, a single pass over
+    the logits where divide-then-scale takes two (the same to rounding)."""
     if np.any(np.asarray(norm) <= 0):
         raise DataError("batch has zero total weight")
+    scale = weights / norm
     logits -= logits.max(axis=-1, keepdims=True)
     dz = np.exp(logits, out=logits)
-    dz /= dz.sum(axis=-1, keepdims=True)
-    dz.reshape(-1, dz.shape[-1])[np.arange(targets.size), targets.ravel()] -= 1.0
-    dz *= (weights / norm)[..., None]
+    dz *= (scale / dz.sum(axis=-1))[..., None]
+    dz.reshape(-1, dz.shape[-1])[np.arange(targets.size), targets.ravel()] -= scale.ravel()
     return dz
 
 
@@ -318,7 +336,8 @@ def oov_nwp_spec(cfg: ModelConfig) -> ModelSpec:
         return t
 
     def loss(g, l, batch: Batch) -> float:
-        ll = _log_likelihood(_nwp_forward(cfg, g, l, batch)[-1], _targets(batch))
+        logits = _nwp_forward(cfg, g, l, batch)[-1]
+        ll = _log_likelihood(logits, _targets(batch), logits.max(axis=-1, keepdims=True))
         return float(-np.sum(batch.weights * ll) / _batch_weight(batch))
 
     def sparse_grads(g, l, batch: Batch, norm, need_global: bool, need_local: bool):
@@ -327,7 +346,7 @@ def oov_nwp_spec(cfg: ModelConfig) -> ModelSpec:
         # leading axes of g[1] and g[2] (see ModelSpec).
         ctx, pos, local_rows, h, logits = _nwp_forward(cfg, g, l, batch)
         dz = _softmax_grad(logits, _targets(batch), batch.weights, norm)
-        gh = dz @ np.swapaxes(g[1].array, -1, -2)
+        gh = _times(dz, np.swapaxes(g[1].array, -1, -2))
         slot_contrib = np.broadcast_to(
             (gh / cfg.context_window)[..., None, :], ctx.shape + (E,)
         )
@@ -347,12 +366,15 @@ def oov_nwp_spec(cfg: ModelConfig) -> ModelSpec:
     grad_global, grad_local = _dense_views(sparse_grads)
 
     def metrics(g, l, batch: Batch):
-        # Owner axes as in sparse_grads: one dict per owner (row of the
-        # batch), or one dict for a flat batch.  Masked padding weighs 0
-        # and is not scored.
+        """Owner axes as in sparse_grads: one dict per owner (row of the
+        batch), or one dict for a flat batch.  Masked padding weighs 0 and
+        is not scored.  The prediction is each row's first maximum, and the
+        value there is the row maximum that the log-likelihood shifts by,
+        so the logits are scanned for it once."""
         logits, y = _nwp_forward(cfg, g, l, batch)[-1], _targets(batch)
-        right = logits.argmax(axis=-1) == y
-        ll = _log_likelihood(logits, y)
+        best = logits.argmax(axis=-1)[..., None]
+        right = best[..., 0] == y
+        ll = _log_likelihood(logits, y, np.take_along_axis(logits, best, axis=-1))
         real = np.ones(y.shape, bool) if batch.mask is None else batch.mask
         total = batch.weights.sum(axis=-1)
         if np.any(total <= 0):

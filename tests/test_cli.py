@@ -73,6 +73,28 @@ def test_config_error_exit_code(tmp_path):
     assert main(["train", "--task", "bogus"]) == 1
 
 
+def test_changing_the_server_kind_needs_its_rate(tmp_path, small_synthetic, capsys):
+    # The synthetic task's eta_s 1.0 is sgd's: under Yogi the task's
+    # default-sized fedavg run diverges at round 5 (a numerical error, exit 3).  A
+    # changed kind without a rate is a config error, and nothing is written.
+    args = ["train", "--config", str(small_synthetic), *synth_args(tmp_path),
+            "--server-opt", "yogi"]
+    assert main(args) == 1
+    assert "server.eta_s must be given" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main([*args, "--eta-s", "0.05"]) == 0
+    # The task's own kind needs no rate; nor does a file that names one.
+    assert main([*args[:-1], "sgd"]) == 0
+    base = json.loads(small_synthetic.read_text())
+    for server, code in (({"kind": "adagrad", "eta_s": 0.1}, 0), ({"kind": "adagrad"}, 1)):
+        small_synthetic.write_text(json.dumps({**base, "server": server}))
+        assert main(args[:-2]) == code
+    # Next-word prediction's 0.1 is Yogi's; a switch to sgd names a rate too.
+    assert main(["train", "--task", "oov_nwp", "--server-opt", "sgd",
+                 "--output-dir", str(tmp_path / "nwp")]) == 1
+    assert "from the task's 'yogi' to 'sgd'" in capsys.readouterr().err
+
+
 def test_data_error_exit_code(tmp_path):
     code = main(["train", "--task", "matfac", "--rounds", "1",
                  "--data-path", str(tmp_path / "missing.dat")])

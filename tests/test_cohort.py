@@ -685,6 +685,18 @@ def test_owner_chunks_bound_each_batched_call():
     assert owner_chunks(nwp, nwp.init_global(np.random.default_rng(0)), 0) == []
 
 
+def test_owner_chunks_draw_no_locals_per_call():
+    # The local size is learnt once per spec, not by a throwaway draw of
+    # one owner's locals (16,000 normals here) on every call.
+    nwp = oov_nwp_spec(ModelConfig(vocab_size=406, num_oov_buckets=500, embed_dim=32))
+    draws = mock.Mock(wraps=nwp.init_local)
+    counted = dataclasses.replace(nwp, init_local=draws)
+    g = nwp.init_global(np.random.default_rng(0))
+    for owners in (20, 7, 20):
+        assert owner_chunks(counted, g, owners) == owner_chunks(nwp, g, owners)
+    assert draws.call_count == 1
+
+
 # ---------------------------------------------------------------------------
 # Update steps over unique rows: one put instead of ufunc.at
 # ---------------------------------------------------------------------------

@@ -169,9 +169,10 @@ class TestRunExperiment:
     def test_rerun_is_byte_identical(self, tmp_path, server, algorithm, regime):
         # Both runs share one config object, so optimizer moments left over
         # from the first run would change the second.  Twenty ratings a user
-        # leave two test examples under the time split.
+        # leave two test examples under the time split.  A kind other than
+        # the task's sgd must name its rate; these runs keep sgd's 1.0.
         cfg = synthetic_config(tmp_path, algorithm=algorithm, **{
-            "eval.regime": regime, "server.kind": server,
+            "eval.regime": regime, "server.kind": server, "server.eta_s": 1.0,
             "data.synthetic.num_items": 24, "data.synthetic.ratings_per_user": 20,
         })
         first = run_experiment(cfg)

@@ -12,6 +12,8 @@ from partialfed.models import (
     OOV_ID,
     SPECIAL_TOKENS,
     TokenCodec,
+    _nwp_forward,
+    _softmax_grad,
     matfac_spec,
     oov_nwp_spec,
 )
@@ -353,6 +355,137 @@ class TestNwpOwnerAxes:
         ]
         (_, w_out, bias), _ = spec.sparse_grads(tiled, stacked, batch, norm, True, True)
         assert (w_out.size, bias.size) == (2 * g[1].values.size, 2 * g[2].values.size)
+
+
+# The kernel's earlier formulas, kept as references for the forms it runs now.
+
+
+def batched_times(x, w):
+    """The output layer's product as it was: one product per owner."""
+    return x @ w
+
+
+def divide_then_scale(logits, targets, weights, norm):
+    """The softmax gradient as it was: divide by the row sum, subtract 1 at
+    the target, then scale by ``weights / norm``."""
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    p.reshape(-1, p.shape[-1])[np.arange(targets.size), targets.ravel()] -= 1.0
+    return p * (weights / norm)[..., None]
+
+
+class TestNwpKernelForms:
+    """One matrix product for one-row owners under a shared output layer,
+    the folded softmax gradient and the metrics' single scan, each against
+    the formula it replaced."""
+
+    CFG = ModelConfig(vocab_size=60, num_oov_buckets=20, embed_dim=16, context_window=3)
+
+    def population(self, owners, rows, seed=0):
+        cfg, C = self.CFG, self.CFG.num_classes
+        spec = oov_nwp_spec(cfg)
+        rng = np.random.default_rng(seed)
+        g = spec.init_global(rng)
+        g[2].values[:] = rng.normal(0.0, 0.3, C)
+        l = spec.init_local(*(np.random.default_rng([seed, o]) for o in range(owners)))
+        ctx = rng.integers(-cfg.num_oov_buckets, C, size=(owners, rows, cfg.context_window))
+        targets = rng.integers(0, C, size=(owners, rows))
+        batch = Batch(ctx, targets.astype(float), rng.uniform(0.5, 2.0, size=(owners, rows)))
+        return spec, g, l, batch
+
+    def mean_embedding(self, g, l, ctx):
+        """Each example's mean slot embedding, read straight from the tables."""
+        owner = np.arange(len(ctx))[:, None, None]
+        slots = np.where(
+            (ctx >= 0)[..., None],
+            g[0].array[np.maximum(ctx, 0)],
+            l[0].array[owner, np.maximum(-ctx - 1, 0)],
+        )
+        return slots.mean(axis=-2)
+
+    def test_one_row_owners_agree_with_the_stacked_products(self):
+        # Pooled centralized training: every example its own owner, one
+        # shared output layer.  The kernel's one product and folded softmax
+        # round differently from the per-owner products and divide-then-
+        # scale; they agree to 1e-12 of each grad's largest entry.
+        spec, g, l, batch = self.population(owners=300, rows=1)
+        cfg, E, C = self.CFG, self.CFG.embed_dim, self.CFG.num_classes
+        ctx, targets, norm = batch.features, batch.targets.astype(int), batch.weights.sum()
+        h = self.mean_embedding(g, l, ctx)
+        logits = batched_times(h, g[1].array) + g[2].array
+        dz = divide_then_scale(logits, targets, batch.weights, norm)
+        slot = np.broadcast_to(
+            (batched_times(dz, g[1].array.T) / cfg.context_window)[..., None, :], ctx.shape + (E,)
+        )
+        want = {
+            "embeddings": slot[ctx >= 0],
+            "output_weights": (h.reshape(-1, E).T @ dz.reshape(-1, C)).ravel(),
+            "output_bias": dz.reshape(-1, C).sum(axis=0),
+            "buckets": slot[ctx < 0],
+        }
+        (emb, w_out, bias), (oov,) = spec.sparse_grads(g, l, batch, norm, True, True)
+        got = dict(zip(want, (emb.values, w_out, bias, oov.values)))
+        for name, w in want.items():
+            assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
+        np.testing.assert_allclose(
+            _nwp_forward(cfg, g, l, batch)[-1], logits, rtol=0, atol=1e-12 * np.abs(logits).max()
+        )
+
+    @pytest.mark.parametrize("owners, rows", [(4, 16), (3, 2), (20, 5), (2, 300)])
+    def test_owners_of_two_or_more_rows_keep_the_batched_product(self, owners, rows):
+        # Bit for bit: a product over every owner at once may round
+        # differently in BLAS, so these owners keep one product each.
+        spec, g, l, batch = self.population(owners, rows, seed=rows)
+        cfg, E = self.CFG, self.CFG.embed_dim
+        ctx, targets, norm = batch.features, batch.targets.astype(int), batch.weights.sum()
+        logits = _nwp_forward(cfg, g, l, batch)[-1]
+        h = self.mean_embedding(g, l, ctx)
+        assert np.array_equal(logits, batched_times(h, g[1].array) + g[2].array)
+        dz = _softmax_grad(logits, targets, batch.weights, norm)
+        slot = np.broadcast_to(
+            (batched_times(dz, g[1].array.T) / cfg.context_window)[..., None, :], ctx.shape + (E,)
+        )
+        (emb, _, _), (oov,) = spec.sparse_grads(g, l, batch, norm, True, True)
+        assert np.array_equal(emb.values, slot[ctx >= 0])
+        assert np.array_equal(oov.values, slot[ctx < 0])
+
+    def test_folded_softmax_grad_agrees_with_divide_then_scale(self):
+        # One multiply by (weights / norm) / sum against a divide and a
+        # scale: each entry within 4 machine epsilons of its row's scale;
+        # zero-weight padding stays exactly zero either way.
+        rng = np.random.default_rng(7)
+        for spread in (0.1, 1.0, 10.0, 50.0):
+            logits = rng.normal(0.0, spread, size=(5, 7, 52))
+            targets = rng.integers(0, 52, size=(5, 7))
+            weights = rng.uniform(0.1, 3.0, size=(5, 7))
+            weights[:, -2:] = 0.0
+            norm = weights.sum(axis=-1, keepdims=True)
+            want = divide_then_scale(logits, targets, weights, norm)
+            got = _softmax_grad(logits.copy(), targets, weights, norm)
+            scale = (weights / norm)[..., None]
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+            assert np.all(got[:, -2:] == 0.0)
+        with pytest.raises(DataError, match="zero total weight"):
+            _softmax_grad(logits.copy(), targets, weights, np.zeros((5, 1)))
+
+    @pytest.mark.parametrize("tied, target, hit", [
+        ((), NUM_SPECIAL, 0.0),  # every logit tied: class 0, never a scored target
+        ((NUM_SPECIAL + 1, NUM_SPECIAL + 2), NUM_SPECIAL + 1, 1.0),
+        ((NUM_SPECIAL + 1, NUM_SPECIAL + 2), NUM_SPECIAL + 2, 0.0),
+    ])
+    def test_tied_logits_score_accuracy_at_the_first_maximum(self, tied, target, hit):
+        # An all-zero output layer and bias, raised by 1 at the ``tied``
+        # classes: the prediction is the first of the tied maxima.
+        spec, g, l, batch = self.population(owners=3, rows=4)
+        C = self.CFG.num_classes
+        g[1].values[:] = 0.0
+        g[2].values[:] = 0.0
+        g[2].values[list(tied)] = 1.0
+        batch = Batch(batch.features, np.full(batch.targets.shape, float(target)), batch.weights)
+        ce = np.log(C - len(tied) + len(tied) * np.e) - (1.0 if tied else 0.0)
+        for m in spec.metrics(g, l, batch):
+            assert m["accuracy"].value == hit
+            assert m["cross_entropy"].value == pytest.approx(ce, rel=1e-12)
 
 
 class TestFdOracleAgreement:
