@@ -125,12 +125,11 @@ def reconstruct(
     """Gradient-descend freshly initialized local parameters on the support
     set with the global parameters frozen, as :func:`reconstruct_cohort`
     does for a cohort of one; k_r=0 returns the raw init."""
-    stacked = spec.init_local(init_rng)
-    if hyper.k_r and stacked:
-        if data.support_idx is None:
-            raise DataError("dataset has no support split")
-        _reconstruct_steps(spec, g, _cohort_of_one(data), stacked, hyper, [batch_rng])
-    return owner_rows(stacked, 0)
+    if hyper.k_r and data.support_idx is None:
+        raise DataError("dataset has no support split")
+    return owner_rows(
+        _reconstructed(spec, g, _cohort_of_one(data), hyper, [init_rng], [batch_rng]), 0
+    )
 
 
 @dataclass
@@ -212,7 +211,8 @@ class Cohort:
     end, and each half of the split as positions into them, client by
     client, ascending within a client.  For a cohort of one they are the
     client's ``support_idx`` and ``query_idx`` (see :func:`split_dataset`).
-    ``support_n`` and ``query_n`` count each client's positions."""
+    ``support_n`` and ``query_n`` count each client's positions.  A
+    :meth:`window` keeps the columns of the cohort it was cut from."""
 
     client_ids: np.ndarray
     features: np.ndarray
@@ -234,6 +234,28 @@ class Cohort:
         pos = self.query[starts[:, None] + np.where(mask, slot, 0)]
         return Batch(self.features[pos], self.targets[pos], self.weights[pos] * mask, mask)
 
+    def window(self, sel: slice) -> "Cohort":
+        """The ``sel`` clients, consecutive ones, as a cohort over the same
+        columns: their batches are those of splitting them alone."""
+
+        def span(n: np.ndarray) -> slice:
+            lo, hi, _ = sel.indices(len(n))
+            return slice(int(n[:lo].sum()), int(n[:hi].sum()))
+
+        return replace(
+            self,
+            client_ids=self.client_ids[sel],
+            support=self.support[span(self.support_n)],
+            support_n=self.support_n[sel],
+            query=self.query[span(self.query_n)],
+            query_n=self.query_n[sel],
+        )
+
+
+def _require_one_generator_each(rngs: Sequence, clients: int) -> None:
+    if len(rngs) != clients:
+        raise ValueError(f"{len(rngs)} generators for a cohort of {clients} clients")
+
 
 def split_cohort(
     datasets: Sequence[ClientDataset],
@@ -247,6 +269,8 @@ def split_cohort(
     n = np.array([d.n for d in datasets], dtype=np.int64)
     if not np.all(n):
         raise DataError(f"client {datasets[int(np.argmin(n))].client_id}: empty dataset")
+    if rngs is not None:
+        _require_one_generator_each(rngs, len(n))
     starts = np.cumsum(n) - n
     owner = np.repeat(np.arange(len(n)), n)
     whole = (n == 1) | (policy.kind == "no_split")
@@ -304,6 +328,7 @@ def _cohort_batches(
     scheduled example, which step 0 always uses, so padding adds exactly
     nothing and addresses only rows its client touches."""
     idx, n = getattr(cohort, part), getattr(cohort, part + "_n")
+    _require_one_generator_each(rngs, len(n))
     if n.min() == 0:
         raise DataError("cannot batch an empty index set")
     starts = np.cumsum(n) - n
@@ -334,10 +359,13 @@ def _finite_per_client(stacked: Sequence[ParamBlock]) -> np.ndarray:
 
 
 def _require_finite_clients(ok: np.ndarray, client_ids: np.ndarray, what: str) -> None:
-    """Name the first client whose ``ok`` entry is False."""
+    """Name the first client whose ``ok`` entry is False; the error's
+    ``owner`` is its position in ``client_ids``."""
     if not ok.all():
-        bad = int(client_ids[int(np.argmin(ok))])
-        raise NumericalError(f"client {bad}: non-finite values in {what}")
+        owner = int(np.argmin(ok))
+        err = NumericalError(f"client {int(client_ids[owner])}: non-finite values in {what}")
+        err.owner = owner
+        raise err
 
 
 # Values per owner-axis metrics call: padded examples times the widest row
@@ -385,21 +413,25 @@ def cohort_metrics(
 
 
 @np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
-def _reconstruct_steps(
+def _reconstructed(
     spec: ModelSpec,
     g: Blocks,
     cohort: Cohort,
-    stacked: list[ParamBlock],
     hyper: ClientHyper,
-    rngs: Sequence[np.random.Generator],
-) -> None:
-    """``hyper.k_r`` steps on every client's row of the stacked local
-    blocks, in place, over minibatches of its support half drawn from its
-    generator in ``rngs``.  Each step is one owner-axis kernel call (see
-    :class:`ModelSpec`).  Finiteness is checked once per client at the end,
-    and a numerical failure names the client."""
+    init_rngs: Sequence[np.random.Generator],
+    batch_rngs: Sequence[np.random.Generator],
+) -> list[ParamBlock]:
+    """Every client's fresh local blocks, drawn from its generator in
+    ``init_rngs`` and stacked along a leading client axis, after
+    ``hyper.k_r`` steps over minibatches of its support half drawn from its
+    generator in ``batch_rngs``.  Each step is one owner-axis kernel call
+    (see :class:`ModelSpec`).  Finiteness is checked once per client at the
+    end, and a numerical failure names the client."""
+    stacked = spec.init_local(*init_rngs)
+    if not (hyper.k_r and stacked):
+        return stacked
     features, targets, weights, norm = _cohort_batches(
-        cohort, "support", hyper.batch_size, hyper.k_r, rngs
+        cohort, "support", hyper.batch_size, hyper.k_r, batch_rngs
     )
     for s in range(hyper.k_r):
         batch = Batch(features[s], targets[s], weights[s])
@@ -410,6 +442,31 @@ def _reconstruct_steps(
         cohort.client_ids,
         f"local parameters after reconstruction step {hyper.k_r - 1}",
     )
+    return stacked
+
+
+def _split_and_seed(
+    datasets: Sequence[ClientDataset],
+    policy: SplitPolicy,
+    streams: RngStreams,
+    key: int | np.ndarray,
+    namespace: str,
+    reconstructs: bool = True,
+) -> tuple[Cohort, list[np.random.Generator] | None, list[np.random.Generator] | None]:
+    """Split a nonempty cohort, seeding each purpose once for all its
+    clients: the :class:`Cohort` and every client's ``local_init`` and
+    ``recon_batches`` generators, or None for both unless ``reconstructs``.
+    Client ``c`` draws from ``(key, client id, namespace + purpose)``, taking
+    ``key[c]`` if ``key`` is an array."""
+    if not datasets:
+        raise DataError("a cohort needs at least one client")
+    ids = np.array([d.client_id for d in datasets], dtype=np.int64)
+
+    def gens(purpose: str, needed: bool) -> list[np.random.Generator] | None:
+        return streams.generators(key, ids, namespace + purpose) if needed else None
+
+    cohort = split_cohort(datasets, policy, gens("split", policy.kind == "half_disjoint"))
+    return cohort, gens("local_init", reconstructs), gens("recon_batches", reconstructs)
 
 
 def reconstruct_cohort(
@@ -425,27 +482,17 @@ def reconstruct_cohort(
     namespace: str = "",
 ) -> tuple[Cohort, list[ParamBlock]]:
     """Split every client of a nonempty cohort and rebuild its local
-    parameters on its support half (:func:`_reconstruct_steps`), drawing
+    parameters on its support half (:func:`_reconstructed`), drawing
     each client's streams from ``(round_idx, client_id, namespace +
     purpose)``.  Returns the split :class:`Cohort` and the local blocks
     stacked along a leading client axis, row ``c`` holding client ``c``'s:
     ``initial_locals``, so stacked, if given, which skips reconstruction."""
-    if not datasets:
-        raise DataError("a cohort needs at least one client")
-    ids = np.array([d.client_id for d in datasets], dtype=np.int64)
-
-    def gens(purpose: str) -> list[np.random.Generator]:
-        return streams.generators(round_idx, ids, namespace + purpose)
-
-    cohort = split_cohort(
-        datasets, policy, gens("split") if policy.kind == "half_disjoint" else None
+    cohort, init, batches = _split_and_seed(
+        datasets, policy, streams, round_idx, namespace, initial_locals is None
     )
     if initial_locals is not None:
         return cohort, list(initial_locals)
-    stacked = spec.init_local(*gens("local_init"))
-    if hyper.k_r and stacked:
-        _reconstruct_steps(spec, g, cohort, stacked, hyper, gens("recon_batches"))
-    return cohort, stacked
+    return cohort, _reconstructed(spec, g, cohort, hyper, init, batches)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
@@ -537,25 +584,32 @@ def run_cohort(
 ) -> list[ClientUpdateResult]:
     """Split -> reconstruct -> query metrics -> update for every client of
     a round, each from its own streams, in batched calls over the slices of
-    :func:`owner_chunks`.  ``initial_locals``, local blocks stacked along a
-    leading client axis (row ``c`` for dataset ``c``), skips reconstruction;
-    joint training steps them in place.  A numerical failure names the
-    client."""
+    :func:`owner_chunks`.  The round is split, and each stream purpose
+    seeded, once for all its clients.  ``initial_locals``, local blocks
+    stacked along a leading client axis (row ``c`` for dataset ``c``),
+    skips reconstruction; joint training steps them in place.  A numerical
+    failure names the client."""
+    if not datasets:
+        return []
+    cohort, init, batches = _split_and_seed(
+        datasets, policy, streams, round_idx, "", initial_locals is None
+    )
+    updates = streams.generators(round_idx, cohort.client_ids, "update_batches")
     results: list[ClientUpdateResult] = []
     for owners in owner_chunks(spec, g, len(datasets)):
-        cohort, stacked = reconstruct_cohort(
-            spec, g, datasets[owners], policy, hyper, streams, round_idx,
-            initial_locals=None if initial_locals is None else owner_rows(initial_locals, owners),
-        )
+        chunk = cohort.window(owners)
+        if initial_locals is None:
+            stacked = _reconstructed(spec, g, chunk, hyper, init[owners], batches[owners])
+        else:
+            stacked = owner_rows(initial_locals, owners)
         with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked next
-            metrics = cohort_metrics(spec, g, stacked, cohort)
+            metrics = cohort_metrics(spec, g, stacked, chunk)
         finite = [all(math.isfinite(m.value) for m in d.values()) for d in metrics]
-        _require_finite_clients(np.array(finite), cohort.client_ids, "the query metrics")
-        rngs = streams.generators(round_idx, cohort.client_ids, "update_batches")
-        chunk = _update_cohort(spec, g, cohort, stacked, hyper, rngs)
-        for res, m in zip(chunk, metrics):
+        _require_finite_clients(np.array(finite), chunk.client_ids, "the query metrics")
+        updated = _update_cohort(spec, g, chunk, stacked, hyper, updates[owners])
+        for res, m in zip(updated, metrics):
             res.query_metrics = m
-        results += chunk
+        results += updated
     return results
 
 

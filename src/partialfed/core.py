@@ -153,9 +153,10 @@ class RngStreams:
     ``key = [seed, *words]``, a string part's word being its FNV-1a-64 hash
     and an int part's word the int modulo 2**64.
 
-    ``generators(*parts)``, one part an int array, returns one generator per
-    array entry, each reproducing the bits of ``SeedSequence(key)`` for its
-    entry; the whole batch's seeding runs as array arithmetic.
+    ``generators(*parts)``, one or more parts equal-length int arrays,
+    returns one generator per lane, lane ``k`` taking entry ``k`` of each
+    array and reproducing the bits of ``SeedSequence(key)`` for its key; the
+    whole batch's seeding runs as array arithmetic.
     """
 
     def __init__(self, seed: int):
@@ -166,30 +167,43 @@ class RngStreams:
         return np.random.default_rng(np.random.SeedSequence(key))
 
     def generators(self, *parts) -> list[np.random.Generator]:
-        """``[self.generator(..., k, ...) for k in array]``, the array being
-        the one part that is an integer array; bit for bit the same draws.
-        A generator seeded as an array lane cannot ``spawn``."""
-        at = [i for i, p in enumerate(parts) if isinstance(p, np.ndarray)]
-        if len(at) != 1 or parts[at[0]].ndim != 1 or parts[at[0]].dtype.kind not in "iu":
-            raise ValueError("generators() takes exactly one 1-D integer array part")
-        head, array, tail = parts[: at[0]], parts[at[0]], parts[at[0] + 1 :]
-        if len(array) < _MIN_BATCH_LANES:
-            return [self.generator(*head, k, *tail) for k in array.tolist()]
-        lanes = array.astype(np.uint64)  # negative ints wrap modulo 2**64
-        prefix = [w for p in (self.seed, *head) for w in _uint32_words(_key_word(p))]
-        suffix = [w for p in tail for w in _uint32_words(_key_word(p))]
-        out: list[np.random.Generator | None] = [None] * len(lanes)
-        # SeedSequence reads an entry below 2**32 as one word, others as two.
-        wide = lanes > _M32
-        for sel, middle in ((~wide, (lanes & _M32,)), (wide, (lanes & _M32, lanes >> _SHIFT32))):
-            idx = np.flatnonzero(sel)
-            if not len(idx):
-                continue
-            words = np.empty((len(idx), len(prefix) + len(middle) + len(suffix)), np.uint64)
-            words[:, : len(prefix)] = prefix
-            for j, column in enumerate(middle):
-                words[:, len(prefix) + j] = column[idx]
-            words[:, len(prefix) + len(middle) :] = suffix
+        """``[self.generator(*lane) for lane in lanes]``, lane ``k`` taking
+        entry ``k`` of every part that is a 1-D integer array, all of one
+        length, and every other part as it is: ``generators(reps, ids,
+        "split")`` seeds ``(reps[k], ids[k], "split")``.  Bit for bit the
+        same draws.  A generator seeded as an array lane cannot ``spawn``."""
+        arrays = [p for p in parts if isinstance(p, np.ndarray)]
+        if not arrays or any(a.ndim != 1 or a.dtype.kind not in "iu" for a in arrays):
+            raise ValueError("generators() takes one or more 1-D integer array parts")
+        if len({len(a) for a in arrays}) > 1:
+            raise ValueError(
+                f"generators() array parts differ in length: {[len(a) for a in arrays]}"
+            )
+        n = len(arrays[0])
+        if n < _MIN_BATCH_LANES:
+            columns = [p.tolist() if isinstance(p, np.ndarray) else [p] * n for p in parts]
+            return [self.generator(*lane) for lane in zip(*columns)]
+        # Negative ints wrap modulo 2**64.  SeedSequence reads an entry below
+        # 2**32 as one word, others as two: lanes are grouped by which of
+        # their entries take two, bit j of ``wide`` for array part j.
+        parts = [p.astype(np.uint64) if isinstance(p, np.ndarray) else p for p in parts]
+        lanes = [p for p in parts if isinstance(p, np.ndarray)]
+        wide = sum((a > _M32).astype(np.int64) << j for j, a in enumerate(lanes))
+        out: list[np.random.Generator | None] = [None] * n
+        for code in np.unique(wide).tolist():
+            idx = np.flatnonzero(wide == code)
+            columns, j = _uint32_words(self.seed), 0
+            for p in parts:
+                if isinstance(p, np.ndarray):
+                    columns.append(p[idx] & _M32)
+                    if code >> j & 1:
+                        columns.append(p[idx] >> _SHIFT32)
+                    j += 1
+                else:
+                    columns += _uint32_words(_key_word(p))
+            words = np.empty((len(idx), len(columns)), np.uint64)
+            for c, column in enumerate(columns):
+                words[:, c] = column
             for i, state in zip(idx.tolist(), _pcg64_seeds(words)):
                 out[i] = np.random.Generator(np.random.PCG64(_SeedState(state)))
         return out

@@ -25,7 +25,10 @@ class ParseError(DataError):
 
 
 class NumericalError(ArithmeticError):
-    """Non-finite loss, gradient, or parameter encountered."""
+    """Non-finite loss, gradient, or parameter encountered.  ``owner``, if
+    set, is the position of the failing client in its batched call."""
+
+    owner: int | None = None
 
 
 class ShapeMismatchError(ValueError):

@@ -16,9 +16,10 @@ import numpy as np
 from .client import (
     ClientHyper,
     SplitPolicy,
+    _reconstructed,
+    _split_and_seed,
     cohort_metrics,
     owner_chunks,
-    reconstruct_cohort,
     split_cohort,
 )
 from .core import (
@@ -27,9 +28,11 @@ from .core import (
     LocalTables,
     Metric,
     ModelSpec,
+    ParamBlock,
     RngStreams,
     finalize_metrics,
     merge_metrics,
+    owner_rows,
 )
 from .errors import ConfigError, EvaluationError, NumericalError
 
@@ -120,30 +123,62 @@ def recon_eval(
     namespace: str = "eval",
 ) -> EvalResult:
     """Reconstruct-then-score: per client, split, rebuild local parameters
-    from the support half, and score the query half.  Each repeat's clients
-    reconstruct as cohorts (:func:`reconstruct_cohort`) over the slices of
-    :func:`owner_chunks` and are scored in owner-axis calls.  Repeats over
-    fresh client samples; the result carries the across-repeat mean and
-    stddev.  Never reads or writes any training state."""
+    from the support half, and score the query half.  Repeats over fresh
+    client samples, each drawn from its ``(repeat, namespace + ":sample")``
+    stream; the result carries the across-repeat mean and stddev.
+
+    All repeats run as one cohort, repeat after repeat, a client sampled
+    in two repeats being two owners.  The cohort is split, and each stream
+    purpose seeded, once, client ``c`` of repeat ``r`` drawing from ``(r,
+    client id, namespace + ":" + purpose)``; it reconstructs over the
+    slices of :func:`owner_chunks`, which may straddle repeats.  Each
+    repeat is scored in the calls a cohort of its own sample makes, one
+    per owner chunk of it, so its metrics do not depend on the other
+    repeats.  Never reads or writes any training state."""
     if not clients:
         raise EvaluationError("no clients to evaluate")
-    hyper = mode.recon_hyper
-    per_repeat: list[dict[str, float]] = []
     take = min(mode.clients_per_repeat, len(clients))
-    for rep in range(mode.repeats):
-        sample_rng = streams.generator(rep, namespace + ":sample")
-        chosen = sorted(sample_rng.choice(len(clients), size=take, replace=False).tolist())
-        sample = [clients[ci] for ci in chosen]
-        per_client: list[dict[str, Metric]] = []
-        for owners in owner_chunks(spec, g, take):
-            try:
-                cohort, stacked = reconstruct_cohort(
-                    spec, g, sample[owners], policy, hyper, streams, rep, namespace=namespace + ":"
-                )
-            except NumericalError as e:
-                raise NumericalError(f"repeat {rep}, {e}") from e
-            per_client += cohort_metrics(spec, g, stacked, cohort)
-        per_repeat.append(_finalize_with_macro(per_client))
+    sample = [
+        clients[ci]
+        for rep in range(mode.repeats)
+        for ci in sorted(
+            streams.generator(rep, namespace + ":sample")
+            .choice(len(clients), size=take, replace=False)
+            .tolist()
+        )
+    ]
+    reps = np.repeat(np.arange(mode.repeats), take)
+    cohort, init, batches = _split_and_seed(sample, policy, streams, reps, namespace + ":")
+    scoring = [
+        slice(rep * take + s.start, rep * take + min(s.stop, take))
+        for rep in range(mode.repeats)
+        for s in owner_chunks(spec, g, take)
+    ]
+    per_client: list[dict[str, Metric]] = []
+    lo, held = 0, []  # reconstructed locals of owners lo, lo + 1, ... not yet scored
+    for owners in owner_chunks(spec, g, len(sample)):
+        try:
+            stacked = _reconstructed(
+                spec, g, cohort.window(owners), mode.recon_hyper, init[owners], batches[owners]
+            )
+        except NumericalError as e:
+            raise NumericalError(f"repeat {reps[owners.start + (e.owner or 0)]}, {e}") from e
+        if lo < owners.start:  # a scoring call's first owners came from the last chunk
+            joined = [np.concatenate([h.array, b.array]) for h, b in zip(held, stacked)]
+            stacked = [ParamBlock(b.name, a, a.shape) for b, a in zip(stacked, joined)]
+        held, hi = stacked, min(owners.stop, len(sample))
+        while scoring and scoring[0].stop <= hi:
+            s = scoring.pop(0)
+            rows = owner_rows(held, slice(s.start - lo, s.stop - lo))
+            per_client += cohort_metrics(spec, g, rows, cohort.window(s))
+        if scoring and scoring[0].start < hi:
+            held, lo = owner_rows(held, slice(scoring[0].start - lo, None)), scoring[0].start
+        else:
+            lo = hi
+    per_repeat = [
+        _finalize_with_macro(per_client[start : start + take])
+        for start in range(0, len(sample), take)
+    ]
 
     keys = sorted({k for rep in per_repeat for k in rep})
     metrics: dict[str, float] = {}

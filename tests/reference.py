@@ -13,6 +13,10 @@ corpus drawn one scalar ``integers`` call at a time.  ``partialfed.data``
 codes each distinct token once, windows a client's sentences together and
 draws a client's corpus in one call; these are the bodies it replaced.
 
+Reconstruction evaluation one repeat at a time: ``partialfed.evaluation``
+runs every repeat's sample as one cohort; :func:`recon_eval_by_repeat` is
+the per-repeat body it replaced, each repeat its own cohorts.
+
 Stored local parameters as one block list per client: the server keeps them
 as one table per block (``LocalTables``); :func:`tables_of` and
 :func:`client_blocks` convert between the two, and :func:`client_init`
@@ -26,7 +30,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from partialfed.client import ClientHyper, ClientUpdateResult, SplitPolicy, batch_schedule
+from partialfed.client import (
+    ClientHyper,
+    ClientUpdateResult,
+    SplitPolicy,
+    batch_schedule,
+    cohort_metrics,
+    owner_chunks,
+    reconstruct_cohort,
+)
 from partialfed.core import (
     Blocks,
     ClientDataset,
@@ -41,7 +53,8 @@ from partialfed.core import (
     owner_rows,
 )
 from partialfed.data import SentenceRecord, SyntheticDataConfig, build_vocabulary
-from partialfed.errors import DataError
+from partialfed.errors import DataError, NumericalError
+from partialfed.evaluation import EvalMode, EvalResult, _finalize_with_macro
 from partialfed.models import SPECIAL_TOKENS, ModelConfig, TokenCodec
 
 
@@ -205,6 +218,46 @@ def run_client_round(
     result = client_update(spec, g, l, dsx, hyper, gen("update_batches"))
     result.query_metrics = query_metrics
     return result
+
+
+def recon_eval_by_repeat(
+    spec: ModelSpec,
+    g: Blocks,
+    clients,
+    policy: SplitPolicy,
+    mode: EvalMode,
+    streams: RngStreams,
+    *,
+    namespace: str = "eval",
+) -> EvalResult:
+    """Reconstruction evaluation repeat by repeat: each repeat's sample
+    reconstructs as cohorts (``reconstruct_cohort``) over the slices of
+    ``owner_chunks`` and is scored chunk by chunk."""
+    hyper = mode.recon_hyper
+    per_repeat: list[dict[str, float]] = []
+    take = min(mode.clients_per_repeat, len(clients))
+    for rep in range(mode.repeats):
+        sample_rng = streams.generator(rep, namespace + ":sample")
+        chosen = sorted(sample_rng.choice(len(clients), size=take, replace=False).tolist())
+        sample = [clients[ci] for ci in chosen]
+        per_client = []
+        for owners in owner_chunks(spec, g, take):
+            try:
+                cohort, stacked = reconstruct_cohort(
+                    spec, g, sample[owners], policy, hyper, streams, rep, namespace=namespace + ":"
+                )
+            except NumericalError as e:
+                raise NumericalError(f"repeat {rep}, {e}") from e
+            per_client += cohort_metrics(spec, g, stacked, cohort)
+        per_repeat.append(_finalize_with_macro(per_client))
+
+    keys = sorted({k for rep in per_repeat for k in rep})
+    metrics: dict[str, float] = {}
+    for k in keys:
+        vals = np.array([rep[k] for rep in per_repeat if k in rep])
+        metrics[k] = float(vals.mean())
+        metrics[k + "_stddev"] = float(vals.std())
+    return EvalResult(metrics=metrics, per_repeat=per_repeat)
 
 
 # ---------------------------------------------------------------------------

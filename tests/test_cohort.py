@@ -25,6 +25,7 @@ from partialfed import core as core_module
 from partialfed.client import (
     ClientHyper,
     SplitPolicy,
+    _cohort_batches,
     _update_cohort,
     batch_schedule,
     client_update,
@@ -599,6 +600,79 @@ def test_two_repeats_of_nwp_recon_eval_in_owner_chunks_match_the_client_loop():
         assert_recon_eval_matches_the_client_loop(spec, clients)
 
 
+def sampled(clients, rep, take, streams, namespace="eval"):
+    """Positions in ``clients`` of repeat ``rep``'s sample, drawn as
+    ``recon_eval`` draws it."""
+    rng = streams.generator(rep, namespace + ":sample")
+    return sorted(rng.choice(len(clients), size=take, replace=False).tolist())
+
+
+def assert_pooled_recon_eval_is_the_repeat_loop(spec, clients, mode):
+    """``recon_eval`` against ``reference.recon_eval_by_repeat``, bit for bit."""
+    g = spec.init_global(RngStreams(2).generator("g"))
+    args = (spec, g, clients, SplitPolicy(), mode, RngStreams(5))
+    got = recon_eval(*args, namespace="ev")
+    want = reference.recon_eval_by_repeat(*args, namespace="ev")
+    assert got.per_repeat == want.per_repeat
+    assert got.metrics == want.metrics
+
+
+def varied_mf_population(num_users=16):
+    """Matrix-factorization clients of 9 to 59 ratings: query halves of many
+    widths, so a call scoring other owners pads to another width."""
+    spec, clients = mf_population(num_users=num_users, num_items=60, ratings_per_user=59)
+    sizes = np.random.default_rng(1).integers(9, 60, size=num_users)
+    return spec, [ds.subset(np.arange(m)) for ds, m in zip(clients, sizes)]
+
+
+def recon_mode(k_r=6, repeats=3, clients_per_repeat=7):
+    return EvalMode(
+        recon_hyper=ClientHyper(k_r=k_r, eta_r=0.2, batch_size=5),
+        repeats=repeats,
+        clients_per_repeat=clients_per_repeat,
+    )
+
+
+@pytest.mark.parametrize("k_r", [6, 0])
+@pytest.mark.parametrize("metrics_budget", [None, 200])
+def test_pooled_recon_eval_is_the_repeat_loop(k_r, metrics_budget):
+    # Three repeats of 7 of 16 clients sample some client twice.  A small
+    # metrics budget scores each repeat in calls of one or two clients, which
+    # calls straddling repeats would pad to other widths.
+    spec, clients = varied_mf_population()
+    picks = [sampled(clients, rep, 7, RngStreams(5), "ev") for rep in range(3)]
+    assert len(set().union(*picks)) < 21
+    budget = client_module._METRICS_BUDGET if metrics_budget is None else metrics_budget
+    with mock.patch.object(client_module, "_METRICS_BUDGET", budget):
+        assert_pooled_recon_eval_is_the_repeat_loop(spec, clients, recon_mode(k_r))
+
+
+def test_pooled_nwp_recon_eval_in_chunks_across_repeats_is_the_repeat_loop():
+    # Two repeats of 7 in chunks of 3: the chunk of owners 6 to 8 holds the
+    # last client of repeat 0 and the first two of repeat 1.
+    spec, clients = nwp_population(num_clients=12)
+    with owner_budget(spec, spec.init_global(RngStreams(0).generator("g")), 3):
+        assert_pooled_recon_eval_is_the_repeat_loop(spec, clients, recon_mode(repeats=2))
+
+
+def test_pooled_recon_eval_above_the_population_is_the_repeat_loop():
+    # Every repeat samples all 9 clients, each client an owner per repeat.
+    spec, clients = varied_mf_population(num_users=9)
+    assert_pooled_recon_eval_is_the_repeat_loop(
+        spec, clients, recon_mode(repeats=2, clients_per_repeat=50)
+    )
+
+
+@pytest.mark.parametrize("repeats", [1, 4])
+def test_recon_eval_makes_k_r_kernel_calls_whatever_the_repeats(repeats):
+    spec, clients = mf_population(num_users=12)
+    kernel = mock.Mock(wraps=spec.sparse_grads)
+    g = spec.init_global(RngStreams(2).generator("g"))
+    counted = dataclasses.replace(spec, sparse_grads=kernel)
+    recon_eval(counted, g, clients, SplitPolicy(), recon_mode(repeats=repeats), RngStreams(5))
+    assert kernel.call_count == 6
+
+
 MARK = 2.0  # the example weight that flags a poisoned client's examples
 
 
@@ -653,7 +727,8 @@ def test_nan_in_training_names_round_and_client(algorithm, model, position):
 
 @pytest.mark.parametrize("model", ["matfac", "oov_nwp"])
 def test_nan_in_recon_eval_names_repeat_and_client(model):
-    spec, clients = mf_population() if model == "matfac" else nwp_population()
+    spec, population = mf_population() if model == "matfac" else nwp_population()
+    clients = list(population)
     bad = clients[2].client_id
     clients[2] = poison(clients[2])
     g = spec.init_global(RngStreams(2).generator("g"))
@@ -662,6 +737,20 @@ def test_nan_in_recon_eval_names_repeat_and_client(model):
     )
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match=rf"^repeat 0, client {bad}: "):
+            recon_eval(nan_kernel(spec), g, clients, SplitPolicy(), mode, RngStreams(3))
+
+    # A client sampled in repeat 1 but not in repeat 0, at owner 4 or 5 of
+    # two repeats of 4: for next-word prediction in chunks of 3, in the
+    # chunk of owners 3 to 5, which starts in repeat 0.
+    first, second = (sampled(population, rep, 4, RngStreams(3)) for rep in range(2))
+    pick = next(ci for ci in second[:2] if ci not in first)
+    clients = list(population)
+    clients[pick] = poison(clients[pick])
+    mode = dataclasses.replace(mode, repeats=2, clients_per_repeat=4)
+    with owner_budget(spec, g, 3 if model == "oov_nwp" else 100), np.errstate(invalid="ignore"):
+        with pytest.raises(
+            NumericalError, match=rf"^repeat 1, client {clients[pick].client_id}: "
+        ):
             recon_eval(nan_kernel(spec), g, clients, SplitPolicy(), mode, RngStreams(3))
 
 
@@ -801,6 +890,44 @@ def test_unique_row_steps_put_and_match_the_reference_bit_for_bit(streams, case,
         assert any(puts)
     if case in ("repeated_item", "padded_last_chunk"):
         assert not all(puts)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["fewer", "more"])
+def test_a_generator_per_client_or_refused(streams, extra):
+    # zip would pair a cohort's clients with the first of too many streams.
+    _, clients = mf_population()
+    ids = np.array([ds.client_id for ds in clients])
+    rngs = streams.generators(3, np.arange(len(clients) + extra), "x")
+    refused = rf"^{len(clients) + extra} generators for a cohort of {len(clients)} clients$"
+    with pytest.raises(ValueError, match=refused):
+        split_cohort(clients, SplitPolicy(), rngs)
+    cohort = split_cohort(clients, SplitPolicy(), streams.generators(3, ids, "split"))
+    for part in ("support", "query"):
+        with pytest.raises(ValueError, match=refused):
+            _cohort_batches(cohort, part, 5, 3, rngs)
+
+
+@pytest.mark.parametrize("kind", ["half_disjoint", "by_timestamp_half", "no_split"])
+def test_a_window_of_a_cohort_is_its_clients_split_alone(streams, kind):
+    _, clients = varied_mf_population()
+    ids = np.array([ds.client_id for ds in clients])
+    policy = SplitPolicy(kind=kind)
+    whole = split_cohort(clients, policy, streams.generators(3, ids, "split"))
+    for sel in (slice(0, 4), slice(4, 9), slice(9, 20)):
+        alone = split_cohort(clients[sel], policy, streams.generators(3, ids[sel], "split"))
+        window = whole.window(sel)
+        assert window.client_ids.tolist() == alone.client_ids.tolist()
+        for part in ("support", "query"):
+            assert np.array_equal(getattr(window, part + "_n"), getattr(alone, part + "_n"))
+            got, want = (
+                _cohort_batches(c, part, 5, 4, streams.generators(1, ids[sel], "b"))
+                for c in (window, alone)
+            )
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b)
+        got, want = window.query_batch(), alone.query_batch()
+        for field in ("features", "targets", "weights", "mask"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_nwp_update_steps_stay_on_rows_at(streams):

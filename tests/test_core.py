@@ -56,16 +56,20 @@ int_parts = st.one_of(st.sampled_from(EDGE_INTS), st.integers(-(2**64), 2**65))
 key_parts = st.one_of(int_parts, st.text(max_size=6))
 
 
+# Both sides of the lane count below which generators() loops.
+LANE_COUNTS = [1, 5, 15, 16, 17, 40]
+
+
 @st.composite
-def lane_arrays(draw):
+def lane_arrays(draw, size=None):
     """A 1-D int64 or uint64 array, edges of both included."""
     if draw(st.booleans()):
         dtype, lo, hi = np.int64, -(2**63), 2**63 - 1
     else:
         dtype, lo, hi = np.uint64, 0, U64
     entry = st.one_of(st.sampled_from([v for v in EDGE_INTS if lo <= v <= hi]), st.integers(lo, hi))
-    # Both sides of the lane count below which generators() loops.
-    size = draw(st.sampled_from([1, 5, 15, 16, 17, 40]))
+    if size is None:
+        size = draw(st.sampled_from(LANE_COUNTS))
     return np.array(draw(st.lists(entry, min_size=size, max_size=size)), dtype=dtype)
 
 
@@ -78,19 +82,30 @@ def reference_generator(seed, parts):
 
 
 class TestBatchedStreams:
-    @settings(max_examples=300)
+    @settings(max_examples=400)
     @given(
         seed=int_parts,
         parts=st.lists(key_parts, max_size=4),
-        lanes=lane_arrays(),
+        size=st.sampled_from(LANE_COUNTS),
+        arrays=st.integers(1, 3),
         data=st.data(),
     )
-    def test_each_lane_is_the_seed_sequence_generator(self, seed, parts, lanes, data):
-        at = data.draw(st.integers(0, len(parts)), label="array position")
-        gens = RngStreams(seed).generators(*parts[:at], lanes, *parts[at:])
-        assert len(gens) == len(lanes)
-        for k, got in zip(lanes.tolist(), gens):
-            want = reference_generator(seed, parts[:at] + [k] + parts[at:])
+    def test_each_lane_is_the_seed_sequence_generator(self, seed, parts, size, arrays, data):
+        # One to three arrays, int64 or uint64 each, among the other parts:
+        # lane k takes entry k of every array.
+        lanes = [data.draw(lane_arrays(size), label=f"array {j}") for j in range(arrays)]
+        spots = sorted(data.draw(st.integers(0, len(parts)), label="position") for _ in lanes)
+        key, at = [], 0
+        for array, spot in zip(lanes, spots):
+            key += parts[at:spot] + [array]
+            at = spot
+        key += parts[at:]
+        gens = RngStreams(seed).generators(*key)
+        assert len(gens) == size
+        for k, got in enumerate(gens):
+            want = reference_generator(
+                seed, [p[k].item() if isinstance(p, np.ndarray) else p for p in key]
+            )
             assert np.array_equal(got.permutation(7), want.permutation(7))
             assert np.array_equal(got.normal(size=3), want.normal(size=3))
             assert np.array_equal(got.integers(0, 2**40, size=3), want.integers(0, 2**40, size=3))
@@ -110,12 +125,14 @@ class TestBatchedStreams:
         "parts",
         [
             (3, "x"),
-            (np.array([1]), np.array([2])),
+            (np.array([1]), np.array([2, 3])),
+            (np.array([1, 2]), 5, np.array([3]), "x"),
+            (np.array([1]), np.array([2.0])),
             (np.array([1.0]), "x"),
             (np.array([[1]]), "x"),
         ],
     )
-    def test_needs_exactly_one_integer_array(self, parts):
+    def test_needs_integer_arrays_of_one_length(self, parts):
         with pytest.raises(ValueError):
             RngStreams(1).generators(*parts)
 
