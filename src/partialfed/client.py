@@ -48,7 +48,6 @@ __all__ = [
     "split_cohort",
     "cohort_metrics",
     "owner_chunks",
-    "reconstruct_cohort",
     "run_cohort",
     "delta_to_dense",
     "MetaGradientReport",
@@ -123,8 +122,8 @@ def reconstruct(
     batch_rng: np.random.Generator,
 ) -> list[ParamBlock]:
     """Gradient-descend freshly initialized local parameters on the support
-    set with the global parameters frozen, as :func:`reconstruct_cohort`
-    does for a cohort of one; k_r=0 returns the raw init."""
+    set with the global parameters frozen: :func:`_reconstructed` for a
+    cohort of one; k_r=0 returns the raw init."""
     if hyper.k_r and data.support_idx is None:
         raise DataError("dataset has no support split")
     return owner_rows(
@@ -397,12 +396,14 @@ def owner_chunks(spec: ModelSpec, g: Blocks, owners: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, owners, step)]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # callers check the scores' finiteness
 def cohort_metrics(
     spec: ModelSpec, g: Blocks, stacked: Blocks, cohort: Cohort
 ) -> list[dict[str, Metric]]:
     """Each client's ``spec.metrics`` on its query half under its row of the
     stacked local blocks, in owner-axis calls over chunks of clients that
-    hold at most ``_METRICS_BUDGET`` values, or a single client."""
+    hold at most ``_METRICS_BUDGET`` values, or a single client.  A score
+    that overflows comes back non-finite, with no warning."""
     per_example = max(b.shape[-1] for b in g)
     per_call = max(1, _METRICS_BUDGET // (int(cohort.query_n.max()) * per_example))
     out: list[dict[str, Metric]] = []
@@ -467,32 +468,6 @@ def _split_and_seed(
 
     cohort = split_cohort(datasets, policy, gens("split", policy.kind == "half_disjoint"))
     return cohort, gens("local_init", reconstructs), gens("recon_batches", reconstructs)
-
-
-def reconstruct_cohort(
-    spec: ModelSpec,
-    g: Blocks,
-    datasets: Sequence[ClientDataset],
-    policy: SplitPolicy,
-    hyper: ClientHyper,
-    streams: RngStreams,
-    round_idx: int,
-    *,
-    initial_locals: Sequence[ParamBlock] | None = None,
-    namespace: str = "",
-) -> tuple[Cohort, list[ParamBlock]]:
-    """Split every client of a nonempty cohort and rebuild its local
-    parameters on its support half (:func:`_reconstructed`), drawing
-    each client's streams from ``(round_idx, client_id, namespace +
-    purpose)``.  Returns the split :class:`Cohort` and the local blocks
-    stacked along a leading client axis, row ``c`` holding client ``c``'s:
-    ``initial_locals``, so stacked, if given, which skips reconstruction."""
-    cohort, init, batches = _split_and_seed(
-        datasets, policy, streams, round_idx, namespace, initial_locals is None
-    )
-    if initial_locals is not None:
-        return cohort, list(initial_locals)
-    return cohort, _reconstructed(spec, g, cohort, hyper, init, batches)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
@@ -602,8 +577,7 @@ def run_cohort(
             stacked = _reconstructed(spec, g, chunk, hyper, init[owners], batches[owners])
         else:
             stacked = owner_rows(initial_locals, owners)
-        with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked next
-            metrics = cohort_metrics(spec, g, stacked, chunk)
+        metrics = cohort_metrics(spec, g, stacked, chunk)
         finite = [all(math.isfinite(m.value) for m in d.values()) for d in metrics]
         _require_finite_clients(np.array(finite), chunk.client_ids, "the query metrics")
         updated = _update_cohort(spec, g, chunk, stacked, hyper, updates[owners])

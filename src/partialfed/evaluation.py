@@ -8,6 +8,7 @@ during training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,7 +29,6 @@ from .core import (
     LocalTables,
     Metric,
     ModelSpec,
-    ParamBlock,
     RngStreams,
     finalize_metrics,
     merge_metrics,
@@ -72,13 +72,23 @@ class EvalResult:
     per_repeat: list[dict[str, float]] = field(default_factory=list)
 
 
-def _finalize_with_macro(per_client: list[dict[str, Metric]]) -> dict[str, float]:
+def _finalize_with_macro(
+    per_client: list[dict[str, Metric]], client_ids: Sequence[int]
+) -> dict[str, float]:
+    """The clients' metrics merged, each key with its mean over the clients
+    as ``key + "_macro"``.  A client's non-finite value raises
+    :class:`NumericalError` naming it (``client_ids[c]`` for
+    ``per_client[c]``); a merged key of zero weight is a legitimate nan."""
     out = finalize_metrics(merge_metrics(per_client))
     finals = [finalize_metrics(stats) for stats in per_client]
     for key in list(out):
-        vals = [f[key] for f in finals if key in f]
-        if vals:
-            out[key + "_macro"] = float(np.mean(vals))
+        vals = np.array([f[key] for f in finals if key in f])
+        if not np.isfinite(vals).all():
+            cid, bad = next(
+                (c, f[key]) for c, f in zip(client_ids, finals) if not math.isfinite(f.get(key, 0))
+            )
+            raise NumericalError(f"client {int(cid)}: non-finite {key} ({bad})")
+        out[key + "_macro"] = float(np.mean(vals))
     return out
 
 
@@ -109,7 +119,7 @@ def standard_eval(
     for owners in owner_chunks(spec, g, len(sets)):
         cohort = split_cohort(sets[owners], SplitPolicy(kind="no_split"))
         per_client += cohort_metrics(spec, g, stored.take(rows[owners]), cohort)
-    return _finalize_with_macro(per_client)
+    return _finalize_with_macro(per_client, [ds.client_id for ds in sets])
 
 
 def recon_eval(
@@ -130,11 +140,13 @@ def recon_eval(
     All repeats run as one cohort, repeat after repeat, a client sampled
     in two repeats being two owners.  The cohort is split, and each stream
     purpose seeded, once, client ``c`` of repeat ``r`` drawing from ``(r,
-    client id, namespace + ":" + purpose)``; it reconstructs over the
-    slices of :func:`owner_chunks`, which may straddle repeats.  Each
-    repeat is scored in the calls a cohort of its own sample makes, one
-    per owner chunk of it, so its metrics do not depend on the other
-    repeats.  Never reads or writes any training state."""
+    client id, namespace + ":" + purpose)``.  Each repeat is scored in the
+    calls a cohort of its own sample makes, one per slice of
+    :func:`owner_chunks` of it, so its metrics do not depend on the other
+    repeats.  A reconstruction call covers whole scoring calls: as many
+    whole repeats as one owner chunk holds, or one scoring call where a
+    repeat fills more than a chunk.  A non-finite score names the repeat
+    and the client.  Never reads or writes any training state."""
     if not clients:
         raise EvaluationError("no clients to evaluate")
     take = min(mode.clients_per_repeat, len(clients))
@@ -149,36 +161,34 @@ def recon_eval(
     ]
     reps = np.repeat(np.arange(mode.repeats), take)
     cohort, init, batches = _split_and_seed(sample, policy, streams, reps, namespace + ":")
-    scoring = [
-        slice(rep * take + s.start, rep * take + min(s.stop, take))
-        for rep in range(mode.repeats)
-        for s in owner_chunks(spec, g, take)
-    ]
+    chunks = owner_chunks(spec, g, take)  # each repeat's scoring calls
+    per = max(1, chunks[0].stop // take)  # whole repeats one owner chunk holds
     per_client: list[dict[str, Metric]] = []
-    lo, held = 0, []  # reconstructed locals of owners lo, lo + 1, ... not yet scored
-    for owners in owner_chunks(spec, g, len(sample)):
+    for first in range(0, mode.repeats, per):
+        for s in chunks:  # one slice, all of a repeat, where per > 1
+            calls = [
+                slice(rep * take + s.start, rep * take + min(s.stop, take))
+                for rep in range(first, min(first + per, mode.repeats))
+            ]
+            lo = calls[0].start
+            owners = slice(lo, calls[-1].stop)
+            try:
+                stacked = _reconstructed(
+                    spec, g, cohort.window(owners), mode.recon_hyper, init[owners],
+                    batches[owners],
+                )
+                for c in calls:
+                    rows = owner_rows(stacked, slice(c.start - lo, c.stop - lo))
+                    per_client += cohort_metrics(spec, g, rows, cohort.window(c))
+            except NumericalError as e:
+                raise NumericalError(f"repeat {reps[lo + (e.owner or 0)]}, {e}") from e
+    per_repeat = []
+    for rep in range(mode.repeats):
+        owners = slice(rep * take, (rep + 1) * take)
         try:
-            stacked = _reconstructed(
-                spec, g, cohort.window(owners), mode.recon_hyper, init[owners], batches[owners]
-            )
+            per_repeat.append(_finalize_with_macro(per_client[owners], cohort.client_ids[owners]))
         except NumericalError as e:
-            raise NumericalError(f"repeat {reps[owners.start + (e.owner or 0)]}, {e}") from e
-        if lo < owners.start:  # a scoring call's first owners came from the last chunk
-            joined = [np.concatenate([h.array, b.array]) for h, b in zip(held, stacked)]
-            stacked = [ParamBlock(b.name, a, a.shape) for b, a in zip(stacked, joined)]
-        held, hi = stacked, min(owners.stop, len(sample))
-        while scoring and scoring[0].stop <= hi:
-            s = scoring.pop(0)
-            rows = owner_rows(held, slice(s.start - lo, s.stop - lo))
-            per_client += cohort_metrics(spec, g, rows, cohort.window(s))
-        if scoring and scoring[0].start < hi:
-            held, lo = owner_rows(held, slice(scoring[0].start - lo, None)), scoring[0].start
-        else:
-            lo = hi
-    per_repeat = [
-        _finalize_with_macro(per_client[start : start + take])
-        for start in range(0, len(sample), take)
-    ]
+            raise NumericalError(f"repeat {rep}, {e}") from e
 
     keys = sorted({k for rep in per_repeat for k in rep})
     metrics: dict[str, float] = {}

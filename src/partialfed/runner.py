@@ -173,13 +173,16 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
     streams = RngStreams(run_seed)
     clients = {"valid": bundle.val_clients, "test": bundle.test_clients}
 
-    def evaluate(g, store, split, repeats):
-        if bundle.regime == "recon":
-            return recon_eval(
-                spec, g, clients[split], config.split, config.eval_mode(repeats), streams,
-                namespace=f"eval:{split}",
-            ).metrics
-        return standard_eval(spec, g, store, clients[split])
+    def evaluate(t, g, store, split, repeats):
+        try:
+            if bundle.regime == "recon":
+                return recon_eval(
+                    spec, g, clients[split], config.split, config.eval_mode(repeats), streams,
+                    namespace=f"eval:{split}",
+                ).metrics
+            return standard_eval(spec, g, store, clients[split])
+        except NumericalError as e:
+            raise NumericalError(f"{split} evaluation at round {t}, {e}") from e
 
     # The trainer's starting state, built once: round 0 is evaluated from it.
     start = initial_state(spec, bundle.train_clients, streams, config.algorithm)
@@ -189,7 +192,7 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
     final_round = config.centralized.epochs if centralized else config.rounds
     records: list[tuple[int, str, dict[str, float]]] = []
     if final_round > 0:
-        records.append((0, "valid", evaluate(g, store, "valid", config.eval.valid_repeats)))
+        records.append((0, "valid", evaluate(0, g, store, "valid", config.eval.valid_repeats)))
 
     if centralized:
         g, store = train_centralized(
@@ -207,7 +210,7 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
         def on_eval(t, g, store):
             if t + 1 < final_round:  # the final evaluation covers the last round
                 records.append(
-                    (t + 1, "valid", evaluate(g, store, "valid", config.eval.valid_repeats))
+                    (t + 1, "valid", evaluate(t + 1, g, store, "valid", config.eval.valid_repeats))
                 )
 
         result = run_training(
@@ -228,7 +231,7 @@ def _execute(config: ExperimentConfig, run_seed: int, bundle: TaskBundle) -> Run
         records.extend((r.round + 1, "train", r.train_metrics) for r in result.reports)
         per_round = [r.params_total for r in result.comm_records]
 
-    final = {split: evaluate(g, store, split, config.eval.repeats) for split in clients}
+    final = {s: evaluate(final_round, g, store, s, config.eval.repeats) for s in clients}
     records.extend((final_round, split, metrics) for split, metrics in final.items())
 
     cumulative = np.cumsum([0] + per_round)

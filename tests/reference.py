@@ -14,8 +14,10 @@ codes each distinct token once, windows a client's sentences together and
 draws a client's corpus in one call; these are the bodies it replaced.
 
 Reconstruction evaluation one repeat at a time: ``partialfed.evaluation``
-runs every repeat's sample as one cohort; :func:`recon_eval_by_repeat` is
-the per-repeat body it replaced, each repeat its own cohorts.
+runs every repeat's sample as one cohort, each reconstruction call
+covering whole scoring calls, several repeats where they fit one owner
+chunk; :func:`recon_eval_by_repeat` is the per-repeat body it replaced,
+each repeat split, seeded, reconstructed and scored as its own cohorts.
 
 Stored local parameters as one block list per client: the server keeps them
 as one table per block (``LocalTables``); :func:`tables_of` and
@@ -34,10 +36,11 @@ from partialfed.client import (
     ClientHyper,
     ClientUpdateResult,
     SplitPolicy,
+    _reconstructed,
+    _split_and_seed,
     batch_schedule,
     cohort_metrics,
     owner_chunks,
-    reconstruct_cohort,
 )
 from partialfed.core import (
     Blocks,
@@ -231,8 +234,9 @@ def recon_eval_by_repeat(
     namespace: str = "eval",
 ) -> EvalResult:
     """Reconstruction evaluation repeat by repeat: each repeat's sample
-    reconstructs as cohorts (``reconstruct_cohort``) over the slices of
-    ``owner_chunks`` and is scored chunk by chunk."""
+    split and seeded on its own (``_split_and_seed``), reconstructed as
+    cohorts (``_reconstructed``) over the slices of ``owner_chunks`` and
+    scored chunk by chunk."""
     hyper = mode.recon_hyper
     per_repeat: list[dict[str, float]] = []
     take = min(mode.clients_per_repeat, len(clients))
@@ -243,13 +247,17 @@ def recon_eval_by_repeat(
         per_client = []
         for owners in owner_chunks(spec, g, take):
             try:
-                cohort, stacked = reconstruct_cohort(
-                    spec, g, sample[owners], policy, hyper, streams, rep, namespace=namespace + ":"
+                cohort, init, batches = _split_and_seed(
+                    sample[owners], policy, streams, rep, namespace + ":"
                 )
+                stacked = _reconstructed(spec, g, cohort, hyper, init, batches)
             except NumericalError as e:
                 raise NumericalError(f"repeat {rep}, {e}") from e
             per_client += cohort_metrics(spec, g, stacked, cohort)
-        per_repeat.append(_finalize_with_macro(per_client))
+        try:
+            per_repeat.append(_finalize_with_macro(per_client, [ds.client_id for ds in sample]))
+        except NumericalError as e:
+            raise NumericalError(f"repeat {rep}, {e}") from e
 
     keys = sorted({k for rep in per_repeat for k in rep})
     metrics: dict[str, float] = {}

@@ -331,6 +331,30 @@ def test_evaluate_bad_params_is_a_data_error(tmp_path, small_synthetic, capsys, 
         assert str(path) in err and "'item_embeddings'" in err
 
 
+@pytest.mark.parametrize("runtime_warnings", ["error", "ignore"])
+def test_evaluate_overflowing_scores_is_a_numerical_error(
+    tmp_path, small_synthetic, capsys, runtime_warnings
+):
+    # Item rows of 1e200 overflow every squared error; with no reconstruction
+    # step the overflow first shows in the scores.
+    import warnings
+
+    from partialfed.runner import write_params
+
+    path = tmp_path / "params.bin"
+    blocks = _mf_blocks(embed_dim=3)
+    blocks[0].values[:] = 1e200
+    write_params(path, blocks)
+    with warnings.catch_warnings():
+        warnings.simplefilter(runtime_warnings, RuntimeWarning)
+        code = main(
+            ["evaluate", "--config", str(small_synthetic), *synth_args(tmp_path),
+             "--eval-k-r", "0", "--params", str(path)]
+        )
+    assert code == 3
+    assert "numerical error: repeat 0, client " in capsys.readouterr().err
+
+
 def test_sweep_rejects_non_integer_values(tmp_path, small_synthetic, capsys):
     code = main(
         ["sweep", "--config", str(small_synthetic), *synth_args(tmp_path),

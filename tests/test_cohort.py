@@ -22,17 +22,20 @@ from hypothesis import strategies as st
 import reference
 from partialfed import client as client_module
 from partialfed import core as core_module
+from partialfed import evaluation as evaluation_module
+from partialfed import runner as runner_module
 from partialfed.client import (
     ClientHyper,
     SplitPolicy,
     _cohort_batches,
+    _reconstructed,
+    _split_and_seed,
     _update_cohort,
     batch_schedule,
     client_update,
     cohort_metrics,
     owner_chunks,
     reconstruct,
-    reconstruct_cohort,
     run_client_round,
     run_cohort,
     split_cohort,
@@ -49,6 +52,7 @@ from partialfed.core import (
     finalize_metrics,
     merge_metrics,
 )
+from partialfed.config import load_config
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import EvaluationError, NumericalError
 from partialfed.evaluation import EvalMode, _finalize_with_macro, recon_eval, standard_eval
@@ -517,7 +521,7 @@ def assert_training_matches_the_client_loop(spec, clients, algorithm):
                 assert_close(b_got.values, b_want.values, f"store {cid} {b_want.name}")
         scores = standard_eval(spec, got.global_params, got.local_store, eval_sets)
         want = _finalize_with_macro([spec.metrics(g, store[ds.client_id], ds.batch())
-                                     for ds in eval_sets])
+                                     for ds in eval_sets], [ds.client_id for ds in eval_sets])
         assert set(scores) == set(want)
         for k in want:
             assert_close(scores[k], want[k], f"standard eval {k}")
@@ -545,7 +549,7 @@ def assert_recon_eval_matches_the_client_loop(spec, clients):
                 streams.generator(rep, cid, "ev:recon_batches"),
             )
             per_client.append(spec.metrics(g, l, dsx.query_batch()))
-        want = _finalize_with_macro(per_client)
+        want = _finalize_with_macro(per_client, [clients[ci].client_id for ci in chosen])
         assert set(per_repeat) == set(want)
         for k in want:
             assert_close(per_repeat[k], want[k], f"repeat {rep} {k}")
@@ -673,6 +677,30 @@ def test_recon_eval_makes_k_r_kernel_calls_whatever_the_repeats(repeats):
     assert kernel.call_count == 6
 
 
+@pytest.mark.parametrize(
+    "model, budget, mode, sizes",
+    [
+        # Chunks of 5 owners, repeats of 2: a call takes 5 // 2 = 2 whole
+        # repeats, never two and a half, so 5 repeats make calls of 4, 4, 2.
+        ("matfac", 5, recon_mode(repeats=5, clients_per_repeat=2), [4, 4, 2]),
+        # Chunks of 3, repeats of 7: a call takes one scoring call, 3, 3 or 1.
+        ("oov_nwp", 3, recon_mode(repeats=2, clients_per_repeat=7), [3, 3, 1] * 2),
+    ],
+)
+def test_reconstruction_calls_take_whole_scoring_calls(monkeypatch, model, budget, mode, sizes):
+    spec, clients = varied_mf_population() if model == "matfac" else nwp_population(num_clients=12)
+    g = spec.init_global(RngStreams(2).generator("g"))
+    kernel = mock.Mock(wraps=spec.sparse_grads)
+    counted = dataclasses.replace(spec, sparse_grads=kernel)
+    calls = mock.Mock(wraps=evaluation_module._reconstructed)
+    monkeypatch.setattr(evaluation_module, "_reconstructed", calls)
+    with owner_budget(spec, g, budget):
+        recon_eval(counted, g, clients, SplitPolicy(), mode, RngStreams(5))
+        assert [len(c.args[2].client_ids) for c in calls.call_args_list] == sizes
+        assert kernel.call_count == len(sizes) * mode.recon_hyper.k_r
+        assert_pooled_recon_eval_is_the_repeat_loop(spec, clients, mode)
+
+
 MARK = 2.0  # the example weight that flags a poisoned client's examples
 
 
@@ -754,12 +782,65 @@ def test_nan_in_recon_eval_names_repeat_and_client(model):
             recon_eval(nan_kernel(spec), g, clients, SplitPolicy(), mode, RngStreams(3))
 
 
-def test_reconstruct_cohort_keeps_per_client_streams(streams):
+def test_overflowing_score_in_recon_eval_names_repeat_and_client():
+    # A client sampled in repeat 1 but not in repeat 0, both repeats
+    # reconstructed in one call, rates only an item whose row is 1e200: its
+    # squared error overflows, and the overflow itself warns about nothing.
+    _, population = mf_population()
+    spec = matfac_spec(ModelConfig(embed_dim=4), 26)
+    g = spec.init_global(RngStreams(2).generator("g"))
+    g[0].array[25] = 1e200
+    first, second = (sampled(population, rep, 4, RngStreams(3)) for rep in range(2))
+    pick = next(ci for ci in second if ci not in first)
+    clients = list(population)
+    clients[pick] = dataclasses.replace(clients[pick], features=np.full(clients[pick].n, 25))
+    mode = recon_mode(k_r=0, repeats=2, clients_per_repeat=4)
+    match = rf"^repeat 1, client {clients[pick].client_id}: non-finite mse \(inf\)$"
+    for evaluate in (recon_eval, reference.recon_eval_by_repeat):
+        with pytest.raises(NumericalError, match=match):
+            evaluate(spec, g, clients, SplitPolicy(), mode, RngStreams(3))
+
+
+def nan_once_trained(spec):
+    """``spec`` whose kernel is :func:`nan_kernel`'s once an update step
+    has run: a marked client fails only after training has begun."""
+    poisoned, trained = nan_kernel(spec).sparse_grads, [False]
+
+    def sparse_grads(g, l, batch, norm, need_global, need_local):
+        trained[0] = trained[0] or need_global
+        kernel = poisoned if trained[0] else spec.sparse_grads
+        return kernel(g, l, batch, norm, need_global, need_local)
+
+    return dataclasses.replace(spec, sparse_grads=sparse_grads)
+
+
+def test_nan_at_a_mid_run_validation_names_split_round_repeat_and_client(tmp_path):
+    # Round 0's validation passes; the one after round 2 fails on the
+    # marked validation client, every one of them sampled.
+    cfg = load_config(None, {
+        "task": "synthetic", "rounds": 4, "clients_per_round": 5, "client.k_r": 3,
+        "eval.every": 2, "eval.clients_per_repeat": 50, "data.synthetic.num_users": 40,
+        "output_dir": str(tmp_path / "run"),
+    })
+    bundle = runner_module.prepare_task(cfg)
+    valid = list(bundle.val_clients)
+    valid[1] = poison(valid[1])
+    bundle = dataclasses.replace(bundle, spec=nan_once_trained(bundle.spec), val_clients=valid)
+    match = rf"^valid evaluation at round 2, repeat 0, client {valid[1].client_id}: non-finite"
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=match):
+        runner_module._execute(cfg, cfg.seed, bundle)
+
+
+def test_cohort_reconstruction_keeps_per_client_streams(streams):
     # A client's reconstruction does not depend on which cohort it is in.
     spec, clients = mf_population()
     g = spec.init_global(streams.generator("g"))
-    _, alone = reconstruct_cohort(spec, g, clients[4:5], SplitPolicy(), HYPER, streams, 1)
-    _, together = reconstruct_cohort(spec, g, clients, SplitPolicy(), HYPER, streams, 1)
+
+    def reconstructed(datasets):
+        cohort, init, batches = _split_and_seed(datasets, SplitPolicy(), streams, 1, "")
+        return _reconstructed(spec, g, cohort, HYPER, init, batches)
+
+    alone, together = reconstructed(clients[4:5]), reconstructed(clients)
     assert_close(together[0].array[4], alone[0].array[0], "client 4 local")
 
 

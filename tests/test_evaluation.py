@@ -11,7 +11,7 @@ from partialfed.data import (
     split_each_client_by_time,
     split_users,
 )
-from partialfed.errors import ConfigError, EvaluationError
+from partialfed.errors import ConfigError, EvaluationError, NumericalError
 from partialfed.evaluation import (
     EvalMode,
     _finalize_with_macro,
@@ -73,6 +73,21 @@ class TestStandardEval:
         metrics = standard_eval(spec, g, tables_of(stored), clients)
         assert "rmse_macro" in metrics and "accuracy_macro" in metrics
 
+    def test_overflowing_score_names_the_client(self):
+        # The client rates only an item whose row is 1e200: its squared
+        # error overflows, and the overflow itself warns about nothing.
+        _, _, clients = mf_setup()
+        spec = matfac_spec(ModelConfig(embed_dim=2), 7)
+        g = spec.init_global(RngStreams(1).generator("g"))
+        g[0].array[6] = 1e200
+        clients[3] = dataclasses.replace(clients[3], features=np.full(clients[3].n, 6))
+        stored = tables_of(
+            {c.client_id: client_init(spec, RngStreams(5).generator(c.client_id)) for c in clients}
+        )
+        match = rf"^client {clients[3].client_id}: non-finite mse \(inf\)$"
+        with pytest.raises(NumericalError, match=match):
+            standard_eval(spec, g, stored, clients)
+
     @pytest.mark.parametrize("chunk", [5, 1 << 15])
     def test_owner_axis_calls_match_client_by_client(self, monkeypatch, chunk):
         # Ragged eval sets, one empty (skipped), scored in chunks of clients.
@@ -88,7 +103,8 @@ class TestStandardEval:
         stored = {cid: client_init(spec, RngStreams(5).generator(cid)) for cid in ids}
         got = standard_eval(spec, g, tables_of(stored), sets)
         want = _finalize_with_macro(
-            [spec.metrics(g, stored[c.client_id], c.batch()) for c in sets if c.n]
+            [spec.metrics(g, stored[c.client_id], c.batch()) for c in sets if c.n],
+            [c.client_id for c in sets if c.n],
         )
         assert set(got) == set(want)
         for k in want:
