@@ -54,6 +54,8 @@ for client in clients[:4]:
     result = client_update(spec, g, l, dsx, hyper, gen("update_batches"))
     results.append(result)
     support = dsx.support_batch()
+    # ``metrics`` gives each key's value and weight as arrays over the
+    # batch's owner axes; a flat batch is one owner, so they are 0-d.
     print(
         f"client {result.client_id}: n_i={result.n_i}, "
         f"support loss {spec.loss(g, l_init, support):.3f} -> "

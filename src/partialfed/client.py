@@ -25,6 +25,7 @@ from .core import (
     RowDelta,
     _central_differences,
     _flat,
+    _join_metrics,
     _max_rel_err,
     _sgd_step,
     _stack,
@@ -134,12 +135,13 @@ def reconstruct(
 @dataclass
 class ClientUpdateResult:
     """One client's contribution to a round: its global delta (a
-    :class:`RowDelta` or a flat array per block), its weight ``n_i`` (the
-    query size) and its query metrics before the update.  Under joint
-    training the single-client API (:func:`client_update`,
-    :func:`run_client_round` from ``initial_local``) also returns the
-    client's updated local blocks; a cohort steps its stacked locals in
-    place instead."""
+    :class:`RowDelta` or a flat array per block) and its weight ``n_i``
+    (the query size).  :func:`run_client_round` also fills in the client's
+    query metrics before the update; a cohort returns its clients' metrics
+    as arrays instead (:func:`run_cohort`).  Under joint training the
+    single-client API (:func:`client_update`, :func:`run_client_round` from
+    ``initial_local``) also returns the client's updated local blocks; a
+    cohort steps its stacked locals in place instead."""
 
     client_id: int
     delta: list
@@ -191,9 +193,10 @@ def run_client_round(
     independent.
     """
     initial = None if initial_local is None else _stack([initial_local])
-    result = run_cohort(
+    (result,), metrics = run_cohort(
         spec, g, [data], policy, hyper, streams, round_idx, initial_locals=initial
-    )[0]
+    )
+    result.query_metrics = {k: Metric(m.value[0], m.weight[0]) for k, m in metrics.items()}
     if initial is not None and hyper.joint_training:
         result.updated_local = owner_rows(initial, 0)
     return result
@@ -270,9 +273,13 @@ def split_cohort(
         raise DataError(f"client {datasets[int(np.argmin(n))].client_id}: empty dataset")
     if rngs is not None:
         _require_one_generator_each(rngs, len(n))
+    elif policy.kind == "half_disjoint":
+        raise ValueError("half_disjoint needs one generator per client")
+    if policy.kind == "no_split":
+        return _unsplit_cohort(datasets, n)
     starts = np.cumsum(n) - n
     owner = np.repeat(np.arange(len(n)), n)
-    whole = (n == 1) | (policy.kind == "no_split")
+    whole = n == 1
     # Support size: ceil(n * fraction), capped so the query set stays nonempty.
     k = np.where(whole, n, np.minimum(np.maximum(1, np.ceil(n * policy.support_fraction)), n - 1))
     # order: every client's examples in its split order, client after client.
@@ -281,24 +288,37 @@ def split_cohort(
             [rng.permutation(m) if m > 1 else np.zeros(1, np.int64)
              for rng, m in zip(rngs, n.tolist())]
         )
-    elif policy.kind == "by_timestamp_half":  # earlier examples become support
+    else:  # by_timestamp_half: earlier examples become support
         order = np.lexsort((np.concatenate([d.timestamps for d in datasets]), owner))
-    else:
-        order = np.arange(len(owner))
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order)) - starts[owner]
     support = rank < k[owner]
     query = ~support | whole[owner]
     return Cohort(
-        client_ids=np.array([d.client_id for d in datasets], dtype=np.int64),
-        features=np.concatenate([d.features for d in datasets]),
-        targets=np.concatenate([d.targets for d in datasets]),
-        weights=np.concatenate([d.weights for d in datasets]),
+        *_columns(datasets),
         support=np.flatnonzero(support),
         support_n=k.astype(np.int64),
         query=np.flatnonzero(query),
         query_n=np.where(whole, n, n - k).astype(np.int64),
     )
+
+
+def _columns(datasets: Sequence[ClientDataset]) -> tuple[np.ndarray, ...]:
+    """A cohort's client ids, features, targets and weights, end to end."""
+    return (
+        np.array([d.client_id for d in datasets], dtype=np.int64),
+        np.concatenate([d.features for d in datasets]),
+        np.concatenate([d.targets for d in datasets]),
+        np.concatenate([d.weights for d in datasets]),
+    )
+
+
+def _unsplit_cohort(datasets: Sequence[ClientDataset], n: np.ndarray) -> Cohort:
+    """Clients of the given nonzero sizes ``n`` unsplit, every example in
+    both halves: :func:`split_cohort` under ``no_split``, for a caller that
+    has read the sizes."""
+    every = np.arange(int(n.sum()))
+    return Cohort(*_columns(datasets), every, n, every.copy(), n.copy())
 
 
 def _cohort_of_one(data: ClientDataset) -> Cohort:
@@ -399,18 +419,19 @@ def owner_chunks(spec: ModelSpec, g: Blocks, owners: int) -> list[slice]:
 @np.errstate(over="ignore", invalid="ignore")  # callers check the scores' finiteness
 def cohort_metrics(
     spec: ModelSpec, g: Blocks, stacked: Blocks, cohort: Cohort
-) -> list[dict[str, Metric]]:
-    """Each client's ``spec.metrics`` on its query half under its row of the
-    stacked local blocks, in owner-axis calls over chunks of clients that
-    hold at most ``_METRICS_BUDGET`` values, or a single client.  A score
-    that overflows comes back non-finite, with no warning."""
+) -> dict[str, Metric]:
+    """``spec.metrics`` of every client's query half under its row of the
+    stacked local blocks, as arrays over the clients: owner-axis calls over
+    chunks of clients that hold at most ``_METRICS_BUDGET`` values, or a
+    single client, joined end to end.  A score that overflows comes back
+    non-finite, with no warning."""
     per_example = max(b.shape[-1] for b in g)
     per_call = max(1, _METRICS_BUDGET // (int(cohort.query_n.max()) * per_example))
-    out: list[dict[str, Metric]] = []
+    calls = []
     for lo in range(0, len(cohort.client_ids), per_call):
         owners = slice(lo, lo + per_call)
-        out.extend(spec.metrics(g, owner_rows(stacked, owners), cohort.query_batch(owners)))
-    return out
+        calls.append(spec.metrics(g, owner_rows(stacked, owners), cohort.query_batch(owners)))
+    return _join_metrics(calls)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
@@ -556,35 +577,35 @@ def run_cohort(
     round_idx: int,
     *,
     initial_locals: Sequence[ParamBlock] | None = None,
-) -> list[ClientUpdateResult]:
+) -> tuple[list[ClientUpdateResult], dict[str, Metric]]:
     """Split -> reconstruct -> query metrics -> update for every client of
     a round, each from its own streams, in batched calls over the slices of
-    :func:`owner_chunks`.  The round is split, and each stream purpose
-    seeded, once for all its clients.  ``initial_locals``, local blocks
-    stacked along a leading client axis (row ``c`` for dataset ``c``),
-    skips reconstruction; joint training steps them in place.  A numerical
+    :func:`owner_chunks`.  Returns the clients' results and their query
+    metrics before the update, as arrays over the clients in dataset
+    order.  The round is split, and each stream purpose seeded, once for
+    all its clients.  ``initial_locals``, local blocks stacked along a
+    leading client axis (row ``c`` for dataset ``c``), skips
+    reconstruction; joint training steps them in place.  A numerical
     failure names the client."""
     if not datasets:
-        return []
+        return [], {}
     cohort, init, batches = _split_and_seed(
         datasets, policy, streams, round_idx, "", initial_locals is None
     )
     updates = streams.generators(round_idx, cohort.client_ids, "update_batches")
     results: list[ClientUpdateResult] = []
+    metrics: list[dict[str, Metric]] = []
     for owners in owner_chunks(spec, g, len(datasets)):
         chunk = cohort.window(owners)
         if initial_locals is None:
             stacked = _reconstructed(spec, g, chunk, hyper, init[owners], batches[owners])
         else:
             stacked = owner_rows(initial_locals, owners)
-        metrics = cohort_metrics(spec, g, stacked, chunk)
-        finite = [all(math.isfinite(m.value) for m in d.values()) for d in metrics]
-        _require_finite_clients(np.array(finite), chunk.client_ids, "the query metrics")
-        updated = _update_cohort(spec, g, chunk, stacked, hyper, updates[owners])
-        for res, m in zip(updated, metrics):
-            res.query_metrics = m
-        results += updated
-    return results
+        metrics.append(cohort_metrics(spec, g, stacked, chunk))
+        finite = np.logical_and.reduce([np.isfinite(m.value) for m in metrics[-1].values()])
+        _require_finite_clients(finite, chunk.client_ids, "the query metrics")
+        results += _update_cohort(spec, g, chunk, stacked, hyper, updates[owners])
+    return results, _join_metrics(metrics)
 
 
 # ---------------------------------------------------------------------------

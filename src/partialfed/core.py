@@ -427,30 +427,58 @@ class ClientDataset:
 
 @dataclass
 class Metric:
-    """A mergeable metric: weighted mean of ``value`` under ``weight``."""
+    """A mergeable metric: the weighted mean of ``value`` under ``weight``.
+    Both are floats or arrays of one shape, an entry per owner (see
+    :class:`ModelSpec`)."""
 
-    value: float
-    weight: float
+    value: np.ndarray | float
+    weight: np.ndarray | float
 
 
+def _sum_in_order(parts: list[np.ndarray]) -> float:
+    """The entries of ``parts``, one after another, added left to right
+    from 0.0: what a loop over them sums, not numpy's pairwise sum."""
+    return float(np.cumsum(np.concatenate([np.zeros(1)] + parts))[-1])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as float arithmetic: inf * 0 is a quiet nan
 def merge_metrics(parts: Iterable[Mapping[str, Metric]]) -> dict[str, Metric]:
-    """Weighted-mean merge, key by key; empty input yields an empty map."""
-    acc: dict[str, list[float]] = {}
+    """Weighted-mean merge, key by key, over every owner of every part, in
+    order; empty input yields an empty map.  A key's ``value * weight`` and
+    ``weight`` are summed owner after owner (:func:`_sum_in_order`), so a
+    merge of arrays gives the floats of a merge of their owners one by one."""
+    acc: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
     for part in parts:
         for k, m in part.items():
-            s = acc.setdefault(k, [0.0, 0.0])
-            s[0] += m.value * m.weight
-            s[1] += m.weight
+            products, weights = acc.setdefault(k, ([], []))
+            products.append(np.ravel(m.value * m.weight))
+            weights.append(np.ravel(m.weight))
+    out = {}
+    for k, (products, weights) in acc.items():
+        v, w = _sum_in_order(products), _sum_in_order(weights)
+        out[k] = Metric(v / w if w > 0 else float("nan"), w)
+    return out
+
+
+def _join_metrics(parts: Sequence[Mapping[str, Metric]]) -> dict[str, Metric]:
+    """Per-owner metrics of consecutive owner-axis calls as one map, each
+    key's arrays end to end."""
     return {
-        k: Metric(v / w if w > 0 else float("nan"), w) for k, (v, w) in acc.items()
+        k: Metric(
+            np.concatenate([p[k].value for p in parts]),
+            np.concatenate([p[k].weight for p in parts]),
+        )
+        for k in parts[0]
     }
 
 
-def finalize_metrics(stats: Mapping[str, Metric]) -> dict[str, float]:
-    """Plain floats, deriving rmse from a mergeable mse when present."""
+def finalize_metrics(stats: Mapping[str, Metric]) -> dict:
+    """Each key's value, deriving rmse from a mergeable mse when present:
+    floats from merged metrics, arrays over owners from per-owner ones."""
     out = {k: m.value for k, m in stats.items()}
     if "mse" in out:
-        out["rmse"] = math.sqrt(out["mse"])
+        mse = out["mse"]
+        out["rmse"] = np.sqrt(mse) if isinstance(mse, np.ndarray) else math.sqrt(mse)
     return out
 
 
@@ -521,10 +549,14 @@ class ModelSpec:
       update it carries the owner axes, so each owner steps its own copy;
       passed without them it is shared, and its grad sums over the owners.
 
-    ``metrics`` returns one dict per owner, or one dict for a flat batch,
-    scoring only the entries ``batch.mask`` marks real, so each owner's
-    dict is what a flat call on its real examples returns (to summation
-    order).
+    ``metrics`` returns one dict of :class:`Metric` whose ``value`` and
+    ``weight`` are arrays with the batch's owner axes, 0-d for a flat
+    batch.  It scores only the entries ``batch.mask`` marks real, so each
+    owner's entries are what a flat call on its real examples returns (to
+    summation order).  Callers join consecutive calls' arrays end to end
+    and merge them with :func:`merge_metrics`, which sums over the owners
+    one after another in owner order: the floats of merging the owners one
+    by one, never numpy's pairwise sum.
 
     ``loss`` is a weighted mean over a flat batch.  ``grad_global`` and
     ``grad_local`` are the kernel's dense views (:func:`delta_to_dense`),
@@ -540,7 +572,7 @@ class ModelSpec:
     loss: Callable[[Blocks, Blocks, Batch], float]
     grad_global: GradFn
     grad_local: GradFn
-    metrics: Callable[[Blocks, Blocks, Batch], dict[str, Metric] | list[dict[str, Metric]]]
+    metrics: Callable[[Blocks, Blocks, Batch], dict[str, Metric]]
     sparse_grads: Callable
     fast_centralized: Callable | None = None
 

@@ -8,7 +8,6 @@ during training.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,9 +18,9 @@ from .client import (
     SplitPolicy,
     _reconstructed,
     _split_and_seed,
+    _unsplit_cohort,
     cohort_metrics,
     owner_chunks,
-    split_cohort,
 )
 from .core import (
     Blocks,
@@ -30,6 +29,7 @@ from .core import (
     Metric,
     ModelSpec,
     RngStreams,
+    _join_metrics,
     finalize_metrics,
     merge_metrics,
     owner_rows,
@@ -72,22 +72,19 @@ class EvalResult:
     per_repeat: list[dict[str, float]] = field(default_factory=list)
 
 
-def _finalize_with_macro(
-    per_client: list[dict[str, Metric]], client_ids: Sequence[int]
-) -> dict[str, float]:
-    """The clients' metrics merged, each key with its mean over the clients
-    as ``key + "_macro"``.  A client's non-finite value raises
-    :class:`NumericalError` naming it (``client_ids[c]`` for
-    ``per_client[c]``); a merged key of zero weight is a legitimate nan."""
-    out = finalize_metrics(merge_metrics(per_client))
-    finals = [finalize_metrics(stats) for stats in per_client]
+def _finalize_with_macro(stats: dict[str, Metric], client_ids: Sequence[int]) -> dict[str, float]:
+    """The clients' metrics, arrays over the clients, merged, each key with
+    its mean over the clients as ``key + "_macro"``.  A client's non-finite
+    value raises :class:`NumericalError` naming it (``client_ids[c]`` for
+    entry ``c``); a merged key of zero weight is a legitimate nan."""
+    out = finalize_metrics(merge_metrics([stats]))
+    per_client = finalize_metrics(stats)
     for key in list(out):
-        vals = np.array([f[key] for f in finals if key in f])
-        if not np.isfinite(vals).all():
-            cid, bad = next(
-                (c, f[key]) for c, f in zip(client_ids, finals) if not math.isfinite(f.get(key, 0))
-            )
-            raise NumericalError(f"client {int(cid)}: non-finite {key} ({bad})")
+        vals = per_client[key]
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            c = int(np.argmax(bad))
+            raise NumericalError(f"client {int(client_ids[c])}: non-finite {key} ({vals[c]})")
         out[key + "_macro"] = float(np.mean(vals))
     return out
 
@@ -105,7 +102,8 @@ def standard_eval(
     each gathering its clients' rows of the tables at once."""
     if stored is None:
         raise EvaluationError("the run stored no local parameters; use recon_eval")
-    sets = [ds for ds in eval_sets if ds.n > 0]
+    sizes = np.array([ds.n for ds in eval_sets], dtype=np.int64)
+    sets = [eval_sets[c] for c in np.flatnonzero(sizes).tolist()]
     try:
         rows = stored.rows([ds.client_id for ds in sets])
     except KeyError as e:
@@ -115,11 +113,12 @@ def standard_eval(
         ) from None
     if not sets:
         raise EvaluationError("no clients with evaluation examples")
-    per_client: list[dict[str, Metric]] = []
-    for owners in owner_chunks(spec, g, len(sets)):
-        cohort = split_cohort(sets[owners], SplitPolicy(kind="no_split"))
-        per_client += cohort_metrics(spec, g, stored.take(rows[owners]), cohort)
-    return _finalize_with_macro(per_client, [ds.client_id for ds in sets])
+    cohort = _unsplit_cohort(sets, sizes[sizes > 0])
+    stats = _join_metrics([
+        cohort_metrics(spec, g, stored.take(rows[owners]), cohort.window(owners))
+        for owners in owner_chunks(spec, g, len(sets))
+    ])
+    return _finalize_with_macro(stats, cohort.client_ids)
 
 
 def recon_eval(
@@ -163,7 +162,7 @@ def recon_eval(
     cohort, init, batches = _split_and_seed(sample, policy, streams, reps, namespace + ":")
     chunks = owner_chunks(spec, g, take)  # each repeat's scoring calls
     per = max(1, chunks[0].stop // take)  # whole repeats one owner chunk holds
-    per_client: list[dict[str, Metric]] = []
+    scored: list[dict[str, Metric]] = []
     for first in range(0, mode.repeats, per):
         for s in chunks:  # one slice, all of a repeat, where per > 1
             calls = [
@@ -179,14 +178,16 @@ def recon_eval(
                 )
                 for c in calls:
                     rows = owner_rows(stacked, slice(c.start - lo, c.stop - lo))
-                    per_client += cohort_metrics(spec, g, rows, cohort.window(c))
+                    scored.append(cohort_metrics(spec, g, rows, cohort.window(c)))
             except NumericalError as e:
                 raise NumericalError(f"repeat {reps[lo + (e.owner or 0)]}, {e}") from e
+    stats = _join_metrics(scored)
     per_repeat = []
     for rep in range(mode.repeats):
         owners = slice(rep * take, (rep + 1) * take)
+        sample_stats = {k: Metric(m.value[owners], m.weight[owners]) for k, m in stats.items()}
         try:
-            per_repeat.append(_finalize_with_macro(per_client[owners], cohort.client_ids[owners]))
+            per_repeat.append(_finalize_with_macro(sample_stats, cohort.client_ids[owners]))
         except NumericalError as e:
             raise NumericalError(f"repeat {rep}, {e}") from e
 

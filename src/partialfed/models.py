@@ -158,9 +158,8 @@ def matfac_spec(cfg: ModelConfig, num_items: int) -> ModelSpec:
     grad_global, grad_local = _dense_views(sparse_grads)
 
     def metrics(g, l, batch: Batch):
-        # Owner axes as in sparse_grads: one dict per owner (row of the
-        # batch), or one dict for a flat batch.  Masked padding weighs 0
-        # and is not scored.
+        # Owner axes as in sparse_grads: arrays with the batch's owner axes.
+        # Masked padding weighs 0 and is not scored.
         q, p = g[0].array, l[0].array
         items = _mf_items(batch, len(q)).reshape(batch.weights.shape)
         t = batch.targets
@@ -175,13 +174,7 @@ def matfac_spec(cfg: ModelConfig, num_items: int) -> ModelSpec:
         mse = np.where(real, batch.weights * err * err, 0.0).sum(axis=-1) / total
         hits = (real & (round_half_away(preds) == t)).sum(axis=-1)
         count = real.sum(axis=-1)  # >= 1: the real examples carry the weight
-        out = [
-            {"mse": Metric(m, w), "accuracy": Metric(h / c, float(c))}
-            for m, w, h, c in zip(
-                *(np.atleast_1d(a).tolist() for a in (mse, total, hits, count))
-            )
-        ]
-        return out if items.ndim > 1 else out[0]
+        return {"mse": Metric(mse, total), "accuracy": Metric(hits / count, count.astype(float))}
 
     return ModelSpec(
         name="matfac",
@@ -366,11 +359,11 @@ def oov_nwp_spec(cfg: ModelConfig) -> ModelSpec:
     grad_global, grad_local = _dense_views(sparse_grads)
 
     def metrics(g, l, batch: Batch):
-        """Owner axes as in sparse_grads: one dict per owner (row of the
-        batch), or one dict for a flat batch.  Masked padding weighs 0 and
-        is not scored.  The prediction is each row's first maximum, and the
-        value there is the row maximum that the log-likelihood shifts by,
-        so the logits are scanned for it once."""
+        """Owner axes as in sparse_grads: arrays with the batch's owner
+        axes.  Masked padding weighs 0 and is not scored.  The prediction is
+        each row's first maximum, and the value there is the row maximum
+        that the log-likelihood shifts by, so the logits are scanned for it
+        once."""
         logits, y = _nwp_forward(cfg, g, l, batch)[-1], _targets(batch)
         best = logits.argmax(axis=-1)[..., None]
         right = best[..., 0] == y
@@ -384,11 +377,7 @@ def oov_nwp_spec(cfg: ModelConfig) -> ModelSpec:
         count = scored.sum(axis=-1)
         hits = (scored & right).sum(axis=-1)
         acc = hits / np.maximum(count, 1)  # 0 when nothing scores
-        out = [
-            {"cross_entropy": Metric(c, w), "accuracy": Metric(a, float(n))}
-            for c, w, a, n in zip(*(np.atleast_1d(x).tolist() for x in (ce, total, acc, count)))
-        ]
-        return out if y.ndim > 1 else out[0]
+        return {"cross_entropy": Metric(ce, total), "accuracy": Metric(acc, count.astype(float))}
 
     return ModelSpec(
         name="oov_nwp",

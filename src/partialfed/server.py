@@ -266,7 +266,7 @@ def run_training(
             rows = tables.rows(sampled)
             stacked = tables.take(rows)
         try:
-            results = run_cohort(
+            results, query_metrics = run_cohort(
                 spec,
                 g,
                 [clients[cid] for cid in sampled],
@@ -298,9 +298,7 @@ def run_training(
                 round=t,
                 sampled_clients=sampled,
                 total_weight=total,
-                train_metrics=finalize_metrics(
-                    merge_metrics(res.query_metrics for res in results)
-                ),
+                train_metrics=finalize_metrics(merge_metrics([query_metrics])),
             )
         )
         del results  # this round's deltas must not live on through the next cohort

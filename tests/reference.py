@@ -19,6 +19,12 @@ covering whole scoring calls, several repeats where they fit one owner
 chunk; :func:`recon_eval_by_repeat` is the per-repeat body it replaced,
 each repeat split, seeded, reconstructed and scored as its own cohorts.
 
+Metrics one client at a time: ``ModelSpec.metrics`` returns arrays over
+its owners, and ``partialfed`` merges them owner by owner in array ops;
+:func:`merge_metrics` and :func:`finalize_with_macro` are the loops over
+one dict of floats per client that they replaced, and :func:`per_owner`
+cuts arrays into those dicts.
+
 Stored local parameters as one block list per client: the server keeps them
 as one table per block (``LocalTables``); :func:`tables_of` and
 :func:`client_blocks` convert between the two, and :func:`client_init`
@@ -46,6 +52,7 @@ from partialfed.core import (
     Blocks,
     ClientDataset,
     LocalTables,
+    Metric,
     ModelSpec,
     ParamBlock,
     RngStreams,
@@ -57,7 +64,7 @@ from partialfed.core import (
 )
 from partialfed.data import SentenceRecord, SyntheticDataConfig, build_vocabulary
 from partialfed.errors import DataError, NumericalError
-from partialfed.evaluation import EvalMode, EvalResult, _finalize_with_macro
+from partialfed.evaluation import EvalMode, EvalResult
 from partialfed.models import SPECIAL_TOKENS, ModelConfig, TokenCodec
 
 
@@ -81,6 +88,55 @@ def client_init(spec: ModelSpec, rng: np.random.Generator) -> list[ParamBlock]:
     """One client's freshly drawn local blocks: row 0 of a one-generator
     ``init_local``."""
     return owner_rows(spec.init_local(rng), 0)
+
+
+def per_owner(stats: dict[str, Metric]) -> list[dict[str, Metric]]:
+    """Arrays over owners as one dict of floats per owner."""
+    owners = np.size(next(iter(stats.values())).value)
+    return [
+        {k: Metric(float(np.ravel(m.value)[o]), float(np.ravel(m.weight)[o]))
+         for k, m in stats.items()}
+        for o in range(owners)
+    ]
+
+
+def merge_metrics(parts) -> dict[str, Metric]:
+    """Weighted-mean merge, key by key; empty input yields an empty map."""
+    acc: dict[str, list[float]] = {}
+    for part in parts:
+        for k, m in part.items():
+            s = acc.setdefault(k, [0.0, 0.0])
+            s[0] += m.value * m.weight
+            s[1] += m.weight
+    return {
+        k: Metric(v / w if w > 0 else float("nan"), w) for k, (v, w) in acc.items()
+    }
+
+
+def finalize_metrics(stats) -> dict[str, float]:
+    """Plain floats, deriving rmse from a mergeable mse when present."""
+    out = {k: m.value for k, m in stats.items()}
+    if "mse" in out:
+        out["rmse"] = math.sqrt(out["mse"])
+    return out
+
+
+def finalize_with_macro(per_client: list[dict[str, Metric]], client_ids) -> dict[str, float]:
+    """The clients' metrics merged, each key with its mean over the clients
+    as ``key + "_macro"``.  A client's non-finite value raises
+    :class:`NumericalError` naming it (``client_ids[c]`` for
+    ``per_client[c]``); a merged key of zero weight is a legitimate nan."""
+    out = finalize_metrics(merge_metrics(per_client))
+    finals = [finalize_metrics(stats) for stats in per_client]
+    for key in list(out):
+        vals = np.array([f[key] for f in finals if key in f])
+        if not np.isfinite(vals).all():
+            cid, bad = next(
+                (c, f[key]) for c, f in zip(client_ids, finals) if not math.isfinite(f.get(key, 0))
+            )
+            raise NumericalError(f"client {int(cid)}: non-finite {key} ({bad})")
+        out[key + "_macro"] = float(np.mean(vals))
+    return out
 
 
 def split_dataset(
@@ -236,7 +292,7 @@ def recon_eval_by_repeat(
     """Reconstruction evaluation repeat by repeat: each repeat's sample
     split and seeded on its own (``_split_and_seed``), reconstructed as
     cohorts (``_reconstructed``) over the slices of ``owner_chunks`` and
-    scored chunk by chunk."""
+    scored chunk by chunk, the scores merged client by client."""
     hyper = mode.recon_hyper
     per_repeat: list[dict[str, float]] = []
     take = min(mode.clients_per_repeat, len(clients))
@@ -253,9 +309,9 @@ def recon_eval_by_repeat(
                 stacked = _reconstructed(spec, g, cohort, hyper, init, batches)
             except NumericalError as e:
                 raise NumericalError(f"repeat {rep}, {e}") from e
-            per_client += cohort_metrics(spec, g, stacked, cohort)
+            per_client += per_owner(cohort_metrics(spec, g, stacked, cohort))
         try:
-            per_repeat.append(_finalize_with_macro(per_client, [ds.client_id for ds in sample]))
+            per_repeat.append(finalize_with_macro(per_client, [ds.client_id for ds in sample]))
         except NumericalError as e:
             raise NumericalError(f"repeat {rep}, {e}") from e
 

@@ -49,13 +49,11 @@ from partialfed.core import (
     RowDelta,
     _stack,
     blocks_size,
-    finalize_metrics,
-    merge_metrics,
 )
 from partialfed.config import load_config
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import EvaluationError, NumericalError
-from partialfed.evaluation import EvalMode, _finalize_with_macro, recon_eval, standard_eval
+from partialfed.evaluation import EvalMode, recon_eval, standard_eval
 from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
 from partialfed.server import (
     ServerOptimizer,
@@ -104,14 +102,23 @@ def stored_locals(spec, clients, streams):
     ]
 
 
-def stacked_run_cohort(spec, g, datasets, policy, hyper, streams, round_idx, initial_locals):
-    """``run_cohort`` from a stacked copy of ``initial_locals`` (one per
-    dataset, or None); returns the results and those stacked locals after
-    the round, which joint training steps in place."""
-    stacked = None if initial_locals is None else _stack(initial_locals)
-    results = run_cohort(
-        spec, g, datasets, policy, hyper, streams, round_idx, initial_locals=stacked
+def cohort_results(spec, g, datasets, policy, hyper, streams, round_idx, initial_locals=None):
+    """``run_cohort``'s results, each carrying its query metrics as
+    ``reference.per_owner`` cuts them from the cohort's arrays."""
+    results, metrics = run_cohort(
+        spec, g, datasets, policy, hyper, streams, round_idx, initial_locals=initial_locals
     )
+    for res, m in zip(results, reference.per_owner(metrics) if results else [], strict=True):
+        res.query_metrics = m
+    return results
+
+
+def stacked_run_cohort(spec, g, datasets, policy, hyper, streams, round_idx, initial_locals):
+    """:func:`cohort_results` from a stacked copy of ``initial_locals`` (one
+    per dataset, or None); returns the results and those stacked locals
+    after the round, which joint training steps in place."""
+    stacked = None if initial_locals is None else _stack(initial_locals)
+    results = cohort_results(spec, g, datasets, policy, hyper, streams, round_idx, stacked)
     return results, stacked
 
 
@@ -282,7 +289,7 @@ class TestRunCohortMatchesClientRounds:
     def test_empty_cohort(self, streams):
         spec, _ = mf_population()
         g = spec.init_global(streams.generator("g"))
-        assert run_cohort(spec, g, [], SplitPolicy(), HYPER, streams, 0) == []
+        assert run_cohort(spec, g, [], SplitPolicy(), HYPER, streams, 0) == ([], {})
 
 
 @st.composite
@@ -484,7 +491,9 @@ def reference_training(spec, clients, *, rounds, clients_per_round, policy, hype
         if fedavg:
             for res in results:
                 store[res.client_id] = res.updated_local
-        train_metrics.append(finalize_metrics(merge_metrics(r.query_metrics for r in results)))
+        train_metrics.append(
+            reference.finalize_metrics(reference.merge_metrics(r.query_metrics for r in results))
+        )
     return g, train_metrics, store
 
 
@@ -520,8 +529,10 @@ def assert_training_matches_the_client_loop(spec, clients, algorithm):
             for b_got, b_want in zip(got_blocks, store[cid], strict=True):
                 assert_close(b_got.values, b_want.values, f"store {cid} {b_want.name}")
         scores = standard_eval(spec, got.global_params, got.local_store, eval_sets)
-        want = _finalize_with_macro([spec.metrics(g, store[ds.client_id], ds.batch())
-                                     for ds in eval_sets], [ds.client_id for ds in eval_sets])
+        want = reference.finalize_with_macro(
+            [spec.metrics(g, store[ds.client_id], ds.batch()) for ds in eval_sets],
+            [ds.client_id for ds in eval_sets],
+        )
         assert set(scores) == set(want)
         for k in want:
             assert_close(scores[k], want[k], f"standard eval {k}")
@@ -549,7 +560,7 @@ def assert_recon_eval_matches_the_client_loop(spec, clients):
                 streams.generator(rep, cid, "ev:recon_batches"),
             )
             per_client.append(spec.metrics(g, l, dsx.query_batch()))
-        want = _finalize_with_macro(per_client, [clients[ci].client_id for ci in chosen])
+        want = reference.finalize_with_macro(per_client, [clients[ci].client_id for ci in chosen])
         assert set(per_repeat) == set(want)
         for k in want:
             assert_close(per_repeat[k], want[k], f"repeat {rep} {k}")
@@ -988,6 +999,14 @@ def test_a_generator_per_client_or_refused(streams, extra):
             _cohort_batches(cohort, part, 5, 3, rngs)
 
 
+def test_a_half_disjoint_split_without_generators_is_refused():
+    _, clients = mf_population()
+    with pytest.raises(ValueError, match="^half_disjoint needs one generator per client$"):
+        split_cohort(clients, SplitPolicy("half_disjoint"))
+    for kind in ("by_timestamp_half", "no_split"):  # these kinds draw nothing
+        assert split_cohort(clients, SplitPolicy(kind)).query_n.sum() > 0
+
+
 @pytest.mark.parametrize("kind", ["half_disjoint", "by_timestamp_half", "no_split"])
 def test_a_window_of_a_cohort_is_its_clients_split_alone(streams, kind):
     _, clients = varied_mf_population()
@@ -1016,7 +1035,7 @@ def test_nwp_update_steps_stay_on_rows_at(streams):
     spec, clients = nwp_population()
     g = spec.init_global(streams.generator("g"))
     got, puts = update_step_forms(
-        spec, lambda logged: run_cohort(logged, g, clients, SplitPolicy(), HYPER, streams, 3)
+        spec, lambda logged: cohort_results(logged, g, clients, SplitPolicy(), HYPER, streams, 3)
     )
     assert puts == [False] * HYPER.k_u
     want = mapped_client_rounds(spec, g, clients, SplitPolicy(), HYPER, streams, 3, None)
@@ -1112,4 +1131,4 @@ def test_nwp_metrics_calls_hold_at_most_the_budget_in_values(streams):
             g, l, Batch(cohort.features[query], cohort.targets[query], cohort.weights[query])
         )
         for k, m in want.items():
-            assert_close(got[c][k].value, m.value, f"client {c} {k}")
+            assert_close(got[k].value[c], m.value, f"client {c} {k}")

@@ -14,7 +14,6 @@ from partialfed.data import (
 from partialfed.errors import ConfigError, EvaluationError, NumericalError
 from partialfed.evaluation import (
     EvalMode,
-    _finalize_with_macro,
     comm_ledger_report,
     params_to_reach,
     recon_eval,
@@ -23,7 +22,7 @@ from partialfed.evaluation import (
 from partialfed.models import ModelConfig, matfac_spec
 from partialfed.server import ServerOptimizer, run_training
 from partialfed.baselines import train_fedavg
-from reference import client_init, tables_of
+from reference import client_init, finalize_with_macro, tables_of
 
 
 def mf_setup(seed=1, num_users=6, num_items=6):
@@ -102,7 +101,7 @@ class TestStandardEval:
         sets = [c.subset(np.arange(i % 5), cid) for i, (c, cid) in enumerate(zip(clients, ids))]
         stored = {cid: client_init(spec, RngStreams(5).generator(cid)) for cid in ids}
         got = standard_eval(spec, g, tables_of(stored), sets)
-        want = _finalize_with_macro(
+        want = finalize_with_macro(
             [spec.metrics(g, stored[c.client_id], c.batch()) for c in sets if c.n],
             [c.client_id for c in sets if c.n],
         )

@@ -95,11 +95,13 @@ class TestMatFacSpec:
             local = [ParamBlock("user_embedding", stacked[0].array[o], (3,))]
             flat = Batch(np.array(items), np.array(targets), np.array(weights))
             want = spec.metrics(g, local, flat)
-            assert set(got[o]) == set(want)
+            assert set(got) == set(want)
             for k, m in want.items():
-                assert got[o][k].value == pytest.approx(m.value, rel=1e-12)
-                assert got[o][k].weight == m.weight
-        assert got[1]["accuracy"].weight == 2.0
+                assert np.ndim(m.value) == np.ndim(m.weight) == 0
+                assert got[k].value.shape == got[k].weight.shape == (2,)
+                assert got[k].value[o] == pytest.approx(m.value, rel=1e-12)
+                assert got[k].weight[o] == m.weight
+        assert got["accuracy"].weight[1] == 2.0
 
     def test_gradients_match_finite_differences(self, mf_toy):
         spec, g, l, clients = mf_toy
@@ -291,10 +293,12 @@ class TestNwpOwnerAxes:
         for o, real in enumerate(batch.mask):
             flat = Batch(batch.features[o][real], batch.targets[o][real], batch.weights[o][real])
             want = spec.metrics(g, locals_[o], flat)
-            assert set(got[o]) == set(want)
+            assert set(got) == set(want)
             for k, m in want.items():
-                assert got[o][k].value == pytest.approx(m.value, rel=1e-12)
-                assert got[o][k].weight == m.weight
+                assert np.ndim(m.value) == np.ndim(m.weight) == 0
+                assert got[k].value.shape == got[k].weight.shape == (2,)
+                assert got[k].value[o] == pytest.approx(m.value, rel=1e-12)
+                assert got[k].weight[o] == m.weight
 
     def test_grads(self):
         # Each owner steps its own copy of the dense output layer.
@@ -483,9 +487,9 @@ class TestNwpKernelForms:
         g[2].values[list(tied)] = 1.0
         batch = Batch(batch.features, np.full(batch.targets.shape, float(target)), batch.weights)
         ce = np.log(C - len(tied) + len(tied) * np.e) - (1.0 if tied else 0.0)
-        for m in spec.metrics(g, l, batch):
-            assert m["accuracy"].value == hit
-            assert m["cross_entropy"].value == pytest.approx(ce, rel=1e-12)
+        m = spec.metrics(g, l, batch)
+        assert m["accuracy"].value.tolist() == [hit] * 3
+        assert m["cross_entropy"].value == pytest.approx(np.full(3, ce), rel=1e-12)
 
 
 class TestFdOracleAgreement:
