@@ -6,6 +6,7 @@ regimes."""
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -31,6 +32,7 @@ __all__ = [
     "build_vocabulary",
     "vocabulary_coverage",
     "split_users",
+    "split_clients_by_time",
     "split_each_client_by_time",
 ]
 
@@ -131,12 +133,38 @@ class SyntheticDataConfig:
     pairs_per_sentence: int = 3
 
     def __post_init__(self):
-        # Spreads may be 0; every count must be positive.
+        # Spreads are finite and may be 0; counts are positive integers.
         for f in fields(self):
-            spread = f.name.endswith("_std")
-            if getattr(self, f.name) < (0 if spread else 1):
-                need = "nonnegative" if spread else "positive"
-                raise ConfigError(f"data.synthetic.{f.name} must be {need}")
+            value = getattr(self, f.name)
+            if f.name.endswith("_std"):
+                ok = isinstance(value, numbers.Real) and 0 <= value < math.inf
+                need = "finite and nonnegative"
+            else:
+                ok = isinstance(value, numbers.Integral) and value >= 1
+                need = "a positive integer"
+            if isinstance(value, bool) or not ok:
+                raise ConfigError(f"data.synthetic.{f.name} must be {need}, got {value!r}")
+
+
+# Item-factor values one block of users' clean ratings gathers at once.
+_BLOCK_VALUES = 1 << 17
+_COLUMNS = ("features", "targets", "weights", "timestamps")
+
+
+def _row_views(client_ids, starts, stops, columns) -> list[ClientDataset]:
+    """Client ``client_ids[k]`` holding rows ``starts[k]:stops[k]`` of each
+    pooled column (features, targets, weights, timestamps), as views."""
+    features, targets, weights, timestamps = columns
+    return [
+        ClientDataset(
+            client_id=cid,
+            features=features[lo:hi],
+            targets=targets[lo:hi],
+            weights=weights[lo:hi],
+            timestamps=timestamps[lo:hi],
+        )
+        for cid, lo, hi in zip(client_ids, starts.tolist(), stops.tolist())
+    ]
 
 
 def gen_synthetic_mf(
@@ -146,7 +174,21 @@ def gen_synthetic_mf(
     Gaussian factors (one factor dimension reserved for a per-user offset
     around 3 so the clean matrix is exactly rank `true_rank`, centered in
     the rating range, and spread like real explicit-rating data), then
-    noised, rounded half-away-from-zero, and clipped onto 1..5."""
+    noised, rounded half-away-from-zero, and clipped onto 1..5.
+
+    Reproducibility contract: the ``synthetic_mf`` stream of ``seed`` is
+    read in one order.  First the factors: the user offsets, then (for
+    ``true_rank`` > 1) the user factors and the item factors.  Then user by
+    user, in id order, exactly two draws: ``rng.choice(num_items,
+    ratings_per_user, replace=False)``, the user's items in arrival order,
+    then ``rng.normal(size=ratings_per_user)``, its noise.  Everything else
+    is computed from those draws.
+
+    The clients' columns are pooled: each is one 1-D array over every
+    rating, user after user, and a client holds views of its rows.  The
+    ratings are computed over blocks of users, never gathering the whole
+    population's item factors at once.
+    """
     if cfg.true_rank > min(cfg.num_users, cfg.num_items):
         raise ConfigError("true_rank must be in [1, min(users, items)]")
     if cfg.ratings_per_user > cfg.num_items:
@@ -166,23 +208,25 @@ def gen_synthetic_mf(
         p_true = bias
         q_true = 3.0 * np.ones((cfg.num_items, 1))
 
-    clients = []
-    for u in range(cfg.num_users):
+    users, per_user = cfg.num_users, cfg.ratings_per_user
+    bounds = np.arange(users + 1) * per_user
+    features = np.empty(bounds[-1], dtype=np.int64)
+    targets = np.empty(bounds[-1])  # the noise draws, until the ratings replace them
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         # arrival order stays random: timestamps must not correlate with item id
-        items = rng.choice(cfg.num_items, size=cfg.ratings_per_user, replace=False)
-        clean = q_true[items] @ p_true[u]
-        noisy = clean + cfg.noise_std * rng.normal(size=len(items))
-        ratings = np.clip(round_half_away(noisy), 1.0, 5.0)
-        clients.append(
-            ClientDataset(
-                client_id=u,
-                features=items.astype(np.int64),
-                targets=ratings,
-                weights=np.ones(len(items)),
-                timestamps=np.arange(len(items), dtype=np.int64),
-            )
-        )
-    return clients, p_true, q_true
+        features[lo:hi] = rng.choice(cfg.num_items, size=per_user, replace=False)
+        targets[lo:hi] = rng.normal(size=per_user)
+    step = max(1, _BLOCK_VALUES // (per_user * cfg.true_rank))
+    for u in range(0, users, step):
+        rows = slice(bounds[u], bounds[min(u + step, users)])
+        # One matrix-vector product per user, as q_true[items] @ p_true[u].
+        items = q_true[features[rows]].reshape(-1, per_user, cfg.true_rank)
+        clean = np.matmul(items, p_true[u : u + step, :, None]).reshape(-1)
+        noisy = clean + cfg.noise_std * targets[rows]
+        targets[rows] = np.clip(round_half_away(noisy), 1.0, 5.0)
+    timestamps = np.tile(np.arange(per_user, dtype=np.int64), users)
+    columns = (features, targets, np.ones(bounds[-1]), timestamps)
+    return _row_views(range(users), bounds[:-1], bounds[1:], columns), p_true, q_true
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +421,12 @@ def gen_synthetic_corpus(cfg: SyntheticDataConfig, seed: int) -> list[SentenceRe
 # ---------------------------------------------------------------------------
 
 
-def _three_way_sizes(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
-    n_train = min(math.ceil(fractions[0] * n), n)
-    n_val = min(math.ceil(fractions[1] * n), n - n_train)
+def _three_way_sizes(n, fractions: tuple[float, float, float]):
+    """Train, validation and test sizes of ``n`` examples, elementwise for
+    an array of counts: ceil(.8 n) train, ceil(.1 n) validate, the rest
+    test, each capped by what is left."""
+    n_train = np.minimum(np.ceil(fractions[0] * n), n).astype(np.int64)
+    n_val = np.minimum(np.ceil(fractions[1] * n), n - n_train).astype(np.int64)
     return n_train, n_val, n - n_train - n_val
 
 
@@ -399,15 +446,48 @@ def split_users(
     )
 
 
+def _split_by_time(
+    clients: Sequence[ClientDataset],
+    fractions: tuple[float, float, float],
+    drop_empty: bool,
+) -> tuple[list[ClientDataset], list[ClientDataset], list[ClientDataset]]:
+    if not clients:
+        return [], [], []
+    n = np.fromiter((c.n for c in clients), np.int64, len(clients))
+    # Client-major, timestamp order within a client, ties in example order.
+    order = np.lexsort((
+        np.concatenate([c.timestamps for c in clients]),
+        np.repeat(np.arange(len(clients)), n),
+    ))
+    columns = [np.concatenate([getattr(c, col) for c in clients])[order] for col in _COLUMNS]
+    # Client c's train, validation and test rows are runs 3c, 3c+1, 3c+2.
+    sizes = np.column_stack(_three_way_sizes(n, fractions))
+    stops = np.cumsum(sizes).reshape(sizes.shape)
+    starts = stops - sizes
+    ids = [c.client_id for c in clients]
+    parts = []
+    for lo, hi in zip(starts.T, stops.T):
+        keep = np.flatnonzero(hi > lo) if drop_empty else np.arange(len(ids))
+        parts.append(_row_views([ids[k] for k in keep.tolist()], lo[keep], hi[keep], columns))
+    return tuple(parts)
+
+
+def split_clients_by_time(
+    clients: Sequence[ClientDataset], fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
+) -> tuple[list[ClientDataset], list[ClientDataset], list[ClientDataset]]:
+    """Timestamp-ordered per-client partition (the seen-user regime) of a
+    whole population: each client's earliest ceil(.8 n) examples train, the
+    next ceil(.1 n) validate, the rest test, ties kept in example order.
+    One stable sort of (client, timestamp) reorders pooled copies of the
+    columns, and every part holds views of a run of them.  Returns the
+    training, validation and test parts, clients in input order, with
+    empty parts dropped."""
+    return _split_by_time(clients, fractions, drop_empty=True)
+
+
 def split_each_client_by_time(
     ds: ClientDataset, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
 ) -> tuple[ClientDataset, ClientDataset, ClientDataset]:
-    """Timestamp-ordered per-client partition (the seen-user regime):
-    earliest ceil(.8 n) examples train, next ceil(.1 n) validate, rest test."""
-    order = np.argsort(ds.timestamps, kind="stable")
-    n_train, n_val, _ = _three_way_sizes(ds.n, fractions)
-    return (
-        ds.subset(order[:n_train]),
-        ds.subset(order[n_train : n_train + n_val]),
-        ds.subset(order[n_train + n_val :]),
-    )
+    """:func:`split_clients_by_time` of one client, empty parts kept."""
+    (train,), (val,), (test,) = _split_by_time([ds], fractions, drop_empty=False)
+    return train, val, test

@@ -40,7 +40,7 @@ from .data import (
     gen_synthetic_mf,
     load_token_corpus,
     parse_movielens,
-    split_each_client_by_time,
+    split_clients_by_time,
     split_users,
 )
 from .errors import ConfigError, DataError, NumericalError
@@ -133,9 +133,7 @@ def prepare_task(config: ExperimentConfig) -> TaskBundle:
     if config.eval.regime == "recon":
         train, val, test = split_users(clients, RngStreams(config.seed).generator("user_split"))
     else:
-        # Each client's train, validation and test parts; empty parts are dropped.
-        parts = [split_each_client_by_time(ds) for ds in clients]
-        train, val, test = ([p[i] for p in parts if p[i].n] for i in range(3))
+        train, val, test = split_clients_by_time(clients)
     for name, part in (("training", train), ("validation", val), ("test", test)):
         if not part:
             raise ConfigError(

@@ -25,6 +25,12 @@ its owners, and ``partialfed`` merges them owner by owner in array ops;
 one dict of floats per client that they replaced, and :func:`per_owner`
 cuts arrays into those dicts.
 
+Rating populations one user and one client at a time: ``partialfed.data``
+pools every client's columns and builds ratings and seen-user splits in
+array ops over the pool; :func:`gen_synthetic_mf` and
+:func:`split_clients_by_time` (each client split on its own, as
+``prepare_task`` once did) are the per-user bodies they replaced.
+
 Stored local parameters as one block list per client: the server keeps them
 as one table per block (``LocalTables``); :func:`tables_of` and
 :func:`client_blocks` convert between the two, and :func:`client_init`
@@ -61,9 +67,10 @@ from partialfed.core import (
     _sgd_step,
     _stack,
     owner_rows,
+    round_half_away,
 )
 from partialfed.data import SentenceRecord, SyntheticDataConfig, build_vocabulary
-from partialfed.errors import DataError, NumericalError
+from partialfed.errors import ConfigError, DataError, NumericalError
 from partialfed.evaluation import EvalMode, EvalResult
 from partialfed.models import SPECIAL_TOKENS, ModelConfig, TokenCodec
 
@@ -424,3 +431,68 @@ def gen_synthetic_corpus(cfg: SyntheticDataConfig, seed: int) -> list[SentenceRe
                 tokens.append(markers[j])
             records.append(SentenceRecord(client_id=cid, tokens=tokens, timestamp=snum))
     return records
+
+
+# ---------------------------------------------------------------------------
+# Rating populations
+# ---------------------------------------------------------------------------
+
+
+def gen_synthetic_mf(
+    cfg: SyntheticDataConfig, seed: int
+) -> tuple[list[ClientDataset], np.ndarray, np.ndarray]:
+    """Ground-truth-rank ratings, one user at a time, each with fresh
+    arrays."""
+    if cfg.true_rank > min(cfg.num_users, cfg.num_items):
+        raise ConfigError("true_rank must be in [1, min(users, items)]")
+    if cfg.ratings_per_user > cfg.num_items:
+        raise ConfigError("ratings_per_user must be in [1, num_items]")
+    if cfg.true_rank > 1 and cfg.signal_std == 0:
+        raise ConfigError("true_rank > 1 needs a positive signal_std")
+    rng = RngStreams(seed).generator("synthetic_mf")
+    s = cfg.true_rank - 1
+    bias = rng.normal(1.0, cfg.user_bias_std, size=(cfg.num_users, 1))
+    if s > 0:
+        alpha = (cfg.signal_std**2 / s) ** 0.25
+        p_true = np.hstack([alpha * rng.normal(size=(cfg.num_users, s)), bias])
+        q_true = np.hstack([alpha * rng.normal(size=(cfg.num_items, s)),
+                            3.0 * np.ones((cfg.num_items, 1))])
+    else:
+        p_true = bias
+        q_true = 3.0 * np.ones((cfg.num_items, 1))
+
+    clients = []
+    for u in range(cfg.num_users):
+        items = rng.choice(cfg.num_items, size=cfg.ratings_per_user, replace=False)
+        clean = q_true[items] @ p_true[u]
+        noisy = clean + cfg.noise_std * rng.normal(size=len(items))
+        ratings = np.clip(round_half_away(noisy), 1.0, 5.0)
+        clients.append(
+            ClientDataset(
+                client_id=u,
+                features=items.astype(np.int64),
+                targets=ratings,
+                weights=np.ones(len(items)),
+                timestamps=np.arange(len(items), dtype=np.int64),
+            )
+        )
+    return clients, p_true, q_true
+
+
+def split_each_client_by_time(ds: ClientDataset, fractions=(0.8, 0.1, 0.1)):
+    """One client's earliest ceil(.8 n) examples by timestamp, the next
+    ceil(.1 n) and the rest, each a gathered subset."""
+    order = np.argsort(ds.timestamps, kind="stable")
+    n_train = min(math.ceil(fractions[0] * ds.n), ds.n)
+    n_val = min(math.ceil(fractions[1] * ds.n), ds.n - n_train)
+    return (
+        ds.subset(order[:n_train]),
+        ds.subset(order[n_train : n_train + n_val]),
+        ds.subset(order[n_train + n_val :]),
+    )
+
+
+def split_clients_by_time(clients, fractions=(0.8, 0.1, 0.1)):
+    """Each client split on its own; empty parts are dropped."""
+    parts = [split_each_client_by_time(ds, fractions) for ds in clients]
+    return tuple([p[i] for p in parts if p[i].n] for i in range(3))

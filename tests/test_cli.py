@@ -95,6 +95,16 @@ def test_changing_the_server_kind_needs_its_rate(tmp_path, small_synthetic, caps
     assert "from the task's 'yogi' to 'sgd'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("noise_std", float("nan")), ("num_users", 10.5)])
+def test_bad_synthetic_value_is_a_config_error(tmp_path, small_synthetic, capsys, field, value):
+    base = json.loads(small_synthetic.read_text())
+    base["data"]["synthetic"][field] = value
+    small_synthetic.write_text(json.dumps(base))
+    assert main(["train", "--config", str(small_synthetic), *synth_args(tmp_path)]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_data_error_exit_code(tmp_path):
     code = main(["train", "--task", "matfac", "--rounds", "1",
                  "--data-path", str(tmp_path / "missing.dat")])

@@ -1,10 +1,16 @@
+import itertools
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from partialfed.core import RngStreams
+from partialfed import data
+from partialfed.core import ClientDataset, RngStreams
 from partialfed.data import (
     SentenceRecord,
     SyntheticDataConfig,
@@ -14,6 +20,8 @@ from partialfed.data import (
     gen_synthetic_mf,
     load_token_corpus,
     parse_movielens,
+    split_clients_by_time,
+    split_each_client_by_time,
     vocabulary_coverage,
     write_token_corpus,
 )
@@ -145,6 +153,21 @@ class TestSyntheticMF:
                                      **sizes})
         with pytest.raises(ConfigError, match=complaint):
             gen_synthetic_mf(cfg, 0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_std", math.nan),
+            ("signal_std", math.inf),
+            ("user_bias_std", -math.inf),
+            ("num_users", 10.5),
+            ("ratings_per_user", "40"),
+            ("num_items", True),
+        ],
+    )
+    def test_rejects_non_finite_spreads_and_non_integer_counts(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SyntheticDataConfig(**{field: value})
 
     def test_one_factor_needs_no_signal(self):
         clients, p, _ = gen_synthetic_mf(
@@ -309,16 +332,20 @@ def assert_one_sentence_reference(ds, codec, tokens, timestamp):
         np.testing.assert_array_equal(got, want)
 
 
+COLUMNS = ("features", "targets", "weights", "timestamps")
+
+
 def assert_same_clients(got, want):
     """Exactly equal client lists: order, ids, and every column's dtype,
-    shape and values."""
+    shape and bytes."""
     assert [c.client_id for c in got] == [c.client_id for c in want]
     for g, w in zip(got, want):
         assert type(g.client_id) is type(w.client_id)
-        for name in ("features", "targets", "weights", "timestamps"):
+        for name in COLUMNS:
             a, b = getattr(g, name), getattr(w, name)
             assert a.dtype == b.dtype and a.shape == b.shape, name
             np.testing.assert_array_equal(a, b, err_msg=name)
+            assert a.tobytes() == b.tobytes(), name
 
 
 # Few words, so a small vocab_size leaves some out; a sentence may be empty
@@ -437,3 +464,133 @@ class TestSyntheticCorpus:
             (r.client_id, r.tokens, r.timestamp) for r in b
         ]
 
+
+@st.composite
+def _mf_configs(draw):
+    num_items = draw(st.integers(1, 12))
+    num_users = draw(st.integers(1, 10))
+    true_rank = draw(st.integers(1, min(num_users, num_items)))
+    return SyntheticDataConfig(
+        num_users=num_users,
+        num_items=num_items,
+        true_rank=true_rank,
+        ratings_per_user=draw(st.integers(1, num_items)),
+        noise_std=draw(st.sampled_from([0.0, 0.5, 3.0])),
+        signal_std=draw(st.sampled_from([0.7, 2.0])),
+        user_bias_std=draw(st.sampled_from([0.0, 0.15])),
+    )
+
+
+def _movielens_style(stamps: list[list[int]]) -> list[ClientDataset]:
+    """One client per timestamp list, taken as its arrival order; every
+    row's item id is distinct, so a misplaced row shows."""
+    rng = np.random.default_rng(len(stamps))
+    clients, row = [], 0
+    for cid, ts in enumerate(stamps):
+        n = len(ts)
+        clients.append(
+            ClientDataset(
+                client_id=cid,
+                features=np.arange(row, row + n, dtype=np.int64),
+                targets=rng.integers(1, 6, n).astype(np.float64),
+                weights=rng.random(n),
+                timestamps=np.array(ts, dtype=np.int64),
+            )
+        )
+        row += n
+    return clients
+
+
+_fractions = st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 0.5, 0.5)])
+
+
+def assert_same_split(clients, fractions):
+    got = split_clients_by_time(clients, fractions)
+    want = reference.split_clients_by_time(clients, fractions)
+    assert len(got) == 3
+    for got_part, want_part in zip(got, want):
+        assert_same_clients(got_part, want_part)
+
+
+class TestRatingPopulationsMatchTheReference:
+    """``gen_synthetic_mf`` and the seen-user split against the per-user
+    bodies they replaced (``tests/reference.py``), part by part and column
+    by column, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=_mf_configs(), seed=st.integers(0, 2**16), budget=st.integers(1, 300))
+    @example(  # every item rated
+        cfg=SyntheticDataConfig(num_users=5, num_items=7, true_rank=3, ratings_per_user=7),
+        seed=0, budget=30,
+    )
+    @example(  # one rating a user: empty validation and test parts
+        cfg=SyntheticDataConfig(num_users=6, num_items=9, true_rank=2, ratings_per_user=1),
+        seed=1, budget=4,
+    )
+    @example(  # one factor and no noise
+        cfg=SyntheticDataConfig(num_users=4, num_items=5, true_rank=1, ratings_per_user=3,
+                                noise_std=0.0, signal_std=0.0),
+        seed=2, budget=1,
+    )
+    @example(  # a population of one
+        cfg=SyntheticDataConfig(num_users=1, num_items=4, true_rank=1, ratings_per_user=4),
+        seed=3, budget=1000,
+    )
+    @example(  # an empty test part
+        cfg=SyntheticDataConfig(num_users=3, num_items=8, true_rank=2, ratings_per_user=5),
+        seed=4, budget=10,
+    )
+    def test_generated_population_and_its_split(self, cfg, seed, budget):
+        # budget sets how many users one block of the ratings covers.
+        with mock.patch.object(data, "_BLOCK_VALUES", budget):
+            got, p, q = gen_synthetic_mf(cfg, seed)
+        want, want_p, want_q = reference.gen_synthetic_mf(cfg, seed)
+        assert p.tobytes() == want_p.tobytes() and q.tobytes() == want_q.tobytes()
+        assert_same_clients(got, want)
+        assert_same_split(got, (0.8, 0.1, 0.1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stamps=st.lists(st.lists(st.integers(0, 3), max_size=12), max_size=8),
+        fractions=_fractions,
+    )
+    @example(stamps=[[3, 1, 1, 0, 2, 2, 0, 3, 1, 0]], fractions=(0.8, 0.1, 0.1))
+    @example(stamps=[[], [5], [2, 2]], fractions=(0.8, 0.1, 0.1))
+    def test_movielens_style_split(self, stamps, fractions):
+        # Unsorted timestamps with ties; empty clients and empty parts.
+        clients = _movielens_style(stamps)
+        assert_same_split(clients, fractions)
+        for ds in clients:
+            for got, want in zip(split_each_client_by_time(ds, fractions),
+                                 reference.split_each_client_by_time(ds, fractions)):
+                assert_same_clients([got], [want])
+
+
+def assert_no_shared_memory(clients):
+    arrays = [getattr(c, col) for c in clients for col in COLUMNS]
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+
+
+class TestPooledColumns:
+    def test_no_two_clients_share_memory(self):
+        # Clients hold views of pooled columns; no view may overlap another.
+        cfg = SyntheticDataConfig(num_users=12, num_items=10, true_rank=3, ratings_per_user=10)
+        clients, _, _ = gen_synthetic_mf(cfg, 0)
+        assert_no_shared_memory(clients)
+        train, val, test = split_clients_by_time(clients)
+        assert val and test
+        assert_no_shared_memory(train + val + test)
+
+    def test_generation_holds_no_population_temporary(self):
+        # At MovieLens 1M shape the columns are 32 MB; a whole-population
+        # temporary, such as every rating's item factors, would double that.
+        cfg = SyntheticDataConfig(num_users=6040, num_items=3706, ratings_per_user=165)
+        tracemalloc.start()
+        try:
+            clients, _, _ = gen_synthetic_mf(cfg, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(getattr(c, col).nbytes for c in clients for col in COLUMNS)
+        assert peak <= 1.5 * columns

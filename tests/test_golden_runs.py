@@ -1,4 +1,5 @@
-"""Golden outputs of six toy runs.
+"""Golden outputs of six toy runs, and of the data one paper-shape run
+prepares.
 
 Each ``golden/runs/<name>.json`` holds what one run wrote:
 
@@ -15,6 +16,13 @@ purpose and by name, and state the agreement with the old values::
     PYTHONPATH=src python tests/test_golden_runs.py synthetic_fedrecon ...
 
 No test calls :func:`record`.
+
+``golden/prepare_task_ml1m.json`` holds the SHA-256 digest, dtype and shape
+of every column ``prepare_task`` builds for synthetic ratings at MovieLens
+1M shape, seed 17, under both evaluation regimes: each part's client ids and
+sizes and its clients' columns laid end to end.  The ratings are rounded
+onto 1..5, so the digests are compared on every platform.  Re-record them
+with ``python tests/test_golden_runs.py prepare_task_ml1m``.
 """
 
 from __future__ import annotations
@@ -30,9 +38,10 @@ import numpy as np
 import pytest
 
 from partialfed.config import load_config
-from partialfed.runner import read_params, run_experiment
+from partialfed.runner import prepare_task, read_params, run_experiment
 
 RUNS_DIR = Path(__file__).parent / "golden" / "runs"
+DATA_FILE = Path(__file__).parent / "golden" / "prepare_task_ml1m.json"
 
 _TOY = {
     "seed": 11,
@@ -62,6 +71,14 @@ _NWP = {
     "model.num_oov_buckets": 20,
 }
 _STANDARD = {"eval.regime": "standard"}
+_ML1M = {
+    "task": "synthetic",
+    "seed": 17,
+    "data.synthetic.num_users": 6040,
+    "data.synthetic.num_items": 3706,
+    "data.synthetic.ratings_per_user": 165,
+}
+_COLUMNS = ("features", "targets", "weights", "timestamps")
 
 RUNS = {
     "synthetic_fedrecon": _SYNTHETIC,
@@ -119,6 +136,53 @@ def record(names) -> None:
         (RUNS_DIR / f"{name}.json").write_text("{\n" + ",\n".join(entries) + "\n}\n")
 
 
+def _column(values: np.ndarray) -> dict:
+    little_endian = values.astype(values.dtype.newbyteorder("<"))
+    return {
+        "dtype": values.dtype.str,
+        "shape": list(values.shape),
+        "sha256": hashlib.sha256(little_endian.tobytes()).hexdigest(),
+    }
+
+
+def _prepared_columns(regime: str) -> dict:
+    """Every column of the ``prepare_task`` parts at MovieLens 1M shape."""
+    algorithm = "fedrecon" if regime == "recon" else "fedavg"
+    bundle = prepare_task(
+        load_config(None, {**_ML1M, "algorithm": algorithm, "eval.regime": regime})
+    )
+    parts = {
+        "train": list(bundle.train_clients.values()),
+        "val": bundle.val_clients,
+        "test": bundle.test_clients,
+    }
+    return {
+        name: {
+            "client_id": _column(np.array([c.client_id for c in clients], dtype=np.int64)),
+            "n": _column(np.array([c.n for c in clients], dtype=np.int64)),
+            **{
+                col: _column(np.concatenate([getattr(c, col) for c in clients]))
+                for col in _COLUMNS
+            },
+        }
+        for name, clients in parts.items()
+    }
+
+
+def record_prepared_columns() -> None:
+    golden = {"overrides": _ML1M}
+    for regime in ("recon", "standard"):
+        golden[regime] = _prepared_columns(regime)
+    DATA_FILE.write_text(json.dumps(golden, indent=1) + "\n")
+
+
+@pytest.mark.parametrize("regime", ["recon", "standard"])
+def test_prepared_columns_match_their_golden_digests(regime):
+    golden = json.loads(DATA_FILE.read_text())
+    assert golden["overrides"] == _ML1M, "the data settings changed; re-record them"
+    assert _prepared_columns(regime) == golden[regime]
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_toy_run_matches_its_golden_outputs(name, tmp_path):
     golden = json.loads((RUNS_DIR / f"{name}.json").read_text())
@@ -140,7 +204,13 @@ def test_toy_run_matches_its_golden_outputs(name, tmp_path):
 
 
 if __name__ == "__main__":
-    unknown = sorted(set(sys.argv[1:]) - set(RUNS))
-    if len(sys.argv) < 2 or unknown:
-        sys.exit(f"usage: {sys.argv[0]} NAME... (one or more of {', '.join(sorted(RUNS))})")
-    record(sys.argv[1:])
+    names = set(sys.argv[1:])
+    unknown = sorted(names - set(RUNS) - {"prepare_task_ml1m"})
+    if not names or unknown:
+        sys.exit(
+            f"usage: {sys.argv[0]} NAME... "
+            f"(one or more of {', '.join(sorted(RUNS))}, prepare_task_ml1m)"
+        )
+    if "prepare_task_ml1m" in names:
+        record_prepared_columns()
+    record(sorted(names & set(RUNS)))
