@@ -388,16 +388,19 @@ def _require_finite_clients(ok: np.ndarray, client_ids: np.ndarray, what: str) -
 
 
 # Values per owner-axis metrics call: padded examples times the widest row
-# of a global block, an item row (K) or a row of logits (classes).  Matrix
-# factorization at K = 50 runs 2**15 padded examples a call, one gather of
-# 13 MB; next-word prediction's 410 logits an example allow 3,996.
-_METRICS_BUDGET = 50 << 15
+# of a global block, an item row (K) or a row of logits (classes), which is
+# the largest array a call holds.  Matrix factorization at K = 50 runs 5,242
+# padded examples a call, one gather of 2 MB; next-word prediction's 410
+# logits an example allow 639, so an owner chunk's query metrics take
+# several calls rather than one holding every client's logits.
+_METRICS_BUDGET = 1 << 18
 # Values one batched cohort call may hold over all its owners: their stacked
-# local blocks and their copies of the dense global blocks.  MF's 50 local
-# values run a whole round in one call; next-word prediction at 500 x 32
-# buckets and a 13,530-value output layer runs 4 owners a call, which also
-# bounds its peak memory.
-_OWNER_BUDGET = 1 << 17
+# local blocks and their copies of the dense global blocks (one step's
+# grads of those copies are as large again).  MF's 50 local values run a
+# whole round in one call; next-word prediction at 500 x 32 buckets (16,000
+# local values) and a 13,530-value output layer runs 22 owners a call, so a
+# 20-client round is one call.
+_OWNER_BUDGET = 5 << 17
 
 
 @functools.lru_cache(maxsize=8)
@@ -459,6 +462,7 @@ def _reconstructed(
         batch = Batch(features[s], targets[s], weights[s])
         _, grads = spec.sparse_grads(g, stacked, batch, norm[s], False, True)
         _sgd_step(stacked, hyper.eta_r, grads)
+        del grads  # freed before the next call allocates its own
     _require_finite_clients(
         _finite_per_client(stacked),
         cohort.client_ids,
@@ -542,6 +546,9 @@ def _update_cohort(
         _sgd_step(work, hyper.eta_u, grads, unique[s])
         if joint:
             _sgd_step(l_w, hyper.eta_u, local_grads)
+        # Freed before the next call allocates its own: with a dense block
+        # copied per owner, one set of grads is as large as those copies.
+        del grads, local_grads
 
     stepped = work[0].array[: len(rows)]
     segments = [slice(bounds[c], bounds[c + 1]) for c in range(clients)]

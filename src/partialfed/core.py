@@ -286,7 +286,10 @@ def _sgd_step(
     its rows, repeated rows one after another; other grads are dense.  If
     the caller knows no grad repeats a row (``unique``), a grad carrying
     its rows' ``base`` steps them as one put, ``base - rate * values``: the
-    same values as the subtraction row by row."""
+    same values as the subtraction row by row.  A dense ndarray grad is
+    consumed: it is scaled by ``rate`` in place, the same bits as a scaled
+    copy without the copy.  A :class:`ParamBlock` or :class:`RowDelta` grad
+    is never modified."""
     if len(blocks) != len(grads):
         raise ShapeMismatchError(f"{len(blocks)} blocks vs {len(grads)} grads")
     for b, grad in zip(blocks, grads):
@@ -301,7 +304,11 @@ def _sgd_step(
                 raise ShapeMismatchError(
                     f"block {b.name!r}: {b.values.size} values vs grad {gv.size}"
                 )
-            b.values -= rate * gv
+            if isinstance(grad, ParamBlock):
+                b.values -= rate * gv
+            else:
+                gv *= rate
+                b.values -= gv
 
 
 def _require_finite(arrays: Iterable[np.ndarray], what: str) -> None:

@@ -12,6 +12,7 @@ prediction.
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -857,13 +858,76 @@ def test_cohort_reconstruction_keeps_per_client_streams(streams):
 
 def test_owner_chunks_bound_each_batched_call():
     # MF's 50-value user vectors run a 100-client round in one call; next-word
-    # prediction with 500 x 32 buckets and 410 classes runs 4 clients a call.
+    # prediction with 500 x 32 buckets and 410 classes (29,530 values an
+    # owner) runs 22 clients a call, so a 20-client round is one call.
     mf = matfac_spec(ModelConfig(embed_dim=50), 3706)
     assert len(owner_chunks(mf, mf.init_global(np.random.default_rng(0)), 100)) == 1
     nwp = oov_nwp_spec(ModelConfig(vocab_size=406, num_oov_buckets=500, embed_dim=32))
-    chunks = owner_chunks(nwp, nwp.init_global(np.random.default_rng(0)), 20)
-    assert [(c.start, c.stop) for c in chunks] == [(lo, lo + 4) for lo in range(0, 20, 4)]
-    assert owner_chunks(nwp, nwp.init_global(np.random.default_rng(0)), 0) == []
+    g = nwp.init_global(np.random.default_rng(0))
+    assert owner_chunks(nwp, g, 20) == [slice(0, 22)]
+    assert owner_chunks(nwp, g, 50) == [slice(0, 22), slice(22, 44), slice(44, 66)]
+    assert owner_chunks(nwp, g, 0) == []
+
+
+# The benchmark's next-word workload: 20 clients a round, 10 repeats of 8
+# clients in evaluation, and the task's k_r = k_u = 10 with minibatches of 16.
+NWP_BENCH_SHAPE = {
+    "task": "oov_nwp",
+    "data.synthetic.num_clients": 200,
+    "data.synthetic.common_words": 400,
+    "data.synthetic.personal_tokens": 6,
+    "model.vocab_size": 406,
+    "model.embed_dim": 32,
+    "model.num_oov_buckets": 500,
+    "clients_per_round": 20,
+    "eval.repeats": 10,
+    "seed": 17,
+}
+
+
+@pytest.fixture(scope="module")
+def nwp_bench_round():
+    """The config, task and starting global parameters of the next-word
+    benchmark shape, and the 20 clients of its first round."""
+    cfg = load_config(overrides=NWP_BENCH_SHAPE)
+    assert (cfg.client.k_r, cfg.client.k_u, cfg.client.batch_size) == (10, 10, 16)
+    bundle = runner_module.prepare_task(cfg)
+    streams = RngStreams(cfg.seed)
+    g = bundle.spec.init_global(streams.generator("global_init"))
+    ids = sample_clients(sorted(bundle.train_clients), cfg.clients_per_round, streams, 0)
+    return cfg, bundle, g, [bundle.train_clients[cid] for cid in ids]
+
+
+def test_nwp_bench_round_and_evaluation_make_one_kernel_call_a_step(nwp_bench_round):
+    # A 20-client round is one owner chunk: k_r + k_u kernel calls.  An
+    # evaluation of 10 repeats of 8 clients reconstructs two whole repeats
+    # a call (22 // 8), so 5 calls of k_r steps.
+    cfg, bundle, g, clients = nwp_bench_round
+    kernel = mock.Mock(wraps=bundle.spec.sparse_grads)
+    counted = dataclasses.replace(bundle.spec, sparse_grads=kernel)
+    run_cohort(counted, g, clients, cfg.split, cfg.client, RngStreams(cfg.seed), 0)
+    assert kernel.call_count == cfg.client.k_r + cfg.client.k_u == 20
+    kernel.reset_mock()
+    mode = cfg.eval_mode()
+    assert (mode.repeats, mode.clients_per_repeat, len(bundle.test_clients)) == (10, 8, 20)
+    recon_eval(counted, g, bundle.test_clients, cfg.split, mode, RngStreams(cfg.seed))
+    assert kernel.call_count == 5 * cfg.client.k_r == 50
+
+
+def test_nwp_bench_round_holds_one_set_of_grads_at_a_time(nwp_bench_round):
+    # The round's peak allocation, 9.0 MiB: 20 owners' copies of the
+    # 13,530-value dense output layer are 2.1 MB, and so is one step's set
+    # of their grads.  Keeping the previous step's grads alive while the
+    # next call allocates reads 11.2 MiB; scoring all 20 clients' query
+    # halves in one metrics call, 18.8 MiB.
+    cfg, bundle, g, clients = nwp_bench_round
+    tracemalloc.start()
+    try:
+        run_cohort(bundle.spec, g, clients, cfg.split, cfg.client, RngStreams(cfg.seed), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_owner_chunks_draw_no_locals_per_call():
@@ -1097,16 +1161,17 @@ def test_a_non_finite_client_on_the_put_path_reaches_no_other(streams, poisoned,
 
 
 def test_nwp_metrics_calls_hold_at_most_the_budget_in_values(streams):
-    # 410 classes a logit row: a 2,000-example query half fills half the
-    # budget, so each call takes one client.  Counted in padded examples,
-    # all four would have run as one call of 3.3M logits.
+    # 410 classes a logit row: the widest query half fills just over half
+    # the budget, so each call takes one client.  Counted in padded
+    # examples, all four would have run as one call of twice the budget.
     cfg = ModelConfig(vocab_size=406, num_oov_buckets=3, embed_dim=3, context_window=2)
     spec = oov_nwp_spec(cfg)
     rng = np.random.default_rng(7)
+    widest = client_module._METRICS_BUDGET // (2 * cfg.num_classes) + 1
     clients = [
         ClientDataset(cid, rng.integers(-3, cfg.num_classes, size=(n, 2)),
                       rng.integers(0, cfg.num_classes, size=n) * 1.0, np.ones(n), np.arange(n))
-        for cid, n in enumerate([10, 4000, 7, 12])
+        for cid, n in enumerate([10, 2 * widest, 7, 12])
     ]
     g = spec.init_global(streams.generator("g"))
     width = max(b.shape[-1] for b in g)

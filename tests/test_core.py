@@ -9,6 +9,8 @@ from partialfed.core import (
     Metric,
     ParamBlock,
     RngStreams,
+    RowDelta,
+    _sgd_step,
     axpy_blocks,
     check_gradients,
     fnv1a64,
@@ -179,6 +181,41 @@ class TestAxpyBlocks:
     def test_accepts_raw_arrays(self):
         dst = [ParamBlock.of("d", np.array([1.0]))]
         assert axpy_blocks(dst, 2.0, [np.array([3.0])])[0].values.tolist() == [7.0]
+
+
+class TestSgdStep:
+    RATE = 0.37
+
+    def test_dense_ndarray_grad_scaled_in_place_gives_the_same_bits(self):
+        # The grad is consumed (scaled by the rate where it lies), and the
+        # step is bit for bit the subtraction of a scaled copy.
+        rng = np.random.default_rng(3)
+        values, grad = rng.standard_normal((2, 1000)) * [[1.0], [1e-3]]
+        want = values - self.RATE * grad
+        block = ParamBlock.of("w", values.reshape(40, 25))
+        consumed = grad.copy()
+        _sgd_step([block], self.RATE, [consumed])
+        assert block.values.tobytes() == want.tobytes()
+        assert consumed.tobytes() == (self.RATE * grad).tobytes()
+
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_block_and_row_grads_come_back_unmodified(self, unique):
+        rng = np.random.default_rng(4)
+        blocks = [ParamBlock.of("q", rng.standard_normal((6, 3))), ParamBlock.of("b", np.zeros(4))]
+        rows = np.array([4, 1, 5])
+        row_grad = RowDelta(rows, rng.standard_normal((3, 3)), base=blocks[0].array[rows])
+        block_grad = ParamBlock.of("b", rng.standard_normal(4))
+        kept = [row_grad.rows.copy(), row_grad.values.copy(), row_grad.base.copy(),
+                block_grad.values.copy()]
+        want_q = blocks[0].array.copy()
+        want_q[rows] -= self.RATE * row_grad.values
+        want_b = np.zeros(4) - self.RATE * block_grad.values
+        _sgd_step(blocks, self.RATE, [row_grad, block_grad], unique)
+        for got, was in zip([row_grad.rows, row_grad.values, row_grad.base, block_grad.values],
+                            kept):
+            assert got.tobytes() == was.tobytes()
+        assert blocks[0].array.tobytes() == want_q.tobytes()
+        assert blocks[1].values.tobytes() == want_b.tobytes()
 
 
 class TestClientDataset:
