@@ -27,7 +27,7 @@ from partialfed import (
     server_step,
     split_dataset,
 )
-from partialfed.client import run_client_round, delta_to_dense
+from partialfed.client import run_client_round, run_cohort
 
 clients, _, _ = gen_synthetic_mf(
     SyntheticDataConfig(num_users=8, num_items=10, true_rank=3, ratings_per_user=8, noise_std=0.3,
@@ -42,7 +42,7 @@ policy = SplitPolicy(kind="half_disjoint")
 hyper = ClientHyper(k_r=5, k_u=5, eta_r=0.3, eta_u=0.1, batch_size=2)
 
 g_before = [b.values.copy() for b in g]
-results = []
+updates = []
 for client in clients[:4]:
     # Each step draws its own stream, named by (round, client, purpose).
     def gen(purpose):
@@ -51,13 +51,15 @@ for client in clients[:4]:
     dsx = split_dataset(client, policy, gen("split"))
     l_init = owner_rows(spec.init_local(gen("local_init")), 0)  # where reconstruction starts
     l = reconstruct(spec, g, dsx, hyper, gen("local_init"), gen("recon_batches"))
-    result = client_update(spec, g, l, dsx, hyper, gen("update_batches"))
-    results.append(result)
+    # The update of a cohort of one: the client's query size n_i and its
+    # delta, the rows of the item block it moved and one array per other block.
+    update, _ = client_update(spec, g, l, dsx, hyper, gen("update_batches"))
+    updates.append(update)
     support = dsx.support_batch()
     # ``metrics`` gives each key's value and weight as arrays over the
     # batch's owner axes; a flat batch is one owner, so they are 0-d.
     print(
-        f"client {result.client_id}: n_i={result.n_i}, "
+        f"client {client.client_id}: n_i={update.n[0]}, moved {len(update.rows)} item rows, "
         f"support loss {spec.loss(g, l_init, support):.3f} -> "
         f"{spec.loss(g, l, support):.3f}, "
         f"query mse {spec.metrics(g, l, dsx.query_batch())['mse'].value:.3f}"
@@ -66,12 +68,16 @@ for client in clients[:4]:
 # Reconstruction and the client update never touch the server's copy.
 assert all(np.array_equal(a, b.values) for a, b in zip(g_before, g))
 
-# Weighted aggregation: sum of (n_i / n) * delta_i, accumulated in ascending
-# client order so shuffling the result list changes nothing.
-weighted_delta, total_weight = aggregate(results, g)
-shuffled, _ = aggregate(list(reversed(results)), g)
-assert np.array_equal(weighted_delta[0], shuffled[0])
-print(f"\naggregated {len(results)} updates, total weight {total_weight:.0f}")
+# Weighted aggregation: sum of (n_i / n) * delta_i, added client by client in
+# cohort order, which in a round is the ascending client ids it samples.  A
+# round runs its clients as one cohort, whose single update aggregates to the
+# same bits as the four cohorts of one above.
+weighted_delta, total_weight = aggregate(updates, g)
+(cohort,), _ = run_cohort(spec, g, clients[:4], policy, hyper, streams, 0)
+together, _ = aggregate([cohort], g)
+assert all(np.array_equal(a, b) for a, b in zip(weighted_delta, together))
+print(f"\naggregated {len(updates)} clients, total weight {total_weight:.0f}; "
+      f"as one cohort of ids {cohort.client_ids.tolist()}, the same")
 
 # The server treats the aggregate as an antigradient; plain SGD with a unit
 # rate applies it directly, and the adaptive variants rescale it by moments
@@ -87,7 +93,7 @@ for kind in ("sgd", "adagrad", "yogi"):
 # run_client_round runs exactly these steps: from the same seed it
 # reproduces the client delta bit for bit.
 replay = run_client_round(spec, g, clients[0], policy, hyper, RngStreams(42), 0)
-original = delta_to_dense(results[0].delta, g)
-again = delta_to_dense(replay.delta, g)
+original = updates[0].delta(0, g)
+again = replay.delta(0, g)
 assert all(np.array_equal(a, b) for a, b in zip(original, again))
 print("\nrun_client_round with the same seed reproduces the client delta exactly")

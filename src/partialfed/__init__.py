@@ -26,7 +26,7 @@ from .models import (
 )
 from .client import (
     ClientHyper,
-    ClientUpdateResult,
+    CohortUpdate,
     MetaGradientReport,
     SplitPolicy,
     client_update,

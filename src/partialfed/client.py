@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -24,13 +24,11 @@ from .core import (
     RngStreams,
     RowDelta,
     _central_differences,
-    _flat,
     _join_metrics,
     _max_rel_err,
     _sgd_step,
     _stack,
     blocks_size,
-    delta_to_dense,
     owner_rows,
 )
 from .errors import ConfigError, DataError, NumericalError
@@ -39,7 +37,7 @@ __all__ = [
     "SplitPolicy",
     "ClientHyper",
     "RowDelta",
-    "ClientUpdateResult",
+    "CohortUpdate",
     "split_dataset",
     "batch_schedule",
     "reconstruct",
@@ -50,7 +48,6 @@ __all__ = [
     "cohort_metrics",
     "owner_chunks",
     "run_cohort",
-    "delta_to_dense",
     "MetaGradientReport",
     "verify_first_order_meta_gradient",
 ]
@@ -133,21 +130,26 @@ def reconstruct(
 
 
 @dataclass
-class ClientUpdateResult:
-    """One client's contribution to a round: its global delta (a
-    :class:`RowDelta` or a flat array per block) and its weight ``n_i``
-    (the query size).  :func:`run_client_round` also fills in the client's
-    query metrics before the update; a cohort returns its clients' metrics
-    as arrays instead (:func:`run_cohort`).  Under joint training the
-    single-client API (:func:`client_update`, :func:`run_client_round` from
-    ``initial_local``) also returns the client's updated local blocks; a
-    cohort steps its stacked locals in place instead."""
+class CohortUpdate:
+    """One owner chunk's global deltas, client by client in cohort order.
+    Client ``c`` has id ``client_ids[c]`` and weight ``n[c]``, its query
+    size.  It moved rows ``rows[bounds[c]:bounds[c + 1]]`` of ``g[0]``,
+    ascending and distinct, by the same rows of ``values``, and every other
+    global block by row ``c`` of that block's array in ``dense``."""
 
-    client_id: int
-    delta: list
-    n_i: int
-    query_metrics: dict[str, Metric] = field(default_factory=dict)
-    updated_local: list[ParamBlock] | None = None
+    client_ids: np.ndarray
+    n: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+    bounds: np.ndarray
+    dense: list[np.ndarray]
+
+    def delta(self, c: int, g: Blocks) -> list[np.ndarray]:
+        """Client ``c``'s delta as one flat array per block of ``g``."""
+        seg = slice(self.bounds[c], self.bounds[c + 1])
+        head = np.zeros(g[0].values.size)
+        head.reshape(len(g[0].array), -1)[self.rows[seg]] += self.values[seg]
+        return [head] + [d[c] for d in self.dense]
 
 
 def client_update(
@@ -157,20 +159,18 @@ def client_update(
     data: ClientDataset,
     hyper: ClientHyper,
     batch_rng: np.random.Generator,
-) -> ClientUpdateResult:
+) -> tuple[CohortUpdate, list[ParamBlock]]:
     """k_u gradient steps on the global parameters over the query set, with
     the reconstructed local parameters treated as constants (unless
     joint_training steps them concurrently): :func:`_update_cohort` for a
-    cohort of one, stepping a stacked copy of ``l``.  Returns the update
-    delta and its weight n_i = |query set|, and never modifies the caller's
-    blocks."""
+    cohort of one, stepping a stacked copy of ``l``.  Returns the update,
+    weighted by n_i = |query set|, and that copy; never modifies the
+    caller's blocks."""
     if data.query_idx is None or len(data.query_idx) == 0:
         raise DataError(f"client {data.client_id}: empty query set")
     stacked = _stack([l])
-    result = _update_cohort(spec, g, _cohort_of_one(data), stacked, hyper, [batch_rng])[0]
-    if hyper.joint_training:
-        result.updated_local = owner_rows(stacked, 0)
-    return result
+    update = _update_cohort(spec, g, _cohort_of_one(data), stacked, hyper, [batch_rng])
+    return update, owner_rows(stacked, 0)
 
 
 def run_client_round(
@@ -183,9 +183,9 @@ def run_client_round(
     round_idx: int,
     *,
     initial_local: Blocks | None = None,
-) -> ClientUpdateResult:
+) -> CohortUpdate:
     """Split -> reconstruct -> update for one client in one round:
-    :func:`run_cohort` for a cohort of one.
+    :func:`run_cohort` for a cohort of one, returning its update.
 
     ``initial_local`` skips reconstruction and starts from a stacked copy of
     the given local parameters (the full-aggregation baseline path).  Stream
@@ -193,13 +193,10 @@ def run_client_round(
     independent.
     """
     initial = None if initial_local is None else _stack([initial_local])
-    (result,), metrics = run_cohort(
+    (update,), _ = run_cohort(
         spec, g, [data], policy, hyper, streams, round_idx, initial_locals=initial
     )
-    result.query_metrics = {k: Metric(m.value[0], m.weight[0]) for k, m in metrics.items()}
-    if initial is not None and hyper.joint_training:
-        result.updated_local = owner_rows(initial, 0)
-    return result
+    return update
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +500,14 @@ def _update_cohort(
     l_w: list[ParamBlock],
     hyper: ClientHyper,
     rngs: Sequence[np.random.Generator],
-) -> list[ClientUpdateResult]:
+) -> CohortUpdate:
     """``k_u`` update steps for every client at once; under joint training
     it steps the stacked locals ``l_w`` in place.  Each client steps its own
     copy of the global parameters: of ``g[0]`` the rows its schedule
     addresses, the clients' compact copies end to end in one block, and of
     every other block a full copy along an owner axis.  So one kernel call
-    serves the whole cohort."""
+    serves the whole cohort, and the stepped copies, less ``g``, are its
+    :class:`CohortUpdate`."""
     joint = hyper.joint_training
     clients = len(cohort.client_ids)
     features, targets, weights, norm = _cohort_batches(
@@ -551,8 +549,8 @@ def _update_cohort(
         del grads, local_grads
 
     stepped = work[0].array[: len(rows)]
-    segments = [slice(bounds[c], bounds[c + 1]) for c in range(clients)]
-    for seg in segments:  # client by client, to gather no second copy of all rows
+    for c in range(clients):  # client by client, to gather no second copy of all rows
+        seg = slice(bounds[c], bounds[c + 1])
         stepped[seg] -= q[rows[seg]]
     # Non-finite rows up to each segment bound: a client's segment may be empty.
     bad_rows = np.concatenate(([0], np.cumsum(~np.isfinite(stepped).all(axis=1))))
@@ -564,14 +562,7 @@ def _update_cohort(
     if joint:
         ok &= _finite_per_client(l_w)
     _require_finite_clients(ok, cohort.client_ids, "the update")
-    return [
-        ClientUpdateResult(
-            client_id=cid,
-            delta=[RowDelta(rows[segments[c]], stepped[segments[c]])] + [d[c] for d in dense],
-            n_i=n_i,
-        )
-        for c, (cid, n_i) in enumerate(zip(cohort.client_ids.tolist(), cohort.query_n.tolist()))
-    ]
+    return CohortUpdate(cohort.client_ids, cohort.query_n, rows, stepped, bounds, dense)
 
 
 def run_cohort(
@@ -584,23 +575,23 @@ def run_cohort(
     round_idx: int,
     *,
     initial_locals: Sequence[ParamBlock] | None = None,
-) -> tuple[list[ClientUpdateResult], dict[str, Metric]]:
+) -> tuple[list[CohortUpdate], dict[str, Metric]]:
     """Split -> reconstruct -> query metrics -> update for every client of
     a round, each from its own streams, in batched calls over the slices of
-    :func:`owner_chunks`.  Returns the clients' results and their query
-    metrics before the update, as arrays over the clients in dataset
-    order.  The round is split, and each stream purpose seeded, once for
-    all its clients.  ``initial_locals``, local blocks stacked along a
-    leading client axis (row ``c`` for dataset ``c``), skips
-    reconstruction; joint training steps them in place.  A numerical
-    failure names the client."""
+    :func:`owner_chunks`.  Returns one :class:`CohortUpdate` per chunk and
+    the clients' query metrics before the update, as arrays over the
+    clients, both in dataset order.  The round is split, and each stream
+    purpose seeded, once for all its clients.  ``initial_locals``, local
+    blocks stacked along a leading client axis (row ``c`` for dataset
+    ``c``), skips reconstruction; joint training steps them in place.  A
+    numerical failure names the client."""
     if not datasets:
         return [], {}
     cohort, init, batches = _split_and_seed(
         datasets, policy, streams, round_idx, "", initial_locals is None
     )
-    updates = streams.generators(round_idx, cohort.client_ids, "update_batches")
-    results: list[ClientUpdateResult] = []
+    update_batches = streams.generators(round_idx, cohort.client_ids, "update_batches")
+    updates: list[CohortUpdate] = []
     metrics: list[dict[str, Metric]] = []
     for owners in owner_chunks(spec, g, len(datasets)):
         chunk = cohort.window(owners)
@@ -611,8 +602,8 @@ def run_cohort(
         metrics.append(cohort_metrics(spec, g, stacked, chunk))
         finite = np.logical_and.reduce([np.isfinite(m.value) for m in metrics[-1].values()])
         _require_finite_clients(finite, chunk.client_ids, "the query metrics")
-        results += _update_cohort(spec, g, chunk, stacked, hyper, updates[owners])
-    return results, _join_metrics(metrics)
+        updates.append(_update_cohort(spec, g, chunk, stacked, hyper, update_batches[owners]))
+    return updates, _join_metrics(metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -678,10 +669,10 @@ def verify_first_order_meta_gradient(
         )
 
     l_fixed = rebuild_local(g)
-    result = client_update(
+    update, _ = client_update(
         spec, g, l_fixed, data, full_batch, streams.generator(round_idx, cid, "update_batches")
     )
-    first_order = _flat(delta_to_dense(result.delta, g)) / -full_batch.eta_u
+    first_order = np.concatenate(update.delta(0, g)) / -full_batch.eta_u
 
     query = data.query_batch()
     fd_fixed = _central_differences(lambda gp: spec.loss(gp, l_fixed, query), g, eps)

@@ -194,19 +194,24 @@ _TASK_DEFAULTS: dict[str, dict] = {
     },
 }
 
-def _check_number(hint, value, where: str) -> None:
-    """Reject a bool, a non-number or a non-finite value for a field typed
-    int or float (optionally None)."""
+def _check_scalar(hint, value, where: str) -> None:
+    """Reject a value of the wrong kind for a field typed bool, str, int or
+    float (optionally None): a bool must be a bool, a string a string, and
+    a number a finite one, never a bool."""
     kinds = typing.get_args(hint) or (hint,)
-    if (int not in kinds and float not in kinds) or (value is None and type(None) in kinds):
+    if value is None and type(None) in kinds:
         return
-    if float in kinds:
-        ok = isinstance(value, numbers.Real) and math.isfinite(value)
-        need = "a finite number"
+    if bool in kinds:
+        ok, need = isinstance(value, bool), "true or false"
+    elif str in kinds:
+        ok, need = isinstance(value, str), "a string"
+    elif float in kinds:
+        ok, need = isinstance(value, numbers.Real) and math.isfinite(value), "a finite number"
+    elif int in kinds:
+        ok, need = isinstance(value, numbers.Integral), "an integer"
     else:
-        ok = isinstance(value, numbers.Integral)
-        need = "an integer"
-    if isinstance(value, bool) or not ok:
+        return
+    if not ok or (isinstance(value, bool) and bool not in kinds):
         raise ConfigError(f"{where} must be {need}, got {value!r}")
 
 
@@ -226,7 +231,7 @@ def _dataclass_from_dict(cls, values: Mapping[str, Any], path: str):
                 raise ConfigError(f"section {where!r} must be a mapping")
             kwargs[f.name] = _dataclass_from_dict(hints[f.name], v, where)
         else:
-            _check_number(hints[f.name], v, where)
+            _check_scalar(hints[f.name], v, where)
             kwargs[f.name] = v
     try:
         return cls(**kwargs)

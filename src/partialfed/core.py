@@ -491,11 +491,12 @@ def finalize_metrics(stats: Mapping[str, Metric]) -> dict:
 
 @dataclass
 class RowDelta:
-    """Row-sparse values for one block: ``values[k]`` belongs to row
-    ``rows[k]``; repeated rows add up.  Serves as a gradient and as a client
-    delta.  A gradient may carry ``base``, shaped like ``values``: the rows
-    as the kernel read them, ``base[k]`` being row ``rows[k]``, so that a
-    step over unique rows needs no second gather (see :func:`_sgd_step`)."""
+    """A row-sparse gradient for one block: ``values[k]`` belongs to row
+    ``rows[k]``; repeated rows add up.  It may carry ``base``, shaped like
+    ``values``: the rows as the kernel read them, ``base[k]`` being row
+    ``rows[k]``, so that a step over unique rows needs no second gather
+    (see :func:`_sgd_step`).  A client's delta is not one: a cohort returns
+    its clients' deltas as one ``client.CohortUpdate``."""
 
     rows: np.ndarray
     values: np.ndarray
@@ -507,8 +508,8 @@ GradFn = Callable[[Blocks, Blocks, Batch], list[np.ndarray]]
 
 
 def delta_to_dense(delta: Sequence, template: Blocks) -> list[np.ndarray]:
-    """Grads or deltas, row-sparse or dense, as flat arrays matching the
-    blocks of ``template``; repeated rows add up."""
+    """Grads, row-sparse or dense, as flat arrays matching the blocks of
+    ``template``; repeated rows add up."""
     out = []
     for entry, block in zip(delta, template):
         if isinstance(entry, RowDelta):

@@ -427,6 +427,9 @@ def grid_search(
         grid = MATFAC_GRID if config.task in ("matfac", "synthetic") else NWP_GRID
     if not grid:
         raise ConfigError("grid must not be empty")
+    for key, values in grid.items():
+        if not len(values):
+            raise ConfigError(f"grid axis {key!r} has no values")
     bundle = prepare_task(config)
     metric_key, higher = _selection_metric(config)
     keys = list(grid)

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .client import ClientHyper, ClientUpdateResult, SplitPolicy, run_cohort
+from .client import ClientHyper, CohortUpdate, SplitPolicy, run_cohort
 from .core import (
     Blocks,
     ClientDataset,
@@ -23,11 +23,9 @@ from .core import (
     ModelSpec,
     ParamBlock,
     RngStreams,
-    RowDelta,
     blocks_size,
     finalize_metrics,
     merge_metrics,
-    _rows_at,
 )
 from .errors import ConfigError, NumericalError, RoundError, ShapeMismatchError
 from .evaluation import CommRecord
@@ -130,44 +128,25 @@ def sample_clients(
 
 
 def aggregate(
-    results: Sequence[ClientUpdateResult], template: Blocks
+    updates: Sequence[CohortUpdate], template: Blocks
 ) -> tuple[list[np.ndarray], float]:
-    """Weighted mean of client deltas, summed in ascending client-id order.
-
-    Accepts dense and row-sparse deltas interchangeably; returns one flat
-    array per global block plus the total weight n = sum(n_i).
-    """
-    if not results:
-        raise RoundError("aggregation over an empty result list")
-    ordered = sorted(results, key=lambda r: r.client_id)
-    total = float(sum(r.n_i for r in ordered))
+    """Weighted mean of the clients' deltas, client ``i`` weighing n_i / n
+    with n = sum(n_i), added client by client in cohort order: in a round,
+    the ascending ids of :func:`sample_clients`.  Returns one flat array
+    per global block of ``template`` plus n."""
+    total = float(sum(int(u.n.sum()) for u in updates))
     if total <= 0:
-        raise RoundError("aggregation weights sum to zero")
+        raise RoundError("aggregation over no client weight")
     acc = [np.zeros(b.values.size) for b in template]
-    for res in ordered:
-        if len(res.delta) != len(template):
-            raise ShapeMismatchError(
-                f"client {res.client_id}: {len(res.delta)} delta blocks vs "
-                f"{len(template)} global blocks"
-            )
-        w = res.n_i / total
-        for bi, entry in enumerate(res.delta):
-            if isinstance(entry, RowDelta):
-                rows, values = entry.rows, w * entry.values
-                if len(rows) and np.all(rows[1:] > rows[:-1]):  # no row repeats: one put
-                    acc[bi].reshape(-1, values.size // len(rows))[rows] += values.reshape(
-                        len(rows), -1
-                    )
-                else:
-                    _rows_at(np.add, acc[bi], rows, values)
-            else:
-                flat = np.asarray(entry, dtype=np.float64).ravel()
-                if flat.size != acc[bi].size:
-                    raise ShapeMismatchError(
-                        f"client {res.client_id}: delta of {flat.size} values "
-                        f"vs block of {acc[bi].size}"
-                    )
-                acc[bi] += w * flat
+    head = acc[0].reshape(len(template[0].array), -1)
+    for u in updates:
+        bounds = u.bounds.tolist()
+        for c, n_i in enumerate(u.n.tolist()):
+            w = n_i / total
+            seg = slice(bounds[c], bounds[c + 1])
+            head[u.rows[seg]] += w * u.values[seg]  # rows distinct: one put
+            for a, d in zip(acc[1:], u.dense):
+                a += w * d[c]
     return acc, total
 
 
@@ -266,7 +245,7 @@ def run_training(
             rows = tables.rows(sampled)
             stacked = tables.take(rows)
         try:
-            results, query_metrics = run_cohort(
+            updates, query_metrics = run_cohort(
                 spec,
                 g,
                 [clients[cid] for cid in sampled],
@@ -278,7 +257,7 @@ def run_training(
             )
         except NumericalError as e:
             raise NumericalError(f"round {t}, {e}") from e
-        weighted_delta, total = aggregate(results, g)
+        weighted_delta, total = aggregate(updates, g)
         g = server_step(server_opt, g, weighted_delta, moments)
         if fedavg:  # owner overwrite: one put per block
             for b, s in zip(tables.blocks, stacked):
@@ -301,7 +280,7 @@ def run_training(
                 train_metrics=finalize_metrics(merge_metrics([query_metrics])),
             )
         )
-        del results  # this round's deltas must not live on through the next cohort
+        del updates  # this round's deltas must not live on through the next cohort
         if eval_fn is not None and eval_every > 0 and (t + 1) % eval_every == 0:
             eval_fn(t, g, tables)
 

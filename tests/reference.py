@@ -31,6 +31,12 @@ array ops over the pool; :func:`gen_synthetic_mf` and
 :func:`split_clients_by_time` (each client split on its own, as
 ``prepare_task`` once did) are the per-user bodies they replaced.
 
+Client updates one client at a time: a cohort returns its clients' deltas
+as one ``client.CohortUpdate`` per owner chunk, and ``server.aggregate``
+adds them in cohort order; :class:`ClientResult` is the per-client result
+the reference's :func:`client_update` returns, and :func:`aggregate` the
+per-client sum, in ascending client id, that it replaced.
+
 Stored local parameters as one block list per client: the server keeps them
 as one table per block (``LocalTables``); :func:`tables_of` and
 :func:`client_blocks` convert between the two, and :func:`client_init`
@@ -40,13 +46,12 @@ draws one client's blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from partialfed.client import (
     ClientHyper,
-    ClientUpdateResult,
     SplitPolicy,
     _reconstructed,
     _split_and_seed,
@@ -73,6 +78,39 @@ from partialfed.data import SentenceRecord, SyntheticDataConfig, build_vocabular
 from partialfed.errors import ConfigError, DataError, NumericalError
 from partialfed.evaluation import EvalMode, EvalResult
 from partialfed.models import SPECIAL_TOKENS, ModelConfig, TokenCodec
+
+
+@dataclass
+class ClientResult:
+    """One client's contribution to a round: its global delta (a
+    :class:`RowDelta` over the rows it stepped, or a flat array, per block)
+    and its weight ``n_i`` (the query size).  :func:`run_client_round` adds
+    the client's query metrics before the update; under joint training the
+    client's updated local blocks come back too."""
+
+    client_id: int
+    delta: list
+    n_i: int
+    query_metrics: dict[str, Metric] = field(default_factory=dict)
+    updated_local: list[ParamBlock] | None = None
+
+
+def aggregate(results, template: Blocks) -> tuple[list[np.ndarray], float]:
+    """Weighted mean of the clients' deltas, summed in ascending client-id
+    order, one client at a time; a :class:`RowDelta` over distinct rows adds
+    in as one put."""
+    ordered = sorted(results, key=lambda r: r.client_id)
+    total = float(sum(r.n_i for r in ordered))
+    acc = [np.zeros(b.values.size) for b in template]
+    for res in ordered:
+        w = res.n_i / total
+        for a, b, entry in zip(acc, template, res.delta, strict=True):
+            if isinstance(entry, RowDelta):
+                assert len(np.unique(entry.rows)) == len(entry.rows)
+                a.reshape(len(b.array), -1)[entry.rows] += w * entry.values
+            else:
+                a += w * np.ravel(entry)
+    return acc, total
 
 
 def copy_blocks(blocks: Blocks) -> list[ParamBlock]:
@@ -204,7 +242,7 @@ def client_update(
     data: ClientDataset,
     hyper: ClientHyper,
     batch_rng: np.random.Generator,
-) -> ClientUpdateResult:
+) -> ClientResult:
     """k_u gradient steps on the global parameters over the query set, with
     the reconstructed local parameters treated as constants (unless
     joint_training steps them concurrently).  Returns the update delta and
@@ -245,7 +283,7 @@ def client_update(
         + [b.values for b in l_w if joint],
         f"the update of client {data.client_id}",
     )
-    return ClientUpdateResult(
+    return ClientResult(
         client_id=data.client_id,
         delta=delta,
         n_i=int(len(data.query_idx)),
@@ -263,7 +301,7 @@ def run_client_round(
     round_idx: int,
     *,
     initial_local: Blocks | None = None,
-) -> ClientUpdateResult:
+) -> ClientResult:
     """Split -> reconstruct -> update for one client in one round.
 
     ``initial_local`` skips reconstruction and starts from the given local

@@ -59,3 +59,26 @@ def test_traced_spec_runs_a_client_round(instrument, streams, mf_toy, nwp_toy, m
     for kernel in ("loss", "grad_global", "grad_local"):
         assert calls[f"models.{kernel}"] == 0, kernel
     assert calls["models.metrics"] == 1
+
+
+@pytest.mark.parametrize("algorithm", ["fedrecon", "fedavg"])
+def test_a_traced_round_records_one_aggregate_call(instrument, streams, mf_toy, algorithm):
+    # The traced run wraps ``server.aggregate`` wherever the package holds
+    # it; a round that aggregated elsewhere would leave its row at 0 calls.
+    from tracer import Tracer
+
+    from partialfed import server
+    from partialfed.client import ClientHyper, SplitPolicy
+
+    spec, _, _, clients = mf_toy
+    tracer = Tracer()
+    tracer.patch_function(server, "aggregate", "server.aggregate")
+    try:
+        server.run_training(
+            spec, {ds.client_id: ds for ds in clients}, rounds=1, clients_per_round=3,
+            policy=SplitPolicy(), hyper=ClientHyper(k_r=2, k_u=2),
+            server_opt=server.ServerOptimizer(), streams=streams, algorithm=algorithm,
+        )
+    finally:
+        tracer.restore()
+    assert tracer.layer_table()["server.aggregate"]["calls"] == 1

@@ -95,6 +95,24 @@ def test_changing_the_server_kind_needs_its_rate(tmp_path, small_synthetic, caps
     assert "from the task's 'yogi' to 'sgd'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "values, where",
+    [
+        ({"client": {"joint_training": "false"}}, "client.joint_training"),
+        ({"data": {"path": 5}}, "data.path"),
+        ({"output_dir": 7}, "output_dir"),
+    ],
+)
+def test_mistyped_bool_or_string_is_a_config_error(tmp_path, monkeypatch, capsys, values, where):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PARTIALFED_OUTPUT_DIR", raising=False)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(values))
+    assert main(["train", "--task", "synthetic", "--config", str(path)]) == 1
+    assert f"{where} must be " in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([path, tmp_path / "base.json"])
+
+
 @pytest.mark.parametrize("field, value", [("noise_std", float("nan")), ("num_users", 10.5)])
 def test_bad_synthetic_value_is_a_config_error(tmp_path, small_synthetic, capsys, field, value):
     base = json.loads(small_synthetic.read_text())

@@ -11,7 +11,6 @@ from partialfed.client import (
     SplitPolicy,
     batch_schedule,
     client_update,
-    delta_to_dense,
     reconstruct,
     run_client_round,
     split_dataset,
@@ -240,43 +239,46 @@ class TestClientUpdate:
     def test_single_step_equals_negative_scaled_gradient(self, streams):
         spec, g, l, ds = self.make(streams)
         hyper = ClientHyper(k_u=1, eta_u=0.25, batch_size=len(ds.query_idx))
-        result = client_update(spec, g, l, ds, hyper, streams.generator("u"))
-        dense = delta_to_dense(result.delta, g)
+        result, _ = client_update(spec, g, l, ds, hyper, streams.generator("u"))
+        dense = result.delta(0, g)
         expected = spec.grad_global(g, l, ds.query_batch())
         np.testing.assert_allclose(dense[0], -0.25 * expected[0], rtol=1e-12)
 
     def test_zero_rate_gives_zero_delta(self, streams):
         spec, g, l, ds = self.make(streams)
         hyper = ClientHyper(k_u=3, eta_u=0.0, batch_size=2)
-        result = client_update(spec, g, l, ds, hyper, streams.generator("u"))
-        for entry in delta_to_dense(result.delta, g):
+        result, _ = client_update(spec, g, l, ds, hyper, streams.generator("u"))
+        for entry in result.delta(0, g):
             assert np.all(entry == 0.0)
 
     def test_two_step_full_batch_matches_hand_rolled_oracle(self, streams):
         spec, g, l, ds = self.make(streams)
         n_q = len(ds.query_idx)
         hyper = ClientHyper(k_u=2, eta_u=0.2, batch_size=n_q)
-        result = client_update(spec, g, l, ds, hyper, streams.generator("u2"))
+        result, _ = client_update(spec, g, l, ds, hyper, streams.generator("u2"))
         batches = batch_schedule(ds.query_idx, n_q, 2, streams.generator("u2"))
         q_after = oracle_mf_two_step_update(
             g[0].array, l[0].values, ds.features, ds.targets, 0.2, batches
         )
-        dense = delta_to_dense(result.delta, g)[0].reshape(g[0].shape)
+        dense = result.delta(0, g)[0].reshape(g[0].shape)
         np.testing.assert_array_equal(dense, q_after - g[0].array)
 
     def test_n_i_is_query_size(self, streams):
         spec, g, l, ds = self.make(streams)
-        result = client_update(spec, g, l, ds, ClientHyper(), streams.generator("u"))
-        assert result.n_i == len(ds.query_idx)
+        result, _ = client_update(spec, g, l, ds, ClientHyper(), streams.generator("u"))
+        assert result.client_ids.tolist() == [ds.client_id]
+        assert result.n.tolist() == [len(ds.query_idx)]
 
     def test_local_params_untouched_without_joint_training(self, streams):
         spec, g, l, ds = self.make(streams)
         snapshot = l[0].values.copy()
-        result = client_update(
+        _, l_out = client_update(
             spec, g, l, ds, ClientHyper(k_u=4, eta_u=0.2, batch_size=2), streams.generator("u")
         )
         assert np.array_equal(l[0].values, snapshot)
-        assert result.updated_local is None
+        # A copy of the caller's locals comes back, unstepped.
+        assert np.array_equal(l_out[0].values, snapshot)
+        assert not np.shares_memory(l_out[0].values, l[0].values)
 
     @pytest.mark.parametrize("joint", [False, True])
     @pytest.mark.parametrize("kernel", ["sparse_grads", "grad_global"])
@@ -286,12 +288,11 @@ class TestClientUpdate:
             spec = dense_kernel(spec)
         snapshot = [b.values.copy() for b in g + l]
         hyper = ClientHyper(k_u=4, eta_u=0.2, batch_size=2, joint_training=joint)
-        result = client_update(spec, g, l, ds, hyper, streams.generator("u"))
+        result, l_out = client_update(spec, g, l, ds, hyper, streams.generator("u"))
         for before, block in zip(snapshot, g + l):
             assert np.array_equal(before, block.values)
-        assert any(np.any(d != 0) for d in delta_to_dense(result.delta, g))
-        if joint:
-            assert not np.array_equal(result.updated_local[0].values, l[0].values)
+        assert any(np.any(d != 0) for d in result.delta(0, g))
+        assert np.array_equal(l_out[0].values, l[0].values) != joint
 
     @pytest.mark.parametrize("bad_step", [0, 3])
     @pytest.mark.parametrize("kernel", ["sparse_grads", "grad_global"])
@@ -309,12 +310,12 @@ class TestClientUpdate:
         # the query half.
         spec, g, l, ds = self.make(streams)
         hyper = ClientHyper(k_u=3, eta_u=0.1, batch_size=2)
-        a = client_update(spec, g, l, ds, hyper, streams.generator("same"))
+        a, _ = client_update(spec, g, l, ds, hyper, streams.generator("same"))
         scrambled = dataclasses.replace(
             ds, support_idx=ds.support_idx[::-1].copy(), query_idx=ds.query_idx
         )
-        b = client_update(spec, g, l, scrambled, hyper, streams.generator("same"))
-        for da, db in zip(delta_to_dense(a.delta, g), delta_to_dense(b.delta, g)):
+        b, _ = client_update(spec, g, l, scrambled, hyper, streams.generator("same"))
+        for da, db in zip(a.delta(0, g), b.delta(0, g)):
             assert np.array_equal(da, db)
 
     def test_sparse_and_dense_paths_agree(self, streams):
@@ -324,9 +325,9 @@ class TestClientUpdate:
         dense_spec = dense_kernel(spec)
         for joint in (False, True):
             hyper = ClientHyper(k_u=4, eta_u=0.15, batch_size=2, joint_training=joint)
-            a = client_update(spec, g, l, ds, hyper, streams.generator("cmp"))
-            b = client_update(dense_spec, g, l, ds, hyper, streams.generator("cmp"))
-            for da, db in zip(delta_to_dense(a.delta, g), delta_to_dense(b.delta, g)):
+            a, _ = client_update(spec, g, l, ds, hyper, streams.generator("cmp"))
+            b, _ = client_update(dense_spec, g, l, ds, hyper, streams.generator("cmp"))
+            for da, db in zip(a.delta(0, g), b.delta(0, g)):
                 np.testing.assert_allclose(da, db, atol=1e-12)
 
     def test_sparse_path_accumulates_duplicate_rows(self, streams):
@@ -336,10 +337,10 @@ class TestClientUpdate:
         ds = ClientDataset(0, np.array([1, 1]), np.array([4.0, 2.0]), np.ones(2), np.zeros(2))
         ds = split_dataset(ds, SplitPolicy(kind="no_split"), streams.generator("s"))
         hyper = ClientHyper(k_u=1, eta_u=0.5, batch_size=2)
-        a = client_update(spec, g, l, ds, hyper, streams.generator("d"))
-        b = client_update(dense_kernel(spec), g, l, ds, hyper, streams.generator("d"))
+        a, _ = client_update(spec, g, l, ds, hyper, streams.generator("d"))
+        b, _ = client_update(dense_kernel(spec), g, l, ds, hyper, streams.generator("d"))
         np.testing.assert_allclose(
-            delta_to_dense(a.delta, g)[0], delta_to_dense(b.delta, g)[0], atol=1e-12
+            a.delta(0, g)[0], b.delta(0, g)[0], atol=1e-12
         )
 
     def test_empty_query_rejected(self, streams):
@@ -350,7 +351,7 @@ class TestClientUpdate:
 
 
 class TestRunClientRound:
-    def test_result_carries_metrics(self, streams):
+    def test_result_weighs_the_query_half(self, streams):
         spec = matfac_spec(ModelConfig(embed_dim=2), 6)
         g = spec.init_global(streams.generator("g"))
         clients, _, _ = gen_synthetic_mf(
@@ -360,8 +361,8 @@ class TestRunClientRound:
         )
         hyper = ClientHyper(k_r=3, k_u=2, eta_r=0.2, eta_u=0.1, batch_size=2)
         result = run_client_round(spec, g, clients[0], SplitPolicy(), hyper, streams, 0)
-        assert "mse" in result.query_metrics
-        assert result.n_i == len(clients[0].targets) // 2
+        assert result.client_ids.tolist() == [clients[0].client_id]
+        assert result.n.tolist() == [len(clients[0].targets) // 2]
 
     def test_identical_inputs_reproduce_bitwise(self, streams):
         spec = matfac_spec(ModelConfig(embed_dim=2), 6)
@@ -374,12 +375,12 @@ class TestRunClientRound:
         hyper = ClientHyper(k_r=2, k_u=2, eta_r=0.2, eta_u=0.1, batch_size=2)
         a = run_client_round(spec, g, clients[0], SplitPolicy(), hyper, RngStreams(9), 3)
         b = run_client_round(spec, g, clients[0], SplitPolicy(), hyper, RngStreams(9), 3)
-        for da, db in zip(delta_to_dense(a.delta, g), delta_to_dense(b.delta, g)):
+        for da, db in zip(a.delta(0, g), b.delta(0, g)):
             assert np.array_equal(da, db)
 
     def test_caller_blocks_never_mutated_by_joint_training(self, streams):
         # The stored local parameters the full-aggregation baseline passes
-        # in come back stepped in ``updated_local``, never stepped in place.
+        # in are stepped as a copy, never in place.
         spec = matfac_spec(ModelConfig(embed_dim=2), 6)
         g = spec.init_global(streams.generator("g"))
         stored = client_init(spec, streams.generator("l"))
@@ -395,4 +396,4 @@ class TestRunClientRound:
         )
         for before, block in zip(snapshot, g + stored):
             assert np.array_equal(before, block.values)
-        assert not np.array_equal(result.updated_local[0].values, stored[0].values)
+        assert any(np.any(d != 0) for d in result.delta(0, g))

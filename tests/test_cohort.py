@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from oracles import oracle_weighted_mean
 from partialfed import client as client_module
 from partialfed import core as core_module
 from partialfed import evaluation as evaluation_module
@@ -103,12 +104,27 @@ def stored_locals(spec, clients, streams):
     ]
 
 
+def client_results(updates):
+    """Each client's segment of the cohort updates ``updates``, in cohort
+    order, as a ``reference.ClientResult``; a segment's rows ascend."""
+    results = []
+    for u in updates:
+        for c, (cid, n_i) in enumerate(zip(u.client_ids.tolist(), u.n.tolist(), strict=True)):
+            seg = slice(u.bounds[c], u.bounds[c + 1])
+            assert np.all(np.diff(u.rows[seg]) > 0), f"client {cid} rows"
+            delta = [RowDelta(u.rows[seg], u.values[seg])] + [d[c] for d in u.dense]
+            results.append(reference.ClientResult(cid, delta, n_i))
+    return results
+
+
 def cohort_results(spec, g, datasets, policy, hyper, streams, round_idx, initial_locals=None):
-    """``run_cohort``'s results, each carrying its query metrics as
-    ``reference.per_owner`` cuts them from the cohort's arrays."""
-    results, metrics = run_cohort(
+    """``run_cohort``'s updates as :func:`client_results`, each carrying its
+    query metrics as ``reference.per_owner`` cuts them from the cohort's
+    arrays."""
+    updates, metrics = run_cohort(
         spec, g, datasets, policy, hyper, streams, round_idx, initial_locals=initial_locals
     )
+    results = client_results(updates)
     for res, m in zip(results, reference.per_owner(metrics) if results else [], strict=True):
         res.query_metrics = m
     return results
@@ -134,21 +150,9 @@ def assert_locals_agree(stacked, want_results, initial_locals, *, exact):
             agree(b_got.array[c], b_want.array, f"client {want.client_id} local", exact)
 
 
-def assert_updated_locals_agree(got, want, *, exact):
-    """The single-client API's updated locals are the reference's."""
-    if want.updated_local is None:
-        assert got.updated_local is None
-        return
-    for b_got, b_want in zip(got.updated_local, want.updated_local, strict=True):
-        assert b_got.name == b_want.name and b_got.shape == b_want.shape
-        agree(b_got.values, b_want.values, f"client {want.client_id} local", exact)
-
-
-def assert_rounds_agree(got_results, want_results, *, exact):
+def assert_deltas_agree(got_results, want_results, *, exact):
     """n_i and delta rows equal; delta values bit for bit if ``exact``,
-    else to 1e-12; query metrics to 1e-12 (a padded owner-axis call sums in
-    another order).  Local blocks are compared apart: a cohort steps its
-    stacked locals (:func:`assert_locals_agree`)."""
+    else to 1e-12."""
     assert [r.client_id for r in got_results] == [r.client_id for r in want_results]
     for got, want in zip(got_results, want_results):
         cid = want.client_id
@@ -160,6 +164,15 @@ def assert_rounds_agree(got_results, want_results, *, exact):
                 agree(d_got.values, d_want.values, f"client {cid} delta", exact)
             else:
                 agree(d_got, d_want, f"client {cid} delta", exact)
+
+
+def assert_rounds_agree(got_results, want_results, *, exact):
+    """:func:`assert_deltas_agree`, and query metrics to 1e-12 (a padded
+    owner-axis call sums in another order).  Local blocks are compared
+    apart: a cohort steps its stacked locals (:func:`assert_locals_agree`)."""
+    assert_deltas_agree(got_results, want_results, exact=exact)
+    for got, want in zip(got_results, want_results):
+        cid = want.client_id
         assert set(got.query_metrics) == set(want.query_metrics), f"client {cid}"
         for k, m in want.query_metrics.items():
             assert_close(got.query_metrics[k].value, m.value, f"client {cid} {k}")
@@ -438,24 +451,71 @@ def test_the_single_client_api_is_the_reference(case):
                 assert_close(b_got.values, b_want.values, b_want.name)
 
         l = reference.client_init(spec, gen("stored")) if stored else l_want
-        updates = [
-            f(spec, g, l, want, hyper, gen("update"))
-            for f in (client_update, reference.client_update)
-        ]
-        rounds = [
-            f(spec, g, ds, policy, hyper, streams, 2, initial_local=l if stored else None)
-            for f in (run_client_round, reference.run_client_round)
-        ]
-        for got_result, want_result in (updates, rounds):
-            assert_rounds_agree([got_result], [want_result], exact=exact)
-            if exact:
-                assert got_result.query_metrics == want_result.query_metrics
-        # Updated locals come back for the locals the caller passed in.
-        assert_updated_locals_agree(*updates, exact=exact)
-        if stored:
-            assert_updated_locals_agree(*rounds, exact=exact)
-        else:
-            assert rounds[0].updated_local is None
+        update, l_stepped = client_update(spec, g, l, want, hyper, gen("update"))
+        want_update = reference.client_update(spec, g, l, want, hyper, gen("update"))
+        assert_deltas_agree(client_results([update]), [want_update], exact=exact)
+        # The stepped copy of the caller's locals: stepped under joint training.
+        expected = l if want_update.updated_local is None else want_update.updated_local
+        for b_got, b_want in zip(l_stepped, expected, strict=True):
+            assert b_got.name == b_want.name and b_got.shape == b_want.shape
+            agree(b_got.values, b_want.values, f"client {ds.client_id} local", exact)
+
+        initial = l if stored else None
+        want_round = reference.run_client_round(
+            spec, g, ds, policy, hyper, streams, 2, initial_local=initial
+        )
+        got_round = run_client_round(spec, g, ds, policy, hyper, streams, 2, initial_local=initial)
+        assert_deltas_agree(client_results([got_round]), [want_round], exact=exact)
+        # A cohort of one scores the client's query half as the reference does.
+        (got_result,) = cohort_results(
+            spec, g, [ds], policy, hyper, streams, 2,
+            initial_locals=None if initial is None else _stack([initial]),
+        )
+        assert_rounds_agree([got_result], [want_round], exact=exact)
+        if exact:
+            assert got_result.query_metrics == want_round.query_metrics
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(mf_rounds(), nwp_rounds()), st.integers(1, 20))
+def test_a_round_aggregates_as_its_clients_one_by_one(case, per_call):
+    # A round's clients in ascending id, as sampled.  Its cohort updates
+    # aggregate as the reference's per-client sum over their segments and
+    # as the same round cut into owner chunks of ``per_call`` clients, bit
+    # for bit; as the oracle's weighted mean of the clients' dense deltas to
+    # 1e-12 of the weighted mean of their magnitudes.
+    spec, clients, hyper, policy, stored, seed = case
+    clients = sorted(clients, key=lambda ds: ds.client_id)
+    streams = RngStreams(seed)
+    g = spec.init_global(streams.generator("g"))
+    initial = stored_locals(spec, clients, streams) if stored else None
+
+    def round_updates():
+        stacked = None if initial is None else _stack(initial)
+        return run_cohort(spec, g, clients, policy, hyper, streams, 2, initial_locals=stacked)[0]
+
+    updates = round_updates()
+    assert len(updates) == 1
+    got, total = aggregate(updates, g)
+    results = client_results(updates)
+    want, want_total = reference.aggregate(results, g)
+    assert total == want_total == sum(r.n_i for r in results)
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+
+    (update,) = updates
+    dense = [np.concatenate(update.delta(c, g)) for c in range(len(clients))]
+    n = [r.n_i for r in results]
+    oracle = oracle_weighted_mean(dense, n)
+    scale = oracle_weighted_mean([np.abs(d) for d in dense], n)
+    assert np.all(np.abs(np.concatenate(got) - oracle) <= TOL * scale)
+
+    with owner_budget(spec, g, per_call):
+        chunked = round_updates()
+    assert len(chunked) == -(-len(clients) // per_call)
+    assert [r.client_id for r in client_results(chunked)] == [r.client_id for r in results]
+    for a, b in zip(aggregate(chunked, g)[0], got, strict=True):
+        assert np.array_equal(a, b)
 
 
 def reference_training(spec, clients, *, rounds, clients_per_round, policy, hyper, streams,
@@ -487,7 +547,7 @@ def reference_training(spec, clients, *, rounds, clients_per_round, policy, hype
             )
             for cid in sample_clients(population, clients_per_round, streams, t)
         ]
-        delta, _ = aggregate(results, g)
+        delta, _ = reference.aggregate(results, g)
         g = server_step(opt, g, delta, moments)
         if fedavg:
             for res in results:
@@ -1124,10 +1184,8 @@ def test_a_non_finite_client_on_the_put_path_reaches_no_other(streams, poisoned,
         stacked = _stack(locals_)
         if poison_local:
             stacked[0].array[bad] = np.nan
-        return (
-            _update_cohort(spec, g, cohort, stacked, hyper, streams.generators(3, ids, "up")),
-            stacked,
-        )
+        update = _update_cohort(spec, g, cohort, stacked, hyper, streams.generators(3, ids, "up"))
+        return client_results([update]), stacked
 
     clean, clean_locals = update(spec, cohort, False)
     bad_cohort, poison_local = cohort, poisoned == "user_embedding"

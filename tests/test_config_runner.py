@@ -105,6 +105,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(None, {"task": "synthetic", key: value})
 
+    @pytest.mark.parametrize(
+        "values, where",
+        [
+            # A truthy string would turn joint training on.
+            ({"client": {"joint_training": "false"}}, "client.joint_training"),
+            ({"client": {"joint_training": 0}}, "client.joint_training"),
+            ({"data": {"path": 5}}, "data.path"),
+            ({"output_dir": 7}, "output_dir"),
+            ({"split": {"kind": ["half_disjoint"]}}, "split.kind"),
+        ],
+    )
+    def test_mistyped_bool_or_string_in_a_file_rejected(self, tmp_path, values, where):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"task": "synthetic", **values}))
+        with pytest.raises(ConfigError, match=rf"^{where} must be "):
+            load_config(path)
+
+    def test_bool_and_optional_string_values_load(self, tmp_path):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(
+            {"task": "synthetic", "client": {"joint_training": True}, "data": {"path": None}}
+        ))
+        cfg = load_config(path)
+        assert cfg.client.joint_training is True and cfg.data.path is None
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"task": "matfac", "bogus": 1})
@@ -382,6 +407,13 @@ class TestGridSearch:
             apply_overrides(cfg, {key: 1})
         with pytest.raises(ConfigError, match=key.split(".")[0]):
             grid_search(cfg, {key: [1]})
+
+    def test_axis_without_values_is_a_config_error(self, tmp_path, monkeypatch):
+        # Refused before any task is prepared, let alone run.
+        monkeypatch.setattr(runner, "prepare_task", None)
+        cfg = synthetic_config(tmp_path, rounds=1)
+        with pytest.raises(ConfigError, match="^grid axis 'server.eta_s' has no values$"):
+            grid_search(cfg, {"client.eta_r": [0.1], "server.eta_s": []})
 
     def test_full_tuning_grid_at_desk_scale(self, tmp_path):
         # The standard 12-point grid, including the corner that diverges on

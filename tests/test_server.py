@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partialfed.client import (
-    ClientHyper,
-    ClientUpdateResult,
-    RowDelta,
-    SplitPolicy,
-    delta_to_dense,
-    run_client_round,
-)
+from partialfed.client import ClientHyper, CohortUpdate, SplitPolicy, run_client_round
 from partialfed.core import ClientDataset, ParamBlock, RngStreams
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
-from partialfed.errors import ConfigError, NumericalError, RoundError, ShapeMismatchError
+from partialfed.errors import ConfigError, NumericalError, RoundError
 from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
 from partialfed.server import (
     ServerOptimizer,
@@ -29,8 +22,19 @@ from partialfed.server import (
 from oracles import oracle_weighted_mean
 
 
-def result(client_id, delta, n_i):
-    return ClientUpdateResult(client_id=client_id, delta=delta, n_i=n_i)
+def cohort_update(clients):
+    """One chunk's :class:`CohortUpdate` of ``clients``, each a tuple of its
+    id, weight n_i, ``g[0]`` rows (ascending, distinct), their deltas and
+    its delta of each dense block."""
+    ids, n, rows, values, dense = zip(*clients)
+    return CohortUpdate(
+        np.array(ids, dtype=np.int64),
+        np.array(n, dtype=np.int64),
+        np.concatenate(rows).astype(np.int64),
+        np.concatenate(values),
+        np.cumsum([0] + [len(r) for r in rows]),
+        [np.array(d, dtype=np.float64) for d in zip(*dense)],
+    )
 
 
 def template(size=1):
@@ -64,157 +68,133 @@ class TestSampleClients:
             sample_clients([1, 2], 3, RngStreams(0), 0)
 
 
+def chunks(clients, cuts):
+    """``clients`` cut at the positions ``cuts`` into one update a chunk."""
+    edges = [0, *cuts, len(clients)]
+    return [cohort_update(clients[a:b]) for a, b in zip(edges, edges[1:])]
+
+
+def client_delta(client, g):
+    """One client's delta as flat arrays over the blocks of ``g``."""
+    _, _, rows, values, dense = client
+    head = np.zeros(g[0].shape)
+    head[rows] = values
+    return [head.ravel(), *dense]
+
+
 class TestAggregate:
     def test_single_client_identity(self):
-        delta, total = aggregate([result(0, [np.array([1.5, -2.0])], 4)], template(2))
-        assert delta[0].tolist() == [1.5, -2.0]
+        g = [ParamBlock.of("g", np.zeros((3, 2))), ParamBlock.of("h", np.zeros(2))]
+        client = (7, 4, np.array([0, 2]), np.array([[1.5, -2.0], [0.5, 3.0]]), [[0.25, -1.0]])
+        delta, total = aggregate([cohort_update([client])], g)
+        assert delta[0].tolist() == [1.5, -2.0, 0.0, 0.0, 0.5, 3.0]
+        assert delta[1].tolist() == [0.25, -1.0]
         assert total == 4.0
 
     def test_weighted_mean_example(self):
-        results = [
-            result(0, [np.array([4.0])], 1),
-            result(1, [np.array([0.0])], 3),
+        clients = [
+            (0, 1, np.array([0]), np.array([[4.0]]), []),
+            (1, 3, np.array([0]), np.array([[0.0]]), []),
         ]
-        delta, total = aggregate(results, template())
+        delta, total = aggregate([cohort_update(clients)], template())
         assert delta[0].tolist() == [1.0]
         assert total == 4.0
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
-        results = [
-            result(i, [rng.normal(size=8)], int(rng.integers(1, 50))) for i in range(100)
-        ]
-        delta, _ = aggregate(results, template(8))
+        g = [ParamBlock.of("g", np.zeros((4, 2))), ParamBlock.of("h", np.zeros(3))]
+        clients = []
+        for cid in range(100):
+            rows = np.flatnonzero(rng.random(4) < 0.5)
+            clients.append((cid, int(rng.integers(1, 50)), rows,
+                            rng.normal(size=(len(rows), 2)), [rng.normal(size=3)]))
+        delta, _ = aggregate(chunks(clients, [30, 31, 80]), g)
         oracle = oracle_weighted_mean(
-            [r.delta[0] for r in results], [r.n_i for r in results]
+            [np.concatenate(client_delta(c, g)) for c in clients], [c[1] for c in clients]
         )
-        np.testing.assert_allclose(delta[0], oracle, atol=1e-12)
+        np.testing.assert_allclose(np.concatenate(delta), oracle, atol=1e-12)
 
-    def test_permutation_invariant_bitwise(self):
-        rng = np.random.default_rng(6)
-        results = [
-            result(i, [rng.normal(size=5)], int(rng.integers(1, 9))) for i in range(20)
-        ]
-        a, _ = aggregate(results, template(5))
-        shuffled = list(results)
-        rng.shuffle(shuffled)
-        b, _ = aggregate(shuffled, template(5))
-        assert np.array_equal(a[0], b[0])
-
-    def test_sparse_and_dense_entries_agree(self):
-        rows = np.array([1, 3])
-        values = np.array([[2.0], [4.0]])
-        dense = np.zeros(5)
-        dense[rows] = values.ravel()
-        a, _ = aggregate(
-            [result(0, [RowDelta(rows, values)], 2)], [ParamBlock.of("g", np.zeros((5, 1)))]
-        )
-        b, _ = aggregate(
-            [result(0, [dense], 2)], [ParamBlock.of("g", np.zeros((5, 1)))]
-        )
-        np.testing.assert_allclose(a[0], b[0], atol=1e-12)
+    def test_clients_add_one_after_another_in_cohort_order(self):
+        # Near 3.3e15 a double holds halves only, so the sum of these terms
+        # depends on their order: the cohort's (ids 9, 2, 5), not the ids'.
+        values = {9: 1e16, 2: -1e16, 5: 1.0}
+        clients = [(cid, 1, np.array([0]), np.array([[v]]), []) for cid, v in values.items()]
+        term = {cid: (1 / 3.0) * v for cid, v in values.items()}
+        in_cohort_order = ((0.0 + term[9]) + term[2]) + term[5]
+        in_id_order = ((0.0 + term[2]) + term[5]) + term[9]
+        assert in_cohort_order != in_id_order
+        delta, _ = aggregate([cohort_update(clients)], template())
+        assert delta[0].tolist() == [in_cohort_order]
 
     def test_empty_rejected(self):
         with pytest.raises(RoundError):
             aggregate([], template())
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            aggregate([result(0, [np.zeros(3)], 1)], template(2))
-
 
 @st.composite
-def client_results(draw):
-    """A few clients' deltas over one small (rows, cols) block, each dense or
-    row-sparse (rows may repeat), with their example counts."""
-    rows = draw(st.integers(1, 5))
-    cols = draw(st.integers(1, 3))
-    ids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    results = []
-    for cid in ids:
-        n_i = draw(st.integers(1, 20))
-        if draw(st.booleans()):
-            touched = rng.integers(0, rows, size=draw(st.integers(0, 2 * rows)))
-            delta = RowDelta(touched, rng.normal(size=(len(touched), cols)))
-        else:
-            delta = rng.normal(size=rows * cols)
-        results.append(result(cid, [delta], n_i))
-    return results, [ParamBlock.of("g", np.zeros((rows, cols)))]
-
-
-@st.composite
-def row_delta_results(draw):
-    """A few clients' row-sparse deltas over one small (rows, cols) block:
-    each over strictly increasing rows or over rows that may repeat."""
+def cohort_clients(draw):
+    """A few clients' deltas over a small (rows, cols) block, each over
+    distinct ascending rows, and over a dense block of 0 to 4 values (none
+    if 0), with their example counts; cut points of their chunks; and the
+    template."""
     rows = draw(st.integers(1, 6))
     cols = draw(st.integers(1, 3))
-    ids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+    size = draw(st.integers(0, 4))
+    n = draw(st.lists(st.integers(1, 20), min_size=1, max_size=8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    results = []
-    for cid in ids:
-        if draw(st.booleans()):
-            touched = np.flatnonzero(rng.random(rows) < 0.6)
-        else:
-            touched = rng.integers(0, rows, size=draw(st.integers(0, 2 * rows)))
-        delta = RowDelta(touched, rng.normal(size=(len(touched), cols)))
-        results.append(result(cid, [delta], draw(st.integers(1, 20))))
-    return results, [ParamBlock.of("g", np.zeros((rows, cols)))]
+    clients = []
+    for cid, n_i in enumerate(n):
+        touched = np.flatnonzero(rng.random(rows) < 0.6)
+        dense = [rng.normal(size=size)] if size else []
+        clients.append((cid, n_i, touched, rng.normal(size=(len(touched), cols)), dense))
+    cuts = sorted(draw(st.sets(st.integers(1, len(n) - 1)))) if len(n) > 1 else []
+    g = [ParamBlock.of("g", np.zeros((rows, cols)))]
+    g += [ParamBlock.of("h", np.zeros(size))] if size else []
+    return clients, cuts, g
 
 
 class TestAggregateProperties:
     @settings(max_examples=60, deadline=None)
-    @given(row_delta_results())
-    def test_row_deltas_add_up_one_after_another_in_client_order(self, drawn):
-        # Bit for bit: every client's weighted rows, client after client, as
-        # one RowDelta whose repeated rows add up one after another.
-        results, g = drawn
-        total = float(sum(r.n_i for r in results))
-        ordered = sorted(results, key=lambda r: r.client_id)
-        joined = RowDelta(
-            np.concatenate([r.delta[0].rows for r in ordered]),
-            np.concatenate([r.n_i / total * r.delta[0].values for r in ordered]),
-        )
-        got, _ = aggregate(results, g)
-        assert np.array_equal(got[0], delta_to_dense([joined], g)[0])
+    @given(cohort_clients())
+    def test_clients_add_up_one_after_another_in_cohort_order(self, drawn):
+        # Bit for bit: each client's weighted dense delta, client after client.
+        clients, cuts, g = drawn
+        total = float(sum(c[1] for c in clients))
+        want = [np.zeros(b.values.size) for b in g]
+        for c in clients:
+            for acc, d in zip(want, client_delta(c, g), strict=True):
+                acc += c[1] / total * d
+        got, _ = aggregate(chunks(clients, cuts), g)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
 
     @settings(max_examples=60, deadline=None)
-    @given(client_results(), st.randoms(use_true_random=False))
-    def test_input_order_does_not_matter(self, drawn, shuffler):
-        results, g = drawn
-        shuffled = list(results)
-        shuffler.shuffle(shuffled)
-        a, total_a = aggregate(results, g)
-        b, total_b = aggregate(shuffled, g)
-        assert np.array_equal(a[0], b[0]) and total_a == total_b
+    @given(cohort_clients())
+    def test_owner_chunks_change_no_bit(self, drawn):
+        clients, cuts, g = drawn
+        a, total_a = aggregate(chunks(clients, cuts), g)
+        b, total_b = aggregate(chunks(clients, []), g)
+        assert total_a == total_b
+        for x, y in zip(a, b, strict=True):
+            assert np.array_equal(x, y)
 
     @settings(max_examples=60, deadline=None)
-    @given(client_results())
-    def test_row_deltas_aggregate_like_their_dense_form(self, drawn):
-        results, g = drawn
-        dense = [
-            result(r.client_id, delta_to_dense(r.delta, g), r.n_i) for r in results
-        ]
-        a, _ = aggregate(results, g)
-        b, _ = aggregate(dense, g)
-        np.testing.assert_allclose(a[0], b[0], rtol=1e-12, atol=1e-12)
-
-    @settings(max_examples=60, deadline=None)
-    @given(client_results())
+    @given(cohort_clients())
     def test_total_weight_is_sum_of_example_counts(self, drawn):
-        results, g = drawn
-        _, total = aggregate(results, g)
-        assert total == sum(r.n_i for r in results)
+        clients, cuts, g = drawn
+        _, total = aggregate(chunks(clients, cuts), g)
+        assert total == sum(c[1] for c in clients)
 
     @settings(max_examples=60, deadline=None)
-    @given(client_results(), st.integers(0, 2**32 - 1))
+    @given(cohort_clients(), st.integers(0, 2**32 - 1))
     def test_unit_rate_sgd_adds_the_weighted_delta(self, drawn, seed):
-        results, g = drawn
-        g = [ParamBlock.of("g", np.random.default_rng(seed).normal(size=g[0].shape))]
-        delta, _ = aggregate(results, g)
+        clients, cuts, g = drawn
+        rng = np.random.default_rng(seed)
+        g = [ParamBlock.of(b.name, rng.normal(size=b.shape)) for b in g]
+        delta, _ = aggregate(chunks(clients, cuts), g)
         out = server_step(ServerOptimizer(kind="sgd", eta_s=1.0), g, delta, None)
-        assert np.array_equal(out[0].values, g[0].values + delta[0])
+        for b_out, b, d in zip(out, g, delta, strict=True):
+            assert np.array_equal(b_out.values, b.values + d)
 
 
 class TestServerStep:
