@@ -55,7 +55,7 @@ for client in clients[:4]:
     # delta, the rows of the item block it moved and one array per other block.
     update, _ = client_update(spec, g, l, dsx, hyper, gen("update_batches"))
     updates.append(update)
-    support = dsx.support_batch()
+    support = dsx.batch(dsx.support_idx)
     # ``metrics`` gives each key's value and weight as arrays over the
     # batch's owner axes; a flat batch is one owner, so they are 0-d.
     print(

@@ -7,7 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .client import ClientHyper, SplitPolicy
+from .client import ClientHyper, SplitPolicy, _columns
 from .core import (
     Batch,
     ClientDataset,
@@ -28,22 +28,6 @@ __all__ = [
 ]
 
 
-def _merge_clients(clients: Mapping[int, ClientDataset]):
-    """The ascending client ids and the pooled columns: each example's owner
-    row (its client's position in the ids), features, targets and weights."""
-    ids = sorted(clients)
-    if not ids:
-        raise DataError("centralized training needs at least one client")
-    datasets = [clients[cid] for cid in ids]
-    return (
-        ids,
-        np.repeat(np.arange(len(ids), dtype=np.int64), [ds.n for ds in datasets]),
-        np.concatenate([ds.features for ds in datasets]),
-        np.concatenate([ds.targets for ds in datasets]),
-        np.concatenate([ds.weights for ds in datasets]),
-    )
-
-
 @np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
 def train_centralized(
     spec: ModelSpec,
@@ -62,8 +46,8 @@ def train_centralized(
     caller.
 
     Each minibatch is one ``sparse_grads`` call in which every example is
-    its own owner, normalised by the whole minibatch's weight; both parts
-    step from their pre-step values, repeated rows one after another.  A
+    its own owner, of weight 1, normalised by the minibatch's size; both
+    parts step from their pre-step values, repeated rows one after another.  A
     local block is gathered per example from its population table (one row
     per client), which training steps in place and returns.  A row table, a
     2-D local block, is compacted instead: an example gets a copy of only
@@ -71,7 +55,13 @@ def train_centralized(
     and its grad steps the table through those rows."""
     if epochs < 0 or batch_size < 1:
         raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-    ids, owners, feats, targets, weights = _merge_clients(clients)
+    ids = sorted(clients)
+    if not ids:
+        raise DataError("centralized training needs at least one client")
+    datasets = [clients[cid] for cid in ids]
+    _, feats, targets = _columns(datasets)
+    # Each example's owner row: its client's position in the ids.
+    owners = np.repeat(np.arange(len(ids), dtype=np.int64), [ds.n for ds in datasets])
     g, stored = initial_state(spec, ids, streams, "centralized") if start is None else start
     tables = stored.blocks
     if epochs == 0 or len(targets) == 0:
@@ -92,7 +82,7 @@ def train_centralized(
         perm = shuffle_rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
-            u, x, w = owners[idx], feats[idx], weights[idx]
+            u, x, w = owners[idx], feats[idx], np.ones(len(idx))
             if per_client is not None:
                 oov = x < 0
                 keys = u[:, None] * per_client + np.where(oov, -x - 1, 0).reshape(len(u), -1)

@@ -31,6 +31,7 @@ from .runner import (
     sweep_steps,
     tradeoff_curves,
     write_csv,
+    write_experiment,
 )
 
 # flag name -> (dotted config key, type)
@@ -276,8 +277,11 @@ def _cmd_reproduce(args) -> int:
         # Resolved afresh, so that a row's defaults are those of its own task.
         cfg = _config_from_args(args, {**row, "output_dir": str(out_dir / tag.replace(" ", "_"))})
         if args.grid and cfg.algorithm == "fedrecon":
-            cfg = grid_search(cfg).best_config
-        metrics = run_experiment(cfg).final_metrics["test"]
+            search = grid_search(cfg)  # the tuned row is the grid's best run
+            result = write_experiment(search.best_config, search.best_run)
+        else:
+            result = run_experiment(cfg)
+        metrics = result.final_metrics["test"]
         _print_metrics(f"[{tag}]", metrics)
         table.append([tag, *(metrics.get(c, float("nan")) for c in columns)])
     _write_table(out_dir / name, ["setting", *columns], table)

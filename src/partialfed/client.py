@@ -216,7 +216,6 @@ class Cohort:
     client_ids: np.ndarray
     features: np.ndarray
     targets: np.ndarray
-    weights: np.ndarray
     support: np.ndarray
     support_n: np.ndarray
     query: np.ndarray
@@ -231,7 +230,7 @@ class Cohort:
         slot = np.arange(n.max())
         mask = slot < n[:, None]
         pos = self.query[starts[:, None] + np.where(mask, slot, 0)]
-        return Batch(self.features[pos], self.targets[pos], self.weights[pos] * mask, mask)
+        return Batch(self.features[pos], self.targets[pos], mask.astype(np.float64), mask)
 
     def window(self, sel: slice) -> "Cohort":
         """The ``sel`` clients, consecutive ones, as a cohort over the same
@@ -301,12 +300,11 @@ def split_cohort(
 
 
 def _columns(datasets: Sequence[ClientDataset]) -> tuple[np.ndarray, ...]:
-    """A cohort's client ids, features, targets and weights, end to end."""
+    """A cohort's client ids, features and targets, end to end."""
     return (
         np.array([d.client_id for d in datasets], dtype=np.int64),
         np.concatenate([d.features for d in datasets]),
         np.concatenate([d.targets for d in datasets]),
-        np.concatenate([d.weights for d in datasets]),
     )
 
 
@@ -325,7 +323,7 @@ def _cohort_of_one(data: ClientDataset) -> Cohort:
         np.zeros(0, np.int64) if i is None else i for i in (data.support_idx, data.query_idx)
     )
     return Cohort(
-        np.array([data.client_id]), data.features, data.targets, data.weights,
+        np.array([data.client_id]), data.features, data.targets,
         support, np.array([len(support)]), query, np.array([len(query)]),
     )
 
@@ -358,7 +356,7 @@ def _cohort_batches(
     slot = chunk[:, :, None] * batch_size + np.arange(batch_size)
     real = slot < n[None, :, None]
     pos = perms[starts[None, :, None] + np.where(real, slot, 0)]
-    weights = cohort.weights[pos] * real
+    weights = real.astype(np.float64)
     return (
         cohort.features[pos],
         cohort.targets[pos],

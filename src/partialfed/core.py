@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -363,9 +363,10 @@ class LocalTables:
 
 @dataclass
 class Batch:
-    """Column-packed examples handed to ModelSpec procedures.  ``mask``
-    marks the real examples of a padded batch; padding weighs 0 and is not
-    scored.  None: every example is real."""
+    """Column-packed examples handed to ModelSpec procedures.  An example's
+    weight is 1 if it is real and 0 if it pads a batch; ``mask`` marks the
+    real examples, and padding is not scored.  None: every example is
+    real."""
 
     features: np.ndarray
     targets: np.ndarray
@@ -386,47 +387,30 @@ class ClientDataset:
     """One client's examples plus its support/query partition.
 
     Stored columnar for speed; ``support_idx``/``query_idx`` are populated
-    by the split step.
+    by the split step and passed by keyword only.
     """
 
     client_id: int
     features: np.ndarray
     targets: np.ndarray
-    weights: np.ndarray
     timestamps: np.ndarray
-    support_idx: np.ndarray | None = None
-    query_idx: np.ndarray | None = None
+    support_idx: np.ndarray | None = field(default=None, kw_only=True)
+    query_idx: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         n = len(self.targets)
-        if len(self.features) != n or len(self.weights) != n or len(self.timestamps) != n:
+        if len(self.features) != n or len(self.timestamps) != n:
             raise ShapeMismatchError(f"client {self.client_id}: ragged columns")
-        w = self.weights
-        if n and not (w.min() >= 0 and w.max() < np.inf):  # NaN fails both
-            raise DataError(
-                f"client {self.client_id}: example weights must be finite and nonnegative"
-            )
 
     @property
     def n(self) -> int:
         return len(self.targets)
 
     def batch(self, idx: np.ndarray | None = None) -> Batch:
-        if idx is None:
-            return Batch(self.features, self.targets, self.weights)
-        return Batch(self.features[idx], self.targets[idx], self.weights[idx])
-
-    def subset(self, idx: np.ndarray, client_id: int | None = None) -> "ClientDataset":
-        return ClientDataset(
-            client_id=self.client_id if client_id is None else client_id,
-            features=self.features[idx],
-            targets=self.targets[idx],
-            weights=self.weights[idx],
-            timestamps=self.timestamps[idx],
-        )
-
-    def support_batch(self) -> Batch:
-        return self.batch(self.support_idx)
+        """The ``idx`` examples, every one if None, each of weight 1."""
+        idx = slice(None) if idx is None else idx
+        targets = self.targets[idx]
+        return Batch(self.features[idx], targets, np.ones(len(targets)))
 
     def query_batch(self) -> Batch:
         return self.batch(self.query_idx)
@@ -535,14 +519,15 @@ class ModelSpec:
     it returns ``(global_grads, local_grads)``, each None unless its
     ``need_*`` flag is set.  It differentiates the weighted loss sum divided
     by ``norm``: ``batch.total_weight`` gives ``loss``, a larger ``norm``
-    makes the batch one part of a bigger minibatch.
+    makes the batch one part of a bigger minibatch.  Batch weights are 1
+    for a real example and 0 for padding.
 
     Kernel contract.  ``sparse_grads`` and ``metrics`` take batch columns
     with leading owner axes, ``(owners..., B, ...)``, matched by the same
     leading axes on the local blocks: owner ``o`` scores its examples with
     its own local rows, and a flat batch with flat locals is one owner.
-    ``norm`` broadcasts against the weights as each owner's real batch
-    weight, so zero-weight padding adds exactly nothing.
+    ``norm`` broadcasts against the weights as each owner's count of real
+    examples, so zero-weight padding adds exactly nothing.
 
     * A non-negative integer feature addresses a row of ``g[0]``, which may
       be a compact copy of some rows.  The grad for ``g[0]`` is a

@@ -60,8 +60,7 @@ def parse_movielens(path: str | Path) -> MovieLensData:
         raise DataError(f"ratings file not found: {path}")
     user_ids: dict[int, int] = {}
     item_ids: dict[int, int] = {}
-    per_user: dict[int, list[tuple[int, float, int]]] = {}
-    n_ratings = 0
+    rows: list[tuple[int, int, int, int]] = []
     with open(path, encoding="iso-8859-1") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -77,33 +76,20 @@ def parse_movielens(path: str | Path) -> MovieLensData:
             if not 1 <= rating <= 5:
                 raise DataError(f"{path}:{line_no}: rating {rating} outside 1..5")
             u = user_ids.setdefault(raw_user, len(user_ids))
-            i = item_ids.setdefault(raw_item, len(item_ids))
-            per_user.setdefault(u, []).append((i, float(rating), ts))
-            n_ratings += 1
-    if not n_ratings:
+            rows.append((u, item_ids.setdefault(raw_item, len(item_ids)), rating, ts))
+    if not rows:
         raise DataError(f"ratings file {path} holds no ratings")
 
-    clients = []
-    for u in sorted(per_user):
-        rows = per_user[u]
-        items = np.array([r[0] for r in rows], dtype=np.int64)
-        ratings = np.array([r[1] for r in rows])
-        stamps = np.array([r[2] for r in rows], dtype=np.int64)
-        order = np.argsort(stamps, kind="stable")
-        clients.append(
-            ClientDataset(
-                client_id=u,
-                features=items[order],
-                targets=ratings[order],
-                weights=np.ones(len(rows)),
-                timestamps=stamps[order],
-            )
-        )
+    users, items, ratings, stamps = np.array(rows, dtype=np.int64).T
+    # User-major, timestamp order within a user, ties in file order.
+    order = np.lexsort((stamps, users))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(users))))
+    columns = (items[order], ratings[order].astype(np.float64), stamps[order])
     return MovieLensData(
-        clients=clients,
+        clients=_row_views(range(len(user_ids)), bounds[:-1], bounds[1:], columns),
         num_users=len(user_ids),
         num_items=len(item_ids),
-        num_ratings=n_ratings,
+        num_ratings=len(rows),
     )
 
 
@@ -148,19 +134,18 @@ class SyntheticDataConfig:
 
 # Item-factor values one block of users' clean ratings gathers at once.
 _BLOCK_VALUES = 1 << 17
-_COLUMNS = ("features", "targets", "weights", "timestamps")
+_COLUMNS = ("features", "targets", "timestamps")
 
 
 def _row_views(client_ids, starts, stops, columns) -> list[ClientDataset]:
     """Client ``client_ids[k]`` holding rows ``starts[k]:stops[k]`` of each
-    pooled column (features, targets, weights, timestamps), as views."""
-    features, targets, weights, timestamps = columns
+    pooled column (features, targets, timestamps), as views."""
+    features, targets, timestamps = columns
     return [
         ClientDataset(
             client_id=cid,
             features=features[lo:hi],
             targets=targets[lo:hi],
-            weights=weights[lo:hi],
             timestamps=timestamps[lo:hi],
         )
         for cid, lo, hi in zip(client_ids, starts.tolist(), stops.tolist())
@@ -225,7 +210,7 @@ def gen_synthetic_mf(
         noisy = clean + cfg.noise_std * targets[rows]
         targets[rows] = np.clip(round_half_away(noisy), 1.0, 5.0)
     timestamps = np.tile(np.arange(per_user, dtype=np.int64), users)
-    columns = (features, targets, np.ones(bounds[-1]), timestamps)
+    columns = (features, targets, timestamps)
     return _row_views(range(users), bounds[:-1], bounds[1:], columns), p_true, q_true
 
 
@@ -322,19 +307,23 @@ def _window(
     targets, sentence by sentence, and each sentence's number of examples.
     """
     C, L = cfg.context_window, cfg.max_sentence_len
-    bodies = [tokens[: L - 2] for tokens in sentences]
-    body = np.fromiter(map(len, bodies), np.int64, len(bodies))
-    slots = np.full((len(bodies), C + L), PAD_ID)
+    S = len(sentences)
+    # Each body is cut as it is read, so no corpus-long list of cut copies.
+    body = np.fromiter((min(len(tokens), L - 2) for tokens in sentences), np.int64, S)
+    slots = np.full((S, C + L), PAD_ID)
     slots[:, C] = BOS_ID
     # Boolean indexing reads row-major: sentence by sentence, slot by slot.
     slots[:, C + 1 : C + L - 1][np.arange(L - 2) < body[:, None]] = np.fromiter(
-        map(codes.__getitem__, chain.from_iterable(bodies)), np.int64, int(body.sum())
+        map(codes.__getitem__, chain.from_iterable(t[: L - 2] for t in sentences)),
+        np.int64, int(body.sum()),
     )
-    slots[np.arange(len(bodies)), C + 1 + body] = EOS_ID
+    slots[np.arange(S), C + 1 + body] = EOS_ID
     examples = np.arange(1, L) <= body[:, None] + 1
     ctx_id, target_id = lookups
-    windows = np.lib.stride_tricks.sliding_window_view(ctx_id[slots], C, axis=1)
-    return windows[:, 1:L][examples], target_id[slots[:, C + 1 :][examples]], body + 1
+    targets = target_id[slots[:, C + 1 :][examples]]
+    slots = ctx_id[slots]  # rebinding frees the codes before the windows are cut
+    windows = np.lib.stride_tricks.sliding_window_view(slots, C, axis=1)
+    return windows[:, 1:L][examples], targets, body + 1
 
 
 def load_token_corpus(
@@ -359,33 +348,30 @@ def corpus_to_clients(
     into next-word examples; clients keep at most
     ``max_sentences_per_client`` sentences, earliest by timestamp.
 
-    Each distinct token is coded and looked up once; each client's kept
-    sentences are windowed together (see :func:`_window`).
+    Each distinct token is coded and looked up once, and every client's
+    kept sentences, client by client, are windowed in one call (see
+    :func:`_window`) into pooled columns that the clients view.
     """
     codes = _token_codes(rec.tokens for rec in records)
     vocab = build_vocabulary(records, cfg.vocab_size)
     codec = TokenCodec(cfg, vocab)
-    lookups = _lookups(codec, codes)
 
     by_client: dict[int, list[SentenceRecord]] = {}
     for rec in records:
         by_client.setdefault(rec.client_id, []).append(rec)
+    ids = sorted(by_client)
+    kept = [sorted(by_client[cid], key=lambda r: r.timestamp)[:max_sentences_per_client]
+            for cid in ids]
+    sentences = list(chain.from_iterable(kept))
 
-    clients = []
-    for cid in sorted(by_client):
-        kept = sorted(by_client[cid], key=lambda r: r.timestamp)[:max_sentences_per_client]
-        stamps = np.array([rec.timestamp for rec in kept], dtype=np.int64)
-        ctx, targets, counts = _window(cfg, codes, [rec.tokens for rec in kept], lookups)
-        clients.append(
-            ClientDataset(
-                client_id=cid,
-                features=ctx,
-                targets=targets.astype(np.float64),
-                weights=np.ones(len(targets)),
-                timestamps=np.repeat(stamps, counts),
-            )
-        )
-    return clients, vocab, codec
+    ctx, targets, counts = _window(
+        cfg, codes, [rec.tokens for rec in sentences], _lookups(codec, codes)
+    )
+    stamps = np.fromiter((rec.timestamp for rec in sentences), np.int64, len(sentences))
+    # A client's examples are those of its kept sentences.
+    bounds = np.concatenate(([0], np.cumsum(counts)))[np.cumsum([0] + list(map(len, kept)))]
+    columns = (ctx, targets.astype(np.float64), np.repeat(stamps, counts))
+    return _row_views(ids, bounds[:-1], bounds[1:], columns), vocab, codec
 
 
 def gen_synthetic_corpus(cfg: SyntheticDataConfig, seed: int) -> list[SentenceRecord]:

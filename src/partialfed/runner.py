@@ -55,6 +55,7 @@ __all__ = [
     "RunOutput",
     "ExperimentResult",
     "run_experiment",
+    "write_experiment",
     "rerun_manifest",
     "apply_overrides",
     "GridSearchResult",
@@ -266,9 +267,16 @@ def _average_runs(outputs: Sequence[RunOutput]) -> tuple[list[tuple], dict]:
     return rows, final
 
 
-def _run_all_repeats(
-    config: ExperimentConfig, bundle: TaskBundle | None = None
-) -> tuple[list[tuple], dict, RunOutput]:
+# A run with repeats: the averaged rows and final metrics, and repeat 0.
+Repeats = tuple[list[tuple], dict[str, dict[str, float]], RunOutput]
+
+
+def _task_settings(config: ExperimentConfig) -> tuple:
+    """Everything of a config that :func:`prepare_task` reads."""
+    return config.task, config.seed, config.data, config.model, config.eval.regime
+
+
+def _run_all_repeats(config: ExperimentConfig, bundle: TaskBundle | None = None) -> Repeats:
     bundle = bundle if bundle is not None else prepare_task(config)
     base = RngStreams(config.seed)
     outputs = []
@@ -358,7 +366,13 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run (with repeats), then write metrics.csv, params.bin, and the
     manifest.  All randomness derives from the manifest seed."""
-    rows, final, first = _run_all_repeats(config, bundle)
+    return write_experiment(config, _run_all_repeats(config, bundle))
+
+
+def write_experiment(config: ExperimentConfig, run: Repeats) -> ExperimentResult:
+    """Write the files of :func:`run_experiment` for ``config``'s ``run``,
+    as a grid search keeps it for its best point."""
+    rows, final, first = run
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "metrics.csv"
@@ -415,14 +429,17 @@ class GridSearchResult:
     best_config: ExperimentConfig
     best_overrides: dict
     best_metrics: dict[str, float]
+    best_run: Repeats
     entries: list[tuple[dict, dict[str, float]]]
 
 
 def grid_search(
     config: ExperimentConfig, grid: Mapping[str, Sequence] | None = None
 ) -> GridSearchResult:
-    """Run every grid point and keep the best final validation metric;
-    ties go to the earlier point in grid order."""
+    """Run every grid point and keep the best final validation metric, and
+    that point's run; ties go to the earlier point in grid order.  A point
+    whose task settings (see :func:`prepare_task`) are the base's shares
+    the base's prepared task; any other prepares its own."""
     if grid is None:
         grid = MATFAC_GRID if config.task in ("matfac", "synthetic") else NWP_GRID
     if not grid:
@@ -438,22 +455,24 @@ def grid_search(
     for combo in itertools.product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         cfg = apply_overrides(config, overrides)
+        same_task = _task_settings(cfg) == _task_settings(config)
         try:
-            _, final, _ = _run_all_repeats(cfg, bundle)
-            value = final["valid"][metric_key]
-            valid_metrics = final["valid"]
+            run = _run_all_repeats(cfg, bundle if same_task else None)
+            valid_metrics = run[1]["valid"]
+            value = valid_metrics[metric_key]
         except NumericalError:
             # A diverged grid point loses to every finite one.
-            value = -np.inf if higher else np.inf
+            run, value = None, (-np.inf if higher else np.inf)
             valid_metrics = {metric_key: value, "diverged": 1.0}
         entries.append((overrides, valid_metrics))
         better = best is None or (value > best[0] if higher else value < best[0])
         if better:
-            best = (value, overrides, cfg, valid_metrics)
+            best = (value, overrides, cfg, valid_metrics, run)
     if not np.isfinite(best[0]):
         raise NumericalError("every grid point diverged")
     return GridSearchResult(
-        best_config=best[2], best_overrides=best[1], best_metrics=best[3], entries=entries
+        best_config=best[2], best_overrides=best[1], best_metrics=best[3], best_run=best[4],
+        entries=entries,
     )
 
 

@@ -8,9 +8,10 @@ replaced, kept so that the cohort path is compared with something other
 than itself.  Unlike ``oracles.py`` they call the model kernels.
 
 The next-word data reference: every sentence windowed slot by slot, every
-token looked up through ``TokenCodec`` where it occurs, and the slang
-corpus drawn one scalar ``integers`` call at a time.  ``partialfed.data``
-codes each distinct token once, windows a client's sentences together and
+token looked up through ``TokenCodec`` where it occurs, each client's
+examples built on their own, and the slang corpus drawn one scalar
+``integers`` call at a time.  ``partialfed.data`` codes each distinct token
+once, windows every client's sentences in one call into pooled columns and
 draws a client's corpus in one call; these are the bodies it replaced.
 
 Reconstruction evaluation one repeat at a time: ``partialfed.evaluation``
@@ -26,10 +27,12 @@ one dict of floats per client that they replaced, and :func:`per_owner`
 cuts arrays into those dicts.
 
 Rating populations one user and one client at a time: ``partialfed.data``
-pools every client's columns and builds ratings and seen-user splits in
-array ops over the pool; :func:`gen_synthetic_mf` and
+pools every client's columns and builds ratings, parsed MovieLens users and
+seen-user splits in array ops over the pool; :func:`gen_synthetic_mf`,
+:func:`parse_movielens` (each user's ratings sorted on their own) and
 :func:`split_clients_by_time` (each client split on its own, as
-``prepare_task`` once did) are the per-user bodies they replaced.
+``prepare_task`` once did) are the per-user bodies they replaced, and
+:func:`subset` the per-client gather they used.
 
 Client updates one client at a time: a cohort returns its clients' deltas
 as one ``client.CohortUpdate`` per owner chunk, and ``server.aggregate``
@@ -74,7 +77,7 @@ from partialfed.core import (
     owner_rows,
     round_half_away,
 )
-from partialfed.data import SentenceRecord, SyntheticDataConfig, build_vocabulary
+from partialfed.data import MovieLensData, SentenceRecord, SyntheticDataConfig, build_vocabulary
 from partialfed.errors import ConfigError, DataError, NumericalError
 from partialfed.evaluation import EvalMode, EvalResult
 from partialfed.models import SPECIAL_TOKENS, ModelConfig, TokenCodec
@@ -444,7 +447,6 @@ def corpus_to_clients(
                 client_id=cid,
                 features=features,
                 targets=targets.astype(np.float64),
-                weights=np.ones(len(targets)),
                 timestamps=np.concatenate(stamps),
             )
         )
@@ -510,11 +512,50 @@ def gen_synthetic_mf(
                 client_id=u,
                 features=items.astype(np.int64),
                 targets=ratings,
-                weights=np.ones(len(items)),
                 timestamps=np.arange(len(items), dtype=np.int64),
             )
         )
     return clients, p_true, q_true
+
+
+def parse_movielens(path) -> MovieLensData:
+    """A ``ratings.dat`` file parsed line by line into per-user lists, each
+    user's ratings then sorted by timestamp on their own, ties in file
+    order."""
+    user_ids: dict[int, int] = {}
+    item_ids: dict[int, int] = {}
+    per_user: dict[int, list[tuple[int, float, int]]] = {}
+    n_ratings = 0
+    with open(path, encoding="iso-8859-1") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            raw_user, raw_item, rating, ts = (int(p) for p in line.split("::"))
+            u = user_ids.setdefault(raw_user, len(user_ids))
+            i = item_ids.setdefault(raw_item, len(item_ids))
+            per_user.setdefault(u, []).append((i, float(rating), ts))
+            n_ratings += 1
+    clients = []
+    for u in sorted(per_user):
+        rows = per_user[u]
+        items = np.array([r[0] for r in rows], dtype=np.int64)
+        ratings = np.array([r[1] for r in rows])
+        stamps = np.array([r[2] for r in rows], dtype=np.int64)
+        order = np.argsort(stamps, kind="stable")
+        clients.append(ClientDataset(u, items[order], ratings[order], stamps[order]))
+    return MovieLensData(clients, len(user_ids), len(item_ids), n_ratings)
+
+
+def subset(ds: ClientDataset, idx, client_id: int | None = None) -> ClientDataset:
+    """The examples of ``ds`` at ``idx``, gathered, under ``client_id`` if
+    given."""
+    return ClientDataset(
+        ds.client_id if client_id is None else client_id,
+        ds.features[idx],
+        ds.targets[idx],
+        ds.timestamps[idx],
+    )
 
 
 def split_each_client_by_time(ds: ClientDataset, fractions=(0.8, 0.1, 0.1)):
@@ -524,9 +565,9 @@ def split_each_client_by_time(ds: ClientDataset, fractions=(0.8, 0.1, 0.1)):
     n_train = min(math.ceil(fractions[0] * ds.n), ds.n)
     n_val = min(math.ceil(fractions[1] * ds.n), ds.n - n_train)
     return (
-        ds.subset(order[:n_train]),
-        ds.subset(order[n_train : n_train + n_val]),
-        ds.subset(order[n_train + n_val :]),
+        subset(ds, order[:n_train]),
+        subset(ds, order[n_train : n_train + n_val]),
+        subset(ds, order[n_train + n_val :]),
     )
 
 

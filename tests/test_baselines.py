@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partialfed.baselines import _merge_clients, train_centralized, train_fedavg
+from partialfed.baselines import train_centralized, train_fedavg
 from partialfed.client import ClientHyper
 from partialfed.core import (
     Batch,
@@ -37,7 +37,7 @@ def population(num_users=4, num_items=6, seed=3, ratings=5):
 class TestTrainCentralized:
     def test_single_example_single_epoch_is_one_sgd_step(self):
         spec, _ = population()
-        clients = {0: ClientDataset(0, np.array([2]), np.array([4.0]), np.ones(1), np.zeros(1))}
+        clients = {0: ClientDataset(0, np.array([2]), np.array([4.0]), np.zeros(1))}
         streams = RngStreams(1)
         g, locs = train_centralized(
             spec, clients, epochs=1, batch_size=1, rate=0.3, streams=streams
@@ -76,7 +76,7 @@ class TestTrainCentralized:
             spec = oov_nwp_spec(ModelConfig(vocab_size=4, num_oov_buckets=3, embed_dim=2))
             clients = {
                 cid: ClientDataset(cid, features=np.array([[4, -1, 5]]), targets=np.array([5.0]),
-                                   weights=np.ones(1), timestamps=np.zeros(1))
+                                   timestamps=np.zeros(1))
                 for cid in (3, 8, 20)
             }
         _, locs = train_centralized(
@@ -95,7 +95,7 @@ class TestTrainCentralized:
         spec = oov_nwp_spec(ModelConfig(vocab_size=4, num_oov_buckets=3, embed_dim=2))
         clients = {
             cid: ClientDataset(cid, features=np.array([[4, -1, 5]]), targets=np.array([5.0]),
-                               weights=np.ones(1), timestamps=np.zeros(1))
+                               timestamps=np.zeros(1))
             for cid in (20, 3, 8)
         }
         _, locs = train_centralized(
@@ -117,7 +117,7 @@ class TestTrainCentralized:
         ratings = {0: [(1, 4.0), (2, 2.0)], 1: [(2, 5.0), (3, 1.0)]}
         clients = {
             cid: ClientDataset(cid, np.array([i for i, _ in rs]), np.array([r for _, r in rs]),
-                               np.ones(len(rs)), np.zeros(len(rs), np.int64))
+                               np.zeros(len(rs), np.int64))
             for cid, rs in ratings.items()
         }
         g, locs = train_centralized(
@@ -135,17 +135,9 @@ class TestTrainCentralized:
         for row, cid in enumerate((0, 1)):
             np.testing.assert_allclose(locs.blocks[0].array[row], p_exp[row], rtol=0, atol=1e-12)
 
-    def test_zero_weight_batch_is_a_data_error(self):
-        spec, clients = population()
-        clients = {
-            cid: dataclasses.replace(ds, weights=np.zeros(ds.n)) for cid, ds in clients.items()
-        }
-        with pytest.raises(DataError, match="zero total weight"):
-            train_centralized(spec, clients, epochs=1, batch_size=3, rate=0.2, streams=RngStreams(6))
-
     def test_client_data_never_mutated(self):
         spec, clients = population()
-        columns = ("features", "targets", "weights")
+        columns = ("features", "targets", "timestamps")
         snapshot = {cid: [getattr(ds, c).copy() for c in columns] for cid, ds in clients.items()}
         train_centralized(spec, clients, epochs=2, batch_size=3, rate=0.2, streams=RngStreams(6))
         for cid, ds in clients.items():
@@ -154,8 +146,8 @@ class TestTrainCentralized:
 
     def test_nwp_two_owner_step_matches_share_weighted_grads(self):
         # The generic loop normalises each owner's sub-batch by the whole
-        # minibatch weight; the reference scales each owner's dense
-        # grad_global / grad_local by its weight share of the minibatch.
+        # minibatch's size; the reference scales each owner's dense
+        # grad_global / grad_local by its share of the minibatch's examples.
         cfg = ModelConfig(vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2)
         spec = oov_nwp_spec(cfg)
         rng = np.random.default_rng(0)
@@ -164,7 +156,6 @@ class TestTrainCentralized:
                 cid,
                 features=rng.integers(-cfg.num_oov_buckets, cfg.num_classes, size=(n, 2)),
                 targets=rng.integers(0, cfg.num_classes, size=n).astype(float),
-                weights=rng.uniform(0.5, 2.0, size=n),
                 timestamps=np.arange(n),
             )
             for cid, n in ((0, 4), (1, 3))
@@ -173,10 +164,10 @@ class TestTrainCentralized:
             spec, clients, epochs=1, batch_size=7, rate=0.3, streams=RngStreams(8)
         )
         g_ref = spec.init_global(RngStreams(8).generator("global_init"))
-        batch_w = sum(ds.weights.sum() for ds in clients.values())
+        batch_n = sum(ds.n for ds in clients.values())
         step = [np.zeros(b.values.size) for b in g_ref]
         for cid, ds in clients.items():
-            share = ds.weights.sum() / batch_w
+            share = ds.n / batch_n
             l = spec.init_local(RngStreams(8).generator(cid, "centralized_local_init"))
             for acc, gg in zip(step, spec.grad_global(g_ref, l, ds.batch())):
                 acc += share * gg
@@ -208,7 +199,7 @@ class TestTrainCentralized:
                                         context_window=2))
         clients = {
             cid: ClientDataset(cid, features=np.array([ctx]), targets=np.array([5.0]),
-                               weights=np.ones(1), timestamps=np.zeros(1))
+                               timestamps=np.zeros(1))
             for cid, ctx in ((0, [4, -4]), (1, [-1, 6]))
         }
         with pytest.raises(DataError, match="bucket outside"):
@@ -216,12 +207,24 @@ class TestTrainCentralized:
                               streams=RngStreams(9))
 
 
+def merged(clients):
+    """The ascending client ids and the pooled columns: each example's owner
+    row (its client's position in the ids), features and targets."""
+    ids = sorted(clients)
+    return (
+        ids,
+        np.concatenate([np.full(clients[cid].n, row) for row, cid in enumerate(ids)]),
+        np.concatenate([clients[cid].features for cid in ids]),
+        np.concatenate([clients[cid].targets for cid in ids]),
+    )
+
+
 def per_owner_centralized(spec, clients, *, epochs, batch_size, rate, streams):
     """The reference: the minibatch grouped by owner, one ``sparse_grads``
     call per owner, each owner's sub-batch normalised by the whole
-    minibatch's weight.  An owner's local blocks step as soon as their grads
+    minibatch's size.  An owner's local blocks step as soon as their grads
     are known; the owners' global grads are summed, then stepped."""
-    ids, owners, feats, targets, weights = _merge_clients(clients)
+    ids, owners, feats, targets = merged(clients)
     g = spec.init_global(streams.generator("global_init"))
     locals_by_client = {
         cid: spec.init_local(streams.generator(cid, "centralized_local_init")) for cid in ids
@@ -232,13 +235,13 @@ def per_owner_centralized(spec, clients, *, epochs, batch_size, rate, streams):
         perm = shuffle_rng.permutation(len(targets))
         for start in range(0, len(targets), batch_size):
             idx = perm[start : start + batch_size]
-            batch_w = float(weights[idx].sum())
+            batch_w = float(len(idx))
             for b in total:
                 b.values.fill(0.0)
             for row in np.unique(owners[idx]):
                 sub = idx[owners[idx] == row]
                 l = locals_by_client[ids[row]]
-                batch = Batch(feats[sub], targets[sub], weights[sub])
+                batch = Batch(feats[sub], targets[sub], np.ones(len(sub)))
                 grads, local_grads = spec.sparse_grads(g, l, batch, batch_w, True, True)
                 _sgd_step(total, -1.0, grads)  # total += grads
                 _sgd_step(l, rate, local_grads)
@@ -249,7 +252,7 @@ def per_owner_centralized(spec, clients, *, epochs, batch_size, rate, streams):
 def mf_example_loop(spec, clients, *, epochs, batch_size, rate, streams):
     """MF's kernel calls in the order centralized MF has always made them:
     each example its own owner, user vectors stepped by owner rows."""
-    ids, owners, feats, targets, weights = _merge_clients(clients)
+    ids, owners, feats, targets = merged(clients)
     g = spec.init_global(streams.generator("global_init"))
     p = np.stack([
         spec.init_local(streams.generator(cid, "centralized_local_init"))[0].values
@@ -260,7 +263,7 @@ def mf_example_loop(spec, clients, *, epochs, batch_size, rate, streams):
         perm = shuffle_rng.permutation(len(targets))
         for start in range(0, len(targets), batch_size):
             idx = perm[start : start + batch_size]
-            u, w = owners[idx], weights[idx]
+            u, w = owners[idx], np.ones(len(idx))
             stacked = [ParamBlock("user_embedding", p[u], (len(u), p.shape[1]))]
             batch = Batch(feats[idx], targets[idx][:, None], w[:, None])
             grads, (local,) = spec.sparse_grads(g, stacked, batch, w.sum(), True, True)
@@ -273,8 +276,8 @@ def mf_example_loop(spec, clients, *, epochs, batch_size, rate, streams):
 def centralized_cases(draw):
     """A small MF or NWP population: up to 5 clients of ragged sizes, so an
     owner, an item or a bucket repeats within a minibatch; in-vocabulary
-    and bucket contexts under 0 to 3 buckets; non-unit weights; a batch
-    size that may leave a short last minibatch; 1 to 3 epochs."""
+    and bucket contexts under 0 to 3 buckets; a batch size that may leave
+    a short last minibatch; 1 to 3 epochs."""
     sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -298,8 +301,7 @@ def centralized_cases(draw):
             return ctx, rng.integers(0, cfg.num_classes, size=n) * 1.0
 
     clients = {
-        cid: ClientDataset(cid, *columns(n), weights=rng.uniform(0.25, 2.0, size=n),
-                           timestamps=np.arange(n))
+        cid: ClientDataset(cid, *columns(n), timestamps=np.arange(n))
         for cid, n in enumerate(sizes)
     }
     settings_ = dict(

@@ -46,9 +46,7 @@ def test_traced_spec_runs_a_client_round(instrument, streams, mf_toy, nwp_toy, m
         data = clients[0]
     else:
         spec, _, g, _, batch = nwp_toy
-        data = ClientDataset(
-            0, batch.features, batch.targets, batch.weights, np.arange(batch.size)
-        )
+        data = ClientDataset(0, batch.features, batch.targets, np.arange(batch.size))
     tracer = Tracer()
     traced = instrument.traced_spec(tracer, spec)
     hyper = ClientHyper(k_r=2, k_u=2, eta_r=0.1, eta_u=0.1, batch_size=2)

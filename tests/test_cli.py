@@ -322,6 +322,28 @@ def test_reproduce_table1_requires_data(tmp_path):
     assert code == 2
 
 
+def test_the_tuned_table1_row_writes_the_grids_run(tmp_path, monkeypatch):
+    # The grid has run the tuned point, every repeat of it: the row writes
+    # that run, whose files are those of running its manifest again.
+    from partialfed import runner
+    from partialfed.config import MATFAC_GRID
+
+    data = {"num_users": 40, "num_items": 12, "ratings_per_user": 10, "true_rank": 3}
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"data": {"synthetic": data}, "centralized": {"epochs": 2}}))
+    calls, execute = [], runner._execute
+    monkeypatch.setattr(runner, "_execute", lambda *a: calls.append(a) or execute(*a))
+    out = tmp_path / "t1"
+    flags = ["--config", str(path), *synth_args(tmp_path)[:-2], "--repeats", "2", "--grid"]
+    assert main(["reproduce", "table1", *flags, "--output-dir", str(out)]) == 0
+    points = int(np.prod([len(v) for v in MATFAC_GRID.values()]))
+    assert len(calls) == 2 * (points + 4)  # the grid and the four untuned rows
+    tuned = out / "fedrecon_recon_eval"
+    again = runner.rerun_manifest(tuned / "manifest.json", tmp_path / "again")
+    for name in ("metrics.csv", "params.bin"):
+        assert (tuned / name).read_bytes() == (again.output_dir / name).read_bytes()
+
+
 def _mf_blocks(embed_dim):
     from partialfed.models import ModelConfig, matfac_spec
 

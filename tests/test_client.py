@@ -58,7 +58,7 @@ def dense_kernel(spec):
 
 def toy_client(n, client_id=0):
     i = np.arange(n)
-    return ClientDataset(client_id, i % 3, 1.0 + i % 5, np.ones(n), 100 - i)
+    return ClientDataset(client_id, i % 3, 1.0 + i % 5, 100 - i)
 
 
 class TestSplitPolicy:
@@ -93,7 +93,7 @@ class TestSplitPolicy:
         assert len(split.support_idx) + len(split.query_idx) == 6
 
     def test_empty_dataset_rejected(self, streams):
-        ds = ClientDataset(0, np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
+        ds = ClientDataset(0, np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int))
         with pytest.raises(DataError):
             split_dataset(ds, SplitPolicy(), streams.generator(0))
 
@@ -166,7 +166,7 @@ class TestReconstruct:
         # vector to eta_r * 2 * rating * item_row.
         spec, g, _ = self.make(streams)
         spec = dataclasses.replace(spec, init_local=zero_user_rows)
-        ds = ClientDataset(0, np.array([2]), np.array([4.0]), np.ones(1), np.zeros(1, np.int64))
+        ds = ClientDataset(0, np.array([2]), np.array([4.0]), np.zeros(1, np.int64))
         ds = split_dataset(ds, SplitPolicy(kind="no_split"), streams.generator("s2"))
         hyper = ClientHyper(k_r=1, eta_r=0.3, batch_size=1)
         l = reconstruct(spec, g, ds, hyper, streams.generator("i2"), streams.generator("b2"))
@@ -334,7 +334,7 @@ class TestClientUpdate:
         spec = matfac_spec(ModelConfig(embed_dim=2), 3)
         g = spec.init_global(streams.generator("g"))
         l = client_init(spec, streams.generator("l"))
-        ds = ClientDataset(0, np.array([1, 1]), np.array([4.0, 2.0]), np.ones(2), np.zeros(2))
+        ds = ClientDataset(0, np.array([1, 1]), np.array([4.0, 2.0]), np.zeros(2))
         ds = split_dataset(ds, SplitPolicy(kind="no_split"), streams.generator("s"))
         hyper = ClientHyper(k_u=1, eta_u=0.5, batch_size=2)
         a, _ = client_update(spec, g, l, ds, hyper, streams.generator("d"))

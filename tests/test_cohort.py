@@ -207,7 +207,6 @@ def nwp_population(num_clients=9, seed=4):
             cid,
             features=rng.integers(-cfg.num_oov_buckets, cfg.num_classes, size=(n, 2)),
             targets=rng.integers(0, cfg.num_classes, size=n).astype(float),
-            weights=np.ones(n),
             timestamps=np.arange(n),
         )
         for cid, n in zip(range(num_clients), rng.integers(2, 14, size=num_clients))
@@ -266,7 +265,6 @@ class TestRunCohortMatchesClientRounds:
                 cid,
                 features=rng.integers(0, 2, size=11),
                 targets=rng.integers(1, 6, size=11).astype(float),
-                weights=np.ones(11),
                 timestamps=np.arange(11),
             )
             for cid in (2, 5, 7)
@@ -276,7 +274,7 @@ class TestRunCohortMatchesClientRounds:
     def test_single_example_client_uses_no_split(self, streams):
         spec, clients = mf_population()
         g = spec.init_global(streams.generator("g"))
-        clients[3] = clients[3].subset(np.array([4]))
+        clients[3] = reference.subset(clients[3], np.array([4]))
         results = compare_round(spec, g, clients, SplitPolicy(), HYPER, streams)
         assert results[3].n_i == 1
 
@@ -293,7 +291,6 @@ class TestRunCohortMatchesClientRounds:
                 cid,
                 features=rng.integers(-cfg.num_oov_buckets, cfg.num_classes, size=(n, 2)),
                 targets=rng.integers(0, cfg.num_classes, size=n).astype(float),
-                weights=np.ones(n),
                 timestamps=np.arange(n),
             )
             for cid, n in ((0, 7), (3, 1), (4, 12))
@@ -327,7 +324,7 @@ def round_settings(draw):
 
 @st.composite
 def populations(draw, columns):
-    """Up to 20 clients of ragged sizes with non-unit weights and sparse ids,
+    """Up to 20 clients of ragged sizes and sparse ids,
     so some cohorts seed their streams as arrays; ``columns(rng, n)`` draws
     a client's features and targets."""
     sizes = draw(st.lists(st.integers(1, 14), min_size=1, max_size=20))
@@ -338,7 +335,6 @@ def populations(draw, columns):
         ClientDataset(
             cid,
             *columns(rng, n),
-            weights=rng.uniform(0.25, 2.0, size=n),
             timestamps=rng.integers(0, 5, size=n),
         )
         for cid, n in zip(ids, sizes)
@@ -698,7 +694,7 @@ def varied_mf_population(num_users=16):
     widths, so a call scoring other owners pads to another width."""
     spec, clients = mf_population(num_users=num_users, num_items=60, ratings_per_user=59)
     sizes = np.random.default_rng(1).integers(9, 60, size=num_users)
-    return spec, [ds.subset(np.arange(m)) for ds, m in zip(clients, sizes)]
+    return spec, [reference.subset(ds, np.arange(m)) for ds, m in zip(clients, sizes)]
 
 
 def recon_mode(k_r=6, repeats=3, clients_per_repeat=7):
@@ -773,22 +769,28 @@ def test_reconstruction_calls_take_whole_scoring_calls(monkeypatch, model, budge
         assert_pooled_recon_eval_is_the_repeat_loop(spec, clients, mode)
 
 
-MARK = 2.0  # the example weight that flags a poisoned client's examples
+MARK = 0.25  # the fractional part that flags a poisoned client's targets
 
 
 def poison(ds: ClientDataset) -> ClientDataset:
-    """The client's data with every example weighing MARK."""
-    return dataclasses.replace(ds, weights=np.full(ds.n, MARK))
+    """The client's data with MARK added to every target, a whole rating or
+    class id, which :func:`unmarked` takes off again."""
+    return dataclasses.replace(ds, targets=ds.targets + MARK)
+
+
+def unmarked(batch: Batch) -> Batch:
+    return dataclasses.replace(batch, targets=np.floor(batch.targets))
 
 
 def nan_kernel(spec):
-    """``spec`` whose kernel turns the grads of every MARK-weight example,
+    """``spec`` whose kernel turns the grads of every MARK-target example,
     and the dense grads of its owner, into NaN.  A flat batch is one owner;
-    a RowDelta's values follow the feature slots that address its rows."""
+    a RowDelta's values follow the feature slots that address its rows.
+    The model's kernel and metrics read every target :func:`unmarked`."""
 
     def sparse_grads(g, l, batch, norm, need_global, need_local):
-        glob, local = spec.sparse_grads(g, l, batch, norm, need_global, need_local)
-        marked = np.asarray(batch.weights) == MARK
+        glob, local = spec.sparse_grads(g, l, unmarked(batch), norm, need_global, need_local)
+        marked = np.asarray(batch.targets) % 1 == MARK
         owner = marked.any(axis=-1)
         features = np.asarray(batch.features)
         slots = np.broadcast_to(
@@ -802,7 +804,10 @@ def nan_kernel(spec):
                     grad.reshape(owner.shape + (-1,))[owner] = np.nan
         return glob, local
 
-    return dataclasses.replace(spec, sparse_grads=sparse_grads)
+    def metrics(g, l, batch):
+        return spec.metrics(g, l, unmarked(batch))
+
+    return dataclasses.replace(spec, sparse_grads=sparse_grads, metrics=metrics)
 
 
 @pytest.mark.parametrize("position", [4, -1])
@@ -876,14 +881,15 @@ def test_overflowing_score_in_recon_eval_names_repeat_and_client():
 def nan_once_trained(spec):
     """``spec`` whose kernel is :func:`nan_kernel`'s once an update step
     has run: a marked client fails only after training has begun."""
-    poisoned, trained = nan_kernel(spec).sparse_grads, [False]
+    poisoned, trained = nan_kernel(spec), [False]
 
     def sparse_grads(g, l, batch, norm, need_global, need_local):
         trained[0] = trained[0] or need_global
-        kernel = poisoned if trained[0] else spec.sparse_grads
-        return kernel(g, l, batch, norm, need_global, need_local)
+        if trained[0]:
+            return poisoned.sparse_grads(g, l, batch, norm, need_global, need_local)
+        return spec.sparse_grads(g, l, unmarked(batch), norm, need_global, need_local)
 
-    return dataclasses.replace(spec, sparse_grads=sparse_grads)
+    return dataclasses.replace(poisoned, sparse_grads=sparse_grads)
 
 
 def test_nan_at_a_mid_run_validation_names_split_round_repeat_and_client(tmp_path):
@@ -1065,13 +1071,13 @@ def put_case(case):
         items = [3, 7, 3, 9, 11, 12, 13, 14, 15, 16, 3, 17, 18, 19, 20, 21, 22, 23, 24, 0]
         clients[2] = dataclasses.replace(clients[2], features=np.array(items))
     elif case == "padded_last_chunk":
-        clients[0] = clients[0].subset(np.arange(19))  # one pad, a new item: a put
-        clients[1] = clients[1].subset(np.arange(17))  # two pads or more: not a put
+        clients[0] = reference.subset(clients[0], np.arange(19))  # one pad, a new item: a put
+        clients[1] = reference.subset(clients[1], np.arange(17))  # two pads or more: not a put
     elif case == "single_example":  # one example a step: every step a put
-        clients[4] = clients[4].subset(np.array([6]))
+        clients[4] = reference.subset(clients[4], np.array([6]))
         hyper = dataclasses.replace(HYPER, batch_size=1)
     elif case == "single_example_padded":  # four pads of one item: no step a put
-        clients[4] = clients[4].subset(np.array([6]))
+        clients[4] = reference.subset(clients[4], np.array([6]))
     elif case == "one_step":
         hyper = dataclasses.replace(HYPER, k_u=1)
     return spec, clients, hyper
@@ -1167,7 +1173,7 @@ def test_nwp_update_steps_stay_on_rows_at(streams):
 
 
 @pytest.mark.parametrize("joint", [False, True], ids=["fedrecon", "joint"])
-@pytest.mark.parametrize("poisoned", ["user_embedding", "example_weight"])
+@pytest.mark.parametrize("poisoned", ["user_embedding", "example_target"])
 def test_a_non_finite_client_on_the_put_path_reaches_no_other(streams, poisoned, joint):
     spec, clients = mf_population()
     g = spec.init_global(streams.generator("g"))
@@ -1190,9 +1196,9 @@ def test_a_non_finite_client_on_the_put_path_reaches_no_other(streams, poisoned,
     clean, clean_locals = update(spec, cohort, False)
     bad_cohort, poison_local = cohort, poisoned == "user_embedding"
     if not poison_local:
-        weights = cohort.weights.copy()
-        weights[cohort.query[cohort.query_n[:bad].sum()]] = np.nan  # its first query example
-        bad_cohort = dataclasses.replace(cohort, weights=weights)
+        targets = cohort.targets.copy()
+        targets[cohort.query[cohort.query_n[:bad].sum()]] = np.nan  # its first query example
+        bad_cohort = dataclasses.replace(cohort, targets=targets)
 
     with pytest.raises(NumericalError, match=rf"^client {ids[bad]}: non-finite values in the update"):
         update(spec, bad_cohort, poison_local)
@@ -1228,7 +1234,7 @@ def test_nwp_metrics_calls_hold_at_most_the_budget_in_values(streams):
     widest = client_module._METRICS_BUDGET // (2 * cfg.num_classes) + 1
     clients = [
         ClientDataset(cid, rng.integers(-3, cfg.num_classes, size=(n, 2)),
-                      rng.integers(0, cfg.num_classes, size=n) * 1.0, np.ones(n), np.arange(n))
+                      rng.integers(0, cfg.num_classes, size=n) * 1.0, np.arange(n))
         for cid, n in enumerate([10, 2 * widest, 7, 12])
     ]
     g = spec.init_global(streams.generator("g"))
@@ -1251,7 +1257,7 @@ def test_nwp_metrics_calls_hold_at_most_the_budget_in_values(streams):
         start += n
         l = [ParamBlock(b.name, b.array[c], b.shape[1:]) for b in stacked]
         want = spec.metrics(
-            g, l, Batch(cohort.features[query], cohort.targets[query], cohort.weights[query])
+            g, l, Batch(cohort.features[query], cohort.targets[query], np.ones(len(query)))
         )
         for k, m in want.items():
             assert_close(got[k].value[c], m.value, f"client {c} {k}")

@@ -400,6 +400,43 @@ class TestGridSearch:
         assert result.best_overrides == {"split.support_fraction": 0.5}
         assert result.entries[0][1] == result.entries[1][1]
 
+    @pytest.mark.parametrize("axis, values", [
+        ("model.embed_dim", [7, 3]),
+        ("seed", [12, 11]),
+        ("data.synthetic.num_users", [30, 40]),
+        ("eval.regime", ["standard", "recon"]),
+    ])
+    def test_a_point_that_changes_the_task_runs_on_its_own_task(
+        self, tmp_path, monkeypatch, axis, values
+    ):
+        # Each axis is read by prepare_task.  The point equal to the base
+        # (the second) shares the base's task; the first prepares its own,
+        # and each entry is the validation score of its own config's run.
+        cfg = synthetic_config(tmp_path, rounds=2, algorithm="fedavg",
+                               **{"data.synthetic.ratings_per_user": 10})
+        prepared, prepare = [], runner.prepare_task
+        monkeypatch.setattr(runner, "prepare_task", lambda c: prepared.append(c) or prepare(c))
+        result = grid_search(cfg, {axis: values})
+        own = apply_overrides(cfg, {axis: values[0]})
+        assert prepared == [cfg, own]
+        for overrides, metrics in result.entries:
+            point = apply_overrides(cfg, overrides)
+            _, final, out = runner._run_all_repeats(point)
+            assert metrics == final["valid"]
+            assert out.global_params[0].shape == (12, point.model.embed_dim)
+        best = result.best_run[2].global_params[0]
+        assert best.shape == (12, result.best_config.model.embed_dim)
+
+    def test_the_best_point_keeps_its_run(self, tmp_path):
+        cfg = synthetic_config(tmp_path, rounds=3, repeats=2)
+        result = grid_search(cfg, {"client.eta_r": [1e-6, 0.5], "client.eta_u": [0.05, 0.1]})
+        rows, final, first = result.best_run
+        want_rows, want_final, want_first = runner._run_all_repeats(result.best_config)
+        assert (rows, final) == (want_rows, want_final)
+        assert final["valid"] == result.best_metrics
+        for got, want in zip(first.global_params, want_first.global_params, strict=True):
+            assert got.values.tobytes() == want.values.tobytes()
+
     @pytest.mark.parametrize("key", ["bogus.x", "seed.x"])
     def test_key_naming_no_section_is_a_config_error(self, tmp_path, key):
         cfg = synthetic_config(tmp_path, rounds=1)

@@ -219,17 +219,26 @@ class TestSgdStep:
 
 
 class TestClientDataset:
-    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -0.5])
-    def test_dataset_weights_must_be_finite_and_nonnegative(self, weight):
-        weights = np.array([1.0, weight, 1.0])
-        with pytest.raises(DataError, match="client 5: example weights"):
-            ClientDataset(5, np.arange(3), np.ones(3), weights, np.arange(3))
-
     def test_batch_selects_rows(self):
-        ds = ClientDataset(0, np.arange(5), np.arange(5.0), np.ones(5), np.zeros(5, np.int64))
+        ds = ClientDataset(0, np.arange(5), np.arange(5.0), np.zeros(5, np.int64))
         b = ds.batch(np.array([1, 3]))
         assert b.targets.tolist() == [1.0, 3.0]
+        assert b.weights.tolist() == [1.0, 1.0]
         assert b.size == 2
+        assert ds.batch().weights.tolist() == [1.0] * 5
+
+    def test_split_indices_are_keyword_only(self):
+        # A call of the former (id, features, targets, weights, timestamps)
+        # layout must not bind the timestamps to the support indices.
+        columns = (np.arange(3), np.ones(3), np.ones(3), np.arange(3))
+        with pytest.raises(TypeError):
+            ClientDataset(5, *columns)
+        ds = ClientDataset(5, *columns[:2], columns[3], support_idx=np.array([0]))
+        assert ds.support_idx.tolist() == [0] and ds.query_idx is None
+
+    def test_ragged_columns_name_the_client(self):
+        with pytest.raises(ShapeMismatchError, match="client 5: ragged columns"):
+            ClientDataset(5, np.arange(3), np.ones(3), np.arange(2))
 
 
 class TestGradCheck:

@@ -1,6 +1,8 @@
 import itertools
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -324,15 +326,15 @@ def one_sentence_client(cfg, tokens, timestamp):
 
 def assert_one_sentence_reference(ds, codec, tokens, timestamp):
     """``ds`` holds the examples ``reference.sentence_examples`` windows
-    from the sentence, with unit weights."""
+    from the sentence."""
     ctx, targets, stamps = reference.sentence_examples(codec, tokens, timestamp)
     for got, want in ((ds.features, ctx), (ds.targets, targets.astype(np.float64)),
-                      (ds.timestamps, stamps), (ds.weights, np.ones(len(targets)))):
+                      (ds.timestamps, stamps)):
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
 
-COLUMNS = ("features", "targets", "weights", "timestamps")
+COLUMNS = ("features", "targets", "timestamps")
 
 
 def assert_same_clients(got, want):
@@ -493,7 +495,6 @@ def _movielens_style(stamps: list[list[int]]) -> list[ClientDataset]:
                 client_id=cid,
                 features=np.arange(row, row + n, dtype=np.int64),
                 targets=rng.integers(1, 6, n).astype(np.float64),
-                weights=rng.random(n),
                 timestamps=np.array(ts, dtype=np.int64),
             )
         )
@@ -566,17 +567,94 @@ class TestRatingPopulationsMatchTheReference:
                 assert_same_clients([got], [want])
 
 
+def write_ratings(path, rows):
+    """A ``ratings.dat`` file of ``(user, item, rating, timestamp)`` rows."""
+    path.write_text("".join(f"{u}::{i}::{r}::{t}\n" for u, i, r, t in rows),
+                    encoding="iso-8859-1")
+    return path
+
+
+def assert_same_parse(path):
+    got, want = parse_movielens(path), reference.parse_movielens(path)
+    assert (got.num_users, got.num_items, got.num_ratings) == (
+        want.num_users, want.num_items, want.num_ratings
+    )
+    assert_same_clients(got.clients, want.clients)
+    return got
+
+
+def shuffled_ratings_file(path, num_users=12, seed=0):
+    """``gen_synthetic_mf``'s ratings as a ratings file: raw ids off the
+    dense ones, timestamps tied in fours within a user, users interleaved."""
+    cfg = SyntheticDataConfig(num_users=num_users, num_items=10, true_rank=3,
+                              ratings_per_user=10)
+    clients, _, _ = gen_synthetic_mf(cfg, seed)
+    rows = [
+        (7 + 3 * c.client_id, 100 + int(item), int(rating), 978300000 + int(ts) // 4)
+        for c in clients
+        for item, rating, ts in zip(c.features, c.targets, c.timestamps)
+    ]
+    order = np.random.default_rng(seed).permutation(len(rows))
+    return write_ratings(path, [rows[k] for k in order])
+
+
+_rating_rows = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(1, 9), st.integers(1, 5),
+              st.sampled_from([0, 1, 2, 978300760, 2**40])),
+    min_size=1, max_size=40,
+)
+
+
+class TestParsingMatchesTheReference:
+    """``parse_movielens`` against the per-user build it replaced
+    (``tests/reference.py``): users interleaved in the file, timestamps tied
+    within a user and out of order, column by column, byte for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_rating_rows)
+    @example(rows=[(3, 1, 5, 2), (1, 1, 4, 2), (3, 2, 1, 0), (1, 3, 2, 2), (3, 4, 3, 2)])
+    def test_interleaved_users_with_tied_timestamps(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_same_parse(write_ratings(Path(tmp) / "ratings.dat", rows))
+
+    def test_a_generated_population(self, tmp_path):
+        ml = assert_same_parse(shuffled_ratings_file(tmp_path / "ratings.dat"))
+        assert (ml.num_users, ml.num_ratings) == (12, 120)
+
+
 def assert_no_shared_memory(clients):
     arrays = [getattr(c, col) for c in clients for col in COLUMNS]
     for a, b in itertools.combinations(arrays, 2):
         assert not np.shares_memory(a, b)
 
 
+def pooled_sources(tmp_path):
+    """Each source's clients: generated ratings, a parsed ratings file and a
+    windowed corpus."""
+    cfg = SyntheticDataConfig(num_users=12, num_items=10, true_rank=3, ratings_per_user=10)
+    corpus = gen_synthetic_corpus(SyntheticDataConfig(num_clients=6, sentences_per_client=5), 2)
+    return {
+        "generated": gen_synthetic_mf(cfg, 0)[0],
+        "movielens": parse_movielens(shuffled_ratings_file(tmp_path / "ratings.dat")).clients,
+        "corpus": corpus_to_clients(corpus, ModelConfig(vocab_size=20, num_oov_buckets=3,
+                                                        embed_dim=2, context_window=2))[0],
+    }
+
+
 class TestPooledColumns:
-    def test_no_two_clients_share_memory(self):
-        # Clients hold views of pooled columns; no view may overlap another.
-        cfg = SyntheticDataConfig(num_users=12, num_items=10, true_rank=3, ratings_per_user=10)
-        clients, _, _ = gen_synthetic_mf(cfg, 0)
+    @pytest.mark.parametrize("source", ["generated", "movielens", "corpus"])
+    def test_every_source_cuts_its_clients_from_one_pool(self, tmp_path, source):
+        # Each column is one array, client after client, and a client holds
+        # views of its rows; no view overlaps another, split or not.
+        clients = pooled_sources(tmp_path)[source]
+        for col in COLUMNS:
+            views = [getattr(c, col) for c in clients]
+            pool = views[0].base
+            assert pool is not None and all(v.base is pool for v in views), col
+            assert sum(v.nbytes for v in views) == pool.nbytes, col
+            starts = [v.__array_interface__["data"][0] for v in views]
+            assert starts == [starts[0] + sum(v.nbytes for v in views[:k])
+                              for k in range(len(views))], col
         assert_no_shared_memory(clients)
         train, val, test = split_clients_by_time(clients)
         assert val and test

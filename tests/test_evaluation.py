@@ -22,7 +22,7 @@ from partialfed.evaluation import (
 from partialfed.models import ModelConfig, matfac_spec
 from partialfed.server import ServerOptimizer, run_training
 from partialfed.baselines import train_fedavg
-from reference import client_init, finalize_with_macro, tables_of
+from reference import client_init, finalize_with_macro, subset, tables_of
 
 
 def mf_setup(seed=1, num_users=6, num_items=6):
@@ -43,7 +43,7 @@ class TestStandardEval:
         # Craft a local vector that reproduces the rating exactly.
         q_row = g[0].array[2]
         l = [ParamBlock.of("user_embedding", 4.0 * q_row / np.dot(q_row, q_row))]
-        ds = ClientDataset(0, np.array([2]), np.array([4.0]), np.ones(1), np.zeros(1, np.int64))
+        ds = ClientDataset(0, np.array([2]), np.array([4.0]), np.zeros(1, np.int64))
         metrics = standard_eval(spec, g, tables_of({0: l}), [ds])
         assert metrics["rmse"] == pytest.approx(0.0, abs=1e-12)
         assert metrics["accuracy"] == 1.0
@@ -98,7 +98,7 @@ class TestStandardEval:
         # ``chunk`` padded examples a call: the budget counts K values each.
         monkeypatch.setattr(client, "_METRICS_BUDGET", chunk * g[0].shape[-1])
         ids = [2**32 + 5, 40, 7, 12, 3, 90, 2**32 + 1, 55, 8]
-        sets = [c.subset(np.arange(i % 5), cid) for i, (c, cid) in enumerate(zip(clients, ids))]
+        sets = [subset(c, np.arange(i % 5), cid) for i, (c, cid) in enumerate(zip(clients, ids))]
         stored = {cid: client_init(spec, RngStreams(5).generator(cid)) for cid in ids}
         got = standard_eval(spec, g, tables_of(stored), sets)
         want = finalize_with_macro(
@@ -191,7 +191,7 @@ class TestReconEval:
                 streams.generator(0, cid, "eval:recon_batches"),
             )
             stored[cid] = l
-            eval_sets.append(rep_client.subset(dsx.query_idx, client_id=cid))
+            eval_sets.append(subset(rep_client, dsx.query_idx, client_id=cid))
         expected = standard_eval(spec, g, tables_of(stored), eval_sets)
         assert result.metrics["rmse"] == pytest.approx(expected["rmse"])
         assert result.metrics["accuracy"] == pytest.approx(expected["accuracy"])
@@ -263,13 +263,13 @@ class TestSplits:
 
     def test_time_split_sizes_and_order(self):
         ts = np.array([5, 3, 9, 1, 7, 2, 8, 4, 6, 0])
-        ds = ClientDataset(0, np.zeros(10, np.int64), np.ones(10), np.ones(10), ts)
+        ds = ClientDataset(0, np.zeros(10, np.int64), np.ones(10), ts)
         train, val, test = split_each_client_by_time(ds)
         assert train.n == 8 and val.n == 1 and test.n == 1
         assert train.timestamps.max() < val.timestamps.min() < test.timestamps.min()
 
     def test_time_split_single_example(self):
-        ds = ClientDataset(0, np.zeros(1, np.int64), np.ones(1), np.ones(1), np.zeros(1, np.int64))
+        ds = ClientDataset(0, np.zeros(1, np.int64), np.ones(1), np.zeros(1, np.int64))
         train, val, test = split_each_client_by_time(ds)
         assert train.n == 1 and val.n == 0 and test.n == 0
 

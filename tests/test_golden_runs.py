@@ -78,7 +78,7 @@ _ML1M = {
     "data.synthetic.num_items": 3706,
     "data.synthetic.ratings_per_user": 165,
 }
-_COLUMNS = ("features", "targets", "weights", "timestamps")
+_COLUMNS = ("features", "targets", "timestamps")
 
 RUNS = {
     "synthetic_fedrecon": _SYNTHETIC,

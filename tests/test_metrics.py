@@ -48,9 +48,9 @@ def assert_same_merge(got: dict[str, Metric], want: dict[str, Metric]):
 
 @st.composite
 def scored_populations(draw):
-    """A model, its parameters and up to 12 clients of ragged sizes with
-    non-unit weights and sparse ids.  Next-word clients may target only
-    special tokens, so that nothing of theirs scores accuracy."""
+    """A model, its parameters and up to 12 clients of ragged sizes and
+    sparse ids.  Next-word clients may target only special tokens, so that
+    nothing of theirs scores accuracy."""
     model = draw(st.sampled_from(["matfac", "oov_nwp"]))
     sizes = draw(st.lists(st.integers(1, 11), min_size=1, max_size=12))
     ids = draw(st.lists(st.integers(0, 2**40), min_size=len(sizes), max_size=len(sizes),
@@ -77,8 +77,7 @@ def scored_populations(draw):
                 rng.integers(0, top, size=n) * 1.0,
             )
     clients = [
-        ClientDataset(cid, *columns(n, skip), weights=rng.uniform(0.25, 2.0, size=n),
-                      timestamps=rng.integers(0, 5, size=n))
+        ClientDataset(cid, *columns(n, skip), timestamps=rng.integers(0, 5, size=n))
         for cid, n, skip in zip(ids, sizes, unscored)
     ]
     g = spec.init_global(rng)
@@ -94,7 +93,10 @@ def test_an_owner_axis_call_merges_to_the_per_client_floats(case, poisoned, bad_
     # non-finite: both paths raise the same error.
     spec, g, stacked, clients = case
     cohort = split_cohort(clients, SplitPolicy(kind="no_split"))
-    stats = spec.metrics(g, stacked, cohort.query_batch())
+    batch = cohort.query_batch()
+    # Non-unit example weights, so that merged weights are not counts.
+    batch.weights *= np.random.default_rng(len(clients)).uniform(0.25, 2.0, batch.weights.shape)
+    stats = spec.metrics(g, stacked, batch)
     for m in stats.values():
         assert m.value.shape == m.weight.shape == (len(clients),)
     if spec.name == "oov_nwp":
@@ -158,7 +160,7 @@ def test_an_overflowing_query_score_names_the_round_and_client():
     rng = np.random.default_rng(3)
     clients = {
         cid: ClientDataset(cid, rng.integers(0, 5, size=8), rng.integers(1, 6, size=8) * 1.0,
-                           np.ones(8), np.arange(8))
+                           np.arange(8))
         for cid in (4, 9, 13)
     }
     clients[9] = dataclasses.replace(clients[9], features=np.full(8, 5))
@@ -190,7 +192,7 @@ def mf_clients(num):
     rng = np.random.default_rng(num)
     return [
         ClientDataset(cid, rng.integers(0, 7, size=n), rng.integers(1, 6, size=n) * 1.0,
-                      np.ones(n), np.arange(n))
+                      np.arange(n))
         for cid, n in zip(range(num), rng.integers(2, 12, size=num))
     ]
 

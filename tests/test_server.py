@@ -449,7 +449,7 @@ class TestRunTraining:
         # a RuntimeWarning escaping the scoring into an error.
         spec = matfac_spec(ModelConfig(embed_dim=2), 4)
         clients = {
-            cid: ClientDataset(cid, np.array(items), np.full(2, 3.0), np.ones(2), np.arange(2))
+            cid: ClientDataset(cid, np.array(items), np.full(2, 3.0), np.arange(2))
             for cid, items in ((1, [1, 2]), (5, [0, 3]), (9, [2, 3]))
         }
 
