@@ -223,14 +223,14 @@ class Cohort:
 
     def query_batch(self, owners: slice = slice(None)) -> Batch:
         """The ``owners`` clients' query halves as one ``(clients, widest)``
-        batch, one client per row; a short row is padded with masked,
-        zero-weight copies of its client's first query example."""
+        batch, one client per row; a short row is padded with zero-weight
+        copies of its client's first query example."""
         n = self.query_n[owners]
         starts = (np.cumsum(self.query_n) - self.query_n)[owners]
         slot = np.arange(n.max())
-        mask = slot < n[:, None]
-        pos = self.query[starts[:, None] + np.where(mask, slot, 0)]
-        return Batch(self.features[pos], self.targets[pos], mask.astype(np.float64), mask)
+        real = slot < n[:, None]
+        pos = self.query[starts[:, None] + np.where(real, slot, 0)]
+        return Batch(self.features[pos], self.targets[pos], real.astype(np.float64))
 
     def window(self, sel: slice) -> "Cohort":
         """The ``sel`` clients, consecutive ones, as a cohort over the same
@@ -421,8 +421,9 @@ def cohort_metrics(
     """``spec.metrics`` of every client's query half under its row of the
     stacked local blocks, as arrays over the clients: owner-axis calls over
     chunks of clients that hold at most ``_METRICS_BUDGET`` values, or a
-    single client, joined end to end.  A score that overflows comes back
-    non-finite, with no warning."""
+    single client, joined end to end; a client's entries are those of
+    scoring it alone.  A score that overflows comes back non-finite, with
+    no warning."""
     per_example = max(b.shape[-1] for b in g)
     per_call = max(1, _METRICS_BUDGET // (int(cohort.query_n.max()) * per_example))
     calls = []

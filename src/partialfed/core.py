@@ -30,6 +30,7 @@ __all__ = [
     "Batch",
     "ClientDataset",
     "Metric",
+    "sum_in_order",
     "merge_metrics",
     "finalize_metrics",
     "RowDelta",
@@ -364,14 +365,12 @@ class LocalTables:
 @dataclass
 class Batch:
     """Column-packed examples handed to ModelSpec procedures.  An example's
-    weight is 1 if it is real and 0 if it pads a batch; ``mask`` marks the
-    real examples, and padding is not scored.  None: every example is
-    real."""
+    weight is 1 if it is real and 0 if it pads a batch, and padding is not
+    scored."""
 
     features: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
-    mask: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -426,18 +425,22 @@ class Metric:
     weight: np.ndarray | float
 
 
-def _sum_in_order(parts: list[np.ndarray]) -> float:
-    """The entries of ``parts``, one after another, added left to right
-    from 0.0: what a loop over them sums, not numpy's pairwise sum."""
-    return float(np.cumsum(np.concatenate([np.zeros(1)] + parts))[-1])
+def sum_in_order(x) -> np.ndarray:
+    """Each owner's entries of ``x`` added along the last (example) axis
+    left to right: what a loop over them sums, never numpy's pairwise sum,
+    whose grouping changes with the axis length.  So entries of 0.0 after
+    an owner's own change no bit of its sum.  An empty axis sums to 0."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.add.accumulate(x, axis=-1)[..., -1] if x.shape[-1] else np.zeros(x.shape[:-1])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as float arithmetic: inf * 0 is a quiet nan
 def merge_metrics(parts: Iterable[Mapping[str, Metric]]) -> dict[str, Metric]:
     """Weighted-mean merge, key by key, over every owner of every part, in
     order; empty input yields an empty map.  A key's ``value * weight`` and
-    ``weight`` are summed owner after owner (:func:`_sum_in_order`), so a
-    merge of arrays gives the floats of a merge of their owners one by one."""
+    ``weight`` are summed owner after owner from 0.0 (:func:`sum_in_order`),
+    so a merge of arrays gives the floats of a merge of their owners one by
+    one."""
     acc: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
     for part in parts:
         for k, m in part.items():
@@ -445,8 +448,8 @@ def merge_metrics(parts: Iterable[Mapping[str, Metric]]) -> dict[str, Metric]:
             products.append(np.ravel(m.value * m.weight))
             weights.append(np.ravel(m.weight))
     out = {}
-    for k, (products, weights) in acc.items():
-        v, w = _sum_in_order(products), _sum_in_order(weights)
+    for k, terms in acc.items():
+        v, w = (float(sum_in_order(np.concatenate([np.zeros(1)] + t))) for t in terms)
         out[k] = Metric(v / w if w > 0 else float("nan"), w)
     return out
 
@@ -544,9 +547,10 @@ class ModelSpec:
 
     ``metrics`` returns one dict of :class:`Metric` whose ``value`` and
     ``weight`` are arrays with the batch's owner axes, 0-d for a flat
-    batch.  It scores only the entries ``batch.mask`` marks real, so each
-    owner's entries are what a flat call on its real examples returns (to
-    summation order).  Callers join consecutive calls' arrays end to end
+    batch.  It scores only the examples of nonzero weight and sums each
+    owner's examples in order (:func:`sum_in_order`), so each owner's
+    entries are bit for bit what a flat call on its real examples returns,
+    whoever shares the call.  Callers join consecutive calls' arrays end to end
     and merge them with :func:`merge_metrics`, which sums over the owners
     one after another in owner order: the floats of merging the owners one
     by one, never numpy's pairwise sum.

@@ -37,6 +37,19 @@ __all__ = [
 ]
 
 
+def _int64_fields(parts: Sequence[str], path: Path, line_no: int) -> list[int]:
+    """Line ``line_no``'s integer fields, each one an int64 holds; any
+    other field is a :class:`ParseError` naming the file and line."""
+    try:
+        values = [int(p) for p in parts]
+    except ValueError as e:
+        raise ParseError(str(path), line_no, f"non-integer field: {e}") from e
+    for v in values:
+        if not -(2**63) <= v < 2**63:
+            raise ParseError(str(path), line_no, f"integer {v} outside the 64-bit range")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # MovieLens 1M
 # ---------------------------------------------------------------------------
@@ -69,10 +82,7 @@ def parse_movielens(path: str | Path) -> MovieLensData:
             parts = line.split("::")
             if len(parts) != 4:
                 raise ParseError(str(path), line_no, f"expected 4 '::' fields, got {len(parts)}")
-            try:
-                raw_user, raw_item, rating, ts = (int(p) for p in parts)
-            except ValueError as e:
-                raise ParseError(str(path), line_no, f"non-integer field: {e}") from e
+            raw_user, raw_item, rating, ts = _int64_fields(parts, path, line_no)
             if not 1 <= rating <= 5:
                 raise DataError(f"{path}:{line_no}: rating {rating} outside 1..5")
             u = user_ids.setdefault(raw_user, len(user_ids))
@@ -246,10 +256,7 @@ def _parse_corpus(path: str | Path) -> list[SentenceRecord]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ParseError(str(path), line_no, f"expected 3 tab fields, got {len(parts)}")
-            try:
-                cid, ts = int(parts[0]), int(parts[1])
-            except ValueError as e:
-                raise ParseError(str(path), line_no, f"non-integer field: {e}") from e
+            cid, ts = _int64_fields(parts[:2], path, line_no)
             tokens = parts[2].split()
             if not tokens:
                 raise ParseError(str(path), line_no, "sentence with no tokens")

@@ -32,7 +32,6 @@ from .core import (
     _join_metrics,
     finalize_metrics,
     merge_metrics,
-    owner_rows,
 )
 from .errors import ConfigError, EvaluationError, NumericalError
 
@@ -139,13 +138,11 @@ def recon_eval(
     All repeats run as one cohort, repeat after repeat, a client sampled
     in two repeats being two owners.  The cohort is split, and each stream
     purpose seeded, once, client ``c`` of repeat ``r`` drawing from ``(r,
-    client id, namespace + ":" + purpose)``.  Each repeat is scored in the
-    calls a cohort of its own sample makes, one per slice of
-    :func:`owner_chunks` of it, so its metrics do not depend on the other
-    repeats.  A reconstruction call covers whole scoring calls: as many
-    whole repeats as one owner chunk holds, or one scoring call where a
-    repeat fills more than a chunk.  A non-finite score names the repeat
-    and the client.  Never reads or writes any training state."""
+    client id, namespace + ":" + purpose)``.  It is reconstructed and
+    scored as a round is, one batched call per slice of
+    :func:`owner_chunks`, which may straddle repeats: a client's scores do
+    not depend on who shares its call.  A non-finite score names the
+    repeat and the client.  Never reads or writes any training state."""
     if not clients:
         raise EvaluationError("no clients to evaluate")
     take = min(mode.clients_per_repeat, len(clients))
@@ -160,27 +157,16 @@ def recon_eval(
     ]
     reps = np.repeat(np.arange(mode.repeats), take)
     cohort, init, batches = _split_and_seed(sample, policy, streams, reps, namespace + ":")
-    chunks = owner_chunks(spec, g, take)  # each repeat's scoring calls
-    per = max(1, chunks[0].stop // take)  # whole repeats one owner chunk holds
     scored: list[dict[str, Metric]] = []
-    for first in range(0, mode.repeats, per):
-        for s in chunks:  # one slice, all of a repeat, where per > 1
-            calls = [
-                slice(rep * take + s.start, rep * take + min(s.stop, take))
-                for rep in range(first, min(first + per, mode.repeats))
-            ]
-            lo = calls[0].start
-            owners = slice(lo, calls[-1].stop)
-            try:
-                stacked = _reconstructed(
-                    spec, g, cohort.window(owners), mode.recon_hyper, init[owners],
-                    batches[owners],
-                )
-                for c in calls:
-                    rows = owner_rows(stacked, slice(c.start - lo, c.stop - lo))
-                    scored.append(cohort_metrics(spec, g, rows, cohort.window(c)))
-            except NumericalError as e:
-                raise NumericalError(f"repeat {reps[lo + (e.owner or 0)]}, {e}") from e
+    for owners in owner_chunks(spec, g, len(sample)):
+        chunk = cohort.window(owners)
+        try:
+            stacked = _reconstructed(
+                spec, g, chunk, mode.recon_hyper, init[owners], batches[owners]
+            )
+        except NumericalError as e:
+            raise NumericalError(f"repeat {reps[owners.start + (e.owner or 0)]}, {e}") from e
+        scored.append(cohort_metrics(spec, g, stacked, chunk))
     stats = _join_metrics(scored)
     per_repeat = []
     for rep in range(mode.repeats):
@@ -191,12 +177,10 @@ def recon_eval(
         except NumericalError as e:
             raise NumericalError(f"repeat {rep}, {e}") from e
 
-    keys = sorted({k for rep in per_repeat for k in rep})
     metrics: dict[str, float] = {}
-    for k in keys:
-        vals = np.array([rep[k] for rep in per_repeat if k in rep])
-        metrics[k] = float(vals.mean())
-        metrics[k + "_stddev"] = float(vals.std())
+    for k in sorted(per_repeat[0]):  # every repeat scores the same keys
+        vals = np.array([rep[k] for rep in per_repeat])
+        metrics[k], metrics[k + "_stddev"] = float(vals.mean()), float(vals.std())
     return EvalResult(metrics=metrics, per_repeat=per_repeat)
 
 

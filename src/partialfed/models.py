@@ -23,6 +23,7 @@ from .core import (
     delta_to_dense,
     fnv1a64,
     round_half_away,
+    sum_in_order,
 )
 from .errors import ConfigError, DataError
 
@@ -100,9 +101,9 @@ def _mf_items(batch: Batch, num_items: int) -> np.ndarray:
     return items
 
 
-def _batch_weight(batch: Batch) -> float:
-    total = batch.total_weight
-    if total <= 0:
+def _positive(total):
+    """``total``, a batch's weight or one per owner, if no entry is <= 0."""
+    if np.any(np.asarray(total) <= 0):
         raise DataError("batch has zero total weight")
     return total
 
@@ -112,10 +113,10 @@ def _dense_views(sparse_grads):
     gradient audit: one flat array per block, over a flat batch."""
 
     def grad_global(g, l, batch: Batch) -> list[np.ndarray]:
-        return delta_to_dense(sparse_grads(g, l, batch, _batch_weight(batch), True, False)[0], g)
+        return delta_to_dense(sparse_grads(g, l, batch, batch.total_weight, True, False)[0], g)
 
     def grad_local(g, l, batch: Batch) -> list[np.ndarray]:
-        return delta_to_dense(sparse_grads(g, l, batch, _batch_weight(batch), False, True)[1], l)
+        return delta_to_dense(sparse_grads(g, l, batch, batch.total_weight, False, True)[1], l)
 
     return grad_global, grad_local
 
@@ -136,15 +137,14 @@ def matfac_spec(cfg: ModelConfig, num_items: int) -> ModelSpec:
     def loss(g, l, batch: Batch) -> float:
         preds = g[0].array[_mf_items(batch, I)] @ l[0].values
         err = preds - batch.targets
-        return float(np.sum(batch.weights * err * err) / _batch_weight(batch))
+        return float(np.sum(batch.weights * err * err) / _positive(batch.total_weight))
 
     def sparse_grads(g, l, batch: Batch, norm, need_global: bool, need_local: bool):
         # Leading owner axes of the batch index the rows of a stacked local
         # block; features address rows of g[0], which may be a compact copy.
         q, p = g[0].array, l[0].array
         items = _mf_items(batch, len(q)).reshape(batch.weights.shape)
-        if np.any(np.asarray(norm) <= 0):
-            raise DataError("batch has zero total weight")
+        _positive(norm)
         qb = q[items]
         preds = np.einsum("...bk,...k->...b", qb, p)
         coef = 2.0 * batch.weights * (preds - batch.targets) / norm
@@ -159,19 +159,19 @@ def matfac_spec(cfg: ModelConfig, num_items: int) -> ModelSpec:
 
     def metrics(g, l, batch: Batch):
         # Owner axes as in sparse_grads: arrays with the batch's owner axes.
-        # Masked padding weighs 0 and is not scored.
+        # Zero-weight padding is not scored (see ModelSpec).
         q, p = g[0].array, l[0].array
         items = _mf_items(batch, len(q)).reshape(batch.weights.shape)
         t = batch.targets
-        real = np.ones(items.shape, bool) if batch.mask is None else batch.mask
-        total = batch.weights.sum(axis=-1)
-        if np.any(total <= 0):
-            raise DataError("batch has zero total weight")
+        real = batch.weights > 0
         if np.any(real & ((t < 1) | (t > 5) | (t != np.round(t)))):
             raise DataError("rating targets must be integers in 1..5")
         preds = np.einsum("...bk,...k->...b", q[items], p)
         err = preds - t
-        mse = np.where(real, batch.weights * err * err, 0.0).sum(axis=-1) / total
+        # A one-owner stack of locals scores a flat batch as a row of one.
+        sq = np.where(real, batch.weights * err * err, 0.0)
+        total, sq = sum_in_order(np.broadcast_arrays(batch.weights, sq))
+        mse = sq / _positive(total)
         hits = (real & (round_half_away(preds) == t)).sum(axis=-1)
         count = real.sum(axis=-1)  # >= 1: the real examples carry the weight
         return {"mse": Metric(mse, total), "accuracy": Metric(hits / count, count.astype(float))}
@@ -290,9 +290,7 @@ def _softmax_grad(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray, 
     ``softmax * s`` less ``s`` at the target: the divide by the row sum and
     the scale by ``s`` are one multiply by ``s / sum``, a single pass over
     the logits where divide-then-scale takes two (the same to rounding)."""
-    if np.any(np.asarray(norm) <= 0):
-        raise DataError("batch has zero total weight")
-    scale = weights / norm
+    scale = weights / _positive(norm)
     logits -= logits.max(axis=-1, keepdims=True)
     dz = np.exp(logits, out=logits)
     dz *= (scale / dz.sum(axis=-1))[..., None]
@@ -331,7 +329,7 @@ def oov_nwp_spec(cfg: ModelConfig) -> ModelSpec:
     def loss(g, l, batch: Batch) -> float:
         logits = _nwp_forward(cfg, g, l, batch)[-1]
         ll = _log_likelihood(logits, _targets(batch), logits.max(axis=-1, keepdims=True))
-        return float(-np.sum(batch.weights * ll) / _batch_weight(batch))
+        return float(-np.sum(batch.weights * ll) / _positive(batch.total_weight))
 
     def sparse_grads(g, l, batch: Batch, norm, need_global: bool, need_local: bool):
         # One forward and one backward pass; embedding and bucket grads are
@@ -360,19 +358,17 @@ def oov_nwp_spec(cfg: ModelConfig) -> ModelSpec:
 
     def metrics(g, l, batch: Batch):
         """Owner axes as in sparse_grads: arrays with the batch's owner
-        axes.  Masked padding weighs 0 and is not scored.  The prediction is
-        each row's first maximum, and the value there is the row maximum
-        that the log-likelihood shifts by, so the logits are scanned for it
-        once."""
+        axes.  Zero-weight padding is not scored (see ModelSpec).  The
+        prediction is each row's first maximum, and the value there is the
+        row maximum that the log-likelihood shifts by, so the logits are
+        scanned for it once."""
         logits, y = _nwp_forward(cfg, g, l, batch)[-1], _targets(batch)
         best = logits.argmax(axis=-1)[..., None]
         right = best[..., 0] == y
         ll = _log_likelihood(logits, y, np.take_along_axis(logits, best, axis=-1))
-        real = np.ones(y.shape, bool) if batch.mask is None else batch.mask
-        total = batch.weights.sum(axis=-1)
-        if np.any(total <= 0):
-            raise DataError("batch has zero total weight")
-        ce = -np.where(real, batch.weights * ll, 0.0).sum(axis=-1) / total
+        real = batch.weights > 0
+        total, ll_sum = sum_in_order([batch.weights, np.where(real, batch.weights * ll, 0.0)])
+        ce = -ll_sum / _positive(total)
         scored = real & (y >= NUM_SPECIAL)
         count = scored.sum(axis=-1)
         hits = (scored & right).sum(axis=-1)

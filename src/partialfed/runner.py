@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -335,14 +336,16 @@ def read_params(path: str | Path) -> list[ParamBlock]:
             raise DataError(f"malformed header in parameter file {path}: {e}") from e
         if dtype != "<f8":
             raise DataError(f"unsupported parameter dtype {dtype!r}")
+        left = Path(path).stat().st_size - fh.tell()
         blocks = []
         for name, shape in entries:
             if any(type(d) is not int or d < 1 for d in shape):
                 raise DataError(f"block {name!r}: shape {shape} is not positive integers")
-            count = int(np.prod(shape))
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+            count = math.prod(shape)  # a Python int: no shape wraps it round
+            if count * 8 > left:  # refused before reading, however large
                 raise DataError(f"truncated parameter file: block {name!r}")
+            raw = fh.read(count * 8)
+            left -= count * 8
             values = np.frombuffer(raw, dtype="<f8").copy()
             if not np.isfinite(values).all():
                 raise DataError(f"parameter file {path}: block {name!r} holds NaN or inf")

@@ -140,6 +140,25 @@ def test_a_ratings_file_without_ratings_is_a_data_error(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "task, name, line",
+    [
+        ("matfac", "ratings.dat", "2::1::4::99999999999999999999"),
+        ("matfac", "ratings.dat", "-9223372036854775809::1::4::5"),
+        ("oov_nwp", "corpus.tsv", "1\t99999999999999999999\ta b c"),
+        ("oov_nwp", "corpus.tsv", "-9223372036854775809\t5\ta b c"),
+    ],
+)
+def test_an_integer_outside_int64_is_a_data_error(tmp_path, capsys, task, name, line):
+    path = tmp_path / name
+    path.write_text(line + "\n")
+    code = main(["train", "--task", task, "--rounds", "1", "--data-path", str(path),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"data error: {path}:1: integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text", ["", "\n\n"], ids=["zero_bytes", "blank_lines"])
 def test_a_corpus_file_without_sentences_is_a_data_error(tmp_path, capsys, text):
     path = tmp_path / "corpus.tsv"
@@ -353,7 +372,11 @@ def _mf_blocks(embed_dim):
 
 
 @pytest.mark.parametrize(
-    "case", ["other_embed_dim", "other_task", "garbage_header", "missing_file", "non_finite"]
+    "case",
+    [
+        "other_embed_dim", "other_task", "garbage_header", "missing_file", "non_finite",
+        "wrapping_shape", "oversized_shape",
+    ],
 )
 def test_evaluate_bad_params_is_a_data_error(tmp_path, small_synthetic, capsys, case):
     from partialfed.runner import write_params
@@ -366,6 +389,12 @@ def test_evaluate_bad_params_is_a_data_error(tmp_path, small_synthetic, capsys, 
         task = ["--task", "oov_nwp"]
     elif case == "garbage_header":
         path.write_bytes(b"not a header\n" + bytes(64))
+    elif case in ("wrapping_shape", "oversized_shape"):
+        # 2**64 values, which int64 arithmetic wraps to 0; 2**61 values, whose
+        # 2**64 bytes no read can hold.  Both are refused before any read.
+        shape = [2**32, 2**32] if case == "wrapping_shape" else [2**61]
+        header = {"dtype": "<f8", "blocks": [{"name": "item_embeddings", "shape": shape}]}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(64))
     elif case == "non_finite":
         blocks = _mf_blocks(embed_dim=3)
         blocks[0].values[1] = np.inf
@@ -376,7 +405,7 @@ def test_evaluate_bad_params_is_a_data_error(tmp_path, small_synthetic, capsys, 
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "data error" in err
+    assert "data error:" in err
     if case == "non_finite":
         assert str(path) in err and "'item_embeddings'" in err
 

@@ -11,6 +11,7 @@ prediction.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import tracemalloc
 from unittest import mock
@@ -24,7 +25,6 @@ import reference
 from oracles import oracle_weighted_mean
 from partialfed import client as client_module
 from partialfed import core as core_module
-from partialfed import evaluation as evaluation_module
 from partialfed import runner as runner_module
 from partialfed.client import (
     ClientHyper,
@@ -167,24 +167,17 @@ def assert_deltas_agree(got_results, want_results, *, exact):
 
 
 def assert_rounds_agree(got_results, want_results, *, exact):
-    """:func:`assert_deltas_agree`, and query metrics to 1e-12 (a padded
-    owner-axis call sums in another order).  Local blocks are compared
-    apart: a cohort steps its stacked locals (:func:`assert_locals_agree`)."""
+    """:func:`assert_deltas_agree`, and query metrics bit for bit: a padded
+    owner-axis call scores a client as a flat call on its examples does.
+    Local blocks are compared apart: a cohort steps its stacked locals
+    (:func:`assert_locals_agree`)."""
     assert_deltas_agree(got_results, want_results, exact=exact)
     for got, want in zip(got_results, want_results):
         cid = want.client_id
         assert set(got.query_metrics) == set(want.query_metrics), f"client {cid}"
         for k, m in want.query_metrics.items():
-            assert_close(got.query_metrics[k].value, m.value, f"client {cid} {k}")
-            assert_close(got.query_metrics[k].weight, m.weight, f"client {cid} {k} weight")
-
-
-def assert_results_match(cohort, reference):
-    """:func:`assert_rounds_agree` to 1e-12, with every metric weight equal."""
-    assert_rounds_agree(cohort, reference, exact=False)
-    for got, want in zip(cohort, reference):
-        for k, m in want.query_metrics.items():
-            assert got.query_metrics[k].weight == m.weight, f"client {want.client_id} {k} weight"
+            agree(got.query_metrics[k].value, m.value, f"client {cid} {k}", True)
+            agree(got.query_metrics[k].weight, m.weight, f"client {cid} {k} weight", True)
 
 
 def mf_population(num_users=9, num_items=25, ratings_per_user=13, seed=4):
@@ -221,7 +214,7 @@ def compare_round(spec, g, datasets, policy, hyper, streams, round_idx=3, initia
     reference = mapped_client_rounds(
         spec, g, datasets, policy, hyper, streams, round_idx, initial_locals
     )
-    assert_results_match(cohort, reference)
+    assert_rounds_agree(cohort, reference, exact=False)
     if initial_locals is not None:
         assert_locals_agree(stacked, reference, initial_locals, exact=False)
     return cohort
@@ -707,23 +700,29 @@ def recon_mode(k_r=6, repeats=3, clients_per_repeat=7):
 
 @pytest.mark.parametrize("k_r", [6, 0])
 @pytest.mark.parametrize("metrics_budget", [None, 200])
-def test_pooled_recon_eval_is_the_repeat_loop(k_r, metrics_budget):
+@pytest.mark.parametrize("per_chunk", [None, 4, 5])
+def test_pooled_recon_eval_is_the_repeat_loop(k_r, metrics_budget, per_chunk):
     # Three repeats of 7 of 16 clients sample some client twice.  A small
-    # metrics budget scores each repeat in calls of one or two clients, which
-    # calls straddling repeats would pad to other widths.
+    # metrics budget scores the owners in calls of one or two clients, and
+    # owner chunks of 4 and 5 between them cut the repeats at every offset
+    # from 1 to 6, so a client shares its calls with clients of other
+    # repeats, padded to other widths.
     spec, clients = varied_mf_population()
     picks = [sampled(clients, rep, 7, RngStreams(5), "ev") for rep in range(3)]
     assert len(set().union(*picks)) < 21
     budget = client_module._METRICS_BUDGET if metrics_budget is None else metrics_budget
-    with mock.patch.object(client_module, "_METRICS_BUDGET", budget):
+    g = spec.init_global(RngStreams(2).generator("g"))
+    chunks = owner_budget(spec, g, per_chunk) if per_chunk else contextlib.nullcontext()
+    with chunks, mock.patch.object(client_module, "_METRICS_BUDGET", budget):
         assert_pooled_recon_eval_is_the_repeat_loop(spec, clients, recon_mode(k_r))
 
 
-def test_pooled_nwp_recon_eval_in_chunks_across_repeats_is_the_repeat_loop():
-    # Two repeats of 7 in chunks of 3: the chunk of owners 6 to 8 holds the
-    # last client of repeat 0 and the first two of repeat 1.
+@pytest.mark.parametrize("per_chunk", [3, 4, 5])
+def test_pooled_nwp_recon_eval_in_chunks_across_repeats_is_the_repeat_loop(per_chunk):
+    # Two repeats of 7 in chunks of 3, 4 or 5: a chunk holds the last
+    # clients of repeat 0 and the first of repeat 1.
     spec, clients = nwp_population(num_clients=12)
-    with owner_budget(spec, spec.init_global(RngStreams(0).generator("g")), 3):
+    with owner_budget(spec, spec.init_global(RngStreams(0).generator("g")), per_chunk):
         assert_pooled_recon_eval_is_the_repeat_loop(spec, clients, recon_mode(repeats=2))
 
 
@@ -743,30 +742,6 @@ def test_recon_eval_makes_k_r_kernel_calls_whatever_the_repeats(repeats):
     counted = dataclasses.replace(spec, sparse_grads=kernel)
     recon_eval(counted, g, clients, SplitPolicy(), recon_mode(repeats=repeats), RngStreams(5))
     assert kernel.call_count == 6
-
-
-@pytest.mark.parametrize(
-    "model, budget, mode, sizes",
-    [
-        # Chunks of 5 owners, repeats of 2: a call takes 5 // 2 = 2 whole
-        # repeats, never two and a half, so 5 repeats make calls of 4, 4, 2.
-        ("matfac", 5, recon_mode(repeats=5, clients_per_repeat=2), [4, 4, 2]),
-        # Chunks of 3, repeats of 7: a call takes one scoring call, 3, 3 or 1.
-        ("oov_nwp", 3, recon_mode(repeats=2, clients_per_repeat=7), [3, 3, 1] * 2),
-    ],
-)
-def test_reconstruction_calls_take_whole_scoring_calls(monkeypatch, model, budget, mode, sizes):
-    spec, clients = varied_mf_population() if model == "matfac" else nwp_population(num_clients=12)
-    g = spec.init_global(RngStreams(2).generator("g"))
-    kernel = mock.Mock(wraps=spec.sparse_grads)
-    counted = dataclasses.replace(spec, sparse_grads=kernel)
-    calls = mock.Mock(wraps=evaluation_module._reconstructed)
-    monkeypatch.setattr(evaluation_module, "_reconstructed", calls)
-    with owner_budget(spec, g, budget):
-        recon_eval(counted, g, clients, SplitPolicy(), mode, RngStreams(5))
-        assert [len(c.args[2].client_ids) for c in calls.call_args_list] == sizes
-        assert kernel.call_count == len(sizes) * mode.recon_hyper.k_r
-        assert_pooled_recon_eval_is_the_repeat_loop(spec, clients, mode)
 
 
 MARK = 0.25  # the fractional part that flags a poisoned client's targets
@@ -966,8 +941,8 @@ def nwp_bench_round():
 
 def test_nwp_bench_round_and_evaluation_make_one_kernel_call_a_step(nwp_bench_round):
     # A 20-client round is one owner chunk: k_r + k_u kernel calls.  An
-    # evaluation of 10 repeats of 8 clients reconstructs two whole repeats
-    # a call (22 // 8), so 5 calls of k_r steps.
+    # evaluation of 10 repeats of 8 clients is 80 owners in chunks of 22,
+    # so 4 calls of k_r steps.
     cfg, bundle, g, clients = nwp_bench_round
     kernel = mock.Mock(wraps=bundle.spec.sparse_grads)
     counted = dataclasses.replace(bundle.spec, sparse_grads=kernel)
@@ -977,7 +952,7 @@ def test_nwp_bench_round_and_evaluation_make_one_kernel_call_a_step(nwp_bench_ro
     mode = cfg.eval_mode()
     assert (mode.repeats, mode.clients_per_repeat, len(bundle.test_clients)) == (10, 8, 20)
     recon_eval(counted, g, bundle.test_clients, cfg.split, mode, RngStreams(cfg.seed))
-    assert kernel.call_count == 5 * cfg.client.k_r == 50
+    assert kernel.call_count == 4 * cfg.client.k_r == 40
 
 
 def test_nwp_bench_round_holds_one_set_of_grads_at_a_time(nwp_bench_round):
@@ -1156,7 +1131,7 @@ def test_a_window_of_a_cohort_is_its_clients_split_alone(streams, kind):
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a, b)
         got, want = window.query_batch(), alone.query_batch()
-        for field in ("features", "targets", "weights", "mask"):
+        for field in ("features", "targets", "weights"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
 
 

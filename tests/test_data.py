@@ -68,6 +68,21 @@ class TestParseMovielens:
             parse_movielens(path)
         assert exc_info.value.line_no == 2
 
+    def test_the_int64_bounds_parse(self, tmp_path):
+        lo, hi = -(2**63), 2**63 - 1
+        ml = parse_movielens(self.write(tmp_path, [f"{lo}::{hi}::4::{hi}", f"{hi}::{lo}::3::{lo}"]))
+        assert [ds.timestamps.tolist() for ds in ml.clients] == [[hi], [lo]]
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("value", [-(2**63) - 1, 2**63, 10**20])
+    def test_an_integer_outside_int64_is_a_parse_error(self, tmp_path, field, value):
+        parts = ["7", "8", "3", "9"]
+        parts[field] = str(value)
+        path = self.write(tmp_path, ["1::2::4::5", "::".join(parts)])
+        with pytest.raises(ParseError, match="outside the 64-bit range") as exc_info:
+            parse_movielens(path)
+        assert exc_info.value.line_no == 2 and str(path) in str(exc_info.value)
+
     def test_rating_out_of_range(self, tmp_path):
         path = self.write(tmp_path, ["1::2::6::4"])
         with pytest.raises(DataError):
@@ -223,6 +238,27 @@ class TestTokenCorpus:
         with pytest.raises(ParseError) as exc_info:
             load_token_corpus(path, cfg)
         assert exc_info.value.line_no == 2
+
+    def test_the_int64_bounds_parse(self, tmp_path):
+        lo, hi = -(2**63), 2**63 - 1
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"{lo}\t{hi}\ta b\n{hi}\t{lo}\ta\n", encoding="utf-8")
+        cfg = ModelConfig(vocab_size=2, num_oov_buckets=2, embed_dim=2, context_window=2)
+        clients, _, _ = load_token_corpus(path, cfg)
+        assert [ds.client_id for ds in clients] == [lo, hi]
+        assert [ds.timestamps[0] for ds in clients] == [hi, lo]
+
+    @pytest.mark.parametrize("field", range(2))
+    @pytest.mark.parametrize("value", [-(2**63) - 1, 2**63, 10**20])
+    def test_an_integer_outside_int64_is_a_parse_error(self, tmp_path, field, value):
+        parts = ["7", "9", "a b"]
+        parts[field] = str(value)
+        path = tmp_path / "corpus.tsv"
+        path.write_text("1\t2\ta b\n" + "\t".join(parts) + "\n", encoding="utf-8")
+        cfg = ModelConfig(vocab_size=2, num_oov_buckets=2, embed_dim=2, context_window=2)
+        with pytest.raises(ParseError, match="outside the 64-bit range") as exc_info:
+            load_token_corpus(path, cfg)
+        assert exc_info.value.line_no == 2 and str(path) in str(exc_info.value)
 
     def test_single_token_corpus(self):
         records = [SentenceRecord(0, ["a", "a", "a"], 0)]

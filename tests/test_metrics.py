@@ -88,7 +88,7 @@ def scored_populations(draw):
 @settings(max_examples=80, deadline=None)
 @given(scored_populations(), st.none() | st.integers(0, 11), st.sampled_from([np.inf, np.nan]))
 def test_an_owner_axis_call_merges_to_the_per_client_floats(case, poisoned, bad_value):
-    # Each client's query half is a row of one padded, masked batch.  Unless
+    # Each client's query half is a row of one padded batch.  Unless
     # ``poisoned`` is None, one value of client ``poisoned % clients`` turns
     # non-finite: both paths raise the same error.
     spec, g, stacked, clients = case

@@ -25,6 +25,18 @@ def mf_batch(items, ratings):
     return Batch(items, np.asarray(ratings, dtype=float), np.ones(len(items)))
 
 
+def padded(rows, width):
+    """Owners' ``(features, targets, weights)`` as one owner-axis batch
+    ``width`` examples wide, each row padded with zero-weight copies of its
+    owner's first example."""
+    features, targets, weights = (
+        np.stack([np.concatenate([c, np.repeat(c[:1], width - len(c), axis=0)]) for c in col])
+        for col in zip(*rows)
+    )
+    weights[np.arange(width) >= np.array([[len(r[1])] for r in rows])] = 0.0
+    return Batch(features, targets, weights)
+
+
 class TestMatFacSpec:
     def test_exact_fit_example(self):
         spec = matfac_spec(ModelConfig(embed_dim=2), 2)
@@ -76,32 +88,31 @@ class TestMatFacSpec:
             spec.metrics(g, l, mf_batch([0], [target]))
 
     def test_owner_axis_metrics_are_each_owners_flat_metrics(self, mf_toy):
-        # Two owners padded to width 4: masked entries (a copy of the owner's
-        # first example, and an out-of-range rating) neither weigh nor score.
+        # Owners of 11 and 3 examples padded to several widths: padding
+        # (zero-weight copies of the owner's first example, one with an
+        # out-of-range rating) neither weighs nor scores, and each owner's
+        # entries are its flat call's bit for bit, whatever the width.
         spec, g, _, _ = mf_toy
-        stacked = [ParamBlock("user_embedding", np.random.default_rng(3).normal(size=(2, 3)),
-                              (2, 3))]
-        rows = [([0, 2, 5, 1], [4.0, 1.0, 3.0, 2.0], [0.5, 1.5, 1.0, 2.0]),
-                ([3, 4], [5.0, 2.0], [1.0, 0.0])]
-        mask = np.array([[True] * 4, [True, True, False, False]])
-        batch = Batch(
-            features=np.array([rows[0][0], rows[1][0] + [3, 3]]),
-            targets=np.array([rows[0][1], rows[1][1] + [4.0, 0.0]]),
-            weights=np.array([rows[0][2], rows[1][2] + [0.0, 0.0]]),
-            mask=mask,
-        )
-        got = spec.metrics(g, stacked, batch)
-        for o, (items, targets, weights) in enumerate(rows):
-            local = [ParamBlock("user_embedding", stacked[0].array[o], (3,))]
-            flat = Batch(np.array(items), np.array(targets), np.array(weights))
-            want = spec.metrics(g, local, flat)
-            assert set(got) == set(want)
-            for k, m in want.items():
-                assert np.ndim(m.value) == np.ndim(m.weight) == 0
-                assert got[k].value.shape == got[k].weight.shape == (2,)
-                assert got[k].value[o] == pytest.approx(m.value, rel=1e-12)
-                assert got[k].weight[o] == m.weight
-        assert got["accuracy"].weight[1] == 2.0
+        rng = np.random.default_rng(3)
+        stacked = [ParamBlock("user_embedding", rng.normal(size=(2, 3)), (2, 3))]
+        rows = [
+            (rng.integers(0, 6, n), rng.integers(1, 6, n).astype(float), rng.uniform(0.25, 2, n))
+            for n in (11, 3)
+        ]
+        for width in (11, 16, 29):
+            batch = padded(rows, width)
+            batch.targets[1, -1] = 0.0
+            got = spec.metrics(g, stacked, batch)
+            for o, (items, targets, weights) in enumerate(rows):
+                local = [ParamBlock("user_embedding", stacked[0].array[o], (3,))]
+                want = spec.metrics(g, local, Batch(items, targets, weights))
+                assert set(got) == set(want)
+                for k, m in want.items():
+                    assert np.ndim(m.value) == np.ndim(m.weight) == 0
+                    assert got[k].value.shape == got[k].weight.shape == (2,)
+                    assert got[k].value[o] == m.value
+                    assert got[k].weight[o] == m.weight
+            assert got["accuracy"].weight[1] == 3.0
 
     def test_gradients_match_finite_differences(self, mf_toy):
         spec, g, l, clients = mf_toy
@@ -280,25 +291,32 @@ class TestNwpOwnerAxes:
         locals_ = [spec.init_local(rng) for _ in range(2)]
         stacked = [ParamBlock("oov_embeddings", np.stack([l[0].array for l in locals_]),
                               (2, 3, 2))]
-        # Owner 1's second example is padding: a masked copy of its first.
+        # Owner 1's second example is padding: a zero-weight copy of its first.
         ctx = np.array([[[4, -1], [-3, 6]], [[-2, -2], [-2, -2]]])
         targets = np.array([[5.0, 2.0], [7.0, 7.0]])
         weights = np.array([[0.5, 1.5], [2.0, 0.0]])
-        mask = np.array([[True, True], [True, False]])
-        return spec, g, locals_, stacked, Batch(ctx, targets, weights, mask)
+        return spec, g, locals_, stacked, Batch(ctx, targets, weights)
 
     def test_metrics(self):
-        spec, g, locals_, stacked, batch = self.make()
-        got = spec.metrics(g, stacked, batch)
-        for o, real in enumerate(batch.mask):
-            flat = Batch(batch.features[o][real], batch.targets[o][real], batch.weights[o][real])
-            want = spec.metrics(g, locals_[o], flat)
-            assert set(got) == set(want)
-            for k, m in want.items():
-                assert np.ndim(m.value) == np.ndim(m.weight) == 0
-                assert got[k].value.shape == got[k].weight.shape == (2,)
-                assert got[k].value[o] == pytest.approx(m.value, rel=1e-12)
-                assert got[k].weight[o] == m.weight
+        # Owners of 10 and 4 examples padded to several widths: each owner's
+        # entries are its flat call's bit for bit, whatever the width.
+        spec, g, locals_, stacked, _ = self.make()
+        rng = np.random.default_rng(6)
+        rows = [
+            (rng.integers(-3, 8, (n, 2)), rng.integers(0, 8, n).astype(float),
+             rng.uniform(0.25, 2, n))
+            for n in (10, 4)
+        ]
+        for width in (10, 16, 27):
+            got = spec.metrics(g, stacked, padded(rows, width))
+            for o, (ctx, targets, weights) in enumerate(rows):
+                want = spec.metrics(g, locals_[o], Batch(ctx, targets, weights))
+                assert set(got) == set(want)
+                for k, m in want.items():
+                    assert np.ndim(m.value) == np.ndim(m.weight) == 0
+                    assert got[k].value.shape == got[k].weight.shape == (2,)
+                    assert got[k].value[o] == m.value
+                    assert got[k].weight[o] == m.weight
 
     def test_grads(self):
         # Each owner steps its own copy of the dense output layer.
