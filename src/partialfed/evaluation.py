@@ -20,7 +20,7 @@ from .client import (
     _split_and_seed,
     _unsplit_cohort,
     cohort_metrics,
-    owner_chunks,
+    map_chunks,
 )
 from .core import (
     Blocks,
@@ -97,8 +97,9 @@ def standard_eval(
     """Score each client's held-out examples with its stored local
     parameters; metrics weight every example equally, with per-client
     macro-averages emitted alongside.  The clients are scored in owner-axis
-    calls (:func:`cohort_metrics`) over the slices of :func:`owner_chunks`,
-    each gathering its clients' rows of the tables at once."""
+    calls (:func:`cohort_metrics`) over the slices of :func:`owner_chunks`
+    (:func:`map_chunks`), each gathering its clients' rows of the tables at
+    once."""
     if stored is None:
         raise EvaluationError("the run stored no local parameters; use recon_eval")
     sizes = np.array([ds.n for ds in eval_sets], dtype=np.int64)
@@ -113,10 +114,10 @@ def standard_eval(
     if not sets:
         raise EvaluationError("no clients with evaluation examples")
     cohort = _unsplit_cohort(sets, sizes[sizes > 0])
-    stats = _join_metrics([
-        cohort_metrics(spec, g, stored.take(rows[owners]), cohort.window(owners))
-        for owners in owner_chunks(spec, g, len(sets))
-    ])
+    stats = _join_metrics(map_chunks(
+        lambda owners: cohort_metrics(spec, g, stored.take(rows[owners]), cohort.window(owners)),
+        spec, g, len(sets),
+    ))
     return _finalize_with_macro(stats, cohort.client_ids)
 
 
@@ -140,9 +141,10 @@ def recon_eval(
     purpose seeded, once, client ``c`` of repeat ``r`` drawing from ``(r,
     client id, namespace + ":" + purpose)``.  It is reconstructed and
     scored as a round is, one batched call per slice of
-    :func:`owner_chunks`, which may straddle repeats: a client's scores do
-    not depend on who shares its call.  A non-finite score names the
-    repeat and the client.  Never reads or writes any training state."""
+    :func:`owner_chunks` (:func:`map_chunks`), which may straddle repeats:
+    a client's scores do not depend on who shares its call.  A non-finite
+    score names the repeat and the client.  Never reads or writes any
+    training state."""
     if not clients:
         raise EvaluationError("no clients to evaluate")
     take = min(mode.clients_per_repeat, len(clients))
@@ -157,8 +159,8 @@ def recon_eval(
     ]
     reps = np.repeat(np.arange(mode.repeats), take)
     cohort, init, batches = _split_and_seed(sample, policy, streams, reps, namespace + ":")
-    scored: list[dict[str, Metric]] = []
-    for owners in owner_chunks(spec, g, len(sample)):
+
+    def score(owners: slice) -> dict[str, Metric]:
         chunk = cohort.window(owners)
         try:
             stacked = _reconstructed(
@@ -166,8 +168,9 @@ def recon_eval(
             )
         except NumericalError as e:
             raise NumericalError(f"repeat {reps[owners.start + (e.owner or 0)]}, {e}") from e
-        scored.append(cohort_metrics(spec, g, stacked, chunk))
-    stats = _join_metrics(scored)
+        return cohort_metrics(spec, g, stacked, chunk)
+
+    stats = _join_metrics(map_chunks(score, spec, g, len(sample)))
     per_repeat = []
     for rep in range(mode.repeats):
         owners = slice(rep * take, (rep + 1) * take)

@@ -321,8 +321,8 @@ def write_params(path: str | Path, blocks: Sequence[ParamBlock]) -> None:
 
 
 def read_params(path: str | Path) -> list[ParamBlock]:
-    """The blocks :func:`write_params` wrote; a missing, malformed or
-    truncated file is a :class:`DataError`."""
+    """The blocks :func:`write_params` wrote; a missing, malformed,
+    truncated or overlong file is a :class:`DataError`."""
     try:
         fh = open(path, "rb")
     except OSError as e:
@@ -350,6 +350,9 @@ def read_params(path: str | Path) -> list[ParamBlock]:
             if not np.isfinite(values).all():
                 raise DataError(f"parameter file {path}: block {name!r} holds NaN or inf")
             blocks.append(ParamBlock(name, values, shape))
+        if left:
+            after = f"block {entries[-1][0]!r}" if entries else "the header"
+            raise DataError(f"parameter file {path}: {left} trailing bytes after {after}")
     return blocks
 
 

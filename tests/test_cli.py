@@ -375,7 +375,7 @@ def _mf_blocks(embed_dim):
     "case",
     [
         "other_embed_dim", "other_task", "garbage_header", "missing_file", "non_finite",
-        "wrapping_shape", "oversized_shape",
+        "wrapping_shape", "oversized_shape", "trailing_bytes",
     ],
 )
 def test_evaluate_bad_params_is_a_data_error(tmp_path, small_synthetic, capsys, case):
@@ -399,6 +399,9 @@ def test_evaluate_bad_params_is_a_data_error(tmp_path, small_synthetic, capsys, 
         blocks = _mf_blocks(embed_dim=3)
         blocks[0].values[1] = np.inf
         write_params(path, blocks)
+    elif case == "trailing_bytes":
+        write_params(path, _mf_blocks(embed_dim=3))
+        path.write_bytes(path.read_bytes() + np.arange(3.0).tobytes())
     code = main(
         ["evaluate", "--config", str(small_synthetic), *synth_args(tmp_path), *task,
          "--params", str(path)]
@@ -408,6 +411,8 @@ def test_evaluate_bad_params_is_a_data_error(tmp_path, small_synthetic, capsys, 
     assert "data error:" in err
     if case == "non_finite":
         assert str(path) in err and "'item_embeddings'" in err
+    if case == "trailing_bytes":
+        assert "24 trailing bytes after block 'item_embeddings'" in err
 
 
 @pytest.mark.parametrize("runtime_warnings", ["error", "ignore"])

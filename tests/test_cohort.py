@@ -13,6 +13,11 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -36,6 +41,7 @@ from partialfed.client import (
     batch_schedule,
     client_update,
     cohort_metrics,
+    map_chunks,
     owner_chunks,
     reconstruct,
     run_client_round,
@@ -190,10 +196,13 @@ def mf_population(num_users=9, num_items=25, ratings_per_user=13, seed=4):
     return spec, clients
 
 
-def nwp_population(num_clients=9, seed=4):
-    """Next-word clients: in-vocabulary and bucket contexts, three global
-    blocks, two of them dense."""
-    cfg = ModelConfig(vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2)
+def nwp_population(num_clients=9, seed=4, sizes=(2, 14), init_stddev=0.1):
+    """Next-word clients of ``sizes[0]`` to ``sizes[1] - 1`` examples:
+    in-vocabulary and bucket contexts, three global blocks, two of them
+    dense."""
+    cfg = ModelConfig(
+        vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2, init_stddev=init_stddev
+    )
     rng = np.random.default_rng(seed)
     clients = [
         ClientDataset(
@@ -202,7 +211,7 @@ def nwp_population(num_clients=9, seed=4):
             targets=rng.integers(0, cfg.num_classes, size=n).astype(float),
             timestamps=np.arange(n),
         )
-        for cid, n in zip(range(num_clients), rng.integers(2, 14, size=num_clients))
+        for cid, n in zip(range(num_clients), rng.integers(*sizes, size=num_clients))
     ]
     return oov_nwp_spec(cfg), clients
 
@@ -554,6 +563,13 @@ def owner_budget(spec, g, per_call):
     return mock.patch.object(client_module, "_OWNER_BUDGET", per_call * per_owner)
 
 
+def on_workers(n):
+    """Owner chunks on ``n`` threads, every owner counted large and one
+    owner enough for a thread, so that even a toy cohort's chunks are cut
+    for them."""
+    return mock.patch.multiple(client_module, _WORKERS=n, _LARGE_OWNER=1, _THREAD_CHUNK=1)
+
+
 def assert_training_matches_the_client_loop(spec, clients, algorithm):
     """Two rounds of ``run_training`` against :func:`reference_training`;
     under ``fedavg`` also every stored local, and a standard evaluation of
@@ -720,8 +736,12 @@ def test_pooled_recon_eval_is_the_repeat_loop(k_r, metrics_budget, per_chunk):
 @pytest.mark.parametrize("per_chunk", [3, 4, 5])
 def test_pooled_nwp_recon_eval_in_chunks_across_repeats_is_the_repeat_loop(per_chunk):
     # Two repeats of 7 in chunks of 3, 4 or 5: a chunk holds the last
-    # clients of repeat 0 and the first of repeat 1.
-    spec, clients = nwp_population(num_clients=12)
+    # clients of repeat 0 and the first of repeat 1.  Query halves of 9 to
+    # 19 examples pad to widths of 9 and more, where numpy's pairwise sum
+    # groups a row otherwise than a loop does, and parameters drawn wide
+    # spread the examples' log-likelihoods, so the grouping shows in the
+    # rounding: summed pairwise, every case here fails.
+    spec, clients = nwp_population(num_clients=12, sizes=(18, 40), init_stddev=2.0)
     with owner_budget(spec, spec.init_global(RngStreams(0).generator("g")), per_chunk):
         assert_pooled_recon_eval_is_the_repeat_loop(spec, clients, recon_mode(repeats=2))
 
@@ -785,6 +805,14 @@ def nan_kernel(spec):
     return dataclasses.replace(spec, sparse_grads=sparse_grads, metrics=metrics)
 
 
+def one_round(spec, clients, algorithm="fedrecon"):
+    """One round of every client of ``clients``, a map by id."""
+    return run_training(
+        spec, clients, rounds=1, clients_per_round=len(clients), policy=SplitPolicy(),
+        hyper=HYPER, server_opt=ServerOptimizer(), streams=RngStreams(3), algorithm=algorithm,
+    )
+
+
 @pytest.mark.parametrize("position", [4, -1])
 @pytest.mark.parametrize("algorithm", ["fedrecon", "fedavg"])
 @pytest.mark.parametrize("model", ["matfac", "oov_nwp"])
@@ -798,11 +826,7 @@ def test_nan_in_training_names_round_and_client(algorithm, model, position):
     clients[bad] = poison(clients[bad])
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match=rf"^round 0, client {bad}: "):
-            run_training(
-                nan_kernel(spec), clients, rounds=1, clients_per_round=len(clients), policy=SplitPolicy(),
-                hyper=HYPER, server_opt=ServerOptimizer(), streams=RngStreams(3),
-                algorithm=algorithm,
-            )
+            one_round(nan_kernel(spec), clients, algorithm)
 
 
 @pytest.mark.parametrize("model", ["matfac", "oov_nwp"])
@@ -832,6 +856,128 @@ def test_nan_in_recon_eval_names_repeat_and_client(model):
             NumericalError, match=rf"^repeat 1, client {clients[pick].client_id}: "
         ):
             recon_eval(nan_kernel(spec), g, clients, SplitPolicy(), mode, RngStreams(3))
+
+
+def test_map_chunks_keeps_order_and_raises_the_first_failure_once_all_finish():
+    # Nine MF owners on two workers: chunks 0:5 on the calling thread and
+    # 5:10 on a helper.  Results come back in order.  When both fail, the
+    # error is chunk 0's, whichever fails first, and it is raised once the
+    # helper is done.
+    spec, _ = mf_population()
+    g = spec.init_global(np.random.default_rng(0))
+    with on_workers(2):
+        assert owner_chunks(spec, g, 9) == [slice(0, 5), slice(5, 10)]
+        got = map_chunks(lambda c: (c.start, threading.get_ident()), spec, g, 9)
+        assert [start for start, _ in got] == [0, 5]
+        assert got[0][1] == threading.get_ident() != got[1][1]
+
+        helper_failed, finished = threading.Event(), []
+
+        def helper_fails_first(c):
+            if c.start:
+                helper_failed.set()
+            else:
+                assert helper_failed.wait(5)
+            raise ValueError(f"chunk {c.start}")
+
+        def helper_fails_last(c):
+            if c.start:
+                time.sleep(0.05)  # still running when chunk 0 raises
+                finished.append(c.start)
+            raise ValueError(f"chunk {c.start}")
+
+        for run in (helper_fails_first, helper_fails_last):
+            with pytest.raises(ValueError, match="^chunk 0$"):
+                map_chunks(run, spec, g, 9)
+        assert finished == [5]
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+def test_a_forked_child_runs_chunks_on_helpers_of_its_own():
+    # A child forked after a two-worker map_chunks has none of the pool's
+    # threads.  Its map_chunks starts a pool of its own rather than wait
+    # forever on work that no thread of the child will take.
+    spec, _ = mf_population()
+    g = spec.init_global(np.random.default_rng(0))
+
+    def starts():
+        return map_chunks(lambda c: c.start, spec, g, 9)
+
+    with on_workers(2), mock.patch.object(client_module, "_helpers", None):
+        try:
+            assert starts() == [0, 5]
+            child = multiprocessing.get_context("fork").Process(
+                target=lambda: sys.exit(starts() != [0, 5])
+            )
+            child.start()
+            child.join(20)
+            if child.is_alive():
+                child.kill()
+                child.join()
+            assert child.exitcode == 0
+        finally:
+            client_module._helpers.shutdown()
+
+
+def test_joint_fedavg_on_more_threads_than_cpus_changes_no_bit():
+    # Five workers, four of them helpers in a pool of their own, switching
+    # every 10 us: each chunk steps its rows of the round's stacked locals
+    # in place, and no chunk may see another's rows or steps.
+    spec, clients = nwp_population(num_clients=12)
+    clients = {ds.client_id: ds for ds in clients}
+    hyper = dataclasses.replace(HYPER, joint_training=True)
+
+    def train():
+        return run_training(
+            spec, clients, rounds=2, clients_per_round=10, policy=SplitPolicy(), hyper=hyper,
+            server_opt=ServerOptimizer(), streams=RngStreams(3), algorithm="fedavg",
+        )
+
+    with on_workers(1):
+        want = train()
+    interval = sys.getswitchinterval()
+    with on_workers(5), mock.patch.object(client_module, "_helpers", None):
+        sys.setswitchinterval(1e-5)
+        try:
+            assert len(owner_chunks(spec, want.global_params, 10)) == 5
+            got = train()
+        finally:
+            sys.setswitchinterval(interval)
+            if client_module._helpers is not None:
+                client_module._helpers.shutdown()
+    pairs = list(zip(got.global_params, want.global_params, strict=True))
+    pairs += zip(got.local_store.blocks, want.local_store.blocks, strict=True)
+    for b_got, b_want in pairs:
+        assert np.array_equal(b_got.values, b_want.values), b_want.name
+
+
+@pytest.mark.parametrize("poisoned", [(1, 8), (8,)])
+@pytest.mark.parametrize("model", ["matfac", "oov_nwp"])
+def test_non_finite_clients_in_two_chunks_fail_as_the_loop_does(model, poisoned):
+    # Clients 1 and 8 of 9: on two workers the calling thread's chunk holds
+    # the first, the helper's the second, and the helper may fail first.
+    # The error is the first failing chunk's, as one thread raises it.
+    spec, population = mf_population() if model == "matfac" else nwp_population()
+    clients = list(population)
+    for c in poisoned:
+        clients[c] = poison(clients[c])
+    g = spec.init_global(RngStreams(2).generator("g"))
+    mode = EvalMode(recon_hyper=HYPER, repeats=1, clients_per_repeat=len(clients))
+    by_id = {ds.client_id: ds for ds in clients}
+    assert sorted(by_id) == [ds.client_id for ds in clients]
+    messages = {}
+    for workers in (1, 2):
+        with on_workers(workers), np.errstate(invalid="ignore"):
+            assert len(owner_chunks(spec, g, len(clients))) == workers
+            with pytest.raises(NumericalError) as round_error:
+                one_round(nan_kernel(spec), by_id)
+            with pytest.raises(NumericalError) as eval_error:
+                recon_eval(nan_kernel(spec), g, clients, SplitPolicy(), mode, RngStreams(3))
+        messages[workers] = (str(round_error.value), str(eval_error.value))
+    assert messages[1] == messages[2]
+    bad = clients[poisoned[0]].client_id
+    assert messages[1][0].startswith(f"round 0, client {bad}: ")
+    assert messages[1][1].startswith(f"repeat 0, client {bad}: ")
 
 
 def test_overflowing_score_in_recon_eval_names_repeat_and_client():
@@ -897,17 +1043,34 @@ def test_cohort_reconstruction_keeps_per_client_streams(streams):
     assert_close(together[0].array[4], alone[0].array[0], "client 4 local")
 
 
-def test_owner_chunks_bound_each_batched_call():
-    # MF's 50-value user vectors run a 100-client round in one call; next-word
-    # prediction with 500 x 32 buckets and 410 classes (29,530 values an
-    # owner) runs 22 clients a call, so a 20-client round is one call.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_owner_chunks_bound_each_batched_call(workers):
+    # MF's 50-value user vectors run a 100-client round in one call, on any
+    # number of workers.  Next-word prediction with 500 x 32 buckets and 410
+    # classes (29,530 values an owner) runs 22 clients a call on one worker,
+    # so a 20-client round is one call.  Two workers share the budget, 11
+    # clients a call, in as many calls each, as even as can be: a 20-client
+    # round is two calls of 10.  A cohort too small to give each thread 10
+    # clients runs as one thread's chunks.
     mf = matfac_spec(ModelConfig(embed_dim=50), 3706)
-    assert len(owner_chunks(mf, mf.init_global(np.random.default_rng(0)), 100)) == 1
     nwp = oov_nwp_spec(ModelConfig(vocab_size=406, num_oov_buckets=500, embed_dim=32))
     g = nwp.init_global(np.random.default_rng(0))
-    assert owner_chunks(nwp, g, 20) == [slice(0, 22)]
-    assert owner_chunks(nwp, g, 50) == [slice(0, 22), slice(22, 44), slice(44, 66)]
-    assert owner_chunks(nwp, g, 0) == []
+    with mock.patch.object(client_module, "_WORKERS", workers):
+        assert len(owner_chunks(mf, mf.init_global(np.random.default_rng(0)), 100)) == 1
+        got = {owners: owner_chunks(nwp, g, owners) for owners in (0, 1, 15, 20, 50, 80)}
+    sizes = {n: [len(range(n)[c]) for c in chunks] for n, chunks in got.items()}
+    if workers == 1:
+        assert got[20] == [slice(0, 22)]
+        assert got[50] == [slice(0, 22), slice(22, 44), slice(44, 66)]
+    else:
+        assert sizes[20] == [10, 10] and sizes[80] == [10] * 8
+        assert sizes[50] == [9, 9, 9, 9, 9, 5]
+    assert got[0] == [] and len(got[1]) == 1 and sizes[15] == [15]
+    for n, chunks in got.items():  # every owner once, in order
+        assert [i for c in chunks for i in range(n)[c]] == list(range(n))
+        # The chunks in flight at once hold at most 22 owners.
+        at_once = client_module._chunk_workers(nwp, g, n) if workers > 1 else 1
+        assert max(sizes[n], default=0) * at_once <= 22
 
 
 # The benchmark's next-word workload: 20 clients a round, 10 repeats of 8
@@ -939,32 +1102,54 @@ def nwp_bench_round():
     return cfg, bundle, g, [bundle.train_clients[cid] for cid in ids]
 
 
-def test_nwp_bench_round_and_evaluation_make_one_kernel_call_a_step(nwp_bench_round):
-    # A 20-client round is one owner chunk: k_r + k_u kernel calls.  An
-    # evaluation of 10 repeats of 8 clients is 80 owners in chunks of 22,
-    # so 4 calls of k_r steps.
+@pytest.mark.parametrize("workers, round_chunks, eval_chunks", [(1, 1, 4), (2, 2, 8)])
+def test_nwp_bench_round_and_evaluation_make_one_kernel_call_a_step(
+    nwp_bench_round, workers, round_chunks, eval_chunks
+):
+    # One worker: a 20-client round is one owner chunk, k_r + k_u kernel
+    # calls, and an evaluation of 10 repeats of 8 clients is 80 owners in
+    # chunks of 22, so 4 chunks of k_r steps.  Two workers: two chunks of
+    # 10 a round, and 8 chunks of 10 an evaluation.  Every metrics call
+    # holds at most its thread's share of the metrics budget.
     cfg, bundle, g, clients = nwp_bench_round
-    kernel = mock.Mock(wraps=bundle.spec.sparse_grads)
-    counted = dataclasses.replace(bundle.spec, sparse_grads=kernel)
-    run_cohort(counted, g, clients, cfg.split, cfg.client, RngStreams(cfg.seed), 0)
-    assert kernel.call_count == cfg.client.k_r + cfg.client.k_u == 20
-    kernel.reset_mock()
-    mode = cfg.eval_mode()
-    assert (mode.repeats, mode.clients_per_repeat, len(bundle.test_clients)) == (10, 8, 20)
-    recon_eval(counted, g, bundle.test_clients, cfg.split, mode, RngStreams(cfg.seed))
-    assert kernel.call_count == 4 * cfg.client.k_r == 40
+    calls, scored = [], []  # appended from every thread: list.append is atomic
+
+    def sparse_grads(*args):
+        calls.append(len(args[2].features))
+        return bundle.spec.sparse_grads(*args)
+
+    def metrics(g, l, batch):
+        scored.append(batch.weights.size * max(b.shape[-1] for b in g))
+        return bundle.spec.metrics(g, l, batch)
+
+    counted = dataclasses.replace(bundle.spec, sparse_grads=sparse_grads, metrics=metrics)
+    with mock.patch.object(client_module, "_WORKERS", workers):
+        run_cohort(counted, g, clients, cfg.split, cfg.client, RngStreams(cfg.seed), 0)
+        assert len(calls) == round_chunks * (cfg.client.k_r + cfg.client.k_u)
+        assert sum(calls) == 20 * (cfg.client.k_r + cfg.client.k_u)
+        calls.clear()
+        mode = cfg.eval_mode()
+        assert (mode.repeats, mode.clients_per_repeat, len(bundle.test_clients)) == (10, 8, 20)
+        recon_eval(counted, g, bundle.test_clients, cfg.split, mode, RngStreams(cfg.seed))
+    assert len(calls) == eval_chunks * cfg.client.k_r
+    assert sum(calls) == 80 * cfg.client.k_r
+    assert max(scored) <= client_module._METRICS_BUDGET // workers
 
 
-def test_nwp_bench_round_holds_one_set_of_grads_at_a_time(nwp_bench_round):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nwp_bench_round_holds_one_set_of_grads_at_a_time(nwp_bench_round, workers):
     # The round's peak allocation, 9.0 MiB: 20 owners' copies of the
     # 13,530-value dense output layer are 2.1 MB, and so is one step's set
     # of their grads.  Keeping the previous step's grads alive while the
     # next call allocates reads 11.2 MiB; scoring all 20 clients' query
     # halves in one metrics call, 18.8 MiB.
+    # Two workers run two chunks of 10 at once, each within half the
+    # budgets.
     cfg, bundle, g, clients = nwp_bench_round
     tracemalloc.start()
     try:
-        run_cohort(bundle.spec, g, clients, cfg.split, cfg.client, RngStreams(cfg.seed), 0)
+        with mock.patch.object(client_module, "_WORKERS", workers):
+            run_cohort(bundle.spec, g, clients, cfg.split, cfg.client, RngStreams(cfg.seed), 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -378,6 +378,15 @@ class TestWriteParams:
         with pytest.raises(DataError):
             read_params(path)
 
+    def test_trailing_bytes_detected(self, tmp_path):
+        from partialfed.core import ParamBlock
+
+        path = tmp_path / "params.bin"
+        write_params(path, [ParamBlock.of("a", np.arange(4.0))])
+        path.write_bytes(path.read_bytes() + np.arange(3.0).tobytes())
+        with pytest.raises(DataError, match=r": 24 trailing bytes after block 'a'$"):
+            read_params(path)
+
 
 class TestGridSearch:
     def test_single_point_selected(self, tmp_path):

@@ -33,10 +33,12 @@ import platform
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from partialfed import client
 from partialfed.config import load_config
 from partialfed.runner import prepare_task, read_params, run_experiment
 
@@ -201,6 +203,24 @@ def test_toy_run_matches_its_golden_outputs(name, tmp_path):
         np.testing.assert_allclose(float(block["l2"]), float(want["l2"]), rtol=1e-12, atol=0)
         if same_platform:
             assert block["sha256"] == want["sha256"], block["name"]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS) + ["synthetic", "oov_nwp"])
+def test_owner_chunk_threads_change_no_bit(name, tmp_path):
+    # A golden run, or a task at its defaults, on one worker and on two.
+    # On two every owner counts as large and one owner is enough for a
+    # thread, so every cohort, a toy run's included, runs its chunks on
+    # both threads.
+    overrides = RUNS.get(name, {"task": name})
+    written = {}
+    for workers, large in ((1, {}), (2, {"_LARGE_OWNER": 1, "_THREAD_CHUNK": 1})):
+        out = tmp_path / str(workers)
+        pool = mock.Mock(wraps=client._helper_pool)
+        with mock.patch.multiple(client, _WORKERS=workers, _helper_pool=pool, **large):
+            run_experiment(load_config(None, {**overrides, "output_dir": str(out)}))
+        assert (pool.call_count > 0) == (workers > 1)
+        written[workers] = [(out / f).read_bytes() for f in ("metrics.csv", "params.bin")]
+    assert written[1] == written[2]
 
 
 if __name__ == "__main__":
