@@ -131,8 +131,8 @@ class ExperimentConfig:
             raise ConfigError("clients_per_round must be positive")
         if self.repeats < 1:
             raise ConfigError("repeats must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        if not 0 <= self.seed < 2**64:  # the random streams keep 64 bits of it
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.algorithm == "fedrecon" and self.eval.regime != "recon":
             raise ConfigError(
                 "fedrecon stores no local parameters, so standard evaluation "
@@ -292,7 +292,7 @@ def load_config(
         if value is not None:
             _set_dotted(override_tree, dotted, value)
 
-    task = override_tree.get("task") or file_values.get("task") or "matfac"
+    task = override_tree.get("task", file_values.get("task", "matfac"))
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
     merged = _deep_merge(_TASK_DEFAULTS[task], file_values)

@@ -34,8 +34,8 @@ __all__ = [
     "merge_metrics",
     "finalize_metrics",
     "RowDelta",
-    "delta_to_dense",
     "ModelSpec",
+    "dense_grads",
     "axpy_blocks",
     "blocks_size",
     "GradCheckReport",
@@ -491,21 +491,6 @@ class RowDelta:
 
 
 Blocks = Sequence[ParamBlock]
-GradFn = Callable[[Blocks, Blocks, Batch], list[np.ndarray]]
-
-
-def delta_to_dense(delta: Sequence, template: Blocks) -> list[np.ndarray]:
-    """Grads, row-sparse or dense, as flat arrays matching the blocks of
-    ``template``; repeated rows add up."""
-    out = []
-    for entry, block in zip(delta, template):
-        if isinstance(entry, RowDelta):
-            dense = np.zeros(block.values.size)
-            _rows_at(np.add, dense, entry.rows, entry.values)
-            out.append(dense)
-        else:
-            out.append(np.asarray(entry, dtype=np.float64).ravel())
-    return out
 
 
 @dataclass(frozen=True)
@@ -555,23 +540,41 @@ class ModelSpec:
     one after another in owner order: the floats of merging the owners one
     by one, never numpy's pairwise sum.
 
-    ``loss`` is a weighted mean over a flat batch.  ``grad_global`` and
-    ``grad_local`` are the kernel's dense views (:func:`delta_to_dense`),
-    one flat array per block, for the audit: they must agree with central
-    differences of ``loss`` to 1e-4 relative (see :func:`check_gradients`).
-    ``fast_centralized`` is read by nothing; it stays only so the
-    benchmark's tracer can look it up by name.
+    ``loss`` is a weighted mean over a flat batch.  The kernel's grads,
+    densified by :func:`dense_grads`, must agree with central differences
+    of ``loss`` to 1e-4 relative (see :func:`check_gradients`).
+
+    A model sets six fields: ``name``, ``init_global``, ``init_local``,
+    ``loss``, ``metrics`` and ``sparse_grads``.  ``grad_global``,
+    ``grad_local`` and ``fast_centralized`` stay unset: nothing reads them,
+    and they remain only as names the benchmark's tracer looks up.
     """
 
     name: str
     init_global: Callable[[np.random.Generator], list[ParamBlock]]
     init_local: Callable[..., list[ParamBlock]]
     loss: Callable[[Blocks, Blocks, Batch], float]
-    grad_global: GradFn
-    grad_local: GradFn
     metrics: Callable[[Blocks, Blocks, Batch], dict[str, Metric]]
     sparse_grads: Callable
+    grad_global: Callable | None = None
+    grad_local: Callable | None = None
     fast_centralized: Callable | None = None
+
+
+def dense_grads(spec: ModelSpec, g: Blocks, l: Blocks, batch: Batch):
+    """``(global_grads, local_grads)`` of one ``sparse_grads`` call over a
+    flat batch, as flat arrays matching the blocks of ``g`` and ``l``; a
+    :class:`RowDelta`'s repeated rows add up."""
+    parts = spec.sparse_grads(g, l, batch, batch.total_weight, True, True)
+    out = ([], [])
+    for grads, blocks, dense in zip(parts, (g, l), out):
+        for entry, block in zip(grads, blocks):
+            if isinstance(entry, RowDelta):
+                flat = np.zeros(block.values.size)
+                _rows_at(np.add, flat, entry.rows, entry.values)
+                entry = flat
+            dense.append(_values(entry))
+    return out
 
 
 @dataclass
@@ -639,7 +642,8 @@ def check_gradients(
 
     fd_g = _central_differences(lambda gp: spec.loss(gp, l, batch), g, eps)
     fd_l = _central_differences(lambda lp: spec.loss(g, lp, batch), l, eps)
+    grad_g, grad_l = dense_grads(spec, g, l, batch)
     return GradCheckReport(
-        max_rel_err_global=_max_rel_err(_flat(spec.grad_global(g, l, batch)), fd_g),
-        max_rel_err_local=_max_rel_err(_flat(spec.grad_local(g, l, batch)), fd_l),
+        max_rel_err_global=_max_rel_err(_flat(grad_g), fd_g),
+        max_rel_err_local=_max_rel_err(_flat(grad_l), fd_l),
     )

@@ -20,7 +20,6 @@ from .core import (
     ModelSpec,
     ParamBlock,
     RowDelta,
-    delta_to_dense,
     fnv1a64,
     round_half_away,
     sum_in_order,
@@ -108,19 +107,6 @@ def _positive(total):
     return total
 
 
-def _dense_views(sparse_grads):
-    """The kernel's ``grad_global`` and ``grad_local`` views for the
-    gradient audit: one flat array per block, over a flat batch."""
-
-    def grad_global(g, l, batch: Batch) -> list[np.ndarray]:
-        return delta_to_dense(sparse_grads(g, l, batch, batch.total_weight, True, False)[0], g)
-
-    def grad_local(g, l, batch: Batch) -> list[np.ndarray]:
-        return delta_to_dense(sparse_grads(g, l, batch, batch.total_weight, False, True)[1], l)
-
-    return grad_global, grad_local
-
-
 def matfac_spec(cfg: ModelConfig, num_items: int) -> ModelSpec:
     """Rating prediction is dot(user_embedding, item_row); loss is mean MSE."""
 
@@ -155,8 +141,6 @@ def matfac_spec(cfg: ModelConfig, num_items: int) -> ModelSpec:
         local = [np.einsum("...b,...bk->...k", coef, qb).ravel()] if need_local else None
         return glob, local
 
-    grad_global, grad_local = _dense_views(sparse_grads)
-
     def metrics(g, l, batch: Batch):
         # Owner axes as in sparse_grads: arrays with the batch's owner axes.
         # Zero-weight padding is not scored (see ModelSpec).
@@ -181,8 +165,6 @@ def matfac_spec(cfg: ModelConfig, num_items: int) -> ModelSpec:
         init_global=init_global,
         init_local=init_local,
         loss=loss,
-        grad_global=grad_global,
-        grad_local=grad_local,
         metrics=metrics,
         sparse_grads=sparse_grads,
     )
@@ -354,8 +336,6 @@ def oov_nwp_spec(cfg: ModelConfig) -> ModelSpec:
             local = [RowDelta(local_rows, slot_contrib[~pos]) for _ in l]  # [] without buckets
         return glob, local
 
-    grad_global, grad_local = _dense_views(sparse_grads)
-
     def metrics(g, l, batch: Batch):
         """Owner axes as in sparse_grads: arrays with the batch's owner
         axes.  Zero-weight padding is not scored (see ModelSpec).  The
@@ -380,8 +360,6 @@ def oov_nwp_spec(cfg: ModelConfig) -> ModelSpec:
         init_global=init_global,
         init_local=init_local,
         loss=loss,
-        grad_global=grad_global,
-        grad_local=grad_local,
         metrics=metrics,
         sparse_grads=sparse_grads,
     )

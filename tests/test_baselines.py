@@ -14,6 +14,7 @@ from partialfed.core import (
     RngStreams,
     _rows_at,
     _sgd_step,
+    dense_grads,
     owner_rows,
 )
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
@@ -147,7 +148,7 @@ class TestTrainCentralized:
     def test_nwp_two_owner_step_matches_share_weighted_grads(self):
         # The generic loop normalises each owner's sub-batch by the whole
         # minibatch's size; the reference scales each owner's dense
-        # grad_global / grad_local by its share of the minibatch's examples.
+        # global and local grads by its share of the minibatch's examples.
         cfg = ModelConfig(vocab_size=5, num_oov_buckets=3, embed_dim=3, context_window=2)
         spec = oov_nwp_spec(cfg)
         rng = np.random.default_rng(0)
@@ -169,9 +170,9 @@ class TestTrainCentralized:
         for cid, ds in clients.items():
             share = ds.n / batch_n
             l = spec.init_local(RngStreams(8).generator(cid, "centralized_local_init"))
-            for acc, gg in zip(step, spec.grad_global(g_ref, l, ds.batch())):
+            grad_g, (lg,) = dense_grads(spec, g_ref, l, ds.batch())
+            for acc, gg in zip(step, grad_g):
                 acc += share * gg
-            (lg,) = spec.grad_local(g_ref, l, ds.batch())
             want = l[0].values - 0.3 * share * lg
             got = client_blocks(locs, cid)[0].values
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

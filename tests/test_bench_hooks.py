@@ -51,11 +51,13 @@ def test_traced_spec_runs_a_client_round(instrument, streams, mf_toy, nwp_toy, m
     traced = instrument.traced_spec(tracer, spec)
     hyper = ClientHyper(k_r=2, k_u=2, eta_r=0.1, eta_u=0.1, batch_size=2)
     run_client_round(traced, g, data, SplitPolicy(), hyper, streams, 0)
-    # layer_table() lists every wrapped kernel, called or not.
+    # layer_table() lists every wrapped kernel, called or not; the kernels
+    # a model leaves unset are not wrapped.
     calls = {name: row["calls"] for name, row in tracer.layer_table().items()}
+    for kernel in ("grad_global", "grad_local", "fast_centralized"):
+        assert getattr(spec, kernel) is None and f"models.{kernel}" not in calls, kernel
     assert calls["models.sparse_grads"] == hyper.k_r + hyper.k_u
-    for kernel in ("loss", "grad_global", "grad_local"):
-        assert calls[f"models.{kernel}"] == 0, kernel
+    assert calls["models.loss"] == 0
     assert calls["models.metrics"] == 1
 
 

@@ -73,6 +73,29 @@ def test_config_error_exit_code(tmp_path):
     assert main(["train", "--task", "bogus"]) == 1
 
 
+@pytest.mark.parametrize("file_values, flags, message", [
+    ({"task": ""}, [], "task must be one of"),
+    ({"task": False}, [], "task must be one of"),
+    ({"task": 0}, [], "task must be one of"),
+    ({"task": None}, [], "task must be one of"),
+    (None, ["--task", ""], "task must be one of"),
+    (None, ["--task", "synthetic", "--seed", str(2**64)], "seed must be in"),
+], ids=["file-empty", "file-false", "file-zero", "file-null", "flag-empty", "seed-2**64"])
+def test_a_task_not_named_or_a_seed_past_64_bits_is_a_config_error(
+    tmp_path, monkeypatch, capsys, file_values, flags, message
+):
+    # Neither may fall back to the default task nor alias a lower seed.
+    monkeypatch.chdir(tmp_path)
+    config = []
+    if file_values is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(file_values))
+        config = ["--config", str(path)]
+    assert main(["train", *config, *flags]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_changing_the_server_kind_needs_its_rate(tmp_path, small_synthetic, capsys):
     # The synthetic task's eta_s 1.0 is sgd's: under Yogi the task's
     # default-sized fedavg run diverges at round 5 (a numerical error, exit 3).  A

@@ -15,7 +15,7 @@ from partialfed.client import (
     run_client_round,
     split_dataset,
 )
-from partialfed.core import ClientDataset, ParamBlock, RngStreams
+from partialfed.core import ClientDataset, ParamBlock, RngStreams, dense_grads
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import ConfigError, DataError, NumericalError
 from partialfed.models import ModelConfig, matfac_spec
@@ -46,12 +46,13 @@ def nan_at_call(fn, call):
 
 
 def dense_kernel(spec):
-    """``spec`` whose kernel returns ``grad_global``'s dense arrays: over
-    the update's compact copy of ``g[0]`` they step the same rows."""
+    """``spec`` whose kernel returns the global grads as dense arrays
+    (:func:`dense_grads`): over the update's compact copy of ``g[0]`` they
+    step the same rows."""
 
     def sparse_grads(g, l, batch, norm, need_global, need_local):
         _, local = spec.sparse_grads(g, l, batch, norm, False, need_local)
-        return (spec.grad_global(g, l, batch) if need_global else None), local
+        return (dense_grads(spec, g, l, batch)[0] if need_global else None), local
 
     return dataclasses.replace(spec, sparse_grads=sparse_grads)
 
@@ -241,7 +242,7 @@ class TestClientUpdate:
         hyper = ClientHyper(k_u=1, eta_u=0.25, batch_size=len(ds.query_idx))
         result, _ = client_update(spec, g, l, ds, hyper, streams.generator("u"))
         dense = result.delta(0, g)
-        expected = spec.grad_global(g, l, ds.query_batch())
+        expected, _ = dense_grads(spec, g, l, ds.query_batch())
         np.testing.assert_allclose(dense[0], -0.25 * expected[0], rtol=1e-12)
 
     def test_zero_rate_gives_zero_delta(self, streams):

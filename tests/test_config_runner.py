@@ -163,6 +163,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, {"task": "mystery"})
 
+    def test_seed_is_below_2_to_the_64(self):
+        # The random streams keep 64 bits of the seed: 2**64 would replay seed 0.
+        assert load_config(None, {"task": "synthetic", "seed": 2**64 - 1}).seed == 2**64 - 1
+        with pytest.raises(ConfigError, match=r"^seed must be in \[0, 2\*\*64\)"):
+            load_config(None, {"task": "synthetic", "seed": 2**64})
+
     @pytest.mark.parametrize("num_users, empty", [(5, "test"), (3, "validation")])
     def test_population_leaving_a_split_empty_rejected(self, num_users, empty):
         cfg = load_config(

@@ -249,8 +249,9 @@ class TestGradCheck:
         const = dataclasses.replace(
             spec,
             loss=lambda g, l, b: 1.0,
-            grad_global=lambda g, l, b: [np.zeros(g[0].values.size)],
-            grad_local=lambda g, l, b: [np.zeros(l[0].values.size)],
+            sparse_grads=lambda g, l, b, norm, need_global, need_local: (
+                [np.zeros(g[0].values.size)], [np.zeros(l[0].values.size)]
+            ),
         )
         batch = clients[0].batch()
         report = check_gradients(const, g, l, batch)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from partialfed.core import Batch, ParamBlock, check_gradients
+from partialfed.core import Batch, ParamBlock, RowDelta, check_gradients, dense_grads
 from partialfed.errors import DataError
 from partialfed.models import (
     EOS_ID,
@@ -133,7 +133,7 @@ class TestMatFacSpec:
         spec = matfac_spec(ModelConfig(embed_dim=2), 5)
         g = spec.init_global(np.random.default_rng(2))
         l = spec.init_local(np.random.default_rng(2))
-        grad = spec.grad_global(g, l, mf_batch([3], [4.0]))[0].reshape(5, 2)
+        grad = dense_grads(spec, g, l, mf_batch([3], [4.0]))[0][0].reshape(5, 2)
         untouched = np.delete(np.arange(5), 3)
         assert np.all(grad[untouched] == 0.0)
         assert np.any(grad[3] != 0.0)
@@ -158,8 +158,9 @@ class TestMatFacSpec:
             base = spec.loss(g, l, batch)
             from partialfed.core import axpy_blocks
 
-            stepped_l = axpy_blocks(l, -1e-3, spec.grad_local(g, l, batch))
-            stepped_g = axpy_blocks(g, -1e-3, spec.grad_global(g, l, batch))
+            grad_g, grad_l = dense_grads(spec, g, l, batch)
+            stepped_l = axpy_blocks(l, -1e-3, grad_l)
+            stepped_g = axpy_blocks(g, -1e-3, grad_g)
             assert spec.loss(g, stepped_l, batch) <= base + 1e-12
             assert spec.loss(stepped_g, l, batch) <= base + 1e-12
 
@@ -232,7 +233,7 @@ class TestNwpSpec:
         rng = np.random.default_rng(1)
         g, l = spec.init_global(rng), spec.init_local(rng)
         batch = Batch(np.array([[4, 5], [6, 7]]), np.array([4.0, 5.0]), np.ones(2))
-        assert np.all(spec.grad_local(g, l, batch)[0] == 0.0)
+        assert np.all(dense_grads(spec, g, l, batch)[1][0] == 0.0)
 
     def test_colliding_oov_tokens_share_a_row(self):
         cfg = ModelConfig(vocab_size=2, num_oov_buckets=1, embed_dim=3, context_window=2)
@@ -246,7 +247,7 @@ class TestNwpSpec:
         g = spec.init_global(np.random.default_rng(0))
         batch = Batch(np.array([[4, 3]]), np.array([5.0]), np.ones(1))
         assert np.isfinite(spec.loss(g, [], batch))
-        assert spec.grad_local(g, [], batch) == []
+        assert dense_grads(spec, g, [], batch)[1] == []
 
     def test_accuracy_ignores_special_targets(self):
         cfg = ModelConfig(vocab_size=4, num_oov_buckets=2, embed_dim=3, context_window=2)
@@ -275,7 +276,7 @@ class TestNwpSpec:
             ctx[0, 0] = -1  # ensure the local table participates
             batch = Batch(ctx, rng.integers(0, cfg.num_classes, 5).astype(float), np.ones(5))
             base = spec.loss(g, l, batch)
-            stepped = axpy_blocks(l, -1e-2, spec.grad_local(g, l, batch))
+            stepped = axpy_blocks(l, -1e-2, dense_grads(spec, g, l, batch)[1])
             assert spec.loss(g, stepped, batch) <= base + 1e-12
 
 
@@ -510,14 +511,86 @@ class TestNwpKernelForms:
         assert m["cross_entropy"].value == pytest.approx(np.full(3, ce), rel=1e-12)
 
 
+class TestDenseGrads:
+    """``dense_grads`` densifies one kernel call: bit for bit what a
+    ``need_global``-only and a ``need_local``-only call densify to."""
+
+    @staticmethod
+    def densified(entries, blocks):
+        out = []
+        for entry, block in zip(entries, blocks):
+            if isinstance(entry, RowDelta):
+                values = entry.values.reshape(len(entry.rows), -1)
+                table = np.zeros((block.values.size // values.shape[1], values.shape[1]))
+                for row, value in zip(entry.rows, values):  # repeated rows add up
+                    table[row] += value
+                entry = table
+            out.append(np.asarray(entry, dtype=np.float64).ravel())
+        return out
+
+    def assert_one_call_densifies_two(self, spec, g, l, batch):
+        norm = batch.total_weight
+        want = (
+            self.densified(spec.sparse_grads(g, l, batch, norm, True, False)[0], g),
+            self.densified(spec.sparse_grads(g, l, batch, norm, False, True)[1], l),
+        )
+        got = dense_grads(spec, g, l, batch)
+        for got_part, want_part, blocks in zip(got, want, (g, l)):
+            assert len(got_part) == len(want_part) == len(blocks)
+            for a, b, block in zip(got_part, want_part, blocks):
+                assert a.shape == b.shape == (block.values.size,)
+                assert a.tobytes() == b.tobytes()
+        return got
+
+    def test_matfac(self, mf_toy):
+        spec, g, l, clients = mf_toy
+        self.assert_one_call_densifies_two(spec, g, l, clients[0].batch())
+        # Item 1 rated twice: both of its entries land in row 1.
+        batch = mf_batch([1, 4, 1], [3.0, 2.0, 5.0])
+        (grad_g,), _ = self.assert_one_call_densifies_two(spec, g, l, batch)
+        (delta,), _ = spec.sparse_grads(g, l, batch, batch.total_weight, True, False)
+        assert delta.rows.tolist() == [1, 4, 1]
+        rows = grad_g.reshape(g[0].shape)
+        assert np.array_equal(rows[1], delta.values[0] + delta.values[2])
+        assert not np.any(rows[[0, 2, 3, 5]])
+
+    def test_nwp(self, nwp_toy):
+        spec, cfg, g, l, batch = nwp_toy
+        self.assert_one_call_densifies_two(spec, g, l, batch)
+        # Bucket 0 and core row 5 each named twice in one context.
+        twice = Batch(np.array([[-1, -1], [5, 5]]), np.array([4.0, 6.0]), np.ones(2))
+        self.assert_one_call_densifies_two(spec, g, l, twice)
+
+    def test_nwp_without_buckets_has_no_local_part(self):
+        cfg = ModelConfig(vocab_size=4, num_oov_buckets=0, embed_dim=3, context_window=2)
+        spec = oov_nwp_spec(cfg)
+        g = spec.init_global(np.random.default_rng(0))
+        batch = Batch(np.array([[4, 3], [5, 5]]), np.array([5.0, 6.0]), np.ones(2))
+        grad_g, grad_l = self.assert_one_call_densifies_two(spec, g, [], batch)
+        assert grad_l == [] and len(grad_g) == 3
+
+
+@pytest.mark.parametrize("spec", [
+    matfac_spec(ModelConfig(embed_dim=2), 3),
+    oov_nwp_spec(ModelConfig(vocab_size=4, num_oov_buckets=2, embed_dim=3)),
+], ids=["matfac", "oov_nwp"])
+def test_models_leave_the_tracer_only_kernels_unset(spec):
+    # Every gradient comes from sparse_grads; these names stay only for the
+    # benchmark's tracer.
+    assert spec.grad_global is None
+    assert spec.grad_local is None
+    assert spec.fast_centralized is None
+
+
 class TestFdOracleAgreement:
     def test_mf_analytic_equals_fd_oracle(self, mf_toy):
         spec, g, l, clients = mf_toy
         batch = clients[0].batch()
         fd_g = fd_gradient(lambda probe: spec.loss(probe, l, batch), g)
         fd_l = fd_gradient(lambda probe: spec.loss(g, probe, batch), l)
-        np.testing.assert_allclose(spec.grad_global(g, l, batch)[0], fd_g[0], atol=1e-6)
-        np.testing.assert_allclose(spec.grad_local(g, l, batch)[0], fd_l[0], atol=1e-6)
+        grad_g, grad_l = dense_grads(spec, g, l, batch)
+        np.testing.assert_allclose(grad_g[0], fd_g[0], atol=1e-6)
+        np.testing.assert_allclose(grad_l[0], fd_l[0], atol=1e-6)
 
 
 def test_zero_total_weight_batch_rejected():
