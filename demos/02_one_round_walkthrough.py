@@ -48,21 +48,23 @@ for client in clients[:4]:
     def gen(purpose):
         return streams.generator(0, client.client_id, purpose)
 
-    dsx = split_dataset(client, policy, gen("split"))
+    # A split client is a cohort of one: its support and query halves are
+    # positions into its own columns.
+    cohort = split_dataset(client, policy, gen("split"))
     l_init = owner_rows(spec.init_local(gen("local_init")), 0)  # where reconstruction starts
-    l = reconstruct(spec, g, dsx, hyper, gen("local_init"), gen("recon_batches"))
+    l = reconstruct(spec, g, cohort, hyper, gen("local_init"), gen("recon_batches"))
     # The update of a cohort of one: the client's query size n_i and its
     # delta, the rows of the item block it moved and one array per other block.
-    update, _ = client_update(spec, g, l, dsx, hyper, gen("update_batches"))
+    update, _ = client_update(spec, g, l, cohort, hyper, gen("update_batches"))
     updates.append(update)
-    support = dsx.batch(dsx.support_idx)
+    support, query = client.batch(cohort.support), client.batch(cohort.query)
     # ``metrics`` gives each key's value and weight as arrays over the
     # batch's owner axes; a flat batch is one owner, so they are 0-d.
     print(
         f"client {client.client_id}: n_i={update.n[0]}, moved {len(update.rows)} item rows, "
         f"support loss {spec.loss(g, l_init, support):.3f} -> "
         f"{spec.loss(g, l, support):.3f}, "
-        f"query mse {spec.metrics(g, l, dsx.query_batch())['mse'].value:.3f}"
+        f"query mse {spec.metrics(g, l, query)['mse'].value:.3f}"
     )
 
 # Reconstruction and the client update never touch the server's copy.
@@ -73,11 +75,11 @@ assert all(np.array_equal(a, b.values) for a, b in zip(g_before, g))
 # round runs its clients as one cohort, whose single update aggregates to the
 # same bits as the four cohorts of one above.
 weighted_delta, total_weight = aggregate(updates, g)
-(cohort,), _ = run_cohort(spec, g, clients[:4], policy, hyper, streams, 0)
-together, _ = aggregate([cohort], g)
+(round_update,), _ = run_cohort(spec, g, clients[:4], policy, hyper, streams, 0)
+together, _ = aggregate([round_update], g)
 assert all(np.array_equal(a, b) for a, b in zip(weighted_delta, together))
 print(f"\naggregated {len(updates)} clients, total weight {total_weight:.0f}; "
-      f"as one cohort of ids {cohort.client_ids.tolist()}, the same")
+      f"as one cohort of ids {round_update.client_ids.tolist()}, the same")
 
 # The server treats the aggregate as an antigradient; plain SGD with a unit
 # rate applies it directly, and the adaptive variants rescale it by moments

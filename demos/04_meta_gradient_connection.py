@@ -21,13 +21,13 @@ clients, _, _ = gen_synthetic_mf(
 )
 spec = matfac_spec(ModelConfig(embed_dim=2), 5)
 streams = RngStreams(31)
-dataset = split_dataset(clients[0], SplitPolicy(), streams.generator("split"))
+cohort = split_dataset(clients[0], SplitPolicy(), streams.generator("split"))  # a cohort of one
 g = spec.init_global(streams.generator("g"))
 
 print(f"{'k_r':>4s} {'frozen-local check':>20s} {'dropped-term gap':>18s}")
 for k_r in (0, 1, 2, 5):
     hyper = ClientHyper(k_r=k_r, k_u=1, eta_r=0.2, eta_u=0.1, batch_size=3)
-    report = verify_first_order_meta_gradient(spec, g, dataset, hyper, RngStreams(77))
+    report = verify_first_order_meta_gradient(spec, g, cohort, hyper, RngStreams(77))
     print(
         f"{k_r:4d} {report.first_order_max_rel_err:20.2e} "
         f"{report.composite_max_abs_gap:18.2e}"

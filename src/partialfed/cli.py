@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .client import ClientHyper, SplitPolicy, split_dataset, verify_first_order_meta_gradient
+from .client import ClientHyper, SplitPolicy, split_cohort, verify_first_order_meta_gradient
 from .config import ExperimentConfig, load_config
 from .core import Batch, RngStreams, check_gradients, owner_rows
 from .data import SyntheticDataConfig, gen_synthetic_mf
@@ -177,7 +177,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check_gradients(args) -> int:
     tol, eps = 1e-4, 1e-5
-    streams = RngStreams(args.seed if args.seed is not None else 0)
+    streams = RngStreams(args.seed)
     worst = {"matfac": 0.0, "oov_nwp": 0.0}
     for i in range(args.instances):
         rng = streams.generator("gradcheck", i)
@@ -220,7 +220,7 @@ def _cmd_check_gradients(args) -> int:
 
 def _cmd_verify_meta(args) -> int:
     tol = 1e-4
-    streams = RngStreams(args.seed if args.seed is not None else 0)
+    streams = RngStreams(args.seed)
     worst_a = 0.0
     for i in range(args.instances):
         rng = streams.generator("meta", i)
@@ -232,10 +232,10 @@ def _cmd_verify_meta(args) -> int:
         spec = matfac_spec(ModelConfig(embed_dim=2), 5)
         hyper = ClientHyper(k_r=int(rng.integers(0, 3)), k_u=1, eta_r=0.1, eta_u=0.1,
                             batch_size=5)
-        ds = split_dataset(clients[0], SplitPolicy(), streams.generator("meta_split", i))
+        cohort = split_cohort(clients[:1], SplitPolicy(), [streams.generator("meta_split", i)])
         g = spec.init_global(streams.generator("meta_g", i))
         report = verify_first_order_meta_gradient(
-            spec, g, ds, hyper, RngStreams(streams.derive_seed("meta_run", i))
+            spec, g, cohort, hyper, RngStreams(streams.derive_seed("meta_run", i))
         )
         worst_a = max(worst_a, report.first_order_max_rel_err)
         print(
@@ -322,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check-gradients", help="finite-difference gradient audit")
     p_check.add_argument("--instances", type=int, default=100)
-    p_check.add_argument("--seed", type=int, default=None)
+    p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=_cmd_check_gradients)
 
     p_meta = sub.add_parser("verify-meta", help="single-step meta-gradient identity check")
     p_meta.add_argument("--instances", type=int, default=20)
-    p_meta.add_argument("--seed", type=int, default=None)
+    p_meta.add_argument("--seed", type=int, default=0)
     p_meta.set_defaults(func=_cmd_verify_meta)
     return parser
 
@@ -336,8 +336,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "instances", 1) < 1:  # an audit of nothing must not pass
-            raise ConfigError(f"--instances must be positive, got {args.instances}")
+        if hasattr(args, "instances"):  # an audit verb
+            if args.instances < 1:  # an audit of nothing must not pass
+                raise ConfigError(f"--instances must be positive, got {args.instances}")
+            ExperimentConfig(seed=args.seed)  # a run's seed range: the streams keep 64 bits
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -93,14 +93,11 @@ class ClientHyper:
             raise ConfigError("batch_size must be positive")
 
 
-def split_dataset(
-    data: ClientDataset, policy: SplitPolicy, rng: np.random.Generator
-) -> ClientDataset:
-    """Populate support/query indices: :func:`split_cohort` for a cohort of
-    one.  Single-example clients fall back to no_split so they can still
-    contribute an update."""
-    cohort = split_cohort([data], policy, [rng])
-    return replace(data, support_idx=cohort.support, query_idx=cohort.query)
+def split_dataset(data: ClientDataset, policy: SplitPolicy, rng: np.random.Generator) -> Cohort:
+    """One client split into its support and query halves, as a cohort of
+    one: :func:`split_cohort` with ``rng`` as its generator.  A
+    single-example client uses its example for both."""
+    return split_cohort([data], policy, [rng])
 
 
 def batch_schedule(
@@ -118,19 +115,16 @@ def batch_schedule(
 def reconstruct(
     spec: ModelSpec,
     g: Blocks,
-    data: ClientDataset,
+    cohort: Cohort,
     hyper: ClientHyper,
     init_rng: np.random.Generator,
     batch_rng: np.random.Generator,
 ) -> list[ParamBlock]:
     """Gradient-descend freshly initialized local parameters on the support
-    set with the global parameters frozen: :func:`_reconstructed` for a
-    cohort of one; k_r=0 returns the raw init."""
-    if hyper.k_r and data.support_idx is None:
-        raise DataError("dataset has no support split")
-    return owner_rows(
-        _reconstructed(spec, g, _cohort_of_one(data), hyper, [init_rng], [batch_rng]), 0
-    )
+    half of a cohort of one (see :func:`split_dataset`) with the global
+    parameters frozen: :func:`_reconstructed`, returning the client's
+    blocks; k_r=0 returns the raw init."""
+    return owner_rows(_reconstructed(spec, g, cohort, hyper, [init_rng], [batch_rng]), 0)
 
 
 @dataclass
@@ -160,20 +154,18 @@ def client_update(
     spec: ModelSpec,
     g: Blocks,
     l: Blocks,
-    data: ClientDataset,
+    cohort: Cohort,
     hyper: ClientHyper,
     batch_rng: np.random.Generator,
 ) -> tuple[CohortUpdate, list[ParamBlock]]:
-    """k_u gradient steps on the global parameters over the query set, with
-    the reconstructed local parameters treated as constants (unless
-    joint_training steps them concurrently): :func:`_update_cohort` for a
-    cohort of one, stepping a stacked copy of ``l``.  Returns the update,
-    weighted by n_i = |query set|, and that copy; never modifies the
-    caller's blocks."""
-    if data.query_idx is None or len(data.query_idx) == 0:
-        raise DataError(f"client {data.client_id}: empty query set")
+    """k_u gradient steps on the global parameters over the query half of a
+    cohort of one (see :func:`split_dataset`), with the reconstructed local
+    parameters treated as constants (unless joint_training steps them
+    concurrently): :func:`_update_cohort`, stepping a stacked copy of
+    ``l``.  Returns the update, weighted by n_i = |query half|, and that
+    copy; never modifies the caller's blocks."""
     stacked = _stack([l])
-    update = _update_cohort(spec, g, _cohort_of_one(data), stacked, hyper, [batch_rng])
+    update = _update_cohort(spec, g, cohort, stacked, hyper, [batch_rng])
     return update, owner_rows(stacked, 0)
 
 
@@ -212,8 +204,8 @@ def run_client_round(
 class Cohort:
     """A split cohort in one columnar layout: every client's columns end to
     end, and each half of the split as positions into them, client by
-    client, ascending within a client.  For a cohort of one they are the
-    client's ``support_idx`` and ``query_idx`` (see :func:`split_dataset`).
+    client, ascending within a client; for a cohort of one (see
+    :func:`split_dataset`) they index the client's own columns.
     ``support_n`` and ``query_n`` count each client's positions.  A
     :meth:`window` keeps the columns of the cohort it was cut from."""
 
@@ -318,18 +310,6 @@ def _unsplit_cohort(datasets: Sequence[ClientDataset], n: np.ndarray) -> Cohort:
     has read the sizes."""
     every = np.arange(int(n.sum()))
     return Cohort(*_columns(datasets), every, n, every.copy(), n.copy())
-
-
-def _cohort_of_one(data: ClientDataset) -> Cohort:
-    """A split client as a cohort of one: its columns, and its indices as
-    positions (a half it lacks is empty)."""
-    support, query = (
-        np.zeros(0, np.int64) if i is None else i for i in (data.support_idx, data.query_idx)
-    )
-    return Cohort(
-        np.array([data.client_id]), data.features, data.targets,
-        support, np.array([len(support)]), query, np.array([len(query)]),
-    )
 
 
 def _cohort_batches(
@@ -745,45 +725,43 @@ class MetaGradientReport:
 def verify_first_order_meta_gradient(
     spec: ModelSpec,
     g: Blocks,
-    data: ClientDataset,
+    cohort: Cohort,
     hyper: ClientHyper,
     streams: RngStreams,
     *,
     round_idx: int = 0,
     eps: float = 1e-5,
 ) -> MetaGradientReport:
-    """Check the one-step client update against both gradient readings.
-
-    Requires k_u = 1; the query set is consumed as a single full batch.
-    """
+    """Check the one-step update of a cohort of one (see
+    :func:`split_dataset`) against both gradient readings: the client is
+    reconstructed (:func:`_reconstructed`) and updated (:func:`_update_cohort`)
+    from its ``(round_idx, client id, purpose)`` streams, and the finite
+    differences take the loss of its query half.  Requires k_u = 1; the
+    query half is consumed as a single full batch."""
     if hyper.k_u != 1:
         raise ConfigError("verification requires k_u = 1")
     if hyper.eta_u <= 0:
         raise ConfigError("verification requires a positive eta_u")
-    if data.support_idx is None or data.query_idx is None:
-        raise DataError("dataset must be split before verification")
-    cid = data.client_id
-    full_batch = replace(hyper, batch_size=len(data.query_idx), k_u=1)
+    cid = int(cohort.client_ids[0])
+    full_batch = replace(hyper, batch_size=int(cohort.query_n[0]), k_u=1)
 
     def rebuild_local(g_probe: Blocks) -> list[ParamBlock]:
         # Reconstruction keeps the caller's k_r / eta_r / batch size; only the
         # update step is forced to a single full-batch pass.
-        return reconstruct(
-            spec,
-            g_probe,
-            data,
-            hyper,
-            streams.generator(round_idx, cid, "local_init"),
-            streams.generator(round_idx, cid, "recon_batches"),
-        )
+        init = streams.generator(round_idx, cid, "local_init")
+        batches = streams.generator(round_idx, cid, "recon_batches")
+        return owner_rows(_reconstructed(spec, g_probe, cohort, hyper, [init], [batches]), 0)
 
     l_fixed = rebuild_local(g)
-    update, _ = client_update(
-        spec, g, l_fixed, data, full_batch, streams.generator(round_idx, cid, "update_batches")
+    # A stacked copy: joint training steps it, not the point differentiated at.
+    update = _update_cohort(
+        spec, g, cohort, _stack([l_fixed]), full_batch,
+        [streams.generator(round_idx, cid, "update_batches")],
     )
     first_order = np.concatenate(update.delta(0, g)) / -full_batch.eta_u
 
-    query = data.query_batch()
+    padded = cohort.query_batch()
+    query = Batch(padded.features[0], padded.targets[0], padded.weights[0])
     fd_fixed = _central_differences(lambda gp: spec.loss(gp, l_fixed, query), g, eps)
     fd_composite = _central_differences(
         lambda gp: spec.loss(gp, rebuild_local(gp), query), g, eps

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -383,18 +383,13 @@ class Batch:
 
 @dataclass
 class ClientDataset:
-    """One client's examples plus its support/query partition.
-
-    Stored columnar for speed; ``support_idx``/``query_idx`` are populated
-    by the split step and passed by keyword only.
-    """
+    """One client's examples, stored columnar for speed.  Its support/query
+    split is a ``client.Cohort`` (see ``client.split_cohort``)."""
 
     client_id: int
     features: np.ndarray
     targets: np.ndarray
     timestamps: np.ndarray
-    support_idx: np.ndarray | None = field(default=None, kw_only=True)
-    query_idx: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         n = len(self.targets)
@@ -410,9 +405,6 @@ class ClientDataset:
         idx = slice(None) if idx is None else idx
         targets = self.targets[idx]
         return Batch(self.features[idx], targets, np.ones(len(targets)))
-
-    def query_batch(self) -> Batch:
-        return self.batch(self.query_idx)
 
 
 @dataclass

@@ -500,29 +500,31 @@ def sweep_steps(
     multiplies training cost by the number of axis values already."""
     if axis == "k_r":
         values = list(values) if values is not None else [0, 1, 2, 5, 10]
+        key, base_value = "eval.k_r", config.client.k_r
     elif axis == "k_u":
         values = list(values) if values is not None else [1, 2, 5, 10]
+        key, base_value = "client.k_u", config.client.k_u
     else:
         raise ConfigError(f"sweep axis must be k_r or k_u, got {axis!r}")
 
-    bundle = prepare_task(config)
     cfg = replace(config, repeats=1)
+    # Every value's config, so a bad value fails before any training run.
+    probes = {v: apply_overrides(cfg, {key: int(v)}) for v in [base_value, *values]}
+    bundle = prepare_task(config)
 
     if axis == "k_r":
-        base_value = config.client.k_r
         _, _, out = _run_all_repeats(cfg, bundle)
 
         def accuracy_at(k_r: int) -> float:
-            probe = apply_overrides(cfg, {"eval.k_r": int(k_r)})
+            probe = probes[k_r]
             return recon_eval(
                 bundle.spec, out.global_params, bundle.test_clients, probe.split,
                 probe.eval_mode(), RngStreams(cfg.seed), namespace=f"sweep:k_r:{k_r}",
             ).metrics["accuracy"]
     else:
-        base_value = config.client.k_u
 
         def accuracy_at(k_u: int) -> float:
-            _, final, _ = _run_all_repeats(apply_overrides(cfg, {"client.k_u": int(k_u)}), bundle)
+            _, final, _ = _run_all_repeats(probes[k_u], bundle)
             return final["test"]["accuracy"]
 
     base_accuracy = accuracy_at(base_value)

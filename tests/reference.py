@@ -5,7 +5,9 @@ and one ``sparse_grads`` call per step, no padding and no owner axes.
 ``partialfed.client`` runs every client through its cohort code, a single
 client being a cohort of one.  These are the per-client bodies that code
 replaced, kept so that the cohort path is compared with something other
-than itself.  Unlike ``oracles.py`` they call the model kernels.
+than itself.  Unlike ``oracles.py`` they call the model kernels.  A split
+client is a :class:`SplitDataset`, its halves as index arrays into its own
+columns, where ``partialfed`` splits a client into a ``client.Cohort``.
 
 The next-word data reference: every sentence windowed slot by slot, every
 token looked up through ``TokenCodec`` where it occurs, each client's
@@ -49,7 +51,7 @@ draws one client's blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +65,7 @@ from partialfed.client import (
     owner_chunks,
 )
 from partialfed.core import (
+    Batch,
     Blocks,
     ClientDataset,
     LocalTables,
@@ -187,17 +190,30 @@ def finalize_with_macro(per_client: list[dict[str, Metric]], client_ids) -> dict
     return out
 
 
+@dataclass
+class SplitDataset(ClientDataset):
+    """A client's examples and its split: the support and query halves as
+    ascending indices into its columns, passed by keyword only."""
+
+    support_idx: np.ndarray = field(kw_only=True)
+    query_idx: np.ndarray = field(kw_only=True)
+
+    def query_batch(self) -> Batch:
+        return self.batch(self.query_idx)
+
+
 def split_dataset(
     data: ClientDataset, policy: SplitPolicy, rng: np.random.Generator
-) -> ClientDataset:
-    """Populate support/query indices; single-example clients fall back to
-    no_split so they can still contribute an update."""
+) -> SplitDataset:
+    """The client with its support/query indices; single-example clients
+    fall back to no_split so they can still contribute an update."""
     n = data.n
     if n == 0:
         raise DataError(f"client {data.client_id}: empty dataset")
+    columns = (data.client_id, data.features, data.targets, data.timestamps)
     if policy.kind == "no_split" or n == 1:
         idx = np.arange(n)
-        return replace(data, support_idx=idx, query_idx=idx.copy())
+        return SplitDataset(*columns, support_idx=idx, query_idx=idx.copy())
 
     # Support size: ceil(n * fraction), capped so the query set stays nonempty.
     k = min(max(1, math.ceil(n * policy.support_fraction)), n - 1)
@@ -207,14 +223,14 @@ def split_dataset(
         order = np.argsort(data.timestamps, kind="stable")
     support = np.sort(order[:k])
     query = np.sort(order[k:])
-    return replace(data, support_idx=support, query_idx=query)
+    return SplitDataset(*columns, support_idx=support, query_idx=query)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # finiteness is checked once, on the result
 def reconstruct(
     spec: ModelSpec,
     g: Blocks,
-    data: ClientDataset,
+    data: SplitDataset,
     hyper: ClientHyper,
     init_rng: np.random.Generator,
     batch_rng: np.random.Generator,
@@ -225,8 +241,6 @@ def reconstruct(
     l = client_init(spec, init_rng)
     if hyper.k_r == 0 or not l:
         return l
-    if data.support_idx is None:
-        raise DataError("dataset has no support split")
     for bidx in batch_schedule(data.support_idx, hyper.batch_size, hyper.k_r, batch_rng):
         batch = data.batch(bidx)
         _, grads = spec.sparse_grads(g, l, batch, batch.total_weight, False, True)
@@ -242,7 +256,7 @@ def client_update(
     spec: ModelSpec,
     g: Blocks,
     l: Blocks,
-    data: ClientDataset,
+    data: SplitDataset,
     hyper: ClientHyper,
     batch_rng: np.random.Generator,
 ) -> ClientResult:
@@ -254,7 +268,7 @@ def client_update(
     Steps one working copy in place and never modifies the caller's blocks.
     A block stepped only by row-sparse gradients gets a :class:`RowDelta`
     over the rows touched; any other block gets a dense delta."""
-    if data.query_idx is None or len(data.query_idx) == 0:
+    if len(data.query_idx) == 0:
         raise DataError(f"client {data.client_id}: empty query set")
     batches = batch_schedule(data.query_idx, hyper.batch_size, hyper.k_u, batch_rng)
     joint = hyper.joint_training

@@ -247,6 +247,22 @@ def test_an_audit_of_no_instances_is_a_config_error(verb, instances, capsys):
     assert "--instances must be positive" in captured.err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("verb", ["check-gradients", "verify-meta"])
+def test_an_audit_seed_outside_64_bits_is_a_config_error(verb, seed, capsys):
+    # The streams keep a seed modulo 2**64: 2**64 + 1 would audit seed 1.
+    assert main([verb, "--instances", "1", "--seed", str(seed)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # before any instance runs
+    assert f"config error: seed must be in [0, 2**64), got {seed}" in captured.err
+
+
+@pytest.mark.parametrize("verb", ["check-gradients", "verify-meta"])
+def test_an_audit_takes_the_largest_64_bit_seed(verb, capsys):
+    assert main([verb, "--instances", "1", "--seed", str(2**64 - 1)]) == 0
+    assert "[ok]" in capsys.readouterr().out
+
+
 def test_reproduce_table2_mech(tmp_path, capsys):
     code = main(
         [
@@ -460,6 +476,27 @@ def test_evaluate_overflowing_scores_is_a_numerical_error(
         )
     assert code == 3
     assert "numerical error: repeat 0, client " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, values, message", [
+    ("k-u", "1,0", "k_u must be positive"),
+    ("k-r", "2,-1", "eval.k_r must be nonnegative"),
+])
+def test_sweep_rejects_a_bad_step_value_before_training(
+    tmp_path, small_synthetic, monkeypatch, capsys, axis, values, message
+):
+    from partialfed import runner
+
+    runs = []
+    execute = runner._execute
+    monkeypatch.setattr(runner, "_execute", lambda *a: runs.append(a) or execute(*a))
+    code = main(
+        ["sweep", "--config", str(small_synthetic), *synth_args(tmp_path),
+         "--axis", axis, "--values", values]
+    )
+    assert code == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert runs == []
 
 
 def test_sweep_rejects_non_integer_values(tmp_path, small_synthetic, capsys):

@@ -6,16 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partialfed.client import (
+    SPLIT_KINDS,
     ClientHyper,
+    Cohort,
     RowDelta,
     SplitPolicy,
     batch_schedule,
     client_update,
     reconstruct,
     run_client_round,
+    split_cohort,
     split_dataset,
 )
-from partialfed.core import ClientDataset, ParamBlock, RngStreams, dense_grads
+from partialfed.core import Batch, ClientDataset, ParamBlock, RngStreams, dense_grads
 from partialfed.data import SyntheticDataConfig, gen_synthetic_mf
 from partialfed.errors import ConfigError, DataError, NumericalError
 from partialfed.models import ModelConfig, matfac_spec
@@ -72,26 +75,39 @@ class TestSplitPolicy:
             SplitPolicy(support_fraction=0.0)
 
     def test_no_split_uses_everything(self, streams):
-        ds = split_dataset(toy_client(4), SplitPolicy(kind="no_split"), streams.generator(0))
-        assert ds.support_idx.tolist() == [0, 1, 2, 3]
-        assert ds.query_idx.tolist() == [0, 1, 2, 3]
+        cohort = split_dataset(toy_client(4), SplitPolicy(kind="no_split"), streams.generator(0))
+        assert cohort.support.tolist() == [0, 1, 2, 3]
+        assert cohort.query.tolist() == [0, 1, 2, 3]
 
     def test_by_timestamp_earlier_half_is_support(self, streams):
         ds = toy_client(4)  # timestamps 100, 99, 98, 97: later index = earlier time
         out = split_dataset(ds, SplitPolicy(kind="by_timestamp_half"), streams.generator(0))
-        assert out.support_idx.tolist() == [2, 3]
-        assert out.query_idx.tolist() == [0, 1]
+        assert out.support.tolist() == [2, 3]
+        assert out.query.tolist() == [0, 1]
 
     def test_single_example_falls_back_to_no_split(self, streams):
         out = split_dataset(toy_client(1), SplitPolicy(kind="half_disjoint"), streams.generator(0))
-        assert out.support_idx.tolist() == [0]
-        assert out.query_idx.tolist() == [0]
+        assert out.support.tolist() == [0]
+        assert out.query.tolist() == [0]
 
     def test_caller_dataset_left_unsplit(self, streams):
         ds = toy_client(6)
+        before = dataclasses.astuple(ds)
         split = split_dataset(ds, SplitPolicy(), streams.generator("s"))
-        assert ds.support_idx is None and ds.query_idx is None
-        assert len(split.support_idx) + len(split.query_idx) == 6
+        assert all(np.array_equal(a, b) for a, b in zip(dataclasses.astuple(ds), before))
+        assert len(split.support) + len(split.query) == 6
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("kind", SPLIT_KINDS)
+    def test_split_dataset_is_a_cohort_of_one(self, kind, n):
+        ds = toy_client(n, client_id=7)
+        policy = SplitPolicy(kind=kind)
+        got = split_dataset(ds, policy, np.random.default_rng(3))
+        want = split_cohort([ds], policy, [np.random.default_rng(3)])
+        assert isinstance(got, Cohort)
+        for f in dataclasses.fields(Cohort):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
 
     def test_empty_dataset_rejected(self, streams):
         ds = ClientDataset(0, np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int))
@@ -107,10 +123,10 @@ class TestSplitPolicy:
     def test_disjoint_cover_invariant(self, n, kind, seed):
         ds = toy_client(n)
         out = split_dataset(ds, SplitPolicy(kind=kind), np.random.default_rng(seed))
-        support, query = set(out.support_idx.tolist()), set(out.query_idx.tolist())
+        support, query = set(out.support.tolist()), set(out.query.tolist())
         assert support | query == set(range(n))
         assert not (support & query)
-        assert len(out.support_idx) == int(np.ceil(n / 2))
+        assert len(out.support) == int(np.ceil(n / 2))
         assert len(query) >= 1
 
 
@@ -184,16 +200,6 @@ class TestReconstruct:
         for before, block in zip(snapshot, g):
             assert np.array_equal(before, block.values)
 
-    def test_unsplit_dataset_rejected(self, streams):
-        spec, g, _ = self.make(streams)
-        unsplit = toy_client(6)
-        assert unsplit.support_idx is None
-        with pytest.raises(DataError, match="no support split"):
-            reconstruct(
-                spec, g, unsplit, ClientHyper(k_r=2, eta_r=0.2),
-                streams.generator("i"), streams.generator("b"),
-            )
-
     @pytest.mark.parametrize("bad_step, named_step", [(0, 1), (2, 3), (3, 3)])
     def test_nan_step_raises_naming_the_step(self, streams, bad_step, named_step):
         # No loss is evaluated per step: a NaN local gradient taken at any
@@ -214,8 +220,8 @@ class TestReconstruct:
         zero_init = dataclasses.replace(spec, init_local=zero_user_rows)
         l = reconstruct(zero_init, g, ds, hyper, streams.generator("i"), streams.generator("b"))
         batches = [
-            ds.batch(b)
-            for b in batch_schedule(ds.support_idx, 2, steps, streams.generator("b"))
+            Batch(ds.features[b], ds.targets[b], np.ones(len(b)))
+            for b in batch_schedule(ds.support, 2, steps, streams.generator("b"))
         ]
         trace = oracle_sgd_trace(
             spec, g, [ParamBlock.of("user_embedding", np.zeros(2))],
@@ -239,10 +245,11 @@ class TestClientUpdate:
 
     def test_single_step_equals_negative_scaled_gradient(self, streams):
         spec, g, l, ds = self.make(streams)
-        hyper = ClientHyper(k_u=1, eta_u=0.25, batch_size=len(ds.query_idx))
+        hyper = ClientHyper(k_u=1, eta_u=0.25, batch_size=len(ds.query))
         result, _ = client_update(spec, g, l, ds, hyper, streams.generator("u"))
         dense = result.delta(0, g)
-        expected, _ = dense_grads(spec, g, l, ds.query_batch())
+        query = Batch(ds.features[ds.query], ds.targets[ds.query], np.ones(len(ds.query)))
+        expected, _ = dense_grads(spec, g, l, query)
         np.testing.assert_allclose(dense[0], -0.25 * expected[0], rtol=1e-12)
 
     def test_zero_rate_gives_zero_delta(self, streams):
@@ -254,10 +261,10 @@ class TestClientUpdate:
 
     def test_two_step_full_batch_matches_hand_rolled_oracle(self, streams):
         spec, g, l, ds = self.make(streams)
-        n_q = len(ds.query_idx)
+        n_q = len(ds.query)
         hyper = ClientHyper(k_u=2, eta_u=0.2, batch_size=n_q)
         result, _ = client_update(spec, g, l, ds, hyper, streams.generator("u2"))
-        batches = batch_schedule(ds.query_idx, n_q, 2, streams.generator("u2"))
+        batches = batch_schedule(ds.query, n_q, 2, streams.generator("u2"))
         q_after = oracle_mf_two_step_update(
             g[0].array, l[0].values, ds.features, ds.targets, 0.2, batches
         )
@@ -267,8 +274,8 @@ class TestClientUpdate:
     def test_n_i_is_query_size(self, streams):
         spec, g, l, ds = self.make(streams)
         result, _ = client_update(spec, g, l, ds, ClientHyper(), streams.generator("u"))
-        assert result.client_ids.tolist() == [ds.client_id]
-        assert result.n.tolist() == [len(ds.query_idx)]
+        assert result.client_ids.tolist() == [ds.client_ids[0]]
+        assert result.n.tolist() == [len(ds.query)] == ds.query_n.tolist()
 
     def test_local_params_untouched_without_joint_training(self, streams):
         spec, g, l, ds = self.make(streams)
@@ -303,7 +310,7 @@ class TestClientUpdate:
             spec = dense_kernel(spec)
         spec = dataclasses.replace(spec, sparse_grads=nan_at_call(spec.sparse_grads, bad_step))
         hyper = ClientHyper(k_u=4, eta_u=0.2, batch_size=2)
-        with pytest.raises(NumericalError, match=f"client {ds.client_id}"):
+        with pytest.raises(NumericalError, match=f"client {ds.client_ids[0]}"):
             client_update(spec, g, l, ds, hyper, streams.generator("u"))
 
     def test_delta_ignores_support_set(self, streams):
@@ -312,9 +319,7 @@ class TestClientUpdate:
         spec, g, l, ds = self.make(streams)
         hyper = ClientHyper(k_u=3, eta_u=0.1, batch_size=2)
         a, _ = client_update(spec, g, l, ds, hyper, streams.generator("same"))
-        scrambled = dataclasses.replace(
-            ds, support_idx=ds.support_idx[::-1].copy(), query_idx=ds.query_idx
-        )
+        scrambled = dataclasses.replace(ds, support=ds.support[::-1].copy())
         b, _ = client_update(spec, g, l, scrambled, hyper, streams.generator("same"))
         for da, db in zip(a.delta(0, g), b.delta(0, g)):
             assert np.array_equal(da, db)
@@ -345,9 +350,11 @@ class TestClientUpdate:
         )
 
     def test_empty_query_rejected(self, streams):
+        # split_cohort never leaves a half empty; one built by hand cannot
+        # be batched.
         spec, g, l, ds = self.make(streams)
-        bad = dataclasses.replace(ds, query_idx=np.zeros(0, dtype=int))
-        with pytest.raises(DataError):
+        bad = dataclasses.replace(ds, query=np.zeros(0, dtype=int), query_n=np.array([0]))
+        with pytest.raises(DataError, match="empty index set"):
             client_update(spec, g, l, bad, ClientHyper(), streams.generator("u"))
 
 

@@ -431,16 +431,14 @@ def test_the_single_client_api_is_the_reference(case):
         def gen(purpose):
             return streams.generator(ds.client_id, purpose)
 
-        got, want = (
-            f(ds, policy, gen("split")) for f in (split_dataset, reference.split_dataset)
-        )
-        assert np.array_equal(got.support_idx, want.support_idx)
-        assert np.array_equal(got.query_idx, want.query_idx)
+        got = split_dataset(ds, policy, gen("split"))
+        want = reference.split_dataset(ds, policy, gen("split"))
+        assert got.client_ids.tolist() == [ds.client_id]
+        assert np.array_equal(got.support, want.support_idx)
+        assert np.array_equal(got.query, want.query_idx)
 
-        l_got, l_want = (
-            f(spec, g, want, hyper, gen("init"), gen("recon"))
-            for f in (reconstruct, reference.reconstruct)
-        )
+        l_got = reconstruct(spec, g, got, hyper, gen("init"), gen("recon"))
+        l_want = reference.reconstruct(spec, g, want, hyper, gen("init"), gen("recon"))
         assert [(b.name, b.shape) for b in l_got] == [(b.name, b.shape) for b in l_want]
         for b_got, b_want in zip(l_got, l_want):
             if exact:
@@ -449,7 +447,7 @@ def test_the_single_client_api_is_the_reference(case):
                 assert_close(b_got.values, b_want.values, b_want.name)
 
         l = reference.client_init(spec, gen("stored")) if stored else l_want
-        update, l_stepped = client_update(spec, g, l, want, hyper, gen("update"))
+        update, l_stepped = client_update(spec, g, l, got, hyper, gen("update"))
         want_update = reference.client_update(spec, g, l, want, hyper, gen("update"))
         assert_deltas_agree(client_results([update]), [want_update], exact=exact)
         # The stepped copy of the caller's locals: stepped under joint training.

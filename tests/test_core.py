@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,14 +229,10 @@ class TestClientDataset:
         assert b.size == 2
         assert ds.batch().weights.tolist() == [1.0] * 5
 
-    def test_split_indices_are_keyword_only(self):
-        # A call of the former (id, features, targets, weights, timestamps)
-        # layout must not bind the timestamps to the support indices.
-        columns = (np.arange(3), np.ones(3), np.ones(3), np.arange(3))
-        with pytest.raises(TypeError):
-            ClientDataset(5, *columns)
-        ds = ClientDataset(5, *columns[:2], columns[3], support_idx=np.array([0]))
-        assert ds.support_idx.tolist() == [0] and ds.query_idx is None
+    def test_fields_are_the_examples_only(self):
+        # A split is a client.Cohort, never a field of the dataset.
+        names = [f.name for f in dataclasses.fields(ClientDataset)]
+        assert names == ["client_id", "features", "targets", "timestamps"]
 
     def test_ragged_columns_name_the_client(self):
         with pytest.raises(ShapeMismatchError, match="client 5: ragged columns"):

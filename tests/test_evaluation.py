@@ -191,7 +191,7 @@ class TestReconEval:
                 streams.generator(0, cid, "eval:recon_batches"),
             )
             stored[cid] = l
-            eval_sets.append(subset(rep_client, dsx.query_idx, client_id=cid))
+            eval_sets.append(subset(rep_client, dsx.query, client_id=cid))
         expected = standard_eval(spec, g, tables_of(stored), eval_sets)
         assert result.metrics["rmse"] == pytest.approx(expected["rmse"])
         assert result.metrics["accuracy"] == pytest.approx(expected["accuracy"])

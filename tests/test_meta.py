@@ -23,20 +23,25 @@ from partialfed.data import (
 from partialfed.errors import ConfigError
 from partialfed.models import ModelConfig, matfac_spec, oov_nwp_spec
 from oracles import oracle_meta_gradient
+import reference
 
 
-def mf_instance(seed, k_r, eta_r=0.1):
+def mf_client(seed):
     clients, _, _ = gen_synthetic_mf(
         SyntheticDataConfig(num_users=3, num_items=5, true_rank=2, ratings_per_user=5,
                             noise_std=0.3, signal_std=0.8),
         seed,
     )
+    return clients[0]
+
+
+def mf_instance(seed, k_r, eta_r=0.1):
     spec = matfac_spec(ModelConfig(embed_dim=2), 5)
     streams = RngStreams(seed)
-    ds = split_dataset(clients[0], SplitPolicy(), streams.generator("split"))
+    cohort = split_dataset(mf_client(seed), SplitPolicy(), streams.generator("split"))
     g = spec.init_global(streams.generator("g"))
     hyper = ClientHyper(k_r=k_r, k_u=1, eta_r=eta_r, eta_u=0.1, batch_size=3)
-    return spec, g, ds, hyper
+    return spec, g, cohort, hyper
 
 
 class TestFirstOrderCheck:
@@ -95,15 +100,18 @@ class TestCompositeGradient:
         assert report.composite_max_abs_gap > 1e-6  # dropped terms are real
 
     def test_composite_matches_independent_oracle(self):
-        spec, g, ds, hyper = mf_instance(seed=6, k_r=2, eta_r=0.2)
+        spec, g, cohort, hyper = mf_instance(seed=6, k_r=2, eta_r=0.2)
         streams = RngStreams(11)
         report = verify_first_order_meta_gradient(
-            spec, g, ds, hyper, streams, round_idx=0
+            spec, g, cohort, hyper, streams, round_idx=0
         )
+        # The same client split by the reference, from the same draws.
+        ds = reference.split_dataset(mf_client(6), SplitPolicy(), RngStreams(6).generator("split"))
+        assert np.array_equal(ds.query_idx, cohort.query)
 
         def rebuild(probe):
             return reconstruct(
-                spec, probe, ds, hyper,
+                spec, probe, cohort, hyper,
                 streams.generator(0, ds.client_id, "local_init"),
                 streams.generator(0, ds.client_id, "recon_batches"),
             )
