@@ -12,6 +12,7 @@ import ctypes
 import functools
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -312,6 +313,16 @@ def _unsplit_cohort(datasets: Sequence[ClientDataset], n: np.ndarray) -> Cohort:
     return Cohort(*_columns(datasets), every, n, every.copy(), n.copy())
 
 
+def _batch_capped(hyper: ClientHyper, cohort: Cohort) -> ClientHyper:
+    """``hyper`` with ``batch_size`` no wider than the cohort's largest
+    half, support or query: a wider minibatch holds the same examples and
+    only more zero-weight padding.  Taken over the whole cohort, before
+    :func:`owner_chunks` cuts it, so no client's batches depend on the
+    chunking."""
+    widest = int(max(cohort.support_n.max(), cohort.query_n.max()))
+    return replace(hyper, batch_size=min(hyper.batch_size, widest))
+
+
 def _cohort_batches(
     cohort: Cohort,
     part: str,
@@ -397,40 +408,21 @@ _THREAD_CHUNK = 10
 _WORKERS = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
-_helpers = None  # the concurrent.futures.ThreadPoolExecutor, once started
 
 
-def _forget_helpers() -> None:
-    """A forked child has none of its parent's threads: it starts a pool of
-    its own when it needs one."""
-    global _helpers
-    _helpers = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
-def _helper_pool():
-    """The ``_WORKERS - 1`` helper threads, started on first use, so a run
-    that needs none imports no executor.  Before the first starts, glibc is
-    told to keep one malloc arena for the process: a helper's own arena
-    kept the chunk arrays it had freed, and next-word runs peaked about 5%
-    higher.  A process that never runs chunks on threads keeps glibc's
-    default, and a libc without ``mallopt`` is left as it is."""
-    global _helpers
-    if _helpers is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        try:
-            mallopt = ctypes.CDLL(None).mallopt
-        except (AttributeError, OSError, TypeError):  # not glibc
-            pass
-        else:
-            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-            mallopt(-8, 1)  # M_ARENA_MAX
-        _helpers = ThreadPoolExecutor(max(1, _WORKERS - 1), "owner-chunk")
-    return _helpers
+@functools.cache
+def _one_malloc_arena() -> None:
+    """Tell glibc, once, to keep one malloc arena for the process: a helper
+    thread's own arena kept the chunk arrays it had freed, and next-word
+    runs peaked about 5% higher.  A process that never runs chunks on
+    threads keeps glibc's default, and a libc without ``mallopt`` is left
+    as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 @functools.lru_cache(maxsize=8)
@@ -476,13 +468,14 @@ def owner_chunks(spec: ModelSpec, g: Blocks, owners: int) -> list[slice]:
 def map_chunks(run: Callable[[slice], object], spec: ModelSpec, g: Blocks, owners: int) -> list:
     """``run(c)`` for every slice ``c`` of :func:`owner_chunks`, in order,
     the slices shared out in contiguous runs among :func:`_chunk_workers`
-    threads: the calling thread runs the first, helpers the others, each in
-    a copy of the caller's context variables.  ``run`` must not depend on
-    another chunk's result, and sets numpy's error state itself where it
-    needs one: before numpy 2.0 that state is per thread, not a context
-    variable.  If chunks fail, the error raised is the first failing
-    chunk's in order, once every submitted chunk has finished: the error
-    of a loop over the chunks."""
+    threads: the calling thread runs the first, helper threads started for
+    this call the others, each in a copy of the caller's context variables.
+    Every helper has ended when the call returns or raises.  ``run`` must
+    not depend on another chunk's result, and sets numpy's error state
+    itself where it needs one: before numpy 2.0 that state is per thread,
+    not a context variable.  If chunks fail, the error raised is the first
+    failing chunk's in order, once every chunk has finished: the error of a
+    loop over the chunks."""
     chunks = owner_chunks(spec, g, owners)
     shares = min(_chunk_workers(spec, g, owners), len(chunks))
     if shares <= 1:
@@ -492,13 +485,13 @@ def map_chunks(run: Callable[[slice], object], spec: ModelSpec, g: Blocks, owner
     def share(k: int) -> list:
         return [run(c) for c in chunks[cuts[k] : cuts[k + 1]]]
 
-    pool = _helper_pool()
-    futures = [pool.submit(contextvars.copy_context().run, share, k) for k in range(1, shares)]
-    try:
+    _one_malloc_arena()
+    # Leaving the block, normally or by share 0's error, waits for every helper.
+    with ThreadPoolExecutor(shares - 1, "owner-chunk") as helpers:
+        futures = [
+            helpers.submit(contextvars.copy_context().run, share, k) for k in range(1, shares)
+        ]
         first = share(0)
-    finally:
-        for f in futures:
-            f.exception()  # waits for it, raising nothing
     return first + [out for f in futures for out in f.result()]
 
 
@@ -670,15 +663,18 @@ def run_cohort(
     :class:`CohortUpdate` per chunk and the clients' query metrics before
     the update, as arrays over the clients, both in dataset order.  The
     round is split, and each stream purpose seeded, once for all its
-    clients.  ``initial_locals``, local blocks stacked along a leading
-    client axis (row ``c`` for dataset ``c``), skips reconstruction; joint
-    training steps them in place.  A numerical failure names the client."""
+    clients.  A ``batch_size`` wider than the round's largest half is
+    taken as that half (:func:`_batch_capped`).  ``initial_locals``, local
+    blocks stacked along a leading client axis (row ``c`` for dataset
+    ``c``), skips reconstruction; joint training steps them in place.  A
+    numerical failure names the client."""
     if not datasets:
         return [], {}
     cohort, init, batches = _split_and_seed(
         datasets, policy, streams, round_idx, "", initial_locals is None
     )
     update_batches = streams.generators(round_idx, cohort.client_ids, "update_batches")
+    hyper = _batch_capped(hyper, cohort)
 
     def run(owners: slice) -> tuple[CohortUpdate, dict[str, Metric]]:
         chunk = cohort.window(owners)

@@ -69,9 +69,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
 _SHIFT16, _SHIFT32 = np.uint64(16), np.uint64(32)
 _POOL = 4
-# The array seeding costs about 300 us whatever the lane count, against
-# about 20 us per generator() call: fewer lanes than this run the loop.
-_MIN_BATCH_LANES = 16
 
 
 @functools.lru_cache(maxsize=1024)  # purpose strings: few, reused every round
@@ -181,9 +178,6 @@ class RngStreams:
                 f"generators() array parts differ in length: {[len(a) for a in arrays]}"
             )
         n = len(arrays[0])
-        if n < _MIN_BATCH_LANES:
-            columns = [p.tolist() if isinstance(p, np.ndarray) else [p] * n for p in parts]
-            return [self.generator(*lane) for lane in zip(*columns)]
         # Negative ints wrap modulo 2**64.  SeedSequence reads an entry below
         # 2**32 as one word, others as two: lanes are grouped by which of
         # their entries take two, bit j of ``wide`` for array part j.

@@ -16,6 +16,7 @@ import numpy as np
 from .client import (
     ClientHyper,
     SplitPolicy,
+    _batch_capped,
     _reconstructed,
     _split_and_seed,
     _unsplit_cohort,
@@ -142,7 +143,9 @@ def recon_eval(
     client id, namespace + ":" + purpose)``.  It is reconstructed and
     scored as a round is, one batched call per slice of
     :func:`owner_chunks` (:func:`map_chunks`), which may straddle repeats:
-    a client's scores do not depend on who shares its call.  A non-finite
+    a client's scores do not depend on who shares its call.  A
+    ``batch_size`` wider than the cohort's largest half is taken as that
+    half (:func:`_batch_capped`), over every repeat at once.  A non-finite
     score names the repeat and the client.  Never reads or writes any
     training state."""
     if not clients:
@@ -159,13 +162,12 @@ def recon_eval(
     ]
     reps = np.repeat(np.arange(mode.repeats), take)
     cohort, init, batches = _split_and_seed(sample, policy, streams, reps, namespace + ":")
+    hyper = _batch_capped(mode.recon_hyper, cohort)
 
     def score(owners: slice) -> dict[str, Metric]:
         chunk = cohort.window(owners)
         try:
-            stacked = _reconstructed(
-                spec, g, chunk, mode.recon_hyper, init[owners], batches[owners]
-            )
+            stacked = _reconstructed(spec, g, chunk, hyper, init[owners], batches[owners])
         except NumericalError as e:
             raise NumericalError(f"repeat {reps[owners.start + (e.owner or 0)]}, {e}") from e
         return cohort_metrics(spec, g, stacked, chunk)

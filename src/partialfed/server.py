@@ -57,7 +57,9 @@ class ServerOptimizer:
     it at or above tau**2; Yogi follows them, so that its sign-driven update,
     which can shrink the moment, starts from a positive value.  Adagrad's
     moment only accumulates squares, so it keeps the classic zero start: tau
-    in the denominator already bounds the first step by eta_s."""
+    in the denominator already bounds the first step by eta_s.  Every kind
+    refuses a tau whose square overflows, 1e155 say, as Yogi could not
+    start from it."""
 
     kind: str = "sgd"
     eta_s: float = 1.0
@@ -72,8 +74,8 @@ class ServerOptimizer:
             raise ConfigError("eta_s must be finite and positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("beta1/beta2 must be in [0, 1)")
-        if not 0 < self.tau < math.inf:
-            raise ConfigError("tau must be finite and positive")
+        if not (0 < self.tau and self.tau * self.tau < math.inf):
+            raise ConfigError(f"tau must be positive with a finite square, got {self.tau!r}")
 
 
 @dataclass

@@ -415,6 +415,43 @@ def test_nwp_cohort_is_the_mapped_client_round(case, per_call):
             assert np.array_equal(b_chunked.values, b.values), b.name
 
 
+@pytest.mark.parametrize("model", ["matfac", "oov_nwp"])
+def test_a_batch_wider_than_every_half_is_the_widest_half(model, streams):
+    # batch_size 10**6 over halves of a few examples, in chunks of one
+    # client: every minibatch of the round and of the evaluation is as wide
+    # as the cohort's widest half, a narrower chunk's too, and MF gives the
+    # bits of a batch_size of that half.
+    spec, population = mf_population() if model == "matfac" else nwp_population()
+    clients = population[:3]
+    g = spec.init_global(streams.generator("g"))
+    sizes = split_cohort(clients, SplitPolicy(), [np.random.default_rng(0)] * len(clients))
+    widest = int(max(sizes.support_n.max(), sizes.query_n.max()))
+    widths = []
+
+    def recording(*args):
+        batches = _cohort_batches(*args)
+        widths.append(batches[2].shape[-1])
+        return batches
+
+    def run(batch_size):
+        hyper = ClientHyper(k_r=1, k_u=1, eta_r=0.2, eta_u=0.15, batch_size=batch_size)
+        mode = EvalMode(recon_hyper=hyper, repeats=2, clients_per_repeat=len(clients))
+        with owner_budget(spec, g, 1):
+            return (
+                cohort_results(spec, g, clients, SplitPolicy(), hyper, streams, 0),
+                recon_eval(spec, g, clients, SplitPolicy(), mode, streams).metrics,
+            )
+
+    with mock.patch.object(client_module, "_cohort_batches", recording):
+        wide = run(10**6)
+    # Each client's support and query in the round, its support in each repeat.
+    assert widths == [widest] * (4 * len(clients))
+    if model == "matfac":
+        narrow = run(widest)
+        assert_rounds_agree(wide[0], narrow[0], exact=True)
+        assert wide[1] == narrow[1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(mf_rounds(), nwp_rounds()))
 def test_the_single_client_api_is_the_reference(case):
@@ -890,37 +927,55 @@ def test_map_chunks_keeps_order_and_raises_the_first_failure_once_all_finish():
         assert finished == [5]
 
 
-@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
 def test_a_forked_child_runs_chunks_on_helpers_of_its_own():
-    # A child forked after a two-worker map_chunks has none of the pool's
-    # threads.  Its map_chunks starts a pool of its own rather than wait
-    # forever on work that no thread of the child will take.
+    # A child forked after a two-worker map_chunks has none of the parent's
+    # threads.  Its map_chunks runs on helpers it starts itself rather than
+    # wait forever on work that no thread of the child will take.
     spec, _ = mf_population()
     g = spec.init_global(np.random.default_rng(0))
 
     def starts():
         return map_chunks(lambda c: c.start, spec, g, 9)
 
-    with on_workers(2), mock.patch.object(client_module, "_helpers", None):
-        try:
-            assert starts() == [0, 5]
-            child = multiprocessing.get_context("fork").Process(
-                target=lambda: sys.exit(starts() != [0, 5])
-            )
-            child.start()
-            child.join(20)
-            if child.is_alive():
-                child.kill()
-                child.join()
-            assert child.exitcode == 0
-        finally:
-            client_module._helpers.shutdown()
+    with on_workers(2):
+        assert starts() == [0, 5]
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: sys.exit(starts() != [0, 5])
+        )
+        child.start()
+        child.join(20)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+
+def test_no_helper_thread_outlives_its_map_chunks_call():
+    # Two workers: the helper that runs chunk 5:10 has ended by the time
+    # map_chunks returns, and by the time it raises.
+    spec, _ = mf_population()
+    g = spec.init_global(np.random.default_rng(0))
+
+    def helpers():
+        return [t for t in threading.enumerate() if t.name.startswith("owner-chunk")]
+
+    def fails(c):
+        raise ValueError(f"chunk {c.start}")
+
+    with on_workers(2):
+        names = map_chunks(lambda c: threading.current_thread().name, spec, g, 9)
+        assert names[1].startswith("owner-chunk")
+        assert helpers() == []
+        with pytest.raises(ValueError, match="^chunk 0$"):
+            map_chunks(fails, spec, g, 9)
+        assert helpers() == []
 
 
 def test_joint_fedavg_on_more_threads_than_cpus_changes_no_bit():
-    # Five workers, four of them helpers in a pool of their own, switching
-    # every 10 us: each chunk steps its rows of the round's stacked locals
-    # in place, and no chunk may see another's rows or steps.
+    # Five workers, four of them helpers, switching every 10 us: each chunk
+    # steps its rows of the round's stacked locals in place, and no chunk
+    # may see another's rows or steps.
     spec, clients = nwp_population(num_clients=12)
     clients = {ds.client_id: ds for ds in clients}
     hyper = dataclasses.replace(HYPER, joint_training=True)
@@ -934,15 +989,13 @@ def test_joint_fedavg_on_more_threads_than_cpus_changes_no_bit():
     with on_workers(1):
         want = train()
     interval = sys.getswitchinterval()
-    with on_workers(5), mock.patch.object(client_module, "_helpers", None):
+    with on_workers(5):
         sys.setswitchinterval(1e-5)
         try:
             assert len(owner_chunks(spec, want.global_params, 10)) == 5
             got = train()
         finally:
             sys.setswitchinterval(interval)
-            if client_module._helpers is not None:
-                client_module._helpers.shutdown()
     pairs = list(zip(got.global_params, want.global_params, strict=True))
     pairs += zip(got.local_store.blocks, want.local_store.blocks, strict=True)
     for b_got, b_want in pairs:

@@ -60,7 +60,7 @@ int_parts = st.one_of(st.sampled_from(EDGE_INTS), st.integers(-(2**64), 2**65))
 key_parts = st.one_of(int_parts, st.text(max_size=6))
 
 
-# Both sides of the lane count below which generators() loops.
+# From a cohort of one to a 40-client table: every count takes the one array path.
 LANE_COUNTS = [1, 5, 15, 16, 17, 40]
 
 
@@ -116,7 +116,7 @@ class TestBatchedStreams:
 
     def test_matches_generator_calls(self):
         streams = RngStreams(12345)
-        ids = np.append(np.arange(19), 2**40)  # enough lanes to seed as arrays
+        ids = np.append(np.arange(19), 2**40)  # one lane's id takes two words
         for got, cid in zip(streams.generators(4, ids, "split"), ids.tolist()):
             assert np.array_equal(
                 got.normal(size=4), streams.generator(4, cid, "split").normal(size=4)

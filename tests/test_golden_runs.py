@@ -215,8 +215,8 @@ def test_owner_chunk_threads_change_no_bit(name, tmp_path):
     written = {}
     for workers, large in ((1, {}), (2, {"_LARGE_OWNER": 1, "_THREAD_CHUNK": 1})):
         out = tmp_path / str(workers)
-        pool = mock.Mock(wraps=client._helper_pool)
-        with mock.patch.multiple(client, _WORKERS=workers, _helper_pool=pool, **large):
+        pool = mock.Mock(wraps=client.ThreadPoolExecutor)
+        with mock.patch.multiple(client, _WORKERS=workers, ThreadPoolExecutor=pool, **large):
             run_experiment(load_config(None, {**overrides, "output_dir": str(out)}))
         assert (pool.call_count > 0) == (workers > 1)
         written[workers] = [(out / f).read_bytes() for f in ("metrics.csv", "params.bin")]

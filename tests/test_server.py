@@ -245,6 +245,13 @@ class TestServerStep:
         with pytest.raises(ConfigError):
             ServerOptimizer(kind="adam")
 
+    @pytest.mark.parametrize("kind", ["sgd", "adagrad", "yogi"])
+    def test_a_tau_whose_square_overflows_is_refused(self, kind):
+        # Yogi's second moment starts at tau**2, which overflows past 1.3e154.
+        ServerOptimizer(kind=kind, tau=1e154)
+        with pytest.raises(ConfigError, match="^tau must be"):
+            ServerOptimizer(kind=kind, tau=1e155)
+
     def test_five_settings_and_no_moments_for_sgd(self):
         assert [f.name for f in dataclasses.fields(ServerOptimizer)] == [
             "kind", "eta_s", "beta1", "beta2", "tau"
@@ -277,8 +284,7 @@ class TestInitialState:
     @given(local_specs(), st.integers(0, 2**64 - 1),
            st.lists(st.integers(0, 2**40), min_size=1, max_size=40))
     def test_init_local_row_is_its_generators_one_client_draw(self, spec, seed, lanes):
-        # 1 to 40 lanes: both the per-lane loop of generators() (fewer than
-        # 16) and its array seeding.
+        # 1 to 40 lanes: a cohort of one up to a stored table's clients.
         streams = RngStreams(seed)
         got = spec.init_local(*streams.generators(np.array(lanes), "local"))
         assert_rows_are_one_client_draws(
